@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -42,7 +43,7 @@ def parse_gamma(text: str) -> GaussianRational:
     """Gamma from its text form, e.g. '4', '-1', '1/2 + 3/2*i'."""
     try:
         value = parse_poly(text, VarSet([])).constant_value()
-    except (PolyParseError, ValueError) as exc:
+    except (PolyParseError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse gamma {text!r}: {exc}") from exc
     if value.is_zero():
         raise UsageError("gamma must be nonzero")
@@ -94,6 +95,7 @@ def build_parser() -> _Parser:
     lt.add_argument("--numeric", action="store_true",
                     help="numeric table over the enumerated points")
     lt.add_argument("--point", default=None,
+                    choices=("e1", "e2", "e3", "e4", "generic"),
                     help="a basis point e1..e4 (symbolic mode)")
     _add_common(lt, suppress=True)
     return p
@@ -170,17 +172,21 @@ def cmd_lines_through(gamma, fmt, limits, args) -> int:
     from .plucker import lines_through_point
 
     if args.numeric:
-        from .numeric import enumerate_points, six_lines_numeric
+        from .numeric import ConvergenceError, enumerate_points, six_lines_numeric
 
-        pts = enumerate_points(gamma, tol=args.tolerance)
         rows = []
-        for p in pts[4:]:
-            ls = six_lines_numeric(p, gamma, tol=args.tolerance)
-            rows.append({
-                "point": [f"{z.real:+.10f}{z.imag:+.10f}i" for z in p.coords],
-                "lines": [[f"{z.real:+.10f}{z.imag:+.10f}i" for z in m]
-                          for m in ls],
-            })
+        try:
+            pts = enumerate_points(gamma, tol=args.tolerance)
+            for p in pts[4:]:
+                ls = six_lines_numeric(p, gamma, tol=args.tolerance)
+                rows.append({
+                    "point": [f"{z.real:+.10f}{z.imag:+.10f}i" for z in p.coords],
+                    "lines": [[f"{z.real:+.10f}{z.imag:+.10f}i" for z in m]
+                              for m in ls],
+                })
+        except ConvergenceError as exc:
+            sys.stderr.write(f"qp3: numeric verification failed: {exc}\n")
+            return EXIT_VERIFICATION
         payload = {"command": "lines-through", "gamma": str(gamma),
                    "mode": "numeric", "points": rows, "verified": True}
 
@@ -211,6 +217,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.gamma is None:
             raise UsageError("--gamma is required")
         gamma = parse_gamma(args.gamma)
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise UsageError("--tolerance must be a finite positive number")
         limits = make_limits(args)
         if limits is not None:
             # narrow the shared defaults for this invocation

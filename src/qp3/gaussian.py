@@ -63,12 +63,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_one(self) -> bool:
-        return self.a == self.d and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -156,9 +150,6 @@ class GaussianRational:
             base = base * base
             n >>= 1
         return result
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._make(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 + b^2 as a rational number."""

@@ -346,6 +346,21 @@ def buchberger(I: Ideal, limits: Optional[GroebnerLimits] = None,
     Deterministic: identical input yields an identical basis.  Raises
     ResourceLimitError when a configured bound is hit.
     """
+    return _buchberger(I, limits, check, 0)
+
+
+def _buchberger(I: Ideal, limits: Optional[GroebnerLimits], check: bool,
+                reduced_prefix: int) -> GroebnerBasis:
+    """The Buchberger core behind `buchberger`.
+
+    The first `reduced_prefix` generators of I must be a reduced Groebner
+    basis under I.order of the ideal they generate.  They enter the basis
+    as a finished prefix: no pairs are formed among them, since all of
+    those reduce to zero, and only pairs that involve a later element are
+    queued.  The prefix counts toward `max_basis`, and the post-hoc check
+    reduces it like every other generator.  The reduced basis of I does
+    not depend on the prefix, so the cache key ignores it.
+    """
     cache_key = None
     if limits is None:
         limits = DEFAULT_LIMITS
@@ -360,7 +375,8 @@ def buchberger(I: Ideal, limits: Optional[GroebnerLimits] = None,
     eng = _Engine(I.varset, I.order)
     keyfn = eng.keyfn
 
-    seeds = [_to_internal(g, keyfn) for g in I.generators]
+    prefix = [_to_internal(g, keyfn) for g in I.generators[:reduced_prefix]]
+    seeds = [_to_internal(g, keyfn) for g in I.generators[reduced_prefix:]]
     seeds = [s for s in seeds if s]
     seeds.sort(key=lambda p: (p[0][0], len(p)))
 
@@ -419,16 +435,19 @@ def buchberger(I: Ideal, limits: Optional[GroebnerLimits] = None,
             if _divides(lmh, lm(g)) and lm(g) != lmh:
                 alive[g] = False
 
-    def insert(p: _IPoly) -> int:
+    def insert(p: _IPoly, pairs: bool = True) -> int:
         idx = len(entries)
         entries.append(p)
         sugars.append(sum(p[0][1]))
         alive.append(True)
         if len(entries) > limits.max_basis:
             raise ResourceLimitError(f"basis size exceeded {limits.max_basis}")
-        add_pair_candidates(idx)
+        if pairs:
+            add_pair_candidates(idx)
         return idx
 
+    for p in prefix:
+        insert(p, pairs=False)
     for s in seeds:
         r, _ = eng.nf(s, [entries[i] for i in range(len(entries)) if alive[i]])
         if r:
@@ -534,19 +553,27 @@ def radical_member(f: Polynomial, I: Ideal,
                    limits: Optional[GroebnerLimits] = None) -> bool:
     """True iff f vanishes on V(I): Rabinowitsch's trick, 1 in I + <1 - t f>.
 
-    Plain membership is tried first since it is both common and cheap.
+    G is the reduced DEGREVLEX basis of I, which `buchberger` caches.
+    Plain membership, f reducing to zero modulo G, is tried first since
+    it is both common and cheap.  Otherwise the Rabinowitsch basis is
+    computed from lift(G) + [1 - t f] with lift(G) as a finished prefix.
+    This is sound because t is appended last: DEGREVLEX on the extended
+    ring restricts to DEGREVLEX on the old one, so lift(G) is still a
+    reduced basis there, and only pairs that involve 1 - t f or an
+    element derived from it need to be formed.
     """
     if f.is_zero():
         return True
-    if ideal_member(f, I, limits):
+    G = buchberger(I if I.order == DEGREVLEX else I.with_order(DEGREVLEX), limits)
+    if normal_form(f, G).is_zero():
         return True
-    big, name, lifted = extend_ring(list(I.generators) + [f], "t_rad")
+    big, name, lifted = extend_ring(list(G.basis) + [f], "t_rad")
     f_lift = lifted[-1]
-    gens = lifted[:-1]
     t = Polynomial.variable(big, name)
     one = Polynomial.constant(big, 1)
-    G = buchberger(Ideal(gens + [one - t * f_lift], DEGREVLEX), limits)
-    return G.contains_one()
+    R = _buchberger(Ideal(lifted[:-1] + [one - t * f_lift], DEGREVLEX), limits,
+                    True, len(G))
+    return R.contains_one()
 
 
 def is_unit_mod(u: Polynomial, I: Ideal,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
                         rename_variables, substitute)
-from .polylinalg import PolyMatrix, minor
+from .polylinalg import PolyMatrix, all_minors
 from .groebner import (GroebnerBasis, GroebnerLimits, Ideal, buchberger,
                        hilbert_dimension_degree, intersect, normal_form,
                        radical_member)
@@ -69,9 +69,7 @@ ROW_SUBSETS: Tuple[Tuple[int, ...], ...] = tuple(combinations(range(10), 8))
 def big_matrix_minors(A: QuadraticAlgebra,
                       tensor_order: str = "left") -> List[Polynomial]:
     """The forty-five 8x8 minors, row subsets in lexicographic order."""
-    big = build_big_matrix(A, tensor_order)
-    cols = tuple(range(8))
-    return [minor(big, rows, cols) for rows in ROW_SUBSETS]
+    return all_minors(build_big_matrix(A, tensor_order), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +310,6 @@ class FixtureForensics:
     right_order_matches: Dict[int, int]       # fixture idx -> minor idx ("right")
     right_order_discrepancies: Dict[int, Polynomial]  # fixture - unit*minor
 
-    @property
-    def ideal_equal(self) -> bool:
-        return True  # established separately; kept for report symmetry
-
 
 def _fixture_combination(f: Polynomial, images: Sequence[Polynomial]):
     """Exact scalar combination of the images equal to f, or None."""
@@ -356,38 +350,47 @@ def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
     def key(p):
         return print_poly(p.monic())
 
-    left_keys: Dict[str, List[int]] = {}
-    for k, p in enumerate(left):
-        left_keys.setdefault(key(p), []).append(k)
-    right_keys: Dict[str, List[int]] = {}
-    for k, p in enumerate(right):
-        right_keys.setdefault(key(p), []).append(k)
+    def buckets(polys):
+        out: Dict[str, List[Tuple[int, GaussianRational]]] = {}
+        for k, p in enumerate(polys):
+            out.setdefault(key(p), []).append((k, p.leading_coefficient()))
+        return out
+
+    def unit_match(f, bucket):
+        """First computed index whose polynomial is a unit multiple of f."""
+        for k, lc in bucket.get(key(f), ()):
+            if f.leading_coefficient() / lc in UNITS:
+                return k
+        return None
+
+    left_keys = buckets(left)
+    right_keys = buckets(right)
 
     direct: Dict[int, int] = {}
     combos: Dict[int, List[Tuple[int, GaussianRational]]] = {}
     right_matches: Dict[int, int] = {}
     right_disc: Dict[int, Polynomial] = {}
     for j, f in enumerate(fix_nf, start=1):
-        bucket = left_keys.get(key(f))
-        if bucket:
-            direct[j] = bucket[0]
+        k = unit_match(f, left_keys)
+        if k is not None:
+            direct[j] = k
             continue
         combo = _fixture_combination(f, left)
         if combo is not None:
             combos[j] = combo
-        bucket = right_keys.get(key(f))
-        if bucket:
-            right_matches[j] = bucket[0]
+        k = unit_match(f, right_keys)
+        if k is not None:
+            right_matches[j] = k
         else:
             # smallest single-minor discrepancy over unit scalings
             best = None
-            for k, p in enumerate(right):
+            for p in right:
                 for u in UNITS:
-                    diff = f - p.monic() * (f.leading_coefficient() * u)
-                    if best is None or len(diff.terms) < len(best[1].terms):
-                        best = (k, diff)
+                    diff = f - p * u
+                    if best is None or len(diff.terms) < len(best.terms):
+                        best = diff
             if best is not None:
-                right_disc[j] = best[1]
+                right_disc[j] = best
     return FixtureForensics(
         gamma=gamma,
         direct_matches=direct,
@@ -458,10 +461,6 @@ class Component:
     dimension: int
     degree: int
     kind: str
-
-    @property
-    def planar(self) -> bool:
-        return self.kind != "spatial_elliptic"
 
 
 @dataclass(frozen=True)

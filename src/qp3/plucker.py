@@ -27,10 +27,6 @@ class ZeroParameterError(ValueError):
     pass
 
 
-class NonUnitDenominatorError(ValueError):
-    pass
-
-
 M_NAMES = ("M12", "M13", "M14", "M23", "M24", "M34")
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 

@@ -142,22 +142,43 @@ def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Poly
 
 
 def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
-    """All k x k minors, row sets and column sets in lexicographic order."""
+    """All k x k minors, row sets and column sets in lexicographic order.
+
+    One dynamic program per column set serves every row set: it takes the
+    chosen columns in order, and its state is the bitmask of rows used so
+    far.  Placing row r crosses the used rows above it, which gives the
+    sign (-1)^popcount(mask >> (r + 1)).  After k columns, the value at a
+    mask with k bits set is the minor on those rows.
+    """
     if k > min(m.rows, m.cols):
         raise IndexError("minor size exceeds matrix dimensions")
+    order = m.entries[0][0].order
+    zero = Polynomial.zero(m.varset, order)
+    by_cols = []
+    for cols in combinations(range(m.cols), k):
+        level: Dict[int, Polynomial] = {0: Polynomial.constant(m.varset, 1, order)}
+        for c in cols:
+            nxt: Dict[int, Polynomial] = {}
+            for mask, val in level.items():
+                for r in range(m.rows):
+                    bit = 1 << r
+                    if mask & bit:
+                        continue
+                    e = m.entries[r][c]
+                    if e.is_zero():
+                        continue
+                    contrib = e * val
+                    if bin(mask >> (r + 1)).count("1") % 2:
+                        contrib = -contrib
+                    acc = nxt.get(mask | bit)
+                    nxt[mask | bit] = contrib if acc is None else acc + contrib
+            level = nxt
+        by_cols.append(level)
     out = []
     for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            out.append(minor(m, rows, cols))
+        mask = sum(1 << r for r in rows)
+        out.extend(level.get(mask, zero) for level in by_cols)
     return out
-
-
-def minor_index_sets(m: PolyMatrix, k: int):
-    return [
-        (rows, cols)
-        for rows in combinations(range(m.rows), k)
-        for cols in combinations(range(m.cols), k)
-    ]
 
 
 class ScalarMatrix:

@@ -145,3 +145,36 @@ def test_global_flags_after_subcommand(capsys):
                            capsys)
     assert code == EXIT_OK
     assert json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_bad_tolerance_usage_error(tol, capsys):
+    code, out, err = run_cli(
+        ["--gamma", "1", "lines-through", "--numeric", f"--tolerance={tol}"],
+        capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("qp3: ") and "tolerance" in err
+
+
+def test_unreachable_tolerance_is_a_verification_failure(capsys):
+    code, out, err = run_cli(
+        ["--gamma", "1", "lines-through", "--numeric", "--tolerance", "1e-30"],
+        capsys)
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert err.startswith("qp3: ")
+
+
+def test_gamma_division_by_zero_usage_error(capsys):
+    code, _, err = run_cli(["--gamma", "1/0", "point-scheme"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("qp3: ") and "gamma" in err
+
+
+def test_unknown_basis_point_usage_error(capsys):
+    code, out, err = run_cli(["--gamma", "1", "lines-through", "--point", "e5"],
+                             capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("qp3: ") and "e5" in err

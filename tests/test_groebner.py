@@ -3,8 +3,8 @@ import random
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import (MonomialOrder, Polynomial, VarSet, parse_poly,
-                           print_poly)
+from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
+                           parse_poly, print_poly)
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           ResourceLimitError, buchberger, eliminate,
                           hilbert_dimension_degree, ideal_member, intersect,
@@ -266,3 +266,70 @@ def test_determinism_repeated_runs():
     a = buchberger(I, GroebnerLimits())  # bypass the cache
     b = buchberger(I, GroebnerLimits())
     assert [print_poly(p) for p in a] == [print_poly(p) for p in b]
+
+
+def _rabinowitsch_bases(f, I):
+    """The Rabinowitsch basis for f and I, seeded from the reduced basis of
+    I and unseeded from its raw generators; explicit limits skip the cache."""
+    from qp3.groebner import _buchberger, extend_ring
+
+    limits = GroebnerLimits()
+    G = buchberger(I)
+    big, name, lifted = extend_ring(list(G.basis) + [f], "t_rad")
+    t = Polynomial.variable(big, name)
+    one = Polynomial.constant(big, 1)
+    seeded = _buchberger(Ideal(lifted[:-1] + [one - t * lifted[-1]], DEGREVLEX),
+                         limits, True, len(G))
+    big, name, lifted = extend_ring(list(I.generators) + [f], "t_rad")
+    t = Polynomial.variable(big, name)
+    one = Polynomial.constant(big, 1)
+    plain = buchberger(Ideal(lifted[:-1] + [one - t * lifted[-1]], DEGREVLEX),
+                       limits)
+    return seeded, plain
+
+
+def _assert_seeded_rabinowitsch_agrees(f, I):
+    seeded, plain = _rabinowitsch_bases(f, I)
+    assert seeded.basis == plain.basis
+    assert radical_member(f, I) == plain.contains_one()
+
+
+def test_seeded_rabinowitsch_on_line_scheme_and_components():
+    from qp3.line_scheme import component_catalog, line_scheme_ideal
+
+    for g in (gr(1), gr(4)):
+        L = line_scheme_ideal(g)
+        C = component_catalog(g)
+        member = Polynomial.constant(M_VARS, 1)
+        for comp in C:
+            member = member * comp.ideal.generators[0]
+        for f in (member, parse_poly("M12", M_VARS),
+                  parse_poly("M13*M24 - M14*M23", M_VARS)):
+            _assert_seeded_rabinowitsch_agrees(f, L.ideal)
+        for comp in C:
+            for f in (parse_poly("M12 + M34", M_VARS), comp.ideal.generators[-1]):
+                _assert_seeded_rabinowitsch_agrees(f, comp.ideal)
+
+
+def test_seeded_rabinowitsch_on_random_ideals():
+    # the ideals of acceptance criterion 10c, drawn from the same stream,
+    # with f = x and y in turn; a random f of degree 4 can take seconds
+    rng = random.Random(107)
+    vs = VarSet(["x", "y"])
+    seen = 0
+    for k in range(500):
+        gens = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = (rng.randint(0, 2), rng.randint(0, 2))
+                terms[m] = gr(rng.randint(-3, 3), rng.randint(-3, 3))
+            p = Polynomial(vs, terms)
+            if not p.is_zero():
+                gens.append(p)
+        if not gens:
+            continue
+        f = Polynomial.variable(vs, "xy"[k % 2])
+        _assert_seeded_rabinowitsch_agrees(f, Ideal(gens))
+        seen += 1
+    assert seen > 400

@@ -178,6 +178,26 @@ def test_match_fixture_polys_rejects_non_unit_scalar(monkeypatch):
         match_fixture_polys(line_scheme_ideal(gr(1), "right"))
 
 
+def test_fixture_forensics_direct_matches_need_a_unit_scalar(monkeypatch):
+    # entry 1 is one of the 30 direct "left" matches; three times it has
+    # the same monic form but is only a combination, with a non-unit
+    # coefficient
+    from dataclasses import replace
+    import qp3.line_scheme as ls
+
+    fx = load_fixtures()
+    assert fx.line_scheme_polys[1] == "2*M13*M14*M23*M24"
+    scaled = replace(fx, line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
+                     + fx.line_scheme_polys[2:])
+    monkeypatch.setattr(ls, "load_fixtures", lambda: scaled)
+    fr = fixture_forensics(gr(5))
+    assert 1 not in fr.direct_matches
+    assert len(fr.direct_matches) == 29
+    [(k, c)] = fr.combination_certificates[1]
+    assert c / gr(3) in ls.UNITS
+    assert 1 not in fr.right_order_matches
+
+
 def test_component_catalog_counts():
     assert len(component_catalog(gr(1))) == 7
     assert len(component_catalog(gr(5))) == 7

@@ -140,3 +140,49 @@ def test_poly_exact_div():
     assert poly_exact_div(f, g) == parse_poly("x1 + x2", X_VARS)
     with pytest.raises(ValueError):
         poly_exact_div(parse_poly("x1^2 + 1", X_VARS), g)
+
+
+def test_big_matrix_minors_match_per_subset_minor_and_bareiss():
+    from itertools import combinations
+    from fractions import Fraction
+
+    from qp3.line_scheme import big_matrix_minors
+
+    for g in (gr(1), gr(4), gr(Fraction(3, 2), 1)):
+        A = make_A(g)
+        for tensor_order in ("left", "right"):
+            big = build_big_matrix(A, tensor_order)
+            shared = big_matrix_minors(A, tensor_order)
+            rows_list = list(combinations(range(10), 8))
+            assert len(shared) == len(rows_list) == 45
+            for rows, f in zip(rows_list, shared):
+                assert f == minor(big, rows, tuple(range(8)))
+            for k in (0, 44):
+                sub = big.submatrix(rows_list[k], tuple(range(8)))
+                assert shared[k] == sub.det_bareiss()
+
+
+def test_all_minors_rectangular_with_zeros_matches_minor():
+    from itertools import combinations
+
+    rng = random.Random(31)
+    vs = VarSet(["x", "y"])
+    for rows, cols in ((5, 4), (3, 6), (4, 4)):
+        grid = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                if rng.random() < 0.35:
+                    row.append(Polynomial.zero(vs))
+                else:
+                    terms = {(rng.randint(0, 1), rng.randint(0, 1)):
+                             gr(rng.randint(-3, 3), rng.randint(-2, 2))
+                             for _ in range(2)}
+                    row.append(Polynomial(vs, terms))
+            grid.append(row)
+        m = PolyMatrix(grid)
+        for k in range(1, min(rows, cols) + 1):
+            expected = [minor(m, r, c)
+                        for r in combinations(range(rows), k)
+                        for c in combinations(range(cols), k)]
+            assert all_minors(m, k) == expected
