@@ -8,7 +8,7 @@ from .polylinalg import PolyMatrix, ScalarMatrix, all_minors, minor
 from .groebner import (GroebnerBasis, GroebnerLimits, Ideal,
                        ResourceLimitError, buchberger, eliminate,
                        hilbert_dimension_degree, ideal_member, intersect,
-                       invert_mod, is_unit_mod, normal_form,
+                       invert_mod, is_unit_mod, limits_scope, normal_form,
                        quotient_dimension, radical_member, saturate)
 from .quadratic_algebra import (QuadraticAlgebra, koszul_dual_relations,
                                 load_presentation, m_hat, make_A,

@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from .gaussian import GaussianRational
 from .multipoly import VarSet, parse_poly, print_poly, PolyParseError
-from .groebner import GroebnerLimits, ResourceLimitError, DEFAULT_LIMITS
-from . import groebner as _groebner
+from .groebner import (DEFAULT_LIMITS, GroebnerLimits, ResourceLimitError,
+                       limits_scope)
 from .quadratic_algebra import ZeroGammaError, make_A
 
 EXIT_OK = 0
@@ -25,9 +25,9 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
 
-ENV_MAX_PAIRS = "QP3_MAX_PAIRS"
-ENV_MAX_BASIS = "QP3_MAX_BASIS"
-ENV_MAX_DEGREE = "QP3_MAX_DEGREE"
+# GroebnerLimits field -> the environment variable that sets it
+LIMIT_ENV = {"max_pairs": "QP3_MAX_PAIRS", "max_basis": "QP3_MAX_BASIS",
+             "max_degree": "QP3_MAX_DEGREE"}
 
 
 class UsageError(Exception):
@@ -50,14 +50,16 @@ def parse_gamma(text: str) -> GaussianRational:
     return value
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name} must be an integer")
+def _join_gamma(argv: List[str]) -> List[str]:
+    """`--gamma <value>` as `--gamma=<value>`, since argparse takes a
+    separate value such as `-1/2` or `-i` for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--gamma":
+            out[-1] = f"--gamma={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _add_common(p, suppress: bool):
@@ -101,15 +103,26 @@ def build_parser() -> _Parser:
     return p
 
 
-def make_limits(args) -> Optional[GroebnerLimits]:
-    mp = args.max_pairs if args.max_pairs is not None else _env_int(
-        ENV_MAX_PAIRS, DEFAULT_LIMITS.max_pairs)
-    mb = args.max_basis if args.max_basis is not None else _env_int(
-        ENV_MAX_BASIS, DEFAULT_LIMITS.max_basis)
-    md = args.max_degree if args.max_degree is not None else _env_int(
-        ENV_MAX_DEGREE, DEFAULT_LIMITS.max_degree)
-    limits = GroebnerLimits(max_pairs=mp, max_basis=mb, max_degree=md)
-    return None if limits == DEFAULT_LIMITS else limits
+def _limit(args, field: str) -> int:
+    """One bound: the flag, else its environment variable, else the default."""
+    value, source = getattr(args, field), "--" + field.replace("_", "-")
+    if value is None:
+        name = LIMIT_ENV[field]
+        raw = os.environ.get(name)
+        if raw is None:
+            return getattr(DEFAULT_LIMITS, field)
+        source = f"environment variable {name}"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer")
+    if value < 1:
+        raise UsageError(f"{source} must be at least 1, not {value}")
+    return value
+
+
+def make_limits(args) -> GroebnerLimits:
+    return GroebnerLimits(**{field: _limit(args, field) for field in LIMIT_ENV})
 
 
 def _emit(payload, fmt: str, text_fn) -> None:
@@ -121,7 +134,7 @@ def _emit(payload, fmt: str, text_fn) -> None:
         sys.stdout.write(text_fn() + "\n")
 
 
-def cmd_point_scheme(gamma, fmt, limits) -> int:
+def cmd_point_scheme(gamma, fmt) -> int:
     from .point_scheme import count_points
 
     report = count_points(make_A(gamma))
@@ -130,7 +143,7 @@ def cmd_point_scheme(gamma, fmt, limits) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def cmd_line_scheme(gamma, fmt, limits, verify: bool) -> int:
+def cmd_line_scheme(gamma, fmt, verify: bool) -> int:
     from .line_scheme import (component_catalog, line_scheme_ideal,
                               verify_decomposition)
 
@@ -144,7 +157,7 @@ def cmd_line_scheme(gamma, fmt, limits, verify: bool) -> int:
     ok = True
     decomposition = None
     if verify:
-        decomposition = verify_decomposition(L, catalog, limits)
+        decomposition = verify_decomposition(L, catalog)
         payload["decomposition"] = decomposition.to_json_dict()
         ok = decomposition.ok
 
@@ -168,7 +181,7 @@ def cmd_line_scheme(gamma, fmt, limits, verify: bool) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_lines_through(gamma, fmt, limits, args) -> int:
+def cmd_lines_through(gamma, fmt, args) -> int:
     from .plucker import lines_through_point
 
     if args.numeric:
@@ -213,26 +226,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_gamma(argv))
         if args.gamma is None:
             raise UsageError("--gamma is required")
         gamma = parse_gamma(args.gamma)
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise UsageError("--tolerance must be a finite positive number")
-        limits = make_limits(args)
-        if limits is not None:
-            # narrow the shared defaults for this invocation
-            _groebner.DEFAULT_LIMITS = limits
-        try:
+        with limits_scope(make_limits(args)):
             if args.command == "point-scheme":
-                return cmd_point_scheme(gamma, args.format, limits)
+                return cmd_point_scheme(gamma, args.format)
             if args.command == "line-scheme":
-                return cmd_line_scheme(gamma, args.format, limits, args.verify)
+                return cmd_line_scheme(gamma, args.format, args.verify)
             if args.command == "lines-through":
-                return cmd_lines_through(gamma, args.format, limits, args)
+                return cmd_lines_through(gamma, args.format, args)
             raise UsageError(f"unknown command {args.command!r}")
-        finally:
-            _groebner.DEFAULT_LIMITS = GroebnerLimits()
     except UsageError as exc:
         sys.stderr.write(f"qp3: {exc}\n")
         return EXIT_USAGE

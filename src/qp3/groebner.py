@@ -14,9 +14,11 @@ tie-breaking so that repeated runs produce identical bases.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
@@ -43,6 +45,24 @@ class GroebnerLimits:
 
 
 DEFAULT_LIMITS = GroebnerLimits()
+
+_LIMITS: ContextVar[GroebnerLimits] = ContextVar("qp3_groebner_limits",
+                                                 default=DEFAULT_LIMITS)
+
+
+@contextmanager
+def limits_scope(limits: GroebnerLimits) -> Iterator[None]:
+    """Run every Groebner computation in the block under `limits`.
+
+    The limits live in a context variable, so they hold for this thread
+    (or asyncio task) only, and the previous limits come back when the
+    block exits, also by an exception.
+    """
+    token = _LIMITS.set(limits)
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
 
 
 class Ideal:
@@ -88,6 +108,8 @@ class Ideal:
         return not self.generators
 
     def with_order(self, order: MonomialOrder) -> "Ideal":
+        if order == self.order:
+            return self
         return Ideal(self.generators, order, varset=self.varset)
 
 
@@ -339,18 +361,16 @@ class GroebnerBasis:
 _GB_CACHE: Dict[Tuple, GroebnerBasis] = {}
 
 
-def buchberger(I: Ideal, limits: Optional[GroebnerLimits] = None,
-               check: bool = True) -> GroebnerBasis:
+def buchberger(I: Ideal, check: bool = True) -> GroebnerBasis:
     """Reduced Groebner basis of I under I.order.
 
     Deterministic: identical input yields an identical basis.  Raises
-    ResourceLimitError when a configured bound is hit.
+    ResourceLimitError when a bound of the current `limits_scope` is hit.
     """
-    return _buchberger(I, limits, check, 0)
+    return _buchberger(I, check, 0)
 
 
-def _buchberger(I: Ideal, limits: Optional[GroebnerLimits], check: bool,
-                reduced_prefix: int) -> GroebnerBasis:
+def _buchberger(I: Ideal, check: bool, reduced_prefix: int) -> GroebnerBasis:
     """The Buchberger core behind `buchberger`.
 
     The first `reduced_prefix` generators of I must be a reduced Groebner
@@ -359,15 +379,14 @@ def _buchberger(I: Ideal, limits: Optional[GroebnerLimits], check: bool,
     those reduce to zero, and only pairs that involve a later element are
     queued.  The prefix counts toward `max_basis`, and the post-hoc check
     reduces it like every other generator.  The reduced basis of I does
-    not depend on the prefix, so the cache key ignores it.
+    not depend on the prefix, so the cache key ignores it.  The key holds
+    the limits, so a narrower bound recomputes, and raises if it is hit.
     """
-    cache_key = None
-    if limits is None:
-        limits = DEFAULT_LIMITS
-        cache_key = (I.generators, I.order, I.varset, limits)
-        hit = _GB_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
+    limits = _LIMITS.get()
+    cache_key = (I.generators, I.order, I.varset, limits)
+    hit = _GB_CACHE.get(cache_key)
+    if hit is not None:
+        return hit
 
     if I.is_zero():
         return GroebnerBasis([], I.order, varset=I.varset)
@@ -501,8 +520,7 @@ def _buchberger(I: Ideal, limits: Optional[GroebnerLimits], check: bool,
                 raise AssertionError("generator does not reduce to zero "
                                      "modulo the computed basis")
 
-    if cache_key is not None:
-        _GB_CACHE[cache_key] = gb
+    _GB_CACHE[cache_key] = gb
     return gb
 
 
@@ -525,8 +543,8 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return Polynomial(f.varset, terms, G.order)
 
 
-def ideal_member(f: Polynomial, I, limits: Optional[GroebnerLimits] = None) -> bool:
-    G = I if isinstance(I, GroebnerBasis) else buchberger(I, limits)
+def ideal_member(f: Polynomial, I) -> bool:
+    G = I if isinstance(I, GroebnerBasis) else buchberger(I)
     return normal_form(f, G).is_zero()
 
 
@@ -549,8 +567,15 @@ def extend_ring(polys: Sequence[Polynomial], extra: str):
     return big, name, lifted
 
 
-def radical_member(f: Polynomial, I: Ideal,
-                   limits: Optional[GroebnerLimits] = None) -> bool:
+def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial,
+                  stem: str) -> List[Polynomial]:
+    """lift(polys) + [1 - t f], with t a fresh variable appended last."""
+    big, name, lifted = extend_ring(list(polys) + [f], stem)
+    t = Polynomial.variable(big, name)
+    return lifted[:-1] + [Polynomial.constant(big, 1) - t * lifted[-1]]
+
+
+def radical_member(f: Polynomial, I: Ideal) -> bool:
     """True iff f vanishes on V(I): Rabinowitsch's trick, 1 in I + <1 - t f>.
 
     G is the reduced DEGREVLEX basis of I, which `buchberger` caches.
@@ -564,55 +589,48 @@ def radical_member(f: Polynomial, I: Ideal,
     """
     if f.is_zero():
         return True
-    G = buchberger(I if I.order == DEGREVLEX else I.with_order(DEGREVLEX), limits)
+    G = buchberger(I.with_order(DEGREVLEX))
     if normal_form(f, G).is_zero():
         return True
-    big, name, lifted = extend_ring(list(G.basis) + [f], "t_rad")
-    f_lift = lifted[-1]
-    t = Polynomial.variable(big, name)
-    one = Polynomial.constant(big, 1)
-    R = _buchberger(Ideal(lifted[:-1] + [one - t * f_lift], DEGREVLEX), limits,
-                    True, len(G))
-    return R.contains_one()
+    gens = _rabinowitsch(G.basis, f, "t_rad")
+    return _buchberger(Ideal(gens, DEGREVLEX), True, len(G)).contains_one()
 
 
-def is_unit_mod(u: Polynomial, I: Ideal,
-                limits: Optional[GroebnerLimits] = None) -> bool:
+def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
     """True iff u is invertible modulo I, i.e. 1 in I + <u>."""
     if u.is_zero():
         return False
-    G = buchberger(Ideal(list(I.generators) + [u], I.order), limits)
+    G = buchberger(Ideal(list(I.generators) + [u], I.order))
     return G.contains_one()
 
 
-def eliminate(I: Ideal, keep: Sequence[str],
-              limits: Optional[GroebnerLimits] = None,
-              restrict: bool = True) -> Ideal:
+def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     """Generators of I intersected with the subring on the kept variables."""
     vs = I.varset
-    keep = list(keep)
     drop = [n for n in vs.names if n not in keep]
     if not drop:
         return I
-    order = MonomialOrder.elimination(vs, drop)
-    G = buchberger(Ideal(I.generators, order), limits)
+    G = buchberger(Ideal(I.generators, MonomialOrder.elimination(vs, drop)))
     drop_idx = [vs.index(n) for n in drop]
-    kept_polys = [g for g in G
-                  if all(all(m[k] == 0 for k in drop_idx) for m in g.terms)]
     small = VarSet([n for n in vs.names if n in keep])
-    if not restrict:
-        return Ideal([g.with_order(DEGREVLEX) for g in kept_polys], DEGREVLEX,
-                     varset=vs)
     keep_pos = [vs.index(n) for n in small.names]
     out = []
-    for g in kept_polys:
+    for g in G:
+        if any(m[k] for m in g.terms for k in drop_idx):
+            continue
         terms = {tuple(m[k] for k in keep_pos): c for m, c in g.terms.items()}
         out.append(Polynomial(small, terms, DEGREVLEX))
     return Ideal(out, DEGREVLEX, varset=small)
 
 
-def intersect(I: Ideal, J: Ideal,
-              limits: Optional[GroebnerLimits] = None) -> Ideal:
+def _eliminate_t(gens: List[Polynomial], I: Ideal) -> Ideal:
+    """Eliminate the appended variable t from gens, back on I's ring and order."""
+    E = eliminate(Ideal(gens), I.varset.names)
+    return Ideal([g.with_order(I.order) for g in E.generators], I.order,
+                 varset=I.varset)
+
+
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """Ideal intersection via t*I + (1-t)*J and elimination of t."""
     if I.varset != J.varset:
         raise VarSetMismatchError("ideals on different VarSets")
@@ -622,40 +640,18 @@ def intersect(I: Ideal, J: Ideal,
     one_minus_t = Polynomial.constant(big, 1) - t
     n_i = len(I.generators)
     gens = [t * p for p in lifted[:n_i]] + [one_minus_t * p for p in lifted[n_i:]]
-    order = MonomialOrder.elimination(big, [name])
-    G = buchberger(Ideal(gens, order), limits)
-    t_idx = big.index(name)
-    kept = [g for g in G if all(m[t_idx] == 0 for m in g.terms)]
-    out = []
-    for g in kept:
-        terms = {m[:t_idx] + m[t_idx + 1:]: c for m, c in g.terms.items()}
-        out.append(Polynomial(I.varset, terms, I.order))
-    return Ideal(out, I.order)
+    return _eliminate_t(gens, I)
 
 
-def saturate(I: Ideal, f: Polynomial,
-             limits: Optional[GroebnerLimits] = None) -> Ideal:
+def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring."""
-    big, name, lifted = extend_ring(list(I.generators) + [f], "t_sat")
-    t = Polynomial.variable(big, name)
-    one = Polynomial.constant(big, 1)
-    gens = lifted[:-1] + [one - t * lifted[-1]]
-    order = MonomialOrder.elimination(big, [name])
-    G = buchberger(Ideal(gens, order), limits)
-    t_idx = big.index(name)
-    kept = [g for g in G if all(m[t_idx] == 0 for m in g.terms)]
-    out = []
-    for g in kept:
-        terms = {m[:t_idx] + m[t_idx + 1:]: c for m, c in g.terms.items()}
-        out.append(Polynomial(I.varset, terms, I.order))
-    return Ideal(out, I.order)
+    return _eliminate_t(_rabinowitsch(I.generators, f, "t_sat"), I)
 
 
-def ideals_equal(I: Ideal, J: Ideal,
-                 limits: Optional[GroebnerLimits] = None) -> bool:
+def ideals_equal(I: Ideal, J: Ideal) -> bool:
     """Ideal equality by double membership of generators."""
-    GI = buchberger(I if I.order == DEGREVLEX else I.with_order(DEGREVLEX), limits)
-    GJ = buchberger(J if J.order == DEGREVLEX else J.with_order(DEGREVLEX), limits)
+    GI = buchberger(I.with_order(DEGREVLEX))
+    GJ = buchberger(J.with_order(DEGREVLEX))
     return (all(normal_form(g, GI).is_zero() for g in J.generators)
             and all(normal_form(g, GJ).is_zero() for g in I.generators))
 
@@ -706,10 +702,9 @@ def standard_monomials(G: GroebnerBasis) -> Optional[List[Monomial]]:
     return sorted(out, key=lambda m: (sum(m), m))
 
 
-def quotient_dimension(I: Ideal,
-                       limits: Optional[GroebnerLimits] = None) -> Optional[int]:
+def quotient_dimension(I: Ideal) -> Optional[int]:
     """dim over Q(i) of the ring modulo I; None when infinite."""
-    G = buchberger(I if I.order == DEGREVLEX else I.with_order(DEGREVLEX), limits)
+    G = buchberger(I.with_order(DEGREVLEX))
     sm = standard_monomials(G)
     return None if sm is None else len(sm)
 
@@ -781,8 +776,7 @@ def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
     return result
 
 
-def hilbert_dimension_degree(I: Ideal,
-                             limits: Optional[GroebnerLimits] = None) -> Tuple[int, int]:
+def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
     """(projective dimension, degree) of a homogeneous ideal.
 
     Extracted from the Hilbert series of the leading-term ideal: strip
@@ -793,7 +787,7 @@ def hilbert_dimension_degree(I: Ideal,
         if not g.is_homogeneous():
             raise NonHomogeneousError("hilbert_dimension_degree needs a "
                                       "homogeneous ideal")
-    G = buchberger(I if I.order == DEGREVLEX else I.with_order(DEGREVLEX), limits)
+    G = buchberger(I.with_order(DEGREVLEX))
     if G.contains_one():
         return (-1, 0)
     n = len(I.varset)

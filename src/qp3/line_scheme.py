@@ -17,9 +17,8 @@ from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
                         rename_variables, substitute)
 from .polylinalg import PolyMatrix, all_minors
-from .groebner import (GroebnerBasis, GroebnerLimits, Ideal, buchberger,
-                       hilbert_dimension_degree, intersect, normal_form,
-                       radical_member)
+from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degree,
+                       intersect, normal_form, radical_member)
 from .quadratic_algebra import (M_VARS, N_VARS, PLUECKER_MAP, UV_VARS,
                                 QuadraticAlgebra, ZeroGammaError, m_hat,
                                 make_A)
@@ -577,23 +576,21 @@ class DecompositionReport:
         }
 
 
-def components_intersection(C: ComponentCatalog,
-                            limits: Optional[GroebnerLimits] = None) -> Ideal:
+def components_intersection(C: ComponentCatalog) -> Ideal:
     inter: Optional[Ideal] = None
     for comp in C:
-        inter = comp.ideal if inter is None else intersect(inter, comp.ideal, limits)
+        inter = comp.ideal if inter is None else intersect(inter, comp.ideal)
     return inter
 
 
-def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog,
-                         limits: Optional[GroebnerLimits] = None) -> DecompositionReport:
+def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
     """Both inclusions of the decomposition plus the dimension and degree
     bookkeeping; every clause is reported separately."""
     if L.gamma != C.gamma:
         raise ValueError("line scheme and catalog built at different gamma")
     poly_in_components = True
     for comp in C:
-        gb = buchberger(comp.ideal, limits)
+        gb = buchberger(comp.ideal)
         for p in L.polys:
             if not normal_form(p, gb).is_zero():
                 poly_in_components = False
@@ -601,12 +598,12 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog,
         if not poly_in_components:
             break
 
-    inter = components_intersection(C, limits)
-    intersection_in_radical = all(radical_member(g, L.ideal, limits)
+    inter = components_intersection(C)
+    intersection_in_radical = all(radical_member(g, L.ideal)
                                   for g in inter.generators)
 
-    hd = hilbert_dimension_degree(L.ideal, limits)
-    comp_h = {c.name: hilbert_dimension_degree(c.ideal, limits) for c in C}
+    hd = hilbert_dimension_degree(L.ideal)
+    comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())
     return DecompositionReport(
         gamma=L.gamma,
@@ -618,8 +615,7 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog,
     )
 
 
-def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str],
-                              limits: Optional[GroebnerLimits] = None) -> bool:
+def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str]) -> bool:
     """No singular points in projective coordinates `ambient`: the system
     plus all maximal Jacobian minors has empty projective zero locus,
     checked as every ambient coordinate lying in the radical."""
@@ -644,7 +640,7 @@ def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str],
         if not d.is_zero():
             minors_.append(d)
     S = Ideal(system + minors_)
-    return all(radical_member(Polynomial.variable(ambient_vs, n), S, limits)
+    return all(radical_member(Polynomial.variable(ambient_vs, n), S)
                for n in ambient_vs.names)
 
 

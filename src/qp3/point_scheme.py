@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
-from .polylinalg import all_minors
+from .polylinalg import all_minors, poly_exact_div
 from .groebner import (GroebnerBasis, Ideal, buchberger, invert_mod,
                        is_unit_mod, normal_form, quotient_dimension,
                        radical_member, saturate)
@@ -139,13 +139,6 @@ def uni_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def uni_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    q, r = uni_divmod(f, g)
-    if not r.is_zero():
-        raise ValueError("not an exact univariate division")
-    return q
-
-
 def squarefree_decomposition(f: Polynomial, name: str) -> List[Tuple[int, Polynomial]]:
     """Yun's algorithm (characteristic zero): returns [(k, p_k)] with the
     p_k squarefree, pairwise coprime, and f = lc * prod p_k^k."""
@@ -153,16 +146,16 @@ def squarefree_decomposition(f: Polynomial, name: str) -> List[Tuple[int, Polyno
     f = f.monic()
     df = f.derivative(name)
     a = uni_gcd(f, df)
-    b = uni_exact_div(f, a)
-    c = uni_exact_div(df, a)
+    b = poly_exact_div(f, a)
+    c = poly_exact_div(df, a)
     d = c - b.derivative(name)
     k = 1
     while b.degree() > 0:
         p = uni_gcd(b, d)
         if p.degree() > 0:
             out.append((k, p))
-        b = uni_exact_div(b, p)
-        c = uni_exact_div(d, p)
+        b = poly_exact_div(b, p)
+        c = poly_exact_div(d, p)
         d = c - b.derivative(name)
         k += 1
     return out

@@ -115,8 +115,8 @@ def test_verification_failure_exit(monkeypatch, capsys):
 
     real = ls.verify_decomposition
 
-    def broken(L, C, limits=None):
-        rep = real(L, C, limits)
+    def broken(L, C):
+        rep = real(L, C)
         rep.degrees_sum = 0
         return rep
 
@@ -138,6 +138,32 @@ def test_env_var_limits(monkeypatch, capsys):
     monkeypatch.setenv("QP3_MAX_PAIRS", "1")
     code, _, _ = run_cli(["--gamma", "5", "point-scheme"], capsys)
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--max-pairs=0"], {}),
+    (["--max-basis=-3"], {}),
+    (["--max-degree", "0"], {}),
+    ([], {"QP3_MAX_PAIRS": "-1"}),
+    ([], {"QP3_MAX_BASIS": "0"}),
+    ([], {"QP3_MAX_DEGREE": "-1"}),
+])
+def test_limit_below_one_usage_error(argv, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(
+        ["--gamma", "1", "lines-through", "--numeric", *argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("qp3: ") and "at least 1" in err
+
+
+@pytest.mark.parametrize("gamma", ["-1/2", "-i", "-3/2+i"])
+def test_negative_gamma_as_separate_argument(gamma, capsys):
+    code, out, _ = run_cli(["--gamma", gamma, "point-scheme"], capsys)
+    assert code == EXIT_OK
+    _, joined, _ = run_cli([f"--gamma={gamma}", "point-scheme"], capsys)
+    assert out == joined
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -1,14 +1,16 @@
 import random
+import threading
 
 import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly)
+from qp3 import groebner
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           ResourceLimitError, buchberger, eliminate,
                           hilbert_dimension_degree, ideal_member, intersect,
-                          invert_mod, is_unit_mod, normal_form,
+                          invert_mod, is_unit_mod, limits_scope, normal_form,
                           quotient_dimension, radical_member, saturate,
                           standard_monomials)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
@@ -247,7 +249,57 @@ def _assert_spolys_reduce(G):
 
 def test_resource_limit_raises():
     with pytest.raises(ResourceLimitError):
-        buchberger(point_ideal(make_A(gr(1))), GroebnerLimits(max_pairs=1))
+        with limits_scope(GroebnerLimits(max_pairs=1)):
+            buchberger(point_ideal(make_A(gr(1))))
+
+
+def test_limits_scope_is_per_thread(monkeypatch):
+    # a narrow scope in one thread leaves another thread on the defaults
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    I = point_ideal(make_A(gr(1)))
+    scope_open = threading.Barrier(2, timeout=60)
+    b_done = threading.Barrier(2, timeout=60)
+    results = {}
+
+    def narrow():
+        with limits_scope(GroebnerLimits(max_pairs=1)):
+            scope_open.wait()
+            b_done.wait()
+            try:
+                results["a"] = buchberger(I)
+            except ResourceLimitError as exc:
+                results["a"] = exc
+
+    def default():
+        scope_open.wait()
+        try:
+            results["b"] = buchberger(I)
+        except ResourceLimitError as exc:
+            results["b"] = exc
+        b_done.wait()
+
+    threads = [threading.Thread(target=narrow), threading.Thread(target=default)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert isinstance(results["b"], groebner.GroebnerBasis)
+    assert isinstance(results["a"], ResourceLimitError)
+
+
+def test_limits_scope_reuses_cached_basis():
+    I = point_ideal(make_A(gr(3)))
+    with limits_scope(GroebnerLimits(max_pairs=400_000)):
+        assert buchberger(I) is buchberger(I)
+
+
+def test_limits_scope_restores_defaults_after_error(monkeypatch):
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    I = point_ideal(make_A(gr(1)))
+    with pytest.raises(ResourceLimitError):
+        with limits_scope(GroebnerLimits(max_pairs=1)):
+            buchberger(I)
+    assert len(buchberger(I)) > 0
 
 
 def test_is_unit_and_invert_mod():
@@ -261,30 +313,28 @@ def test_is_unit_and_invert_mod():
     assert sm is not None and len(sm) == 16
 
 
-def test_determinism_repeated_runs():
+def test_determinism_repeated_runs(monkeypatch):
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     I = point_ideal(make_A(gr(5)))
-    a = buchberger(I, GroebnerLimits())  # bypass the cache
-    b = buchberger(I, GroebnerLimits())
+    a = buchberger(I)
+    groebner._GB_CACHE.clear()
+    b = buchberger(I)
+    assert a is not b
     assert [print_poly(p) for p in a] == [print_poly(p) for p in b]
 
 
 def _rabinowitsch_bases(f, I):
     """The Rabinowitsch basis for f and I, seeded from the reduced basis of
-    I and unseeded from its raw generators; explicit limits skip the cache."""
-    from qp3.groebner import _buchberger, extend_ring
+    I and unseeded from its raw generators.  The cache is cleared between
+    the two: when I is already reduced they share a cache key."""
+    from qp3.groebner import _buchberger, _rabinowitsch
 
-    limits = GroebnerLimits()
     G = buchberger(I)
-    big, name, lifted = extend_ring(list(G.basis) + [f], "t_rad")
-    t = Polynomial.variable(big, name)
-    one = Polynomial.constant(big, 1)
-    seeded = _buchberger(Ideal(lifted[:-1] + [one - t * lifted[-1]], DEGREVLEX),
-                         limits, True, len(G))
-    big, name, lifted = extend_ring(list(I.generators) + [f], "t_rad")
-    t = Polynomial.variable(big, name)
-    one = Polynomial.constant(big, 1)
-    plain = buchberger(Ideal(lifted[:-1] + [one - t * lifted[-1]], DEGREVLEX),
-                       limits)
+    seeded = _buchberger(Ideal(_rabinowitsch(G.basis, f, "t_rad"), DEGREVLEX),
+                         True, len(G))
+    groebner._GB_CACHE.clear()
+    plain = buchberger(Ideal(_rabinowitsch(I.generators, f, "t_rad"), DEGREVLEX))
+    assert seeded is not plain
     return seeded, plain
 
 
@@ -294,9 +344,10 @@ def _assert_seeded_rabinowitsch_agrees(f, I):
     assert radical_member(f, I) == plain.contains_one()
 
 
-def test_seeded_rabinowitsch_on_line_scheme_and_components():
+def test_seeded_rabinowitsch_on_line_scheme_and_components(monkeypatch):
     from qp3.line_scheme import component_catalog, line_scheme_ideal
 
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     for g in (gr(1), gr(4)):
         L = line_scheme_ideal(g)
         C = component_catalog(g)
@@ -311,9 +362,10 @@ def test_seeded_rabinowitsch_on_line_scheme_and_components():
                 _assert_seeded_rabinowitsch_agrees(f, comp.ideal)
 
 
-def test_seeded_rabinowitsch_on_random_ideals():
+def test_seeded_rabinowitsch_on_random_ideals(monkeypatch):
     # the ideals of acceptance criterion 10c, drawn from the same stream,
     # with f = x and y in turn; a random f of degree 4 can take seconds
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     rng = random.Random(107)
     vs = VarSet(["x", "y"])
     seen = 0
