@@ -184,6 +184,8 @@ def cmd_line_scheme(gamma, fmt, verify: bool) -> int:
 def cmd_lines_through(gamma, fmt, args) -> int:
     from .plucker import lines_through_point
 
+    if args.numeric and (args.symbolic or args.point):
+        raise UsageError("--numeric cannot be combined with --symbolic or --point")
     if args.numeric:
         from .numeric import ConvergenceError, enumerate_points, six_lines_numeric
 

@@ -193,7 +193,10 @@ I = GaussianRational(0, 1)
 
 
 def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor, gr(1, -2) == 1 - 2i."""
+    """Shorthand constructor, gr(1, -2) == 1 - 2i; gr(x) is x itself when
+    x is already a GaussianRational."""
+    if im == 0 and isinstance(re, GaussianRational):
+        return re
     return GaussianRational(re, im)
 
 

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
-                        VarSetMismatchError)
+                        VarSetMismatchError, substitute)
 
 
 class ResourceLimitError(RuntimeError):
@@ -178,19 +178,12 @@ def _to_internal_tracked(f: Polynomial, keyfn):
     return out, Fraction(denom, content)
 
 
-def _to_polynomial(p: _IPoly, varset: VarSet, order: MonomialOrder,
-                   monic: bool = True) -> Polynomial:
+def _to_polynomial(p: _IPoly, varset: VarSet, order: MonomialOrder) -> Polynomial:
+    """The monic polynomial over Q(i) proportional to p."""
     if not p:
         return Polynomial.zero(varset, order)
-    terms: Dict[Monomial, GaussianRational] = {}
-    if monic:
-        lc = GaussianRational(p[0][2][0], p[0][2][1])
-        inv = lc.inverse()
-        for _, m, (a, b) in p:
-            terms[m] = GaussianRational(a, b) * inv
-    else:
-        for _, m, (a, b) in p:
-            terms[m] = GaussianRational(a, b)
+    inv = GaussianRational(p[0][2][0], p[0][2][1]).inverse()
+    terms = {m: GaussianRational(a, b) * inv for _, m, (a, b) in p}
     return Polynomial(varset, terms, order)
 
 
@@ -324,13 +317,12 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic, no element's term divisible by
     another element's leading term; every S-polynomial reduces to zero."""
 
-    __slots__ = ("basis", "order", "reduced", "varset", "_internal", "_engine")
+    __slots__ = ("basis", "order", "varset", "_internal", "_engine")
 
     def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder,
-                 reduced: bool = True, varset: Optional[VarSet] = None):
+                 varset: Optional[VarSet] = None):
         self.basis = tuple(basis)
         self.order = order
-        self.reduced = reduced
         self.varset = basis[0].varset if basis else varset
         self._internal = None
         self._engine = None
@@ -361,16 +353,17 @@ class GroebnerBasis:
 _GB_CACHE: Dict[Tuple, GroebnerBasis] = {}
 
 
-def buchberger(I: Ideal, check: bool = True) -> GroebnerBasis:
+def buchberger(I: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of I under I.order.
 
     Deterministic: identical input yields an identical basis.  Raises
     ResourceLimitError when a bound of the current `limits_scope` is hit.
+    Every generator of I is checked to reduce to zero modulo the result.
     """
-    return _buchberger(I, check, 0)
+    return _buchberger(I, 0)
 
 
-def _buchberger(I: Ideal, check: bool, reduced_prefix: int) -> GroebnerBasis:
+def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     """The Buchberger core behind `buchberger`.
 
     The first `reduced_prefix` generators of I must be a reduced Groebner
@@ -508,17 +501,16 @@ def _buchberger(I: Ideal, check: bool, reduced_prefix: int) -> GroebnerBasis:
         _unit_normalize(r)
         reduced.append(r)
 
-    polys = [_to_polynomial(p, I.varset, I.order, monic=True) for p in reduced]
+    polys = [_to_polynomial(p, I.varset, I.order) for p in reduced]
     polys.sort(key=lambda g: keyfn(g.leading_monomial()), reverse=True)
-    gb = GroebnerBasis(polys, I.order, reduced=True)
+    gb = GroebnerBasis(polys, I.order)
 
-    if check:
-        _, internal = gb.engine_parts()
-        for g in I.generators:
-            r, _ = eng.nf(_to_internal(g, keyfn), internal)
-            if r:
-                raise AssertionError("generator does not reduce to zero "
-                                     "modulo the computed basis")
+    _, internal = gb.engine_parts()
+    for g in I.generators:
+        r, _ = eng.nf(_to_internal(g, keyfn), internal)
+        if r:
+            raise AssertionError("generator does not reduce to zero "
+                                 "modulo the computed basis")
 
     _GB_CACHE[cache_key] = gb
     return gb
@@ -562,8 +554,7 @@ def extend_ring(polys: Sequence[Polynomial], extra: str):
     vs = polys[0].varset
     name = _fresh_name(vs, extra)
     big = vs.extend([name])
-    lifted = [Polynomial(big, {m + (0,): c for m, c in p.terms.items()}, DEGREVLEX)
-              for p in polys]
+    lifted = [substitute(p, {}, target=big, order=DEGREVLEX) for p in polys]
     return big, name, lifted
 
 
@@ -593,7 +584,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     if normal_form(f, G).is_zero():
         return True
     gens = _rabinowitsch(G.basis, f, "t_rad")
-    return _buchberger(Ideal(gens, DEGREVLEX), True, len(G)).contains_one()
+    return _buchberger(Ideal(gens, DEGREVLEX), len(G)).contains_one()
 
 
 def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
@@ -611,15 +602,10 @@ def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     if not drop:
         return I
     G = buchberger(Ideal(I.generators, MonomialOrder.elimination(vs, drop)))
-    drop_idx = [vs.index(n) for n in drop]
     small = VarSet([n for n in vs.names if n in keep])
-    keep_pos = [vs.index(n) for n in small.names]
-    out = []
-    for g in G:
-        if any(m[k] for m in g.terms for k in drop_idx):
-            continue
-        terms = {tuple(m[k] for k in keep_pos): c for m, c in g.terms.items()}
-        out.append(Polynomial(small, terms, DEGREVLEX))
+    zero_drop = {n: 0 for n in drop}
+    out = [substitute(g, zero_drop, target=small, order=DEGREVLEX) for g in G
+           if all(g.degree_in(n) == 0 for n in drop)]
     return Ideal(out, DEGREVLEX, varset=small)
 
 

@@ -15,13 +15,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
-                        rename_variables, substitute)
+                        substitute)
 from .polylinalg import PolyMatrix, all_minors
 from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degree,
                        intersect, normal_form, radical_member)
-from .quadratic_algebra import (M_VARS, N_VARS, PLUECKER_MAP, UV_VARS,
-                                QuadraticAlgebra, ZeroGammaError, m_hat,
-                                make_A)
+from .quadratic_algebra import (M_VARS, N_VARS, PAIR_NAMES, PLUECKER_MAP,
+                                UV_VARS, QuadraticAlgebra, ZeroGammaError,
+                                m_hat, make_A, substitution_images)
 from .fixtures import load_fixtures
 
 
@@ -52,14 +52,11 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     """10x8 matrix: the Koszul dual matrix with z -> u on the left block
     and z -> v on the right block."""
     mh = m_hat(A, tensor_order)
-    rows = []
-    for r in range(mh.rows):
-        left = [rename_variables(e, {f"z{k}": f"u{k}" for k in range(1, 5)},
-                                 UV_VARS) for e in mh.row(r)]
-        right = [rename_variables(e, {f"z{k}": f"v{k}" for k in range(1, 5)},
-                                  UV_VARS) for e in mh.row(r)]
-        rows.append(left + right)
-    return PolyMatrix(rows)
+    to_u, to_v = ({f"z{k}": Polynomial.variable(UV_VARS, f"{w}{k}")
+                   for k in range(1, 5)} for w in "uv")
+    return PolyMatrix([[substitute(e, z_to, target=UV_VARS)
+                        for z_to in (to_u, to_v) for e in mh.row(r)]
+                       for r in range(mh.rows)])
 
 
 ROW_SUBSETS: Tuple[Tuple[int, ...], ...] = tuple(combinations(range(10), 8))
@@ -88,19 +85,14 @@ class _NRewriter:
     """
 
     def __init__(self):
-        n_polys = {}
-        for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-            n_polys[f"N{i}{j}"] = parse_poly(f"u{i}*v{j} - u{j}*v{i}", UV_VARS)
+        self.n_polys = {f"N{i}{j}": parse_poly(f"u{i}*v{j} - u{j}*v{i}", UV_VARS)
+                        for i, j in PAIR_NAMES}
         self.key = DEGREVLEX.key
         monos = self._quartic_monomials()
         self.monomials = monos
         self.pivots_by_row: Dict[tuple, Tuple[tuple, Dict, Dict]] = {}
         for mono in monos:
-            expansion = Polynomial.constant(UV_VARS, 1)
-            for name, e in zip(N_VARS.names, mono):
-                if e:
-                    expansion = expansion * n_polys[name] ** e
-            col = {m: c for m, c in expansion.terms.items()}
+            col = dict(self.expand(Polynomial(N_VARS, {mono: ONE})).terms)
             combo = {mono: ONE}
             self._reduce(col, combo)
             if col:
@@ -127,6 +119,9 @@ class _NRewriter:
         return out
 
     def _reduce(self, col: Dict, combo: Dict) -> None:
+        """Subtract pivot columns from col, and their combinations from
+        combo, until col is zero or its leading monomial has no pivot.
+        Keeps col - sum(combo[m] * expand(m)) unchanged."""
         while col:
             row = max(col, key=self.key)
             hit = self.pivots_by_row.get(row)
@@ -158,35 +153,17 @@ class _NRewriter:
             raise NotInSubringError("input is not bihomogeneous of bidegree (4,4)")
         col = dict(f.terms)
         combo: Dict[tuple, GaussianRational] = {}
-        while col:
-            row = max(col, key=self.key)
-            hit = self.pivots_by_row.get(row)
-            if hit is None:
-                raise NotInSubringError(
-                    "polynomial is not a combination of products of the N_ij")
-            c = col[row]
-            _, pcol, pcombo = hit
-            for m, v in pcol.items():
-                acc = col.get(m, ZERO) - c * v
-                if acc.is_zero():
-                    col.pop(m, None)
-                else:
-                    col[m] = acc
-            for m, v in pcombo.items():
-                acc = combo.get(m, ZERO) + c * v
-                if acc.is_zero():
-                    combo.pop(m, None)
-                else:
-                    combo[m] = acc
-        g = Polynomial(N_VARS, combo)
+        self._reduce(col, combo)
+        if col:
+            raise NotInSubringError(
+                "polynomial is not a combination of products of the N_ij")
+        # 0 = f - sum(combo[m] * expand(m)), so g = -combo
+        g = -Polynomial(N_VARS, combo)
         return normal_form(g, _pluecker_gb_N())
 
     def expand(self, g: Polynomial) -> Polynomial:
         """Back-substitute N_ij = u_i v_j - u_j v_i."""
-        n_polys = {}
-        for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-            n_polys[f"N{i}{j}"] = parse_poly(f"u{i}*v{j} - u{j}*v{i}", UV_VARS)
-        return substitute(g, n_polys, target=UV_VARS)
+        return substitute(g, self.n_polys, target=UV_VARS)
 
 
 @lru_cache(maxsize=1)
@@ -203,10 +180,7 @@ def apply_pluecker_map(g: Polynomial) -> Polynomial:
     N23 -> M14, N24 -> -M13, N34 -> M12."""
     if g.varset != N_VARS:
         raise ValueError("apply_pluecker_map expects a polynomial in the N variables")
-    images = {}
-    for n, (s, m) in PLUECKER_MAP.items():
-        images[n] = Polynomial(M_VARS, {M_VARS.var_monomial(m): gr(s)})
-    return substitute(g, images, target=M_VARS)
+    return substitute(g, substitution_images(PLUECKER_MAP, M_VARS), target=M_VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +476,7 @@ class ComponentCatalog:
 def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
     """The reference components: seven when gamma^2 != 16, eight (L1 split
     into two conics) when gamma^2 = 16."""
-    if not isinstance(gamma, GaussianRational):
-        gamma = gr(gamma)
+    gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be nonzero")
     fx = load_fixtures()
@@ -621,14 +594,14 @@ def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str]) -> bool:
     checked as every ambient coordinate lying in the radical."""
     ambient_vs = VarSet(ambient)
     drop = [n for n in component.varset.names if n not in ambient]
+    zero_drop = {n: 0 for n in drop}
     system = []
     for g in component.generators:
         if any(g.degree_in(n) > 0 for n in drop):
             continue  # a coordinate cut defining the ambient projective space
         if g.degree() >= 2:
-            terms = {tuple(e for name, e in zip(component.varset.names, m)
-                           if name in ambient): c for m, c in g.terms.items()}
-            system.append(Polynomial(ambient_vs, terms))
+            system.append(substitute(g, zero_drop, target=ambient_vs,
+                                     order=DEGREVLEX))
     if not system:
         raise ValueError("component has no defining equations in the ambient space")
     jac = [[f.derivative(n) for n in ambient_vs.names] for f in system]

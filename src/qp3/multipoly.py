@@ -11,6 +11,10 @@ built lazily and cached.  The text grammar is:
 
 where 'i' is the imaginary unit and 'g' is a placeholder that must be
 bound to a concrete Gaussian rational before a polynomial is built.
+
+`substitute` is the one ring map: every change of variables, every move
+to another VarSet and every exact evaluation at a Q(i) point goes
+through it.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ class Polynomial:
     @staticmethod
     def constant(varset: VarSet, c: Coefficient,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        return Polynomial(varset, {varset.unit_monomial(): gr(c) if not isinstance(c, GaussianRational) else c}, order)
+        return Polynomial(varset, {varset.unit_monomial(): gr(c)}, order)
 
     @staticmethod
     def variable(varset: VarSet, name: str,
@@ -294,7 +298,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (GaussianRational, int)):
-            c = other if isinstance(other, GaussianRational) else gr(other)
+            c = gr(other)
             if c.is_zero():
                 return Polynomial.zero(self.varset, self.order)
             return Polynomial(self.varset, {m: v * c for m, v in self.terms.items()}, self.order)
@@ -337,7 +341,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, GaussianRational)):
-            c = gr(other) if not isinstance(other, GaussianRational) else other
+            c = gr(other)
             if c.is_zero():
                 return self.is_zero()
             other = Polynomial.constant(self.varset, c, self.order)
@@ -387,76 +391,94 @@ def substitute(f: Polynomial,
                assignment: Mapping[str, Union[Polynomial, GaussianRational, int]],
                target: Optional[VarSet] = None,
                order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Homomorphic image of f under a partial variable assignment.
+    """The ring map sending each variable of f to its image on `target`.
 
-    Every variable of f must either be assigned or exist (by name) in the
-    target VarSet.  Polynomial values fix the target when it is not given.
+    An assigned variable goes to its value, a polynomial on `target` or a
+    scalar; every other variable must exist (by name) in `target` and
+    goes to itself.  `target` defaults to f's VarSet and `order` to f's
+    order.
+
+    When every image is a single term (c times a monomial, or zero) each
+    term of f maps to one term; otherwise the images are expanded.
     """
-    if target is None:
-        target = None
-        for v in assignment.values():
-            if isinstance(v, Polynomial):
-                if target is not None and v.varset != target:
-                    raise VarSetMismatchError("assigned polynomials disagree on VarSet")
-                target = v.varset
-        if target is None:
-            target = f.varset
-    if order is None:
-        order = f.order if target == f.varset else DEGREVLEX
-        for v in assignment.values():
-            if isinstance(v, Polynomial):
-                order = v.order
-                break
-
-    images: Dict[str, Polynomial] = {}
+    target = f.varset if target is None else target
+    order = f.order if order is None else order
+    # per variable of f: a Polynomial on target, a scalar, or the name of
+    # the target variable it stays
+    images: list = []
     for name in f.varset.names:
         if name in assignment:
             v = assignment[name]
             if not isinstance(v, Polynomial):
-                v = Polynomial.constant(target, v, order)
+                v = gr(v)
             elif v.varset != target:
                 raise VarSetMismatchError("assigned value on wrong VarSet")
-            images[name] = v.with_order(order)
+        elif name in target:
+            v = name
         else:
-            if name not in target:
-                raise VarSetMismatchError(
-                    f"variable {name!r} neither assigned nor present in target")
-            images[name] = Polynomial.variable(target, name, order)
+            raise VarSetMismatchError(
+                f"variable {name!r} neither assigned nor present in target")
+        images.append(v)
 
-    result = Polynomial.zero(target, order)
-    pow_cache: Dict[Tuple[str, int], Polynomial] = {}
+    out: Dict[Monomial, GaussianRational] = {}
+    if not any(isinstance(v, Polynomial) and len(v.terms) > 1 for v in images):
+        # point evaluations, renamings, lifts and signed permutations: the
+        # bulk of the calls, so no Polynomial arithmetic here
+        # per variable: (support of the image monomial, coefficient or None
+        # for 1), or None when the image is zero
+        single: list = []
+        for v in images:
+            if isinstance(v, str):
+                single.append(([(target.index(v), 1)], None))
+            elif isinstance(v, GaussianRational):
+                single.append(None if v.is_zero() else ([], None if v == ONE else v))
+            elif v.is_zero():
+                single.append(None)
+            else:
+                (m, c), = v.terms.items()
+                single.append(([(j, a) for j, a in enumerate(m) if a],
+                               None if c == ONE else c))
+        coeff_pows: Dict[Tuple[int, int], GaussianRational] = {}
+        n = len(target)
+        for m, c in f.terms.items():
+            mono = [0] * n
+            for k, e in enumerate(m):
+                if not e:
+                    continue
+                if single[k] is None:
+                    break
+                support, ck = single[k]
+                if ck is not None:
+                    p = coeff_pows.get((k, e))
+                    if p is None:
+                        p = coeff_pows[(k, e)] = ck ** e
+                    c = c * p
+                for j, a in support:
+                    mono[j] += a * e
+            else:
+                key = tuple(mono)
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+        return Polynomial(target, out, order)
+
+    polys = [v if isinstance(v, Polynomial)
+             else Polynomial.variable(target, v, order) if isinstance(v, str)
+             else Polynomial.constant(target, v, order) for v in images]
+    unit = target.unit_monomial()
+    pows: Dict[Tuple[int, int], Polynomial] = {}
     for m, c in f.terms.items():
-        term = Polynomial.constant(target, c, order)
-        for name, e in zip(f.varset.names, m):
+        term = None
+        for k, e in enumerate(m):
             if e:
-                key = (name, e)
-                p = pow_cache.get(key)
+                p = pows.get((k, e))
                 if p is None:
-                    p = images[name] ** e
-                    pow_cache[key] = p
-                term = term * p
-        result = result + term
-    return result
-
-
-def rename_variables(f: Polynomial, mapping: Mapping[str, str],
-                     target: VarSet, order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Transport f to another VarSet by renaming variables (exponents kept)."""
-    if order is None:
-        order = f.order
-    terms: Dict[Monomial, GaussianRational] = {}
-    n = len(target)
-    positions = []
-    for name in f.varset.names:
-        new = mapping.get(name, name)
-        positions.append(target.index(new))
-    for m, c in f.terms.items():
-        out = [0] * n
-        for pos, e in zip(positions, m):
-            out[pos] += e
-        key = tuple(out)
-        terms[key] = terms.get(key, ZERO) + c
-    return Polynomial(target, terms, order)
+                    p = pows[(k, e)] = polys[k] ** e
+                term = p if term is None else term * p
+        items = term.terms.items() if term is not None else ((unit, ONE),)
+        for mm, cc in items:
+            s = out.get(mm)
+            out[mm] = c * cc if s is None else s + c * cc
+    return Polynomial(target, out, order)
 
 
 # ---------------------------------------------------------------------------

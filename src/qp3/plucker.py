@@ -38,8 +38,7 @@ class PluckerLine:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        coords = tuple(c if isinstance(c, GaussianRational) else gr(c)
-                       for c in coords)
+        coords = tuple(gr(c) for c in coords)
         if len(coords) != 6:
             raise ValueError("six Pluecker coordinates expected")
         if all(c.is_zero() for c in coords):
@@ -83,8 +82,7 @@ class LineMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, a: ProjectivePoint, b: ProjectivePoint):
-        if line_from_points(a, b) is None:  # raises on dependence
-            raise DependentPointsError
+        line_from_points(a, b)  # raises DependentPointsError on dependence
         self.rows = (a, b)
 
     def pluecker(self) -> PluckerLine:
@@ -120,7 +118,7 @@ def incidence_contractions(m: Sequence, p: Sequence) -> List:
 
 
 def point_on_line(p: ProjectivePoint, l: PluckerLine) -> bool:
-    return all((c if isinstance(c, GaussianRational) else gr(c)).is_zero()
+    return all(gr(c).is_zero()
                for c in incidence_contractions(l.coords, p.coords))
 
 
@@ -227,8 +225,7 @@ def ruling_lines(quadric: str, param, gamma: Optional[GaussianRational] = None
     member at infinity.
     """
     if quadric in ("Q6a", "Q6b"):
-        delta, eps = (gr(param[0]) if not isinstance(param[0], GaussianRational) else param[0],
-                      gr(param[1]) if not isinstance(param[1], GaussianRational) else param[1])
+        delta, eps = gr(param[0]), gr(param[1])
         if delta.is_zero() and eps.is_zero():
             raise ZeroParameterError("(delta, eps) must be nonzero")
         i = gr(0, 1)
@@ -249,7 +246,7 @@ def ruling_lines(quadric: str, param, gamma: Optional[GaussianRational] = None
                                         ProjectivePoint((0, 1, 0, -1)))
             return line_from_points(ProjectivePoint((0, 0, 1, 0)),
                                     ProjectivePoint((0, 1, 0, -1)))
-        alpha = param if isinstance(param, GaussianRational) else gr(param)
+        alpha = gr(param)
         one = ONE
         if quadric == "Qa":
             # V(x1 - alpha x3, (alpha+1) x2 + (alpha-1) x4)
@@ -265,16 +262,8 @@ def ruling_lines(quadric: str, param, gamma: Optional[GaussianRational] = None
 
 def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
     """Exact evaluation of every component generator at the line."""
-    for g in comp_ideal.generators:
-        acc = ZERO
-        for mono, c in g.terms.items():
-            term = c
-            for coord, e in zip(l.coords, mono):
-                term = term * coord ** e
-            acc = acc + term
-        if not acc.is_zero():
-            return False
-    return True
+    at_l = dict(zip(M_NAMES, l.coords))
+    return all(substitute(g, at_l).is_zero() for g in comp_ideal.generators)
 
 
 # ---------------------------------------------------------------------------

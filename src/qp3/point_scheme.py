@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
 from .polylinalg import all_minors, poly_exact_div
@@ -34,8 +34,7 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        coords = tuple(c if isinstance(c, GaussianRational) else gr(c)
-                       for c in coords)
+        coords = tuple(gr(c) for c in coords)
         if len(coords) != 4:
             raise ValueError("a point of P3 needs four coordinates")
         if all(c.is_zero() for c in coords):
@@ -90,9 +89,7 @@ def chart_ideal(A: QuadraticAlgebra, spec_index: int) -> Ideal:
     target = VarSet(rest)
     gens = []
     for m in point_ideal(A).generators:
-        img = substitute(
-            m, {v: Polynomial.constant(target, c) for v, c in assign.items()},
-            target=target)
+        img = substitute(m, assign, target=target)
         if not img.is_zero():
             gens.append(img)
     return Ideal(gens, DEGREVLEX, varset=target)
@@ -172,22 +169,13 @@ RHO_STRINGS = (
 )
 
 
-def rho_system(gamma: GaussianRational, verify: bool = False):
-    """The three polynomials cutting out Z_gamma on the chart x1 = 1.
-
-    With verify=True the derivation from the minors is certified as well:
-    saturating the chart ideal at x4 and taking a lex basis must reproduce
-    exactly the monic triangular system, every dehomogenized minor must
-    vanish on Z_gamma, and x4 * rho_k must vanish on the chart variety.
-    """
-    if not isinstance(gamma, GaussianRational):
-        gamma = gr(gamma)
+def rho_system(gamma: GaussianRational):
+    """The three polynomials cutting out Z_gamma on the chart x1 = 1;
+    `verify_rho_derivation` certifies them against the minors."""
+    gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be nonzero")
-    rhos = tuple(parse_poly(s, CHART_VARS, gamma=gamma) for s in RHO_STRINGS)
-    if verify and not verify_rho_derivation(gamma)["all"]:
-        raise AssertionError("rho system derivation failed verification")
-    return rhos
+    return tuple(parse_poly(s, CHART_VARS, gamma=gamma) for s in RHO_STRINGS)
 
 
 def zgamma_ideal(gamma: GaussianRational) -> Ideal:
@@ -201,6 +189,9 @@ def zgamma_gb(gamma: GaussianRational) -> GroebnerBasis:
 
 @lru_cache(maxsize=None)
 def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
+    """Saturating the chart ideal at x4 and taking a lex basis must give
+    exactly the monic triangular system, every dehomogenized minor must
+    vanish on Z_gamma, and x4 * rho_k must vanish on the chart variety."""
     rho1, rho2, rho3 = rho_system(gamma)
     A = make_A(gamma)
     chart = chart_ideal(A, 0)
@@ -225,25 +216,20 @@ def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def sigma(p: ProjectivePoint, gamma: GaussianRational,
-          check_on_scheme: bool = True) -> ProjectivePoint:
+def sigma(p: ProjectivePoint, gamma: GaussianRational) -> ProjectivePoint:
     """The automorphism of the point scheme on closed points."""
-    if not isinstance(gamma, GaussianRational):
-        gamma = gr(gamma)
+    gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be nonzero")
-    if check_on_scheme:
-        A = make_A(gamma)
-        vals = {n: None for n in X_VARS.names}
-        for m in point_ideal(A).generators:
-            acc = ZERO
-            for mono, c in m.terms.items():
-                term = c
-                for coord, e in zip(p.coords, mono):
-                    term = term * coord ** e
-                acc = acc + term
-            if not acc.is_zero():
-                raise NotOnSchemeError("point does not lie on the point scheme")
+    at_p = dict(zip(X_VARS.names, p.coords))
+    if any(not substitute(m, at_p).is_zero()
+           for m in point_ideal(make_A(gamma)).generators):
+        raise NotOnSchemeError("point does not lie on the point scheme")
+    return _sigma_formula(p)
+
+
+def _sigma_formula(p: ProjectivePoint) -> ProjectivePoint:
+    """sigma's formula: the basis-point swaps, and the x1 = 1 chart map."""
     swaps = {E1: E2, E2: E1, E3: E4, E4: E3}
     for src, dst in swaps.items():
         if p == src:

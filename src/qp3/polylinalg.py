@@ -187,8 +187,7 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[GaussianRational]]):
-        entries = [[c if isinstance(c, GaussianRational) else gr(c) for c in row]
-                   for row in entries]
+        entries = [[gr(c) for c in row] for row in entries]
         if not entries:
             raise ValueError("matrix must have at least one row")
         cols = len(entries[0])

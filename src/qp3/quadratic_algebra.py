@@ -164,8 +164,7 @@ def relation_rank(relations: Sequence[Tensor]) -> int:
 
 def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
     """The algebra A(gamma); gamma must be nonzero."""
-    if not isinstance(gamma, GaussianRational):
-        gamma = gr(gamma)
+    gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be a nonzero scalar")
     relations = tuple(parse_relation(s, gamma) for s in A_RELATION_STRINGS)
@@ -307,12 +306,12 @@ PLUECKER_MAP_INVERSE: Dict[str, Tuple[int, str]] = {
 }
 
 
-def _substitution_images(table: Dict[str, Tuple[GaussianRational, str]],
-                         varset: VarSet) -> Dict[str, Polynomial]:
-    images = {}
-    for src, (c, dst) in table.items():
-        images[src] = Polynomial(varset, {varset.var_monomial(dst): c})
-    return images
+def substitution_images(table: Dict[str, Tuple[object, str]],
+                        varset: VarSet) -> Dict[str, Polynomial]:
+    """The `substitute` assignment of a signed variable table: each source
+    name goes to c times the named variable of `varset`."""
+    return {src: Polynomial(varset, {varset.var_monomial(dst): c})
+            for src, (c, dst) in table.items()}
 
 
 # index swap 1<->3, 2<->4 with M_ji = -M_ij sign normalization
@@ -331,7 +330,7 @@ def psi1_on_pluecker(f: Polynomial) -> Polynomial:
     coordinates; an involution."""
     if f.varset != M_VARS:
         raise ValueError("psi1_on_pluecker expects a polynomial in the M variables")
-    return substitute(f, _substitution_images(_PSI1_TABLE, M_VARS), target=M_VARS)
+    return substitute(f, substitution_images(_PSI1_TABLE, M_VARS))
 
 
 def psi2_on_pluecker(f: Polynomial, gamma: GaussianRational) -> Polynomial:
@@ -356,7 +355,7 @@ def psi2_on_pluecker(f: Polynomial, gamma: GaussianRational) -> Polynomial:
         "M24": (s, "M13"),
         "M34": (ONE, "M12"),
     }
-    return substitute(f, _substitution_images(table, M_VARS), target=M_VARS)
+    return substitute(f, substitution_images(table, M_VARS))
 
 
 def gamma_sign_on_pluecker(f: Polynomial) -> Polynomial:
@@ -371,4 +370,4 @@ def gamma_sign_on_pluecker(f: Polynomial) -> Polynomial:
         "M24": (-ONE, "M24"),
         "M34": (ONE, "M34"),
     }
-    return substitute(f, _substitution_images(table, M_VARS), target=M_VARS)
+    return substitute(f, substitution_images(table, M_VARS))

@@ -204,3 +204,13 @@ def test_unknown_basis_point_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("qp3: ") and "e5" in err
+
+
+@pytest.mark.parametrize("extra", [["--point", "e2"], ["--symbolic"],
+                                   ["--point", "generic"]])
+def test_numeric_with_symbolic_mode_flag_usage_error(extra, capsys):
+    code, out, err = run_cli(["--gamma", "1", "lines-through", "--numeric"] + extra,
+                             capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("qp3: ") and "--numeric" in err

@@ -331,7 +331,7 @@ def _rabinowitsch_bases(f, I):
 
     G = buchberger(I)
     seeded = _buchberger(Ideal(_rabinowitsch(G.basis, f, "t_rad"), DEGREVLEX),
-                         True, len(G))
+                         len(G))
     groebner._GB_CACHE.clear()
     plain = buchberger(Ideal(_rabinowitsch(I.generators, f, "t_rad"), DEGREVLEX))
     assert seeded is not plain

@@ -42,14 +42,13 @@ def test_displayed_row_seven():
 
 def test_columns_swap_under_uv_exchange():
     big = build_big_matrix(make_A(gr(1)))
-    from qp3.multipoly import rename_variables
+    from qp3.multipoly import substitute
 
-    swap = {f"u{k}": f"v{k}" for k in range(1, 5)}
-    swap.update({f"v{k}": f"u{k}" for k in range(1, 5)})
+    swap = {f"u{k}": Polynomial.variable(UV_VARS, f"v{k}") for k in range(1, 5)}
+    swap.update({f"v{k}": Polynomial.variable(UV_VARS, f"u{k}") for k in range(1, 5)})
     for r in range(10):
         for c in range(4):
-            assert rename_variables(big.entries[r][c], swap, UV_VARS) \
-                == big.entries[r][c + 4]
+            assert substitute(big.entries[r][c], swap) == big.entries[r][c + 4]
 
 
 def test_rewrite_fourth_power():

@@ -56,6 +56,61 @@ def test_substitute_pluecker_slice():
     assert img == parse_poly("M14*M23 + M12*M34", M_VARS)
 
 
+
+def _image_products(f, images, target):
+    """sum c * prod image^e with Polynomial products; unassigned variables
+    map to themselves."""
+    out = Polynomial.zero(target)
+    for m, c in f.terms.items():
+        term = Polynomial.constant(target, c)
+        for name, e in zip(f.varset.names, m):
+            v = images[name] if name in images else Polynomial.variable(target, name)
+            if not isinstance(v, Polynomial):
+                v = Polynomial.constant(target, v)
+            term = term * v ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("multi_term", [False, True])
+def test_substitute_matches_products_of_images(multi_term):
+    """Single-term images (scalars, zero, +-c*variable, c*monomial), and
+    with one multi-term image the expansion; coefficients are non-units so
+    that every power of an image coefficient shows."""
+    from fractions import Fraction
+
+    rng = random.Random(5)
+    src = VarSet(["a", "b", "c", "d"])
+    target = VarSet(["b", "x", "y"])
+
+    def coeff():
+        return gr(Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.randint(1, 3)),
+                  rng.randint(-2, 2))
+
+    for _ in range(150):
+        f = Polynomial(src, {tuple(rng.randint(0, 3) for _ in range(4)): coeff()
+                             for _ in range(rng.randint(1, 6))})
+        images = {}
+        for name in src.names:
+            kind = rng.choice(["scalar", "zero", "variable", "monomial"]
+                              + (["keep"] if name == "b" else []))
+            if kind == "scalar":
+                images[name] = coeff()
+            elif kind == "zero":
+                images[name] = 0
+            elif kind == "variable":
+                images[name] = rng.choice([1, -1]) * coeff() * \
+                    Polynomial.variable(target, rng.choice(target.names))
+            elif kind == "monomial":
+                images[name] = Polynomial(target, {
+                    tuple(rng.randint(0, 2) for _ in range(3)): coeff()})
+        if multi_term:
+            images["c"] = Polynomial(target, {(1, 0, 0): coeff(), (0, 1, 1): coeff()})
+        got = substitute(f, images, target=target)
+        assert got.varset == target
+        assert got == _image_products(f, images, target)
+
+
 def test_parse_rho1_with_gamma():
     f = parse_poly("x4^8 - 4*x4^4 + g^2", CHART_VARS, gamma=gr(1))
     assert f == parse_poly("x4^8 - 4*x4^4 + 1", CHART_VARS)
