@@ -3,10 +3,12 @@ decomposition into seven (or eight) curves.
 
 Pipeline: the Koszul dual of A(gamma) has ten relations, giving a 10x4
 matrix of linear forms; doubling it in u and v gives a 10x8 matrix whose
-forty-five 8x8 minors are bihomogeneous of bidegree (4,4).  Each minor
-rewrites as a quartic in the N_ij = u_i v_j - u_j v_i, and the signed
-substitution into Pluecker coordinates M_ij plus the Pluecker quadric P
-cuts out the line scheme in P5.
+forty-five 8x8 minors are quartics in the N_ij = u_i v_j - u_j v_i.  The
+minors are taken on the affine chart u = (1, 0, a, b), v = (0, 1, c, d)
+of Gr(2,4), where the N_ij become 1, c, d, -a, -b and ad - bc; each is
+lifted degree by degree to a quartic in the Pluecker coordinates M_ij,
+and with the Pluecker quadric P the 46 polynomials cut out the line
+scheme in P5.
 """
 
 from qp3 import gr, print_poly

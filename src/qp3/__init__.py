@@ -17,10 +17,9 @@ from .quadratic_algebra import (QuadraticAlgebra, koszul_dual_relations,
 from .point_scheme import (PointSchemeReport, ProjectivePoint, count_points,
                            point_ideal, rho_system, sigma,
                            verify_vanishing_pairs)
-from .line_scheme import (ComponentCatalog, LineSchemeIdeal, apply_pluecker_map,
-                          build_big_matrix, component_catalog,
-                          fixture_forensics, jacobian_smoothness_check,
-                          line_scheme_ideal, rewrite_in_N,
+from .line_scheme import (ComponentCatalog, LineSchemeIdeal, build_big_matrix,
+                          component_catalog, fixture_forensics,
+                          jacobian_smoothness_check, line_scheme_ideal,
                           verify_decomposition)
 from .plucker import (PluckerLine, line_from_points, lines_through_point,
                       point_on_line, ruling_lines, surface_containment)

@@ -240,15 +240,3 @@ def sqrt(x: GaussianRational):
         if 2 * p * q != x.im:
             return None
     return GaussianRational(p, q)
-
-
-def fourth_root(x: GaussianRational):
-    """A fourth root of x inside Q(i) if one exists, else None."""
-    s = sqrt(x)
-    if s is None:
-        return None
-    for cand in (s, -s):
-        r = sqrt(cand)
-        if r is not None:
-            return r
-    return None

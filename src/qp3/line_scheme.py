@@ -1,9 +1,19 @@
 """The line scheme of A(gamma) in Pluecker coordinates on P5.
 
-Pipeline: Koszul dual -> 10x8 matrix over u, v -> forty-five 8x8 minors
-(bidegree (4,4)) -> rewrite in the N_ij = u_i v_j - u_j v_i -> signed
-substitution to the M_ij -> the 46-polynomial ideal (with the Pluecker
-quadric P), plus the reference component catalog and its verification.
+Pipeline: Koszul dual -> the 10x8 matrix [M^(u) | M^(v)] on the affine
+chart u = (1, 0, a, b), v = (0, 1, c, d) of Gr(2,4) -> forty-five 8x8
+minors in a, b, c, d -> each lifted to a quartic in the M_ij -> the
+46-polynomial ideal (with the Pluecker quadric P), plus the reference
+component catalog and its verification.
+
+Every minor of [M^(u) | M^(v)] is a quartic in the brackets
+N_ij = u_i v_j - u_j v_i (first fundamental theorem for SL2).  On the
+chart, N12 = 1, N13 = c, N14 = d, N23 = -a, N24 = -b, N34 = ad - bc, and
+the signed identification N12 = M34, N13 = -M24, N14 = M23, N23 = M14,
+N24 = -M13, N34 = M12 makes the chart the open set M34 != 0 of the
+Pluecker quadric.  A quartic is fixed modulo P by its values there, so
+the lift in `_lift_from_chart` followed by normal form modulo P gives
+the same polynomial as rewriting the full u, v minor in the N_ij.
 """
 
 from __future__ import annotations
@@ -13,21 +23,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GaussianRational, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
                         substitute)
-from .polylinalg import PolyMatrix, all_minors
+from .polylinalg import PolyMatrix, all_minors, poly_exact_div
 from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degree,
                        intersect, normal_form, radical_member)
-from .quadratic_algebra import (M_VARS, N_VARS, PAIR_NAMES, PLUECKER_MAP,
-                                UV_VARS, QuadraticAlgebra, ZeroGammaError,
-                                m_hat, make_A, substitution_images)
+from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
+                                ZeroGammaError, m_hat, make_A)
 from .fixtures import load_fixtures
-
-
-class NotInSubringError(ValueError):
-    """A bidegree (4,4) polynomial failed to rewrite in the N_ij; this
-    signals a pipeline bug, not bad user input."""
 
 
 PLUECKER_POLY_STRING = "M12*M34 - M13*M24 + M14*M23"
@@ -42,145 +46,63 @@ def _pluecker_gb_M() -> GroebnerBasis:
     return buchberger(Ideal([pluecker_polynomial()]))
 
 
-@lru_cache(maxsize=1)
-def _pluecker_gb_N() -> GroebnerBasis:
-    p = parse_poly("N12*N34 - N13*N24 + N14*N23", N_VARS)
-    return buchberger(Ideal([p]))
+def _doubled_matrix(A: QuadraticAlgebra, tensor_order: str, u: Sequence,
+                    v: Sequence, varset: VarSet) -> PolyMatrix:
+    """[M^(u) | M^(v)]: the Koszul dual matrix with z -> u on the left
+    block and z -> v on the right block, u and v given as images on
+    `varset` (polynomials or scalars)."""
+    mh = m_hat(A, tensor_order)
+    to_u, to_v = (dict(zip(Z_VARS.names, w)) for w in (u, v))
+    return PolyMatrix([[substitute(e, z_to, target=varset)
+                        for z_to in (to_u, to_v) for e in mh.row(r)]
+                       for r in range(mh.rows)])
 
 
 def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMatrix:
-    """10x8 matrix: the Koszul dual matrix with z -> u on the left block
-    and z -> v on the right block."""
-    mh = m_hat(A, tensor_order)
-    to_u, to_v = ({f"z{k}": Polynomial.variable(UV_VARS, f"{w}{k}")
-                   for k in range(1, 5)} for w in "uv")
-    return PolyMatrix([[substitute(e, z_to, target=UV_VARS)
-                        for z_to in (to_u, to_v) for e in mh.row(r)]
-                       for r in range(mh.rows)])
+    """10x8 matrix over u1..u4, v1..v4: [M^(u) | M^(v)]."""
+    u, v = ([Polynomial.variable(UV_VARS, f"{w}{k}") for k in range(1, 5)]
+            for w in "uv")
+    return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
 
 
 ROW_SUBSETS: Tuple[Tuple[int, ...], ...] = tuple(combinations(range(10), 8))
 
 
-def big_matrix_minors(A: QuadraticAlgebra,
-                      tensor_order: str = "left") -> List[Polynomial]:
-    """The forty-five 8x8 minors, row subsets in lexicographic order."""
-    return all_minors(build_big_matrix(A, tensor_order), 8)
-
-
 # ---------------------------------------------------------------------------
-# rewriting bidegree (4,4) polynomials in the N_ij
+# the affine chart u = (1, 0, a, b), v = (0, 1, c, d) of Gr(2,4)
 # ---------------------------------------------------------------------------
 
-U_NAMES = ("u1", "u2", "u3", "u4")
+GR_CHART_VARS = VarSet(["a", "b", "c", "d"])
+
+# the chart coordinates through N -> M, and the chart value of N34
+_CHART_IMAGES = {n: parse_poly(t, M_VARS)
+                 for n, t in zip(GR_CHART_VARS.names, ("-M14", "M13", "-M24", "M23"))}
+_CHART_N34 = parse_poly("a*d - b*c", GR_CHART_VARS)
 
 
-class _NRewriter:
-    """Exact linear solver expressing bidegree (4,4) polynomials in u, v as
-    degree-4 polynomials in the six N_ij.
+def _lift_from_chart(f: Polynomial) -> Polynomial:
+    """A quartic in the M_ij that restricts to f on the chart.
 
-    Columns are the 126 quartic N-monomials expanded into u, v; a greedy
-    triangular pivot structure (by leading u,v-monomial) solves each right
-    hand side and records the combination over the original monomials.
+    f must be the chart restriction of a quartic G in the N_ij.  A monomial
+    of G with e12 factors N12 and e34 factors N34 restricts to degree
+    4 - e12 + e34, so the part of f of degree k <= 4 lifts as
+    M34^(4-k) * f_k(M), and the part of degree 4 + l is divisible by
+    (ad - bc)^l and lifts as M12^l * (f_(4+l) / (ad - bc)^l)(M).  The
+    division raises ValueError when it is not exact, that is when f is
+    not such a restriction.
     """
-
-    def __init__(self):
-        self.n_polys = {f"N{i}{j}": parse_poly(f"u{i}*v{j} - u{j}*v{i}", UV_VARS)
-                        for i, j in PAIR_NAMES}
-        self.key = DEGREVLEX.key
-        monos = self._quartic_monomials()
-        self.monomials = monos
-        self.pivots_by_row: Dict[tuple, Tuple[tuple, Dict, Dict]] = {}
-        for mono in monos:
-            col = dict(self.expand(Polynomial(N_VARS, {mono: ONE})).terms)
-            combo = {mono: ONE}
-            self._reduce(col, combo)
-            if col:
-                pivot_row = max(col, key=self.key)
-                inv = col[pivot_row].inverse()
-                col = {m: c * inv for m, c in col.items()}
-                combo = {m: c * inv for m, c in combo.items()}
-                self.pivots_by_row[pivot_row] = (pivot_row, col, combo)
-
-    @staticmethod
-    def _quartic_monomials() -> List[tuple]:
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, slots - 1)
-
-        rec([], 4, 6)
-        key = DEGREVLEX.key
-        out.sort(key=lambda m: key(m), reverse=True)
-        return out
-
-    def _reduce(self, col: Dict, combo: Dict) -> None:
-        """Subtract pivot columns from col, and their combinations from
-        combo, until col is zero or its leading monomial has no pivot.
-        Keeps col - sum(combo[m] * expand(m)) unchanged."""
-        while col:
-            row = max(col, key=self.key)
-            hit = self.pivots_by_row.get(row)
-            if hit is None:
-                return
-            c = col[row]
-            _, pcol, pcombo = hit
-            for m, v in pcol.items():
-                acc = col.get(m, ZERO) - c * v
-                if acc.is_zero():
-                    col.pop(m, None)
-                else:
-                    col[m] = acc
-            for m, v in pcombo.items():
-                acc = combo.get(m, ZERO) - c * v
-                if acc.is_zero():
-                    combo.pop(m, None)
-                else:
-                    combo[m] = acc
-
-    def rewrite(self, f: Polynomial) -> Polynomial:
-        """A degree-4 polynomial g in the N_ij with g(N(u,v)) = f, reduced
-        to normal form modulo the Pluecker relation so it is unique."""
-        if f.varset != UV_VARS:
-            raise ValueError("rewrite expects a polynomial over u1..u4, v1..v4")
-        if f.is_zero():
-            return Polynomial.zero(N_VARS)
-        if f.bidegree(U_NAMES) != (4, 4):
-            raise NotInSubringError("input is not bihomogeneous of bidegree (4,4)")
-        col = dict(f.terms)
-        combo: Dict[tuple, GaussianRational] = {}
-        self._reduce(col, combo)
-        if col:
-            raise NotInSubringError(
-                "polynomial is not a combination of products of the N_ij")
-        # 0 = f - sum(combo[m] * expand(m)), so g = -combo
-        g = -Polynomial(N_VARS, combo)
-        return normal_form(g, _pluecker_gb_N())
-
-    def expand(self, g: Polynomial) -> Polynomial:
-        """Back-substitute N_ij = u_i v_j - u_j v_i."""
-        return substitute(g, self.n_polys, target=UV_VARS)
-
-
-@lru_cache(maxsize=1)
-def _rewriter() -> _NRewriter:
-    return _NRewriter()
-
-
-def rewrite_in_N(f: Polynomial) -> Polynomial:
-    return _rewriter().rewrite(f)
-
-
-def apply_pluecker_map(g: Polynomial) -> Polynomial:
-    """The signed substitution N12 -> M34, N13 -> -M24, N14 -> M23,
-    N23 -> M14, N24 -> -M13, N34 -> M12."""
-    if g.varset != N_VARS:
-        raise ValueError("apply_pluecker_map expects a polynomial in the N variables")
-    return substitute(g, substitution_images(PLUECKER_MAP, M_VARS), target=M_VARS)
+    m12, m34 = (Polynomial.variable(M_VARS, n) for n in ("M12", "M34"))
+    parts: Dict[int, Dict[tuple, GaussianRational]] = {}
+    for m, c in f.terms.items():
+        parts.setdefault(sum(m), {})[m] = c
+    out = Polynomial.zero(M_VARS)
+    for k, terms in parts.items():
+        part, l = Polynomial(GR_CHART_VARS, terms), k - 4
+        if l > 0:
+            part = poly_exact_div(part, _CHART_N34 ** l)
+        homogenizer = m12 ** l if l > 0 else m34 ** -l
+        out = out + substitute(part, _CHART_IMAGES, target=M_VARS) * homogenizer
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +135,16 @@ def line_scheme_ideal(gamma: GaussianRational,
 @lru_cache(maxsize=None)
 def _line_scheme_ideal(gamma: GaussianRational,
                        tensor_order: str) -> LineSchemeIdeal:
-    A = make_A(gamma)
-    minors = big_matrix_minors(A, tensor_order)
+    a, b, c, d = (Polynomial.variable(GR_CHART_VARS, n) for n in GR_CHART_VARS.names)
+    chart = _doubled_matrix(make_A(gamma), tensor_order, (1, 0, a, b), (0, 1, c, d),
+                            GR_CHART_VARS)
+    minors = all_minors(chart, 8)
     gbP = _pluecker_gb_M()
-    rew = _rewriter()
     images = []
     for f in minors:
-        g = rew.rewrite(f)
-        h = normal_form(apply_pluecker_map(g), gbP)
+        h = normal_form(_lift_from_chart(f), gbP)
         if h.is_zero():
-            raise NotInSubringError("a minor image vanished; pipeline bug")
+            raise ValueError("a minor image vanished; pipeline bug")
         images.append(h)
     polys = (pluecker_polynomial(),) + tuple(images)
     return LineSchemeIdeal(gamma=gamma, polys=polys,

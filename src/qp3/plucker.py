@@ -76,28 +76,6 @@ def line_from_points(a: ProjectivePoint, b: ProjectivePoint) -> PluckerLine:
     return PluckerLine(coords)
 
 
-class LineMatrix:
-    """A line as a rank-two 2x4 matrix: two spanning points as rows."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, a: ProjectivePoint, b: ProjectivePoint):
-        line_from_points(a, b)  # raises DependentPointsError on dependence
-        self.rows = (a, b)
-
-    def pluecker(self) -> PluckerLine:
-        return line_from_points(*self.rows)
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        """Rank oracle: p on the line iff stacking it keeps rank two."""
-        from .polylinalg import ScalarMatrix
-
-        stacked = ScalarMatrix([list(self.rows[0].coords),
-                                list(self.rows[1].coords),
-                                list(p.coords)])
-        return stacked.rank() == 2
-
-
 def dual_coordinates(m: Sequence) -> Tuple:
     """Hodge-dual coordinates (M34, -M24, M23, M14, -M13, M12); a point p
     lies on the line iff the dual antisymmetric matrix kills p."""

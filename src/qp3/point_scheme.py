@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
-from .polylinalg import all_minors, poly_exact_div
+from .polylinalg import all_minors, poly_divmod, poly_exact_div
 from .groebner import (GroebnerBasis, Ideal, buchberger, invert_mod,
                        is_unit_mod, normal_form, quotient_dimension,
                        radical_member, saturate)
@@ -69,9 +69,11 @@ E4 = ProjectivePoint((0, 0, 0, 1))
 BASIS_POINTS = {"e1": E1, "e2": E2, "e3": E3, "e4": E4}
 
 
+@lru_cache(maxsize=None)
 def point_ideal(A: QuadraticAlgebra) -> Ideal:
     """Ideal of the 4x4 minors of the relation matrix: cuts out the point
-    scheme inside P3."""
+    scheme inside P3.  Built once per algebra: the chart ideals, sigma and
+    both certificates all start from it."""
     minors = all_minors(relation_matrix(A), 4)
     return Ideal(minors)
 
@@ -100,39 +102,10 @@ def chart_ideal(A: QuadraticAlgebra, spec_index: int) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _only_var(f: Polynomial) -> int:
-    active = {k for m in f.terms for k, e in enumerate(m) if e}
-    if len(active) > 1:
-        raise ValueError("polynomial is not univariate")
-    return next(iter(active)) if active else 0
-
-
-def uni_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    var_idx = _only_var(g if g.degree() > 0 else f)
-    name = f.varset.names[var_idx]
-    q = Polynomial.zero(f.varset, f.order)
-    r = f
-    dg = g.degree_in(name)
-    lc = g.coefficient(tuple(dg if k == var_idx else 0
-                             for k in range(len(f.varset))))
-    lc_inv = lc.inverse()
-    while not r.is_zero() and r.degree_in(name) >= dg:
-        dr = r.degree_in(name)
-        cr = r.coefficient(tuple(dr if k == var_idx else 0
-                                 for k in range(len(f.varset))))
-        shift = Polynomial(f.varset,
-                           {tuple(dr - dg if k == var_idx else 0
-                                  for k in range(len(f.varset))): cr * lc_inv},
-                           f.order)
-        q = q + shift
-        r = r - shift * g
-    return q, r
-
-
 def uni_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     a, b = f, g
     while not b.is_zero():
-        a, b = b, uni_divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a.monic() if not a.is_zero() else a
 
 

@@ -106,26 +106,37 @@ class PolyMatrix:
         return d if sign > 0 else -d
 
 
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises ValueError if g does not divide f."""
+def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """Leading-term division (q, r) with f = q*g + r: no term of r is
+    divisible by the leading monomial of g.  On univariate polynomials
+    this is the usual division with remainder."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return f
     varset, order = f.varset, f.order
     lm_g = g.leading_monomial()
     lc_g_inv = g.leading_coefficient().inverse()
     quotient: Dict[Tuple[int, ...], GaussianRational] = {}
-    rem = f
-    while not rem.is_zero():
-        lm = rem.leading_monomial()
+    remainder: Dict[Tuple[int, ...], GaussianRational] = {}
+    rest = f
+    while not rest.is_zero():
+        lm, c = rest.sorted_terms()[0]
         diff = tuple(a - b for a, b in zip(lm, lm_g))
         if any(e < 0 for e in diff):
-            raise ValueError("not an exact polynomial division")
-        c = rem.leading_coefficient() * lc_g_inv
+            remainder[lm] = c
+            rest = rest - Polynomial(varset, {lm: c}, order)
+            continue
+        c = c * lc_g_inv
         quotient[diff] = c
-        rem = rem - Polynomial(varset, {diff: c}, order) * g
-    return Polynomial(varset, quotient, order)
+        rest = rest - Polynomial(varset, {diff: c}, order) * g
+    return Polynomial(varset, quotient, order), Polynomial(varset, remainder, order)
+
+
+def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises ValueError if g does not divide f."""
+    q, r = poly_divmod(f, g)
+    if not r.is_zero():
+        raise ValueError("not an exact polynomial division")
+    return q
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:

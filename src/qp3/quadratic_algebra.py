@@ -21,10 +21,7 @@ X_VARS = VarSet(["x1", "x2", "x3", "x4"])
 Z_VARS = VarSet(["z1", "z2", "z3", "z4"])
 UV_VARS = VarSet(["u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4"])
 M_VARS = VarSet(["M12", "M13", "M14", "M23", "M24", "M34"])
-N_VARS = VarSet(["N12", "N13", "N14", "N23", "N24", "N34"])
 CHART_VARS = VarSet(["x2", "x3", "x4"])
-
-PAIR_NAMES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
 class ZeroGammaError(ValueError):
@@ -180,11 +177,6 @@ def load_presentation(text: str, gamma: GaussianRational) -> QuadraticAlgebra:
     return QuadraticAlgebra(gamma, tuple(parse_relation(s, gamma) for s in lines))
 
 
-def load_presentation_file(path, gamma: GaussianRational) -> QuadraticAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_presentation(fh.read(), gamma)
-
-
 def tensor_to_rows(tensors: Sequence[Tensor], varset: VarSet) -> PolyMatrix:
     """Matrix with row r, column j equal to sum_i T_ij * var_i, so that
     (matrix) . (vars)^T expands back to each tensor."""
@@ -288,22 +280,8 @@ def m_hat(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the N -> M assignment and the symmetry maps on Pluecker coordinates
+# the symmetry maps on Pluecker coordinates
 # ---------------------------------------------------------------------------
-
-# N12 -> M34, N13 -> -M24, N14 -> M23, N23 -> M14, N24 -> -M13, N34 -> M12
-PLUECKER_MAP: Dict[str, Tuple[int, str]] = {
-    "N12": (1, "M34"),
-    "N13": (-1, "M24"),
-    "N14": (1, "M23"),
-    "N23": (1, "M14"),
-    "N24": (-1, "M13"),
-    "N34": (1, "M12"),
-}
-
-PLUECKER_MAP_INVERSE: Dict[str, Tuple[int, str]] = {
-    m: (s, n) for n, (s, m) in PLUECKER_MAP.items()
-}
 
 
 def substitution_images(table: Dict[str, Tuple[object, str]],

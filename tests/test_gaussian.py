@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qp3.gaussian import GaussianRational, I, ONE, ZERO, fourth_root, gr, sqrt
+from qp3.gaussian import GaussianRational, I, ONE, ZERO, gr, sqrt
 
 
 def test_mul_conjugate_pair():
@@ -64,9 +64,9 @@ def test_sqrt_and_fourth_root():
     assert sqrt(gr(4)) == gr(2)
     assert sqrt(gr(0, 2)) == gr(1, 1)       # (1+i)^2 = 2i
     assert sqrt(gr(5)) is None
-    assert fourth_root(gr(1)) is not None
-    assert fourth_root(gr(-4)) == gr(1, 1)  # (1+i)^4 = -4
-    assert fourth_root(gr(4)) is None       # needs sqrt(2)
+    # fourth roots as square roots of square roots
+    assert sqrt(sqrt(gr(-4))) == gr(1, 1)   # (1+i)^4 = -4
+    assert sqrt(sqrt(gr(4))) is None        # needs sqrt(2)
 
 
 def _random_gr(rng):

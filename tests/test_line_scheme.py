@@ -1,20 +1,37 @@
+from fractions import Fraction
+
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import Polynomial, parse_poly, print_poly
-from qp3.polylinalg import ScalarMatrix
+from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
+from qp3.polylinalg import ScalarMatrix, all_minors
 from qp3.groebner import Ideal, ideals_equal, normal_form
-from qp3.quadratic_algebra import M_VARS, N_VARS, UV_VARS, make_A
-from qp3.line_scheme import (COMPONENT_AMBIENT, NotInSubringError,
-                             apply_pluecker_map, big_matrix_minors,
+from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
+from qp3.line_scheme import (COMPONENT_AMBIENT, GR_CHART_VARS,
                              build_big_matrix, component_catalog,
                              displayed_big_matrix,
                              fixture_forensics, gamma4_factorization,
                              jacobian_smoothness_check, line_scheme_ideal,
                              match_displayed_big_matrix, match_fixture_polys,
-                             pluecker_polynomial, rewrite_in_N,
-                             verify_decomposition, _rewriter)
+                             pluecker_polynomial, verify_decomposition,
+                             _lift_from_chart)
 from qp3.fixtures import load_fixtures
+
+
+# M_ij -> the bracket it stands for, N_kl = u_k v_l - u_l v_k; its kernel
+# is the ideal of the Pluecker quadric
+M_TO_UV = {name: parse_poly(text, UV_VARS) for name, text in (
+    ("M12", "u3*v4 - u4*v3"),
+    ("M13", "-(u2*v4 - u4*v2)"),
+    ("M14", "u2*v3 - u3*v2"),
+    ("M23", "u1*v4 - u4*v1"),
+    ("M24", "-(u1*v3 - u3*v1)"),
+    ("M34", "u1*v2 - u2*v1"),
+)}
+
+
+def _in_uv(f: Polynomial) -> Polynomial:
+    return substitute(f, M_TO_UV, target=UV_VARS)
 
 
 def test_big_matrix_matches_displayed_up_to_row_scaling():
@@ -51,48 +68,29 @@ def test_columns_swap_under_uv_exchange():
             assert substitute(big.entries[r][c], swap) == big.entries[r][c + 4]
 
 
-def test_rewrite_fourth_power():
-    n12 = parse_poly("u1*v2 - u2*v1", UV_VARS)
-    g = rewrite_in_N(n12 ** 4)
-    assert g == parse_poly("N12^4", N_VARS)
+def test_line_scheme_polys_expand_to_the_uv_minors():
+    # an oracle that shares nothing with the chart lift: each computed
+    # quartic, written back in u and v, is the full 8x8 minor over u, v
+    assert _in_uv(pluecker_polynomial()).is_zero()
+    for g in (gr(1), gr(-4), gr(Fraction(3, 2), 1)):
+        for tensor_order in ("left", "right"):
+            L = line_scheme_ideal(g, tensor_order)
+            minors = all_minors(build_big_matrix(make_A(g), tensor_order), 8)
+            assert len(minors) == len(L.polys) - 1 == 45
+            for k, minor in enumerate(minors, start=1):
+                assert _in_uv(L.polys[k]) == minor
 
 
-def test_rewrite_product_back_substitutes():
-    rew = _rewriter()
-    f = rew.expand(parse_poly("N12*N34*N13*N24", N_VARS))
-    g = rew.rewrite(f)
-    assert rew.expand(g) == f
-
-
-def test_rewrite_all_minors_back_substitute():
-    rew = _rewriter()
-    for f in big_matrix_minors(make_A(gr(1))):
-        g = rew.rewrite(f)
-        assert rew.expand(g) == f
-
-
-def test_rewrite_rejects_non_bihomogeneous():
-    with pytest.raises(NotInSubringError):
-        rewrite_in_N(parse_poly("u1^8", UV_VARS))
-
-
-def test_rewrite_rejects_outside_subring():
-    # bidegree (4,4) but not a combination of N products: it fails to
-    # vanish on the diagonal u = v
-    with pytest.raises(NotInSubringError):
-        rewrite_in_N(parse_poly("u1^4*v1^4", UV_VARS))
-
-
-def test_apply_pluecker_map_examples():
-    assert apply_pluecker_map(parse_poly("N12^4", N_VARS)) \
-        == parse_poly("M34^4", M_VARS)
-    assert apply_pluecker_map(parse_poly("N13*N24", N_VARS)) \
-        == parse_poly("M13*M24", M_VARS)
-    assert apply_pluecker_map(parse_poly("N14*N23", N_VARS)) \
-        == parse_poly("M14*M23", M_VARS)
-    # the Pluecker relation maps to the Pluecker polynomial
-    assert apply_pluecker_map(parse_poly("N12*N34 - N13*N24 + N14*N23", N_VARS)) \
-        == pluecker_polynomial()
+def test_chart_lift_rejects_non_bracket_forms():
+    # a^5 is no restriction of a quartic in the N_ij: its degree-5 part
+    # is not divisible by ad - bc
+    with pytest.raises(ValueError):
+        _lift_from_chart(parse_poly("a^5", GR_CHART_VARS))
+    # a degree-6 part must be divisible by (ad - bc)^2
+    with pytest.raises(ValueError):
+        _lift_from_chart(parse_poly("(a*d - b*c)*a^4", GR_CHART_VARS))
+    assert _lift_from_chart(parse_poly("(a*d - b*c)^2*a^2", GR_CHART_VARS)) \
+        == parse_poly("M12^2*M14^2", M_VARS)
 
 
 def test_line_scheme_ideal_shape():
@@ -144,17 +142,17 @@ def test_fixture_forensics_certificates():
 def test_erratum_31_certified_by_bareiss_determinant():
     # the corrected entry 31 is i times the "right" minor on rows
     # (1,3,4,5,6,7,8,9), with the determinant recomputed by Bareiss
-    # elimination rather than the subset-DP `minor`
-    from qp3.line_scheme import _pluecker_gb_M
-
-    gbP = _pluecker_gb_M()
+    # elimination rather than the subset-DP `minor`; the kernel of
+    # M -> u, v is the Pluecker ideal, so equality of the u, v expansions
+    # is equality modulo P
     rows = (1, 3, 4, 5, 6, 7, 8, 9)
     for gv in (1, 4, 5):
         big = build_big_matrix(make_A(gr(gv)), "right")
         det = big.submatrix(rows, range(8)).det_bareiss()
-        image = apply_pluecker_map(rewrite_in_N(det))
         entry = load_fixtures().parse_line_polys(gr(gv), corrected=True)[31]
-        assert normal_form(entry - image * gr(0, 1), gbP).is_zero()
+        assert _in_uv(entry) == det * gr(0, 1)
+        printed = load_fixtures().parse_line_polys(gr(gv))[31]
+        assert _in_uv(printed) != det * gr(0, 1)
 
 
 def test_match_fixture_polys_reports_mismatch():

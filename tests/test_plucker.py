@@ -40,6 +40,7 @@ def test_point_on_line_examples():
     assert point_on_line(E1, l)
     assert point_on_line(E2, l)
     assert not point_on_line(E3, l)
+    assert point_on_line(ProjectivePoint((2, 3, 0, 0)), l)
 
 
 def test_point_on_line_family_instance():
@@ -233,17 +234,3 @@ def test_line_check_transcript_serializes():
     doc = rep.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["total"] == 6
-
-
-def test_line_matrix_type():
-    from qp3.plucker import LineMatrix
-
-    lm = LineMatrix(E1, E2)
-    assert lm.pluecker() == line_from_points(E1, E2)
-    assert lm.contains(E1) and lm.contains(E2)
-    assert not lm.contains(E3)
-    mid = ProjectivePoint((2, 3, 0, 0))
-    assert lm.contains(mid)
-    assert point_on_line(mid, lm.pluecker())
-    with pytest.raises(DependentPointsError):
-        LineMatrix(E1, ProjectivePoint((5, 0, 0, 0)))

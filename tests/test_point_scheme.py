@@ -174,3 +174,23 @@ def test_sigma_formula_path():
 def test_sigma_undefined_at_x3_zero():
     with pytest.raises(UndefinedAtPointError):
         _sigma_formula(ProjectivePoint((1, 5, 0, 3)))
+
+
+def test_count_points_builds_the_point_ideal_once(monkeypatch):
+    # chart_ideal (four charts), sigma (four basis points) and the rho and
+    # sigma certificates all share one set of fifteen minors per algebra
+    import qp3.point_scheme as ps
+
+    builds = []
+    real = ps.all_minors
+
+    def counted(m, k):
+        builds.append(k)
+        return real(m, k)
+
+    monkeypatch.setattr(ps, "all_minors", counted)
+    for cached in (ps.point_ideal, ps.verify_rho_derivation,
+                   ps.sigma_orbit_certificates):
+        cached.cache_clear()
+    assert count_points(make_A(gr(1))).ok
+    assert builds == [4]

@@ -146,13 +146,11 @@ def test_big_matrix_minors_match_per_subset_minor_and_bareiss():
     from itertools import combinations
     from fractions import Fraction
 
-    from qp3.line_scheme import big_matrix_minors
-
     for g in (gr(1), gr(4), gr(Fraction(3, 2), 1)):
         A = make_A(g)
         for tensor_order in ("left", "right"):
             big = build_big_matrix(A, tensor_order)
-            shared = big_matrix_minors(A, tensor_order)
+            shared = all_minors(big, 8)
             rows_list = list(combinations(range(10), 8))
             assert len(shared) == len(rows_list) == 45
             for rows, f in zip(rows_list, shared):

@@ -182,11 +182,9 @@ def test_parse_relation_rejects_nonquadratic():
 
 
 def test_load_presentation_from_file(tmp_path):
-    from qp3.quadratic_algebra import load_presentation_file
-
     path = tmp_path / "relations.txt"
     path.write_text("# the defining relations\n" + "\n".join(A_RELATION_STRINGS))
-    assert load_presentation_file(path, gr(3)) == make_A(gr(3))
+    assert load_presentation(path.read_text(), gr(3)) == make_A(gr(3))
 
 
 def test_gamma_sign_isomorphism_at_four():
