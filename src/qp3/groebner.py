@@ -1,14 +1,19 @@
 """Buchberger's algorithm and the ideal-theoretic toolkit.
 
-The engine works internally on term lists with Gaussian-integer
-coefficients (pairs of ints) and an additive order key per term; all
-reductions are fraction-free with periodic content stripping, so no
-rational arithmetic happens in the hot loop.  Public results come back
-as monic polynomials over Q(i).
+The engine works on term lists with Gaussian-integer coefficients (pairs
+of ints) and an additive order key per term, so no rational arithmetic
+happens in the hot loop.  Every list it keeps obeys one rule,
+`_primitive`: multiplied by the conjugate of its leading coefficient and
+divided by the integer gcd of its coefficients, its lead is a positive
+integer and no Gaussian content such as (1+i)^k survives.  A
+`GroebnerBasis` keeps the lists its computation produced, and
+`normal_form` reduces against them directly.
 
-Pair handling follows the Gebauer-Moeller installation of Buchberger's
-two criteria, with the sugar selection strategy and fully deterministic
-tie-breaking so that repeated runs produce identical bases.
+Pairs are handled by the Gebauer-Moeller UPDATE (Becker-Weispfenning,
+Groebner Bases, 1993, 5.5): new pairs pass the chain and equal-lcm
+criteria, coprime pairs only serve to drop others, and the B_k test
+prunes queued pairs.  Pairs are selected by sugar with deterministic
+tie-breaking, so repeated runs produce identical bases.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO
@@ -63,6 +70,11 @@ def limits_scope(limits: GroebnerLimits) -> Iterator[None]:
         yield
     finally:
         _LIMITS.reset(token)
+
+
+def current_limits() -> GroebnerLimits:
+    """The limits of the innermost `limits_scope`, or DEFAULT_LIMITS."""
+    return _LIMITS.get()
 
 
 class Ideal:
@@ -114,81 +126,61 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# internal fraction-free term lists
+# term lists
 # ---------------------------------------------------------------------------
-# A term is (key, monomial, (a, b)) with key the additive order key and
-# (a, b) the Gaussian integer a + b*i.  Lists are descending in key.
+# A term is (key, monomial, (a, b)): key is the additive order key of the
+# monomial and (a, b) the Gaussian integer a + b*i.  A list is sorted by
+# descending key, and every list the engine keeps is primitive.
 
-_IPoly = List[Tuple[tuple, Monomial, Tuple[int, int]]]
-
-
-def _cmul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
+_TermList = List[Tuple[tuple, Monomial, Tuple[int, int]]]
 
 
-def _content_strip(*polys: _IPoly) -> int:
+def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
+    """The one normal form of a nonzero term list: (p*c/g, c, g).
+
+    c is the conjugate of the lead divided by the gcd of its two parts,
+    and g the integer gcd of the coefficients of p*c.  The lead becomes a
+    positive integer, and lists that differ by a factor in Q(i) get the
+    same form: the monic polynomial times the least positive integer that
+    clears its denominators.
+    """
+    a0, b0 = p[0][2]
+    h = gcd(a0, b0)
+    ca, cb = a0 // h, -b0 // h
+    if cb:
+        q = [(k, m, (a * ca - b * cb, a * cb + b * ca)) for k, m, (a, b) in p]
+    elif ca < 0:
+        q = [(k, m, (-a, -b)) for k, m, (a, b) in p]
+    else:
+        q = p
     g = 0
-    for p in polys:
-        for _, _, (a, b) in p:
-            g = gcd(g, a, b)
-            if g == 1:
-                return 1
-    if g > 1:
-        for p in polys:
-            for k in range(len(p)):
-                key, m, (a, b) = p[k]
-                p[k] = (key, m, (a // g, b // g))
-    return g
+    for _, _, (a, b) in q:
+        g = gcd(g, a, b)
+        if g == 1:
+            return q, (ca, cb), 1
+    return [(k, m, (a // g, b // g)) for k, m, (a, b) in q], (ca, cb), g
 
 
-def _unit_normalize(p: _IPoly) -> None:
-    if not p:
-        return
-    a, b = p[0][2]
-    if a < 0 or (a == 0 and b < 0):
-        for k in range(len(p)):
-            key, m, (x, y) = p[k]
-            p[k] = (key, m, (-x, -y))
-
-
-def _to_internal(f: Polynomial, keyfn) -> _IPoly:
-    out, _ = _to_internal_tracked(f, keyfn)
-    _unit_normalize(out)
-    return out
-
-
-def _to_internal_tracked(f: Polynomial, keyfn):
-    """Integer form plus the exact positive rational q with internal = q*f."""
-    from fractions import Fraction
-    from math import lcm
-
+def _terms(f: Polynomial, keyfn) -> Tuple[_TermList, GaussianRational]:
+    """f as a primitive term list, and the exact q in Q(i) with list = q*f."""
     if f.is_zero():
-        return [], Fraction(1)
-    denom = 1
-    for c in f.terms.values():
-        denom = lcm(denom, c.d)
-    out = []
-    for m, c in f.terms.items():
-        s = denom // c.d
-        out.append((keyfn(m), m, (c.a * s, c.b * s)))
-    out.sort(key=lambda t: t[0], reverse=True)
-    content = _content_strip(out)
-    return out, Fraction(denom, content)
+        return [], ONE
+    denom = lcm(*(c.d for c in f.terms.values()))
+    p = sorted(((keyfn(m), m, (c.a * (denom // c.d), c.b * (denom // c.d)))
+                for m, c in f.terms.items()), reverse=True)
+    p, (ca, cb), g = _primitive(p)
+    return p, GaussianRational._make(denom * ca, denom * cb, g)
 
 
-def _to_polynomial(p: _IPoly, varset: VarSet, order: MonomialOrder) -> Polynomial:
-    """The monic polynomial over Q(i) proportional to p."""
-    if not p:
-        return Polynomial.zero(varset, order)
-    inv = GaussianRational(p[0][2][0], p[0][2][1]).inverse()
-    terms = {m: GaussianRational(a, b) * inv for _, m, (a, b) in p}
-    return Polynomial(varset, terms, order)
+def _monic(p: _TermList, varset: VarSet, order: MonomialOrder) -> Polynomial:
+    """The monic polynomial over Q(i) proportional to a primitive list."""
+    d = p[0][2][0]
+    return Polynomial(varset, {m: GaussianRational._make(a, b, d)
+                               for _, m, (a, b) in p}, order)
 
 
-def _iadd(p: _IPoly, q: _IPoly) -> _IPoly:
-    out: _IPoly = []
+def _iadd(p: _TermList, q: _TermList) -> _TermList:
+    out: _TermList = []
     i = j = 0
     np_, nq = len(p), len(q)
     while i < np_ and j < nq:
@@ -212,18 +204,12 @@ def _iadd(p: _IPoly, q: _IPoly) -> _IPoly:
     return out
 
 
-def _ishift(p: _IPoly, key_u: tuple, u: Monomial, c: Tuple[int, int]) -> _IPoly:
+def _ishift(p: _TermList, key_u: tuple, u: Monomial,
+            c: Tuple[int, int]) -> _TermList:
     """c * x^u * p; key addition keeps the list sorted."""
-    out = []
-    for key, m, cf in p:
-        out.append((tuple(x + y for x, y in zip(key, key_u)),
-                    tuple(x + y for x, y in zip(m, u)),
-                    _cmul(cf, c)))
-    return out
-
-
-def _iscale(p: _IPoly, c: Tuple[int, int]) -> _IPoly:
-    return [(key, m, _cmul(cf, c)) for key, m, cf in p]
+    x, y = c
+    return [(tuple(map(add, key, key_u)), tuple(map(add, m, u)),
+             (a * x - b * y, a * y + b * x)) for key, m, (a, b) in p]
 
 
 def _divides(m: Monomial, n: Monomial) -> bool:
@@ -237,110 +223,100 @@ def _mono_lcm(m: Monomial, n: Monomial) -> Monomial:
     return tuple(a if a > b else b for a, b in zip(m, n))
 
 
-def _mono_div(m: Monomial, n: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m, n))
+def _nf(f: _TermList, basis: Sequence[_TermList]) -> Tuple[_TermList, int]:
+    """Fully reduced normal form of f modulo primitive term lists.
 
-
-class _Engine:
-    """Shared machinery: a key function plus reduction over a basis list."""
-
-    def __init__(self, varset: VarSet, order: MonomialOrder):
-        self.varset = varset
-        self.order = order
-        self.keyfn = order.key
-
-    def nf(self, f: _IPoly, basis: List[_IPoly]):
-        """Fully reduced normal form.
-
-        Returns (r, s) with s a Gaussian integer scalar such that
-        s * f = r modulo the ideal generated by the basis.
-        """
-        entries = [(g[0][1], g[0][2], g) for g in basis if g]
-        r: _IPoly = []
-        work = list(f)
+    Returns (r, s) with s a positive integer and s*f = r modulo the ideal
+    of `basis`.  A step cancels the first reducible term c x^m of the work
+    list against the first element g of `basis` whose lead d x^l divides
+    it: work becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in
+    Z.  Whenever s > 1, the common integer factor of r, work and s goes.
+    """
+    heads = [(g[0][0], g[0][1], g[0][2][0], g) for g in basis]
+    r: _TermList = []
+    work = f
+    pos = 0
+    s = 1
+    while pos < len(work):
+        key0, m0, (a0, b0) = work[pos]
+        for key_l, l, d, g in heads:
+            if _divides(l, m0):
+                break
+        else:
+            r.append(work[pos])
+            pos += 1
+            continue
+        h = gcd(d, a0, b0)
+        d //= h
+        tail = _ishift(g[1:], tuple(map(sub, key0, key_l)),
+                       tuple(map(sub, m0, l)), (-a0 // h, -b0 // h))
+        rest = work[pos + 1:]
         pos = 0
-        s = (1, 0)
-        keyfn = self.keyfn
-        while pos < len(work):
-            key0, m0, c0 = work[pos]
-            hit = None
-            for lm, lc, g in entries:
-                if _divides(lm, m0):
-                    hit = (lm, lc, g)
-                    break
-            if hit is None:
-                r.append(work[pos])
-                pos += 1
-                continue
-            lm, lc, g = hit
-            u = _mono_div(m0, lm)
-            key_u = tuple(x - y for x, y in zip(key0, keyfn(lm)))
-            work = _iadd(_iscale(work[pos + 1:], lc),
-                         _ishift(g[1:], key_u, u, (-c0[0], -c0[1])))
-            pos = 0
-            if r:
-                r = _iscale(r, lc)
-            s = _cmul(s, lc)
-            g0 = 0
-            for _, _, (a, b) in work:
+        if d > 1:
+            rest = [(k, m, (a * d, b * d)) for k, m, (a, b) in rest]
+            r = [(k, m, (a * d, b * d)) for k, m, (a, b) in r]
+            s *= d
+        work = _iadd(rest, tail)
+        if s > 1:
+            g0 = s
+            for _, _, (a, b) in chain(work, r):
                 g0 = gcd(g0, a, b)
                 if g0 == 1:
                     break
-            if g0 > 1:
-                for _, _, (a, b) in r:
-                    g0 = gcd(g0, a, b)
-                    if g0 == 1:
-                        break
-                g0 = gcd(g0, s[0], s[1])
-            if g0 > 1:
+            else:
                 work = [(k, m, (a // g0, b // g0)) for k, m, (a, b) in work]
                 r = [(k, m, (a // g0, b // g0)) for k, m, (a, b) in r]
-                s = (s[0] // g0, s[1] // g0)
-        return r, s
+                s //= g0
+    return r, s
 
-    def spoly(self, f: _IPoly, g: _IPoly) -> _IPoly:
-        lm_f, lc_f = f[0][1], f[0][2]
-        lm_g, lc_g = g[0][1], g[0][2]
-        l = _mono_lcm(lm_f, lm_g)
-        uf = _mono_div(l, lm_f)
-        ug = _mono_div(l, lm_g)
-        kf = self.keyfn(uf)
-        kg = self.keyfn(ug)
-        s = _iadd(_ishift(f, kf, uf, lc_g),
-                  _ishift(g, kg, ug, (-lc_f[0], -lc_f[1])))
-        _content_strip(s)
-        _unit_normalize(s)
-        return s
+
+def _spoly(f: _TermList, g: _TermList, key_l: tuple, l: Monomial) -> _TermList:
+    """The primitive S-polynomial of two primitive lists with lead lcm l."""
+    kf, mf, (df, _) = f[0]
+    kg, mg, (dg, _) = g[0]
+    h = gcd(df, dg)
+    s = _iadd(_ishift(f[1:], tuple(map(sub, key_l, kf)),
+                      tuple(map(sub, l, mf)), (dg // h, 0)),
+              _ishift(g[1:], tuple(map(sub, key_l, kg)),
+                      tuple(map(sub, l, mg)), (-df // h, 0)))
+    return _primitive(s)[0] if s else s
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, no element's term divisible by
-    another element's leading term; every S-polynomial reduces to zero."""
+    """A reduced Groebner basis: no element's term divisible by another
+    element's leading term; every S-polynomial reduces to zero.
 
-    __slots__ = ("basis", "order", "varset", "_internal", "_engine")
+    `basis` holds the monic elements in descending order of leading
+    monomial.  The engine reduces against the same elements as primitive
+    term lists, kept in ascending order of leading monomial.
+    """
+
+    __slots__ = ("basis", "order", "varset", "_lists")
 
     def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder,
                  varset: Optional[VarSet] = None):
         self.basis = tuple(basis)
         self.order = order
         self.varset = basis[0].varset if basis else varset
-        self._internal = None
-        self._engine = None
+        self._lists = sorted((_terms(g, order.key)[0] for g in self.basis),
+                             key=lambda p: p[0][0])
+
+    @classmethod
+    def _of_lists(cls, lists: List[_TermList], order: MonomialOrder,
+                  varset: VarSet) -> "GroebnerBasis":
+        """The basis of primitive lists sorted by ascending leading key."""
+        gb = cls.__new__(cls)
+        gb.basis = tuple(_monic(p, varset, order) for p in reversed(lists))
+        gb.order = order
+        gb.varset = varset
+        gb._lists = lists
+        return gb
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
         return len(self.basis)
-
-    def engine_parts(self):
-        if self._internal is None:
-            eng = _Engine(self.varset, self.order)
-            internal = [_to_internal(g, eng.keyfn) for g in self.basis]
-            internal.sort(key=lambda p: p[0][0])
-            self._engine = eng
-            self._internal = internal
-        return self._engine, self._internal
 
     def contains_one(self) -> bool:
         return any(len(g.terms) == 1 and sum(g.leading_monomial()) == 0
@@ -375,143 +351,97 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     not depend on the prefix, so the cache key ignores it.  The key holds
     the limits, so a narrower bound recomputes, and raises if it is hit.
     """
-    limits = _LIMITS.get()
+    limits = current_limits()
     cache_key = (I.generators, I.order, I.varset, limits)
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
         return hit
 
-    if I.is_zero():
-        return GroebnerBasis([], I.order, varset=I.varset)
+    keyfn = I.order.key
+    gens = [_terms(g, keyfn)[0] for g in I.generators]
 
-    eng = _Engine(I.varset, I.order)
-    keyfn = eng.keyfn
-
-    prefix = [_to_internal(g, keyfn) for g in I.generators[:reduced_prefix]]
-    seeds = [_to_internal(g, keyfn) for g in I.generators[reduced_prefix:]]
-    seeds = [s for s in seeds if s]
-    seeds.sort(key=lambda p: (p[0][0], len(p)))
-
-    entries: List[_IPoly] = []       # by id; never shrinks
+    entries: List[_TermList] = []    # every element ever inserted, by index
     sugars: List[int] = []
-    alive: List[bool] = []
+    live: List[int] = []    # G, ascending by leading key; an antichain
+    queued: Dict[Tuple[int, int], Monomial] = {}   # B: pair -> lcm
     heap: List[Tuple] = []
-    pair_alive: set = set()
-    pairs_done = 0
 
     def lm(i):
         return entries[i][0][1]
 
-    def add_pair_candidates(h: int):
-        """Gebauer-Moeller update for new element h against current basis."""
-        others = [i for i in range(h) if alive[i]]
-        lmh = lm(h)
-        cand = []
-        for g in others:
-            l = _mono_lcm(lmh, lm(g))
-            cand.append((keyfn(l), g, l))
-        cand.sort()
-        kept: List[Tuple[tuple, int, Monomial]] = []
-        for key_l, g, l in cand:
-            coprime = all(a == 0 or b == 0 for a, b in zip(lmh, lm(g)))
-            dominated = False
-            if not coprime:
-                for key2, g2, l2 in cand:
-                    if g2 != g and _divides(l2, l) and l2 != l:
-                        dominated = True
-                        break
-            if coprime:
-                kept.append((key_l, g, l))  # usable as a dropper, never queued
-            elif not dominated:
-                kept.append((key_l, g, l))
-                deg_u1 = sum(l) - sum(lmh)
-                deg_u2 = sum(l) - sum(lm(g))
-                sugar = max(sugars[h] + deg_u1, sugars[g] + deg_u2)
-                pair = (g, h)
-                pair_alive.add(pair)
-                heapq.heappush(heap, (sugar, key_l, g, h))
-        # prune old pairs made redundant by lm(h)
-        stale = []
-        for (a, b) in pair_alive:
-            if a == h or b == h:
-                continue
-            l = _mono_lcm(lm(a), lm(b))
-            if (_divides(lmh, l)
-                    and _mono_lcm(lm(a), lmh) != l
-                    and _mono_lcm(lm(b), lmh) != l):
-                stale.append((a, b))
-        for p in stale:
-            pair_alive.discard(p)
-        # drop basis elements whose leading monomial became redundant
-        for g in others:
-            if _divides(lmh, lm(g)) and lm(g) != lmh:
-                alive[g] = False
-
-    def insert(p: _IPoly, pairs: bool = True) -> int:
-        idx = len(entries)
+    def insert(p: _TermList) -> int:
         entries.append(p)
         sugars.append(sum(p[0][1]))
-        alive.append(True)
         if len(entries) > limits.max_basis:
             raise ResourceLimitError(f"basis size exceeded {limits.max_basis}")
-        if pairs:
-            add_pair_candidates(idx)
-        return idx
+        return len(entries) - 1
 
-    for p in prefix:
-        insert(p, pairs=False)
-    for s in seeds:
-        r, _ = eng.nf(s, [entries[i] for i in range(len(entries)) if alive[i]])
+    def update(h: int) -> None:
+        """The Gebauer-Moeller UPDATE of (G, B) by h (Becker-Weispfenning,
+        Groebner Bases, 1993, 5.5)."""
+        mh = lm(h)
+        # new pairs by ascending lcm, coprime ones first among equals:
+        # a pair is needed unless lcm(lm(h), lm(g)) = lm(h) * lm(g)
+        lcms = [(g, _mono_lcm(mh, lm(g))) for g in live]
+        cands = sorted((keyfn(l), sum(l) < sum(mh) + sum(lm(g)), g, l)
+                       for g, l in lcms)
+        # chain and equal-lcm criteria: drop a pair when an earlier kept
+        # pair's lcm divides its lcm; coprime pairs only serve as droppers
+        kept: List[Tuple] = []
+        for cand in cands:
+            if not cand[1] or not any(_divides(c[3], cand[3]) for c in kept):
+                kept.append(cand)
+        # the B_k test on queued pairs
+        for (a, b), l in list(queued.items()):
+            if (_divides(mh, l) and _mono_lcm(lm(a), mh) != l
+                    and _mono_lcm(lm(b), mh) != l):
+                del queued[(a, b)]
+        for key_l, needed, g, l in kept:
+            if needed:
+                sugar = max(sugars[h] + sum(l) - sum(mh),
+                            sugars[g] + sum(l) - sum(lm(g)))
+                queued[(g, h)] = l
+                heapq.heappush(heap, (sugar, key_l, g, h))
+        live[:] = sorted([g for g in live if not _divides(mh, lm(g))] + [h],
+                         key=lambda g: entries[g][0][0])
+
+    def reducers() -> List[_TermList]:
+        return [entries[g] for g in live]
+
+    live[:] = sorted((insert(p) for p in gens[:reduced_prefix]),
+                     key=lambda g: entries[g][0][0])
+    for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
+        r, _ = _nf(p, reducers())
         if r:
-            _unit_normalize(r)
-            insert(r)
+            update(insert(_primitive(r)[0]))
 
+    pairs_done = 0
     while heap:
         sugar, key_l, i, j = heapq.heappop(heap)
-        if (i, j) not in pair_alive:
+        l = queued.pop((i, j), None)
+        if l is None:
             continue
-        pair_alive.discard((i, j))
         pairs_done += 1
         if pairs_done > limits.max_pairs:
             raise ResourceLimitError(f"pair count exceeded {limits.max_pairs}")
         if sugar > limits.max_degree:
             raise ResourceLimitError(f"degree bound exceeded {limits.max_degree}")
-        s = eng.spoly(entries[i], entries[j])
+        s = _spoly(entries[i], entries[j], key_l, l)
         if not s:
             continue
-        reducers = [entries[k] for k in range(len(entries)) if alive[k]]
-        reducers.sort(key=lambda p: p[0][0])
-        r, _ = eng.nf(s, reducers)
+        r, _ = _nf(s, reducers())
         if r:
-            _unit_normalize(r)
-            insert(r)
+            update(insert(_primitive(r)[0]))
 
-    # minimal basis
-    final = [k for k in range(len(entries)) if alive[k]]
-    final.sort(key=lambda k: keyfn(lm(k)))
-    minimal: List[int] = []
-    for k in final:
-        if not any(_divides(lm(j), lm(k)) for j in minimal):
-            minimal.append(k)
-    # tail reduction against the other elements
-    reduced: List[_IPoly] = []
-    for k in minimal:
-        others = [entries[j] for j in minimal if j != k]
-        r, _ = eng.nf(entries[k], others)
-        _unit_normalize(r)
-        reduced.append(r)
-
-    polys = [_to_polynomial(p, I.varset, I.order) for p in reduced]
-    polys.sort(key=lambda g: keyfn(g.leading_monomial()), reverse=True)
-    gb = GroebnerBasis(polys, I.order)
-
-    _, internal = gb.engine_parts()
-    for g in I.generators:
-        r, _ = eng.nf(_to_internal(g, keyfn), internal)
-        if r:
+    # tail reduction: each element against the others
+    final = reducers()
+    lists = [_primitive(_nf(p, final[:k] + final[k + 1:])[0])[0]
+             for k, p in enumerate(final)]
+    for p in gens:
+        if _nf(p, lists)[0]:
             raise AssertionError("generator does not reduce to zero "
                                  "modulo the computed basis")
-
+    gb = GroebnerBasis._of_lists(lists, I.order, I.varset)
     _GB_CACHE[cache_key] = gb
     return gb
 
@@ -524,14 +454,13 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """
     if f.varset != G.varset:
         raise VarSetMismatchError("polynomial and basis on different VarSets")
-    eng, internal = G.engine_parts()
-    lifted, q = _to_internal_tracked(f, eng.keyfn)
-    r, s = eng.nf(lifted, internal)
+    lifted, q = _terms(f, G.order.key)
+    r, s = _nf(lifted, G._lists)
     if not r:
         return Polynomial.zero(f.varset, G.order)
-    # s * (q * f) = r mod <G>, so the true remainder is r / (s * q)
-    scale = (GaussianRational(s[0], s[1]) * GaussianRational(q)).inverse()
-    terms = {m: GaussianRational(a, b) * scale for _, m, (a, b) in r}
+    # s * (q * f) = r modulo <G>, so the remainder is r / (s * q)
+    scale = (q * s).inverse()
+    terms = {m: GaussianRational._make(a, b, 1) * scale for _, m, (a, b) in r}
     return Polynomial(f.varset, terms, G.order)
 
 

@@ -526,14 +526,9 @@ def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str]) -> bool:
                                      order=DEGREVLEX))
     if not system:
         raise ValueError("component has no defining equations in the ambient space")
-    jac = [[f.derivative(n) for n in ambient_vs.names] for f in system]
-    k = len(system)
-    minors_ = []
-    for cols in combinations(range(len(ambient_vs)), k):
-        sub = PolyMatrix([[jac[r][c] for c in cols] for r in range(k)])
-        d = sub.det()
-        if not d.is_zero():
-            minors_.append(d)
+    jac = PolyMatrix([[f.derivative(n) for n in ambient_vs.names]
+                      for f in system])
+    minors_ = [d for d in all_minors(jac, len(system)) if not d.is_zero()]
     S = Ideal(system + minors_)
     return all(radical_member(Polynomial.variable(ambient_vs, n), S)
                for n in ambient_vs.names)

@@ -5,16 +5,16 @@ automorphism sigma and the vanishing pairs in P3 x P3."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
 from .polylinalg import all_minors, poly_divmod, poly_exact_div
-from .groebner import (GroebnerBasis, Ideal, buchberger, invert_mod,
-                       is_unit_mod, normal_form, quotient_dimension,
-                       radical_member, saturate)
+from .groebner import (GroebnerBasis, Ideal, buchberger, current_limits,
+                       invert_mod, is_unit_mod, normal_form,
+                       quotient_dimension, radical_member, saturate)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS,
                                 ZeroGammaError, make_A, relation_matrix,
                                 tensor_bilinear)
@@ -155,12 +155,25 @@ def zgamma_ideal(gamma: GaussianRational) -> Ideal:
     return Ideal(list(rho_system(gamma)))
 
 
-@lru_cache(maxsize=None)
 def zgamma_gb(gamma: GaussianRational) -> GroebnerBasis:
     return buchberger(zgamma_ideal(gamma))
 
 
-@lru_cache(maxsize=None)
+def _cached_under_limits(fn):
+    """Cache fn(gamma) on gamma and the current Groebner limits, as
+    `buchberger` caches its bases: under a narrower bound the certificate
+    is recomputed, and raises if the bound is hit."""
+    cached = lru_cache(maxsize=None)(lambda gamma, limits: fn(gamma))
+
+    @wraps(fn)
+    def wrapper(gamma):
+        return cached(gamma, current_limits())
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
+    return wrapper
+
+
+@_cached_under_limits
 def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
     """Saturating the chart ideal at x4 and taking a lex basis must give
     exactly the monic triangular system, every dehomogenized minor must
@@ -241,7 +254,7 @@ def sigma_symbolic(coords: Sequence[Polynomial], gamma: GaussianRational):
             normal_form(a4 * (-i), gb))
 
 
-@lru_cache(maxsize=None)
+@_cached_under_limits
 def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
     """Symbolic proofs about sigma on Z_gamma: order four, no fixed points
     of sigma or sigma^2, and sigma maps Z_gamma into the point scheme."""

@@ -42,40 +42,10 @@ class PolyMatrix:
         return PolyMatrix([[self.entries[r][c] for c in col_idx] for r in row_idx])
 
     def det(self) -> Polynomial:
-        """Determinant by expansion over column subsets, memoized.
-
-        Entries here are low-degree and sparse, so the 2^n dynamic program
-        beats fraction-free elimination while staying exact.
-        """
+        """Determinant: `all_minors`'s dynamic program at full size."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        zero = Polynomial.zero(self.varset, self.entries[0][0].order)
-        one = Polynomial.constant(self.varset, 1, self.entries[0][0].order)
-        # state: frozen set of used columns (as bitmask) after placing rows 0..k-1
-        level: Dict[int, Polynomial] = {0: one}
-        for r in range(n):
-            nxt: Dict[int, Polynomial] = {}
-            for mask, val in level.items():
-                # expanding along row r: the sign for placing it in a free
-                # column c is (-1)^(number of used columns greater than c)
-                sign = 1 if bin(mask).count("1") % 2 == 0 else -1
-                for c in range(n):
-                    bit = 1 << c
-                    if mask & bit:
-                        sign = -sign
-                        continue
-                    e = self.entries[r][c]
-                    if e.is_zero():
-                        continue
-                    contrib = e * val if sign > 0 else -(e * val)
-                    key = mask | bit
-                    acc = nxt.get(key)
-                    nxt[key] = contrib if acc is None else acc + contrib
-            level = nxt
-            if not level:
-                return zero
-        return level.get((1 << n) - 1, zero)
+        return all_minors(self, self.rows)[0]
 
     def det_bareiss(self) -> Polynomial:
         """Fraction-free Gaussian elimination determinant (cross-check oracle)."""

@@ -12,7 +12,7 @@ import pytest
 
 from qp3 import groebner
 from qp3.gaussian import gr
-from qp3.multipoly import MonomialOrder, Polynomial, VarSet, print_poly
+from qp3.multipoly import MonomialOrder, Polynomial, VarSet, parse_poly, print_poly
 from qp3.groebner import Ideal, buchberger
 from qp3.point_scheme import rho_system
 from qp3.line_scheme import component_catalog
@@ -126,3 +126,15 @@ def test_oracle_on_random_ideals():
                 gens.append(p)
         if gens:
             assert _same_basis(Ideal(gens))
+
+
+def test_oracle_on_rabinowitsch_swell_case():
+    # an inhomogeneous ideal whose Rabinowitsch basis once swelled to
+    # 35k-bit coefficients: Gaussian content must not survive in the
+    # engine's term lists
+    vs = VarSet(["x", "y"])
+    I = Ideal([parse_poly("-i*x*y + (-2+i)*y^2 + (-3-i)*x", vs),
+               parse_poly("(1-3*i)*x^2*y^2 + (-1-i)*y", vs)])
+    f = parse_poly("-2*x*y^2 + (-2-3*i)*x^2 - 2*i*x*y", vs)
+    assert _same_basis(Ideal(groebner._rabinowitsch(I.generators, f, "t")))
+    assert groebner.radical_member(f, I) is False

@@ -1,5 +1,6 @@
 import random
 import threading
+from math import gcd
 
 import pytest
 
@@ -230,6 +231,33 @@ def test_buchberger_s_polynomials_reduce_posthoc():
     I = point_ideal(make_A(gr(1)))
     G = buchberger(I)
     _assert_spolys_reduce(G)
+
+
+def test_basis_term_lists_are_primitive():
+    # every term list a basis keeps is its own primitive form: the lead is
+    # a positive integer and the integer content of the coefficients is 1
+    G = buchberger(line_scheme_ideal(gr(1)).ideal)
+    assert len(G._lists) == len(G.basis) > 1
+    for p in G._lists:
+        a, b = p[0][2]
+        assert a > 0 and b == 0
+        assert gcd(*(x for _, _, c in p for x in c)) == 1
+        assert groebner._primitive(p)[0] == p
+    assert ([p[0][1] for p in reversed(G._lists)]
+            == G.leading_monomials())
+
+
+def test_term_lists_carry_their_exact_scalar():
+    # _terms returns the primitive list of f and the q in Q(i) with
+    # list = q * f, for real negative, imaginary and Gaussian leads
+    vs = VarSet(["x", "y"])
+    for text in ("-3*x^2 + 6*y", "5*i*x - 10*y", "(2+i)*x*y + 1/3*y - 5",
+                 "-1/2*x + 1/4 - 1/4*i", "(-4-2*i)*y^2 + 2*x"):
+        f = parse_poly(text, vs)
+        p, q = groebner._terms(f, DEGREVLEX.key)
+        assert groebner._primitive(p)[0] == p
+        assert {m: gr(a, b) for _, m, (a, b) in p} == {
+            m: q * c for m, c in f.terms.items()}
 
 
 def _assert_spolys_reduce(G):

@@ -2,7 +2,8 @@ import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import Polynomial, parse_poly
-from qp3.groebner import Ideal, buchberger, ideals_equal
+from qp3.groebner import (GroebnerLimits, Ideal, ResourceLimitError, buchberger,
+                          ideals_equal, limits_scope)
 from qp3.quadratic_algebra import CHART_VARS, ZeroGammaError, make_A
 from qp3.point_scheme import (E1, E2, E3, E4, NotOnSchemeError,
                               ProjectivePoint, UndefinedAtPointError,
@@ -194,3 +195,17 @@ def test_count_points_builds_the_point_ideal_once(monkeypatch):
         cached.cache_clear()
     assert count_points(make_A(gr(1))).ok
     assert builds == [4]
+
+
+def test_certificate_caches_respect_the_limits():
+    # the rho and sigma certificates are cached per gamma and per limits,
+    # so an unrestricted run cannot lend its results to a narrow one
+    narrow = GroebnerLimits(max_pairs=20)
+    A = make_A(gr(1))
+    with pytest.raises(ResourceLimitError):
+        with limits_scope(narrow):
+            count_points(A)
+    assert count_points(A).ok
+    with pytest.raises(ResourceLimitError):
+        with limits_scope(narrow):
+            count_points(A)

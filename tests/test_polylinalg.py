@@ -51,11 +51,12 @@ def test_all_minors_counts():
 
 
 def test_all_minors_full_size_equals_det():
+    # det is all_minors at full size, so the oracle is Bareiss elimination
     vs = VarSet(["x"])
     m = _const_matrix(vs, [[2, 1, 0], [0, 3, 1], [1, 0, 1]])
     out = all_minors(m, 3)
     assert len(out) == 1
-    assert out[0] == m.det()
+    assert out[0] == m.det_bareiss()
 
 
 def test_minor_index_errors():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
-from qp3.multipoly import Polynomial, print_poly
+from qp3.multipoly import Polynomial, parse_poly, print_poly
 from qp3.groebner import Ideal, ideals_equal
 from qp3.quadratic_algebra import (M_VARS, X_VARS, Z_VARS, Psi2UnavailableError,
                                    QuadraticAlgebra, RankDeficiencyError,
@@ -15,6 +15,7 @@ from qp3.quadratic_algebra import (M_VARS, X_VARS, Z_VARS, Psi2UnavailableError,
                                    tensor_pairing)
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.quadratic_algebra import A_RELATION_STRINGS
+from qp3.fixtures import load_fixtures
 
 
 def test_relation_two_tensor():
@@ -42,6 +43,16 @@ def test_relation_matrix_displayed_rows():
     M = relation_matrix(make_A(gr(1)))
     assert [print_poly(e) for e in M.row(0)] == ["x4", "0", "0", "-i*x1"]
     assert [print_poly(e) for e in M.row(5)] == ["x1", "x4", "0", "-x2"]
+    # the shipped displayed matrix, with g = gamma, holds the same six
+    # relations: rows 1 and 6 in place, rows 2-5 permuted, two negated
+    shipped = load_fixtures().displayed_relation_matrix
+    assert len(shipped) == 6
+    placed = ((0, 1), (3, 1), (1, -1), (4, -1), (2, 1), (5, 1))
+    for g in (gr(1), gr(4), gr(3, 2) + gr(0, 1)):
+        M = relation_matrix(make_A(g))
+        for row, (r, sign) in zip(shipped, placed):
+            assert [sign * e for e in M.row(r)] == [
+                parse_poly(t, X_VARS, gamma=g) for t in row]
 
 
 def test_relation_matrix_row6_general_gamma():
