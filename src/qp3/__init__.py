@@ -1,7 +1,7 @@
 """qp3: exact point-scheme and line-scheme computations for the family of
 quadratic algebras A(gamma) on four generators, over Q(i)."""
 
-from .gaussian import BigRational, GaussianRational, gr
+from .gaussian import GaussianRational, gr
 from .multipoly import (MonomialOrder, Polynomial, VarSet, parse_poly,
                         print_poly, substitute)
 from .polylinalg import PolyMatrix, ScalarMatrix, all_minors, minor
@@ -11,9 +11,8 @@ from .groebner import (GroebnerBasis, GroebnerLimits, Ideal,
                        invert_mod, is_unit_mod, limits_scope, normal_form,
                        quotient_dimension, radical_member, saturate)
 from .quadratic_algebra import (QuadraticAlgebra, koszul_dual_relations,
-                                load_presentation, m_hat, make_A,
-                                psi1_on_pluecker, psi2_on_pluecker,
-                                relation_matrix)
+                                m_hat, make_A, psi1_on_pluecker,
+                                psi2_on_pluecker, relation_matrix)
 from .point_scheme import (PointSchemeReport, ProjectivePoint, count_points,
                            point_ideal, rho_system, sigma,
                            verify_vanishing_pairs)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-BigRational = Fraction
-
 
 class GaussianRational:
     """An element (a + b*i)/d of Q(i), always stored in lowest terms."""

@@ -293,24 +293,13 @@ class GroebnerBasis:
 
     __slots__ = ("basis", "order", "varset", "_lists")
 
-    def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder,
-                 varset: Optional[VarSet] = None):
-        self.basis = tuple(basis)
-        self.order = order
-        self.varset = basis[0].varset if basis else varset
-        self._lists = sorted((_terms(g, order.key)[0] for g in self.basis),
-                             key=lambda p: p[0][0])
-
-    @classmethod
-    def _of_lists(cls, lists: List[_TermList], order: MonomialOrder,
-                  varset: VarSet) -> "GroebnerBasis":
+    def __init__(self, lists: List[_TermList], order: MonomialOrder,
+                 varset: VarSet):
         """The basis of primitive lists sorted by ascending leading key."""
-        gb = cls.__new__(cls)
-        gb.basis = tuple(_monic(p, varset, order) for p in reversed(lists))
-        gb.order = order
-        gb.varset = varset
-        gb._lists = lists
-        return gb
+        self.basis = tuple(_monic(p, varset, order) for p in reversed(lists))
+        self.order = order
+        self.varset = varset
+        self._lists = lists
 
     def __iter__(self):
         return iter(self.basis)
@@ -441,7 +430,7 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
         if _nf(p, lists)[0]:
             raise AssertionError("generator does not reduce to zero "
                                  "modulo the computed basis")
-    gb = GroebnerBasis._of_lists(lists, I.order, I.varset)
+    gb = GroebnerBasis(lists, I.order, I.varset)
     _GB_CACHE[cache_key] = gb
     return gb
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
@@ -63,9 +62,6 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     u, v = ([Polynomial.variable(UV_VARS, f"{w}{k}") for k in range(1, 5)]
             for w in "uv")
     return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
-
-
-ROW_SUBSETS: Tuple[Tuple[int, ...], ...] = tuple(combinations(range(10), 8))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +110,6 @@ def _lift_from_chart(f: Polynomial) -> Polynomial:
 class LineSchemeIdeal:
     gamma: GaussianRational
     polys: Tuple[Polynomial, ...]          # P first, then the 45 minor images
-    minor_row_sets: Tuple[Tuple[int, ...], ...]
     ideal: Ideal
 
     def to_json_dict(self) -> dict:
@@ -147,12 +142,19 @@ def _line_scheme_ideal(gamma: GaussianRational,
             raise ValueError("a minor image vanished; pipeline bug")
         images.append(h)
     polys = (pluecker_polynomial(),) + tuple(images)
-    return LineSchemeIdeal(gamma=gamma, polys=polys,
-                           minor_row_sets=ROW_SUBSETS,
-                           ideal=Ideal(list(polys)))
+    return LineSchemeIdeal(gamma=gamma, polys=polys, ideal=Ideal(list(polys)))
 
 
 UNITS = (gr(1), gr(-1), gr(0, 1), gr(0, -1))
+
+
+def _ratio(f: Polynomial, g: Polynomial) -> Optional[GaussianRational]:
+    """The scalar c with f = c*g, or None; None also when f is zero."""
+    if not f.terms or f.terms.keys() != g.terms.keys():
+        return None
+    m0, c0 = next(iter(f.terms.items()))
+    c = c0 / g.terms[m0]
+    return c if all(a == c * g.terms[m] for m, a in f.terms.items()) else None
 
 
 def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
@@ -169,24 +171,19 @@ def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
     """
     gbP = _pluecker_gb_M()
     fixture = load_fixtures().parse_line_polys(L.gamma, corrected=True)
-    mine: Dict[str, List[Tuple[int, GaussianRational]]] = {}
-    for k, p in enumerate(L.polys):
-        nf = normal_form(p, gbP) if k else p
-        mine.setdefault(print_poly(nf.monic()), []).append((k, nf.leading_coefficient()))
+    free = {k: normal_form(p, gbP) if k else p for k, p in enumerate(L.polys)}
     matching: Dict[int, int] = {}
     for j, f in enumerate(fixture):
         nf = normal_form(f, gbP) if j else f
-        bucket = mine.get(print_poly(nf.monic()))
-        if not bucket:
+        k = next((k for k, p in free.items() if _ratio(nf, p) is not None), None)
+        if k is None:
             raise ValueError(f"fixture {j} has no computed counterpart: {print_poly(f)}")
-        k, lc = bucket.pop(0)
-        if nf.leading_coefficient() / lc not in UNITS:
+        if _ratio(nf, free.pop(k)) not in UNITS:
             raise ValueError(f"fixture {j} matches computed polynomial {k} only "
                              "up to a non-unit scalar")
         matching[j] = k
-    unmatched = [ks for ks in mine.values() if ks]
-    if unmatched:
-        raise ValueError(f"computed polynomials left unmatched: {unmatched}")
+    if free:
+        raise ValueError(f"computed polynomials left unmatched: {sorted(free)}")
     return matching
 
 
@@ -242,38 +239,23 @@ def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
     left = [normal_form(p, gbP) for p in line_scheme_ideal(gamma, "left").polys[1:]]
     right = [normal_form(p, gbP) for p in line_scheme_ideal(gamma, "right").polys[1:]]
 
-    def key(p):
-        return print_poly(p.monic())
-
-    def buckets(polys):
-        out: Dict[str, List[Tuple[int, GaussianRational]]] = {}
-        for k, p in enumerate(polys):
-            out.setdefault(key(p), []).append((k, p.leading_coefficient()))
-        return out
-
-    def unit_match(f, bucket):
+    def unit_match(f, polys):
         """First computed index whose polynomial is a unit multiple of f."""
-        for k, lc in bucket.get(key(f), ()):
-            if f.leading_coefficient() / lc in UNITS:
-                return k
-        return None
-
-    left_keys = buckets(left)
-    right_keys = buckets(right)
+        return next((k for k, p in enumerate(polys) if _ratio(f, p) in UNITS), None)
 
     direct: Dict[int, int] = {}
     combos: Dict[int, List[Tuple[int, GaussianRational]]] = {}
     right_matches: Dict[int, int] = {}
     right_disc: Dict[int, Polynomial] = {}
     for j, f in enumerate(fix_nf, start=1):
-        k = unit_match(f, left_keys)
+        k = unit_match(f, left)
         if k is not None:
             direct[j] = k
             continue
         combo = _fixture_combination(f, left)
         if combo is not None:
             combos[j] = combo
-        k = unit_match(f, right_keys)
+        k = unit_match(f, right)
         if k is not None:
             right_matches[j] = k
         else:
@@ -306,41 +288,21 @@ def match_displayed_big_matrix(A: QuadraticAlgebra) -> List[Tuple[int, GaussianR
     computed = scalar * displayed; raises ValueError if no bijection."""
     mine = build_big_matrix(A)
     shown = displayed_big_matrix(A.gamma)
-    used = set()
+
+    def row_ratio(s: int, r: int) -> Optional[GaussianRational]:
+        """The scalar c with computed row s = c * displayed row r, or None."""
+        ratios = {_ratio(a, b) for a, b in zip(mine.entries[s], shown.entries[r])
+                  if a.terms or b.terms}
+        return ratios.pop() if len(ratios) == 1 else None
+
+    free = list(range(mine.rows))
     out = []
     for r in range(shown.rows):
-        found = None
-        for s in range(mine.rows):
-            if s in used:
-                continue
-            scalar = None
-            ok = True
-            for c in range(8):
-                a, b = mine.entries[s][c], shown.entries[r][c]
-                if a.is_zero() != b.is_zero():
-                    ok = False
-                    break
-                if a.is_zero():
-                    continue
-                if set(a.terms) != set(b.terms):
-                    ok = False
-                    break
-                for mono, cb in b.terms.items():
-                    ratio = a.terms[mono] / cb
-                    if scalar is None:
-                        scalar = ratio
-                    elif scalar != ratio:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and scalar is not None:
-                found = (s, scalar)
-                break
-        if found is None:
+        s = next((s for s in free if row_ratio(s, r) is not None), None)
+        if s is None:
             raise ValueError(f"displayed row {r} has no computed counterpart")
-        used.add(found[0])
-        out.append(found)
+        free.remove(s)
+        out.append((s, row_ratio(s, r)))
     return out
 
 

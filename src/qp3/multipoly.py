@@ -252,9 +252,6 @@ class Polynomial:
             return next(iter(pairs))
         return None
 
-    def coefficient(self, m: Monomial) -> GaussianRational:
-        return self.terms.get(m, ZERO)
-
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.order:
             return self

@@ -32,9 +32,6 @@ class PolyMatrix:
         self.entries = entries
         self.varset = varset
 
-    def __getitem__(self, idx: Tuple[int, int]) -> Polynomial:
-        return self.entries[idx[0]][idx[1]]
-
     def row(self, k: int) -> List[Polynomial]:
         return list(self.entries[k])
 
@@ -179,10 +176,6 @@ class ScalarMatrix:
         self.cols = cols
         self.entries = entries
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ScalarMatrix":
-        return ScalarMatrix([[ZERO] * cols for _ in range(rows)])
-
     def rref(self) -> Tuple["ScalarMatrix", List[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         a = [row[:] for row in self.entries]
@@ -231,15 +224,6 @@ class ScalarMatrix:
                     v[pc] = -coeff
             basis.append(v)
         return basis
-
-    def mul_vector(self, v: Sequence[GaussianRational]) -> List[GaussianRational]:
-        out = []
-        for row in self.entries:
-            acc = ZERO
-            for x, y in zip(row, v):
-                acc = acc + x * y
-            out.append(acc)
-        return out
 
     def solve(self, rhs: Sequence[GaussianRational]):
         """One exact solution of A x = rhs, or None if inconsistent."""

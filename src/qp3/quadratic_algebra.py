@@ -1,20 +1,21 @@
 """The family A(gamma): quadratic algebras on four generators.
 
-Relations are stored as 4x4 coefficient tensors on the tensor square
-(entry (i, j) is the coefficient of x_i (x) x_j, zero-indexed), which is
-the form Koszul duality needs.  This module also hosts the coordinate
-variable sets shared by the whole pipeline and the symmetry maps psi1,
-psi2 acting on Pluecker coordinates.
+A(gamma) is defined by its 6x4 relation matrix, written in the polynomial
+grammar of `multipoly.parse_poly`.  Relations are stored as 4x4
+coefficient tensors on the tensor square (entry (i, j) is the coefficient
+of x_i (x) x_j, zero-indexed), which is the form Koszul duality needs.
+This module also hosts the coordinate variable sets shared by the whole
+pipeline and the symmetry maps psi1, psi2 acting on Pluecker coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr, sqrt as gr_sqrt
-from .multipoly import (Polynomial, VarSet, _Lexer, PolyParseError,
-                        substitute)
+from .multipoly import Polynomial, VarSet, parse_poly, substitute
 from .polylinalg import PolyMatrix, ScalarMatrix
 
 X_VARS = VarSet(["x1", "x2", "x3", "x4"])
@@ -47,96 +48,17 @@ def _freeze(grid) -> Tensor:
     return tuple(tuple(row) for row in grid)
 
 
-def parse_relation(text: str, gamma: Optional[GaussianRational] = None) -> Tensor:
-    """Parse one quadratic relation in noncommutative normal form.
-
-    Products are juxtaposition-free: 'x3*x1' means x3 (x) x1 and every
-    term must contain exactly two generator factors ('x3^2' counts as
-    x3 (x) x3).  Coefficients follow the multipoly grammar with 'i' and
-    the placeholder 'g'.
-    """
-    lex = _Lexer(text)
-    grid = _zero_grid()
-
-    def coeff_atom(tok) -> GaussianRational:
-        kind, value, pos = tok
-        if kind == "nat":
-            num = int(value)
-            if lex.peek()[0] == "/":
-                lex.next()
-                den = lex.next()
-                if den[0] != "nat":
-                    raise PolyParseError("expected denominator", den[2])
-                from fractions import Fraction
-
-                return GaussianRational(Fraction(num, int(den[1])))
-            return gr(num)
-        if kind == "name" and value == "i":
-            return gr(0, 1)
-        if kind == "name" and value == "g":
-            if gamma is None:
-                raise PolyParseError("placeholder 'g' used but no gamma bound", pos)
-            return gamma
-        raise PolyParseError(f"unexpected token {value!r}", pos)
-
-    def term(sign: int):
-        coeff = gr(sign)
-        slots: List[int] = []
-        while True:
-            tok = lex.next()
-            kind, value, pos = tok
-            if kind == "name" and value in X_VARS:
-                idx = X_VARS.index(value)
-                power = 1
-                if lex.peek()[0] == "^":
-                    lex.next()
-                    e = lex.next()
-                    if e[0] != "nat":
-                        raise PolyParseError("exponent must be a natural number", e[2])
-                    power = int(e[1])
-                slots.extend([idx] * power)
-            else:
-                c = coeff_atom(tok)
-                if lex.peek()[0] == "^":
-                    lex.next()
-                    e = lex.next()
-                    if e[0] != "nat":
-                        raise PolyParseError("exponent must be a natural number", e[2])
-                    c = c ** int(e[1])
-                coeff = coeff * c
-            nxt = lex.peek()
-            if nxt[0] == "*":
-                lex.next()
-                continue
-            break
-        if len(slots) != 2:
-            raise PolyParseError(
-                f"relation term must be quadratic in the generators, got "
-                f"{len(slots)} factors", lex.peek()[2])
-        grid[slots[0]][slots[1]] = grid[slots[0]][slots[1]] + coeff
-
-    sign = 1
-    if lex.peek()[0] == "-":
-        lex.next()
-        sign = -1
-    term(sign)
-    while lex.peek()[0] in ("+", "-"):
-        op = lex.next()[0]
-        term(1 if op == "+" else -1)
-    tok = lex.peek()
-    if tok[0] != "end":
-        raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
-    return _freeze(grid)
-
-
-# Definition order: each string is (left side) - (right side).
-A_RELATION_STRINGS = (
-    "x4*x1 - i*x1*x4",
-    "x3^2 - x1^2",
-    "x3*x1 - x1*x3 + x2^2",
-    "x3*x2 - i*x2*x3",
-    "x4^2 - x2^2",
-    "x4*x2 - x2*x4 + g*x1^2",
+# Entry (r, j) is the linear form that multiplies x_j from the left in
+# relation r, stored as (left side) - (right side).  In order the relations
+# are x4 x1 = i x1 x4, x3^2 = x1^2, x3 x1 = x1 x3 - x2^2, x3 x2 = i x2 x3,
+# x4^2 = x2^2 and x4 x2 = x2 x4 - g x1^2.
+A_RELATION_ROWS = (
+    ("x4", "0", "0", "-i*x1"),
+    ("-x1", "0", "x3", "0"),
+    ("x3", "x2", "-x1", "0"),
+    ("0", "x3", "-i*x2", "0"),
+    ("0", "-x2", "0", "x4"),
+    ("g*x1", "x4", "0", "-x2"),
 )
 
 
@@ -146,6 +68,9 @@ class QuadraticAlgebra:
 
     gamma: GaussianRational
     relations: Tuple[Tensor, ...]
+
+    def __hash__(self):  # equal algebras share gamma; cheap for cache keys
+        return hash(self.gamma)
 
     def __post_init__(self):
         if len(self.relations) != 6:
@@ -159,22 +84,16 @@ def relation_rank(relations: Sequence[Tensor]) -> int:
     return ScalarMatrix(rows).rank()
 
 
+@lru_cache(maxsize=None)
 def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
-    """The algebra A(gamma); gamma must be nonzero."""
+    """The algebra A(gamma), read from its relation matrix; gamma must be
+    nonzero.  Cached: the algebra is immutable."""
     gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be a nonzero scalar")
-    relations = tuple(parse_relation(s, gamma) for s in A_RELATION_STRINGS)
-    return QuadraticAlgebra(gamma, relations)
-
-
-def load_presentation(text: str, gamma: GaussianRational) -> QuadraticAlgebra:
-    """Six relation strings, one per line ('#' comments allowed)."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if len(lines) != 6:
-        raise ValueError(f"expected six relations, found {len(lines)}")
-    return QuadraticAlgebra(gamma, tuple(parse_relation(s, gamma) for s in lines))
+    rows = PolyMatrix([[parse_poly(t, X_VARS, gamma=gamma) for t in row]
+                       for row in A_RELATION_ROWS])
+    return QuadraticAlgebra(gamma, tuple(expand_matrix_rows(rows, X_VARS)))
 
 
 def tensor_to_rows(tensors: Sequence[Tensor], varset: VarSet) -> PolyMatrix:

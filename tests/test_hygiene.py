@@ -1,0 +1,49 @@
+"""Source hygiene: every name a qp3 module imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qp3"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """Names bound by import statements that the module never reads.
+
+    A name counts as read if it appears as a load, as the base of an
+    attribute access, or inside a string annotation such as "Polynomial".
+    """
+    tree = ast.parse(source)
+    imported = {}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for note in annotations:
+        for n in ast.walk(note):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used.update(m.id for m in ast.walk(ast.parse(n.value, mode="eval"))
+                            if isinstance(m, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    source = ("from typing import List, Optional\nimport os\nimport os.path\n"
+              "from .m import P, Q\n\n"
+              "def f(x: \"P\") -> \"List[int]\":\n    return os.sep\n")
+    assert unused_imports(source) == [(1, "Optional"), (4, "Q")]

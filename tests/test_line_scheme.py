@@ -97,7 +97,6 @@ def test_line_scheme_ideal_shape():
     L = line_scheme_ideal(gr(1))
     assert len(L.polys) == 46
     assert L.polys[0] == pluecker_polynomial()
-    assert len(L.minor_row_sets) == 45
     for p in L.polys[1:]:
         assert p.is_homogeneous() and p.degree() == 4
 

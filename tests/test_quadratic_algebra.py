@@ -9,13 +9,37 @@ from qp3.quadratic_algebra import (M_VARS, X_VARS, Z_VARS, Psi2UnavailableError,
                                    QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, expand_matrix_rows,
                                    gamma_sign_on_pluecker, koszul_dual_relations,
-                                   load_presentation, m_hat, make_A,
-                                   parse_relation, psi1_on_pluecker,
+                                   m_hat, make_A, psi1_on_pluecker,
                                    psi2_on_pluecker, relation_matrix,
                                    tensor_pairing)
 from qp3.line_scheme import component_catalog, line_scheme_ideal
-from qp3.quadratic_algebra import A_RELATION_STRINGS
 from qp3.fixtures import load_fixtures
+
+I = gr(0, 1)
+
+# The six relations as the paper writes them.  Each is stored as (left
+# side) - (right side); the table lists its nonzero tensor entries
+# {(i, j): coefficient of x_(i+1) (x) x_(j+1)}, with "g" for gamma.
+PAPER_RELATIONS = (
+    ("x4 x1 = i x1 x4", {(3, 0): ONE, (0, 3): -I}),
+    ("x3^2 = x1^2", {(2, 2): ONE, (0, 0): -ONE}),
+    ("x3 x1 = x1 x3 - x2^2", {(2, 0): ONE, (0, 2): -ONE, (1, 1): ONE}),
+    ("x3 x2 = i x2 x3", {(2, 1): ONE, (1, 2): -I}),
+    ("x4^2 = x2^2", {(3, 3): ONE, (1, 1): -ONE}),
+    ("x4 x2 = x2 x4 - g x1^2", {(3, 1): ONE, (1, 3): -ONE, (0, 0): "g"}),
+)
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(-4), gr(3, 2) + I], ids=str)
+def test_relations_as_the_paper_writes_them(gamma):
+    A = make_A(gamma)
+    assert A is make_A(gamma)
+    assert len(A.relations) == len(PAPER_RELATIONS)
+    for t, (text, entries) in zip(A.relations, PAPER_RELATIONS):
+        expected = {k: gamma if c == "g" else c for k, c in entries.items()}
+        found = {(i, j): t[i][j] for i in range(4) for j in range(4)
+                 if not t[i][j].is_zero()}
+        assert found == expected, text
 
 
 def test_relation_two_tensor():
@@ -173,29 +197,6 @@ def test_gamma_sign_isomorphism_on_line_scheme():
     Lm = line_scheme_ideal(gr(-1))
     img = Ideal([gamma_sign_on_pluecker(p) for p in Lp.ideal.generators])
     assert ideals_equal(img, Lm.ideal)
-
-
-def test_parse_relation_and_load_presentation():
-    t = parse_relation("x4*x1 - i*x1*x4")
-    assert t[3][0] == ONE and t[0][3] == gr(0, -1)
-    text = "\n".join(A_RELATION_STRINGS)
-    A = load_presentation(text, gr(7))
-    assert A == make_A(gr(7))
-
-
-def test_parse_relation_rejects_nonquadratic():
-    from qp3.multipoly import PolyParseError
-
-    with pytest.raises(PolyParseError):
-        parse_relation("x1*x2*x3")
-    with pytest.raises(PolyParseError):
-        parse_relation("x1 + x2*x3")
-
-
-def test_load_presentation_from_file(tmp_path):
-    path = tmp_path / "relations.txt"
-    path.write_text("# the defining relations\n" + "\n".join(A_RELATION_STRINGS))
-    assert load_presentation(path.read_text(), gr(3)) == make_A(gr(3))
 
 
 def test_gamma_sign_isomorphism_at_four():
