@@ -15,7 +15,8 @@ import sys
 from typing import List, Optional
 
 from .gaussian import GaussianRational
-from .multipoly import VarSet, parse_poly, print_poly, PolyParseError
+from .multipoly import (VarSet, height_bound, parse_poly, print_poly,
+                        PolyParseError)
 from .groebner import (DEFAULT_LIMITS, GroebnerLimits, ResourceLimitError,
                        limits_scope)
 from .quadratic_algebra import ZeroGammaError, make_A
@@ -24,6 +25,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
+
+# the most bits a numerator or denominator of gamma may need: reports
+# print gamma, and 8192 bits stay well below the 4300 digits that Python
+# converts to text
+GAMMA_MAX_BITS = 8192
 
 # GroebnerLimits field -> the environment variable that sets it
 LIMIT_ENV = {"max_pairs": "QP3_MAX_PAIRS", "max_basis": "QP3_MAX_BASIS",
@@ -40,8 +46,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_gamma(text: str) -> GaussianRational:
-    """Gamma from its text form, e.g. '4', '-1', '1/2 + 3/2*i'."""
+    """Gamma from its text form, e.g. '4', '-1', '1/2 + 3/2*i'.
+
+    A text whose value may need more than GAMMA_MAX_BITS bits is refused
+    before it is evaluated."""
     try:
+        bits = height_bound(text)
+        if bits > GAMMA_MAX_BITS:
+            raise UsageError(f"gamma {text!r} is too large: its value may need "
+                             f"{bits} bits, more than {GAMMA_MAX_BITS}")
         value = parse_poly(text, VarSet([])).constant_value()
     except (PolyParseError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse gamma {text!r}: {exc}") from exc

@@ -13,14 +13,15 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .gaussian import GaussianRational, gr
+from .gaussian import GaussianRational
 from .multipoly import Polynomial, VarSet, parse_poly
 from .quadratic_algebra import M_VARS, X_VARS
 
-# the Pluecker coordinates with the family parameter kept as a variable,
-# so that fixture text can be compared for every gamma at once
+# the coordinates with the family parameter kept as a variable, so that
+# fixture text can be compared, or evaluated, for every gamma at once
+_XG_VARS = VarSet([*X_VARS.names, "g"])
 _MG_VARS = VarSet([*M_VARS.names, "g"])
 
 
@@ -38,17 +39,59 @@ class FixtureSet:
     displayed_relation_matrix: Tuple[Tuple[str, ...], ...]
     displayed_big_matrix: Tuple[Tuple[str, ...], ...]
 
-    def parse_point_polys(self, gamma: GaussianRational) -> List[Polynomial]:
-        return [parse_poly(t, X_VARS, gamma=gamma) for t in self.point_scheme_polys]
+    def parse_point_polys(self, gamma: Optional[GaussianRational]) -> List[Polynomial]:
+        """The 15 point-scheme entries, with g bound to gamma, or kept as a
+        last variable when gamma is None.  ValueError unless each entry is
+        a quartic."""
+        vs = X_VARS if gamma is not None else _XG_VARS
+        polys = [parse_poly(t, vs, gamma=gamma) for t in self.point_scheme_polys]
+        for t, p in zip(self.point_scheme_polys, polys):
+            if not _is_form(p, 4):
+                raise ValueError(f"point-scheme fixture not a quartic: {t}")
+        return polys
 
-    def parse_line_polys(self, gamma: GaussianRational,
+    def parse_line_polys(self, gamma: Optional[GaussianRational],
                          corrected: bool = False) -> List[Polynomial]:
         """The 46 line-scheme entries as printed, or with the errata
-        applied when `corrected` is set."""
-        texts = self.line_scheme_polys
-        if corrected:
-            texts = [self.line_scheme_errata.get(k, t) for k, t in enumerate(texts)]
-        return [parse_poly(t, M_VARS, gamma=gamma) for t in texts]
+        applied when `corrected` is set; g is bound to gamma, or kept as a
+        last variable when gamma is None.
+
+        Raises ValueError unless entry 0 is a quadric and every other
+        entry a quartic, and, when `corrected` is set, unless every
+        erratum replaces a quartic entry by a quartic that changes the
+        coefficient of exactly one monomial.
+        """
+        vs = M_VARS if gamma is not None else _MG_VARS
+        fixed: Dict[int, Polynomial] = {}
+        for k, t in sorted(self.line_scheme_errata.items() if corrected else ()):
+            if not 1 <= k <= 45:
+                raise ValueError(f"line-scheme erratum index {k} is not a quartic entry (1..45)")
+            fixed[k] = parse_poly(t, vs, gamma=gamma)
+            if not _is_form(fixed[k], 4):
+                raise ValueError(f"line-scheme erratum {k} is not a quartic: {t}")
+            diff = parse_poly(self.line_scheme_polys[k], _MG_VARS) - parse_poly(t, _MG_VARS)
+            changed = {m[:-1] for m in diff.terms}   # M-monomials, g exponent dropped
+            if len(changed) != 1:
+                raise ValueError(f"line-scheme erratum {k} must change the coefficient of "
+                                 f"exactly one monomial, changes {len(changed)}")
+        polys = []
+        for k, t in enumerate(self.line_scheme_polys):
+            if k in fixed:
+                polys.append(fixed[k])
+                continue
+            p = parse_poly(t, vs, gamma=gamma)
+            if not _is_form(p, 2 if k == 0 else 4):
+                raise ValueError(f"line-scheme fixture {k} has wrong degree: {t}")
+            polys.append(p)
+        return polys
+
+
+def _is_form(p: Polynomial, degree: int) -> bool:
+    """Whether p is nonzero and each of its terms has the given degree in
+    the variables other than g."""
+    g = p.varset.index("g") if "g" in p.varset else None
+    return bool(p.terms) and all(
+        sum(m) - (m[g] if g is not None else 0) == degree for m in p.terms)
 
 
 def _data_file(name: str):
@@ -63,12 +106,22 @@ def _read_poly_list(name: str) -> Tuple[str, ...]:
 
 @lru_cache(maxsize=1)
 def load_fixtures() -> FixtureSet:
-    """Load and validate the shipped fixture lists."""
+    """Load the shipped fixture lists and check their lengths.
+
+    No text is parsed here: the degree of each entry, and each erratum,
+    is checked where the text is parsed (`FixtureSet.parse_point_polys`,
+    `FixtureSet.parse_line_polys`), so a command that reads only
+    components.json parses none of them.
+    """
     point = _read_poly_list("point_scheme_minors.txt")
     line = _read_poly_list("line_scheme_polys.txt")
+    if len(point) != 15:
+        raise ValueError(f"expected 15 point-scheme fixtures, got {len(point)}")
+    if len(line) != 46:
+        raise ValueError(f"expected 46 line-scheme fixtures, got {len(line)}")
     comp = json.loads(_data_file("components.json").read_text())
     errata = json.loads(_data_file("line_scheme_errata.json").read_text())
-    fs = FixtureSet(
+    return FixtureSet(
         point_scheme_polys=point,
         line_scheme_polys=line,
         line_scheme_errata={int(k): v for k, v in errata["line_scheme_polys"].items()},
@@ -81,34 +134,3 @@ def load_fixtures() -> FixtureSet:
         displayed_relation_matrix=tuple(tuple(r) for r in comp["displayed_relation_matrix"]),
         displayed_big_matrix=tuple(tuple(r) for r in comp["displayed_big_matrix"]),
     )
-    _validate(fs)
-    return fs
-
-
-def _validate(fs: FixtureSet) -> None:
-    if len(fs.point_scheme_polys) != 15:
-        raise ValueError(f"expected 15 point-scheme fixtures, got {len(fs.point_scheme_polys)}")
-    if len(fs.line_scheme_polys) != 46:
-        raise ValueError(f"expected 46 line-scheme fixtures, got {len(fs.line_scheme_polys)}")
-    # every fixture must parse (probe with gamma = 1) and be homogeneous
-    probe = gr(1)
-    for t in fs.point_scheme_polys:
-        p = parse_poly(t, X_VARS, gamma=probe)
-        if not p.is_homogeneous() or p.degree() != 4:
-            raise ValueError(f"point-scheme fixture not a quartic: {t}")
-    for k, t in enumerate(fs.line_scheme_polys):
-        p = parse_poly(t, M_VARS, gamma=probe)
-        want = 2 if k == 0 else 4
-        if not p.is_homogeneous() or p.degree() != want:
-            raise ValueError(f"line-scheme fixture {k} has wrong degree: {t}")
-    for k, t in sorted(fs.line_scheme_errata.items()):
-        if not 1 <= k <= 45:
-            raise ValueError(f"line-scheme erratum index {k} is not a quartic entry (1..45)")
-        p = parse_poly(t, M_VARS, gamma=probe)
-        if not p.is_homogeneous() or p.degree() != 4:
-            raise ValueError(f"line-scheme erratum {k} is not a quartic: {t}")
-        diff = parse_poly(fs.line_scheme_polys[k], _MG_VARS) - parse_poly(t, _MG_VARS)
-        changed = {m[:-1] for m in diff.terms}   # M-monomials, g exponent dropped
-        if len(changed) != 1:
-            raise ValueError(f"line-scheme erratum {k} must change the coefficient of "
-                             f"exactly one monomial, changes {len(changed)}")

@@ -1,13 +1,18 @@
 """Buchberger's algorithm and the ideal-theoretic toolkit.
 
 The engine works on term lists with Gaussian-integer coefficients (pairs
-of ints) and an additive order key per term, so no rational arithmetic
-happens in the hot loop.  Every list it keeps obeys one rule,
-`_primitive`: multiplied by the conjugate of its leading coefficient and
-divided by the integer gcd of its coefficients, its lead is a positive
-integer and no Gaussian content such as (1+i)^k survives.  A
-`GroebnerBasis` keeps the lists its computation produced, and
-`normal_form` reduces against them directly.
+of ints), so no rational arithmetic happens in the hot loop.  A term's
+monomial is one int, its exponents packed in fixed-width fields with a
+guard bit each, and its order key is one int as well, additive under
+multiplication (`_Packing`): a divisibility test is one subtraction and a
+mask test, and a shift two int additions.  Fields that an exponent
+outgrows are widened and the computation rerun, so no exponent wraps.
+
+Every list the engine keeps obeys one rule, `_primitive`: multiplied by
+the conjugate of its leading coefficient and divided by the integer gcd
+of its coefficients, its lead is a positive integer and no Gaussian
+content such as (1+i)^k survives.  A `GroebnerBasis` keeps the lists its
+computation produced, and `normal_form` reduces against them directly.
 
 Pairs are handled by the Gebauer-Moeller UPDATE (Becker-Weispfenning,
 Groebner Bases, 1993, 5.5): new pairs pass the chain and equal-lcm
@@ -22,10 +27,12 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from operator import lshift, mul
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
@@ -128,11 +135,111 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # term lists
 # ---------------------------------------------------------------------------
-# A term is (key, monomial, (a, b)): key is the additive order key of the
-# monomial and (a, b) the Gaussian integer a + b*i.  A list is sorted by
-# descending key, and every list the engine keeps is primitive.
+# A term is (key, mono, (a, b)): mono is the monomial packed into one int,
+# key the int order key of that monomial, and (a, b) the Gaussian integer
+# a + b*i.  A list is sorted by descending key, and every list the engine
+# keeps is primitive.  Only `_terms` packs and only `_monic` and
+# `normal_form` unpack: no tuple monomial enters or leaves the hot loop.
 
-_TermList = List[Tuple[tuple, Monomial, Tuple[int, int]]]
+_TermList = List[Tuple[int, int, Tuple[int, int]]]
+
+_BITS = 15    # exponent bits per field at the start; widened on overflow
+
+
+class _FieldOverflow(Exception):
+    """An exponent outgrew the packed fields; `_widening` doubles them and
+    runs the computation again, so no exponent ever wraps."""
+
+
+class _Packing:
+    """Monomials and order keys of one ring and order, each as one int.
+
+    Exponent k of a monomial sits in field k of `mono`: bits k*w to
+    k*w + bits - 1, with w = bits + 1.  The top bit of each field is a
+    guard bit, always clear in a stored monomial, whose exponents are below
+    2**bits.  The exponents of every list the engine reduces against, and
+    of every multiplier it shifts one by, stay below 2**(bits - 1), so a
+    product never reaches a guard bit.  Then m divides n iff
+    ((n | guard) - m) & guard == guard: a field of n below that of m
+    borrows its own guard bit, and no borrow crosses a field.
+
+    The order key is the sum of e_k * weights[k].  weights[k] packs column
+    k of the rows of `MonomialOrder.key`, one row per digit in base
+    2**kbits, first row most significant.  A row may be negative, but the
+    base exceeds the range of every row over stored monomials, so two keys
+    compare as their first differing row does: comparing key ints is
+    comparing key tuples, for lex, degrevlex and elimination orders alike,
+    and key(m*n) = key(m) + key(n).
+    """
+
+    __slots__ = ("n", "order", "bits", "shifts", "mask", "guard", "high",
+                 "weights")
+
+    def __init__(self, n: int, order: MonomialOrder, bits: int):
+        w = bits + 1
+        self.n = n
+        self.order = order
+        self.bits = bits
+        self.shifts = tuple(range(0, n * w, w))
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.high = self.guard >> 1    # the top exponent bit of each field
+        cols = [order.key(tuple(int(i == k) for i in range(n))) for k in range(n)]
+        rows = len(cols[0]) if cols else 0
+        span = max((sum(abs(c[j]) for c in cols) for j in range(rows)), default=1)
+        kbits = (span * self.mask).bit_length()
+        self.weights = tuple(sum(c[j] << (kbits * (rows - 1 - j))
+                                 for j in range(rows)) for c in cols)
+
+    def pack(self, m: Monomial) -> Tuple[int, int]:
+        """(key, mono) of an exponent tuple."""
+        if m and max(m) > self.mask:
+            raise _FieldOverflow
+        return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
+
+    def unpack(self, mono: int) -> Monomial:
+        mask = self.mask
+        return tuple([(mono >> s) & mask for s in self.shifts])
+
+    def key(self, mono: int) -> int:
+        return sum(map(mul, self.unpack(mono), self.weights))
+
+    def degree(self, mono: int) -> int:
+        return sum(self.unpack(mono))
+
+    def divides(self, m: int, n: int) -> bool:
+        guard = self.guard
+        return ((n | guard) - m) & guard == guard
+
+    def lcm(self, m: int, n: int) -> int:
+        """The fieldwise maximum: m where its field is at least n's, else n."""
+        ge = ((m | self.guard) - n) & self.guard
+        return n ^ ((m ^ n) & (ge - (ge >> self.bits)))
+
+    def check(self, p: _TermList) -> None:
+        """Raise _FieldOverflow unless p may be reduced against."""
+        high = self.high
+        for _, m, _ in p:
+            if m & high:
+                raise _FieldOverflow
+
+
+@lru_cache(maxsize=64)
+def _packing(n: int, order: MonomialOrder, bits: int = _BITS) -> _Packing:
+    return _Packing(n, order, bits)
+
+
+T = TypeVar("T")
+
+
+def _widening(run: Callable[[_Packing], T], pk: _Packing) -> T:
+    """run(pk), run again on fields twice as wide while an exponent
+    outgrows them."""
+    while True:
+        try:
+            return run(pk)
+        except _FieldOverflow:
+            pk = _packing(pk.n, pk.order, 2 * pk.bits)
 
 
 def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
@@ -161,21 +268,28 @@ def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
     return [(k, m, (a // g, b // g)) for k, m, (a, b) in q], (ca, cb), g
 
 
-def _terms(f: Polynomial, keyfn) -> Tuple[_TermList, GaussianRational]:
+def _terms(f: Polynomial, pk: _Packing) -> Tuple[_TermList, GaussianRational]:
     """f as a primitive term list, and the exact q in Q(i) with list = q*f."""
     if f.is_zero():
         return [], ONE
     denom = lcm(*(c.d for c in f.terms.values()))
-    p = sorted(((keyfn(m), m, (c.a * (denom // c.d), c.b * (denom // c.d)))
+    pack = pk.pack
+    p = sorted(((*pack(m), (c.a * (denom // c.d), c.b * (denom // c.d)))
                 for m, c in f.terms.items()), reverse=True)
     p, (ca, cb), g = _primitive(p)
     return p, GaussianRational._make(denom * ca, denom * cb, g)
 
 
-def _monic(p: _TermList, varset: VarSet, order: MonomialOrder) -> Polynomial:
+def _repack(p: _TermList, old: _Packing, new: _Packing) -> _TermList:
+    return [(*new.pack(old.unpack(m)), c) for _, m, c in p]
+
+
+def _monic(p: _TermList, varset: VarSet, order: MonomialOrder,
+           pk: _Packing) -> Polynomial:
     """The monic polynomial over Q(i) proportional to a primitive list."""
     d = p[0][2][0]
-    return Polynomial(varset, {m: GaussianRational._make(a, b, d)
+    unpack = pk.unpack
+    return Polynomial(varset, {unpack(m): GaussianRational._make(a, b, d)
                                for _, m, (a, b) in p}, order)
 
 
@@ -204,26 +318,15 @@ def _iadd(p: _TermList, q: _TermList) -> _TermList:
     return out
 
 
-def _ishift(p: _TermList, key_u: tuple, u: Monomial,
-            c: Tuple[int, int]) -> _TermList:
+def _ishift(p: _TermList, key_u: int, u: int, c: Tuple[int, int]) -> _TermList:
     """c * x^u * p; key addition keeps the list sorted."""
     x, y = c
-    return [(tuple(map(add, key, key_u)), tuple(map(add, m, u)),
-             (a * x - b * y, a * y + b * x)) for key, m, (a, b) in p]
+    return [(key + key_u, m + u, (a * x - b * y, a * y + b * x))
+            for key, m, (a, b) in p]
 
 
-def _divides(m: Monomial, n: Monomial) -> bool:
-    for a, b in zip(m, n):
-        if a > b:
-            return False
-    return True
-
-
-def _mono_lcm(m: Monomial, n: Monomial) -> Monomial:
-    return tuple(a if a > b else b for a, b in zip(m, n))
-
-
-def _nf(f: _TermList, basis: Sequence[_TermList]) -> Tuple[_TermList, int]:
+def _nf(f: _TermList, basis: Sequence[_TermList],
+        pk: _Packing) -> Tuple[_TermList, int]:
     """Fully reduced normal form of f modulo primitive term lists.
 
     Returns (r, s) with s a positive integer and s*f = r modulo the ideal
@@ -231,7 +334,10 @@ def _nf(f: _TermList, basis: Sequence[_TermList]) -> Tuple[_TermList, int]:
     list against the first element g of `basis` whose lead d x^l divides
     it: work becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in
     Z.  Whenever s > 1, the common integer factor of r, work and s goes.
+    The lists of `basis` must pass `pk.check`; a multiplier x^(m/l) that
+    would not keep the product inside its fields raises _FieldOverflow.
     """
+    guard, high = pk.guard, pk.high
     heads = [(g[0][0], g[0][1], g[0][2][0], g) for g in basis]
     r: _TermList = []
     work = f
@@ -239,17 +345,20 @@ def _nf(f: _TermList, basis: Sequence[_TermList]) -> Tuple[_TermList, int]:
     s = 1
     while pos < len(work):
         key0, m0, (a0, b0) = work[pos]
+        top = m0 | guard    # _Packing.divides(l, m0), inlined
         for key_l, l, d, g in heads:
-            if _divides(l, m0):
+            if (top - l) & guard == guard:
                 break
         else:
             r.append(work[pos])
             pos += 1
             continue
+        u = m0 - l
+        if u & high:
+            raise _FieldOverflow
         h = gcd(d, a0, b0)
         d //= h
-        tail = _ishift(g[1:], tuple(map(sub, key0, key_l)),
-                       tuple(map(sub, m0, l)), (-a0 // h, -b0 // h))
+        tail = _ishift(g[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
         rest = work[pos + 1:]
         pos = 0
         if d > 1:
@@ -270,15 +379,16 @@ def _nf(f: _TermList, basis: Sequence[_TermList]) -> Tuple[_TermList, int]:
     return r, s
 
 
-def _spoly(f: _TermList, g: _TermList, key_l: tuple, l: Monomial) -> _TermList:
-    """The primitive S-polynomial of two primitive lists with lead lcm l."""
+def _spoly(f: _TermList, g: _TermList, key_l: int, l: int) -> _TermList:
+    """The primitive S-polynomial of two primitive lists with lead lcm l.
+
+    l is the lcm of two leads that pass `_Packing.check`, so neither
+    multiplier takes a term out of its fields."""
     kf, mf, (df, _) = f[0]
     kg, mg, (dg, _) = g[0]
     h = gcd(df, dg)
-    s = _iadd(_ishift(f[1:], tuple(map(sub, key_l, kf)),
-                      tuple(map(sub, l, mf)), (dg // h, 0)),
-              _ishift(g[1:], tuple(map(sub, key_l, kg)),
-                      tuple(map(sub, l, mg)), (-df // h, 0)))
+    s = _iadd(_ishift(f[1:], key_l - kf, l - mf, (dg // h, 0)),
+              _ishift(g[1:], key_l - kg, l - mg, (-df // h, 0)))
     return _primitive(s)[0] if s else s
 
 
@@ -291,15 +401,18 @@ class GroebnerBasis:
     term lists, kept in ascending order of leading monomial.
     """
 
-    __slots__ = ("basis", "order", "varset", "_lists")
+    __slots__ = ("basis", "order", "varset", "_lists", "_packing")
 
     def __init__(self, lists: List[_TermList], order: MonomialOrder,
-                 varset: VarSet):
-        """The basis of primitive lists sorted by ascending leading key."""
-        self.basis = tuple(_monic(p, varset, order) for p in reversed(lists))
+                 varset: VarSet, packing: _Packing):
+        """The basis of primitive lists, packed by `packing`, sorted by
+        ascending leading key."""
+        self.basis = tuple(_monic(p, varset, order, packing)
+                           for p in reversed(lists))
         self.order = order
         self.varset = varset
         self._lists = lists
+        self._packing = packing
 
     def __iter__(self):
         return iter(self.basis)
@@ -345,22 +458,34 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
         return hit
+    gb = _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
+                   _packing(len(I.varset), I.order))
+    _GB_CACHE[cache_key] = gb
+    return gb
 
-    keyfn = I.order.key
-    gens = [_terms(g, keyfn)[0] for g in I.generators]
+
+def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
+                    pk: _Packing) -> GroebnerBasis:
+    """`_buchberger` on monomials packed by pk.
+
+    An element's sugar is the degree of its lead, so the sugar of a pair
+    is the degree of its lcm.  Pairs are selected by (sugar, key of the
+    lcm, indices); key ints compare as the key tuples do, so the pairs
+    formed and their order do not depend on the field width."""
+    gens = [_terms(g, pk)[0] for g in I.generators]
+    guard, key, divides, mono_lcm = pk.guard, pk.key, pk.divides, pk.lcm
 
     entries: List[_TermList] = []    # every element ever inserted, by index
-    sugars: List[int] = []
     live: List[int] = []    # G, ascending by leading key; an antichain
-    queued: Dict[Tuple[int, int], Monomial] = {}   # B: pair -> lcm
+    queued: Dict[Tuple[int, int], int] = {}   # B: pair -> lcm
     heap: List[Tuple] = []
 
     def lm(i):
         return entries[i][0][1]
 
     def insert(p: _TermList) -> int:
+        pk.check(p)
         entries.append(p)
-        sugars.append(sum(p[0][1]))
         if len(entries) > limits.max_basis:
             raise ResourceLimitError(f"basis size exceeded {limits.max_basis}")
         return len(entries) - 1
@@ -371,27 +496,26 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
         mh = lm(h)
         # new pairs by ascending lcm, coprime ones first among equals:
         # a pair is needed unless lcm(lm(h), lm(g)) = lm(h) * lm(g)
-        lcms = [(g, _mono_lcm(mh, lm(g))) for g in live]
-        cands = sorted((keyfn(l), sum(l) < sum(mh) + sum(lm(g)), g, l)
-                       for g, l in lcms)
+        lcms = [(g, mono_lcm(mh, lm(g))) for g in live]
+        cands = sorted((key(l), l != mh + lm(g), g, l) for g, l in lcms)
         # chain and equal-lcm criteria: drop a pair when an earlier kept
         # pair's lcm divides its lcm; coprime pairs only serve as droppers
         kept: List[Tuple] = []
         for cand in cands:
-            if not cand[1] or not any(_divides(c[3], cand[3]) for c in kept):
+            top = cand[3] | guard    # divides(c[3], cand[3]), inlined
+            if not cand[1] or not any((top - c[3]) & guard == guard
+                                      for c in kept):
                 kept.append(cand)
         # the B_k test on queued pairs
         for (a, b), l in list(queued.items()):
-            if (_divides(mh, l) and _mono_lcm(lm(a), mh) != l
-                    and _mono_lcm(lm(b), mh) != l):
+            if (divides(mh, l) and mono_lcm(lm(a), mh) != l
+                    and mono_lcm(lm(b), mh) != l):
                 del queued[(a, b)]
         for key_l, needed, g, l in kept:
             if needed:
-                sugar = max(sugars[h] + sum(l) - sum(mh),
-                            sugars[g] + sum(l) - sum(lm(g)))
                 queued[(g, h)] = l
-                heapq.heappush(heap, (sugar, key_l, g, h))
-        live[:] = sorted([g for g in live if not _divides(mh, lm(g))] + [h],
+                heapq.heappush(heap, (pk.degree(l), key_l, g, h))
+        live[:] = sorted([g for g in live if not divides(mh, lm(g))] + [h],
                          key=lambda g: entries[g][0][0])
 
     def reducers() -> List[_TermList]:
@@ -400,7 +524,7 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     live[:] = sorted((insert(p) for p in gens[:reduced_prefix]),
                      key=lambda g: entries[g][0][0])
     for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
-        r, _ = _nf(p, reducers())
+        r, _ = _nf(p, reducers(), pk)
         if r:
             update(insert(_primitive(r)[0]))
 
@@ -418,21 +542,21 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
         s = _spoly(entries[i], entries[j], key_l, l)
         if not s:
             continue
-        r, _ = _nf(s, reducers())
+        r, _ = _nf(s, reducers(), pk)
         if r:
             update(insert(_primitive(r)[0]))
 
     # tail reduction: each element against the others
     final = reducers()
-    lists = [_primitive(_nf(p, final[:k] + final[k + 1:])[0])[0]
+    lists = [_primitive(_nf(p, final[:k] + final[k + 1:], pk)[0])[0]
              for k, p in enumerate(final)]
+    for p in lists:
+        pk.check(p)
     for p in gens:
-        if _nf(p, lists)[0]:
+        if _nf(p, lists, pk)[0]:
             raise AssertionError("generator does not reduce to zero "
                                  "modulo the computed basis")
-    gb = GroebnerBasis(lists, I.order, I.varset)
-    _GB_CACHE[cache_key] = gb
-    return gb
+    return GroebnerBasis(lists, I.order, I.varset, pk)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -443,13 +567,22 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """
     if f.varset != G.varset:
         raise VarSetMismatchError("polynomial and basis on different VarSets")
-    lifted, q = _terms(f, G.order.key)
-    r, s = _nf(lifted, G._lists)
+
+    def run(pk: _Packing):
+        lists = (G._lists if pk is G._packing
+                 else [_repack(p, G._packing, pk) for p in G._lists])
+        lifted, q = _terms(f, pk)
+        r, s = _nf(lifted, lists, pk)
+        return pk, q, r, s
+
+    pk, q, r, s = _widening(run, G._packing)
     if not r:
         return Polynomial.zero(f.varset, G.order)
     # s * (q * f) = r modulo <G>, so the remainder is r / (s * q)
     scale = (q * s).inverse()
-    terms = {m: GaussianRational._make(a, b, 1) * scale for _, m, (a, b) in r}
+    unpack = pk.unpack
+    terms = {unpack(m): GaussianRational._make(a, b, 1) * scale
+             for _, m, (a, b) in r}
     return Polynomial(f.varset, terms, G.order)
 
 
@@ -563,6 +696,13 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 # staircase combinatorics: quotient dimension, Hilbert series
 # ---------------------------------------------------------------------------
+
+
+def _divides(m: Monomial, n: Monomial) -> bool:
+    for a, b in zip(m, n):
+        if a > b:
+            return False
+    return True
 
 
 def _minimalize(gens: List[Monomial]) -> List[Monomial]:

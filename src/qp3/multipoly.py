@@ -623,6 +623,28 @@ def parse_poly(text: str, varset: VarSet,
     return _Parser(text, varset, gamma, order).parse()
 
 
+def height_bound(text: str) -> int:
+    """An upper bound on the bit length of the numerators and denominator
+    of the constant that `text` denotes, read from its tokens alone.
+
+    A literal costs its bit length and every other token one bit.
+    A sum or product needs at most one bit more than its two operands,
+    and x^n at most n times what x and its '^' need, so the sum of those
+    costs times the product of the exponents is a bound.  Nothing is
+    evaluated: a text such as 2^1000000000 is bounded at once.
+    """
+    tokens = _Lexer(text).tokens
+    cost, scale = 0, 1
+    for k, (kind, value, _) in enumerate(tokens):
+        if kind == "nat" and k and tokens[k - 1][0] == "^":
+            scale *= max(1, int(value))
+        elif kind == "nat":
+            cost += int(value).bit_length()
+        elif kind != "end":
+            cost += 1
+    return cost * scale
+
+
 def _coeff_str(c: GaussianRational) -> Tuple[bool, str]:
     """(negated, body) split used when joining terms with + and -."""
     if c.b == 0 or c.a == 0:

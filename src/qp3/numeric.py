@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .gaussian import GaussianRational
-from .multipoly import Polynomial, VarSet, parse_poly
+from .multipoly import Polynomial
 from .fixtures import load_fixtures
 
 DEFAULT_TOL = 1e-8
@@ -97,14 +97,11 @@ def univariate_roots(p: Polynomial, var: str = None, tol: float = DEFAULT_TOL,
     return roots
 
 
-_GVARS = VarSet(["x1", "x2", "x3", "x4", "g"])
-
-
 @lru_cache(maxsize=1)
 def _minor_polys_symbolic() -> Tuple[Polynomial, ...]:
     """The fifteen minors with g carried as an honest variable, so they
     evaluate at arbitrary complex gamma."""
-    return tuple(parse_poly(t, _GVARS) for t in load_fixtures().point_scheme_polys)
+    return tuple(load_fixtures().parse_point_polys(None))
 
 
 def minor_residual(point: Sequence[complex], gamma: complex) -> float:
@@ -169,8 +166,7 @@ def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
 
 @lru_cache(maxsize=1)
 def _line_polys_symbolic() -> Tuple[Polynomial, ...]:
-    gv = VarSet(["M12", "M13", "M14", "M23", "M24", "M34", "g"])
-    return tuple(parse_poly(t, gv) for t in load_fixtures().line_scheme_polys)
+    return tuple(load_fixtures().parse_line_polys(None))
 
 
 def line_residual(m: Sequence[complex], gamma: complex) -> float:

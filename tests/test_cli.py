@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,24 @@ def test_gamma_division_by_zero_usage_error(capsys):
     code, _, err = run_cli(["--gamma", "1/0", "point-scheme"], capsys)
     assert code == EXIT_USAGE
     assert err.startswith("qp3: ") and "gamma" in err
+
+
+@pytest.mark.parametrize("gamma", ["2^100000", "(1+i)^100000",
+                                   "1/3^20000", "2^1000000000"])
+def test_huge_gamma_usage_error(gamma, capsys):
+    # refused before it is evaluated, so even 2^1000000000 returns at once
+    start = time.perf_counter()
+    code, out, err = run_cli([f"--gamma={gamma}", "point-scheme"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("qp3: ") and "too large" in err
+
+
+def test_large_gamma_within_bound_is_computed(capsys):
+    code, out, _ = run_cli(["--gamma=2^2000", "point-scheme"], capsys)
+    assert code == EXIT_OK
+    assert "distinct points: 20" in out
 
 
 def test_unknown_basis_point_usage_error(capsys):

@@ -111,6 +111,21 @@ def test_oracle_on_lex_order():
     assert _same_basis(I)
 
 
+def test_oracle_on_elimination_order(monkeypatch):
+    # the basis `intersect` computes: t*I + (1-t)*J for two component
+    # ideals, under the order that eliminates t, whose key has two degree
+    # rows and negative entries
+    catalog = component_catalog(gr(1))
+    seen = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda I: seen.append(I) or real(I))
+    groebner.intersect(catalog.get("L2").ideal, catalog.get("L3").ideal)
+    (E,) = seen
+    assert E.order.kind == "elim"
+    assert _same_basis(E)
+
+
 def test_oracle_on_random_ideals():
     rng = random.Random(57)
     vs = VarSet(["x", "y", "z"])

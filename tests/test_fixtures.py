@@ -5,7 +5,7 @@ import pytest
 from qp3.gaussian import gr
 from qp3.multipoly import parse_poly
 from qp3.quadratic_algebra import M_VARS, X_VARS
-from qp3.fixtures import _validate, load_fixtures
+from qp3.fixtures import load_fixtures
 
 
 def test_counts():
@@ -66,7 +66,45 @@ def test_component_generator_data_present():
           " - M13*M14*M23*M34 + i*M13*M23*M24^2"}, "changes 2"),
 ])
 def test_validate_rejects_bad_erratum(errata, reason):
+    # the errata are checked where they are applied, at every gamma
     fx = load_fixtures()
-    _validate(fx)
-    with pytest.raises(ValueError, match=reason):
-        _validate(replace(fx, line_scheme_errata=errata))
+    bad = replace(fx, line_scheme_errata=errata)
+    for gamma in (gr(1), gr(4), None):
+        fx.parse_line_polys(gamma, corrected=True)
+        bad.parse_line_polys(gamma)
+        with pytest.raises(ValueError, match=reason):
+            bad.parse_line_polys(gamma, corrected=True)
+
+
+@pytest.mark.parametrize("field, k, text, reason", [
+    ("point_scheme_polys", 3, "x1^3*x2 + x3", "point-scheme fixture not a quartic"),
+    ("point_scheme_polys", 0, "g*x1^4 - g*x1^4", "point-scheme fixture not a quartic"),
+    ("line_scheme_polys", 0, "M12*M34 - M13*M24 + M14*M23*M12", "fixture 0 has wrong degree"),
+    ("line_scheme_polys", 7, "M12^3", "fixture 7 has wrong degree"),
+])
+def test_parse_rejects_fixture_of_wrong_degree(field, k, text, reason):
+    # each text is checked where it is parsed, with g bound or symbolic
+    fx = load_fixtures()
+    texts = list(getattr(fx, field))
+    texts[k] = text
+    bad = replace(fx, **{field: tuple(texts)})
+    parse = (bad.parse_point_polys if field == "point_scheme_polys"
+             else bad.parse_line_polys)
+    for gamma in (gr(1), None):
+        with pytest.raises(ValueError, match=reason):
+            parse(gamma)
+
+
+def test_loading_parses_no_fixture_text(monkeypatch):
+    # a command that reads only components.json pays for no parse
+    from qp3 import fixtures
+
+    calls = []
+    monkeypatch.setattr(fixtures, "parse_poly",
+                        lambda *a, **k: calls.append(a) or parse_poly(*a, **k))
+    load_fixtures.cache_clear()
+    try:
+        load_fixtures()
+    finally:
+        load_fixtures.cache_clear()
+    assert calls == []

@@ -243,7 +243,7 @@ def test_basis_term_lists_are_primitive():
         assert a > 0 and b == 0
         assert gcd(*(x for _, _, c in p for x in c)) == 1
         assert groebner._primitive(p)[0] == p
-    assert ([p[0][1] for p in reversed(G._lists)]
+    assert ([G._packing.unpack(p[0][1]) for p in reversed(G._lists)]
             == G.leading_monomials())
 
 
@@ -254,10 +254,66 @@ def test_term_lists_carry_their_exact_scalar():
     for text in ("-3*x^2 + 6*y", "5*i*x - 10*y", "(2+i)*x*y + 1/3*y - 5",
                  "-1/2*x + 1/4 - 1/4*i", "(-4-2*i)*y^2 + 2*x"):
         f = parse_poly(text, vs)
-        p, q = groebner._terms(f, DEGREVLEX.key)
+        pk = groebner._packing(len(vs), DEGREVLEX)
+        p, q = groebner._terms(f, pk)
         assert groebner._primitive(p)[0] == p
-        assert {m: gr(a, b) for _, m, (a, b) in p} == {
+        assert {pk.unpack(m): gr(a, b) for _, m, (a, b) in p} == {
             m: q * c for m, c in f.terms.items()}
+
+
+_FIVE = VarSet(["a", "b", "c", "d", "t"])
+
+
+@pytest.mark.parametrize("order", [MonomialOrder.lex(), DEGREVLEX,
+                                   MonomialOrder.elimination(_FIVE, ["b", "t"])],
+                         ids=["lex", "degrevlex", "elim"])
+def test_packed_monomials_match_their_tuple_definitions(order):
+    # seeded exponent vectors, many at the field boundaries: the largest
+    # exponent a field stores and the largest a reducer may carry
+    rng = random.Random(23)
+    n = len(_FIVE)
+    pk = groebner._packing(n, order)
+    top, half = pk.mask, pk.mask >> 1
+
+    def vector(bound):
+        return tuple(min(bound, rng.choice([0, 1, rng.randint(0, 9), half,
+                                            half + 1, top, rng.randint(0, top)]))
+                     for _ in range(n))
+
+    for _ in range(2000):
+        a, b = vector(top), vector(top)
+        (ka, ma), (kb, mb) = pk.pack(a), pk.pack(b)
+        assert pk.unpack(ma) == a and pk.key(ma) == ka and pk.degree(ma) == sum(a)
+        assert pk.divides(ma, mb) == all(x <= y for x, y in zip(a, b))
+        assert pk.lcm(ma, mb) == pk.pack(tuple(map(max, a, b)))[1]
+        assert (ka < kb) == (order.key(a) < order.key(b))
+        assert (ka == kb) == (a == b)
+        # additivity: a product of two reducer-sized monomials
+        c, d = vector(half), vector(half)
+        (kc, mc), (kd, md) = pk.pack(c), pk.pack(d)
+        assert pk.pack(tuple(x + y for x, y in zip(c, d))) == (kc + kd, mc + md)
+    with pytest.raises(groebner._FieldOverflow):
+        pk.pack((0, top + 1, 0, 0, 0))
+    with pytest.raises(groebner._FieldOverflow):
+        pk.check([pk.pack((0, 0, half + 1, 0, 0)) + ((1, 0),)])
+
+
+def test_exponents_beyond_the_packed_width_widen_the_fields(monkeypatch):
+    # y - x^3 reduces to y - z^36000 modulo x - z^12000: the reduction
+    # outgrows the starting fields, which widen; the basis stays exact
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    lex = MonomialOrder.lex()
+    vs = VarSet(["y", "x", "z"])
+    assert 12000 < 2 ** (groebner._BITS - 1) <= 24000 < 2 ** groebner._BITS < 36000
+    I = Ideal([parse_poly("y - x^3", vs, order=lex),
+               parse_poly("x - z^12000", vs, order=lex)], lex)
+    G = buchberger(I)
+    assert [print_poly(p) for p in G] == ["y - z^36000", "x - z^12000"]
+    assert G._packing.bits > groebner._BITS
+    # an input exponent beyond even the widened fields
+    huge = 2 ** (2 * groebner._BITS) + 1
+    f = parse_poly(f"x*z^{huge}", vs, order=lex)
+    assert print_poly(normal_form(f, G)) == f"z^{huge + 12000}"
 
 
 def _assert_spolys_reduce(G):

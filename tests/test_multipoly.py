@@ -5,8 +5,8 @@ import pytest
 from qp3.gaussian import gr
 from qp3.multipoly import (MonomialOrder, PolyParseError,
                            Polynomial, UnknownVariableError, VarSet,
-                           VarSetMismatchError, parse_poly, print_poly,
-                           substitute)
+                           VarSetMismatchError, height_bound, parse_poly,
+                           print_poly, substitute)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, UV_VARS, X_VARS
 from qp3.fixtures import load_fixtures
 
@@ -205,3 +205,23 @@ def test_bidegree_bookkeeping():
 def test_mixed_coefficient_roundtrip():
     f = parse_poly("(1/2 - 1/3*i)*x1^2 + 7*x2 - i", X_VARS)
     assert parse_poly(print_poly(f), X_VARS) == f
+
+
+def test_height_bound_bounds_every_constant():
+    # seeded random constant expressions: the token bound is never below
+    # the bit length of the value's numerators and denominator
+    rng = random.Random(11)
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([str(rng.randint(0, 999)),
+                               f"{rng.randint(0, 99)}/{rng.randint(1, 99)}", "i"])
+        a, b = expr(depth - 1), expr(depth - 1)
+        return rng.choice([f"({a}) + ({b})", f"({a}) - ({b})", f"({a})*({b})",
+                           f"({a})^{rng.randint(0, 6)}", f"-({a})"])
+
+    empty = VarSet([])
+    for _ in range(400):
+        text = expr(4)
+        v = parse_poly(text, empty).constant_value()
+        assert max(abs(v.a), abs(v.b), v.d).bit_length() <= height_bound(text), text
