@@ -200,7 +200,8 @@ def cmd_lines_through(gamma, fmt, args) -> int:
     if args.numeric and (args.symbolic or args.point):
         raise UsageError("--numeric cannot be combined with --symbolic or --point")
     if args.numeric:
-        from .numeric import ConvergenceError, enumerate_points, six_lines_numeric
+        from .numeric import (ConvergenceError, DegeneratePointError,
+                              enumerate_points, six_lines_numeric)
 
         rows = []
         try:
@@ -212,7 +213,7 @@ def cmd_lines_through(gamma, fmt, args) -> int:
                     "lines": [[f"{z.real:+.10f}{z.imag:+.10f}i" for z in m]
                               for m in ls],
                 })
-        except ConvergenceError as exc:
+        except (ConvergenceError, DegeneratePointError) as exc:
             sys.stderr.write(f"qp3: numeric verification failed: {exc}\n")
             return EXIT_VERIFICATION
         payload = {"command": "lines-through", "gamma": str(gamma),

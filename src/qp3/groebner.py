@@ -617,23 +617,32 @@ def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial,
     return lifted[:-1] + [Polynomial.constant(big, 1) - t * lifted[-1]]
 
 
+_MAX_POWER = 3    # powers of f tried before Rabinowitsch
+
+
 def radical_member(f: Polynomial, I: Ideal) -> bool:
-    """True iff f vanishes on V(I): Rabinowitsch's trick, 1 in I + <1 - t f>.
+    """True iff f vanishes on V(I), that is f lies in the radical of I.
 
     G is the reduced DEGREVLEX basis of I, which `buchberger` caches.
-    Plain membership, f reducing to zero modulo G, is tried first since
-    it is both common and cheap.  Otherwise the Rabinowitsch basis is
-    computed from lift(G) + [1 - t f] with lift(G) as a finished prefix.
-    This is sound because t is appended last: DEGREVLEX on the extended
-    ring restricts to DEGREVLEX on the old one, so lift(G) is still a
-    reduced basis there, and only pairs that involve 1 - t f or an
-    element derived from it need to be formed.
+    First a power certificate: f^k in I implies f in rad(I) (Cox, Little,
+    O'Shea, Ideals, Varieties, and Algorithms, 4.2).  With r_1 = NF(f, G)
+    and r_(k+1) = NF(f * r_k, G), which is NF(f^(k+1), G), the answer is
+    True as soon as some r_k is zero, k <= _MAX_POWER; k = 1 is plain
+    membership.  Otherwise Rabinowitsch's trick decides: f is in rad(I)
+    iff 1 is in I + <1 - t f>.  That basis is computed from
+    lift(G) + [1 - t f] with lift(G) as a finished prefix.  This is sound
+    because t is appended last: DEGREVLEX on the extended ring restricts
+    to DEGREVLEX on the old one, so lift(G) is still a reduced basis
+    there, and only pairs that involve 1 - t f or an element derived from
+    it need to be formed.
     """
     if f.is_zero():
         return True
     G = buchberger(I.with_order(DEGREVLEX))
-    if normal_form(f, G).is_zero():
-        return True
+    for k in range(1, _MAX_POWER + 1):
+        r = normal_form(f * r if k > 1 else f, G)    # NF(f^k, G)
+        if r.is_zero():
+            return True
     gens = _rabinowitsch(G.basis, f, "t_rad")
     return _buchberger(Ideal(gens, DEGREVLEX), len(G)).contains_one()
 

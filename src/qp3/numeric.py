@@ -8,6 +8,7 @@ disagreement the tolerances here are suspected first.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
@@ -34,6 +35,22 @@ def _to_complex(x) -> complex:
     if isinstance(x, GaussianRational):
         return x.to_complex()
     return complex(x)
+
+
+def _float_gamma(gamma) -> complex:
+    """gamma as a complex float.  Raises ConvergenceError unless gamma and
+    gamma^2 are finite and nonzero in complex floating point, since the
+    point equations carry gamma^2 and the lines divide by gamma."""
+    if gamma == 0:
+        raise ValueError("gamma must be nonzero")
+    try:
+        g = _to_complex(gamma)
+    except OverflowError:
+        g = complex("inf")
+    if not (cmath.isfinite(g * g) and g * g != 0):
+        raise ConvergenceError("gamma is outside the range of complex "
+                               "floats: gamma^2 is not a finite nonzero float")
+    return g
 
 
 @dataclass
@@ -113,9 +130,7 @@ def minor_residual(point: Sequence[complex], gamma: complex) -> float:
 def enumerate_points(gamma, tol: float = DEFAULT_TOL) -> List[ComplexPoint]:
     """e1..e4 plus the sixteen solutions of the triangular system, polished
     until every one of the fifteen minors has residual below tol."""
-    g = _to_complex(gamma)
-    if g == 0:
-        raise ValueError("gamma must be nonzero")
+    g = _float_gamma(gamma)
     pts = [ComplexPoint(v) for v in np.eye(4)]
     # rho1 = x4^8 - 4 x4^4 + g^2, built directly from numeric coefficients
     coeffs = np.zeros(9, dtype=complex)
@@ -187,7 +202,7 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     """The six lines through a generic point, via the closed formulas; each
     line is checked against all 46 scheme polynomials and the lines are
     pairwise separated."""
-    g = _to_complex(gamma)
+    g = _float_gamma(gamma)
     c = p.coords / p.coords[0]
     x2, x3, x4 = c[1], c[2], c[3]
     if min(abs(x2), abs(x3), abs(x4)) < 1e-6:

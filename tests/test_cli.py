@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,31 @@ def test_large_gamma_within_bound_is_computed(capsys):
     code, out, _ = run_cli(["--gamma=2^2000", "point-scheme"], capsys)
     assert code == EXIT_OK
     assert "distinct points: 20" in out
+
+
+@pytest.mark.parametrize("gamma", ["2^1000", "2^2000"])
+def test_numeric_gamma_outside_float_range_exits_2(gamma):
+    # gamma^2 overflows a float at 2^1000 and gamma itself at 2^2000; the
+    # exact commands handle both, the numeric one must refuse cleanly
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qp3", f"--gamma={gamma}", "lines-through",
+         "--numeric"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_VERIFICATION
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qp3: numeric verification failed: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_numeric_degenerate_float_point_exits_2(capsys):
+    # at gamma = 2^511 a generic point rounds onto a coordinate hyperplane
+    code, out, err = run_cli(["--gamma=2^511", "lines-through", "--numeric"],
+                             capsys)
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert err.startswith("qp3: numeric verification failed: ")
 
 
 def test_unknown_basis_point_usage_error(capsys):

@@ -1,5 +1,6 @@
 import random
 import threading
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,7 +17,8 @@ from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           standard_monomials)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
 from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
-from qp3.line_scheme import component_catalog, line_scheme_ideal
+from qp3.line_scheme import (component_catalog, components_intersection,
+                             line_scheme_ideal)
 from qp3.fixtures import load_fixtures
 
 
@@ -92,10 +94,37 @@ def test_ideal_member_order_independent():
         assert normal_form(f, G_drl).is_zero() == normal_form(lex_f, G_lex).is_zero()
 
 
-def test_radical_member_examples():
-    vs = VarSet(["x1", "x2"])
-    assert radical_member(parse_poly("x1", vs), Ideal([parse_poly("x1^2", vs)]))
-    assert not radical_member(parse_poly("x2", vs), Ideal([parse_poly("x1", vs)]))
+def _no_rabinowitsch(*args):
+    raise AssertionError("Rabinowitsch run where a power certificate suffices")
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(Fraction(3, 2), 1)])
+def test_line_scheme_inclusion_certified_by_powers(gamma, monkeypatch):
+    # V(L) lies in the union of the components: every generator g of the
+    # intersection of their ideals has g^k in L for some k <= 3
+    monkeypatch.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
+    L = line_scheme_ideal(gamma).ideal
+    inter = components_intersection(component_catalog(gamma))
+    assert inter.generators
+    assert all(radical_member(g, L) for g in inter.generators)
+
+
+def test_radical_member_examples(monkeypatch):
+    vs = VarSet(["x", "y"])
+    x = parse_poly("x", vs)
+    # x^2 and x^3 in I: settled by normal forms, no Rabinowitsch run
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
+        assert radical_member(x, Ideal([parse_poly("x^2", vs)]))
+        assert radical_member(x, Ideal([parse_poly("x^3", vs)]))
+    # past the power cap, and for a non-member, Rabinowitsch decides
+    runs = []
+    rabinowitsch = groebner._rabinowitsch
+    monkeypatch.setattr(groebner, "_rabinowitsch",
+                        lambda *a: runs.append(a) or rabinowitsch(*a))
+    assert radical_member(x, Ideal([parse_poly("x^5", vs)]))
+    assert not radical_member(x, Ideal([parse_poly("y", vs)]))
+    assert len(runs) == 2
 
 
 def test_radical_member_component_product():
