@@ -47,7 +47,8 @@ def _float_gamma(gamma) -> complex:
         g = _to_complex(gamma)
     except OverflowError:
         g = complex("inf")
-    if not (cmath.isfinite(g * g) and g * g != 0):
+    square = g * g
+    if not (cmath.isfinite(square) and square != 0):
         raise ConvergenceError("gamma is outside the range of complex "
                                "floats: gamma^2 is not a finite nonzero float")
     return g
