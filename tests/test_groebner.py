@@ -18,7 +18,7 @@ from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
 from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (component_catalog, components_intersection,
-                             line_scheme_ideal)
+                             line_scheme_ideal, verify_decomposition)
 from qp3.fixtures import load_fixtures
 
 
@@ -498,3 +498,24 @@ def test_seeded_rabinowitsch_on_random_ideals(monkeypatch):
         _assert_seeded_rabinowitsch_agrees(f, Ideal(gens))
         seen += 1
     assert seen > 400
+
+
+@pytest.mark.parametrize("gamma, spolys", [(gr(1), 448), (gr(4), 455),
+                                           (gr(3, 2), 448)],
+                         ids=["1", "4", "3+2i"])
+def test_line_scheme_verification_s_pair_count(monkeypatch, gamma, spolys):
+    # the Buchberger work of `line-scheme --verify` from empty caches: every
+    # S-polynomial the engine forms, over all the bases the check computes.
+    # Reduced bases are unique, so a change of representation keeps these
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    calls = []
+    spoly = groebner._spoly
+
+    def counted(*args):
+        calls.append(1)
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counted)
+    assert verify_decomposition(line_scheme_ideal(gamma),
+                                component_catalog(gamma)).ok
+    assert len(calls) == spolys
