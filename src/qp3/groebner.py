@@ -27,16 +27,15 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
-from operator import lshift, mul
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from math import gcd
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
-                        VarSetMismatchError, substitute)
+                        VarSetMismatchError, _FieldOverflow, _Packing, _TermList,
+                        _BITS, _iadd, _ishift, _packing, _primitive, _poly, _widening,
+                        _wrap, substitute)
 
 
 class ResourceLimitError(RuntimeError):
@@ -133,196 +132,10 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# term lists
+# reduction of term lists
 # ---------------------------------------------------------------------------
-# A term is (key, mono, (a, b)): mono is the monomial packed into one int,
-# key the int order key of that monomial, and (a, b) the Gaussian integer
-# a + b*i.  A list is sorted by descending key, and every list the engine
-# keeps is primitive.  Only `_terms` packs and only `_monic` and
-# `normal_form` unpack: no tuple monomial enters or leaves the hot loop.
-
-_TermList = List[Tuple[int, int, Tuple[int, int]]]
-
-_BITS = 15    # exponent bits per field at the start; widened on overflow
-
-
-class _FieldOverflow(Exception):
-    """An exponent outgrew the packed fields; `_widening` doubles them and
-    runs the computation again, so no exponent ever wraps."""
-
-
-class _Packing:
-    """Monomials and order keys of one ring and order, each as one int.
-
-    Exponent k of a monomial sits in field k of `mono`: bits k*w to
-    k*w + bits - 1, with w = bits + 1.  The top bit of each field is a
-    guard bit, always clear in a stored monomial, whose exponents are below
-    2**bits.  The exponents of every list the engine reduces against, and
-    of every multiplier it shifts one by, stay below 2**(bits - 1), so a
-    product never reaches a guard bit.  Then m divides n iff
-    ((n | guard) - m) & guard == guard: a field of n below that of m
-    borrows its own guard bit, and no borrow crosses a field.
-
-    The order key is the sum of e_k * weights[k].  weights[k] packs column
-    k of the rows of `MonomialOrder.key`, one row per digit in base
-    2**kbits, first row most significant.  A row may be negative, but the
-    base exceeds the range of every row over stored monomials, so two keys
-    compare as their first differing row does: comparing key ints is
-    comparing key tuples, for lex, degrevlex and elimination orders alike,
-    and key(m*n) = key(m) + key(n).
-    """
-
-    __slots__ = ("n", "order", "bits", "shifts", "mask", "guard", "high",
-                 "weights")
-
-    def __init__(self, n: int, order: MonomialOrder, bits: int):
-        w = bits + 1
-        self.n = n
-        self.order = order
-        self.bits = bits
-        self.shifts = tuple(range(0, n * w, w))
-        self.mask = (1 << bits) - 1
-        self.guard = sum(1 << (s + bits) for s in self.shifts)
-        self.high = self.guard >> 1    # the top exponent bit of each field
-        cols = [order.key(tuple(int(i == k) for i in range(n))) for k in range(n)]
-        rows = len(cols[0]) if cols else 0
-        span = max((sum(abs(c[j]) for c in cols) for j in range(rows)), default=1)
-        kbits = (span * self.mask).bit_length()
-        self.weights = tuple(sum(c[j] << (kbits * (rows - 1 - j))
-                                 for j in range(rows)) for c in cols)
-
-    def pack(self, m: Monomial) -> Tuple[int, int]:
-        """(key, mono) of an exponent tuple."""
-        if m and max(m) > self.mask:
-            raise _FieldOverflow
-        return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
-
-    def unpack(self, mono: int) -> Monomial:
-        mask = self.mask
-        return tuple([(mono >> s) & mask for s in self.shifts])
-
-    def key(self, mono: int) -> int:
-        return sum(map(mul, self.unpack(mono), self.weights))
-
-    def degree(self, mono: int) -> int:
-        return sum(self.unpack(mono))
-
-    def divides(self, m: int, n: int) -> bool:
-        guard = self.guard
-        return ((n | guard) - m) & guard == guard
-
-    def lcm(self, m: int, n: int) -> int:
-        """The fieldwise maximum: m where its field is at least n's, else n."""
-        ge = ((m | self.guard) - n) & self.guard
-        return n ^ ((m ^ n) & (ge - (ge >> self.bits)))
-
-    def check(self, p: _TermList) -> None:
-        """Raise _FieldOverflow unless p may be reduced against."""
-        high = self.high
-        for _, m, _ in p:
-            if m & high:
-                raise _FieldOverflow
-
-
-@lru_cache(maxsize=64)
-def _packing(n: int, order: MonomialOrder, bits: int = _BITS) -> _Packing:
-    return _Packing(n, order, bits)
-
-
-T = TypeVar("T")
-
-
-def _widening(run: Callable[[_Packing], T], pk: _Packing) -> T:
-    """run(pk), run again on fields twice as wide while an exponent
-    outgrows them."""
-    while True:
-        try:
-            return run(pk)
-        except _FieldOverflow:
-            pk = _packing(pk.n, pk.order, 2 * pk.bits)
-
-
-def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
-    """The one normal form of a nonzero term list: (p*c/g, c, g).
-
-    c is the conjugate of the lead divided by the gcd of its two parts,
-    and g the integer gcd of the coefficients of p*c.  The lead becomes a
-    positive integer, and lists that differ by a factor in Q(i) get the
-    same form: the monic polynomial times the least positive integer that
-    clears its denominators.
-    """
-    a0, b0 = p[0][2]
-    h = gcd(a0, b0)
-    ca, cb = a0 // h, -b0 // h
-    if cb:
-        q = [(k, m, (a * ca - b * cb, a * cb + b * ca)) for k, m, (a, b) in p]
-    elif ca < 0:
-        q = [(k, m, (-a, -b)) for k, m, (a, b) in p]
-    else:
-        q = p
-    g = 0
-    for _, _, (a, b) in q:
-        g = gcd(g, a, b)
-        if g == 1:
-            return q, (ca, cb), 1
-    return [(k, m, (a // g, b // g)) for k, m, (a, b) in q], (ca, cb), g
-
-
-def _terms(f: Polynomial, pk: _Packing) -> Tuple[_TermList, GaussianRational]:
-    """f as a primitive term list, and the exact q in Q(i) with list = q*f."""
-    if f.is_zero():
-        return [], ONE
-    denom = lcm(*(c.d for c in f.terms.values()))
-    pack = pk.pack
-    p = sorted(((*pack(m), (c.a * (denom // c.d), c.b * (denom // c.d)))
-                for m, c in f.terms.items()), reverse=True)
-    p, (ca, cb), g = _primitive(p)
-    return p, GaussianRational._make(denom * ca, denom * cb, g)
-
-
-def _repack(p: _TermList, old: _Packing, new: _Packing) -> _TermList:
-    return [(*new.pack(old.unpack(m)), c) for _, m, c in p]
-
-
-def _monic(p: _TermList, varset: VarSet, order: MonomialOrder,
-           pk: _Packing) -> Polynomial:
-    """The monic polynomial over Q(i) proportional to a primitive list."""
-    d = p[0][2][0]
-    unpack = pk.unpack
-    return Polynomial(varset, {unpack(m): GaussianRational._make(a, b, d)
-                               for _, m, (a, b) in p}, order)
-
-
-def _iadd(p: _TermList, q: _TermList) -> _TermList:
-    out: _TermList = []
-    i = j = 0
-    np_, nq = len(p), len(q)
-    while i < np_ and j < nq:
-        kp, kq = p[i][0], q[j][0]
-        if kp > kq:
-            out.append(p[i])
-            i += 1
-        elif kp < kq:
-            out.append(q[j])
-            j += 1
-        else:
-            a1, b1 = p[i][2]
-            a2, b2 = q[j][2]
-            a, b = a1 + a2, b1 + b2
-            if a or b:
-                out.append((kp, p[i][1], (a, b)))
-            i += 1
-            j += 1
-    out.extend(p[i:])
-    out.extend(q[j:])
-    return out
-
-
-def _ishift(p: _TermList, key_u: int, u: int, c: Tuple[int, int]) -> _TermList:
-    """c * x^u * p; key addition keeps the list sorted."""
-    x, y = c
-    return [(key + key_u, m + u, (a * x - b * y, a * y + b * x))
-            for key, m, (a, b) in p]
+# The engine reduces the packed term lists that Polynomials store
+# (`multipoly._Packing`).  Every list it keeps is primitive.
 
 
 def _nf(f: _TermList, basis: Sequence[_TermList],
@@ -396,9 +209,9 @@ class GroebnerBasis:
     """A reduced Groebner basis: no element's term divisible by another
     element's leading term; every S-polynomial reduces to zero.
 
-    `basis` holds the monic elements in descending order of leading
-    monomial.  The engine reduces against the same elements as primitive
-    term lists, kept in ascending order of leading monomial.
+    The engine reduces against the elements as primitive term lists,
+    kept in ascending order of leading monomial.  `basis` is the monic
+    view of the same lists, in descending order of leading monomial.
     """
 
     __slots__ = ("basis", "order", "varset", "_lists", "_packing")
@@ -407,7 +220,7 @@ class GroebnerBasis:
                  varset: VarSet, packing: _Packing):
         """The basis of primitive lists, packed by `packing`, sorted by
         ascending leading key."""
-        self.basis = tuple(_monic(p, varset, order, packing)
+        self.basis = tuple(_wrap(varset, packing, p, (1, 0, p[0][2][0]))
                            for p in reversed(lists))
         self.order = order
         self.varset = varset
@@ -421,11 +234,11 @@ class GroebnerBasis:
         return len(self.basis)
 
     def contains_one(self) -> bool:
-        return any(len(g.terms) == 1 and sum(g.leading_monomial()) == 0
-                   for g in self.basis)
+        return any(len(p) == 1 and p[0][1] == 0 for p in self._lists)
 
     def leading_monomials(self) -> List[Monomial]:
-        return [g.leading_monomial() for g in self.basis]
+        unpack = self._packing.unpack
+        return [unpack(p[0][1]) for p in reversed(self._lists)]
 
 
 _GB_CACHE: Dict[Tuple, GroebnerBasis] = {}
@@ -459,7 +272,7 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     if hit is not None:
         return hit
     gb = _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
-                   _packing(len(I.varset), I.order))
+                   _packing(len(I.varset), I.order, _BITS))
     _GB_CACHE[cache_key] = gb
     return gb
 
@@ -472,7 +285,7 @@ def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
     is the degree of its lcm.  Pairs are selected by (sugar, key of the
     lcm, indices); key ints compare as the key tuples do, so the pairs
     formed and their order do not depend on the field width."""
-    gens = [_terms(g, pk)[0] for g in I.generators]
+    gens = [g._packed(pk)[0] for g in I.generators]
     guard, key, divides, mono_lcm = pk.guard, pk.key, pk.divides, pk.lcm
 
     entries: List[_TermList] = []    # every element ever inserted, by index
@@ -570,20 +383,13 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
     def run(pk: _Packing):
         lists = (G._lists if pk is G._packing
-                 else [_repack(p, G._packing, pk) for p in G._lists])
-        lifted, q = _terms(f, pk)
-        r, s = _nf(lifted, lists, pk)
-        return pk, q, r, s
+                 else [g._packed(pk)[0] for g in reversed(G.basis)])
+        p, scale = f._packed(pk)
+        return pk, scale, _nf(p, lists, pk)
 
-    pk, q, r, s = _widening(run, G._packing)
-    if not r:
-        return Polynomial.zero(f.varset, G.order)
-    # s * (q * f) = r modulo <G>, so the remainder is r / (s * q)
-    scale = (q * s).inverse()
-    unpack = pk.unpack
-    terms = {unpack(m): GaussianRational._make(a, b, 1) * scale
-             for _, m, (a, b) in r}
-    return Polynomial(f.varset, terms, G.order)
+    # f = scale * p and s * p = r modulo <G>, so the remainder is scale/s * r
+    pk, (a, b, d), (r, s) = _widening(run, G._packing)
+    return _poly(f.varset, pk, r, a, b, d * s)
 
 
 def ideal_member(f: Polynomial, I) -> bool:

@@ -88,12 +88,9 @@ def _lift_from_chart(f: Polynomial) -> Polynomial:
     not such a restriction.
     """
     m12, m34 = (Polynomial.variable(M_VARS, n) for n in ("M12", "M34"))
-    parts: Dict[int, Dict[tuple, GaussianRational]] = {}
-    for m, c in f.terms.items():
-        parts.setdefault(sum(m), {})[m] = c
     out = Polynomial.zero(M_VARS)
-    for k, terms in parts.items():
-        part, l = Polynomial(GR_CHART_VARS, terms), k - 4
+    for k, part in f.homogeneous_components().items():
+        l = k - 4
         if l > 0:
             part = poly_exact_div(part, _CHART_N34 ** l)
         homogenizer = m12 ** l if l > 0 else m34 ** -l

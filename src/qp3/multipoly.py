@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over Q(i).
 
 Polynomials carry a VarSet (fixed variable tuple) and a MonomialOrder.
-Terms are kept in a dict keyed by exponent tuples; a sorted term list is
-built lazily and cached.  The text grammar is:
+A polynomial is one exact scale in Q(i) times a term list over Z[i]
+whose monomials and order keys are packed into ints (`_Packing`), the
+representation the Groebner engine reduces directly: a divisibility test
+is one subtraction and a mask test, and a product of monomials one int
+addition.  Fields that an exponent outgrows are widened, so no exponent
+wraps.  The text grammar is:
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -19,9 +23,14 @@ through it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from math import gcd, lcm
+from operator import add, lshift, mul
+from types import MappingProxyType
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GaussianRational, ZERO, gr
 
 Monomial = Tuple[int, ...]
 
@@ -153,27 +162,316 @@ LEX = MonomialOrder.lex()
 Coefficient = Union[GaussianRational, int]
 
 
-class Polynomial:
-    """Immutable sparse polynomial over Q(i) on a fixed VarSet."""
+# ---------------------------------------------------------------------------
+# term lists
+# ---------------------------------------------------------------------------
+# A term is (key, mono, (a, b)): mono is the monomial packed into one int,
+# key the int order key of that monomial, and (a, b) the Gaussian integer
+# a + b*i.  A list is sorted by descending key.
 
-    __slots__ = ("varset", "order", "terms", "_sorted", "_hash")
+_TermList = List[Tuple[int, int, Tuple[int, int]]]
+
+_BITS = 15    # exponent bits per field at the start; widened on overflow
+
+
+class _FieldOverflow(Exception):
+    """An exponent outgrew the packed fields; `_widening` doubles them and
+    runs the computation again, so no exponent ever wraps."""
+
+
+class _Packing:
+    """Monomials and order keys of one ring and order, each as one int.
+
+    Exponent k of a monomial sits in field k of `mono`: bits k*w to
+    k*w + bits - 1, with w = bits + 1.  The top bit of each field is a
+    guard bit, always clear in a stored monomial, whose exponents are below
+    2**bits.  The exponents of every list the Groebner engine reduces
+    against, and of every multiplier it shifts one by, stay below
+    2**(bits - 1), so a product never reaches a guard bit.  Then m divides
+    n iff ((n | guard) - m) & guard == guard: a field of n below that of m
+    borrows its own guard bit, and no borrow crosses a field.
+
+    The order key is the sum of e_k * weights[k].  weights[k] packs column
+    k of the rows of `MonomialOrder.key`, one row per digit in base
+    2**kbits, first row most significant.  A row may be negative, but the
+    base exceeds the range of every row over stored monomials, so two keys
+    compare as their first differing row does: comparing key ints is
+    comparing key tuples, for lex, degrevlex and elimination orders alike,
+    and key(m*n) = key(m) + key(n).
+    """
+
+    __slots__ = ("n", "order", "bits", "shifts", "mask", "guard", "high",
+                 "weights")
+
+    def __init__(self, n: int, order: MonomialOrder, bits: int):
+        w = bits + 1
+        self.n = n
+        self.order = order
+        self.bits = bits
+        self.shifts = tuple(range(0, n * w, w))
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.high = self.guard >> 1    # the top exponent bit of each field
+        cols = [order.key(tuple(int(i == k) for i in range(n))) for k in range(n)]
+        rows = len(cols[0]) if cols else 0
+        span = max((sum(abs(c[j]) for c in cols) for j in range(rows)), default=1)
+        kbits = (span * self.mask).bit_length()
+        self.weights = tuple(sum(c[j] << (kbits * (rows - 1 - j))
+                                 for j in range(rows)) for c in cols)
+
+    def pack(self, m: Monomial) -> Tuple[int, int]:
+        """(key, mono) of an exponent tuple."""
+        if m and max(m) > self.mask:
+            raise _FieldOverflow
+        return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
+
+    def unpack(self, mono: int) -> Monomial:
+        mask = self.mask
+        return tuple([(mono >> s) & mask for s in self.shifts])
+
+    def key(self, mono: int) -> int:
+        return sum(map(mul, self.unpack(mono), self.weights))
+
+    def degree(self, mono: int) -> int:
+        return sum(self.unpack(mono))
+
+    def divides(self, m: int, n: int) -> bool:
+        guard = self.guard
+        return ((n | guard) - m) & guard == guard
+
+    def lcm(self, m: int, n: int) -> int:
+        """The fieldwise maximum: m where its field is at least n's, else n."""
+        ge = ((m | self.guard) - n) & self.guard
+        return n ^ ((m ^ n) & (ge - (ge >> self.bits)))
+
+    def check(self, p: _TermList) -> None:
+        """Raise _FieldOverflow unless p may be reduced against."""
+        high = self.high
+        for _, m, _ in p:
+            if m & high:
+                raise _FieldOverflow
+
+
+@lru_cache(maxsize=64)
+def _packing(n: int, order: MonomialOrder, bits: int) -> _Packing:
+    return _Packing(n, order, bits)
+
+
+def _fitting(pk: _Packing, e: int) -> _Packing:
+    """The packing of pk's ring and order with the narrowest fields, of
+    width _BITS * 2^k, that store the exponent e."""
+    bits = _BITS
+    while e >> bits:
+        bits *= 2
+    return _packing(pk.n, pk.order, bits)
+
+
+T = TypeVar("T")
+
+
+def _widening(run: Callable[[_Packing], T], pk: _Packing) -> T:
+    """run(pk), run again on fields twice as wide while an exponent
+    outgrows them."""
+    while True:
+        try:
+            return run(pk)
+        except _FieldOverflow:
+            pk = _packing(pk.n, pk.order, 2 * pk.bits)
+
+
+def _to_packing(p: _TermList, old: _Packing, new: _Packing) -> _TermList:
+    """The terms of p, packed by old, packed by new; sorted again when the
+    order changes.  Raises _FieldOverflow if an exponent outgrows new."""
+    unpack, pack = old.unpack, new.pack
+    q = [(*pack(unpack(m)), c) for _, m, c in p]
+    if new.order != old.order:
+        q.sort(reverse=True)
+    return q
+
+
+def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
+    """The one normal form of a nonzero term list: (p*c/g, c, g).
+
+    c is the conjugate of the lead divided by the gcd of its two parts,
+    and g the integer gcd of the coefficients of p*c.  The lead becomes a
+    positive integer, and lists that differ by a factor in Q(i) get the
+    same form: the monic polynomial times the least positive integer that
+    clears its denominators.
+    """
+    a0, b0 = p[0][2]
+    h = gcd(a0, b0)
+    ca, cb = a0 // h, -b0 // h
+    if cb:
+        q = [(k, m, (a * ca - b * cb, a * cb + b * ca)) for k, m, (a, b) in p]
+    elif ca < 0:
+        q = [(k, m, (-a, -b)) for k, m, (a, b) in p]
+    else:
+        q = p
+    g = 0
+    for _, _, (a, b) in q:
+        g = gcd(g, a, b)
+        if g == 1:
+            return q, (ca, cb), 1
+    return [(k, m, (a // g, b // g)) for k, m, (a, b) in q], (ca, cb), g
+
+
+def _iadd(p: _TermList, q: _TermList) -> _TermList:
+    out: _TermList = []
+    i = j = 0
+    np_, nq = len(p), len(q)
+    while i < np_ and j < nq:
+        kp, kq = p[i][0], q[j][0]
+        if kp > kq:
+            out.append(p[i])
+            i += 1
+        elif kp < kq:
+            out.append(q[j])
+            j += 1
+        else:
+            a1, b1 = p[i][2]
+            a2, b2 = q[j][2]
+            a, b = a1 + a2, b1 + b2
+            if a or b:
+                out.append((kp, p[i][1], (a, b)))
+            i += 1
+            j += 1
+    out.extend(p[i:])
+    out.extend(q[j:])
+    return out
+
+
+def _ishift(p: _TermList, key_u: int, u: int, c: Tuple[int, int]) -> _TermList:
+    """c * x^u * p; key addition keeps the list sorted."""
+    x, y = c
+    return [(key + key_u, m + u, (a * x - b * y, a * y + b * x))
+            for key, m, (a, b) in p]
+
+
+def _product(p: _TermList, q: _TermList,
+             pk: _Packing) -> Tuple[_Packing, _TermList]:
+    """(pk', p*q) for nonzero lists packed by pk; pk' is pk, or wider when
+    a product exponent could outgrow pk's fields."""
+    top_p = top_q = 0
+    for _, m, _ in p:
+        top_p |= m
+    for _, m, _ in q:
+        top_q |= m
+    if (top_p + top_q) & pk.guard:    # a field sum bounds those exponents
+        wide = _fitting(pk, max(map(add, pk.unpack(top_p), pk.unpack(top_q))))
+        p, q, pk = _to_packing(p, pk, wide), _to_packing(q, pk, wide), wide
+    if len(q) == 1:
+        return pk, _ishift(p, *q[0])
+    if len(p) == 1:
+        return pk, _ishift(q, *p[0])
+    acc: Dict[int, list] = {}
+    for k1, m1, (a1, b1) in p:
+        for k2, m2, (a2, b2) in q:
+            t = acc.get(m1 + m2)
+            if t is None:
+                acc[m1 + m2] = [k1 + k2, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+            else:
+                t[1] += a1 * a2 - b1 * b2
+                t[2] += a1 * b2 + b1 * a2
+    return pk, sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
+                      reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+# A scale (a, b, d) is the Gaussian rational (a + b*i)/d, with d > 0 and
+# gcd(a, b, d) = 1.
+
+_Scale = Tuple[int, int, int]
+_UNIT: _Scale = (1, 0, 1)
+
+
+def _lowest(a: int, b: int, d: int) -> _Scale:
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g > 1 else (a, b, d)
+
+
+def _normalized(p: _TermList, a: int, b: int, d: int) -> Tuple[_TermList, _Scale]:
+    """(q, s): q the primitive form of the nonzero list p, and the scale s
+    with s*q = (a + b*i)/d * p."""
+    q, (ca, cb), g = _primitive(p)
+    # p = q * g / c
+    if cb:
+        a, b, d = a * ca + b * cb, b * ca - a * cb, d * (ca * ca + cb * cb)
+    elif ca < 0:
+        a, b = -a, -b
+    return q, _lowest(a * g, b * g, d)
+
+
+def _wrap(varset: VarSet, pk: _Packing, p: _TermList, scale: _Scale,
+          obj: Optional["Polynomial"] = None) -> "Polynomial":
+    """The polynomial scale * p, for a primitive list p packed by pk."""
+    if pk.bits > _BITS:
+        top = 0
+        for _, m, _ in p:
+            top |= m
+        narrow = _fitting(pk, max(pk.unpack(top), default=0))
+        if narrow is not pk:
+            p, pk = _to_packing(p, pk, narrow), narrow
+    if obj is None:
+        obj = object.__new__(Polynomial)
+    _SET_VARSET(obj, varset)
+    _SET_ORDER(obj, pk.order)
+    _SET_PK(obj, pk)
+    _SET_LIST(obj, p)
+    _SET_SCALE(obj, scale)
+    return obj
+
+
+def _poly(varset: VarSet, pk: _Packing, p: _TermList, a: int = 1, b: int = 0,
+          d: int = 1, obj: Optional["Polynomial"] = None) -> "Polynomial":
+    """The polynomial (a + b*i)/d * p, for any sorted list p packed by pk."""
+    if not p:
+        return _wrap(varset, _packing(pk.n, pk.order, _BITS), p, _UNIT, obj)
+    return _wrap(varset, pk, *_normalized(p, a, b, d), obj)
+
+
+def _assembled(n: int, order: MonomialOrder,
+               coeffs: Mapping[Monomial, Tuple[int, int]]) -> Tuple[_Packing, _TermList]:
+    """The sorted list of {exponent tuple: Gaussian integer}, packed by the
+    narrowest fields that hold it."""
+    def run(pk: _Packing):
+        pack = pk.pack
+        return pk, sorted(((*pack(m), c) for m, c in coeffs.items() if c[0] or c[1]),
+                          reverse=True)
+    return _widening(run, _packing(n, order, _BITS))
+
+
+class Polynomial:
+    """Immutable sparse polynomial over Q(i) on a fixed VarSet.
+
+    The value is s times a term list over Z[i]: the list is primitive
+    (`_primitive`) and packed by the narrowest fields of width _BITS * 2^k
+    that hold its exponents, and s is one exact scale in Q(i) in lowest
+    terms.  For a given order both are unique, so equality and hashing
+    compare them structurally.  Arithmetic, `derivative`, `with_order` and
+    `substitute` work on the packed ints; `terms` is a read-only view
+    {exponent tuple: GaussianRational}, built when first asked for.
+    """
+
+    # `_view` and `_hash` are set when first asked for
+    __slots__ = ("varset", "order", "_pk", "_list", "_scale", "_view", "_hash")
 
     def __init__(self, varset: VarSet, terms: Mapping[Monomial, GaussianRational],
                  order: MonomialOrder = DEGREVLEX):
-        clean: Dict[Monomial, GaussianRational] = {}
         n = len(varset)
+        clean = []
+        denom = 1
         for m, c in terms.items():
             if len(m) != n:
                 raise VarSetMismatchError("monomial length does not match VarSet")
             if not isinstance(c, GaussianRational):
                 c = gr(c)
-            if not c.is_zero():
-                clean[m] = c
-        object.__setattr__(self, "varset", varset)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_hash", None)
+            clean.append((m, c))
+            denom = lcm(denom, c.d)
+        pk, p = _assembled(n, order, {m: (c.a * (denom // c.d), c.b * (denom // c.d))
+                                      for m, c in clean})
+        _poly(varset, pk, p, 1, 0, denom, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -187,58 +485,98 @@ class Polynomial:
     @staticmethod
     def constant(varset: VarSet, c: Coefficient,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        return Polynomial(varset, {varset.unit_monomial(): gr(c)}, order)
+        c = gr(c)
+        pk = _packing(len(varset), order, _BITS)
+        if c.is_zero():
+            return _wrap(varset, pk, [], _UNIT)
+        return _wrap(varset, pk, [(0, 0, (1, 0))], (c.a, c.b, c.d))
 
     @staticmethod
     def variable(varset: VarSet, name: str,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        return Polynomial(varset, {varset.var_monomial(name): ONE}, order)
+        k = varset.index(name)
+        pk = _packing(len(varset), order, _BITS)
+        return _wrap(varset, pk, [(pk.weights[k], 1 << pk.shifts[k], (1, 0))], _UNIT)
+
+    # -- the packed form ------------------------------------------------
+
+    def _packed(self, pk: _Packing) -> Tuple[_TermList, _Scale]:
+        """(list, scale) of self with its terms packed by pk, a packing of
+        the same ring; raises _FieldOverflow if an exponent outgrows pk."""
+        own = self._pk
+        if pk is own:
+            return self._list, self._scale
+        p = _to_packing(self._list, own, pk)
+        if pk.order == own.order or not p:
+            return p, self._scale
+        return _normalized(p, *self._scale)    # a new lead
+
+    def _common(self, other: "Polynomial"):
+        """(pk, p, s, q, t): self = s*p and other = t*q, both packed by pk
+        in self's order."""
+        self._check(other)
+        pk = self._pk
+        if other._pk is pk:
+            return pk, self._list, self._scale, other._list, other._scale
+        if other._pk.bits > pk.bits:
+            pk = _packing(pk.n, pk.order, other._pk.bits)
+        return (pk, *self._packed(pk), *other._packed(pk))
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, GaussianRational]:
+        """{exponent tuple: coefficient}, in descending order."""
+        try:
+            return self._view
+        except AttributeError:
+            a, b, d = self._scale
+            unpack, make = self._pk.unpack, GaussianRational._make
+            view = MappingProxyType({unpack(m): make(a * x - b * y, a * y + b * x, d)
+                                     for _, m, (x, y) in self._list})
+            object.__setattr__(self, "_view", view)
+            return view
+
+    def monomials(self) -> List[Monomial]:
+        """The exponent tuples of the terms, in descending order."""
+        unpack = self._pk.unpack
+        return [unpack(m) for _, m, _ in self._list]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._list
 
     def sorted_terms(self):
         """Terms in descending order of the ambient MonomialOrder."""
-        cached = self._sorted
-        if cached is None:
-            key = self.order.key
-            cached = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-            object.__setattr__(self, "_sorted", cached)
-        return cached
+        return list(self.terms.items())
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self._list:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.sorted_terms()[0][0]
+        return self._pk.unpack(self._list[0][1])
 
     def leading_coefficient(self) -> GaussianRational:
-        return self.sorted_terms()[0][1]
+        a, b, d = self._scale
+        x = self._list[0][2][0]    # a positive integer
+        return GaussianRational._make(a * x, b * x, d)
 
     def constant_value(self) -> GaussianRational:
         """The value of a constant polynomial."""
         if self.is_zero():
             return ZERO
-        if len(self.terms) == 1 and sum(self.leading_monomial()) == 0:
+        if len(self._list) == 1 and self._list[0][1] == 0:
             return self.leading_coefficient()
         raise ValueError("polynomial is not constant")
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max((self._pk.degree(m) for _, m, _ in self._list), default=-1)
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        k = self.varset.index(name)
-        return max(m[k] for m in self.terms)
+        s, mask = self._pk.shifts[self.varset.index(name)], self._pk.mask
+        return max(((m >> s) & mask for _, m, _ in self._list), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({self._pk.degree(m) for _, m, _ in self._list}) <= 1
 
     def bidegree(self, left_vars: Sequence[str]):
         """(d1, d2) degrees w.r.t. a variable split, or None if mixed."""
@@ -246,16 +584,26 @@ class Polynomial:
         pairs = {
             (sum(e for k, e in enumerate(m) if k in idx),
              sum(e for k, e in enumerate(m) if k not in idx))
-            for m in self.terms
+            for m in self.monomials()
         }
         if len(pairs) == 1:
             return next(iter(pairs))
         return None
 
+    def homogeneous_components(self) -> Dict[int, "Polynomial"]:
+        """{degree: the part of self of that total degree}."""
+        parts: Dict[int, _TermList] = {}
+        degree = self._pk.degree
+        for t in self._list:
+            parts.setdefault(degree(t[1]), []).append(t)
+        return {k: _poly(self.varset, self._pk, p, *self._scale)
+                for k, p in parts.items()}
+
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.order:
             return self
-        return Polynomial(self.varset, self.terms, order)
+        pk = _packing(len(self.varset), order, self._pk.bits)
+        return _wrap(self.varset, pk, *self._packed(pk))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -266,24 +614,25 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.varset, other, self.order)
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-        return Polynomial(self.varset, terms, self.order)
+        pk, p, (a1, b1, d1), q, (a2, b2, d2) = self._common(other)
+        if not q:
+            return self
+        if (a1, b1, d1) == (a2, b2, d2):
+            return _poly(self.varset, pk, _iadd(p, q), a1, b1, d1)
+        # s*p + t*q = (s*d1*d2/h * p + t*d1*d2/h * q) * h/(d1*d2), h = gcd(d1, d2)
+        h = gcd(d1, d2)
+        e1, e2 = d2 // h, d1 // h
+        return _poly(self.varset, pk, _iadd(_ishift(p, 0, 0, (a1 * e1, b1 * e1)),
+                                            _ishift(q, 0, 0, (a2 * e2, b2 * e2))),
+                     1, 0, d1 * e1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.varset, {m: -c for m, c in self.terms.items()}, self.order)
+        if not self._list:
+            return self
+        a, b, d = self._scale
+        return _wrap(self.varset, self._pk, self._list, (-a, -b, d))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -298,23 +647,16 @@ class Polynomial:
             c = gr(other)
             if c.is_zero():
                 return Polynomial.zero(self.varset, self.order)
-            return Polynomial(self.varset, {m: v * c for m, v in self.terms.items()}, self.order)
-        self._check(other)
-        out: Dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Polynomial(self.varset, out, self.order)
+            if not self._list:
+                return self
+            a, b, d = self._scale
+            return _wrap(self.varset, self._pk, self._list,
+                         _lowest(a * c.a - b * c.b, a * c.b + b * c.a, d * c.d))
+        pk, p, (a1, b1, d1), q, (a2, b2, d2) = self._common(other)
+        if not p or not q:
+            return Polynomial.zero(self.varset, self.order)
+        return _poly(self.varset, *_product(p, q, pk),
+                     a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -333,8 +675,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        inv = self.leading_coefficient().inverse()
-        return self * inv
+        return _wrap(self.varset, self._pk, self._list, (1, 0, self._list[0][2][0]))
 
     def __eq__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -344,14 +685,21 @@ class Polynomial:
             other = Polynomial.constant(self.varset, c, self.order)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.varset == other.varset and self.terms == other.terms
+        if self.varset != other.varset:
+            return False
+        other = other.with_order(self.order)
+        return (self._pk.bits == other._pk.bits and self._scale == other._scale
+                and self._list == other._list)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.varset, frozenset(self.terms.items())))
+        # the packed monomials depend on the field width alone, which is
+        # the narrowest that holds the exponents: not on the order
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.varset, frozenset([m for _, m, _ in self._list])))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __str__(self):
         return print_poly(self)
@@ -362,14 +710,17 @@ class Polynomial:
     # -- calculus / maps -----------------------------------------------
 
     def derivative(self, name: str) -> "Polynomial":
+        # x_k^e -> e*x_k^(e-1) lowers every key by the same weight, so the
+        # list stays sorted
+        pk = self._pk
         k = self.varset.index(name)
-        out: Dict[Monomial, GaussianRational] = {}
-        for m, c in self.terms.items():
-            e = m[k]
+        s, mask, w = pk.shifts[k], pk.mask, pk.weights[k]
+        out = []
+        for key, m, (a, b) in self._list:
+            e = (m >> s) & mask
             if e:
-                dm = m[:k] + (e - 1,) + m[k + 1:]
-                out[dm] = out.get(dm, ZERO) + c * e
-        return Polynomial(self.varset, out, self.order)
+                out.append((key - w, m - (1 << s), (a * e, b * e)))
+        return _poly(self.varset, pk, out, *self._scale)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation with complex values for every variable."""
@@ -382,6 +733,11 @@ class Polynomial:
                     t *= v ** e
             total += t
         return total
+
+
+_SET_VARSET, _SET_ORDER, _SET_PK, _SET_LIST, _SET_SCALE = (
+    getattr(Polynomial, name).__set__
+    for name in ("varset", "order", "_pk", "_list", "_scale"))
 
 
 def substitute(f: Polynomial,
@@ -403,13 +759,16 @@ def substitute(f: Polynomial,
     # per variable of f: a Polynomial on target, a scalar, or the name of
     # the target variable it stays
     images: list = []
+    expand = False    # whether an image has more than one term
     for name in f.varset.names:
         if name in assignment:
             v = assignment[name]
             if not isinstance(v, Polynomial):
                 v = gr(v)
-            elif v.varset != target:
+            elif v.varset is not target and v.varset != target:
                 raise VarSetMismatchError("assigned value on wrong VarSet")
+            else:
+                expand = expand or len(v._list) > 1
         elif name in target:
             v = name
         else:
@@ -417,65 +776,111 @@ def substitute(f: Polynomial,
                 f"variable {name!r} neither assigned nor present in target")
         images.append(v)
 
-    out: Dict[Monomial, GaussianRational] = {}
-    if not any(isinstance(v, Polynomial) and len(v.terms) > 1 for v in images):
+    fpk = f._pk
+    unpack = fpk.unpack
+    sa, sb, sd = f._scale
+    n = len(target)
+    if not expand:
         # point evaluations, renamings, lifts and signed permutations: the
-        # bulk of the calls, so no Polynomial arithmetic here
-        # per variable: (support of the image monomial, coefficient or None
-        # for 1), or None when the image is zero
-        single: list = []
-        for v in images:
+        # bulk of the calls, so each term of f maps to one term
+        zero = 0    # the fields of the variables with a zero image
+        for k, v in enumerate(images):
+            if not isinstance(v, str) and v.is_zero():
+                zero |= fpk.mask << fpk.shifts[k]
+        top = 0
+        kept = []    # the terms of f whose image is not zero
+        for t in f._list:
+            if not t[1] & zero:
+                top |= t[1]
+                kept.append(t)
+        tops = unpack(top)
+        bound = 0
+        for e, v in zip(tops, images):
             if isinstance(v, str):
-                single.append(([(target.index(v), 1)], None))
-            elif isinstance(v, GaussianRational):
-                single.append(None if v.is_zero() else ([], None if v == ONE else v))
-            elif v.is_zero():
-                single.append(None)
+                bound += e
+            elif e and isinstance(v, Polynomial) and v._list:
+                bound += e * max(v._pk.unpack(v._list[0][1]), default=0)
+        pk = _fitting(_packing(n, order, _BITS), bound)
+        # per variable of f: the key and monomial of its image, and the
+        # image coefficients other than 1, each the scale of its image
+        key_of, mono_of, scaled = [0] * len(images), [0] * len(images), []
+        for k, v in enumerate(images):
+            if not tops[k]:
+                continue
+            if isinstance(v, str):
+                j = target.index(v)
+                key_of[k], mono_of[k] = pk.weights[j], 1 << pk.shifts[j]
+                continue
+            if isinstance(v, GaussianRational):
+                c = (v.a, v.b, v.d)
             else:
-                (m, c), = v.terms.items()
-                single.append(([(j, a) for j, a in enumerate(m) if a],
-                               None if c == ONE else c))
-        coeff_pows: Dict[Tuple[int, int], GaussianRational] = {}
-        n = len(target)
-        for m, c in f.terms.items():
-            mono = [0] * n
-            for k, e in enumerate(m):
-                if not e:
-                    continue
-                if single[k] is None:
-                    break
-                support, ck = single[k]
-                if ck is not None:
+                (key_of[k], mono_of[k], _), = v._packed(pk)[0]
+                c = v._scale
+            if c != _UNIT:
+                scaled.append((k, c))
+        coeff_pows: Dict[Tuple[int, int], _Scale] = {}
+        mapped = []    # (key, mono, a, b, d): the term (a + b*i)/d * x^mono
+        for _, m, (a, b) in kept:
+            exps = unpack(m)
+            d = 1
+            for k, (ca, cb, cd) in scaled:
+                e = exps[k]
+                if e:
                     p = coeff_pows.get((k, e))
                     if p is None:
-                        p = coeff_pows[(k, e)] = ck ** e
-                    c = c * p
-                for j, a in support:
-                    mono[j] += a * e
+                        x, y = 1, 0
+                        for _ in range(e):
+                            x, y = x * ca - y * cb, x * cb + y * ca
+                        p = coeff_pows[(k, e)] = (x, y, cd ** e)
+                    a, b, d = a * p[0] - b * p[1], a * p[1] + b * p[0], d * p[2]
+            mapped.append((sum(map(mul, exps, key_of)), sum(map(mul, exps, mono_of)),
+                           a, b, d))
+        denom = lcm(*(t[4] for t in mapped))
+        acc: Dict[int, list] = {}
+        for key, m, a, b, d in mapped:
+            a, b = a * (denom // d), b * (denom // d)
+            t = acc.get(m)
+            if t is None:
+                acc[m] = [key, a, b]
             else:
-                key = tuple(mono)
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-        return Polynomial(target, out, order)
+                t[1] += a
+                t[2] += b
+        out = sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
+                     reverse=True)
+        return _poly(target, pk, out, sa, sb, sd * denom)
 
-    polys = [v if isinstance(v, Polynomial)
+    polys = [v.with_order(order) if isinstance(v, Polynomial)
              else Polynomial.variable(target, v, order) if isinstance(v, str)
              else Polynomial.constant(target, v, order) for v in images]
-    unit = target.unit_monomial()
+    one = Polynomial.constant(target, 1, order)
     pows: Dict[Tuple[int, int], Polynomial] = {}
-    for m, c in f.terms.items():
-        term = None
-        for k, e in enumerate(m):
+    parts = []    # (image of a monomial of f, its coefficient in f)
+    for _, m, c in f._list:
+        term = one
+        for k, e in enumerate(unpack(m)):
             if e:
                 p = pows.get((k, e))
                 if p is None:
                     p = pows[(k, e)] = polys[k] ** e
-                term = p if term is None else term * p
-        items = term.terms.items() if term is not None else ((unit, ONE),)
-        for mm, cc in items:
-            s = out.get(mm)
-            out[mm] = c * cc if s is None else s + c * cc
-    return Polynomial(target, out, order)
+                term = term * p
+        if not term.is_zero():
+            parts.append((term, c))
+    pk = _packing(n, order, max((t._pk.bits for t, _ in parts), default=_BITS))
+    denom = lcm(*(t._scale[2] for t, _ in parts)) if parts else 1
+    acc: Dict[int, list] = {}
+    for t, (x, y) in parts:
+        p, (a, b, d) = t._packed(pk)
+        a, b = (a * x - b * y) * (denom // d), (a * y + b * x) * (denom // d)
+        for key, mm, (u, w) in p:
+            s = acc.get(mm)
+            if s is None:
+                acc[mm] = [key, a * u - b * w, a * w + b * u]
+            else:
+                s[1] += a * u - b * w
+                s[2] += a * w + b * u
+    out = sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
+                 reverse=True)
+    return _poly(target, pk, out, sa, sb, sd * denom)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +936,9 @@ class _Lexer:
 
 
 class _Parser:
+    """Recursive descent over the grammar.  The values are Polynomials,
+    built by `constant` and `variable` and the arithmetic operators."""
+
     def __init__(self, text: str, varset: VarSet,
                  gamma: Optional[GaussianRational], order: MonomialOrder):
         self.lex = _Lexer(text)
@@ -602,18 +1010,24 @@ class _Parser:
                 c = GaussianRational(Fraction(num, int(den_tok[1])))
             else:
                 c = GaussianRational(num)
-            return Polynomial.constant(self.varset, c, self.order)
+            return self.constant(c)
         if kind == "name":
             if value == "i":
-                return Polynomial.constant(self.varset, gr(0, 1), self.order)
+                return self.constant(gr(0, 1))
             if value in self.varset:
-                return Polynomial.variable(self.varset, value, self.order)
+                return self.variable(value)
             if value == "g":
                 if self.gamma is None:
                     raise PolyParseError("placeholder 'g' used but no gamma bound", pos)
-                return Polynomial.constant(self.varset, self.gamma, self.order)
+                return self.constant(self.gamma)
             raise UnknownVariableError(f"unknown variable {value!r}", pos)
         raise PolyParseError(f"unexpected token {value!r}", pos)
+
+    def constant(self, c: GaussianRational) -> Polynomial:
+        return Polynomial.constant(self.varset, c, self.order)
+
+    def variable(self, name: str) -> Polynomial:
+        return Polynomial.variable(self.varset, name, self.order)
 
 
 def parse_poly(text: str, varset: VarSet,
@@ -623,26 +1037,53 @@ def parse_poly(text: str, varset: VarSet,
     return _Parser(text, varset, gamma, order).parse()
 
 
+class _Height:
+    """A bound on a Gaussian rational (a + b*i)/d from how it was written:
+    |a|, |b| <= 2^num and d <= 2^den, with `real` when b = 0.  Each
+    operator bounds its exact, unreduced result from its operands."""
+
+    __slots__ = ("num", "den", "real")
+
+    def __init__(self, num: int, den: int, real: bool):
+        self.num, self.den, self.real = num, den, real
+
+    def __add__(self, other: "_Height") -> "_Height":
+        return _Height(max(self.num + other.den, other.num + self.den) + 1,
+                       self.den + other.den, self.real and other.real)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> "_Height":
+        return self
+
+    def __mul__(self, other: "_Height") -> "_Height":
+        real = self.real and other.real
+        return _Height(self.num + other.num + (not real), self.den + other.den, real)
+
+    def __pow__(self, n: int) -> "_Height":
+        # |z^n| = |z|^n, and |z| <= 2^(num + 1/2)
+        return _Height(n * self.num + (0 if self.real else (n + 1) // 2),
+                       n * self.den, self.real)
+
+
+class _HeightParser(_Parser):
+    def constant(self, c: GaussianRational) -> _Height:
+        return _Height((max(abs(c.a), abs(c.b), 1) - 1).bit_length(),
+                       (c.d - 1).bit_length(), not c.b)
+
+
 def height_bound(text: str) -> int:
     """An upper bound on the bit length of the numerators and denominator
-    of the constant that `text` denotes, read from its tokens alone.
+    of the constant that `text` denotes.
 
-    A literal costs its bit length and every other token one bit.
-    A sum or product needs at most one bit more than its two operands,
-    and x^n at most n times what x and its '^' need, so the sum of those
-    costs times the product of the exponents is a bound.  Nothing is
-    evaluated: a text such as 2^1000000000 is bounded at once.
+    The parser's own grammar is walked with a bound in place of each
+    value: a sum needs one bit more than its larger operand, a product
+    the sum of its operands, and x^n n times x, with denominators
+    multiplying.  Nothing is evaluated: a text such as 2^1000000000 is
+    bounded at once.
     """
-    tokens = _Lexer(text).tokens
-    cost, scale = 0, 1
-    for k, (kind, value, _) in enumerate(tokens):
-        if kind == "nat" and k and tokens[k - 1][0] == "^":
-            scale *= max(1, int(value))
-        elif kind == "nat":
-            cost += int(value).bit_length()
-        elif kind != "end":
-            cost += 1
-    return cost * scale
+    h = _HeightParser(text, VarSet([]), None, DEGREVLEX).parse()
+    return max(h.num, h.den) + 1
 
 
 def _coeff_str(c: GaussianRational) -> Tuple[bool, str]:

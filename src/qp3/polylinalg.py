@@ -3,11 +3,13 @@ exact row reduction and nullspaces."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
-from .multipoly import Polynomial, VarSetMismatchError
+from .multipoly import (Polynomial, VarSetMismatchError, _FieldOverflow, _Packing,
+                        _TermList, _iadd, _ishift, _poly, _widening)
 
 
 class PolyMatrix:
@@ -76,26 +78,63 @@ class PolyMatrix:
 def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
     """Leading-term division (q, r) with f = q*g + r: no term of r is
     divisible by the leading monomial of g.  On univariate polynomials
-    this is the usual division with remainder."""
+    this is the usual division with remainder.
+
+    It runs on the term lists over Z[i] as the Groebner engine's normal
+    form does: with d the integer lead of g's list and c x^m the lead of
+    the work list, a step takes work to (d/h)*work - (c/h)*x^(m/l)*g,
+    h = gcd(d, c) in Z, and keeps s, the product of the d/h, with
+    s*f = q*g + r.  The integer content common to s and the lists goes.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    varset, order = f.varset, f.order
-    lm_g = g.leading_monomial()
-    lc_g_inv = g.leading_coefficient().inverse()
-    quotient: Dict[Tuple[int, ...], GaussianRational] = {}
-    remainder: Dict[Tuple[int, ...], GaussianRational] = {}
-    rest = f
-    while not rest.is_zero():
-        lm, c = rest.sorted_terms()[0]
-        diff = tuple(a - b for a, b in zip(lm, lm_g))
-        if any(e < 0 for e in diff):
-            remainder[lm] = c
-            rest = rest - Polynomial(varset, {lm: c}, order)
-            continue
-        c = c * lc_g_inv
-        quotient[diff] = c
-        rest = rest - Polynomial(varset, {diff: c}, order) * g
-    return Polynomial(varset, quotient, order), Polynomial(varset, remainder, order)
+
+    def run(pk: _Packing):
+        p, (fa, fb, fd) = f._packed(pk)
+        q, (ga, gb, gd) = g._packed(pk)
+        key_l, l, (d, _) = q[0]
+        top = 0
+        for _, m, _ in q:
+            top |= m
+        guard = pk.guard
+        quo: _TermList = []
+        rem: _TermList = []
+        work, s = p, 1
+        while work:
+            key0, m0, (a0, b0) = work[0]
+            if ((m0 | guard) - l) & guard != guard:    # l does not divide m0
+                rem.append(work[0])
+                work = work[1:]
+                continue
+            u = m0 - l
+            if (u + top) & guard:
+                raise _FieldOverflow
+            h = gcd(d, a0, b0)
+            e = d // h
+            quo.append((key0 - key_l, u, (a0 // h, b0 // h)))
+            tail = _ishift(q[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
+            work = work[1:]
+            if e > 1:
+                work, rem = _ishift(work, 0, 0, (e, 0)), _ishift(rem, 0, 0, (e, 0))
+                quo[:-1] = _ishift(quo[:-1], 0, 0, (e, 0))
+                s *= e
+            work = _iadd(work, tail)
+            if s > 1:
+                c = s
+                for _, _, (a, b) in chain(work, rem, quo):
+                    c = gcd(c, a, b)
+                    if c == 1:
+                        break
+                else:
+                    work, rem, quo = ([(k, m, (a // c, b // c)) for k, m, (a, b) in x]
+                                      for x in (work, rem, quo))
+                    s //= c
+        # f = (f_s/s) * (quo * q + rem) and g = g_s * q
+        na, nb = fa * ga + fb * gb, fb * ga - fa * gb    # f_s * conj(g_s)
+        return (_poly(f.varset, pk, quo, na * gd, nb * gd, fd * s * (ga * ga + gb * gb)),
+                _poly(f.varset, pk, rem, fa, fb, fd * s))
+
+    return _widening(run, f._pk)
 
 
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:

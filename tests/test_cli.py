@@ -215,6 +215,30 @@ def test_huge_gamma_usage_error(gamma, capsys):
     assert err.startswith("qp3: ") and "too large" in err
 
 
+@pytest.mark.parametrize("gamma", ["2^1000000000", "(2^100)^100"])
+def test_huge_gamma_is_refused_before_evaluation(gamma, capsys, monkeypatch):
+    import qp3.cli
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("gamma text evaluated")
+
+    monkeypatch.setattr(qp3.cli, "parse_poly", evaluated)
+    start = time.perf_counter()
+    code, out, err = run_cli([f"--gamma={gamma}", "point-scheme"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == "" and "too large" in err
+
+
+@pytest.mark.parametrize("command", [["point-scheme"], ["line-scheme", "--verify"],
+                                     ["lines-through", "--symbolic"]])
+def test_gamma_with_several_powers_is_computed(command, capsys):
+    # each power bounds its own subexpression: 2^100 + 2^100*i needs about
+    # a hundred bits, not the product of its exponents
+    code, out, _ = run_cli(["--gamma=2^100+2^100*i"] + command, capsys)
+    assert code == EXIT_OK
+    assert "verified: yes" in out or "verified: True" in out
+
+
 def test_large_gamma_within_bound_is_computed(capsys):
     code, out, _ = run_cli(["--gamma=2^2000", "point-scheme"], capsys)
     assert code == EXIT_OK

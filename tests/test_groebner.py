@@ -5,10 +5,10 @@ from math import gcd
 
 import pytest
 
-from qp3.gaussian import gr
+from qp3.gaussian import GaussianRational, gr
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly)
-from qp3 import groebner
+from qp3 import groebner, multipoly
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           ResourceLimitError, buchberger, eliminate,
                           hilbert_dimension_degree, ideal_member, intersect,
@@ -264,30 +264,45 @@ def test_buchberger_s_polynomials_reduce_posthoc():
 
 def test_basis_term_lists_are_primitive():
     # every term list a basis keeps is its own primitive form: the lead is
-    # a positive integer and the integer content of the coefficients is 1
+    # a positive integer and the integer content of the coefficients is 1;
+    # `basis` is the monic view of those same lists, with no conversion
     G = buchberger(line_scheme_ideal(gr(1)).ideal)
     assert len(G._lists) == len(G.basis) > 1
-    for p in G._lists:
+    for p, g in zip(reversed(G._lists), G.basis):
         a, b = p[0][2]
         assert a > 0 and b == 0
         assert gcd(*(x for _, _, c in p for x in c)) == 1
-        assert groebner._primitive(p)[0] == p
+        assert multipoly._primitive(p)[0] == p
+        assert g._list is p and g._scale == (1, 0, a)
+        assert g.leading_coefficient() == gr(1)
     assert ([G._packing.unpack(p[0][1]) for p in reversed(G._lists)]
             == G.leading_monomials())
 
 
 def test_term_lists_carry_their_exact_scalar():
-    # _terms returns the primitive list of f and the q in Q(i) with
-    # list = q * f, for real negative, imaginary and Gaussian leads
+    # a Polynomial stores its primitive list and the exact scale s in Q(i)
+    # with f = s * list, for real negative, imaginary and Gaussian leads;
+    # a multiple of f by any nonzero scalar keeps the same list
     vs = VarSet(["x", "y"])
-    for text in ("-3*x^2 + 6*y", "5*i*x - 10*y", "(2+i)*x*y + 1/3*y - 5",
-                 "-1/2*x + 1/4 - 1/4*i", "(-4-2*i)*y^2 + 2*x"):
+    q = Fraction
+    cases = {
+        "-3*x^2 + 6*y": {(2, 0): gr(-3), (0, 1): gr(6)},
+        "5*i*x - 10*y": {(1, 0): gr(0, 5), (0, 1): gr(-10)},
+        "(2+i)*x*y + 1/3*y - 5": {(1, 1): gr(2, 1), (0, 1): gr(q(1, 3)),
+                                  (0, 0): gr(-5)},
+        "-1/2*x + 1/4 - 1/4*i": {(1, 0): gr(q(-1, 2)), (0, 0): gr(q(1, 4), q(-1, 4))},
+        "(-4-2*i)*y^2 + 2*x": {(0, 2): gr(-4, -2), (1, 0): gr(2)},
+    }
+    for text, terms in cases.items():
         f = parse_poly(text, vs)
-        pk = groebner._packing(len(vs), DEGREVLEX)
-        p, q = groebner._terms(f, pk)
-        assert groebner._primitive(p)[0] == p
-        assert {pk.unpack(m): gr(a, b) for _, m, (a, b) in p} == {
-            m: q * c for m, c in f.terms.items()}
+        assert f == Polynomial(vs, terms)
+        p, pk = f._list, f._pk
+        assert multipoly._primitive(p)[0] == p
+        s = GaussianRational._make(*f._scale)
+        assert {pk.unpack(m): gr(a, b) * s for _, m, (a, b) in p} == terms
+        for c in (gr(-1), gr(0, 1), gr(q(3, 7), -2)):
+            g = f * c
+            assert g._list == p and GaussianRational._make(*g._scale) == s * c
 
 
 _FIVE = VarSet(["a", "b", "c", "d", "t"])
@@ -301,7 +316,7 @@ def test_packed_monomials_match_their_tuple_definitions(order):
     # exponent a field stores and the largest a reducer may carry
     rng = random.Random(23)
     n = len(_FIVE)
-    pk = groebner._packing(n, order)
+    pk = multipoly._packing(n, order, multipoly._BITS)
     top, half = pk.mask, pk.mask >> 1
 
     def vector(bound):
@@ -321,9 +336,9 @@ def test_packed_monomials_match_their_tuple_definitions(order):
         c, d = vector(half), vector(half)
         (kc, mc), (kd, md) = pk.pack(c), pk.pack(d)
         assert pk.pack(tuple(x + y for x, y in zip(c, d))) == (kc + kd, mc + md)
-    with pytest.raises(groebner._FieldOverflow):
+    with pytest.raises(multipoly._FieldOverflow):
         pk.pack((0, top + 1, 0, 0, 0))
-    with pytest.raises(groebner._FieldOverflow):
+    with pytest.raises(multipoly._FieldOverflow):
         pk.check([pk.pack((0, 0, half + 1, 0, 0)) + ((1, 0),)])
 
 
@@ -333,14 +348,14 @@ def test_exponents_beyond_the_packed_width_widen_the_fields(monkeypatch):
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
     lex = MonomialOrder.lex()
     vs = VarSet(["y", "x", "z"])
-    assert 12000 < 2 ** (groebner._BITS - 1) <= 24000 < 2 ** groebner._BITS < 36000
+    assert 12000 < 2 ** (multipoly._BITS - 1) <= 24000 < 2 ** multipoly._BITS < 36000
     I = Ideal([parse_poly("y - x^3", vs, order=lex),
                parse_poly("x - z^12000", vs, order=lex)], lex)
     G = buchberger(I)
     assert [print_poly(p) for p in G] == ["y - z^36000", "x - z^12000"]
-    assert G._packing.bits > groebner._BITS
+    assert G._packing.bits > multipoly._BITS
     # an input exponent beyond even the widened fields
-    huge = 2 ** (2 * groebner._BITS) + 1
+    huge = 2 ** (2 * multipoly._BITS) + 1
     f = parse_poly(f"x*z^{huge}", vs, order=lex)
     assert print_poly(normal_form(f, G)) == f"z^{huge + 12000}"
 

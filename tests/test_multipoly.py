@@ -221,7 +221,35 @@ def test_height_bound_bounds_every_constant():
                            f"({a})^{rng.randint(0, 6)}", f"-({a})"])
 
     empty = VarSet([])
-    for _ in range(400):
-        text = expr(4)
+    several = ["2^100+2^100*i", "(2^3)^4*3^5 - 7^2", "(1+i)^7 - (2-3*i)^5*i^3",
+               "1/3^4 + 5^6*i^3", "((1/2)^3 + i^2)^4 * (2/3)^2", "(1/255 + 1/253)^3",
+               "-(3^2 - 1/7^2)^2*(i - 1/2)^5 + (2^10)^1"]
+    for text in [expr(4) for _ in range(400)] + several:
         v = parse_poly(text, empty).constant_value()
         assert max(abs(v.a), abs(v.b), v.d).bit_length() <= height_bound(text), text
+    # each power bounds only the subexpression it applies to
+    assert height_bound("2^100+2^100*i") <= 110
+
+
+def test_polynomial_exponents_beyond_the_packed_width_stay_exact():
+    # products and substitute images whose exponents pass 2^15 widen the
+    # packed fields; a result whose exponents fit again is stored narrow,
+    # so equal polynomials compare and hash alike
+    from qp3 import multipoly
+
+    vs = VarSet(["x", "y"])
+    x = parse_poly("x^20000", vs)
+    assert 2 ** 15 > 20000 and 40000 > 2 ** 15
+    assert print_poly(x * x) == "x^40000"
+    assert (x * x)._pk.bits > multipoly._BITS
+    assert print_poly((x + 1) ** 2) == "x^40000 + 2*x^20000 + 1"
+    img = substitute(parse_poly("x^3 - x*y", vs), {"x": parse_poly("y^20000", vs)})
+    assert print_poly(img) == "y^60000 - y^20001"
+    assert print_poly(img.derivative("y")) == "60000*y^59999 - 20001*y^20000"
+    wide = parse_poly("x^40000 + y", vs)
+    assert wide._pk.bits > multipoly._BITS
+    narrow = wide - parse_poly("x^40000", vs)
+    assert narrow._pk.bits == multipoly._BITS
+    assert narrow == parse_poly("y", vs) and hash(narrow) == hash(parse_poly("y", vs))
+    lex = MonomialOrder.lex()
+    assert wide.with_order(lex) == wide and hash(wide.with_order(lex)) == hash(wide)
