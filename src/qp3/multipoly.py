@@ -340,8 +340,17 @@ def _iadd(p: _TermList, q: _TermList) -> _TermList:
     return out
 
 
+def _times(p: _TermList, x: int, y: int) -> _TermList:
+    """(x + y*i) * p."""
+    if y:
+        return [(k, m, (a * x - b * y, a * y + b * x)) for k, m, (a, b) in p]
+    return p if x == 1 else [(k, m, (a * x, b * x)) for k, m, (a, b) in p]
+
+
 def _ishift(p: _TermList, key_u: int, u: int, c: Tuple[int, int]) -> _TermList:
     """c * x^u * p; key addition keeps the list sorted."""
+    if c == (1, 0):
+        return [(key + key_u, m + u, d) for key, m, d in p]
     x, y = c
     return [(key + key_u, m + u, (a * x - b * y, a * y + b * x))
             for key, m, (a, b) in p]
@@ -608,7 +617,7 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if self.varset != other.varset:
+        if self.varset is not other.varset and self.varset != other.varset:
             raise VarSetMismatchError("polynomials live on different VarSets")
 
     def __add__(self, other):
@@ -622,8 +631,8 @@ class Polynomial:
         # s*p + t*q = (s*d1*d2/h * p + t*d1*d2/h * q) * h/(d1*d2), h = gcd(d1, d2)
         h = gcd(d1, d2)
         e1, e2 = d2 // h, d1 // h
-        return _poly(self.varset, pk, _iadd(_ishift(p, 0, 0, (a1 * e1, b1 * e1)),
-                                            _ishift(q, 0, 0, (a2 * e2, b2 * e2))),
+        return _poly(self.varset, pk, _iadd(_times(p, a1 * e1, b1 * e1),
+                                            _times(q, a2 * e2, b2 * e2)),
                      1, 0, d1 * e1)
 
     __radd__ = __add__

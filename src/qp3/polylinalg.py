@@ -4,12 +4,12 @@ exact row reduction and nullspaces."""
 from __future__ import annotations
 
 from itertools import chain, combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (Polynomial, VarSetMismatchError, _FieldOverflow, _Packing,
-                        _TermList, _iadd, _ishift, _poly, _widening)
+                        _TermList, _iadd, _ishift, _poly, _times, _widening)
 
 
 class PolyMatrix:
@@ -115,8 +115,7 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
             tail = _ishift(q[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
             work = work[1:]
             if e > 1:
-                work, rem = _ishift(work, 0, 0, (e, 0)), _ishift(rem, 0, 0, (e, 0))
-                quo[:-1] = _ishift(quo[:-1], 0, 0, (e, 0))
+                work, rem, quo[:-1] = _times(work, e, 0), _times(rem, e, 0), _times(quo[:-1], e, 0)
                 s *= e
             work = _iadd(work, tail)
             if s > 1:
@@ -198,6 +197,15 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
     return out
 
 
+def _content_free(row: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    g = 0
+    for x, y in row:
+        g = gcd(g, x, y)
+        if g == 1:
+            return row
+    return [(x // g, y // g) for x, y in row] if g > 1 else row
+
+
 class ScalarMatrix:
     """Rectangular matrix over Q(i) with exact row reduction."""
 
@@ -216,30 +224,45 @@ class ScalarMatrix:
         self.entries = entries
 
     def rref(self) -> Tuple["ScalarMatrix", List[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        a = [row[:] for row in self.entries]
+        """Reduced row echelon form and the list of pivot columns.
+
+        The rows are reduced fraction-free over Z[i]: each is scaled to
+        Gaussian integers, a step takes row to p*row - f*pivot_row, and
+        the integer content of the result goes.  Pivot rows are divided
+        by their pivots at the end; the form is unique, so it is the one
+        that division first would give.
+        """
+        a = []
+        for row in self.entries:
+            d = lcm(*(c.d for c in row))
+            a.append([(c.a * (d // c.d), c.b * (d // c.d)) for c in row])
         pivots: List[int] = []
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for rr in range(r, self.rows):
-                if not a[rr][c].is_zero():
-                    pivot_row = rr
-                    break
+            pivot_row = next((rr for rr in range(r, self.rows) if a[rr][c] != (0, 0)),
+                             None)
             if pivot_row is None:
                 continue
             a[r], a[pivot_row] = a[pivot_row], a[r]
-            inv = a[r][c].inverse()
-            a[r] = [x * inv for x in a[r]]
+            pa, pb = a[r][c]
             for rr in range(self.rows):
-                if rr != r and not a[rr][c].is_zero():
-                    f = a[rr][c]
-                    a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
+                fa, fb = a[rr][c]
+                if rr != r and (fa or fb):
+                    a[rr] = _content_free([
+                        (pa * x - pb * y - fa * u + fb * v, pa * y + pb * x - fa * v - fb * u)
+                        for (x, y), (u, v) in zip(a[rr], a[r])])
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return ScalarMatrix(a), pivots
+        out = [[ZERO] * self.cols for _ in range(self.rows)]
+        for k, c in enumerate(pivots):
+            # x / p = x * conj(p) / |p|^2
+            pa, pb = a[k][c]
+            n = pa * pa + pb * pb
+            out[k] = [GaussianRational._make(x * pa + y * pb, y * pa - x * pb, n)
+                      for x, y in a[k]]
+        return ScalarMatrix(out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
