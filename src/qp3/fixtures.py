@@ -70,7 +70,7 @@ class FixtureSet:
             if not _is_form(fixed[k], 4):
                 raise ValueError(f"line-scheme erratum {k} is not a quartic: {t}")
             diff = parse_poly(self.line_scheme_polys[k], _MG_VARS) - parse_poly(t, _MG_VARS)
-            changed = {m[:-1] for m in diff.terms}   # M-monomials, g exponent dropped
+            changed = {m[:-1] for m in diff.monomials()}   # g exponent dropped
             if len(changed) != 1:
                 raise ValueError(f"line-scheme erratum {k} must change the coefficient of "
                                  f"exactly one monomial, changes {len(changed)}")
@@ -90,8 +90,8 @@ def _is_form(p: Polynomial, degree: int) -> bool:
     """Whether p is nonzero and each of its terms has the given degree in
     the variables other than g."""
     g = p.varset.index("g") if "g" in p.varset else None
-    return bool(p.terms) and all(
-        sum(m) - (m[g] if g is not None else 0) == degree for m in p.terms)
+    return not p.is_zero() and all(
+        sum(m) - (m[g] if g is not None else 0) == degree for m in p.monomials())
 
 
 def _data_file(name: str):

@@ -381,8 +381,13 @@ def _product(p: _TermList, q: _TermList,
             else:
                 t[1] += a1 * a2 - b1 * b2
                 t[2] += a1 * b2 + b1 * a2
-    return pk, sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
-                      reverse=True)
+    return pk, _collected(acc)
+
+
+def _collected(acc: Dict[int, list]) -> _TermList:
+    """The sorted term list of {mono: [key, a, b]}, without zero terms."""
+    return sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +445,6 @@ def _poly(varset: VarSet, pk: _Packing, p: _TermList, a: int = 1, b: int = 0,
     return _wrap(varset, pk, *_normalized(p, a, b, d), obj)
 
 
-def _assembled(n: int, order: MonomialOrder,
-               coeffs: Mapping[Monomial, Tuple[int, int]]) -> Tuple[_Packing, _TermList]:
-    """The sorted list of {exponent tuple: Gaussian integer}, packed by the
-    narrowest fields that hold it."""
-    def run(pk: _Packing):
-        pack = pk.pack
-        return pk, sorted(((*pack(m), c) for m, c in coeffs.items() if c[0] or c[1]),
-                          reverse=True)
-    return _widening(run, _packing(n, order, _BITS))
-
-
 class Polynomial:
     """Immutable sparse polynomial over Q(i) on a fixed VarSet.
 
@@ -469,17 +463,20 @@ class Polynomial:
     def __init__(self, varset: VarSet, terms: Mapping[Monomial, GaussianRational],
                  order: MonomialOrder = DEGREVLEX):
         n = len(varset)
-        clean = []
+        clean = {}
         denom = 1
         for m, c in terms.items():
             if len(m) != n:
                 raise VarSetMismatchError("monomial length does not match VarSet")
-            if not isinstance(c, GaussianRational):
-                c = gr(c)
-            clean.append((m, c))
-            denom = lcm(denom, c.d)
-        pk, p = _assembled(n, order, {m: (c.a * (denom // c.d), c.b * (denom // c.d))
-                                      for m, c in clean})
+            c = gr(c)
+            if c:
+                clean[m] = c
+                denom = lcm(denom, c.d)
+        pk = _fitting(_packing(n, order, _BITS),
+                      max((max(m, default=0) for m in clean), default=0))
+        pack = pk.pack
+        p = sorted(((*pack(m), (c.a * (denom // c.d), c.b * (denom // c.d)))
+                    for m, c in clean.items()), reverse=True)
         _poly(varset, pk, p, 1, 0, denom, self)
 
     def __setattr__(self, name, value):
@@ -553,10 +550,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._list
-
-    def sorted_terms(self):
-        """Terms in descending order of the ambient MonomialOrder."""
-        return list(self.terms.items())
 
     def leading_monomial(self) -> Monomial:
         if not self._list:
@@ -827,8 +820,12 @@ def substitute(f: Polynomial,
                 c = v._scale
             if c != _UNIT:
                 scaled.append((k, c))
+        # every term's coefficient is (a + b*i)/d with d dividing denom
+        denom = 1
+        for k, (_, _, cd) in scaled:
+            denom *= cd ** tops[k]
         coeff_pows: Dict[Tuple[int, int], _Scale] = {}
-        mapped = []    # (key, mono, a, b, d): the term (a + b*i)/d * x^mono
+        acc: Dict[int, list] = {}
         for _, m, (a, b) in kept:
             exps = unpack(m)
             d = 1
@@ -842,54 +839,33 @@ def substitute(f: Polynomial,
                             x, y = x * ca - y * cb, x * cb + y * ca
                         p = coeff_pows[(k, e)] = (x, y, cd ** e)
                     a, b, d = a * p[0] - b * p[1], a * p[1] + b * p[0], d * p[2]
-            mapped.append((sum(map(mul, exps, key_of)), sum(map(mul, exps, mono_of)),
-                           a, b, d))
-        denom = lcm(*(t[4] for t in mapped))
-        acc: Dict[int, list] = {}
-        for key, m, a, b, d in mapped:
-            a, b = a * (denom // d), b * (denom // d)
-            t = acc.get(m)
+            a, b, mono = a * (denom // d), b * (denom // d), sum(map(mul, exps, mono_of))
+            t = acc.get(mono)
             if t is None:
-                acc[m] = [key, a, b]
+                acc[mono] = [sum(map(mul, exps, key_of)), a, b]
             else:
                 t[1] += a
                 t[2] += b
-        out = sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
-                     reverse=True)
-        return _poly(target, pk, out, sa, sb, sd * denom)
+        return _poly(target, pk, _collected(acc), sa, sb, sd * denom)
 
     polys = [v.with_order(order) if isinstance(v, Polynomial)
              else Polynomial.variable(target, v, order) if isinstance(v, str)
              else Polynomial.constant(target, v, order) for v in images]
-    one = Polynomial.constant(target, 1, order)
+    one = _packing(n, order, _BITS)
     pows: Dict[Tuple[int, int], Polynomial] = {}
-    parts = []    # (image of a monomial of f, its coefficient in f)
-    for _, m, c in f._list:
-        term = one
+    out = Polynomial.zero(target, order)
+    for _, m, (a, b) in f._list:
+        # the scaled coefficient of the term, times the powers of its images
+        term = _wrap(target, one, [(0, 0, (1, 0))],
+                     _lowest(a * sa - b * sb, a * sb + b * sa, sd))
         for k, e in enumerate(unpack(m)):
             if e:
                 p = pows.get((k, e))
                 if p is None:
                     p = pows[(k, e)] = polys[k] ** e
                 term = term * p
-        if not term.is_zero():
-            parts.append((term, c))
-    pk = _packing(n, order, max((t._pk.bits for t, _ in parts), default=_BITS))
-    denom = lcm(*(t._scale[2] for t, _ in parts)) if parts else 1
-    acc: Dict[int, list] = {}
-    for t, (x, y) in parts:
-        p, (a, b, d) = t._packed(pk)
-        a, b = (a * x - b * y) * (denom // d), (a * y + b * x) * (denom // d)
-        for key, mm, (u, w) in p:
-            s = acc.get(mm)
-            if s is None:
-                acc[mm] = [key, a * u - b * w, a * w + b * u]
-            else:
-                s[1] += a * u - b * w
-                s[2] += a * w + b * u
-    out = sorted(((k, m, (a, b)) for m, (k, a, b) in acc.items() if a or b),
-                 reverse=True)
-    return _poly(target, pk, out, sa, sb, sd * denom)
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1095,7 @@ def print_poly(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    for k, (m, c) in enumerate(f.sorted_terms()):
+    for k, (m, c) in enumerate(f.terms.items()):
         neg, body = _coeff_str(c)
         mono = _monomial_str(f.varset, m)
         if mono:

@@ -83,7 +83,7 @@ def univariate_roots(p: Polynomial, var: str = None, tol: float = DEFAULT_TOL,
     """All complex roots via companion-matrix eigenvalues, Newton-polished;
     raises ConvergenceError when a residual refuses to drop below tol."""
     names_used = [n for n in p.varset.names
-                  if any(m[p.varset.index(n)] for m in p.terms)]
+                  if any(m[p.varset.index(n)] for m in p.monomials())]
     if var is None:
         if len(names_used) != 1:
             raise ValueError("polynomial is not univariate")

@@ -3,7 +3,7 @@ exact row reduction and nullspaces."""
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -84,7 +84,7 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
     form does: with d the integer lead of g's list and c x^m the lead of
     the work list, a step takes work to (d/h)*work - (c/h)*x^(m/l)*g,
     h = gcd(d, c) in Z, and keeps s, the product of the d/h, with
-    s*f = q*g + r.  The integer content common to s and the lists goes.
+    s*f = q*g + r.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -115,19 +115,10 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
             tail = _ishift(q[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
             work = work[1:]
             if e > 1:
-                work, rem, quo[:-1] = _times(work, e, 0), _times(rem, e, 0), _times(quo[:-1], e, 0)
+                work, rem = _times(work, e, 0), _times(rem, e, 0)
+                quo[:-1] = _times(quo[:-1], e, 0)
                 s *= e
             work = _iadd(work, tail)
-            if s > 1:
-                c = s
-                for _, _, (a, b) in chain(work, rem, quo):
-                    c = gcd(c, a, b)
-                    if c == 1:
-                        break
-                else:
-                    work, rem, quo = ([(k, m, (a // c, b // c)) for k, m, (a, b) in x]
-                                      for x in (work, rem, quo))
-                    s //= c
         # f = (f_s/s) * (quo * q + rem) and g = g_s * q
         na, nb = fa * ga + fb * gb, fb * ga - fa * gb    # f_s * conj(g_s)
         return (_poly(f.varset, pk, quo, na * gd, nb * gd, fd * s * (ga * ga + gb * gb)),
@@ -248,9 +239,9 @@ class ScalarMatrix:
             for rr in range(self.rows):
                 fa, fb = a[rr][c]
                 if rr != r and (fa or fb):
-                    a[rr] = _content_free([
-                        (pa * x - pb * y - fa * u + fb * v, pa * y + pb * x - fa * v - fb * u)
-                        for (x, y), (u, v) in zip(a[rr], a[r])])
+                    a[rr] = _content_free([(pa * x - pb * y - fa * u + fb * v,
+                                            pa * y + pb * x - fa * v - fb * u)
+                                           for (x, y), (u, v) in zip(a[rr], a[r])])
             pivots.append(c)
             r += 1
             if r == self.rows:
