@@ -1,18 +1,16 @@
 """Buchberger's algorithm and the ideal-theoretic toolkit.
 
-The engine works on term lists with Gaussian-integer coefficients (pairs
-of ints), so no rational arithmetic happens in the hot loop.  A term's
-monomial is one int, its exponents packed in fixed-width fields with a
-guard bit each, and its order key is one int as well, additive under
-multiplication (`_Packing`): a divisibility test is one subtraction and a
-mask test, and a shift two int additions.  Fields that an exponent
-outgrows are widened and the computation rerun, so no exponent wraps.
+The engine reduces the term lists that Polynomials store (`multipoly`):
+Gaussian-integer coefficients, so no rational arithmetic happens in the
+hot loop, and each monomial and order key one int (`_Packing`), so a
+divisibility test is one subtraction and a mask test, and a shift two
+int additions.  Fields that an exponent outgrows are widened and the
+computation rerun, so no exponent wraps.
 
-Every list the engine keeps obeys one rule, `_primitive`: multiplied by
-the conjugate of its leading coefficient and divided by the integer gcd
-of its coefficients, its lead is a positive integer and no Gaussian
-content such as (1+i)^k survives.  A `GroebnerBasis` keeps the lists its
-computation produced, and `normal_form` reduces against them directly.
+Every list the engine keeps is primitive (`_primitive`): its lead is a
+positive integer and no Gaussian content such as (1+i)^k survives.  A
+`GroebnerBasis` keeps the lists its computation produced, `normal_form`
+reduces against them directly, and its `basis` is their monic view.
 
 Pairs are handled by the Gebauer-Moeller UPDATE (Becker-Weispfenning,
 Groebner Bases, 1993, 5.5): new pairs pass the chain and equal-lcm
@@ -33,9 +31,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
-                        VarSetMismatchError, _FieldOverflow, _Packing, _TermList,
-                        _BITS, _iadd, _ishift, _packing, _primitive, _poly, _widening,
-                        _wrap, substitute)
+                        VarSetMismatchError, _BITS, _FieldOverflow, _Packing,
+                        _TermList, _iadd, _ishift, _packing, _primitive, _poly,
+                        _widening, _wrap, substitute)
 
 
 class ResourceLimitError(RuntimeError):
@@ -134,8 +132,6 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # reduction of term lists
 # ---------------------------------------------------------------------------
-# The engine reduces the packed term lists that Polynomials store
-# (`multipoly._Packing`).  Every list it keeps is primitive.
 
 
 def _nf(f: _TermList, basis: Sequence[_TermList],
