@@ -189,6 +189,7 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
 
 
 def _content_free(row: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """A row of Gaussian integers divided by the integer gcd of its parts."""
     g = 0
     for x, y in row:
         g = gcd(g, x, y)
