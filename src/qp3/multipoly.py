@@ -491,11 +491,15 @@ class Polynomial:
     @staticmethod
     def constant(varset: VarSet, c: Coefficient,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        c = gr(c)
+        if isinstance(c, int):
+            scale = (c, 0, 1)
+        else:
+            c = gr(c)
+            scale = (c.a, c.b, c.d)
         pk = _packing(len(varset), order, _BITS)
-        if c.is_zero():
+        if not c:
             return _wrap(varset, pk, [], _UNIT)
-        return _wrap(varset, pk, [(0, 0, (1, 0))], (c.a, c.b, c.d))
+        return _wrap(varset, pk, [(0, 0, (1, 0))], scale)
 
     @staticmethod
     def variable(varset: VarSet, name: str,
@@ -657,22 +661,25 @@ class Polynomial:
         pk, p, (a1, b1, d1), q, (a2, b2, d2) = self._common(other)
         if not p or not q:
             return Polynomial.zero(self.varset, self.order)
-        return _poly(self.varset, *_product(p, q, pk),
-                     a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        pk, pq = _product(p, q, pk)
+        scale = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        if len(p) == 1 or len(q) == 1:    # x^u times a primitive list is one
+            return _wrap(self.varset, pk, pq, _lowest(*scale))
+        return _poly(self.varset, pk, pq, *scale)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.varset, 1, self.order)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return Polynomial.constant(self.varset, 1, self.order) if result is None else result
 
     def monic(self) -> "Polynomial":
         if self.is_zero():

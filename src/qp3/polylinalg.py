@@ -175,7 +175,7 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
                     if e.is_zero():
                         continue
                     contrib = e * val
-                    if bin(mask >> (r + 1)).count("1") % 2:
+                    if (mask >> (r + 1)).bit_count() % 2:
                         contrib = -contrib
                     acc = nxt.get(mask | bit)
                     nxt[mask | bit] = contrib if acc is None else acc + contrib
