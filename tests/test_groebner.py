@@ -521,7 +521,8 @@ def test_seeded_rabinowitsch_on_random_ideals(monkeypatch):
 def test_line_scheme_verification_s_pair_count(monkeypatch, gamma, spolys):
     # the Buchberger work of `line-scheme --verify` from empty caches: every
     # S-polynomial the engine forms, over all the bases the check computes.
-    # Reduced bases are unique, so a change of representation keeps these
+    # The pairs depend on the leading monomials and the selection order
+    # alone, so how polynomials are stored must not change these counts
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
     calls = []
     spoly = groebner._spoly
