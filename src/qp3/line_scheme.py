@@ -147,11 +147,9 @@ UNITS = (gr(1), gr(-1), gr(0, 1), gr(0, -1))
 
 def _ratio(f: Polynomial, g: Polynomial) -> Optional[GaussianRational]:
     """The scalar c with f = c*g, or None; None also when f is zero."""
-    if not f.terms or f.terms.keys() != g.terms.keys():
+    if f.is_zero() or g.is_zero() or f.monic() != g.monic():
         return None
-    m0, c0 = next(iter(f.terms.items()))
-    c = c0 / g.terms[m0]
-    return c if all(a == c * g.terms[m] for m, a in f.terms.items()) else None
+    return f.leading_coefficient() / g.leading_coefficient()
 
 
 def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
@@ -289,7 +287,7 @@ def match_displayed_big_matrix(A: QuadraticAlgebra) -> List[Tuple[int, GaussianR
     def row_ratio(s: int, r: int) -> Optional[GaussianRational]:
         """The scalar c with computed row s = c * displayed row r, or None."""
         ratios = {_ratio(a, b) for a, b in zip(mine.entries[s], shown.entries[r])
-                  if a.terms or b.terms}
+                  if not (a.is_zero() and b.is_zero())}
         return ratios.pop() if len(ratios) == 1 else None
 
     free = list(range(mine.rows))
