@@ -29,7 +29,6 @@ from itertools import chain
 from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .gaussian import ONE, ZERO
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
                         VarSetMismatchError, _BITS, _FieldOverflow, _Packing,
                         _TermList, _iadd, _ishift, _packing, _primitive, _poly,
@@ -525,45 +524,6 @@ def _minimalize(gens: List[Monomial]) -> List[Monomial]:
     return out
 
 
-def standard_monomials(G: GroebnerBasis) -> Optional[List[Monomial]]:
-    """Monomials outside the leading-term ideal, or None if infinite."""
-    lt = _minimalize(G.leading_monomials())
-    if any(sum(m) == 0 for m in lt):
-        return []
-    n = len(G.varset)
-    bounds = [None] * n
-    for m in lt:
-        nz = [k for k, e in enumerate(m) if e]
-        if len(nz) == 1:
-            k = nz[0]
-            if bounds[k] is None or m[k] < bounds[k]:
-                bounds[k] = m[k]
-    if any(b is None for b in bounds):
-        return None
-    out: List[Monomial] = []
-
-    def rec(prefix: List[int], k: int):
-        if k == n:
-            m = tuple(prefix)
-            if not any(_divides(g, m) for g in lt):
-                out.append(m)
-            return
-        for e in range(bounds[k]):
-            prefix.append(e)
-            rec(prefix, k + 1)
-            prefix.pop()
-
-    rec([], 0)
-    return sorted(out, key=lambda m: (sum(m), m))
-
-
-def quotient_dimension(I: Ideal) -> Optional[int]:
-    """dim over Q(i) of the ring modulo I; None when infinite."""
-    G = buchberger(I.with_order(DEGREVLEX))
-    sm = standard_monomials(G)
-    return None if sm is None else len(sm)
-
-
 _HILBERT_MEMO: Dict[Tuple[int, FrozenSet[Monomial]], Tuple[int, ...]] = {}
 
 
@@ -631,6 +591,36 @@ def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
     return result
 
 
+def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
+    """The Hilbert numerator of G's leading-term ideal over (1 - t)^n with
+    (1 - t) divided out as often as it goes, and how often that was."""
+    num = list(hilbert_numerator(G.leading_monomials(), len(G.varset)))
+    stripped = 0
+    while any(num) and sum(num) == 0:
+        # synthetic division by (1 - t)
+        out = [0] * (len(num) - 1)
+        acc = 0
+        for k in range(len(num) - 1):
+            acc = num[k] + acc
+            out[k] = acc
+        num = out
+        stripped += 1
+    return num, stripped
+
+
+def quotient_dimension(I: Ideal) -> Optional[int]:
+    """dim over Q(i) of the ring modulo I; None when infinite.
+
+    The Hilbert series of the standard monomials of I is a polynomial,
+    and their number finite, exactly when all n factors (1 - t) strip.
+    """
+    G = buchberger(I.with_order(DEGREVLEX))
+    if G.contains_one():
+        return 0
+    num, stripped = _stripped_numerator(G)
+    return sum(num) if stripped == len(I.varset) else None
+
+
 def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
     """(projective dimension, degree) of a homogeneous ideal.
 
@@ -645,59 +635,31 @@ def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
     G = buchberger(I.with_order(DEGREVLEX))
     if G.contains_one():
         return (-1, 0)
-    n = len(I.varset)
-    num = list(hilbert_numerator(G.leading_monomials(), n))
-    stripped = 0
-    while any(num) and sum(num) == 0:
-        # synthetic division by (1 - t)
-        out = [0] * (len(num) - 1)
-        acc = 0
-        for k in range(len(num) - 1):
-            acc = num[k] + acc
-            out[k] = acc
-        num = out
-        stripped += 1
+    num, stripped = _stripped_numerator(G)
     # series = num / (1-t)^(n - stripped) after cancellation, so the affine
     # cone has Krull dimension n - stripped and degree num(1)
-    return (n - stripped - 1, sum(num))
+    return (len(I.varset) - stripped - 1, sum(num))
 
 
 def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Inverse of u in the finite-dimensional quotient ring R/<G>.
+    """Inverse of u modulo the ideal I of G, as a normal form modulo G.
 
-    Solves the linear system given by the multiplication matrix of u on
-    the standard monomial basis; raises NotAUnitError when u is not
-    invertible (or the quotient is not finite-dimensional).
+    If u is a unit modulo I : u^infinity, with u v = 1 there, the basis of
+    I + <1 - t u> that eliminates t holds t - v.  v inverts u modulo I
+    only if u v - 1 reduces to zero modulo G (x modulo <x^2 - x> gives
+    t - 1), so this is checked; else NotAUnitError.  A DEGREVLEX G is a
+    finished prefix, as in `radical_member`: the order restricts to it.
     """
-    from .polylinalg import ScalarMatrix
-
-    sm = standard_monomials(G)
-    if sm is None:
-        raise NotAUnitError("quotient ring is not finite-dimensional")
-    if not sm:
-        raise NotAUnitError("quotient ring is zero")
-    vs = G.varset
-    index = {m: k for k, m in enumerate(sm)}
-    cols = []
-    for m in sm:
-        b = Polynomial(vs, {m: ONE}, G.order)
-        image = normal_form(u * b, G)
-        col = [ZERO] * len(sm)
-        for mm, c in image.terms.items():
-            col[index[mm]] = c
-        cols.append(col)
-    mat = ScalarMatrix([[cols[c][r] for c in range(len(sm))]
-                        for r in range(len(sm))])
-    rhs = [ZERO] * len(sm)
-    one_mono = vs.unit_monomial()
-    if one_mono not in index:
-        raise NotAUnitError("1 is not a standard monomial")
-    rhs[index[one_mono]] = ONE
-    x = mat.solve(rhs)
-    if x is None:
-        raise NotAUnitError("element is not a unit modulo the ideal")
-    terms = {m: c for m, c in zip(sm, x) if not c.is_zero()}
-    inv = Polynomial(vs, terms, G.order)
-    if not normal_form(u * inv - Polynomial.constant(vs, 1, G.order), G).is_zero():
-        raise NotAUnitError("element is not a unit modulo the ideal")
-    return inv
+    gens = _rabinowitsch(G.basis, u, "t_inv")
+    big = gens[-1].varset
+    t = big.names[-1]
+    E = _buchberger(Ideal(gens, MonomialOrder.elimination(big, [t])),
+                    len(G) if G.order == DEGREVLEX else 0)
+    for p, m in zip(E.basis, E.leading_monomials()):
+        if m == big.var_monomial(t):    # p = t - v, so -p at t = 0 is v
+            inv = normal_form(substitute(-p, {t: 0}, target=G.varset,
+                                         order=G.order), G)
+            if normal_form(u * inv - Polynomial.constant(G.varset, 1, G.order),
+                           G).is_zero():
+                return inv
+    raise NotAUnitError("element is not a unit modulo the ideal")

@@ -326,9 +326,6 @@ class ComponentCatalog:
     def __len__(self):
         return len(self.components)
 
-    def names(self) -> List[str]:
-        return [c.name for c in self.components]
-
     def get(self, name: str) -> Component:
         for c in self.components:
             if c.name == name:

@@ -85,9 +85,6 @@ class VarSet:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def unit_monomial(self) -> Monomial:
-        return (0,) * len(self.names)
-
     def var_monomial(self, name: str) -> Monomial:
         k = self.index(name)
         return tuple(1 if j == k else 0 for j in range(len(self.names)))

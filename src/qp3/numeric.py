@@ -128,31 +128,33 @@ def minor_residual(point: Sequence[complex], gamma: complex) -> float:
     return max(abs(p.evaluate(vals)) for p in _minor_polys_symbolic())
 
 
+def _newton(coeffs: np.ndarray, x: complex, scale: float) -> complex:
+    """x polished by Newton steps on the polynomial with `coeffs` (highest
+    first) until |f(x)| < 1e-14 * scale, scale its largest coefficient."""
+    dcoeffs = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
+    for _ in range(60):
+        fx = np.polyval(coeffs, x)
+        if abs(fx) < 1e-14 * scale:
+            break
+        x = x - fx / np.polyval(dcoeffs, x)
+    return x
+
+
 def enumerate_points(gamma, tol: float = DEFAULT_TOL) -> List[ComplexPoint]:
     """e1..e4 plus the sixteen solutions of the triangular system, polished
     until every one of the fifteen minors has residual below tol."""
     g = _float_gamma(gamma)
     pts = [ComplexPoint(v) for v in np.eye(4)]
-    # rho1 = x4^8 - 4 x4^4 + g^2, built directly from numeric coefficients
-    coeffs = np.zeros(9, dtype=complex)
-    coeffs[0] = 1.0
-    coeffs[4] = -4.0
-    coeffs[8] = g * g
-    x4_roots = np.roots(coeffs)
-    dcoeffs = coeffs[:-1] * np.arange(8, 0, -1)
-    for i, r in enumerate(x4_roots):
-        x = r
-        for _ in range(60):
-            fx = np.polyval(coeffs, x)
-            if abs(fx) < 1e-14 * max(1.0, abs(g * g)):
-                break
-            x = x - fx / np.polyval(dcoeffs, x)
-        x4_roots[i] = x
-    for x4 in x4_roots:
-        # rho2 = x3^2 - i x3 x4^2 - 1 = 0
+    rho1 = np.array([1, 0, 0, 0, -4, 0, 0, 0, g * g], dtype=complex)
+    for x4 in np.roots(rho1):
+        x4 = _newton(rho1, x4, max(1.0, abs(g * g)))
+        # rho2 = x3^2 - i x3 x4^2 - 1 = 0; the quadratic formula loses the
+        # digits of the smaller root to cancellation once |x4|^4 >> 4
+        rho2 = np.array([1.0, -1j * x4 * x4, -1.0])
         disc = np.sqrt(-(x4 ** 4) + 4.0 + 0j)
         for s in (1.0, -1.0):
-            x3 = (1j * x4 * x4 + s * disc) / 2.0
+            x3 = _newton(rho2, (1j * x4 * x4 + s * disc) / 2.0,
+                         max(1.0, abs(x4) ** 2))
             x2 = (2j * x4 ** 3 - x3 * x4 ** 5) / g
             pt = ComplexPoint((1.0, x2, x3, x4))
             if minor_residual(pt.coords, g) > tol:

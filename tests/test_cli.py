@@ -21,7 +21,6 @@ def run_cli(argv, capsys):
 def test_parse_gamma_forms():
     assert parse_gamma("4") == gr(4)
     assert parse_gamma("-1") == gr(-1)
-    assert parse_gamma("1/2 + 3/2*i") == gr(0.5, 1.5) or True
     from fractions import Fraction
 
     assert parse_gamma("1/2 + 3/2*i") == gr(Fraction(1, 2), Fraction(3, 2))
@@ -98,13 +97,16 @@ def test_lines_through_basis_point(capsys):
 
 
 def test_lines_through_numeric(capsys):
-    code, out, _ = run_cli(
-        ["--gamma", "1", "lines-through", "--numeric", "--format", "json"],
-        capsys)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert len(doc["points"]) == 16
-    assert all(len(r["lines"]) == 6 for r in doc["points"])
+    # at 2^30 and 2^35 the small root of rho2 keeps its digits only
+    # because it is Newton-polished, not read off the quadratic formula
+    for gamma in ("1", "2^30", "2^35"):
+        code, out, err = run_cli(
+            ["--gamma", gamma, "lines-through", "--numeric", "--format", "json"],
+            capsys)
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert len(doc["points"]) == 16
+        assert all(len(r["lines"]) == 6 for r in doc["points"])
 
 
 def test_resource_limit_exit(capsys):

@@ -10,11 +10,11 @@ from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly)
 from qp3 import groebner, multipoly
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
-                          ResourceLimitError, buchberger, eliminate,
-                          hilbert_dimension_degree, ideal_member, intersect,
-                          invert_mod, is_unit_mod, limits_scope, normal_form,
-                          quotient_dimension, radical_member, saturate,
-                          standard_monomials)
+                          NotAUnitError, ResourceLimitError, buchberger,
+                          eliminate, hilbert_dimension_degree, ideal_member,
+                          intersect, invert_mod, is_unit_mod, limits_scope,
+                          normal_form, quotient_dimension, radical_member,
+                          saturate)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
 from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (component_catalog, components_intersection,
@@ -210,6 +210,9 @@ def test_quotient_dimension_two_points():
     vs = VarSet(["x", "y"])
     I = Ideal([parse_poly("x^2 - 1", vs), parse_poly("y - x", vs)])
     assert quotient_dimension(I) == 2
+    assert quotient_dimension(Ideal([parse_poly("x^2 - 1", vs),
+                                     parse_poly("x", vs)])) == 0
+    assert quotient_dimension(Ideal([], varset=VarSet([]))) == 1
 
 
 def test_quotient_dimension_chart():
@@ -437,8 +440,25 @@ def test_is_unit_and_invert_mod():
     assert is_unit_mod(x3, rho)
     inv = invert_mod(x3, G)
     assert normal_form(x3 * inv, G) == Polynomial.constant(CHART_VARS, 1)
-    sm = standard_monomials(G)
-    assert sm is not None and len(sm) == 16
+    assert quotient_dimension(rho) == 16
+    with pytest.raises(NotAUnitError):
+        invert_mod(Polynomial.zero(CHART_VARS), G)
+    with limits_scope(GroebnerLimits(max_pairs=1)):
+        with pytest.raises(ResourceLimitError):
+            invert_mod(x3, G)
+    vs = VarSet(["x", "y"])
+    x = Polynomial.variable(vs, "x")
+    # x is a unit modulo the saturation of <x^2 - x> by x, not modulo it
+    with pytest.raises(NotAUnitError):
+        invert_mod(x, buchberger(Ideal([parse_poly("x^2 - x", vs)])))
+    # an infinite-dimensional quotient may still hold the inverse
+    for order in (DEGREVLEX, MonomialOrder.lex()):
+        hyperbola = buchberger(Ideal([parse_poly("x*y - 1", vs)], order))
+        assert invert_mod(x, hyperbola) == Polynomial.variable(vs, "y", order)
+    whole = buchberger(Ideal([parse_poly("x^2 - 1", vs), x]))
+    for u in (x, Polynomial.constant(vs, 1)):
+        with pytest.raises(NotAUnitError):
+            invert_mod(u, whole)
 
 
 def test_determinism_repeated_runs(monkeypatch):

@@ -1,6 +1,9 @@
-"""Source hygiene: every name a qp3 module imports is used in it."""
+"""Source hygiene: every name a qp3 module imports is used in it, and
+every function and class it defines is named somewhere else."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,30 @@ def test_unused_import_is_reported():
               "from .m import P, Q\n\n"
               "def f(x: \"P\") -> \"List[int]\":\n    return os.sep\n")
     assert unused_imports(source) == [(1, "Optional"), (4, "Q")]
+
+
+ROOT = SRC.parent.parent
+WORDS = re.compile(r"\w+")
+
+
+def unnamed_definitions():
+    """Top-level functions and classes of src/qp3 that no Python file in
+    src, tests, demos or bench names outside the definition itself."""
+    texts = {p: p.read_text() for d in ("src", "tests", "demos", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    counts = Counter(w for text in texts.values() for w in WORDS.findall(text))
+    unnamed = []
+    for path in MODULES:
+        lines = texts[path].splitlines()
+        for node in ast.parse(texts[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = "\n".join(lines[first - 1:node.end_lineno])
+                if counts[node.name] == WORDS.findall(own).count(node.name):
+                    unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    return unnamed
+
+
+def test_every_definition_is_named_elsewhere():
+    assert unnamed_definitions() == []

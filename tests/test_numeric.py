@@ -6,7 +6,7 @@ from qp3.multipoly import VarSet, parse_poly
 from qp3.quadratic_algebra import CHART_VARS
 from qp3.point_scheme import count_points, rho_system
 from qp3.quadratic_algebra import make_A
-from qp3.numeric import (ComplexPoint, DegeneratePointError,
+from qp3.numeric import (DEFAULT_TOL, ComplexPoint, DegeneratePointError,
                          distinct_count, enumerate_points, gamma4_factor_values,
                          line_residual, minor_residual, proj_distance,
                          sigma_numeric, six_lines_numeric, univariate_roots)
@@ -56,8 +56,11 @@ def test_enumerate_matches_exact_counts():
 
 
 def test_minor_residuals_small():
-    for p in enumerate_points(gr(1)):
-        assert minor_residual(p.coords, 1.0) < 1e-8
+    for gv in (1, 2 ** 35):
+        g = gr(gv)
+        pts = enumerate_points(g, tol=float("inf"))
+        assert max(minor_residual(p.coords, g.to_complex())
+                   for p in pts) < DEFAULT_TOL
 
 
 def test_six_lines_per_point():
