@@ -432,20 +432,19 @@ def components_intersection(C: ComponentCatalog) -> Ideal:
     return inter
 
 
+def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
+    """Whether every one of the 46 lies in `ideal`, that is reduces to zero
+    modulo its reduced basis; then V(ideal) lies in V(L)."""
+    gb = buchberger(ideal)
+    return all(normal_form(p, gb).is_zero() for p in L.polys)
+
+
 def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
     """Both inclusions of the decomposition plus the dimension and degree
     bookkeeping; every clause is reported separately."""
     if L.gamma != C.gamma:
         raise ValueError("line scheme and catalog built at different gamma")
-    poly_in_components = True
-    for comp in C:
-        gb = buchberger(comp.ideal)
-        for p in L.polys:
-            if not normal_form(p, gb).is_zero():
-                poly_in_components = False
-                break
-        if not poly_in_components:
-            break
+    poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
 
     inter = components_intersection(C)
     intersection_in_radical = all(radical_member(g, L.ideal)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from .fixtures import load_fixtures
 
 DEFAULT_TOL = 1e-8
 DISTINCT_TOL = 1e-6
+LINE_DISTINCT_FLOOR = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -115,17 +117,50 @@ def univariate_roots(p: Polynomial, var: str = None, tol: float = DEFAULT_TOL,
     return roots
 
 
+class _TermTable:
+    """Polynomials on one VarSet compiled for repeated float evaluation.
+
+    Each term holds its complex coefficient and the slots of its nonzero
+    (variable, exponent) pairs, in `terms` order; `slots` lists those
+    pairs.  `max_abs` fills one table of powers per call and then does
+    the multiplications and additions of `Polynomial.evaluate` in the
+    same order, so its value is the same float, bit for bit.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        slot_of: dict = {}
+        self.polys = tuple(
+            tuple((c.to_complex(),
+                   tuple(slot_of.setdefault((k, e), len(slot_of))
+                         for k, e in enumerate(m) if e))
+                  for m, c in p.terms.items())
+            for p in polys)
+        self.slots = tuple(slot_of)
+
+    def max_abs(self, values: Sequence[complex]) -> float:
+        """max |p(values)| over the polynomials, values in VarSet order."""
+        powers = [values[k] ** e for k, e in self.slots]
+        sizes = []
+        for terms in self.polys:
+            total = 0j
+            for t, factors in terms:
+                for s in factors:
+                    t *= powers[s]
+                total += t
+            sizes.append(abs(total))
+        return max(sizes)
+
+
 @lru_cache(maxsize=1)
-def _minor_polys_symbolic() -> Tuple[Polynomial, ...]:
-    """The fifteen minors with g carried as an honest variable, so they
-    evaluate at arbitrary complex gamma."""
-    return tuple(load_fixtures().parse_point_polys(None))
+def _minor_polys_symbolic() -> _TermTable:
+    """The fifteen minors with g carried as an honest variable, compiled
+    once, so they evaluate at arbitrary complex gamma."""
+    return _TermTable(load_fixtures().parse_point_polys(None))
 
 
 def minor_residual(point: Sequence[complex], gamma: complex) -> float:
-    vals = {"x1": point[0], "x2": point[1], "x3": point[2], "x4": point[3],
-            "g": gamma}
-    return max(abs(p.evaluate(vals)) for p in _minor_polys_symbolic())
+    return _minor_polys_symbolic().max_abs(
+        (point[0], point[1], point[2], point[3], gamma))
 
 
 def _newton(coeffs: np.ndarray, x: complex, scale: float) -> complex:
@@ -183,21 +218,31 @@ def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
 
 
 @lru_cache(maxsize=1)
-def _line_polys_symbolic() -> Tuple[Polynomial, ...]:
-    return tuple(load_fixtures().parse_line_polys(None))
+def _line_polys_symbolic() -> _TermTable:
+    """The 46 line-scheme polynomials on M12..M34, g, compiled once."""
+    return _TermTable(load_fixtures().parse_line_polys(None))
 
 
 def line_residual(m: Sequence[complex], gamma: complex) -> float:
-    names = ("M12", "M13", "M14", "M23", "M24", "M34")
-    vals = {n: v for n, v in zip(names, m)}
-    vals["g"] = gamma
-    return max(abs(p.evaluate(vals)) for p in _line_polys_symbolic())
+    """max |f(m)| over the 46, m the six coordinates M12..M34."""
+    return _line_polys_symbolic().max_abs(tuple(m[:6]) + (gamma,))
 
 
 def _pluecker_join(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     v = np.asarray([a[i] * b[j] - a[j] * b[i] for i, j in pairs], dtype=complex)
     return v / np.max(np.abs(v))
+
+
+def _line_separation(g: complex) -> float:
+    """The least gap allowed between two of a point's six lines, and between
+    the point and a coordinate hyperplane.  The smallest coordinate of a
+    generic point, and with it the least chordal distance between its
+    lines, falls like |gamma|^(-1/2) (about 1e-6 at gamma = 2^40), so the
+    gap is DISTINCT_TOL * min(1, |gamma|^(-1/2)), floored at
+    LINE_DISTINCT_FLOOR.  `proj_distance` itself resolves no gap much
+    under 1e-8, so from gamma = 2^51 on two lines read as coincident."""
+    return max(LINE_DISTINCT_FLOOR, DISTINCT_TOL * min(1.0, abs(g) ** -0.5))
 
 
 def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
@@ -208,7 +253,8 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     g = _float_gamma(gamma)
     c = p.coords / p.coords[0]
     x2, x3, x4 = c[1], c[2], c[3]
-    if min(abs(x2), abs(x3), abs(x4)) < 1e-6:
+    sep = _line_separation(g)
+    if min(abs(x2), abs(x3), abs(x4)) < sep:
         raise DegeneratePointError("point too close to a coordinate hyperplane")
     lines = [
         _pluecker_join((1, 0, x3, 0), (0, x2, 0, x4)),       # L1 family
@@ -224,10 +270,9 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     for m in lines:
         if line_residual(m, g) > tol:
             raise ConvergenceError("line exceeds residual tolerance")
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if proj_distance(lines[i], lines[j]) < DISTINCT_TOL:
-                raise ConvergenceError("two of the six lines coincide numerically")
+    for a, b in combinations(lines, 2):
+        if proj_distance(a, b) < sep:
+            raise ConvergenceError("two of the six lines coincide numerically")
     return lines
 
 

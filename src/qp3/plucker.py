@@ -17,7 +17,8 @@ from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degre
 from .quadratic_algebra import CHART_VARS, M_VARS, X_VARS
 from .point_scheme import (BASIS_POINTS, ProjectivePoint, symbolic_point,
                            zgamma_ideal)
-from .line_scheme import component_catalog, line_scheme_ideal
+from .line_scheme import (Component, component_catalog, line_scheme_ideal,
+                          scheme_in_ideal)
 
 class DependentPointsError(ValueError):
     pass
@@ -400,18 +401,25 @@ class SixLinesReport:
         return "\n".join(lines)
 
 
-def _check_line_on_branch(name: str, coords, comp_ideal: Ideal,
-                          branch_gb: GroebnerBasis, branch_ideal: Ideal,
-                          L46) -> LineCheck:
+def _check_line_on_branch(name: str, coords, comp: Component,
+                          scheme_comps: Dict[str, Component],
+                          branch_gb: GroebnerBasis, branch_ideal: Ideal) -> LineCheck:
+    """The line `coords` against the branch.  `scheme_comps` are the
+    components whose ideal holds the 46: for those, f = sum h_j g_j, and
+    substitution is a ring map, so a line on which every g_j vanishes
+    modulo the branch lies in the line scheme there too."""
+
+    def on_branch(ideal: Ideal) -> bool:
+        return all(
+            normal_form(evaluate_in_M(g, coords, CHART_VARS), branch_gb).is_zero()
+            for g in ideal.generators)
+
     p_sym = symbolic_point()
     contr = incidence_contractions(coords, p_sym)
     through = all(normal_form(c, branch_gb).is_zero() for c in contr)
-    in_comp = all(
-        normal_form(evaluate_in_M(g, coords, CHART_VARS), branch_gb).is_zero()
-        for g in comp_ideal.generators)
-    in_scheme = all(
-        normal_form(evaluate_in_M(f, coords, CHART_VARS), branch_gb).is_zero()
-        for f in L46.polys)
+    in_comp = on_branch(comp.ideal)
+    in_scheme = (in_comp and name in scheme_comps) or any(
+        on_branch(c.ideal) for n, c in scheme_comps.items() if n != name)
     well = any(is_unit_mod(c, branch_ideal) for c in coords if not c.is_zero())
     return LineCheck(component=name, through_point=through,
                      in_component=in_comp, in_line_scheme=in_scheme,
@@ -470,6 +478,7 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
 
     rho = zgamma_ideal(gamma)
     coords = symbolic_line_coords(gamma)
+    scheme_comps = {c.name: c for c in catalog if scheme_in_ideal(L46, c.ideal)}
     factors = _branch_factors(gamma)
     split16 = gamma * gamma == gr(16)
 
@@ -509,9 +518,9 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
         checks = []
         used_lines = []
         for cname in comps:
-            comp = catalog.get(cname)
             checks.append(_check_line_on_branch(
-                cname, coords[cname], comp.ideal, gb, branch_ideal, L46))
+                cname, coords[cname], catalog.get(cname), scheme_comps, gb,
+                branch_ideal))
             used_lines.append((cname, coords[cname]))
         distinct = _pairwise_distinct(used_lines, branch_ideal)
         branches.append(BranchReport(name=name, proper=proper,

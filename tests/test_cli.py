@@ -98,8 +98,10 @@ def test_lines_through_basis_point(capsys):
 
 def test_lines_through_numeric(capsys):
     # at 2^30 and 2^35 the small root of rho2 keeps its digits only
-    # because it is Newton-polished, not read off the quadratic formula
-    for gamma in ("1", "2^30", "2^35"):
+    # because it is Newton-polished, not read off the quadratic formula;
+    # from 2^40 on two lines are closer than 1e-6 and the separation
+    # threshold shrinks with |gamma|^(-1/2)
+    for gamma in ("1", "2^30", "2^35", "2^40", "-2^40", "2^45"):
         code, out, err = run_cli(
             ["--gamma", gamma, "lines-through", "--numeric", "--format", "json"],
             capsys)

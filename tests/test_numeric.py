@@ -6,7 +6,10 @@ from qp3.multipoly import VarSet, parse_poly
 from qp3.quadratic_algebra import CHART_VARS
 from qp3.point_scheme import count_points, rho_system
 from qp3.quadratic_algebra import make_A
-from qp3.numeric import (DEFAULT_TOL, ComplexPoint, DegeneratePointError,
+from qp3 import numeric
+from qp3.cli import parse_gamma
+from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, ComplexPoint,
+                         ConvergenceError, DegeneratePointError,
                          distinct_count, enumerate_points, gamma4_factor_values,
                          line_residual, minor_residual, proj_distance,
                          sigma_numeric, six_lines_numeric, univariate_roots)
@@ -70,6 +73,42 @@ def test_six_lines_per_point():
         assert len(lines) == 6
         for m in lines:
             assert line_residual(m, 1.0) < 1e-8
+
+
+def test_compiled_residuals_equal_evaluate_bit_for_bit():
+    fx = load_fixtures()
+    minors = fx.parse_point_polys(None)
+    quartics = fx.parse_line_polys(None)
+    m_names = ("M12", "M13", "M14", "M23", "M24", "M34")
+    for text in ("1", "3/2+i", "1/7-2/3*i", "2^25"):
+        g = parse_gamma(text).to_complex()
+        pts = enumerate_points(parse_gamma(text))
+        for p in pts:
+            at = dict(zip(("x1", "x2", "x3", "x4"), p.coords), g=g)
+            assert minor_residual(p.coords, g) == max(
+                abs(f.evaluate(at)) for f in minors)
+        for p in pts[4:]:
+            for m in six_lines_numeric(p, g):
+                at = dict(zip(m_names, m), g=g)
+                assert line_residual(m, g) == max(
+                    abs(f.evaluate(at)) for f in quartics)
+
+
+def test_line_separation_scales_with_gamma():
+    # below |gamma| = 1 the threshold is DISTINCT_TOL, as before; the least
+    # distance between two lines falls like |gamma|^(-1/2), and so does it
+    for g in (1, 1j, 0.5, -1 / 7):
+        assert numeric._line_separation(g) == DISTINCT_TOL
+    assert numeric._line_separation(4.0) == DISTINCT_TOL / 2
+    assert numeric._line_separation(2.0 ** 60) == numeric.LINE_DISTINCT_FLOOR
+
+
+def test_coincident_lines_raise(monkeypatch):
+    p = enumerate_points(gr(1))[4]
+    line = six_lines_numeric(p, gr(1))[0]
+    monkeypatch.setattr(numeric, "_pluecker_join", lambda a, b: line)
+    with pytest.raises(ConvergenceError, match="coincide"):
+        six_lines_numeric(p, gr(1))
 
 
 def test_l1_line_lies_on_quartic_surface():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from qp3.gaussian import ZERO, gr
 from qp3.multipoly import parse_poly
 from qp3.quadratic_algebra import X_VARS
 from qp3.point_scheme import E1, E2, E3, E4, ProjectivePoint
-from qp3.line_scheme import component_catalog
+from qp3 import cli, plucker
+from qp3.groebner import Ideal
+from qp3.line_scheme import (ComponentCatalog, component_catalog,
+                             line_scheme_ideal, scheme_in_ideal)
 from qp3.plucker import (DependentPointsError, PluckerLine, ZeroParameterError,
                          line_family, line_from_points,
                          line_in_component, lines_through_point, point_on_line,
@@ -111,6 +115,38 @@ def test_six_lines_generic_gamma_four():
     for b in rep.branches:
         assert b.proper and b.quotient_dim == 4 and b.distinct
         assert b.lines[0].component in ("L1a", "L1b")
+
+
+def test_line_scheme_lies_in_every_component_ideal():
+    # in_line_scheme is certified through this membership, so at these
+    # gamma every component certifies its own lines
+    for g in (gr(1), gr(4), gr(3, 2)):
+        L = line_scheme_ideal(g)
+        assert all(scheme_in_ideal(L, c.ideal) for c in component_catalog(g))
+    # at -4 the L1 line of a branch lies in the other L1 conic's component,
+    # whose ideal holds the 46 too
+    rep = lines_through_point("generic", gr(-4))
+    assert all(l.in_line_scheme for b in rep.branches for l in b.lines)
+
+
+def test_in_line_scheme_needs_the_46_in_the_component_ideal(monkeypatch, capsys):
+    # L2 without its cubic is a larger component whose ideal misses the
+    # 46: its line still lies in it, but is not certified in the scheme
+    C = component_catalog(gr(1))
+    l2 = C.get("L2")
+    weak = replace(l2, ideal=Ideal(list(l2.ideal.generators[:-1])))
+    assert not scheme_in_ideal(line_scheme_ideal(gr(1)), weak.ideal)
+    catalog = ComponentCatalog(gamma=C.gamma, components=tuple(
+        weak if c.name == "L2" else c for c in C))
+    monkeypatch.setattr(plucker, "component_catalog", lambda gamma: catalog)
+    rep = lines_through_point("generic", gr(1))
+    for b in rep.branches:
+        for l in b.lines:
+            assert l.in_component
+            assert l.in_line_scheme == (l.component != "L2")
+    assert not rep.ok
+    assert cli.main(["--gamma", "1", "lines-through", "--symbolic"]) == 2
+    assert "verified: NO" in capsys.readouterr().out
 
 
 def test_basis_points_infinite():
