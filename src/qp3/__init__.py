@@ -22,7 +22,7 @@ from .line_scheme import (ComponentCatalog, LineSchemeIdeal, build_big_matrix,
                           verify_decomposition)
 from .plucker import (PluckerLine, line_from_points, lines_through_point,
                       point_on_line, ruling_lines, surface_containment)
-from .numeric import enumerate_points, six_lines_numeric, univariate_roots
+from .numeric import enumerate_points, six_lines_numeric
 from .fixtures import FixtureSet, load_fixtures
 
 __version__ = "0.1.0"

@@ -154,7 +154,6 @@ class MonomialOrder:
 
 
 DEGREVLEX = MonomialOrder.degrevlex()
-LEX = MonomialOrder.lex()
 
 Coefficient = Union[GaussianRational, int]
 

@@ -74,47 +74,15 @@ class ComplexPoint:
 
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Chordal distance between projective points / Pluecker vectors."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    inner = abs(np.vdot(a, b)) / (na * nb)
-    return float(np.sqrt(max(0.0, 1.0 - inner * inner)))
-
-
-def univariate_roots(p: Polynomial, var: str = None, tol: float = DEFAULT_TOL,
-                     max_newton: int = 60) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues, Newton-polished;
-    raises ConvergenceError when a residual refuses to drop below tol."""
-    names_used = [n for n in p.varset.names
-                  if any(m[p.varset.index(n)] for m in p.monomials())]
-    if var is None:
-        if len(names_used) != 1:
-            raise ValueError("polynomial is not univariate")
-        var = names_used[0]
-    k = p.varset.index(var)
-    deg = p.degree_in(var)
-    if deg < 1:
-        raise ValueError("need degree at least one")
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for m, c in p.terms.items():
-        coeffs[deg - m[k]] += c.to_complex()
-    roots = np.roots(coeffs)
-    dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    for i, r in enumerate(roots):
-        x = r
-        for _ in range(max_newton):
-            fx = np.polyval(coeffs, x)
-            if abs(fx) <= tol * scale:
-                break
-            dfx = np.polyval(dcoeffs, x)
-            if dfx == 0:
-                break
-            x = x - fx / dfx
-        if abs(np.polyval(coeffs, x)) > tol * scale * 10:
-            raise ConvergenceError(f"root polishing stalled at residual "
-                                   f"{abs(np.polyval(coeffs, x)):.2e}")
-        roots[i] = x
-    return roots
+    """Chordal distance between projective points / Pluecker vectors,
+    |a ^ b| / (|a| |b|).  By Lagrange's identity it equals
+    sqrt(1 - |<a, b>|^2 / (|a| |b|)^2), but it takes no difference of
+    nearly equal numbers, so a gap of 1e-12 reads as 1e-12, not as 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    w = np.outer(a, b)
+    # the Frobenius norm counts each a_i b_j - a_j b_i, i < j, twice
+    return float(np.linalg.norm(w - w.T)
+                 / (np.sqrt(2.0) * np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 class _TermTable:
@@ -240,8 +208,9 @@ def _line_separation(g: complex) -> float:
     generic point, and with it the least chordal distance between its
     lines, falls like |gamma|^(-1/2) (about 1e-6 at gamma = 2^40), so the
     gap is DISTINCT_TOL * min(1, |gamma|^(-1/2)), floored at
-    LINE_DISTINCT_FLOOR.  `proj_distance` itself resolves no gap much
-    under 1e-8, so from gamma = 2^51 on two lines read as coincident."""
+    LINE_DISTINCT_FLOOR.  The least true gap reaches that floor near
+    gamma = 2^80 (2^-40, about 9.1e-13), so from there on two lines read
+    as coincident and the check refuses."""
     return max(LINE_DISTINCT_FLOOR, DISTINCT_TOL * min(1.0, abs(g) ** -0.5))
 
 

@@ -192,9 +192,6 @@ def surface_containment(family: LineFamily, surface: Polynomial) -> bool:
     return normal_form(image, gb).is_zero()
 
 
-RULING_QUADRICS = ("Q6a", "Q6b", "Qa", "Qb")
-
-
 def ruling_lines(quadric: str, param, gamma: Optional[GaussianRational] = None
                  ) -> PluckerLine:
     """One line of the named quadric's reference ruling.

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
-from .polylinalg import all_minors, poly_divmod, poly_exact_div
+from .polylinalg import all_minors
 from .groebner import (GroebnerBasis, Ideal, buchberger, current_limits,
                        invert_mod, is_unit_mod, normal_form,
                        quotient_dimension, radical_member, saturate)
@@ -98,37 +98,32 @@ def chart_ideal(A: QuadraticAlgebra, spec_index: int) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over Q(i)
+# root multiplicities of a univariate polynomial
 # ---------------------------------------------------------------------------
 
 
-def uni_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+def root_multiplicities(f: Polynomial, name: str) -> Dict[int, int]:
+    """{m: number of distinct roots of multiplicity m} of a nonzero f in
+    the one variable `name`, over the algebraic closure of Q(i).
 
-
-def squarefree_decomposition(f: Polynomial, name: str) -> List[Tuple[int, Polynomial]]:
-    """Yun's algorithm (characteristic zero): returns [(k, p_k)] with the
-    p_k squarefree, pairwise coprime, and f = lc * prod p_k^k."""
-    out: List[Tuple[int, Polynomial]] = []
-    f = f.monic()
-    df = f.derivative(name)
-    a = uni_gcd(f, df)
-    b = poly_exact_div(f, a)
-    c = poly_exact_div(df, a)
-    d = c - b.derivative(name)
-    k = 1
-    while b.degree() > 0:
-        p = uni_gcd(b, d)
-        if p.degree() > 0:
-            out.append((k, p))
-        b = poly_exact_div(b, p)
-        c = poly_exact_div(d, p)
-        d = c - b.derivative(name)
-        k += 1
-    return out
+    On Q(i)[name], <f, f', ..., f^(k-1)> is generated by the product of
+    (name - r)^(m - k + 1) over the roots r of multiplicity m >= k, so
+    its quotient dimension d_k is the sum of max(m - k + 1, 0).  Hence
+    d_k - d_(k+1) roots have multiplicity at least k, and
+    d_k - 2 d_(k+1) + d_(k+2) exactly k.
+    """
+    others = [n for n in f.varset.names if n != name]
+    if f.is_zero() or any(f.degree_in(n) for n in others):
+        raise ValueError(f"need a nonzero polynomial in {name} alone")
+    gens = [substitute(f, dict.fromkeys(others, 0), target=VarSet([name]))]
+    dims = [quotient_dimension(Ideal(gens))]
+    while dims[-1]:
+        gens.append(gens[-1].derivative(name))
+        dims.append(quotient_dimension(Ideal(gens)))
+    dims.append(0)
+    out = {k: dims[k - 1] - 2 * dims[k] + dims[k + 1]
+           for k in range(1, len(dims) - 1)}
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +379,19 @@ def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeR
     checks.update({f"rho_{k}": v
                    for k, v in verify_rho_derivation(gamma).items() if k != "all"})
 
-    rho1, rho2, rho3 = rho_system(gamma)
-    decomp = squarefree_decomposition(rho1, "x4")
-    rho1_squarefree = len(decomp) == 1 and decomp[0][0] == 1
+    rho1 = rho_system(gamma)[0]
+    mults = root_multiplicities(rho1, "x4")
+    rho1_squarefree = set(mults) == {1}
     checks["rho1_squarefree_iff_gamma2_ne_4"] = (
         rho1_squarefree == (gamma * gamma != gr(4)))
     # rho2 stays separable at every root of rho1: its x3-discriminant
     # 4 - x4^4 shares no root with rho1
     disc = parse_poly("4 - x4^4", CHART_VARS)
-    checks["rho2_separable_on_rho1_roots"] = uni_gcd(rho1, disc).degree() == 0
+    checks["rho2_separable_on_rho1_roots"] = is_unit_mod(disc, Ideal([rho1]))
 
-    distinct_z = 2 * sum(p.degree() for _, p in decomp)
-    profile: Dict[int, int] = {}
-    for mult, p in decomp:
-        profile[mult] = profile.get(mult, 0) + 2 * p.degree()
+    # each root of rho1 carries the two roots of rho2, and rho3 fixes x2
+    profile = {mult: 2 * c for mult, c in mults.items()}
+    distinct_z = sum(profile.values())
     profile[1] = profile.get(1, 0) + 4  # e1..e4, multiplicity one each
     distinct = distinct_z + 4
     checks["multiplicities_sum_to_20"] = (

@@ -75,16 +75,16 @@ class PolyMatrix:
         return d if sign > 0 else -d
 
 
-def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    """Leading-term division (q, r) with f = q*g + r: no term of r is
-    divisible by the leading monomial of g.  On univariate polynomials
-    this is the usual division with remainder.
+def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises ValueError if g does not divide f.
 
     It runs on the term lists over Z[i] as the Groebner engine's normal
     form does: with d the integer lead of g's list and c x^m the lead of
     the work list, a step takes work to (d/h)*work - (c/h)*x^(m/l)*g,
     h = gcd(d, c) in Z, and keeps s, the product of the d/h, with
-    s*f = q*g + r.
+    s*f = q*g + work.  The work list stays a multiple of g when g divides
+    f, so then the leading monomial l of g divides every lead; the first
+    lead that l does not divide shows that g does not divide f.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -98,14 +98,11 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
             top |= m
         guard = pk.guard
         quo: _TermList = []
-        rem: _TermList = []
         work, s = p, 1
         while work:
             key0, m0, (a0, b0) = work[0]
             if ((m0 | guard) - l) & guard != guard:    # l does not divide m0
-                rem.append(work[0])
-                work = work[1:]
-                continue
+                raise ValueError("not an exact polynomial division")
             u = m0 - l
             if (u + top) & guard:
                 raise _FieldOverflow
@@ -115,24 +112,15 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
             tail = _ishift(q[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
             work = work[1:]
             if e > 1:
-                work, rem = _times(work, e, 0), _times(rem, e, 0)
+                work = _times(work, e, 0)
                 quo[:-1] = _times(quo[:-1], e, 0)
                 s *= e
             work = _iadd(work, tail)
-        # f = (f_s/s) * (quo * q + rem) and g = g_s * q
+        # f = (f_s/s) * quo * q and g = g_s * q
         na, nb = fa * ga + fb * gb, fb * ga - fa * gb    # f_s * conj(g_s)
-        return (_poly(f.varset, pk, quo, na * gd, nb * gd, fd * s * (ga * ga + gb * gb)),
-                _poly(f.varset, pk, rem, fa, fb, fd * s))
+        return _poly(f.varset, pk, quo, na * gd, nb * gd, fd * s * (ga * ga + gb * gb))
 
     return _widening(run, f._pk)
-
-
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises ValueError if g does not divide f."""
-    q, r = poly_divmod(f, g)
-    if not r.is_zero():
-        raise ValueError("not an exact polynomial division")
-    return q
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:

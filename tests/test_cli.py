@@ -100,8 +100,11 @@ def test_lines_through_numeric(capsys):
     # at 2^30 and 2^35 the small root of rho2 keeps its digits only
     # because it is Newton-polished, not read off the quadratic formula;
     # from 2^40 on two lines are closer than 1e-6 and the separation
-    # threshold shrinks with |gamma|^(-1/2)
-    for gamma in ("1", "2^30", "2^35", "2^40", "-2^40", "2^45"):
+    # threshold shrinks with |gamma|^(-1/2); from 2^51 on the gap is under
+    # 1e-8, which proj_distance resolves only because it takes no
+    # difference of nearly equal numbers
+    for gamma in ("1", "2^30", "2^35", "2^40", "-2^40", "2^45",
+                  "2^51", "-2^79", "2^79*i"):
         code, out, err = run_cli(
             ["--gamma", gamma, "lines-through", "--numeric", "--format", "json"],
             capsys)
@@ -109,6 +112,14 @@ def test_lines_through_numeric(capsys):
         doc = json.loads(out)
         assert len(doc["points"]) == 16
         assert all(len(r["lines"]) == 6 for r in doc["points"])
+
+
+def test_lines_through_numeric_refuses_under_separation_floor(capsys):
+    # at 2^80 the least true gap, 2^-40, is under LINE_DISTINCT_FLOOR
+    code, out, err = run_cli(["--gamma=2^80", "lines-through", "--numeric"],
+                             capsys)
+    assert code == EXIT_VERIFICATION
+    assert "coincide numerically" in err
 
 
 def test_resource_limit_exit(capsys):

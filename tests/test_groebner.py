@@ -221,13 +221,13 @@ def test_quotient_dimension_chart():
 
 
 def test_gamma_two_distinct_count_is_nine_on_chart():
-    # 17 with multiplicity; the squarefree analysis leaves 8 + e1 = 9
-    from qp3.point_scheme import squarefree_decomposition
+    # 17 with multiplicity; the root multiplicities leave 8 + e1 = 9
+    from qp3.point_scheme import root_multiplicities
 
     rho1, _, _ = rho_system(gr(2))
-    decomp = squarefree_decomposition(rho1, "x4")
-    assert [(k, p.degree()) for k, p in decomp] == [(2, 4)]
-    distinct_on_chart = 2 * sum(p.degree() for _, p in decomp) + 1
+    mults = root_multiplicities(rho1, "x4")
+    assert mults == {2: 4}
+    distinct_on_chart = 2 * sum(mults.values()) + 1
     assert distinct_on_chart == 9
 
 

@@ -56,9 +56,22 @@ ROOT = SRC.parent.parent
 WORDS = re.compile(r"\w+")
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function or class, or
+    the targets of an assignment, tuple targets included."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
+
+
 def unnamed_definitions():
-    """Top-level functions and classes of src/qp3 that no Python file in
-    src, tests, demos or bench names outside the definition itself."""
+    """Top-level functions, classes and assigned names of src/qp3 that no
+    Python file in src, tests, demos or bench names outside the defining
+    statement itself."""
     texts = {p: p.read_text() for d in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / d).rglob("*.py"))}
     counts = Counter(w for text in texts.values() for w in WORDS.findall(text))
@@ -66,13 +79,20 @@ def unnamed_definitions():
     for path in MODULES:
         lines = texts[path].splitlines()
         for node in ast.parse(texts[path]).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                own = "\n".join(lines[first - 1:node.end_lineno])
-                if counts[node.name] == WORDS.findall(own).count(node.name):
-                    unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+            decorators = getattr(node, "decorator_list", [])
+            first = min([node.lineno] + [d.lineno for d in decorators])
+            own = WORDS.findall("\n".join(lines[first - 1:node.end_lineno]))
+            for name in _defined_names(node):
+                if counts[name] == own.count(name):
+                    unnamed.append(f"{path.name}:{node.lineno} {name}")
     return unnamed
+
+
+def test_defined_names_cover_assignments():
+    source = ("A, (B, *C) = f()\nD: int = 1\nE.attr = F[G] = 2\n"
+              "def h():\n    local = 3\nclass K:\n    pass\n")
+    names = [n for node in ast.parse(source).body for n in _defined_names(node)]
+    assert names == ["A", "B", "C", "D", "h", "K"]
 
 
 def test_every_definition_is_named_elsewhere():

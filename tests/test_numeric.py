@@ -3,8 +3,7 @@ import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import VarSet, parse_poly
-from qp3.quadratic_algebra import CHART_VARS
-from qp3.point_scheme import count_points, rho_system
+from qp3.point_scheme import count_points
 from qp3.quadratic_algebra import make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
@@ -12,37 +11,41 @@ from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, ComplexPoint,
                          ConvergenceError, DegeneratePointError,
                          distinct_count, enumerate_points, gamma4_factor_values,
                          line_residual, minor_residual, proj_distance,
-                         sigma_numeric, six_lines_numeric, univariate_roots)
+                         sigma_numeric, six_lines_numeric)
 from qp3.fixtures import load_fixtures
 
 
-def test_fourth_roots_of_unity():
-    r = univariate_roots(parse_poly("x4^4 - 1", CHART_VARS))
-    expect = [1, -1, 1j, -1j]
-    for e in expect:
-        assert min(abs(x - e) for x in r) < 1e-10
+def _x4_roots(gamma):
+    """The x4 coordinates of the sixteen chart points of enumerate_points."""
+    return [p.coords[3] / p.coords[0] for p in enumerate_points(gamma)[4:]]
+
+
+def _distinct(values, tol=1e-6):
+    reps = []
+    for v in values:
+        if all(abs(v - r) > tol for r in reps):
+            reps.append(v)
+    return reps
 
 
 def test_rho1_roots_gamma_one():
-    rho1, _, _ = rho_system(gr(1))
-    roots = univariate_roots(rho1)
+    roots = _distinct(_x4_roots(gr(1)))
     assert len(roots) == 8
-    for i in range(8):
-        for j in range(i + 1, 8):
-            assert abs(roots[i] - roots[j]) > 1e-6
     # x4^4 takes exactly the two values 2 +- sqrt(3)
     quads = sorted({round((r ** 4).real, 8) for r in roots})
     assert np.allclose(quads, [2 - np.sqrt(3), 2 + np.sqrt(3)])
+    assert all(abs((r ** 4).imag) < 1e-8 for r in roots)
 
 
 def test_rho1_roots_gamma_two_doubled():
-    rho1, _, _ = rho_system(gr(2))
-    roots = univariate_roots(rho1)
-    reps = []
-    for r in roots:
-        if all(abs(r - s) > 1e-6 for s in reps):
-            reps.append(r)
-    assert len(reps) == 4
+    assert len(_distinct(_x4_roots(gr(2)))) == 4
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-12])
+def test_proj_distance_resolves_small_angles(t):
+    # sqrt(1 - inner^2) cancels to 0.0 here; the wedge form keeps t
+    d = proj_distance((1, 0, 0, 0, 0, 0), (1, t, 0, 0, 0, 0))
+    assert d == pytest.approx(t, rel=1e-6)
 
 
 def test_enumerate_points_counts():

@@ -1,16 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import Polynomial, parse_poly
+from qp3.multipoly import Polynomial, VarSet, parse_poly
 from qp3.groebner import (GroebnerLimits, Ideal, ResourceLimitError, buchberger,
-                          ideals_equal, limits_scope)
+                          ideals_equal, is_unit_mod, limits_scope)
 from qp3.quadratic_algebra import CHART_VARS, ZeroGammaError, make_A
 from qp3.point_scheme import (E1, E2, E3, E4, NotOnSchemeError,
                               ProjectivePoint, UndefinedAtPointError,
                               chart_ideal, count_points, point_ideal,
-                              rho_system, sigma, sigma_orbit_certificates,
-                              squarefree_decomposition, symbolic_point,
-                              sigma_symbolic, uni_gcd, verify_rho_derivation,
+                              rho_system, root_multiplicities, sigma,
+                              sigma_orbit_certificates, symbolic_point,
+                              sigma_symbolic, verify_rho_derivation,
                               verify_vanishing_pairs, zgamma_ideal,
                               _sigma_formula)
 from qp3.quadratic_algebra import tensor_bilinear
@@ -50,8 +52,21 @@ def test_rho1_square_at_gamma_two():
     rho1, _, _ = rho_system(gr(2))
     square = parse_poly("(x4^4 - 2)^2", CHART_VARS)
     assert rho1 == square
-    decomp = squarefree_decomposition(rho1, "x4")
-    assert [(k, p.degree()) for k, p in decomp] == [(2, 4)]
+    assert root_multiplicities(rho1, "x4") == {2: 4}
+
+
+def test_root_multiplicities():
+    x = VarSet(["x"])
+    f = parse_poly("(x - 1)^3 * (x + 1) * (x^2 + 1)^2", x)
+    assert root_multiplicities(f, "x") == {3: 1, 1: 1, 2: 2}
+    # rho1 = x4^8 - 4 x4^4 + gamma^2 has a double root iff gamma^2 = 4;
+    # at gamma = +-2i, gamma^2 = -4 and x4^4 = 2 +- 2 sqrt(2) are distinct
+    for gv in (gr(2), gr(-2)):
+        assert root_multiplicities(rho_system(gv)[0], "x4") == {2: 4}
+    for gv in (gr(0, 2), gr(0, -2), gr(1), gr(4), gr(Fraction(3, 2), 1)):
+        assert root_multiplicities(rho_system(gv)[0], "x4") == {1: 8}
+    with pytest.raises(ValueError):
+        root_multiplicities(parse_poly("x3 + x4", CHART_VARS), "x4")
 
 
 def test_rho2_independent_of_gamma():
@@ -153,10 +168,10 @@ def test_alpha3_nonzero_on_Z():
     assert G.contains_one()
 
 
-def test_uni_gcd_trivial_for_separability_witness():
+def test_separability_witness_is_unit_mod_rho1():
     rho1, _, _ = rho_system(gr(5))
     disc = parse_poly("4 - x4^4", CHART_VARS)
-    assert uni_gcd(rho1, disc).degree() == 0
+    assert is_unit_mod(disc, Ideal([rho1]))
 
 
 def test_sigma_formula_path():

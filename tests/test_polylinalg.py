@@ -142,6 +142,10 @@ def test_poly_exact_div():
     assert poly_exact_div(f, g) == parse_poly("x1 + x2", X_VARS)
     with pytest.raises(ValueError):
         poly_exact_div(parse_poly("x1^2 + 1", X_VARS), g)
+    # x divides the lead x*y, but not the 1 that is left after it
+    vs = VarSet(["x", "y"])
+    with pytest.raises(ValueError):
+        poly_exact_div(parse_poly("x*y + 1", vs), parse_poly("x", vs))
 
 
 def test_big_matrix_minors_match_per_subset_minor_and_bareiss():
