@@ -12,13 +12,14 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial
 from .fixtures import load_fixtures
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-8
 DISTINCT_TOL = 1e-6
@@ -63,6 +64,8 @@ class ComplexPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
+        import numpy as np
+
         c = np.asarray([_to_complex(x) for x in coords], dtype=complex)
         k = int(np.argmax(np.abs(c)))
         if abs(c[k]) == 0:
@@ -78,6 +81,8 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     |a ^ b| / (|a| |b|).  By Lagrange's identity it equals
     sqrt(1 - |<a, b>|^2 / (|a| |b|)^2), but it takes no difference of
     nearly equal numbers, so a gap of 1e-12 reads as 1e-12, not as 0."""
+    import numpy as np
+
     a, b = np.asarray(a), np.asarray(b)
     w = np.outer(a, b)
     # the Frobenius norm counts each a_i b_j - a_j b_i, i < j, twice
@@ -134,6 +139,8 @@ def minor_residual(point: Sequence[complex], gamma: complex) -> float:
 def _newton(coeffs: np.ndarray, x: complex, scale: float) -> complex:
     """x polished by Newton steps on the polynomial with `coeffs` (highest
     first) until |f(x)| < 1e-14 * scale, scale its largest coefficient."""
+    import numpy as np
+
     dcoeffs = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
     for _ in range(60):
         fx = np.polyval(coeffs, x)
@@ -146,6 +153,8 @@ def _newton(coeffs: np.ndarray, x: complex, scale: float) -> complex:
 def enumerate_points(gamma, tol: float = DEFAULT_TOL) -> List[ComplexPoint]:
     """e1..e4 plus the sixteen solutions of the triangular system, polished
     until every one of the fifteen minors has residual below tol."""
+    import numpy as np
+
     g = _float_gamma(gamma)
     pts = [ComplexPoint(v) for v in np.eye(4)]
     rho1 = np.array([1, 0, 0, 0, -4, 0, 0, 0, g * g], dtype=complex)
@@ -155,15 +164,42 @@ def enumerate_points(gamma, tol: float = DEFAULT_TOL) -> List[ComplexPoint]:
         # digits of the smaller root to cancellation once |x4|^4 >> 4
         rho2 = np.array([1.0, -1j * x4 * x4, -1.0])
         disc = np.sqrt(-(x4 ** 4) + 4.0 + 0j)
-        for s in (1.0, -1.0):
-            x3 = _newton(rho2, (1j * x4 * x4 + s * disc) / 2.0,
-                         max(1.0, abs(x4) ** 2))
+        x3_formula = [(1j * x4 * x4 + s * disc) / 2.0 for s in (1.0, -1.0)]
+        pair = []
+        for start in x3_formula:
+            x3 = _newton(rho2, start, max(1.0, abs(x4) ** 2))
             x2 = (2j * x4 ** 3 - x3 * x4 ** 5) / g
-            pt = ComplexPoint((1.0, x2, x3, x4))
-            if minor_residual(pt.coords, g) > tol:
-                raise ConvergenceError("enumerated point exceeds residual tolerance")
-            pts.append(pt)
+            pair.append(ComplexPoint((1.0, x2, x3, x4)))
+        if max(minor_residual(p.coords, g) for p in pair) > tol:
+            pair = _points_without_cancellation(x4, g, x3_formula[0])
+            if max(minor_residual(p.coords, g) for p in pair) > tol:
+                raise ConvergenceError(
+                    "enumerated point exceeds residual tolerance")
+        pts.extend(pair)
     return pts
+
+
+def _points_without_cancellation(x4: complex, g: complex,
+                                 x3_first: complex) -> List[ComplexPoint]:
+    """The two points over the root x4 of rho1, from formulas that take no
+    difference of nearly equal numbers.
+
+    At the four roots with x4^4 near 4 (small |gamma|), both 4 - x4^4 in
+    the discriminant of rho2 and 2i x4^3 - x3 x4^5 in x2 cancel, and the
+    latter is then divided by gamma.  y = x4^4 solves y^2 - 4y + gamma^2
+    = 0, so 4 - x4^4 = gamma^2 / x4^4, which gives
+    x3 = (i x4^2 + sigma gamma / x4^2) / 2 and
+    x2 = (i gamma / x4 - sigma x4^3) / 2 for sigma = 1 and -1.  The point
+    whose x3 is nearer x3_first, the first quadratic-formula root, comes
+    first, so the order follows the quadratic formula's; the two points
+    always take opposite sigma, even where the discriminant is all noise.
+    """
+    h = g / (x4 * x4)
+    near = 2.0 * x3_first - 1j * x4 * x4
+    first = 1.0 if abs(h - near) <= abs(h + near) else -1.0
+    return [ComplexPoint((1.0, (1j * g / x4 - sigma * x4 ** 3) / 2.0,
+                          (1j * x4 * x4 + sigma * h) / 2.0, x4))
+            for sigma in (first, -first)]
 
 
 def distinct_count(points: List[ComplexPoint],
@@ -176,6 +212,8 @@ def distinct_count(points: List[ComplexPoint],
 
 
 def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
+    import numpy as np
+
     basis = np.eye(4)
     for k, swap in ((0, 1), (1, 0), (2, 3), (3, 2)):
         if proj_distance(p.coords, basis[k]) < 1e-12:
@@ -197,6 +235,8 @@ def line_residual(m: Sequence[complex], gamma: complex) -> float:
 
 
 def _pluecker_join(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:
+    import numpy as np
+
     pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     v = np.asarray([a[i] * b[j] - a[j] * b[i] for i, j in pairs], dtype=complex)
     return v / np.max(np.abs(v))

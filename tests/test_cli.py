@@ -18,6 +18,19 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _run_python(args):
+    """Run a fresh interpreter that imports qp3 from this checkout's src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _run_qp3(argv):
+    return _run_python(["-m", "qp3", *argv])
+
+
 def test_parse_gamma_forms():
     assert parse_gamma("4") == gr(4)
     assert parse_gamma("-1") == gr(-1)
@@ -102,9 +115,12 @@ def test_lines_through_numeric(capsys):
     # from 2^40 on two lines are closer than 1e-6 and the separation
     # threshold shrinks with |gamma|^(-1/2); from 2^51 on the gap is under
     # 1e-8, which proj_distance resolves only because it takes no
-    # difference of nearly equal numbers
+    # difference of nearly equal numbers.  Below about 2^-21 the points
+    # with x4^4 near 4 fail the minor residual test, since both the
+    # discriminant of rho2 and x2 cancel there, and are recomputed from
+    # closed forms that do not
     for gamma in ("1", "2^30", "2^35", "2^40", "-2^40", "2^45",
-                  "2^51", "-2^79", "2^79*i"):
+                  "2^51", "-2^79", "2^79*i", "1/2^22", "-1/2^25*i", "1/2^38"):
         code, out, err = run_cli(
             ["--gamma", gamma, "lines-through", "--numeric", "--format", "json"],
             capsys)
@@ -120,6 +136,16 @@ def test_lines_through_numeric_refuses_under_separation_floor(capsys):
                              capsys)
     assert code == EXIT_VERIFICATION
     assert "coincide numerically" in err
+
+
+def test_lines_through_numeric_refuses_a_point_near_a_hyperplane():
+    # at 2^-40 the smallest coordinate, |x4| ~ (|gamma|/2)^(1/2), is under 1e-6
+    proc = _run_qp3(["--gamma=1/2^40", "lines-through", "--numeric"])
+    assert proc.returncode == EXIT_VERIFICATION
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qp3: numeric verification failed: "
+                                  "point too close to a coordinate hyperplane")
+    assert "Traceback" not in proc.stderr
 
 
 def test_resource_limit_exit(capsys):
@@ -264,16 +290,39 @@ def test_large_gamma_within_bound_is_computed(capsys):
 def test_numeric_gamma_outside_float_range_exits_2(gamma):
     # gamma^2 overflows a float at 2^1000 and gamma itself at 2^2000; the
     # exact commands handle both, the numeric one must refuse cleanly
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qp3", f"--gamma={gamma}", "lines-through",
-         "--numeric"], capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_qp3([f"--gamma={gamma}", "lines-through", "--numeric"])
     assert proc.returncode == EXIT_VERIFICATION
     assert proc.stdout == ""
     assert proc.stderr.startswith("qp3: numeric verification failed: ")
     assert "Traceback" not in proc.stderr
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qp3.cli
+
+def loaded():
+    return ["numpy" in sys.modules, "qp3.numeric" in sys.modules]
+
+report = [[None] + loaded()]
+for argv in (["point-scheme"], ["line-scheme", "--verify"],
+             ["lines-through", "--symbolic"], ["lines-through", "--numeric"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qp3.cli.main(["--gamma", "1", *argv])
+    report.append([code] + loaded())
+print(json.dumps(report))
+"""
+
+
+def test_only_numeric_mode_imports_numpy():
+    # qp3.numeric itself loads with the package; numpy waits for the first
+    # numeric call, so a cold symbolic run does not pay for importing it
+    proc = _run_python(["-c", NUMPY_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == [[None, False, True], [EXIT_OK, False, True],
+                      [EXIT_OK, False, True], [EXIT_OK, False, True],
+                      [EXIT_OK, True, True]]
 
 
 def test_numeric_degenerate_float_point_exits_2(capsys):

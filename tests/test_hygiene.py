@@ -52,6 +52,54 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == [(1, "Optional"), (4, "Q")]
 
 
+def _runs_later(node):
+    """The statements under `node` that importing the module does not run:
+    a function's body, and the body of `if TYPE_CHECKING:`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node]
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        return node.body
+    return []
+
+
+def eager_numpy_imports(source: str):
+    """Lines of the statements that import numpy as soon as the module is
+    imported.  numpy is about half of a cold `import qp3.cli`, and only the
+    numeric cross-check needs it, so it is imported inside the functions
+    that use it."""
+    tree = ast.parse(source)
+    later = {id(n) for node in ast.walk(tree) for top in _runs_later(node)
+             for n in ast.walk(top)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in later:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_lazily(path):
+    assert eager_numpy_imports(path.read_text()) == []
+
+
+def test_eager_numpy_import_is_reported():
+    source = ("from typing import TYPE_CHECKING\nimport os, numpy as np\n"
+              "if TYPE_CHECKING:\n    import numpy\nelse:\n"
+              "    from numpy.linalg import norm\n"
+              "def f():\n    import numpy as np\n    return np\n"
+              "class C:\n    from numpy import pi\n"
+              "    def g(self):\n        from numpy import e\n")
+    assert eager_numpy_imports(source) == [2, 6, 11]
+
+
 ROOT = SRC.parent.parent
 WORDS = re.compile(r"\w+")
 

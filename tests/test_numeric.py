@@ -54,6 +54,31 @@ def test_enumerate_points_counts():
     assert distinct_count(enumerate_points(gr(5))) == 20
 
 
+@pytest.mark.parametrize("text", ["1", "3/2+i", "1/2^10"])
+def test_closed_form_points_match_the_quadratic_formula(text):
+    # where nothing cancels, the retry's closed forms give the same two
+    # points over each x4, in the same order
+    g = parse_gamma(text).to_complex()
+    pts = enumerate_points(parse_gamma(text))[4:]
+    for first, second in zip(pts[0::2], pts[1::2]):
+        c = first.coords / first.coords[0]
+        pair = numeric._points_without_cancellation(c[3], g, c[2])
+        assert proj_distance(pair[0].coords, first.coords) < 1e-12
+        assert proj_distance(pair[1].coords, second.coords) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["1/2^22", "1/2^30*i", "-1/2^38"])
+def test_small_gamma_points_are_recomputed_without_cancellation(text):
+    # the quadratic formula leaves minor residuals up to 0.14 here, where
+    # enumerate_points used to raise; the two points over each x4 must stay
+    # distinct after the recomputation, even where the discriminant is noise
+    g = parse_gamma(text)
+    pts = enumerate_points(g)
+    assert max(minor_residual(p.coords, g.to_complex())
+               for p in pts) < DEFAULT_TOL
+    assert distinct_count(pts) == 20
+
+
 def test_enumerate_matches_exact_counts():
     for gv in (1, 2, 4, 5):
         exact = count_points(make_A(gr(gv)), verify_sigma=False)
