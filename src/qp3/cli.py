@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .gaussian import GaussianRational
@@ -89,6 +90,7 @@ def _add_common(p, suppress: bool):
                    help="numeric-mode residual tolerance")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     p = _Parser(prog="qp3", description=__doc__)
     _add_common(p, suppress=False)
@@ -201,21 +203,19 @@ def cmd_lines_through(gamma, fmt, args) -> int:
         raise UsageError("--numeric cannot be combined with --symbolic or --point")
     if args.numeric:
         from .numeric import (ConvergenceError, DegeneratePointError,
-                              enumerate_points, six_lines_numeric)
+                              numeric_table)
 
-        rows = []
         try:
-            pts = enumerate_points(gamma, tol=args.tolerance)
-            for p in pts[4:]:
-                ls = six_lines_numeric(p, gamma, tol=args.tolerance)
-                rows.append({
-                    "point": [f"{z.real:+.10f}{z.imag:+.10f}i" for z in p.coords],
-                    "lines": [[f"{z.real:+.10f}{z.imag:+.10f}i" for z in m]
-                              for m in ls],
-                })
+            table = numeric_table(gamma, args.tolerance)
         except (ConvergenceError, DegeneratePointError) as exc:
             sys.stderr.write(f"qp3: numeric verification failed: {exc}\n")
             return EXIT_VERIFICATION
+
+        def show(coords):
+            return [f"{z.real:+.10f}{z.imag:+.10f}i" for z in coords]
+
+        rows = [{"point": show(p), "lines": [show(m) for m in ls]}
+                for p, ls in table]
         payload = {"command": "lines-through", "gamma": str(gamma),
                    "mode": "numeric", "points": rows, "verified": True}
 

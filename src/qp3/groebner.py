@@ -25,6 +25,7 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -78,6 +79,29 @@ def limits_scope(limits: GroebnerLimits) -> Iterator[None]:
 def current_limits() -> GroebnerLimits:
     """The limits of the innermost `limits_scope`, or DEFAULT_LIMITS."""
     return _LIMITS.get()
+
+
+# entries each memo of a certificate or per-gamma object keeps: the five
+# `lines-through` points at a dozen gammas, under one set of limits
+MEMO_SIZE = 64
+
+
+def cached_under_limits(fn):
+    """Cache fn on its hashable arguments and the current Groebner limits,
+    as `buchberger` caches its bases: under a narrower bound the result
+    is recomputed, and raises if the bound is hit.  An exception is not
+    cached.  The cache keeps the MEMO_SIZE most recently used results,
+    which callers must treat as immutable values; `__wrapped__` is fn.
+    """
+    cached = lru_cache(maxsize=MEMO_SIZE)(
+        lambda limits, args, kwargs: fn(*args, **dict(kwargs)))
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        return cached(current_limits(), args, tuple(sorted(kwargs.items())))
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
+    return wrapper
 
 
 class Ideal:

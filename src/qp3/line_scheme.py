@@ -26,7 +26,8 @@ from .gaussian import GaussianRational, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
                         substitute)
 from .polylinalg import PolyMatrix, all_minors, poly_exact_div
-from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degree,
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
+                       cached_under_limits, hilbert_dimension_degree,
                        intersect, normal_form, radical_member)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 ZeroGammaError, m_hat, make_A)
@@ -124,7 +125,7 @@ def line_scheme_ideal(gamma: GaussianRational,
     return _line_scheme_ideal(gamma, tensor_order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _line_scheme_ideal(gamma: GaussianRational,
                        tensor_order: str) -> LineSchemeIdeal:
     a, b, c, d = (Polynomial.variable(GR_CHART_VARS, n) for n in GR_CHART_VARS.names)
@@ -348,7 +349,7 @@ class ComponentCatalog:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
     """The reference components: seven when gamma^2 != 16, eight (L1 split
     into two conics) when gamma^2 = 16."""
@@ -397,7 +398,7 @@ def gamma4_factorization(gamma: GaussianRational) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionReport:
     gamma: GaussianRational
     poly_in_components: bool       # V(L_k) inside V(L) for every k
@@ -439,6 +440,7 @@ def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
     return all(normal_form(p, gb).is_zero() for p in L.polys)
 
 
+@cached_under_limits
 def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
     """Both inclusions of the decomposition plus the dimension and degree
     bookkeeping; every clause is reported separately."""

@@ -16,12 +16,21 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial
+from .groebner import cached_under_limits
 from .fixtures import load_fixtures
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TOL = 1e-8
+# a pair of points whose largest minor residual exceeds this is also
+# computed by `_points_without_cancellation`, and the pair with the smaller
+# residual is kept.  At gamma = 1, 2, -4, 3/2+i, 1/7-2/3*i, 2^25, 5,
+# -3+2i, 2^40 and 2^79 no pair exceeds 1.2e-14, three orders under it.
+# At +-2^-10*i and +-2^-23*i the quadratic formula's pairs reach 7.4e-9
+# and 6.2e-9, under DEFAULT_TOL but with lines that fail it; with the
+# closed forms kept, no point there exceeds 4.5e-16.
+RECOMPUTE_ABOVE = 1e-11
 DISTINCT_TOL = 1e-6
 LINE_DISTINCT_FLOOR = 1e-12
 
@@ -170,11 +179,14 @@ def enumerate_points(gamma, tol: float = DEFAULT_TOL) -> List[ComplexPoint]:
             x3 = _newton(rho2, start, max(1.0, abs(x4) ** 2))
             x2 = (2j * x4 ** 3 - x3 * x4 ** 5) / g
             pair.append(ComplexPoint((1.0, x2, x3, x4)))
-        if max(minor_residual(p.coords, g) for p in pair) > tol:
-            pair = _points_without_cancellation(x4, g, x3_formula[0])
-            if max(minor_residual(p.coords, g) for p in pair) > tol:
-                raise ConvergenceError(
-                    "enumerated point exceeds residual tolerance")
+        res = max(minor_residual(p.coords, g) for p in pair)
+        if res > min(RECOMPUTE_ABOVE, tol):
+            other = _points_without_cancellation(x4, g, x3_formula[0])
+            other_res = max(minor_residual(p.coords, g) for p in other)
+            if other_res < res:
+                pair, res = other, other_res
+        if res > tol:
+            raise ConvergenceError("enumerated point exceeds residual tolerance")
         pts.extend(pair)
     return pts
 
@@ -283,6 +295,22 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
         if proj_distance(a, b) < sep:
             raise ConvergenceError("two of the six lines coincide numerically")
     return lines
+
+
+NumericRow = Tuple[Tuple[complex, ...], Tuple[Tuple[complex, ...], ...]]
+
+
+@cached_under_limits
+def numeric_table(gamma, tol: float) -> Tuple[NumericRow, ...]:
+    """The sixteen generic points of `enumerate_points`, each with the six
+    lines of `six_lines_numeric` through it, as tuples of complex numbers.
+    Raises as those two do."""
+    rows = []
+    for p in enumerate_points(gamma, tol=tol)[4:]:
+        lines = six_lines_numeric(p, gamma, tol=tol)
+        rows.append((tuple(map(complex, p.coords)),
+                     tuple(tuple(map(complex, m)) for m in lines)))
+    return tuple(rows)
 
 
 def gamma4_factor_values(p: ComplexPoint) -> Tuple[complex, complex]:

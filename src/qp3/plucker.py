@@ -12,12 +12,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (Polynomial, VarSet, parse_poly, print_poly,
                         substitute)
-from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_dimension_degree,
-                       is_unit_mod, normal_form, quotient_dimension)
+from .groebner import (GroebnerBasis, Ideal, buchberger, cached_under_limits,
+                       hilbert_dimension_degree, is_unit_mod, normal_form,
+                       quotient_dimension)
 from .quadratic_algebra import CHART_VARS, M_VARS, X_VARS
 from .point_scheme import (BASIS_POINTS, ProjectivePoint, symbolic_point,
                            zgamma_ideal)
-from .line_scheme import (Component, component_catalog, line_scheme_ideal,
+from .line_scheme import (Component, ComponentCatalog, LineSchemeIdeal,
+                          component_catalog, line_scheme_ideal,
                           scheme_in_ideal)
 
 class DependentPointsError(ValueError):
@@ -299,7 +301,7 @@ def _branch_factors(gamma: GaussianRational) -> Dict[str, Polynomial]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineCheck:
     component: str
     through_point: bool
@@ -313,12 +315,12 @@ class LineCheck:
                 and self.in_line_scheme and self.well_defined)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchReport:
     name: str
     proper: bool
     quotient_dim: Optional[int]
-    lines: List[LineCheck]
+    lines: Tuple[LineCheck, ...]
     distinct: bool
 
     @property
@@ -327,11 +329,11 @@ class BranchReport:
                 and all(l.ok for l in self.lines))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SixLinesReport:
     gamma: GaussianRational
     point: str
-    branches: List[BranchReport] = field(default_factory=list)
+    branches: Tuple[BranchReport, ...] = ()
     component_dimensions: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     infinite: bool = False
     branch_dims_consistent: bool = True
@@ -448,15 +450,23 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
     point: 'e1'..'e4' (or the ProjectivePoint) for the basis points, or
     None / 'generic' for the symbolic generic point of Z_gamma.
     """
-    catalog = component_catalog(gamma)
-    L46 = line_scheme_ideal(gamma)
+    if point is None:
+        point = "generic"
+    elif isinstance(point, ProjectivePoint):
+        point = next((n for n, bp in BASIS_POINTS.items() if point == bp), None)
+    if point not in ("generic", *BASIS_POINTS):
+        raise ValueError("point must be a basis point or 'generic'")
+    return _lines_through(point, gamma, component_catalog(gamma),
+                          line_scheme_ideal(gamma))
 
-    if isinstance(point, ProjectivePoint):
-        for name, bp in BASIS_POINTS.items():
-            if point == bp:
-                point = name
-                break
-    if isinstance(point, str) and point in BASIS_POINTS:
+
+@cached_under_limits
+def _lines_through(point: str, gamma: GaussianRational,
+                   catalog: ComponentCatalog,
+                   L46: LineSchemeIdeal) -> SixLinesReport:
+    """`lines_through_point` at 'e1'..'e4' or 'generic', on the catalog
+    and the 46 it read for gamma."""
+    if point in BASIS_POINTS:
         forms = incidence_ideal_forms(BASIS_POINTS[point])
         dims: Dict[str, Tuple[int, int]] = {}
         for comp in catalog:
@@ -469,9 +479,6 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
                               component_dimensions=dims,
                               infinite=infinite,
                               total="infinite" if infinite else 0)
-
-    if point not in (None, "generic"):
-        raise ValueError("point must be a basis point or 'generic'")
 
     rho = zgamma_ideal(gamma)
     coords = symbolic_line_coords(gamma)
@@ -521,10 +528,10 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
             used_lines.append((cname, coords[cname]))
         distinct = _pairwise_distinct(used_lines, branch_ideal)
         branches.append(BranchReport(name=name, proper=proper,
-                                     quotient_dim=qdim, lines=checks,
+                                     quotient_dim=qdim, lines=tuple(checks),
                                      distinct=distinct))
     dims_consistent = dims_consistent and (sum(branch_dims) == total_dim)
     totals = {len(b.lines) for b in branches}
-    return SixLinesReport(gamma=gamma, point="generic", branches=branches,
+    return SixLinesReport(gamma=gamma, point="generic", branches=tuple(branches),
                           branch_dims_consistent=dims_consistent,
                           total=totals.pop() if len(totals) == 1 else -1)

@@ -5,16 +5,17 @@ automorphism sigma and the vanishing pairs in P3 x P3."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
 from .polylinalg import all_minors
-from .groebner import (GroebnerBasis, Ideal, buchberger, current_limits,
-                       invert_mod, is_unit_mod, normal_form,
-                       quotient_dimension, radical_member, saturate)
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
+                       cached_under_limits, invert_mod, is_unit_mod,
+                       normal_form, quotient_dimension, radical_member,
+                       saturate)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS,
                                 ZeroGammaError, make_A, relation_matrix,
                                 tensor_bilinear)
@@ -69,7 +70,7 @@ E4 = ProjectivePoint((0, 0, 0, 1))
 BASIS_POINTS = {"e1": E1, "e2": E2, "e3": E3, "e4": E4}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def point_ideal(A: QuadraticAlgebra) -> Ideal:
     """Ideal of the 4x4 minors of the relation matrix: cuts out the point
     scheme inside P3.  Built once per algebra: the chart ideals, sigma and
@@ -154,21 +155,7 @@ def zgamma_gb(gamma: GaussianRational) -> GroebnerBasis:
     return buchberger(zgamma_ideal(gamma))
 
 
-def _cached_under_limits(fn):
-    """Cache fn(gamma) on gamma and the current Groebner limits, as
-    `buchberger` caches its bases: under a narrower bound the certificate
-    is recomputed, and raises if the bound is hit."""
-    cached = lru_cache(maxsize=None)(lambda gamma, limits: fn(gamma))
-
-    @wraps(fn)
-    def wrapper(gamma):
-        return cached(gamma, current_limits())
-    wrapper.cache_clear = cached.cache_clear
-    wrapper.cache_info = cached.cache_info
-    return wrapper
-
-
-@_cached_under_limits
+@cached_under_limits
 def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
     """Saturating the chart ideal at x4 and taking a lex basis must give
     exactly the monic triangular system, every dehomogenized minor must
@@ -249,7 +236,7 @@ def sigma_symbolic(coords: Sequence[Polynomial], gamma: GaussianRational):
             normal_form(a4 * (-i), gb))
 
 
-@_cached_under_limits
+@cached_under_limits
 def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
     """Symbolic proofs about sigma on Z_gamma: order four, no fixed points
     of sigma or sigma^2, and sigma maps Z_gamma into the point scheme."""
@@ -295,7 +282,7 @@ def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointSchemeReport:
     gamma: GaussianRational
     chart_counts: Dict[str, int]
@@ -343,6 +330,7 @@ class PointSchemeReport:
         return "\n".join(lines)
 
 
+@cached_under_limits
 def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeReport:
     """Chart-by-chart counting of the point scheme with multiplicity,
     distinct-point count via the triangular system, and sigma orbits."""

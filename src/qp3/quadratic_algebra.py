@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, ZERO, gr, sqrt as gr_sqrt
 from .multipoly import Polynomial, VarSet, parse_poly, substitute
 from .polylinalg import PolyMatrix, ScalarMatrix
+from .groebner import MEMO_SIZE
 
 X_VARS = VarSet(["x1", "x2", "x3", "x4"])
 Z_VARS = VarSet(["z1", "z2", "z3", "z4"])
@@ -84,7 +85,7 @@ def relation_rank(relations: Sequence[Tensor]) -> int:
     return ScalarMatrix(rows).rank()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
     """The algebra A(gamma), read from its relation matrix; gamma must be
     nonzero.  Cached: the algebra is immutable."""

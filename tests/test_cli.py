@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -118,9 +119,12 @@ def test_lines_through_numeric(capsys):
     # difference of nearly equal numbers.  Below about 2^-21 the points
     # with x4^4 near 4 fail the minor residual test, since both the
     # discriminant of rho2 and x2 cancel there, and are recomputed from
-    # closed forms that do not
+    # closed forms that do not.  At +-2^-10*i and +-2^-23*i the quadratic
+    # formula's points pass the tolerance but their lines do not, so the
+    # closed forms are tried whenever a residual exceeds RECOMPUTE_ABOVE
     for gamma in ("1", "2^30", "2^35", "2^40", "-2^40", "2^45",
-                  "2^51", "-2^79", "2^79*i", "1/2^22", "-1/2^25*i", "1/2^38"):
+                  "2^51", "-2^79", "2^79*i", "1/2^22", "-1/2^25*i", "1/2^38",
+                  "1/2^10*i", "-1/2^10*i", "1/2^23*i", "-1/2^23*i"):
         code, out, err = run_cli(
             ["--gamma", gamma, "lines-through", "--numeric", "--format", "json"],
             capsys)
@@ -162,13 +166,67 @@ def test_verification_failure_exit(monkeypatch, capsys):
     real = ls.verify_decomposition
 
     def broken(L, C):
-        rep = real(L, C)
-        rep.degrees_sum = 0
-        return rep
+        # reports are cached values: build a changed copy, never assign
+        return dataclasses.replace(real(L, C), degrees_sum=0)
 
     monkeypatch.setattr(ls, "verify_decomposition", broken)
     code, _, _ = run_cli(["--gamma", "1", "line-scheme", "--verify"], capsys)
     assert code == EXIT_VERIFICATION
+
+
+SESSION = (["point-scheme"], ["line-scheme", "--verify"],
+           ["lines-through", "--symbolic"],
+           *(["lines-through", "--point", p] for p in ("e1", "e2", "e3", "e4")),
+           ["lines-through", "--numeric"])
+
+
+def test_session_revisit_reads_the_certificate_memos(capsys):
+    # a second visit at the same gamma reprints every report from its memo
+    from qp3 import line_scheme, numeric, plucker, point_scheme
+
+    memos = {"point-scheme": point_scheme.count_points,
+             "line-scheme": line_scheme.verify_decomposition,
+             "lines-through": plucker._lines_through}
+    for command in SESSION:
+        memo = (numeric.numeric_table if "--numeric" in command
+                else memos[command[0]])
+        argv = ["--gamma=3/2+i", *command, "--format", "json"]
+        first = run_cli(argv, capsys)
+        hits = memo.cache_info().hits
+        assert run_cli(argv, capsys) == first
+        assert first[0] == EXIT_OK
+        assert memo.cache_info().hits == hits + 1
+
+
+def test_numeric_refusal_is_not_cached(capsys):
+    # exceptions are not memoized: the refusal is recomputed every time
+    for _ in range(2):
+        code, out, err = run_cli(["--gamma=1/2^40", "lines-through",
+                                  "--numeric"], capsys)
+        assert code == EXIT_VERIFICATION and out == ""
+        assert "point too close to a coordinate hyperplane" in err
+
+
+def test_reports_are_frozen():
+    # memos hand out the same report to every caller, so none may change it
+    from qp3.line_scheme import (component_catalog, line_scheme_ideal,
+                                 verify_decomposition)
+    from qp3.plucker import lines_through_point
+    from qp3.point_scheme import count_points
+    from qp3.quadratic_algebra import make_A
+
+    six = lines_through_point("generic", gr(1))
+    reports = {
+        "distinct_count": count_points(make_A(gr(1))),
+        "degrees_sum": verify_decomposition(line_scheme_ideal(gr(1)),
+                                            component_catalog(gr(1))),
+        "total": six,
+        "distinct": six.branches[0],
+        "in_line_scheme": six.branches[0].lines[0],
+    }
+    for name, report in reports.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
 
 
 def test_text_output_deterministic(capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a qp3 module imports is used in it, and
-every function and class it defines is named somewhere else."""
+"""Source hygiene: every name a qp3 module imports is used in it, every
+function and class it defines is named somewhere else, and every cache
+it makes is bounded."""
 
 import ast
 import re
@@ -98,6 +99,45 @@ def test_eager_numpy_import_is_reported():
               "class C:\n    from numpy import pi\n"
               "    def g(self):\n        from numpy import e\n")
     assert eager_numpy_imports(source) == [2, 6, 11]
+
+
+def unbounded_caches(source: str):
+    """Lines that make a cache with no bound: `lru_cache(maxsize=None)`,
+    `lru_cache(None)`, or functools' `cache`, which is the same thing.
+    An unbounded memo grows for the life of the process, so every memo in
+    qp3 names its bound."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if (name == "lru_cache" and isinstance(size, ast.Constant)
+                    and size.value is None):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_unbounded_cache_is_reported():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\ndef f(x): return x\n"
+              "@functools.lru_cache(None)\ndef g(x): return x\n"
+              "@lru_cache(maxsize=64)\ndef h(x): return x\n"
+              "@lru_cache\ndef k(x): return x\n"
+              "@functools.cache\ndef m(x): return x\n")
+    assert unbounded_caches(source) == [2, 3, 5, 11]
 
 
 ROOT = SRC.parent.parent

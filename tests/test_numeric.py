@@ -7,8 +7,8 @@ from qp3.point_scheme import count_points
 from qp3.quadratic_algebra import make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
-from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, ComplexPoint,
-                         ConvergenceError, DegeneratePointError,
+from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
+                         ComplexPoint, ConvergenceError, DegeneratePointError,
                          distinct_count, enumerate_points, gamma4_factor_values,
                          line_residual, minor_residual, proj_distance,
                          sigma_numeric, six_lines_numeric)
@@ -77,6 +77,19 @@ def test_small_gamma_points_are_recomputed_without_cancellation(text):
     assert max(minor_residual(p.coords, g.to_complex())
                for p in pts) < DEFAULT_TOL
     assert distinct_count(pts) == 20
+
+
+@pytest.mark.parametrize("text", ["1/2^10*i", "-1/2^10*i", "1/2^23*i",
+                                  "-1/2^23*i"])
+def test_points_over_the_trigger_take_the_closed_forms(text):
+    # the quadratic formula's points pass DEFAULT_TOL here (7.4e-9 and
+    # 6.2e-9), but some of their lines fail it; the closed forms are tried
+    # above RECOMPUTE_ABOVE and kept, and every line then passes
+    g = parse_gamma(text)
+    pts = enumerate_points(g)
+    assert max(minor_residual(p.coords, g.to_complex())
+               for p in pts) < RECOMPUTE_ABOVE
+    assert all(len(six_lines_numeric(p, g)) == 6 for p in pts[4:])
 
 
 def test_enumerate_matches_exact_counts():

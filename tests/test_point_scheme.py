@@ -17,6 +17,7 @@ from qp3.point_scheme import (E1, E2, E3, E4, NotOnSchemeError,
                               _sigma_formula)
 from qp3.quadratic_algebra import tensor_bilinear
 from qp3.fixtures import load_fixtures
+from qp3 import cli
 
 
 def test_point_ideal_generator_count():
@@ -208,13 +209,14 @@ def test_count_points_builds_the_point_ideal_once(monkeypatch):
     for cached in (ps.point_ideal, ps.verify_rho_derivation,
                    ps.sigma_orbit_certificates):
         cached.cache_clear()
-    assert count_points(make_A(gr(1))).ok
+    # past the report's own memo, so the certificates are computed here
+    assert count_points.__wrapped__(make_A(gr(1))).ok
     assert builds == [4]
 
 
-def test_certificate_caches_respect_the_limits():
-    # the rho and sigma certificates are cached per gamma and per limits,
-    # so an unrestricted run cannot lend its results to a narrow one
+def test_certificate_caches_respect_the_limits(capsys):
+    # the certificates are cached per input and per limits, so an
+    # unrestricted run cannot lend its results to a narrow one
     narrow = GroebnerLimits(max_pairs=20)
     A = make_A(gr(1))
     with pytest.raises(ResourceLimitError):
@@ -224,3 +226,7 @@ def test_certificate_caches_respect_the_limits():
     with pytest.raises(ResourceLimitError):
         with limits_scope(narrow):
             count_points(A)
+    for command in (["line-scheme", "--verify"], ["lines-through", "--symbolic"]):
+        assert cli.main(["--gamma=1", *command]) == cli.EXIT_OK
+        assert cli.main(["--gamma=1", "--max-pairs=20", *command]) == cli.EXIT_RESOURCE
+    assert "resource limit" in capsys.readouterr().err
