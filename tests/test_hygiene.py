@@ -109,12 +109,10 @@ def unbounded_caches(source: str):
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             size = node.args[0] if node.args else next(
                 (k.value for k in node.keywords if k.arg == "maxsize"), None)
-            if (name == "lru_cache" and isinstance(size, ast.Constant)
-                    and size.value is None):
+            if (ast.unparse(node.func).split(".")[-1] == "lru_cache"
+                    and isinstance(size, ast.Constant) and size.value is None):
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "functools":
             if any(alias.name == "cache" for alias in node.names):

@@ -228,5 +228,6 @@ def test_certificate_caches_respect_the_limits(capsys):
             count_points(A)
     for command in (["line-scheme", "--verify"], ["lines-through", "--symbolic"]):
         assert cli.main(["--gamma=1", *command]) == cli.EXIT_OK
-        assert cli.main(["--gamma=1", "--max-pairs=20", *command]) == cli.EXIT_RESOURCE
+        assert (cli.main(["--gamma=1", "--max-pairs=20", *command])
+                == cli.EXIT_RESOURCE)
     assert "resource limit" in capsys.readouterr().err
