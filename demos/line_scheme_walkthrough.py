@@ -4,11 +4,12 @@ decomposition into seven (or eight) curves.
 Pipeline: the Koszul dual of A(gamma) has ten relations, giving a 10x4
 matrix of linear forms; doubling it in u and v gives a 10x8 matrix whose
 forty-five 8x8 minors are quartics in the N_ij = u_i v_j - u_j v_i.  The
-minors are taken on the affine chart u = (1, 0, a, b), v = (0, 1, c, d)
-of Gr(2,4), where the N_ij become 1, c, d, -a, -b and ad - bc; each is
-lifted degree by degree to a quartic in the Pluecker coordinates M_ij,
-and with the Pluecker quadric P the 46 polynomials cut out the line
-scheme in P5.
+minors are taken directly in the Pluecker coordinates M_ij, with
+u = (M34, 0, -M14, M13) and v = (0, M34, -M24, M23): every N_ij is then
+M34 times its coordinate modulo the Pluecker quadric P, so each minor is
+M34^4 times a quartic modulo P.  The lead M14*M23 of P is free of M34, so
+the minor's normal form modulo P divided by M34^4 is that quartic's normal
+form, and with P the 46 polynomials cut out the line scheme in P5.
 """
 
 from qp3 import gr, print_poly

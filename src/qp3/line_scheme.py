@@ -1,19 +1,24 @@
 """The line scheme of A(gamma) in Pluecker coordinates on P5.
 
-Pipeline: Koszul dual -> the 10x8 matrix [M^(u) | M^(v)] on the affine
-chart u = (1, 0, a, b), v = (0, 1, c, d) of Gr(2,4) -> forty-five 8x8
-minors in a, b, c, d -> each lifted to a quartic in the M_ij -> the
-46-polynomial ideal (with the Pluecker quadric P), plus the reference
-component catalog and its verification.
+Pipeline: Koszul dual -> the 10x8 matrix [M^(u) | M^(v)] with u, v
+spanning the line of Pluecker coordinates M_ij -> forty-five 8x8 minors,
+octics in the M_ij -> each reduced modulo the Pluecker quadric P and
+divided by M34^4 -> the 46-polynomial ideal (P and the 45 quartics), plus
+the reference component catalog and its verification.
 
-Every minor of [M^(u) | M^(v)] is a quartic in the brackets
-N_ij = u_i v_j - u_j v_i (first fundamental theorem for SL2).  On the
-chart, N12 = 1, N13 = c, N14 = d, N23 = -a, N24 = -b, N34 = ad - bc, and
-the signed identification N12 = M34, N13 = -M24, N14 = M23, N23 = M14,
-N24 = -M13, N34 = M12 makes the chart the open set M34 != 0 of the
-Pluecker quadric.  A quartic is fixed modulo P by its values there, so
-the lift in `_lift_from_chart` followed by normal form modulo P gives
-the same polynomial as rewriting the full u, v minor in the N_ij.
+Every minor of [M^(u) | M^(v)] is a quartic Q in the brackets
+N_ij = u_i v_j - u_j v_i (first fundamental theorem for SL2), read in the
+M_ij through the signed identification N12 = M34, N13 = -M24, N14 = M23,
+N23 = M14, N24 = -M13, N34 = M12.  With u = (M34, 0, -M14, M13) and
+v = (0, M34, -M24, M23), that is M34 times the chart point (1, 0, a, b),
+(0, 1, c, d) of Gr(2,4), no chart is needed: each bracket is M34 times
+its coordinate, except N34 = M13*M24 - M14*M23, which is M34*M12 modulo
+P.  So each minor is M34^4 * Q modulo P.  The lead of P under degrevlex
+is M14*M23, free of M34, so a normal form times M34^4 is still one:
+NF(minor) = M34^4 * NF(Q), and dividing NF(minor) by M34^4 gives NF(Q)
+exactly.  A term with M34 to a power below 4 would show that the minor
+is no such quartic; the division then raises ValueError
+(`_quartic_of_minor`).
 """
 
 from __future__ import annotations
@@ -65,38 +70,18 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
 
 
-# ---------------------------------------------------------------------------
-# the affine chart u = (1, 0, a, b), v = (0, 1, c, d) of Gr(2,4)
-# ---------------------------------------------------------------------------
-
-GR_CHART_VARS = VarSet(["a", "b", "c", "d"])
-
-# the chart coordinates through N -> M, and the chart value of N34
-_CHART_IMAGES = {n: parse_poly(t, M_VARS)
-                 for n, t in zip(GR_CHART_VARS.names, ("-M14", "M13", "-M24", "M23"))}
-_CHART_N34 = parse_poly("a*d - b*c", GR_CHART_VARS)
+# u and v of the module docstring: each bracket of u, v is M34 times its
+# signed Pluecker coordinate modulo P
+_PLUECKER_U, _PLUECKER_V = ([parse_poly(t, M_VARS) for t in w] for w in (
+    ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23")))
+_M34_4 = parse_poly("M34^4", M_VARS)
 
 
-def _lift_from_chart(f: Polynomial) -> Polynomial:
-    """A quartic in the M_ij that restricts to f on the chart.
-
-    f must be the chart restriction of a quartic G in the N_ij.  A monomial
-    of G with e12 factors N12 and e34 factors N34 restricts to degree
-    4 - e12 + e34, so the part of f of degree k <= 4 lifts as
-    M34^(4-k) * f_k(M), and the part of degree 4 + l is divisible by
-    (ad - bc)^l and lifts as M12^l * (f_(4+l) / (ad - bc)^l)(M).  The
-    division raises ValueError when it is not exact, that is when f is
-    not such a restriction.
-    """
-    m12, m34 = (Polynomial.variable(M_VARS, n) for n in ("M12", "M34"))
-    out = Polynomial.zero(M_VARS)
-    for k, part in f.homogeneous_components().items():
-        l = k - 4
-        if l > 0:
-            part = poly_exact_div(part, _CHART_N34 ** l)
-        homogenizer = m12 ** l if l > 0 else m34 ** -l
-        out = out + substitute(part, _CHART_IMAGES, target=M_VARS) * homogenizer
-    return out
+def _quartic_of_minor(f: Polynomial) -> Polynomial:
+    """NF(f) modulo P divided by M34^4: the quartic that f is M34^4 times
+    modulo P.  Raises ValueError when M34^4 does not divide the normal
+    form, that is when f is no such multiple."""
+    return poly_exact_div(normal_form(f, _pluecker_gb_M()), _M34_4)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +92,7 @@ def _lift_from_chart(f: Polynomial) -> Polynomial:
 @dataclass(frozen=True)
 class LineSchemeIdeal:
     gamma: GaussianRational
-    polys: Tuple[Polynomial, ...]          # P first, then the 45 minor images
+    polys: Tuple[Polynomial, ...]          # P, then the 45 quartics (NF mod P)
     ideal: Ideal
 
     def to_json_dict(self) -> dict:
@@ -128,14 +113,11 @@ def line_scheme_ideal(gamma: GaussianRational,
 @lru_cache(maxsize=MEMO_SIZE)
 def _line_scheme_ideal(gamma: GaussianRational,
                        tensor_order: str) -> LineSchemeIdeal:
-    a, b, c, d = (Polynomial.variable(GR_CHART_VARS, n) for n in GR_CHART_VARS.names)
-    chart = _doubled_matrix(make_A(gamma), tensor_order, (1, 0, a, b), (0, 1, c, d),
-                            GR_CHART_VARS)
-    minors = all_minors(chart, 8)
-    gbP = _pluecker_gb_M()
+    big = _doubled_matrix(make_A(gamma), tensor_order, _PLUECKER_U, _PLUECKER_V,
+                          M_VARS)
     images = []
-    for f in minors:
-        h = normal_form(_lift_from_chart(f), gbP)
+    for f in all_minors(big, 8):
+        h = _quartic_of_minor(f)
         if h.is_zero():
             raise ValueError("a minor image vanished; pipeline bug")
         images.append(h)
@@ -167,7 +149,7 @@ def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
     """
     gbP = _pluecker_gb_M()
     fixture = load_fixtures().parse_line_polys(L.gamma, corrected=True)
-    free = {k: normal_form(p, gbP) if k else p for k, p in enumerate(L.polys)}
+    free = dict(enumerate(L.polys))    # the 45 are normal forms already
     matching: Dict[int, int] = {}
     for j, f in enumerate(fixture):
         nf = normal_form(f, gbP) if j else f
@@ -232,8 +214,8 @@ def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
     fixture = load_fixtures().parse_line_polys(gamma)
     fix_nf = [normal_form(f, gbP) for f in fixture[1:]]
 
-    left = [normal_form(p, gbP) for p in line_scheme_ideal(gamma, "left").polys[1:]]
-    right = [normal_form(p, gbP) for p in line_scheme_ideal(gamma, "right").polys[1:]]
+    left = line_scheme_ideal(gamma, "left").polys[1:]     # normal forms already
+    right = line_scheme_ideal(gamma, "right").polys[1:]
 
     def unit_match(f, polys):
         """First computed index whose polynomial is a unit multiple of f."""

@@ -592,15 +592,6 @@ class Polynomial:
             return next(iter(pairs))
         return None
 
-    def homogeneous_components(self) -> Dict[int, "Polynomial"]:
-        """{degree: the part of self of that total degree}."""
-        parts: Dict[int, _TermList] = {}
-        degree = self._pk.degree
-        for t in self._list:
-            parts.setdefault(degree(t[1]), []).append(t)
-        return {k: _poly(self.varset, self._pk, p, *self._scale)
-                for k, p in parts.items()}
-
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.order:
             return self

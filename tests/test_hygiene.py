@@ -154,24 +154,44 @@ def _defined_names(node):
     return []
 
 
-def unnamed_definitions():
-    """Top-level functions, classes and assigned names of src/qp3 that no
-    Python file in src, tests, demos or bench names outside the defining
-    statement itself."""
-    texts = {p: p.read_text() for d in ("src", "tests", "demos", "bench")
-             for p in sorted((ROOT / d).rglob("*.py"))}
+def _definitions(tree):
+    """(node, name, label) for each name a top-level statement defines,
+    and for each non-dunder method of a top-level class, labelled
+    Class.method."""
+    for node in tree.body:
+        for name in _defined_names(node):
+            yield node, name, name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not re.fullmatch(r"__\w+__", item.name)):
+                    yield item, item.name, f"{node.name}.{item.name}"
+
+
+def unnamed_in(texts, modules):
+    """The definitions of `modules` (see `_definitions`) that no text in
+    `texts`, a {path: source} map, names outside the defining statement
+    itself."""
     counts = Counter(w for text in texts.values() for w in WORDS.findall(text))
     unnamed = []
-    for path in MODULES:
+    for path in modules:
         lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
+        for node, name, label in _definitions(ast.parse(texts[path])):
             decorators = getattr(node, "decorator_list", [])
             first = min([node.lineno] + [d.lineno for d in decorators])
             own = WORDS.findall("\n".join(lines[first - 1:node.end_lineno]))
-            for name in _defined_names(node):
-                if counts[name] == own.count(name):
-                    unnamed.append(f"{path.name}:{node.lineno} {name}")
+            if counts[name] == own.count(name):
+                unnamed.append(f"{path.name}:{node.lineno} {label}")
     return unnamed
+
+
+def unnamed_definitions():
+    """Top-level functions, classes and assigned names of src/qp3, and the
+    non-dunder methods of its top-level classes, that no Python file in
+    src, tests, demos or bench names outside the defining statement."""
+    texts = {p: p.read_text() for d in ("src", "tests", "demos", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    return unnamed_in(texts, MODULES)
 
 
 def test_defined_names_cover_assignments():
@@ -183,3 +203,16 @@ def test_defined_names_cover_assignments():
 
 def test_every_definition_is_named_elsewhere():
     assert unnamed_definitions() == []
+
+
+def test_unnamed_method_is_reported():
+    module = Path("m.py")
+    texts = {module: ("class K:\n    def __init__(self):\n        self.x = 1\n"
+                      "    def used(self):\n        return 1\n"
+                      "    def unused(self):\n        return self.used()\n"
+                      "    @property\n    def prop(self):\n        return 2\n"
+                      "    def recursive(self, n):\n"
+                      "        return n and self.recursive(n - 1)\n"
+                      "def f():\n    return K().used()\n"),
+             Path("t.py"): "from m import K, f\nK().prop\nf()\n"}
+    assert unnamed_in(texts, [module]) == ["m.py:6 K.unused", "m.py:11 K.recursive"]

@@ -7,14 +7,13 @@ from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
 from qp3.polylinalg import ScalarMatrix, all_minors
 from qp3.groebner import Ideal, ideals_equal, normal_form
 from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
-from qp3.line_scheme import (COMPONENT_AMBIENT, GR_CHART_VARS,
-                             build_big_matrix, component_catalog,
+from qp3.line_scheme import (COMPONENT_AMBIENT, build_big_matrix, component_catalog,
                              displayed_big_matrix,
                              fixture_forensics, gamma4_factorization,
                              jacobian_smoothness_check, line_scheme_ideal,
                              match_displayed_big_matrix, match_fixture_polys,
                              pluecker_polynomial, verify_decomposition,
-                             _lift_from_chart)
+                             _pluecker_gb_M, _quartic_of_minor)
 from qp3.fixtures import load_fixtures
 
 
@@ -69,10 +68,11 @@ def test_columns_swap_under_uv_exchange():
 
 
 def test_line_scheme_polys_expand_to_the_uv_minors():
-    # an oracle that shares nothing with the chart lift: each computed
+    # an oracle that shares nothing with the construction: each computed
     # quartic, written back in u and v, is the full 8x8 minor over u, v
     assert _in_uv(pluecker_polynomial()).is_zero()
-    for g in (gr(1), gr(-4), gr(Fraction(3, 2), 1)):
+    for g in (gr(1), gr(2), gr(4), gr(-4), gr(Fraction(3, 2), 1),
+              gr(Fraction(1, 7), Fraction(-2, 3)), gr(0, 2 ** 40)):
         for tensor_order in ("left", "right"):
             L = line_scheme_ideal(g, tensor_order)
             minors = all_minors(build_big_matrix(make_A(g), tensor_order), 8)
@@ -81,24 +81,27 @@ def test_line_scheme_polys_expand_to_the_uv_minors():
                 assert _in_uv(L.polys[k]) == minor
 
 
-def test_chart_lift_rejects_non_bracket_forms():
-    # a^5 is no restriction of a quartic in the N_ij: its degree-5 part
-    # is not divisible by ad - bc
+def test_minor_quartic_needs_m34_to_the_fourth():
+    # the normal form modulo P must be M34^4 times a quartic: here it is
+    # M12*M13^2*M24^2*M34^3
     with pytest.raises(ValueError):
-        _lift_from_chart(parse_poly("a^5", GR_CHART_VARS))
-    # a degree-6 part must be divisible by (ad - bc)^2
+        _quartic_of_minor(parse_poly("M34^2*(M13*M24 - M14*M23)*M13^2*M24^2", M_VARS))
     with pytest.raises(ValueError):
-        _lift_from_chart(parse_poly("(a*d - b*c)*a^4", GR_CHART_VARS))
-    assert _lift_from_chart(parse_poly("(a*d - b*c)^2*a^2", GR_CHART_VARS)) \
-        == parse_poly("M12^2*M14^2", M_VARS)
+        _quartic_of_minor(parse_poly("M13^8", M_VARS))
+    # M13*M24 - M14*M23 reduces to M12*M34 modulo P, which supplies the
+    # fourth factor M34
+    assert _quartic_of_minor(parse_poly("M34^3*(M13*M24 - M14*M23)*M13^3", M_VARS)) \
+        == parse_poly("M12*M13^3", M_VARS)
 
 
 def test_line_scheme_ideal_shape():
     L = line_scheme_ideal(gr(1))
     assert len(L.polys) == 46
     assert L.polys[0] == pluecker_polynomial()
+    gbP = _pluecker_gb_M()
     for p in L.polys[1:]:
         assert p.is_homogeneous() and p.degree() == 4
+        assert normal_form(p, gbP) == p
 
 
 def test_line_scheme_matches_fixture_ideal():
@@ -121,8 +124,6 @@ def test_fixture_forensics_certificates():
     assert len(fr.direct_matches) == 30
     assert len(fr.combination_certificates) == 15
     # each certificate reconstructs the reference polynomial exactly
-    from qp3.line_scheme import _pluecker_gb_M
-
     gbP = _pluecker_gb_M()
     fixture = load_fixtures().parse_line_polys(gr(5))
     mine = [normal_form(p, gbP) for p in line_scheme_ideal(gr(5)).polys[1:]]
