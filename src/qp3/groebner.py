@@ -166,8 +166,11 @@ def _nf(f: _TermList, basis: Sequence[_TermList],
     list against the first element g of `basis` whose lead d x^l divides
     it: work becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in
     Z.  Whenever s > 1, the common integer factor of r, work and s goes.
-    The lists of `basis` must pass `pk.check`; a multiplier x^(m/l) that
-    would not keep the product inside its fields raises _FieldOverflow.
+    A g of one term, a monomial, lies in the ideal with every multiple of
+    it, so its step just drops c x^m from the work list: the read position
+    moves on and nothing is rebuilt.  f itself is never changed.  The
+    lists of `basis` must pass `pk.check`; a multiplier x^(m/l) that would
+    not keep the product inside its fields raises _FieldOverflow.
     """
     guard, high = pk.guard, pk.high
     heads = [(g[0][0], g[0][1], g[0][2][0], g) for g in basis]
@@ -183,6 +186,9 @@ def _nf(f: _TermList, basis: Sequence[_TermList],
                 break
         else:
             r.append(work[pos])
+            pos += 1
+            continue
+        if len(g) == 1:
             pos += 1
             continue
         u = m0 - l
@@ -260,6 +266,10 @@ class GroebnerBasis:
         return [unpack(p[0][1]) for p in reversed(self._lists)]
 
 
+# entries `_GB_CACHE` keeps; a `session` benchmark run over eight gammas
+# makes about 600
+GB_CACHE_SIZE = 1024
+
 _GB_CACHE: Dict[Tuple, GroebnerBasis] = {}
 
 
@@ -293,6 +303,8 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     gb = _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
                    _packing(len(I.varset), I.order, _BITS))
     _GB_CACHE[cache_key] = gb
+    if len(_GB_CACHE) > GB_CACHE_SIZE:    # the oldest entry goes
+        del _GB_CACHE[next(iter(_GB_CACHE))]
     return gb
 
 
@@ -473,11 +485,17 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
 
 
 def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
-    """True iff u is invertible modulo I, i.e. 1 in I + <u>."""
+    """True iff u is invertible modulo I, i.e. 1 in I + <u>.
+
+    The basis of I + <u> is computed from G + [u], G the reduced basis of
+    I under I.order that `buchberger` caches, with G as a finished prefix:
+    it is a reduced basis of the ideal it generates in that order, so only
+    pairs that involve u or an element derived from it are formed.
+    """
     if u.is_zero():
         return False
-    G = buchberger(Ideal(list(I.generators) + [u], I.order))
-    return G.contains_one()
+    G = buchberger(I)
+    return _buchberger(Ideal(list(G.basis) + [u], I.order), len(G)).contains_one()
 
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
@@ -548,6 +566,9 @@ def _minimalize(gens: List[Monomial]) -> List[Monomial]:
     return out
 
 
+# entries `_HILBERT_MEMO` keeps; a `session` benchmark run makes 85
+HILBERT_MEMO_SIZE = 1024
+
 _HILBERT_MEMO: Dict[Tuple[int, FrozenSet[Monomial]], Tuple[int, ...]] = {}
 
 
@@ -612,6 +633,8 @@ def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
             result = _poly_add(hilbert_numerator(plus, nvars),
                                _poly_shift(hilbert_numerator(colon, nvars), 1))
     _HILBERT_MEMO[key] = result
+    if len(_HILBERT_MEMO) > HILBERT_MEMO_SIZE:    # the oldest entry goes
+        del _HILBERT_MEMO[next(iter(_HILBERT_MEMO))]
     return result
 
 

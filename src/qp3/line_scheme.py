@@ -28,9 +28,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
-from .multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly,
+from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly, print_poly,
                         substitute)
-from .polylinalg import PolyMatrix, all_minors, poly_exact_div
+from .polylinalg import PolyMatrix, all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
                        cached_under_limits, hilbert_dimension_degree,
                        intersect, normal_form, radical_member)
@@ -74,14 +74,23 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
 # signed Pluecker coordinate modulo P
 _PLUECKER_U, _PLUECKER_V = ([parse_poly(t, M_VARS) for t in w] for w in (
     ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23")))
-_M34_4 = parse_poly("M34^4", M_VARS)
+_M34_4 = tuple(4 * e for e in M_VARS.var_monomial("M34"))
 
 
 def _quartic_of_minor(f: Polynomial) -> Polynomial:
     """NF(f) modulo P divided by M34^4: the quartic that f is M34^4 times
-    modulo P.  Raises ValueError when M34^4 does not divide the normal
-    form, that is when f is no such multiple."""
-    return poly_exact_div(normal_form(f, _pluecker_gb_M()), _M34_4)
+    modulo P.  The division shifts the keys and monomials of the normal
+    form's term list, which stays primitive.  Raises ValueError when
+    M34^4 does not divide a term, that is when f is no such multiple."""
+    nf = normal_form(f, _pluecker_gb_M())
+    pk = nf._pk
+    key_u, u = pk.pack(_M34_4)
+    out = []
+    for key, m, c in nf._list:
+        if not pk.divides(u, m):
+            raise ValueError("M34^4 does not divide the normal form modulo P")
+        out.append((key - key_u, m - u, c))
+    return _wrap(M_VARS, pk, out, nf._scale)
 
 
 # ---------------------------------------------------------------------------

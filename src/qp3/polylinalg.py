@@ -4,12 +4,13 @@ exact row reduction and nullspaces."""
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (Polynomial, VarSetMismatchError, _FieldOverflow, _Packing,
-                        _TermList, _iadd, _ishift, _poly, _times, _widening)
+                        _TermList, _iadd, _ishift, _packing, _poly, _product, _times,
+                        _widening)
 
 
 class PolyMatrix:
@@ -139,40 +140,73 @@ def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Poly
 def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
     """All k x k minors, row sets and column sets in lexicographic order.
 
+    The minors are computed on the term lists over Z[i] that Polynomials
+    store.  Row r is multiplied by D_r, the lcm of its entries'
+    denominators, so each entry is one list, and the minor on the rows R
+    is wrapped once, with scale 1/prod(D_r for r in R).
+
     One dynamic program per column set serves every row set: it takes the
-    chosen columns in order, and its state is the bitmask of rows used so
-    far.  Placing row r crosses the used rows above it, which gives the
-    sign (-1)^popcount(mask >> (r + 1)).  After k columns, the value at a
-    mask with k bits set is the minor on those rows.
+    chosen columns one at a time, and its state is the bitmask of rows
+    used so far.  Placing row r crosses the used rows above it, which
+    gives the sign (-1)^popcount(mask >> (r + 1)).  A state whose value
+    cancels is dropped.  After k columns, the value at a mask with k bits
+    set is the minor on those rows with the columns in the order taken.
+    That order is greedy: next comes the column with the fewest nonzero
+    rows outside the rows of the columns already taken, which keeps the
+    states few on a sparse matrix.  The set's minors are then multiplied
+    by the sign of that permutation.
     """
     if k > min(m.rows, m.cols):
         raise IndexError("minor size exceeds matrix dimensions")
+    denoms = [lcm(*(e._scale[2] for e in row)) for row in m.entries]
+    bits = max(e._pk.bits for row in m.entries for e in row)
+
+    def run(pk: _Packing):
+        # per column, (r, D_r * entry, -D_r * entry) for each nonzero entry
+        cols: List[List[Tuple[int, _TermList, _TermList]]] = [[] for _ in range(m.cols)]
+        for r, row in enumerate(m.entries):
+            for c, e in enumerate(row):
+                if not e.is_zero():
+                    p, (a, b, d) = e._packed(pk)
+                    f = denoms[r] // d
+                    p = _times(p, a * f, b * f)
+                    cols[c].append((r, p, _times(p, -1, 0)))
+        support = [sum(1 << r for r, _, _ in col) for col in cols]
+        by_cols = []
+        for chosen in combinations(range(m.cols), k):
+            left, used, taken = list(chosen), 0, []
+            while left:
+                c = min(left, key=lambda j: (support[j] & ~used).bit_count())
+                left.remove(c)
+                taken.append(c)
+                used |= support[c]
+            inversions = sum(a > b for a, b in combinations(taken, 2))
+            level: Dict[int, _TermList] = {0: [(0, 0, (1, 0))]}
+            for c in taken:
+                nxt: Dict[int, _TermList] = {}
+                for mask, val in level.items():
+                    for r, p, neg in cols[c]:
+                        bit = 1 << r
+                        if mask & bit:
+                            continue
+                        wide, contrib = _product(
+                            neg if (mask >> (r + 1)).bit_count() % 2 else p, val, pk)
+                        if wide is not pk:
+                            raise _FieldOverflow
+                        acc = nxt.get(mask | bit)
+                        nxt[mask | bit] = contrib if acc is None else _iadd(acc, contrib)
+                level = {mask: val for mask, val in nxt.items() if val}
+            by_cols.append((-1 if inversions % 2 else 1, level))
+        return pk, by_cols
+
     order = m.entries[0][0].order
-    zero = Polynomial.zero(m.varset, order)
-    by_cols = []
-    for cols in combinations(range(m.cols), k):
-        level: Dict[int, Polynomial] = {0: Polynomial.constant(m.varset, 1, order)}
-        for c in cols:
-            nxt: Dict[int, Polynomial] = {}
-            for mask, val in level.items():
-                for r in range(m.rows):
-                    bit = 1 << r
-                    if mask & bit:
-                        continue
-                    e = m.entries[r][c]
-                    if e.is_zero():
-                        continue
-                    contrib = e * val
-                    if (mask >> (r + 1)).bit_count() % 2:
-                        contrib = -contrib
-                    acc = nxt.get(mask | bit)
-                    nxt[mask | bit] = contrib if acc is None else acc + contrib
-            level = nxt
-        by_cols.append(level)
+    pk, by_cols = _widening(run, _packing(len(m.varset), order, bits))
     out = []
     for rows in combinations(range(m.rows), k):
         mask = sum(1 << r for r in rows)
-        out.extend(level.get(mask, zero) for level in by_cols)
+        d = prod(denoms[r] for r in rows)
+        out.extend(_poly(m.varset, pk, level.get(mask, []), sign, 0, d)
+                   for sign, level in by_cols)
     return out
 
 

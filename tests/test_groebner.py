@@ -461,6 +461,48 @@ def test_is_unit_and_invert_mod():
             invert_mod(u, whole)
 
 
+def test_nf_leaves_its_input_unchanged():
+    # x and y^2 are one-term reducers: their terms are dropped by moving
+    # the read position, which must not write to the list passed in
+    vs = VarSet(["x", "y", "z"])
+    G = buchberger(Ideal([parse_poly(t, vs) for t in ("x", "y^2", "z^3 - y*z")]))
+    assert sorted(len(p) for p in G._lists) == [1, 1, 2]
+    f = parse_poly("3*x^2*z + y^3 - 2*x*y + z^3 + (1+i)*y*z^2 + z - 5", vs)
+    p, _ = f._packed(G._packing)
+    before = list(p)
+    r, s = groebner._nf(p, G._lists, G._packing)
+    assert p == before
+    assert groebner._poly(vs, G._packing, r, 1, 0, s) == parse_poly(
+        "(1+i)*y*z^2 + y*z + z - 5", vs)
+
+
+@pytest.mark.parametrize("case", ["unit", "non-unit", "u in I", "1 in I",
+                                  "elimination order"])
+def test_seeded_is_unit_mod_agrees_with_plain_basis(monkeypatch, case):
+    # is_unit_mod seeds the reduced basis of I as a finished prefix; the
+    # plain basis of I + <u> from the raw generators must give the same
+    # answer.  No generating set below is a Groebner basis, and in the
+    # case 1 in I only pairs of generators of I find 1: z is coprime to
+    # every lead
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    vs = VarSet(["x", "y", "z"])
+    # V(x^2 - 1, x*y - 1) = {(1, 1), (-1, -1)}
+    gens, u, order = {
+        "unit": (["x^2 - 1", "x*y - 1"], "x + y", DEGREVLEX),
+        "non-unit": (["x^2 - 1", "x*y - 1"], "x + 1", DEGREVLEX),
+        "u in I": (["x^2 - 1", "x*y - 1"], "x - y", DEGREVLEX),
+        "1 in I": (["x^2 - 1", "y^2 - 1", "x*y - 2"], "z", DEGREVLEX),
+        "elimination order": (["x*z - y", "z^2 - 2"],
+                              "z", MonomialOrder.elimination(vs, ["z"])),
+    }[case]
+    I = Ideal([parse_poly(t, vs, order=order) for t in gens], order)
+    u = parse_poly(u, vs, order=order)
+    seeded = is_unit_mod(u, I)
+    groebner._GB_CACHE.clear()
+    plain = buchberger(Ideal(list(I.generators) + [u], I.order)).contains_one()
+    assert seeded == plain == (case in ("unit", "1 in I", "elimination order"))
+
+
 def test_determinism_repeated_runs(monkeypatch):
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
     I = point_ideal(make_A(gr(5)))

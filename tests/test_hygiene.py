@@ -123,9 +123,51 @@ def unbounded_caches(source: str):
     return sorted(lines)
 
 
+def unbounded_dict_memos(source: str):
+    """Lines of module-level dicts that a function stores into by
+    subscript, `NAME[key] = value`, while nothing in the module removes an
+    entry by `del NAME[...]`, `NAME.pop` or `NAME.popitem`.  Such a memo
+    grows for the life of the process like an unbounded lru_cache."""
+    tree = ast.parse(source)
+    dicts = {}
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, ast.Dict) or (isinstance(value, ast.Call)
+                                           and ast.unparse(value.func) == "dict"):
+            for name in _defined_names(node):
+                dicts[name] = node.lineno
+
+    def subscripted(node, ctx):
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ctx)
+                and isinstance(node.value, ast.Name) and node.value.id in dicts)
+
+    stored, evicted = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stored.update(n.value.id for n in ast.walk(node) if subscripted(n, ast.Store))
+        elif subscripted(node, ast.Del):
+            evicted.add(node.value.id)
+        elif (isinstance(node, ast.Attribute) and node.attr in ("pop", "popitem")
+              and isinstance(node.value, ast.Name)):
+            evicted.add(node.value.id)
+    return sorted(dicts[name] for name in stored - evicted)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
-    assert unbounded_caches(path.read_text()) == []
+    source = path.read_text()
+    assert unbounded_caches(source) == []
+    assert unbounded_dict_memos(source) == []
+
+
+def test_unbounded_dict_memo_is_reported():
+    source = ("from typing import Dict\nA = {}\nB: Dict[int, int] = {}\n"
+              "C = dict()\nTABLE = {'x': 1}\nREGISTRY = {}\nREGISTRY['y'] = 2\n"
+              "def f(k):\n    A[k] = B[k] = C[k] = TABLE[k] = 1\n"
+              "    if len(B) > 8:\n        del B[next(iter(B))]\n"
+              "    C.popitem()\n    local = {}\n    local[k] = 1\n"
+              "    return local\n")
+    assert unbounded_dict_memos(source) == [2, 5]
 
 
 def test_unbounded_cache_is_reported():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -190,3 +192,88 @@ def test_all_minors_rectangular_with_zeros_matches_minor():
                         for r in combinations(range(rows), k)
                         for c in combinations(range(cols), k)]
             assert all_minors(m, k) == expected
+
+
+def _sparse_qi_matrix(rng, rows, cols, varset, zero_cols=()):
+    """A seeded sparse matrix over Q(i)[varset]: entries of one to three
+    terms with denominators up to 6, about half of them zero, and the
+    columns in `zero_cols` zero throughout."""
+    grid = []
+    for _ in range(rows):
+        row = []
+        for c in range(cols):
+            if c in zero_cols or rng.random() < 0.5:
+                row.append(Polynomial.zero(varset))
+                continue
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in varset.names)
+                terms[m] = gr(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                              Fraction(rng.randint(-3, 3), rng.randint(1, 6)))
+            row.append(Polynomial(varset, terms))
+        grid.append(row)
+    return PolyMatrix(grid)
+
+
+def _bareiss_minors(m, k):
+    """Every k x k minor by Bareiss elimination of its submatrix, in the
+    order of `all_minors`, which computes them another way."""
+    return [m.submatrix(r, c).det_bareiss()
+            for r in combinations(range(m.rows), k)
+            for c in combinations(range(m.cols), k)]
+
+
+def test_all_minors_match_bareiss_on_sparse_matrices_over_qi():
+    rng = random.Random(4099)
+    vs = VarSet(["x", "y"])
+    shapes = [(4, 5, ()), (5, 4, (1,)), (3, 6, (0, 4)), (5, 5, (2,)), (6, 3, ())]
+    multi_term = denominators = 0
+    for rows, cols, zero_cols in shapes:
+        m = _sparse_qi_matrix(rng, rows, cols, vs, zero_cols)
+        multi_term += sum(len(e.terms) > 1 for row in m.entries for e in row)
+        denominators += sum(any(c.d > 1 for c in e.terms.values())
+                            for row in m.entries for e in row)
+        for k in range(1, min(rows, cols) + 1):
+            assert all_minors(m, k) == _bareiss_minors(m, k), (rows, cols, k)
+    assert multi_term > 10 and denominators > 10
+
+
+def test_all_minors_odd_greedy_column_order():
+    # column 2 has one nonzero row and column 0 has all four, so the
+    # columns are taken as 2, 1, 0 for the set (0, 1, 2): an odd
+    # permutation, whose sign the minors must carry
+    vs = VarSet(["x", "y"])
+    x, y = (Polynomial.variable(vs, n) for n in "xy")
+    half = gr(Fraction(1, 2), 1)
+    zero = Polynomial.zero(vs)
+    m = PolyMatrix([[x + 1, y * half, zero],
+                    [y, zero, x * x - y],
+                    [x * y * 3, x - y * half, zero],
+                    [half * x, zero, zero]])
+    for k in (2, 3):
+        assert all_minors(m, k) == _bareiss_minors(m, k)
+    assert not all_minors(m, 3)[0].is_zero()
+
+
+def test_all_minors_widen_the_fields_for_large_exponents(monkeypatch):
+    # exponents above 2^14 fit the first packing, but their products do
+    # not: the dynamic program runs again on wider fields
+    from qp3 import polylinalg
+
+    bits = []
+    product = polylinalg._product
+
+    def recorded(p, q, pk):
+        bits.append(pk.bits)
+        return product(p, q, pk)
+
+    monkeypatch.setattr(polylinalg, "_product", recorded)
+    vs = VarSet(["x", "y"])
+    big = 2 ** 14 + 3
+    m = PolyMatrix([[parse_poly(t, vs) for t in row] for row in (
+        (f"x^{big} + y", f"2*y^{big}", "x"),
+        (f"(1/3)*x^{big}*y", "i", f"x^{big} - y^{big}"),
+        ("x - 1", f"(1/5)*y^{big}", f"x^{big}"))])
+    assert all_minors(m, 3) == [m.det_bareiss()]
+    assert all_minors(m, 2) == _bareiss_minors(m, 2)
+    assert bits[0] < max(bits)

@@ -7,14 +7,17 @@ written out (real and imaginary part of its coefficient, then its
 monomial) and read by `parse_poly`.  Reduced bases are unique, so the two
 sets of monic polynomials must agree."""
 
+import random
+
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from qp3.gaussian import gr  # noqa: E402
-from qp3.groebner import buchberger  # noqa: E402
+from qp3.groebner import buchberger, normal_form  # noqa: E402
 from qp3.line_scheme import component_catalog, line_scheme_ideal  # noqa: E402
-from qp3.multipoly import parse_poly, print_poly  # noqa: E402
+from qp3.multipoly import Polynomial, parse_poly, print_poly  # noqa: E402
+from qp3.quadratic_algebra import M_VARS  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
 
 GAMMAS = [gr(1), gr(4), gr(3, 2)]
@@ -59,3 +62,38 @@ def test_rho_basis_matches_sympy(gamma):
 def test_component_bases_match_sympy(gamma):
     for comp in component_catalog(gamma):
         _assert_same_basis(comp.ideal)
+
+
+def _random_quartic(rng):
+    terms = {}
+    for _ in range(rng.randint(3, 8)):
+        e = [0] * len(M_VARS)
+        for _ in range(4):
+            e[rng.randrange(len(e))] += 1
+        terms[tuple(e)] = gr(rng.randint(-5, 5), rng.randint(-5, 5))
+    return Polynomial(M_VARS, terms)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS, ids=IDS)
+def test_component_remainders_match_sympy(gamma):
+    # the bases of the components hold coordinate variables, so their
+    # one-term reducers take the monomial path of the engine's reduction;
+    # a remainder modulo a Groebner basis is unique, so sympy's must agree
+    rng = random.Random(211)
+    names = M_VARS.names
+    symbols = sympy.symbols(names)
+    polys = list(line_scheme_ideal(gamma).polys)
+    quartics = [q for q in (_random_quartic(rng) for _ in range(6)) if not q.is_zero()]
+    monomial_reducers = nonzero = 0
+    for comp in component_catalog(gamma):
+        gb = buchberger(comp.ideal)
+        monomial_reducers += sum(len(g.terms) == 1 for g in gb)
+        theirs = sympy.groebner([_to_sympy(g, names) for g in comp.ideal.generators],
+                                *symbols, order="grevlex", domain="QQ_I")
+        for f in polys + quartics:
+            _, rem = theirs.reduce(_to_sympy(f, names))
+            expected = _from_sympy(sympy.Poly(rem, *symbols, domain="QQ_I"), M_VARS)
+            mine = normal_form(f, gb)
+            assert print_poly(mine) == print_poly(expected)
+            nonzero += not mine.is_zero()
+    assert monomial_reducers > 0 and nonzero > 0
