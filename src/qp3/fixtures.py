@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial, VarSet, parse_poly
@@ -29,13 +30,13 @@ _MG_VARS = VarSet([*M_VARS.names, "g"])
 class FixtureSet:
     point_scheme_polys: Tuple[str, ...]     # 15 quartics in x1..x4
     line_scheme_polys: Tuple[str, ...]      # P followed by 45 quartics in M12..M34
-    line_scheme_errata: Dict[int, str]      # entry index -> corrected text
-    component_generators: Dict[str, dict]   # name -> {generators, dimension, ...}
-    component_generators_gamma4: Dict[str, dict]
-    component_generators_gamma_minus4: Dict[str, dict]
-    surfaces: Dict[str, str]
-    planar_curves: Dict[str, List[str]]
-    pencil_points: Dict[str, str]
+    line_scheme_errata: Mapping[int, str]   # entry index -> corrected text
+    component_generators: Mapping[str, Mapping]   # name -> {generators, dimension, ...}
+    component_generators_gamma4: Mapping[str, Mapping]
+    component_generators_gamma_minus4: Mapping[str, Mapping]
+    surfaces: Mapping[str, str]
+    planar_curves: Mapping[str, Tuple[str, ...]]
+    pencil_points: Mapping[str, str]
     displayed_relation_matrix: Tuple[Tuple[str, ...], ...]
     displayed_big_matrix: Tuple[Tuple[str, ...], ...]
 
@@ -98,6 +99,16 @@ def _data_file(name: str):
     return resources.files("qp3").joinpath("data", name)
 
 
+def _frozen(value):
+    """Parsed JSON with every object a read-only mapping and every array
+    a tuple, so the memo of `load_fixtures` cannot be changed."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
 def _read_poly_list(name: str) -> Tuple[str, ...]:
     text = _data_file(name).read_text()
     return tuple(ln.strip() for ln in text.splitlines()
@@ -119,18 +130,19 @@ def load_fixtures() -> FixtureSet:
         raise ValueError(f"expected 15 point-scheme fixtures, got {len(point)}")
     if len(line) != 46:
         raise ValueError(f"expected 46 line-scheme fixtures, got {len(line)}")
-    comp = json.loads(_data_file("components.json").read_text())
+    comp = _frozen(json.loads(_data_file("components.json").read_text()))
     errata = json.loads(_data_file("line_scheme_errata.json").read_text())
     return FixtureSet(
         point_scheme_polys=point,
         line_scheme_polys=line,
-        line_scheme_errata={int(k): v for k, v in errata["line_scheme_polys"].items()},
+        line_scheme_errata=MappingProxyType(
+            {int(k): v for k, v in errata["line_scheme_polys"].items()}),
         component_generators=comp["components"],
         component_generators_gamma4=comp["components_gamma4"],
         component_generators_gamma_minus4=comp["components_gamma_minus4"],
         surfaces=comp["surfaces"],
         planar_curves=comp["planar_curves"],
         pencil_points=comp["pencil_points"],
-        displayed_relation_matrix=tuple(tuple(r) for r in comp["displayed_relation_matrix"]),
-        displayed_big_matrix=tuple(tuple(r) for r in comp["displayed_big_matrix"]),
+        displayed_relation_matrix=comp["displayed_relation_matrix"],
+        displayed_big_matrix=comp["displayed_big_matrix"],
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
                         VarSetMismatchError, _BITS, _FieldOverflow, _Packing,
@@ -84,16 +84,23 @@ def current_limits() -> GroebnerLimits:
 # entries each memo of a certificate or per-gamma object keeps: the five
 # `lines-through` points at a dozen gammas, under one set of limits
 MEMO_SIZE = 64
+# entries each memo of the Groebner layer keeps: bases, unit answers,
+# inverses and Hilbert numerators.  A `session` benchmark run over eight
+# gammas makes 346 bases and 233 unit answers
+GB_CACHE_SIZE = 1024
 
 
-def cached_under_limits(fn):
-    """Cache fn on its hashable arguments and the current Groebner limits,
-    as `buchberger` caches its bases: under a narrower bound the result
-    is recomputed, and raises if the bound is hit.  An exception is not
-    cached.  The cache keeps the MEMO_SIZE most recently used results,
-    which callers must treat as immutable values; `__wrapped__` is fn.
+def cached_under_limits(fn=None, *, maxsize: int = MEMO_SIZE):
+    """Cache fn on its hashable arguments and the current Groebner limits:
+    under a narrower bound the result is recomputed, and raises if the
+    bound is hit.  An exception is not cached.  The cache keeps the
+    `maxsize` most recently used results, which callers must treat as
+    immutable values; `__wrapped__` is fn.  Used bare, or as
+    `@cached_under_limits(maxsize=...)`.
     """
-    cached = lru_cache(maxsize=MEMO_SIZE)(
+    if fn is None:
+        return lambda fn: cached_under_limits(fn, maxsize=maxsize)
+    cached = lru_cache(maxsize=maxsize)(
         lambda limits, args, kwargs: fn(*args, **dict(kwargs)))
 
     @wraps(fn)
@@ -266,13 +273,7 @@ class GroebnerBasis:
         return [unpack(p[0][1]) for p in reversed(self._lists)]
 
 
-# entries `_GB_CACHE` keeps; a `session` benchmark run over eight gammas
-# makes about 600
-GB_CACHE_SIZE = 1024
-
-_GB_CACHE: Dict[Tuple, GroebnerBasis] = {}
-
-
+@cached_under_limits(maxsize=GB_CACHE_SIZE)
 def buchberger(I: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of I under I.order.
 
@@ -284,28 +285,18 @@ def buchberger(I: Ideal) -> GroebnerBasis:
 
 
 def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
-    """The Buchberger core behind `buchberger`.
+    """The Buchberger core behind `buchberger`, uncached.
 
     The first `reduced_prefix` generators of I must be a reduced Groebner
     basis under I.order of the ideal they generate.  They enter the basis
     as a finished prefix: no pairs are formed among them, since all of
     those reduce to zero, and only pairs that involve a later element are
     queued.  The prefix counts toward `max_basis`, and the post-hoc check
-    reduces it like every other generator.  The reduced basis of I does
-    not depend on the prefix, so the cache key ignores it.  The key holds
-    the limits, so a narrower bound recomputes, and raises if it is hit.
+    reduces it like every other generator.
     """
     limits = current_limits()
-    cache_key = (I.generators, I.order, I.varset, limits)
-    hit = _GB_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    gb = _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
-                   _packing(len(I.varset), I.order, _BITS))
-    _GB_CACHE[cache_key] = gb
-    if len(_GB_CACHE) > GB_CACHE_SIZE:    # the oldest entry goes
-        del _GB_CACHE[next(iter(_GB_CACHE))]
-    return gb
+    return _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
+                     _packing(len(I.varset), I.order, _BITS))
 
 
 def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
@@ -484,13 +475,15 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     return _buchberger(Ideal(gens, DEGREVLEX), len(G)).contains_one()
 
 
+@cached_under_limits(maxsize=GB_CACHE_SIZE)
 def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
     """True iff u is invertible modulo I, i.e. 1 in I + <u>.
 
     The basis of I + <u> is computed from G + [u], G the reduced basis of
     I under I.order that `buchberger` caches, with G as a finished prefix:
     it is a reduced basis of the ideal it generates in that order, so only
-    pairs that involve u or an element derived from it are formed.
+    pairs that involve u or an element derived from it are formed.  That
+    basis is dropped; the answer is cached.
     """
     if u.is_zero():
         return False
@@ -557,19 +550,13 @@ def _divides(m: Monomial, n: Monomial) -> bool:
     return True
 
 
-def _minimalize(gens: List[Monomial]) -> List[Monomial]:
+def _minimalize(gens: Sequence[Monomial]) -> List[Monomial]:
     gens = sorted(set(gens), key=lambda m: (sum(m), m))
     out: List[Monomial] = []
     for m in gens:
         if not any(_divides(g, m) for g in out):
             out.append(m)
     return out
-
-
-# entries `_HILBERT_MEMO` keeps; a `session` benchmark run makes 85
-HILBERT_MEMO_SIZE = 1024
-
-_HILBERT_MEMO: Dict[Tuple[int, FrozenSet[Monomial]], Tuple[int, ...]] = {}
 
 
 def _poly_add(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -594,48 +581,44 @@ def _poly_shift(p: Tuple[int, ...], k: int) -> Tuple[int, ...]:
 
 def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
     """Numerator of the Hilbert series of R/<gens> over (1-t)^nvars."""
-    gens = _minimalize(list(gens))
-    key = (nvars, frozenset(gens))
-    hit = _HILBERT_MEMO.get(key)
-    if hit is not None:
-        return hit
+    return _numerator(tuple(_minimalize(gens)), nvars)
+
+
+@lru_cache(maxsize=GB_CACHE_SIZE)
+def _numerator(gens: Tuple[Monomial, ...], nvars: int) -> Tuple[int, ...]:
+    """`hilbert_numerator` of a generating set that `_minimalize` made."""
     if not gens:
+        return (1,)
+    if any(sum(m) == 0 for m in gens):
+        return (0,)
+    supports = [frozenset(k for k, e in enumerate(m) if e) for m in gens]
+    disjoint = True
+    seen: set = set()
+    for s in supports:
+        if seen & s:
+            disjoint = False
+            break
+        seen |= s
+    if disjoint:
         result: Tuple[int, ...] = (1,)
-    elif any(sum(m) == 0 for m in gens):
-        result = (0,)
-    else:
-        supports = [frozenset(k for k, e in enumerate(m) if e) for m in gens]
-        disjoint = True
-        seen: set = set()
-        for s in supports:
-            if seen & s:
-                disjoint = False
-                break
-            seen |= s
-        if disjoint:
-            result = (1,)
-            for m in gens:
-                factor = [0] * (sum(m) + 1)
-                factor[0] = 1
-                factor[sum(m)] = -1
-                result = _poly_mul(result, tuple(factor))
-        else:
-            counts = [0] * nvars
-            for m in gens:
-                for k, e in enumerate(m):
-                    if e:
-                        counts[k] += 1
-            v = max(range(nvars), key=lambda k: (counts[k], -k))
-            pivot = tuple(1 if k == v else 0 for k in range(nvars))
-            plus = [m for m in gens if m[v] == 0] + [pivot]
-            colon = [tuple(max(e - 1, 0) if k == v else e for k, e in enumerate(m))
-                     for m in gens]
-            result = _poly_add(hilbert_numerator(plus, nvars),
-                               _poly_shift(hilbert_numerator(colon, nvars), 1))
-    _HILBERT_MEMO[key] = result
-    if len(_HILBERT_MEMO) > HILBERT_MEMO_SIZE:    # the oldest entry goes
-        del _HILBERT_MEMO[next(iter(_HILBERT_MEMO))]
-    return result
+        for m in gens:
+            factor = [0] * (sum(m) + 1)
+            factor[0] = 1
+            factor[sum(m)] = -1
+            result = _poly_mul(result, tuple(factor))
+        return result
+    counts = [0] * nvars
+    for m in gens:
+        for k, e in enumerate(m):
+            if e:
+                counts[k] += 1
+    v = max(range(nvars), key=lambda k: (counts[k], -k))
+    pivot = tuple(1 if k == v else 0 for k in range(nvars))
+    plus = [m for m in gens if m[v] == 0] + [pivot]
+    colon = [tuple(max(e - 1, 0) if k == v else e for k, e in enumerate(m))
+             for m in gens]
+    return _poly_add(hilbert_numerator(plus, nvars),
+                     _poly_shift(hilbert_numerator(colon, nvars), 1))
 
 
 def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
@@ -688,6 +671,7 @@ def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
     return (len(I.varset) - stripped - 1, sum(num))
 
 
+@cached_under_limits(maxsize=GB_CACHE_SIZE)
 def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Inverse of u modulo the ideal I of G, as a normal form modulo G.
 
@@ -696,6 +680,7 @@ def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
     only if u v - 1 reduces to zero modulo G (x modulo <x^2 - x> gives
     t - 1), so this is checked; else NotAUnitError.  A DEGREVLEX G is a
     finished prefix, as in `radical_member`: the order restricts to it.
+    That basis is dropped; the inverse is cached.
     """
     gens = _rabinowitsch(G.basis, u, "t_inv")
     big = gens[-1].varset

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly, print_poly,
@@ -395,7 +396,7 @@ class DecompositionReport:
     poly_in_components: bool       # V(L_k) inside V(L) for every k
     intersection_in_radical: bool  # V(L) inside the union of the V(L_k)
     hilbert: Tuple[int, int]
-    component_hilbert: Dict[str, Tuple[int, int]]
+    component_hilbert: Mapping[str, Tuple[int, int]]
     degrees_sum: int
 
     @property
@@ -451,7 +452,7 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
         poly_in_components=poly_in_components,
         intersection_in_radical=intersection_in_radical,
         hilbert=hd,
-        component_hilbert=comp_h,
+        component_hilbert=MappingProxyType(comp_h),
         degrees_sum=degrees_sum,
     )
 

@@ -66,7 +66,7 @@ def _float_gamma(gamma) -> complex:
     return g
 
 
-@dataclass
+@dataclass(eq=False)
 class ComplexPoint:
     """A numeric point of P3, max-modulus coordinate scaled to 1."""
 

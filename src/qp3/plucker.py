@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (Polynomial, VarSet, parse_poly, print_poly,
@@ -334,7 +335,8 @@ class SixLinesReport:
     gamma: GaussianRational
     point: str
     branches: Tuple[BranchReport, ...] = ()
-    component_dimensions: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    component_dimensions: Mapping[str, Tuple[int, int]] = field(
+        default_factory=lambda: MappingProxyType({}))
     infinite: bool = False
     branch_dims_consistent: bool = True
     total: Union[int, str] = 0
@@ -476,7 +478,7 @@ def _lines_through(point: str, gamma: GaussianRational,
         full_dim = hilbert_dimension_degree(full)
         infinite = full_dim[0] >= 1
         return SixLinesReport(gamma=gamma, point=point,
-                              component_dimensions=dims,
+                              component_dimensions=MappingProxyType(dims),
                               infinite=infinite,
                               total="infinite" if infinite else 0)
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
@@ -155,7 +156,6 @@ def zgamma_gb(gamma: GaussianRational) -> GroebnerBasis:
     return buchberger(zgamma_ideal(gamma))
 
 
-@cached_under_limits
 def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
     """Saturating the chart ideal at x4 and taking a lex basis must give
     exactly the monic triangular system, every dehomogenized minor must
@@ -236,7 +236,6 @@ def sigma_symbolic(coords: Sequence[Polynomial], gamma: GaussianRational):
             normal_form(a4 * (-i), gb))
 
 
-@cached_under_limits
 def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
     """Symbolic proofs about sigma on Z_gamma: order four, no fixed points
     of sigma or sigma^2, and sigma maps Z_gamma into the point scheme."""
@@ -285,13 +284,13 @@ def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
 @dataclass(frozen=True)
 class PointSchemeReport:
     gamma: GaussianRational
-    chart_counts: Dict[str, int]
+    chart_counts: Mapping[str, int]
     total_with_multiplicity: int
     distinct_count: int
-    multiplicity_profile: Dict[int, int]
+    multiplicity_profile: Mapping[int, int]
     sigma_orbits: Tuple[int, ...]
     rho1_squarefree: bool
-    checks: Dict[str, bool]
+    checks: Mapping[str, bool]
 
     @property
     def ok(self) -> bool:
@@ -398,13 +397,13 @@ def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeR
 
     return PointSchemeReport(
         gamma=gamma,
-        chart_counts=chart_counts,
+        chart_counts=MappingProxyType(chart_counts),
         total_with_multiplicity=total,
         distinct_count=distinct,
-        multiplicity_profile=profile,
+        multiplicity_profile=MappingProxyType(profile),
         sigma_orbits=orbits,
         rho1_squarefree=rho1_squarefree,
-        checks=checks,
+        checks=MappingProxyType(checks),
     )
 
 

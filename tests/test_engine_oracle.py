@@ -81,14 +81,12 @@ def naive_buchberger(I):
     return reduced
 
 
-@pytest.fixture(autouse=True)
-def fresh_basis_cache(monkeypatch):
-    # the engine must compute every basis compared here, not look it up
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+# the engine must compute every basis compared here, not look it up
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def _same_basis(I):
-    groebner._GB_CACHE.clear()
+    buchberger.cache_clear()
     fast = buchberger(I)
     slow = naive_buchberger(I)
     return [print_poly(p) for p in fast] == [print_poly(p) for p in slow]

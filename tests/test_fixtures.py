@@ -108,3 +108,18 @@ def test_loading_parses_no_fixture_text(monkeypatch):
     finally:
         load_fixtures.cache_clear()
     assert calls == []
+
+
+def test_memoized_fixtures_are_read_only():
+    # every catalog is built from the one FixtureSet load_fixtures keeps
+    from qp3.line_scheme import component_catalog
+
+    fx = load_fixtures()
+    with pytest.raises(TypeError):
+        fx.component_generators["L1"]["generators"] = ("M12",)
+    with pytest.raises(AttributeError):
+        fx.component_generators["L1"]["generators"].append("M12")
+    with pytest.raises(TypeError):
+        fx.line_scheme_errata[31] = "M12"
+    assert len(load_fixtures().component_generators["L1"]["generators"]) == 4
+    assert len(component_catalog(gr(3)).get("L1").ideal.generators) == 4

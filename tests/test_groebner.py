@@ -345,10 +345,9 @@ def test_packed_monomials_match_their_tuple_definitions(order):
         pk.check([pk.pack((0, 0, half + 1, 0, 0)) + ((1, 0),)])
 
 
-def test_exponents_beyond_the_packed_width_widen_the_fields(monkeypatch):
+def test_exponents_beyond_the_packed_width_widen_the_fields(fresh_caches):
     # y - x^3 reduces to y - z^36000 modulo x - z^12000: the reduction
     # outgrows the starting fields, which widen; the basis stays exact
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     lex = MonomialOrder.lex()
     vs = VarSet(["y", "x", "z"])
     assert 12000 < 2 ** (multipoly._BITS - 1) <= 24000 < 2 ** multipoly._BITS < 36000
@@ -384,9 +383,8 @@ def test_resource_limit_raises():
             buchberger(point_ideal(make_A(gr(1))))
 
 
-def test_limits_scope_is_per_thread(monkeypatch):
+def test_limits_scope_is_per_thread(fresh_caches):
     # a narrow scope in one thread leaves another thread on the defaults
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     I = point_ideal(make_A(gr(1)))
     scope_open = threading.Barrier(2, timeout=60)
     b_done = threading.Barrier(2, timeout=60)
@@ -424,8 +422,7 @@ def test_limits_scope_reuses_cached_basis():
         assert buchberger(I) is buchberger(I)
 
 
-def test_limits_scope_restores_defaults_after_error(monkeypatch):
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+def test_limits_scope_restores_defaults_after_error(fresh_caches):
     I = point_ideal(make_A(gr(1)))
     with pytest.raises(ResourceLimitError):
         with limits_scope(GroebnerLimits(max_pairs=1)):
@@ -461,6 +458,47 @@ def test_is_unit_and_invert_mod():
             invert_mod(u, whole)
 
 
+def test_unit_and_inverse_answers_are_cached_per_limits(fresh_caches):
+    rho = zgamma_ideal(gr(1))
+    G = buchberger(rho)
+    x3 = Polynomial.variable(CHART_VARS, "x3")
+    inv = invert_mod(x3, G)
+    assert is_unit_mod(x3, rho)
+    # under the same limits both answers are read back
+    assert invert_mod(x3, G) is inv and is_unit_mod(x3, rho)
+    assert invert_mod.cache_info().hits == is_unit_mod.cache_info().hits == 1
+    # under narrower limits both are recomputed, and raise if a bound is hit
+    with limits_scope(GroebnerLimits(max_pairs=400_000)):
+        assert invert_mod(x3, G) == inv and is_unit_mod(x3, rho)
+    assert invert_mod.cache_info().misses == is_unit_mod.cache_info().misses == 2
+    with limits_scope(GroebnerLimits(max_pairs=1)):
+        with pytest.raises(ResourceLimitError):
+            is_unit_mod(x3, rho)
+        with pytest.raises(ResourceLimitError):
+            invert_mod(x3, G)
+
+
+def test_not_a_unit_is_not_cached(fresh_caches):
+    vs = VarSet(["x", "y"])
+    G = buchberger(Ideal([parse_poly("x^2 - x", vs)]))
+    for _ in range(2):
+        with pytest.raises(NotAUnitError):
+            invert_mod(Polynomial.variable(vs, "x"), G)
+    info = invert_mod.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_seeded_basis_is_not_cached(fresh_caches):
+    # is_unit_mod caches the basis G of I and its answer; the basis of
+    # G + [u] it computes on the way is dropped
+    rho = zgamma_ideal(gr(1))
+    assert is_unit_mod(Polynomial.variable(CHART_VARS, "x3"), rho)
+    assert buchberger.cache_info().currsize == 1
+    assert buchberger.cache_info().hits == 0
+    buchberger(rho)
+    assert buchberger.cache_info().hits == 1
+
+
 def test_nf_leaves_its_input_unchanged():
     # x and y^2 are one-term reducers: their terms are dropped by moving
     # the read position, which must not write to the list passed in
@@ -478,13 +516,13 @@ def test_nf_leaves_its_input_unchanged():
 
 @pytest.mark.parametrize("case", ["unit", "non-unit", "u in I", "1 in I",
                                   "elimination order"])
-def test_seeded_is_unit_mod_agrees_with_plain_basis(monkeypatch, case):
+def test_seeded_is_unit_mod_agrees_with_plain_basis(fresh_caches, case):
     # is_unit_mod seeds the reduced basis of I as a finished prefix; the
     # plain basis of I + <u> from the raw generators must give the same
     # answer.  No generating set below is a Groebner basis, and in the
     # case 1 in I only pairs of generators of I find 1: z is coprime to
-    # every lead
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    # every lead; the seeded basis is never cached, so the plain one below
+    # is computed
     vs = VarSet(["x", "y", "z"])
     # V(x^2 - 1, x*y - 1) = {(1, 1), (-1, -1)}
     gens, u, order = {
@@ -498,16 +536,14 @@ def test_seeded_is_unit_mod_agrees_with_plain_basis(monkeypatch, case):
     I = Ideal([parse_poly(t, vs, order=order) for t in gens], order)
     u = parse_poly(u, vs, order=order)
     seeded = is_unit_mod(u, I)
-    groebner._GB_CACHE.clear()
     plain = buchberger(Ideal(list(I.generators) + [u], I.order)).contains_one()
     assert seeded == plain == (case in ("unit", "1 in I", "elimination order"))
 
 
-def test_determinism_repeated_runs(monkeypatch):
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+def test_determinism_repeated_runs(fresh_caches):
     I = point_ideal(make_A(gr(5)))
     a = buchberger(I)
-    groebner._GB_CACHE.clear()
+    buchberger.cache_clear()
     b = buchberger(I)
     assert a is not b
     assert [print_poly(p) for p in a] == [print_poly(p) for p in b]
@@ -515,14 +551,12 @@ def test_determinism_repeated_runs(monkeypatch):
 
 def _rabinowitsch_bases(f, I):
     """The Rabinowitsch basis for f and I, seeded from the reduced basis of
-    I and unseeded from its raw generators.  The cache is cleared between
-    the two: when I is already reduced they share a cache key."""
+    I and unseeded from its raw generators.  Only the plain one is cached."""
     from qp3.groebner import _buchberger, _rabinowitsch
 
     G = buchberger(I)
     seeded = _buchberger(Ideal(_rabinowitsch(G.basis, f, "t_rad"), DEGREVLEX),
                          len(G))
-    groebner._GB_CACHE.clear()
     plain = buchberger(Ideal(_rabinowitsch(I.generators, f, "t_rad"), DEGREVLEX))
     assert seeded is not plain
     return seeded, plain
@@ -534,10 +568,9 @@ def _assert_seeded_rabinowitsch_agrees(f, I):
     assert radical_member(f, I) == plain.contains_one()
 
 
-def test_seeded_rabinowitsch_on_line_scheme_and_components(monkeypatch):
+def test_seeded_rabinowitsch_on_line_scheme_and_components(fresh_caches):
     from qp3.line_scheme import component_catalog, line_scheme_ideal
 
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     for g in (gr(1), gr(4)):
         L = line_scheme_ideal(g)
         C = component_catalog(g)
@@ -552,10 +585,9 @@ def test_seeded_rabinowitsch_on_line_scheme_and_components(monkeypatch):
                 _assert_seeded_rabinowitsch_agrees(f, comp.ideal)
 
 
-def test_seeded_rabinowitsch_on_random_ideals(monkeypatch):
+def test_seeded_rabinowitsch_on_random_ideals(fresh_caches):
     # the ideals of acceptance criterion 10c, drawn from the same stream,
     # with f = x and y in turn; a random f of degree 4 can take seconds
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     rng = random.Random(107)
     vs = VarSet(["x", "y"])
     seen = 0
@@ -580,12 +612,12 @@ def test_seeded_rabinowitsch_on_random_ideals(monkeypatch):
 @pytest.mark.parametrize("gamma, spolys", [(gr(1), 448), (gr(4), 455),
                                            (gr(3, 2), 448)],
                          ids=["1", "4", "3+2i"])
-def test_line_scheme_verification_s_pair_count(monkeypatch, gamma, spolys):
+def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch,
+                                              gamma, spolys):
     # the Buchberger work of `line-scheme --verify` from empty caches: every
     # S-polynomial the engine forms, over all the bases the check computes.
     # The pairs depend on the leading monomials and the selection order
     # alone, so how polynomials are stored must not change these counts
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     calls = []
     spoly = groebner._spoly
 

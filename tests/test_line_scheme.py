@@ -297,3 +297,13 @@ def test_jacobian_smoothness_planar_cubics_with_gamma():
         for name in ("L3", "L4", "L5"):
             assert jacobian_smoothness_check(cat.get(name).ideal,
                                              COMPONENT_AMBIENT[name])
+
+
+def test_memoized_decomposition_report_is_read_only():
+    g = gr(1)
+    report = verify_decomposition(line_scheme_ideal(g), component_catalog(g))
+    before = dict(report.component_hilbert)
+    with pytest.raises(TypeError):
+        report.component_hilbert["L1"] = (0, 0)
+    again = verify_decomposition(line_scheme_ideal(g), component_catalog(g))
+    assert dict(again.component_hilbert) == before and again.ok

@@ -207,3 +207,10 @@ def test_sigma_permutes_points_with_orbit_profile():
             size += 1
         sizes.append(size)
     assert sorted(sizes) == [2, 2, 4, 4, 4, 4]
+
+
+def test_complex_points_compare_and_hash_by_identity():
+    p, q = ComplexPoint((1, 2, 3, 4)), ComplexPoint((1, 2, 3, 5))
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+    assert repr(p).startswith("ComplexPoint(coords=")

@@ -270,3 +270,12 @@ def test_line_check_transcript_serializes():
     doc = rep.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["total"] == 6
+
+
+def test_memoized_six_lines_report_is_read_only():
+    for point in ("e1", "generic"):
+        report = lines_through_point(point, gr(1))
+        before = dict(report.component_dimensions)
+        with pytest.raises(TypeError):
+            report.component_dimensions["L1"] = (5, 5)
+        assert dict(lines_through_point(point, gr(1)).component_dimensions) == before

@@ -193,7 +193,7 @@ def test_sigma_undefined_at_x3_zero():
         _sigma_formula(ProjectivePoint((1, 5, 0, 3)))
 
 
-def test_count_points_builds_the_point_ideal_once(monkeypatch):
+def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):
     # chart_ideal (four charts), sigma (four basis points) and the rho and
     # sigma certificates all share one set of fifteen minors per algebra
     import qp3.point_scheme as ps
@@ -206,9 +206,6 @@ def test_count_points_builds_the_point_ideal_once(monkeypatch):
         return real(m, k)
 
     monkeypatch.setattr(ps, "all_minors", counted)
-    for cached in (ps.point_ideal, ps.verify_rho_derivation,
-                   ps.sigma_orbit_certificates):
-        cached.cache_clear()
     # past the report's own memo, so the certificates are computed here
     assert count_points.__wrapped__(make_A(gr(1))).ok
     assert builds == [4]
@@ -231,3 +228,15 @@ def test_certificate_caches_respect_the_limits(capsys):
         assert (cli.main(["--gamma=1", "--max-pairs=20", *command])
                 == cli.EXIT_RESOURCE)
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_memoized_report_is_read_only():
+    # count_points hands every caller the same report, so no caller may
+    # change what later callers read
+    report = count_points(make_A(gr(1)))
+    for mapping in (report.checks, report.chart_counts,
+                    report.multiplicity_profile):
+        with pytest.raises(TypeError):
+            mapping["x"] = False
+    again = count_points(make_A(gr(1)))
+    assert "x" not in again.checks and again.ok
