@@ -483,11 +483,11 @@ def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
     I under I.order that `buchberger` caches, with G as a finished prefix:
     it is a reduced basis of the ideal it generates in that order, so only
     pairs that involve u or an element derived from it are formed.  That
-    basis is dropped; the answer is cached.
+    basis is dropped; the answer is cached.  u = 0 is a unit iff 1 in I.
     """
-    if u.is_zero():
-        return False
     G = buchberger(I)
+    if u.is_zero():
+        return G.contains_one()
     return _buchberger(Ideal(list(G.basis) + [u], I.order), len(G)).contains_one()
 
 

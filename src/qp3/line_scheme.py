@@ -367,22 +367,19 @@ def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
 
 
 def gamma4_factorization(gamma: GaussianRational) -> bool:
-    """At gamma^2 = 16 the L1 quadric combination factors into the two
-    displayed linear forms; verified by expansion."""
+    """At gamma^2 = 16 the quadric q2 - (gamma/2) q1 of the generic L1
+    ideal factors into the linear forms that cut the catalog's conics L1a
+    and L1b out of it; verified by expansion."""
     if gamma * gamma != gr(16):
         return False
-    q1 = parse_poly("M14*M23 + M12*M34", M_VARS)
-    q2 = parse_poly("M12^2 + M34^2 + g*M14*M23 - M14^2 - M23^2", M_VARS,
-                    gamma=gamma)
-    alpha = gr(-1) if gamma == gr(4) else gr(1)
-    Q = q2 + (gr(2) * alpha) * q1
-    if gamma == gr(4):
-        f1 = parse_poly("M12 - M34 + M14 - M23", M_VARS)
-        f2 = parse_poly("M12 - M34 - M14 + M23", M_VARS)
-    else:
-        f1 = parse_poly("M12 + M34 + M14 + M23", M_VARS)
-        f2 = parse_poly("M12 + M34 - M14 - M23", M_VARS)
-    return f1 * f2 == Q
+    generic = [parse_poly(t, M_VARS, gamma=gamma)
+               for t in load_fixtures().component_generators["L1"]["generators"]]
+    q1, q2 = (g for g in generic if g.degree() == 2)
+    catalog = component_catalog(gamma)
+    f1, f2 = (next(g for g in catalog.get(name).ideal.generators
+                   if g.degree() == 1 and g not in generic)
+              for name in ("L1a", "L1b"))
+    return f1 * f2 == q2 - (gamma / 2) * q1
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +454,16 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
     )
 
 
-def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str]) -> bool:
-    """No singular points in projective coordinates `ambient`: the system
-    plus all maximal Jacobian minors has empty projective zero locus,
-    checked as every ambient coordinate lying in the radical."""
-    ambient_vs = VarSet(ambient)
-    drop = [n for n in component.varset.names if n not in ambient]
+def jacobian_smoothness_check(component: Ideal) -> bool:
+    """No singular points in the projective space of the component's
+    ambient coordinates, the variables that are not generators
+    themselves: the system plus all maximal Jacobian minors has empty
+    projective zero locus, checked as every ambient coordinate lying in
+    the radical."""
+    vs = component.varset
+    drop = [n for n in vs.names
+            if Polynomial.variable(vs, n) in component.generators]
+    ambient_vs = VarSet([n for n in vs.names if n not in drop])
     zero_drop = {n: 0 for n in drop}
     system = []
     for g in component.generators:
@@ -480,15 +481,3 @@ def jacobian_smoothness_check(component: Ideal, ambient: Sequence[str]) -> bool:
     return all(radical_member(Polynomial.variable(ambient_vs, n), S)
                for n in ambient_vs.names)
 
-
-COMPONENT_AMBIENT = {
-    "L1": ("M12", "M14", "M23", "M34"),
-    "L2": ("M12", "M23", "M24"),
-    "L3": ("M14", "M24", "M34"),
-    "L4": ("M13", "M23", "M34"),
-    "L5": ("M12", "M13", "M14"),
-    "L6a": ("M12", "M13", "M24", "M34"),
-    "L6b": ("M12", "M13", "M24", "M34"),
-    "L1a": ("M12", "M14", "M23", "M34"),
-    "L1b": ("M12", "M14", "M23", "M34"),
-}

@@ -18,6 +18,7 @@ from .gaussian import GaussianRational
 from .multipoly import Polynomial
 from .groebner import cached_under_limits
 from .fixtures import load_fixtures
+from .plucker import generic_line_points, pluecker_join
 
 if TYPE_CHECKING:
     import numpy as np
@@ -247,10 +248,10 @@ def line_residual(m: Sequence[complex], gamma: complex) -> float:
 
 
 def _pluecker_join(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:
+    """The join of two points, scaled to largest modulus 1."""
     import numpy as np
 
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    v = np.asarray([a[i] * b[j] - a[j] * b[i] for i, j in pairs], dtype=complex)
+    v = np.asarray(pluecker_join(a, b), dtype=complex)
     return v / np.max(np.abs(v))
 
 
@@ -277,17 +278,10 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     sep = _line_separation(g)
     if min(abs(x2), abs(x3), abs(x4)) < sep:
         raise DegeneratePointError("point too close to a coordinate hyperplane")
-    lines = [
-        _pluecker_join((1, 0, x3, 0), (0, x2, 0, x4)),       # L1 family
-        _pluecker_join((0, 1, 0, 0), (1, 0, x3, x4)),        # L2
-        _pluecker_join((1, x2, x3, 0), (0, 0, 0, 1)),        # L3
-        _pluecker_join((1, x2, 0, x4), (0, 0, 1, 0)),        # L4
-        _pluecker_join((1, 0, 0, 0), (0, x2, x3, x4)),       # L5
-    ]
-    if abs(x2 - 1j * x3 * x4) < abs(x2 + 1j * x3 * x4):
-        lines.append(_pluecker_join((1, 0, 0, x4), (0, 1j * x4, 1, 0)))   # L6a
-    else:
-        lines.append(_pluecker_join((1, 0, 0, x4), (0, -1j * x4, 1, 0)))  # L6b
+    l6 = "L6a" if abs(x2 - 1j * x3 * x4) < abs(x2 + 1j * x3 * x4) else "L6b"
+    joins = generic_line_points(x2, x3, x4, 1j)
+    lines = [_pluecker_join(*joins[name])
+             for name in ("L1", "L2", "L3", "L4", "L5", l6)]
     for m in lines:
         if line_residual(m, g) > tol:
             raise ConvergenceError("line exceeds residual tolerance")
@@ -312,9 +306,3 @@ def numeric_table(gamma, tol: float) -> Tuple[NumericRow, ...]:
                      tuple(tuple(map(complex, m)) for m in lines)))
     return tuple(rows)
 
-
-def gamma4_factor_values(p: ComplexPoint) -> Tuple[complex, complex]:
-    """The two factor values selecting the L1a / L1b line at gamma^2=16."""
-    c = p.coords / p.coords[0]
-    x2, x3, x4 = c[1], c[2], c[3]
-    return ((1 + x3) * x2 + (1 - x3) * x4, (1 - x3) * x2 - (1 + x3) * x4)

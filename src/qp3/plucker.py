@@ -72,9 +72,14 @@ class PluckerLine:
         return "PluckerLine(" + ", ".join(str(c) for c in self.normalized()) + ")"
 
 
+def pluecker_join(a: Sequence, b: Sequence) -> List:
+    """M_ij = a_i b_j - a_j b_i, for exact or float coordinates alike."""
+    return [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+
+
 def line_from_points(a: ProjectivePoint, b: ProjectivePoint) -> PluckerLine:
-    """M_ij = a_i b_j - a_j b_i; requires linearly independent points."""
-    coords = [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+    """The join of two linearly independent points."""
+    coords = pluecker_join(a, b)
     if all(c.is_zero() for c in coords):
         raise DependentPointsError("points are projectively equal")
     return PluckerLine(coords)
@@ -195,8 +200,7 @@ def surface_containment(family: LineFamily, surface: Polynomial) -> bool:
     return normal_form(image, gb).is_zero()
 
 
-def ruling_lines(quadric: str, param, gamma: Optional[GaussianRational] = None
-                 ) -> PluckerLine:
+def ruling_lines(quadric: str, param) -> PluckerLine:
     """One line of the named quadric's reference ruling.
 
     Q6a and Q6b take a parameter pair (delta, eps) != (0, 0); Qa and Qb
@@ -250,35 +254,30 @@ def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_line_coords(gamma: GaussianRational) -> Dict[str, Tuple[Polynomial, ...]]:
-    """Pluecker coordinates, denominators cleared, of the component line
-    through the generic chart point (1, x2, x3, x4)."""
-    x2 = Polynomial.variable(CHART_VARS, "x2")
-    x3 = Polynomial.variable(CHART_VARS, "x3")
-    x4 = Polynomial.variable(CHART_VARS, "x4")
-    one = Polynomial.constant(CHART_VARS, 1)
-    zero = Polynomial.zero(CHART_VARS)
-    i = gr(0, 1)
-    lines = {
-        # join of (1, 0, x3, 0) and (0, x2, 0, x4): the line
-        # V(x1 - (1/x3) x1... x1 = alpha x3, x2 = beta x4 scaled clear
-        "L1": (x2, zero, x4, -(x2 * x3), zero, x3 * x4),
-        # join of e2 and (1, 0, x3, x4)
-        "L2": (-one, zero, zero, x3, x4, zero),
-        # join of (1, x2, x3, 0) and e4
-        "L3": (zero, zero, one, zero, x2, x3),
-        # join of (1, x2, 0, x4) and e3
-        "L4": (zero, one, zero, x2, zero, -x4),
-        # join of e1 and (0, x2, x3, x4)
-        "L5": (x2, x3, x4, zero, zero, zero),
-        # join of (1, 0, 0, x4) and (0, i x4, 1, 0)
-        "L6a": (i * x4, one, zero, zero, -(i * (x4 * x4)), -x4),
-        # join of (1, 0, 0, x4) and (0, -i x4, 1, 0)
-        "L6b": (-(i * x4), one, zero, zero, i * (x4 * x4), -x4),
+def generic_line_points(x2, x3, x4, i) -> Dict[str, Tuple[Tuple, Tuple]]:
+    """Each component's line through the generic chart point (1, x2, x3, x4),
+    as two points it joins; i is a square root of -1 of the coordinates'
+    kind (gr(0, 1) for polynomials, 1j for floats)."""
+    return {
+        "L1": ((1, 0, x3, 0), (0, x2, 0, x4)),
+        "L2": ((0, 1, 0, 0), (1, 0, x3, x4)),
+        "L3": ((1, x2, x3, 0), (0, 0, 0, 1)),
+        "L4": ((1, x2, 0, x4), (0, 0, 1, 0)),
+        "L5": ((1, 0, 0, 0), (0, x2, x3, x4)),
+        "L6a": ((1, 0, 0, x4), (0, i * x4, 1, 0)),
+        "L6b": ((1, 0, 0, x4), (0, -i * x4, 1, 0)),
     }
-    lines["L1a"] = lines["L1"]
-    lines["L1b"] = lines["L1"]
-    return lines
+
+
+# the Pluecker coordinates of those lines as polynomials in x2, x3, x4; the
+# split conics L1a and L1b of gamma^2 = 16 are met on the line of L1
+GENERIC_LINES = {
+    name: tuple(c if isinstance(c, Polynomial) else Polynomial.constant(CHART_VARS, c)
+                for c in pluecker_join(a, b))
+    for name, (a, b) in generic_line_points(
+        *(Polynomial.variable(CHART_VARS, n) for n in ("x2", "x3", "x4")),
+        gr(0, 1)).items()}
+GENERIC_LINES["L1a"] = GENERIC_LINES["L1b"] = GENERIC_LINES["L1"]
 
 
 def _branch_factors(gamma: GaussianRational) -> Dict[str, Polynomial]:
@@ -483,7 +482,6 @@ def _lines_through(point: str, gamma: GaussianRational,
                               total="infinite" if infinite else 0)
 
     rho = zgamma_ideal(gamma)
-    coords = symbolic_line_coords(gamma)
     scheme_comps = {c.name: c for c in catalog if scheme_in_ideal(L46, c.ideal)}
     factors = _branch_factors(gamma)
     split16 = gamma * gamma == gr(16)
@@ -525,9 +523,9 @@ def _lines_through(point: str, gamma: GaussianRational,
         used_lines = []
         for cname in comps:
             checks.append(_check_line_on_branch(
-                cname, coords[cname], catalog.get(cname), scheme_comps, gb,
-                branch_ideal))
-            used_lines.append((cname, coords[cname]))
+                cname, GENERIC_LINES[cname], catalog.get(cname), scheme_comps,
+                gb, branch_ideal))
+            used_lines.append((cname, GENERIC_LINES[cname]))
         distinct = _pairwise_distinct(used_lines, branch_ideal)
         branches.append(BranchReport(name=name, proper=proper,
                                      quotient_dim=qdim, lines=tuple(checks),

@@ -330,7 +330,7 @@ class PointSchemeReport:
 
 
 @cached_under_limits
-def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeReport:
+def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
     """Chart-by-chart counting of the point scheme with multiplicity,
     distinct-point count via the triangular system, and sigma orbits."""
     gamma = A.gamma
@@ -385,15 +385,11 @@ def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeR
         sum(m * c for m, c in profile.items()) == 20)
     checks["chart_counts_sum_to_20"] = total == 20
 
-    if verify_sigma:
-        cert = sigma_orbit_certificates(gamma)
-        checks.update({f"sigma_{k}": v for k, v in cert.items() if k != "all"})
-        checks["sigma_basis_swaps"] = (
-            sigma(E1, gamma) == E2 and sigma(E2, gamma) == E1
-            and sigma(E3, gamma) == E4 and sigma(E4, gamma) == E3)
-        orbits = (2, 2) + (4,) * (distinct_z // 4)
-    else:
-        orbits = ()
+    cert = sigma_orbit_certificates(gamma)
+    checks.update({f"sigma_{k}": v for k, v in cert.items() if k != "all"})
+    checks["sigma_basis_swaps"] = (
+        sigma(E1, gamma) == E2 and sigma(E2, gamma) == E1
+        and sigma(E3, gamma) == E4 and sigma(E4, gamma) == E3)
 
     return PointSchemeReport(
         gamma=gamma,
@@ -401,7 +397,7 @@ def count_points(A: QuadraticAlgebra, verify_sigma: bool = True) -> PointSchemeR
         total_with_multiplicity=total,
         distinct_count=distinct,
         multiplicity_profile=MappingProxyType(profile),
-        sigma_orbits=orbits,
+        sigma_orbits=(2, 2) + (4,) * (distinct_z // 4),
         rho1_squarefree=rho1_squarefree,
         checks=MappingProxyType(checks),
     )

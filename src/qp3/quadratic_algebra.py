@@ -94,7 +94,7 @@ def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
         raise ZeroGammaError("gamma must be a nonzero scalar")
     rows = PolyMatrix([[parse_poly(t, X_VARS, gamma=gamma) for t in row]
                        for row in A_RELATION_ROWS])
-    return QuadraticAlgebra(gamma, tuple(expand_matrix_rows(rows, X_VARS)))
+    return QuadraticAlgebra(gamma, tuple(expand_matrix_rows(rows)))
 
 
 def tensor_to_rows(tensors: Sequence[Tensor], varset: VarSet) -> PolyMatrix:
@@ -120,8 +120,9 @@ def relation_matrix(A: QuadraticAlgebra) -> PolyMatrix:
     return tensor_to_rows(A.relations, X_VARS)
 
 
-def expand_matrix_rows(m: PolyMatrix, varset: VarSet) -> List[Tensor]:
-    """Inverse of tensor_to_rows: read each row of (m . vars) as a tensor."""
+def expand_matrix_rows(m: PolyMatrix) -> List[Tensor]:
+    """Inverse of tensor_to_rows: read each row of (m . vars) as a tensor,
+    vars the four variables of the entries' VarSet."""
     out = []
     for r in range(m.rows):
         grid = _zero_grid()

@@ -115,7 +115,7 @@ def test_criterion_3_point_counts():
     ok = True
     for gv in (1, 2, 4, 5):
         g = gr(gv)
-        rep = count_points(make_A(g), verify_sigma=False)
+        rep = count_points(make_A(g))
         ok = ok and rep.total_with_multiplicity == 20
         ok = ok and all(v for v in rep.checks.values())
         if gv == 2:
@@ -133,7 +133,7 @@ def test_criterion_3_point_counts():
 def test_criterion_4_sigma_orbits():
     """Sigma orbit profile {2, 2, 4, 4, 4, 4} at gamma = 1, established
     symbolically modulo the rho ideal."""
-    rep = count_points(make_A(gr(1)), verify_sigma=True)
+    rep = count_points(make_A(gr(1)))
     ok = rep.sigma_orbits == (2, 2, 4, 4, 4, 4) and rep.ok
     _report("criterion 4 (sigma orbit profile)", ok)
     assert ok

@@ -458,6 +458,14 @@ def test_is_unit_and_invert_mod():
             invert_mod(u, whole)
 
 
+def test_zero_is_a_unit_exactly_modulo_the_unit_ideal(fresh_caches):
+    # 1 lies in I + <0> = I exactly when 1 lies in I
+    vs = VarSet(["x", "y"])
+    zero = Polynomial.zero(vs)
+    assert is_unit_mod(zero, Ideal([Polynomial.constant(vs, 1)]))
+    assert not is_unit_mod(zero, Ideal([Polynomial.variable(vs, "x")]))
+
+
 def test_unit_and_inverse_answers_are_cached_per_limits(fresh_caches):
     rho = zgamma_ideal(gr(1))
     G = buchberger(rho)

@@ -172,6 +172,43 @@ def test_unbounded_cache_is_reported():
     assert unbounded_caches(source) == [2, 3, 5, 11]
 
 
+def unread_parameters(source: str):
+    """`function.parameter` for each parameter of a function or method
+    that its body never reads.  Such a parameter is an option that does
+    nothing.  Dunder methods, lambdas and a method's `self` or `cls` are
+    exempt: a protocol or an override fixes the signature of the first
+    and the last, and the arguments of a lambda may serve only as a cache
+    key."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not re.fullmatch(r"__\w+__", node.name)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                v for v in (a.vararg, a.kwarg) if v]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}.{v.arg}" for v in params
+                       if v.arg not in read | {"self", "cls"}]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_reported():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + len(kw)\n"
+              "class K:\n    def __exit__(self, *exc):\n        pass\n"
+              "    def m(self, x):\n        return (lambda y, z: z)(0, x)\n"
+              "    @classmethod\n    def k(cls, y):\n        return y\n"
+              "def g(x, y):\n    def inner(z):\n        return y\n"
+              "    x = 1\n    return inner\n")
+    assert unread_parameters(source) == [
+        "f.b", "f.c", "f.args", "g.x", "inner.z"]
+
+
 ROOT = SRC.parent.parent
 WORDS = re.compile(r"\w+")
 

@@ -7,7 +7,7 @@ from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
 from qp3.polylinalg import ScalarMatrix, all_minors
 from qp3.groebner import Ideal, ideals_equal, normal_form
 from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
-from qp3.line_scheme import (COMPONENT_AMBIENT, build_big_matrix, component_catalog,
+from qp3.line_scheme import (build_big_matrix, component_catalog,
                              displayed_big_matrix,
                              fixture_forensics, gamma4_factorization,
                              jacobian_smoothness_check, line_scheme_ideal,
@@ -245,17 +245,17 @@ def test_component_degree_table():
 
 def test_jacobian_smoothness():
     cat1 = component_catalog(gr(1))
-    assert jacobian_smoothness_check(cat1.get("L1").ideal, COMPONENT_AMBIENT["L1"])
+    assert jacobian_smoothness_check(cat1.get("L1").ideal)
     for gv in (1, 4, 5):
         cat = component_catalog(gr(gv))
-        assert jacobian_smoothness_check(cat.get("L2").ideal, COMPONENT_AMBIENT["L2"])
+        assert jacobian_smoothness_check(cat.get("L2").ideal)
     # at gamma = 4 the quadric pair degenerates and acquires singular points
     q1 = parse_poly("M14*M23 + M12*M34", M_VARS)
     q2 = parse_poly("M12^2 + M34^2 + g*M14*M23 - M14^2 - M23^2", M_VARS,
                     gamma=gr(4))
     L1_at_4 = Ideal([Polynomial.variable(M_VARS, "M13"),
                      Polynomial.variable(M_VARS, "M24"), q1, q2])
-    assert not jacobian_smoothness_check(L1_at_4, COMPONENT_AMBIENT["L1"])
+    assert not jacobian_smoothness_check(L1_at_4)
 
 
 def test_pluecker_polynomial_irreducible():
@@ -295,8 +295,7 @@ def test_jacobian_smoothness_planar_cubics_with_gamma():
     for gv in (1, 5):
         cat = component_catalog(gr(gv))
         for name in ("L3", "L4", "L5"):
-            assert jacobian_smoothness_check(cat.get(name).ideal,
-                                             COMPONENT_AMBIENT[name])
+            assert jacobian_smoothness_check(cat.get(name).ideal)
 
 
 def test_memoized_decomposition_report_is_read_only():

@@ -9,10 +9,12 @@ from qp3 import numeric
 from qp3.cli import parse_gamma
 from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
                          ComplexPoint, ConvergenceError, DegeneratePointError,
-                         distinct_count, enumerate_points, gamma4_factor_values,
+                         distinct_count, enumerate_points,
                          line_residual, minor_residual, proj_distance,
                          sigma_numeric, six_lines_numeric)
 from qp3.fixtures import load_fixtures
+from qp3.line_scheme import component_catalog
+from qp3.plucker import GENERIC_LINES, M_NAMES
 
 
 def _x4_roots(gamma):
@@ -94,7 +96,7 @@ def test_points_over_the_trigger_take_the_closed_forms(text):
 
 def test_enumerate_matches_exact_counts():
     for gv in (1, 2, 4, 5):
-        exact = count_points(make_A(gr(gv)), verify_sigma=False)
+        exact = count_points(make_A(gr(gv)))
         numeric = distinct_count(enumerate_points(gr(gv)))
         assert numeric == exact.distinct_count
 
@@ -170,12 +172,37 @@ def test_l1_line_lies_on_quartic_surface():
         assert abs(val) < 1e-8
 
 
-def test_gamma4_exactly_one_factor_vanishes():
-    pts = enumerate_points(gr(4))
-    for p in pts[4:]:
-        f1, f2 = gamma4_factor_values(p)
-        small = sorted([abs(f1), abs(f2)])
-        assert small[0] < 1e-8 and small[1] > 1e-3
+@pytest.mark.parametrize("gv", [4, -4])
+def test_split_conics_exactly_one_form_vanishes(gv):
+    # at gamma^2 = 16 the L1 line of a generic point lies on exactly one of
+    # the conics L1a and L1b: of the linear forms that cut them out of the
+    # L1 quadrics, read from the catalog, exactly one vanishes on it
+    cat = component_catalog(gr(gv))
+    forms = [f for name in ("L1a", "L1b") for f in cat.get(name).ideal.generators
+             if f.degree() == 1 and len(f.terms) > 1]
+    assert len(forms) == 2
+    for p in enumerate_points(gr(gv))[4:]:
+        at = dict(zip(M_NAMES, six_lines_numeric(p, gr(gv))[0]))
+        small, large = sorted(abs(f.evaluate(at)) for f in forms)
+        assert small < 1e-8 and large > 1e-3
+
+
+@pytest.mark.parametrize("text", ["1", "4", "3/2+i", "2^40*i"])
+def test_exact_generic_lines_agree_with_numeric_lines(text):
+    # each exact line of the table, evaluated at a numeric generic point,
+    # is the numeric line of its component there; of L6a and L6b exactly
+    # the one the numeric path chose is
+    g = parse_gamma(text)
+    for p in enumerate_points(g)[4:]:
+        c = p.coords / p.coords[0]
+        at = dict(zip(("x2", "x3", "x4"), c[1:]))
+        exact = {name: [f.evaluate(at) for f in coords]
+                 for name, coords in GENERIC_LINES.items()}
+        lines = six_lines_numeric(p, g)
+        for name, m in zip(("L1", "L2", "L3", "L4", "L5"), lines):
+            assert proj_distance(exact[name], m) < 1e-9
+        near, far = sorted(proj_distance(exact[n], lines[5]) for n in ("L6a", "L6b"))
+        assert near < 1e-9 < far
 
 
 def test_degenerate_point_rejected():

@@ -5,7 +5,7 @@ import pytest
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.multipoly import Polynomial, parse_poly, print_poly
 from qp3.groebner import Ideal, ideals_equal
-from qp3.quadratic_algebra import (M_VARS, X_VARS, Z_VARS, Psi2UnavailableError,
+from qp3.quadratic_algebra import (M_VARS, X_VARS, Psi2UnavailableError,
                                    QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, expand_matrix_rows,
                                    gamma_sign_on_pluecker, koszul_dual_relations,
@@ -87,7 +87,7 @@ def test_relation_matrix_row6_general_gamma():
 def test_relation_matrix_reproduces_tensors():
     A = make_A(gr(5))
     M = relation_matrix(A)
-    assert expand_matrix_rows(M, X_VARS) == list(A.relations)
+    assert expand_matrix_rows(M) == list(A.relations)
 
 
 def test_koszul_dual_has_ten_relations():
@@ -125,7 +125,7 @@ def test_m_hat_shape_and_reproduction():
     A = make_A(gr(1))
     mh = m_hat(A)
     assert (mh.rows, mh.cols) == (10, 4)
-    assert expand_matrix_rows(mh, Z_VARS) == koszul_dual_relations(A)
+    assert expand_matrix_rows(mh) == koszul_dual_relations(A)
 
 
 def test_m_hat_rank_deficiency_error():

@@ -25,7 +25,7 @@ polys = st.dictionaries(monomials, coefficients, min_size=1, max_size=3).map(
 @given(st.lists(polys, min_size=2, max_size=2), polys)
 def test_memoized_unit_answer_and_inverse(gens, u):
     gens = [g for g in gens if not g.is_zero()]
-    assume(gens and not u.is_zero())
+    assume(gens)
     I = Ideal(gens)
     plain = buchberger(Ideal(gens + [u])).contains_one()
     assert is_unit_mod(u, I) == is_unit_mod.__wrapped__(u, I) == plain
