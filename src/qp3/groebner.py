@@ -16,11 +16,17 @@ Pairs are handled by the Gebauer-Moeller UPDATE (Becker-Weispfenning,
 Groebner Bases, 1993, 5.5): new pairs pass the chain and equal-lcm
 criteria, coprime pairs only serve to drop others, and the B_k test
 prunes queued pairs.  Pairs are selected by sugar with deterministic
-tie-breaking, so repeated runs produce identical bases.
+tie-breaking, so repeated runs produce identical bases.  A run keeps,
+for each element it inserts, the leading monomial and the reducer head
+(`_head`: the lead and the list without it), and the list of heads of
+its current basis, rebuilt only when the basis changes.  It tests
+divisibility and takes lcms on the packed ints inline, and computes the
+order key of an lcm only for a pair it queues.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -164,23 +170,32 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _nf(f: _TermList, basis: Sequence[_TermList],
+_Head = Tuple[int, int, int, _TermList]
+
+
+def _head(g: _TermList) -> _Head:
+    """What `_nf` reduces against for a primitive list g: the key, monomial
+    and integer coefficient of its lead, and g without its lead."""
+    return g[0][0], g[0][1], g[0][2][0], g[1:]
+
+
+def _nf(f: _TermList, heads: Sequence[_Head],
         pk: _Packing) -> Tuple[_TermList, int]:
-    """Fully reduced normal form of f modulo primitive term lists.
+    """Fully reduced normal form of f modulo primitive term lists, given
+    by their `_head`s.
 
     Returns (r, s) with s a positive integer and s*f = r modulo the ideal
-    of `basis`.  A step cancels the first reducible term c x^m of the work
-    list against the first element g of `basis` whose lead d x^l divides
-    it: work becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in
-    Z.  Whenever s > 1, the common integer factor of r, work and s goes.
-    A g of one term, a monomial, lies in the ideal with every multiple of
-    it, so its step just drops c x^m from the work list: the read position
+    of the lists.  A step cancels the first reducible term c x^m of the
+    work list against the first list g whose lead d x^l divides it: work
+    becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in Z.
+    Whenever s > 1, the common integer factor of r, work and s goes.  A g
+    of one term, a monomial, lies in the ideal with every multiple of it,
+    so its step just drops c x^m from the work list: the read position
     moves on and nothing is rebuilt.  f itself is never changed.  The
-    lists of `basis` must pass `pk.check`; a multiplier x^(m/l) that would
-    not keep the product inside its fields raises _FieldOverflow.
+    lists must pass `pk.check`; a multiplier x^(m/l) that would not keep
+    the product inside its fields raises _FieldOverflow.
     """
     guard, high = pk.guard, pk.high
-    heads = [(g[0][0], g[0][1], g[0][2][0], g) for g in basis]
     r: _TermList = []
     work = f
     pos = 0
@@ -188,14 +203,14 @@ def _nf(f: _TermList, basis: Sequence[_TermList],
     while pos < len(work):
         key0, m0, (a0, b0) = work[pos]
         top = m0 | guard    # _Packing.divides(l, m0), inlined
-        for key_l, l, d, g in heads:
+        for key_l, l, d, tail in heads:
             if (top - l) & guard == guard:
                 break
         else:
             r.append(work[pos])
             pos += 1
             continue
-        if len(g) == 1:
+        if not tail:
             pos += 1
             continue
         u = m0 - l
@@ -203,14 +218,13 @@ def _nf(f: _TermList, basis: Sequence[_TermList],
             raise _FieldOverflow
         h = gcd(d, a0, b0)
         d //= h
-        tail = _ishift(g[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
         rest = work[pos + 1:]
         pos = 0
         if d > 1:
             rest = [(k, m, (a * d, b * d)) for k, m, (a, b) in rest]
             r = [(k, m, (a * d, b * d)) for k, m, (a, b) in r]
             s *= d
-        work = _iadd(rest, tail)
+        work = _iadd(rest, _ishift(tail, key0 - key_l, u, (-a0 // h, -b0 // h)))
         if s > 1:
             g0 = s
             for _, _, (a, b) in chain(work, r):
@@ -308,58 +322,80 @@ def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
     lcm, indices); key ints compare as the key tuples do, so the pairs
     formed and their order do not depend on the field width."""
     gens = [g._packed(pk)[0] for g in I.generators]
-    guard, key, divides, mono_lcm = pk.guard, pk.key, pk.divides, pk.lcm
+    guard, bits = pk.guard, pk.bits
 
     entries: List[_TermList] = []    # every element ever inserted, by index
+    lms: List[int] = []    # their leading monomials
+    heads: List[_Head] = []    # and their `_head`s
     live: List[int] = []    # G, ascending by leading key; an antichain
+    reducers: List[_Head] = []    # the heads of G, in its order
     queued: Dict[Tuple[int, int], int] = {}   # B: pair -> lcm
     heap: List[Tuple] = []
-
-    def lm(i):
-        return entries[i][0][1]
 
     def insert(p: _TermList) -> int:
         pk.check(p)
         entries.append(p)
+        lms.append(p[0][1])
+        heads.append(_head(p))
         if len(entries) > limits.max_basis:
             raise ResourceLimitError(f"basis size exceeded {limits.max_basis}")
         return len(entries) - 1
 
     def update(h: int) -> None:
         """The Gebauer-Moeller UPDATE of (G, B) by h (Becker-Weispfenning,
-        Groebner Bases, 1993, 5.5)."""
-        mh = lm(h)
-        # new pairs by ascending lcm, coprime ones first among equals:
-        # a pair is needed unless lcm(lm(h), lm(g)) = lm(h) * lm(g)
-        lcms = [(g, mono_lcm(mh, lm(g))) for g in live]
-        cands = sorted((key(l), l != mh + lm(g), g, l) for g, l in lcms)
+        Groebner Bases, 1993, 5.5).  `_Packing.divides` and `.lcm` are
+        inlined: n divides m iff ((m | guard) - n) & guard == guard."""
+        mh = lms[h]
+        top_h = mh | guard
+        # new pairs by ascending lcm, coprime ones first among equals: a
+        # pair is needed unless lcm(lm(h), lm(g)) = lm(h) * lm(g).  A
+        # divisor of a packed monomial is no larger an int, so int order
+        # extends divisibility, and which pairs survive below does not
+        # depend on the extension
+        cands = []
+        for g in live:
+            m = lms[g]
+            ge = (top_h - m) & guard
+            l = m ^ ((mh ^ m) & (ge - (ge >> bits)))
+            cands.append((l, l != mh + m, g))
+        cands.sort()
         # chain and equal-lcm criteria: drop a pair when an earlier kept
         # pair's lcm divides its lcm; coprime pairs only serve as droppers
-        kept: List[Tuple] = []
-        for cand in cands:
-            top = cand[3] | guard    # divides(c[3], cand[3]), inlined
-            if not cand[1] or not any((top - c[3]) & guard == guard
-                                      for c in kept):
-                kept.append(cand)
-        # the B_k test on queued pairs
-        for (a, b), l in list(queued.items()):
-            if (divides(mh, l) and mono_lcm(lm(a), mh) != l
-                    and mono_lcm(lm(b), mh) != l):
-                del queued[(a, b)]
-        for key_l, needed, g, l in kept:
-            if needed:
-                queued[(g, h)] = l
-                heapq.heappush(heap, (pk.degree(l), key_l, g, h))
-        live[:] = sorted([g for g in live if not divides(mh, lm(g))] + [h],
-                         key=lambda g: entries[g][0][0])
-
-    def reducers() -> List[_TermList]:
-        return [entries[g] for g in live]
+        droppers: List[int] = []
+        new: List[Tuple[int, int]] = []
+        for l, needed, g in cands:
+            top = l | guard
+            for c in droppers:
+                if (top - c) & guard == guard:
+                    break
+            else:
+                droppers.append(l)
+                if needed:
+                    new.append((g, l))
+        # the B_k test on queued pairs: drop (a, b) when lm(h) divides its
+        # lcm and differs from it in lcm with each of lm(a) and lm(b)
+        dead = []
+        for pair, l in queued.items():
+            if ((l | guard) - mh) & guard == guard:
+                ma, mb = lms[pair[0]], lms[pair[1]]
+                ga, gb = (top_h - ma) & guard, (top_h - mb) & guard
+                if (ma ^ ((mh ^ ma) & (ga - (ga >> bits))) != l
+                        and mb ^ ((mh ^ mb) & (gb - (gb >> bits))) != l):
+                    dead.append(pair)
+        for pair in dead:
+            del queued[pair]
+        for g, l in new:
+            queued[(g, h)] = l
+            heapq.heappush(heap, (pk.degree(l), pk.key(l), g, h))
+        live[:] = [g for g in live if ((lms[g] | guard) - mh) & guard != guard]
+        bisect.insort(live, h, key=lambda g: heads[g][0])
+        reducers[:] = [heads[g] for g in live]
 
     live[:] = sorted((insert(p) for p in gens[:reduced_prefix]),
-                     key=lambda g: entries[g][0][0])
+                     key=lambda g: heads[g][0])
+    reducers[:] = [heads[g] for g in live]
     for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
-        r, _ = _nf(p, reducers(), pk)
+        r, _ = _nf(p, reducers, pk)
         if r:
             update(insert(_primitive(r)[0]))
 
@@ -377,18 +413,18 @@ def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
         s = _spoly(entries[i], entries[j], key_l, l)
         if not s:
             continue
-        r, _ = _nf(s, reducers(), pk)
+        r, _ = _nf(s, reducers, pk)
         if r:
             update(insert(_primitive(r)[0]))
 
     # tail reduction: each element against the others
-    final = reducers()
-    lists = [_primitive(_nf(p, final[:k] + final[k + 1:], pk)[0])[0]
-             for k, p in enumerate(final)]
+    lists = [_primitive(_nf(entries[g], reducers[:k] + reducers[k + 1:], pk)[0])[0]
+             for k, g in enumerate(live)]
     for p in lists:
         pk.check(p)
+    basis = list(map(_head, lists))
     for p in gens:
-        if _nf(p, lists, pk)[0]:
+        if _nf(p, basis, pk)[0]:
             raise AssertionError("generator does not reduce to zero "
                                  "modulo the computed basis")
     return GroebnerBasis(lists, I.order, I.varset, pk)
@@ -407,7 +443,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
         lists = (G._lists if pk is G._packing
                  else [g._packed(pk)[0] for g in reversed(G.basis)])
         p, scale = f._packed(pk)
-        return pk, scale, _nf(p, lists, pk)
+        return pk, scale, _nf(p, list(map(_head, lists)), pk)
 
     # f = scale * p and s * p = r modulo <G>, so the remainder is scale/s * r
     pk, (a, b, d), (r, s) = _widening(run, G._packing)
