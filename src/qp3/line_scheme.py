@@ -416,10 +416,15 @@ class DecompositionReport:
 
 
 def components_intersection(C: ComponentCatalog) -> Ideal:
-    inter: Optional[Ideal] = None
-    for comp in C:
-        inter = comp.ideal if inter is None else intersect(inter, comp.ideal)
-    return inter
+    """The intersection of the component ideals, folded as a balanced tree:
+    adjacent pairs in catalog order, an odd one carried up a level.  Its
+    generators are the reduced basis of the intersection that `intersect`
+    returns, which does not depend on how the fold is bracketed."""
+    level = [comp.ideal for comp in C]
+    while len(level) > 1:
+        level = [intersect(*level[k:k + 2]) if k + 1 < len(level) else level[k]
+                 for k in range(0, len(level), 2)]
+    return level[0]
 
 
 def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:

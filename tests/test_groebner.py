@@ -1,6 +1,7 @@
 import random
 import threading
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -107,6 +108,17 @@ def test_line_scheme_inclusion_certified_by_powers(gamma, monkeypatch):
     inter = components_intersection(component_catalog(gamma))
     assert inter.generators
     assert all(radical_member(g, L) for g in inter.generators)
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(-4), gr(Fraction(3, 2), 1)],
+                         ids=["1", "-4", "3/2+i"])
+def test_intersection_tree_matches_chained_fold(gamma):
+    # components_intersection brackets its fold as a balanced tree; the
+    # chain from the left is the same ideal, so the reduced bases agree
+    C = component_catalog(gamma)
+    chained = reduce(intersect, [comp.ideal for comp in C])
+    assert ([print_poly(g) for g in buchberger(components_intersection(C))]
+            == [print_poly(g) for g in buchberger(chained)])
 
 
 def test_radical_member_examples(monkeypatch):
@@ -617,15 +629,49 @@ def test_seeded_rabinowitsch_on_random_ideals(fresh_caches):
     assert seen > 400
 
 
-@pytest.mark.parametrize("gamma, spolys", [(gr(1), 448), (gr(4), 455),
-                                           (gr(3, 2), 448)],
+def test_update_criteria_pinned_pair_by_pair(fresh_caches, monkeypatch):
+    # every S-pair of one small basis, in the order the engine forms them,
+    # each as the leading monomials of its two elements.  Each criterion
+    # of the UPDATE prunes a pair here that no other one would: without
+    # the coprime criterion (x^2, y^4) is formed too, without the chain
+    # criterion (x*z^2, y^3*z), without the equal-lcm tie-break
+    # (x*y*z, y^2*z^2), and without the B_k test (y^4, y^2*z^2) and
+    # (x*y*z, y^4)
+    vs = VarSet(["x", "y", "z"])
+    leads = []
+    spoly = groebner._spoly
+
+    def recorded(f, g, key_l, l):
+        leads.append((f[0][1], g[0][1]))
+        return spoly(f, g, key_l, l)
+
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    G = buchberger(Ideal([parse_poly(t, vs) for t in (
+        "x^2*z", "2*x^2*y^2 - x*y^3", "2*x^2 - x*y + 2*y^2", "-x*z^2")]))
+
+    def name(m):
+        return print_poly(Polynomial(vs, {G._packing.unpack(m): gr(1)}))
+
+    assert [(name(a), name(b)) for a, b in leads] == [
+        ("x*z^2", "x*y*z"), ("x^2", "x*z^2"), ("x^2", "x*y*z"),
+        ("y^2*z^2", "y^3*z"), ("x*z^2", "y^2*z^2"), ("y^4", "y^3*z"),
+        ("x*y*z", "y^3*z")]
+    assert [print_poly(g) for g in G] == [
+        "y^4", "y^3*z", "y^2*z^2", "x*y*z - 2*y^2*z", "x*z^2",
+        "x^2 - 1/2*x*y + y^2"]
+
+
+@pytest.mark.parametrize("gamma, spolys", [(gr(1), 407), (gr(4), 383),
+                                           (gr(3, 2), 407)],
                          ids=["1", "4", "3+2i"])
 def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch,
                                               gamma, spolys):
     # the Buchberger work of `line-scheme --verify` from empty caches: every
-    # S-polynomial the engine forms, over all the bases the check computes.
-    # The pairs depend on the leading monomials and the selection order
-    # alone, so how polynomials are stored must not change these counts
+    # S-polynomial the engine forms, over all the bases the check computes,
+    # the component intersection folded as a balanced tree among them.
+    # The pairs depend on the leading monomials, the selection order and
+    # the bracketing of that fold alone, so how polynomials are stored or
+    # pairs are bookkept must not change these counts
     calls = []
     spoly = groebner._spoly
 

@@ -15,7 +15,8 @@ sympy = pytest.importorskip("sympy")
 
 from qp3.gaussian import gr  # noqa: E402
 from qp3.groebner import buchberger, normal_form  # noqa: E402
-from qp3.line_scheme import component_catalog, line_scheme_ideal  # noqa: E402
+from qp3.line_scheme import (component_catalog, components_intersection,  # noqa: E402
+                             line_scheme_ideal)
 from qp3.multipoly import Polynomial, parse_poly, print_poly  # noqa: E402
 from qp3.quadratic_algebra import M_VARS  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
@@ -97,3 +98,27 @@ def test_component_remainders_match_sympy(gamma):
             assert print_poly(mine) == print_poly(expected)
             nonzero += not mine.is_zero()
     assert monomial_reducers > 0 and nonzero > 0
+
+
+def _sympy_intersection(I, J, t, symbols):
+    # t*I + (1 - t)*J, t eliminated by a lex basis with t first
+    gb = sympy.groebner([t * f for f in I] + [(1 - t) * g for g in J], t, *symbols,
+                        order="lex", domain="QQ_I")
+    return [p for p in gb.exprs if not p.has(t)]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS, ids=IDS)
+def test_components_intersection_matches_sympy(gamma):
+    # qp3 folds the intersection as a balanced tree, sympy as a chain
+    # from the left; the reduced basis of the intersection is unique
+    names = M_VARS.names
+    symbols = sympy.symbols(names)
+    t = sympy.Symbol("t")
+    C = component_catalog(gamma)
+    ideals = [[_to_sympy(g, names) for g in comp.ideal.generators] for comp in C]
+    inter = ideals[0]
+    for J in ideals[1:]:
+        inter = _sympy_intersection(inter, J, t, symbols)
+    theirs = sympy.groebner(inter, *symbols, order="grevlex", domain="QQ_I")
+    mine = {print_poly(g) for g in buchberger(components_intersection(C))}
+    assert {print_poly(_from_sympy(p, M_VARS).monic()) for p in theirs.polys} == mine
