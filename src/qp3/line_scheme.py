@@ -29,12 +29,13 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
-from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly, print_poly,
+from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
                         substitute)
 from .polylinalg import PolyMatrix, all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
                        cached_under_limits, hilbert_dimension_degree,
-                       intersect, normal_form, radical_member)
+                       intersect, normal_form, quotient_dimension,
+                       radical_member)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 ZeroGammaError, m_hat, make_A)
 from .fixtures import load_fixtures
@@ -460,29 +461,20 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
 
 
 def jacobian_smoothness_check(component: Ideal) -> bool:
-    """No singular points in the projective space of the component's
-    ambient coordinates, the variables that are not generators
-    themselves: the system plus all maximal Jacobian minors has empty
-    projective zero locus, checked as every ambient coordinate lying in
-    the radical."""
+    """Whether V(component) in P5 is smooth, for a homogeneous ideal with
+    as many generators as its codimension, a complete intersection; any
+    other ideal raises ValueError.  Such an ideal is unmixed, so the
+    Jacobian criterion decides: the scheme is singular exactly where the
+    maximal minors of the full Jacobian vanish on it.  That locus is
+    empty iff the quotient by the generators and the minors has finite
+    dimension (Hartshorne, Algebraic Geometry, I.7 and II.8; Eisenbud,
+    Commutative Algebra, ch. 16)."""
     vs = component.varset
-    drop = [n for n in vs.names
-            if Polynomial.variable(vs, n) in component.generators]
-    ambient_vs = VarSet([n for n in vs.names if n not in drop])
-    zero_drop = {n: 0 for n in drop}
-    system = []
-    for g in component.generators:
-        if any(g.degree_in(n) > 0 for n in drop):
-            continue  # a coordinate cut defining the ambient projective space
-        if g.degree() >= 2:
-            system.append(substitute(g, zero_drop, target=ambient_vs,
-                                     order=DEGREVLEX))
-    if not system:
-        raise ValueError("component has no defining equations in the ambient space")
-    jac = PolyMatrix([[f.derivative(n) for n in ambient_vs.names]
-                      for f in system])
-    minors_ = [d for d in all_minors(jac, len(system)) if not d.is_zero()]
-    S = Ideal(system + minors_)
-    return all(radical_member(Polynomial.variable(ambient_vs, n), S)
-               for n in ambient_vs.names)
-
+    gens = list(component.generators)
+    codim = len(vs) - 1 - hilbert_dimension_degree(component)[0]
+    if len(gens) != codim:
+        raise ValueError(f"{len(gens)} generators in codimension {codim}: "
+                         "not a complete intersection")
+    jac = PolyMatrix([[f.derivative(n) for n in vs.names] for f in gens])
+    minors_ = [d for d in all_minors(jac, codim) if not d.is_zero()]
+    return quotient_dimension(Ideal(gens + minors_)) is not None

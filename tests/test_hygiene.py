@@ -209,6 +209,51 @@ def test_unread_parameter_is_reported():
         "f.b", "f.c", "f.args", "g.x", "inner.z"]
 
 
+def _own_functions(fn):
+    """The functions defined in fn's body, not inside a nested function
+    or class."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, ast.ClassDef):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_nested_functions(source: str):
+    """`function.inner` for each function defined inside a function that
+    the enclosing function never reads outside inner's own body.  Such a
+    closure is dead code: nothing can call it."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in _own_functions(node):
+                own = {id(n) for n in ast.walk(inner)}
+                if not any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                           and n.id == inner.name and id(n) not in own
+                           for n in ast.walk(node)):
+                    unread.append((inner.lineno, f"{node.name}.{inner.name}"))
+    return [label for _, label in sorted(unread)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_nested_function_is_read(path):
+    assert unread_nested_functions(path.read_text()) == []
+
+
+def test_unread_nested_function_is_reported():
+    source = ("def f():\n    def used():\n        return 1\n"
+              "    def recursive(n):\n        return n and recursive(n - 1)\n"
+              "    if used():\n        def in_block():\n            pass\n"
+              "    class K:\n        def method(self):\n            pass\n"
+              "    return K\n"
+              "def g():\n    def inner():\n        def innermost():\n"
+              "            return 0\n        return 1\n    return inner\n")
+    assert unread_nested_functions(source) == [
+        "f.recursive", "f.in_block", "inner.innermost"]
+
+
 ROOT = SRC.parent.parent
 WORDS = re.compile(r"\w+")
 

@@ -258,6 +258,25 @@ def test_jacobian_smoothness():
     assert not jacobian_smoothness_check(L1_at_4)
 
 
+@pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(-4), gr(Fraction(3, 2), 1)],
+                         ids=["1", "4", "-4", "3/2+i"])
+def test_every_catalog_component_is_smooth(gamma):
+    assert all(jacobian_smoothness_check(c.ideal) for c in component_catalog(gamma))
+
+
+def test_jacobian_smoothness_sees_two_meeting_lines():
+    # with M14 = M23 = 0 and M34 = M13 + M24 - M12, the quadric becomes
+    # -(M12 - M13)*(M12 - M24): two lines that meet, a singular conic
+    two_lines = Ideal([parse_poly(t, M_VARS) for t in (
+        "M14", "M23", "M12*M34 - M13*M24", "M12 - M13 - M24 + M34")])
+    assert not jacobian_smoothness_check(two_lines)
+    # five generators in codimension four: the criterion does not apply
+    L1 = component_catalog(gr(1)).get("L1").ideal
+    with pytest.raises(ValueError, match="not a complete intersection"):
+        jacobian_smoothness_check(Ideal(list(L1.generators)
+                                        + [parse_poly("M12*M13", M_VARS)]))
+
+
 def test_pluecker_polynomial_irreducible():
     # a quadric is irreducible when its Gram matrix has rank > 2
     P = pluecker_polynomial()
