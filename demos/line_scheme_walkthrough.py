@@ -12,12 +12,17 @@ the minor's normal form modulo P divided by M34^4 is that quartic's normal
 form, and with P the 46 polynomials cut out the line scheme in P5.
 """
 
+from math import comb
+
 from qp3 import gr, print_poly
+from qp3.multipoly import DEGREVLEX, Polynomial
 from qp3.quadratic_algebra import koszul_dual_relations, m_hat, make_A
-from qp3.groebner import hilbert_dimension_degree
+from qp3.groebner import (buchberger, hilbert_dimension_degree,
+                          hilbert_numerator, normal_form)
 from qp3.line_scheme import (build_big_matrix, component_catalog,
-                             gamma4_factorization, line_scheme_ideal,
-                             match_displayed_big_matrix, verify_decomposition)
+                             components_intersection, gamma4_factorization,
+                             line_scheme_ideal, match_displayed_big_matrix,
+                             verify_decomposition)
 
 gamma = gr(1)
 A = make_A(gamma)
@@ -63,6 +68,29 @@ for gv in (1, 4):
               f"{gamma4_factorization(g)}")
     print()
 
+print("=== the scheme, not just the set: L^sat is the intersection ===")
+# I_cap, the intersection of the component ideals, is saturated, and it
+# holds L.  Each of its generators lies in L or has all six M_ij * f in L,
+# so I_cap lies in (L : m) and L^sat = I_cap: the line scheme is reduced,
+# and L differs from I_cap in degree 3 alone.
+inter = components_intersection(component_catalog(gamma))
+gb = buchberger(L.ideal)
+variables = [Polynomial.variable(L.ideal.varset, v) for v in L.ideal.varset.names]
+in_L = [normal_form(f, gb).is_zero() for f in inter.generators]
+times_m_in_L = [all(normal_form(m * f, gb).is_zero() for m in variables)
+                for f, inside in zip(inter.generators, in_L) if not inside]
+print(f"  I_cap has {len(in_L)} generators: {sum(in_L)} lie in L, and "
+      f"{sum(times_m_in_L)} of the other {len(times_m_in_L)} have every "
+      f"M_ij * f in L")
+n = len(L.ideal.varset)
+for name, ideal in (("S/L", L.ideal), ("S/I_cap", inter)):
+    num = hilbert_numerator(
+        buchberger(ideal.with_order(DEGREVLEX)).leading_monomials(), n)
+    values = [sum(c * comb(d - k + n - 1, n - 1)
+                  for k, c in enumerate(num[:d + 1])) for d in range(10)]
+    print(f"  Hilbert function of {name} in degrees 0-9: {values}")
+
+print()
 print("=== Hilbert data of single components at gamma = 1 ===")
 cat = component_catalog(gamma)
 for c in cat:

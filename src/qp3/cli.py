@@ -13,13 +13,14 @@ import math
 import os
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import (VarSet, height_bound, parse_poly, print_poly,
                         PolyParseError)
-from .groebner import (DEFAULT_LIMITS, GroebnerLimits, ResourceLimitError,
-                       limits_scope)
+from .groebner import (DEFAULT_LIMITS, MEMO_SIZE, GroebnerLimits,
+                       ResourceLimitError, cached_under_limits, limits_scope)
+from .numeric import ConvergenceError, DegeneratePointError, numeric_table
 from .quadratic_algebra import ZeroGammaError, make_A
 
 EXIT_OK = 0
@@ -46,6 +47,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_gamma(text: str) -> GaussianRational:
     """Gamma from its text form, e.g. '4', '-1', '1/2 + 3/2*i'.
 
@@ -140,25 +142,24 @@ def make_limits(args) -> GroebnerLimits:
     return GroebnerLimits(**{field: _limit(args, field) for field in LIMIT_ENV})
 
 
-def _emit(payload, fmt: str, text_fn) -> None:
+def _emit(payload, fmt: str, text_fn) -> str:
     if fmt == "json":
         doc = {"schema": 1}
         doc.update(payload)
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text_fn() + "\n")
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return text_fn() + "\n"
 
 
-def cmd_point_scheme(gamma, fmt) -> int:
+def cmd_point_scheme(gamma, fmt) -> Tuple[str, int]:
     from .point_scheme import count_points
 
     report = count_points(make_A(gamma))
-    _emit({"command": "point-scheme", **report.to_json_dict()},
-          fmt, report.to_text)
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
+    text = _emit({"command": "point-scheme", **report.to_json_dict()},
+                 fmt, report.to_text)
+    return text, EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def cmd_line_scheme(gamma, fmt, verify: bool) -> int:
+def cmd_line_scheme(gamma, fmt, verify: bool) -> Tuple[str, int]:
     from .line_scheme import (component_catalog, line_scheme_ideal,
                               verify_decomposition)
 
@@ -192,50 +193,63 @@ def cmd_line_scheme(gamma, fmt, verify: bool) -> int:
                     lines.append(f"  {k}: {d[k]}")
         return "\n".join(lines)
 
-    _emit(payload, fmt, text)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return _emit(payload, fmt, text), EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_lines_through(gamma, fmt, args) -> int:
+def cmd_lines_through(gamma, fmt, point: str) -> Tuple[str, int]:
     from .plucker import lines_through_point
 
-    if args.numeric and (args.symbolic or args.point):
-        raise UsageError("--numeric cannot be combined with --symbolic or --point")
-    if args.numeric:
-        from .numeric import (ConvergenceError, DegeneratePointError,
-                              numeric_table)
-
-        try:
-            table = numeric_table(gamma, args.tolerance)
-        except (ConvergenceError, DegeneratePointError) as exc:
-            sys.stderr.write(f"qp3: numeric verification failed: {exc}\n")
-            return EXIT_VERIFICATION
-
-        def show(coords):
-            return [f"{z.real:+.10f}{z.imag:+.10f}i" for z in coords]
-
-        rows = [{"point": show(p), "lines": [show(m) for m in ls]}
-                for p, ls in table]
-        payload = {"command": "lines-through", "gamma": str(gamma),
-                   "mode": "numeric", "points": rows, "verified": True}
-
-        def text():
-            lines = [f"numeric lines through the {len(rows)} generic points"
-                     f" at gamma = {gamma}"]
-            for r in rows:
-                lines.append("  point " + " ".join(r["point"]))
-                for m in r["lines"]:
-                    lines.append("    line " + " ".join(m))
-            return "\n".join(lines)
-
-        _emit(payload, fmt, text)
-        return EXIT_OK
-
-    point = args.point if args.point else "generic"
     report = lines_through_point(point, gamma)
-    _emit({"command": "lines-through", **report.to_json_dict()},
-          fmt, report.to_text)
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
+    text = _emit({"command": "lines-through", **report.to_json_dict()},
+                 fmt, report.to_text)
+    return text, EXIT_OK if report.ok else EXIT_VERIFICATION
+
+
+def cmd_lines_through_numeric(gamma, fmt, tolerance: float) -> Tuple[str, int]:
+    """The numeric table; raises ConvergenceError or DegeneratePointError
+    when it cannot certify one."""
+    table = numeric_table(gamma, tolerance)
+
+    def show(coords):
+        return [f"{z.real:+.10f}{z.imag:+.10f}i" for z in coords]
+
+    rows = [{"point": show(p), "lines": [show(m) for m in ls]}
+            for p, ls in table]
+    payload = {"command": "lines-through", "gamma": str(gamma),
+               "mode": "numeric", "points": rows, "verified": True}
+
+    def text():
+        lines = [f"numeric lines through the {len(rows)} generic points"
+                 f" at gamma = {gamma}"]
+        for r in rows:
+            lines.append("  point " + " ".join(r["point"]))
+            for m in r["lines"]:
+                lines.append("    line " + " ".join(m))
+        return "\n".join(lines)
+
+    return _emit(payload, fmt, text), EXIT_OK
+
+
+@cached_under_limits
+def answer(command, *args) -> Tuple[str, int]:
+    """`command(*args)`: the stdout text and exit code of one report, kept
+    once per process under the current Groebner limits.  An exception,
+    such as a numeric refusal, is not cached."""
+    return command(*args)
+
+
+def _question(args, gamma) -> tuple:
+    """The command function and the arguments that decide its answer.
+    The tolerance counts in numeric mode only."""
+    if args.command == "point-scheme":
+        return cmd_point_scheme, gamma, args.format
+    if args.command == "line-scheme":
+        return cmd_line_scheme, gamma, args.format, args.verify
+    if not args.numeric:
+        return cmd_lines_through, gamma, args.format, args.point or "generic"
+    if args.symbolic or args.point:
+        raise UsageError("--numeric cannot be combined with --symbolic or --point")
+    return cmd_lines_through_numeric, gamma, args.format, args.tolerance
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -245,17 +259,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(_join_gamma(argv))
         if args.gamma is None:
             raise UsageError("--gamma is required")
+        if not isinstance(args.gamma, str):
+            # argparse drops a `--` value and leaves an empty list
+            raise UsageError("--gamma needs a value, such as 4 or 1/2+3/2*i")
         gamma = parse_gamma(args.gamma)
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise UsageError("--tolerance must be a finite positive number")
         with limits_scope(make_limits(args)):
-            if args.command == "point-scheme":
-                return cmd_point_scheme(gamma, args.format)
-            if args.command == "line-scheme":
-                return cmd_line_scheme(gamma, args.format, args.verify)
-            if args.command == "lines-through":
-                return cmd_lines_through(gamma, args.format, args)
-            raise UsageError(f"unknown command {args.command!r}")
+            text, code = answer(*_question(args, gamma))
     except UsageError as exc:
         sys.stderr.write(f"qp3: {exc}\n")
         return EXIT_USAGE
@@ -265,6 +276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"qp3: resource limit: {exc}\n")
         return EXIT_RESOURCE
+    except (ConvergenceError, DegeneratePointError) as exc:
+        sys.stderr.write(f"qp3: numeric verification failed: {exc}\n")
+        return EXIT_VERIFICATION
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

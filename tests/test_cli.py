@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qp3 import cli
 from qp3.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFICATION,
                      main, parse_gamma, UsageError)
 from qp3.gaussian import gr
@@ -65,6 +66,15 @@ def test_zero_gamma_usage_error(capsys):
 def test_missing_gamma_usage_error(capsys):
     code, _, _ = run_cli(["point-scheme"], capsys)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["--gamma=--"], ["--gamma", "--"]])
+def test_gamma_double_dash_usage_error(argv, capsys):
+    # argparse drops a `--` value, so the option arrives without a string
+    code, out, err = run_cli([*argv, "point-scheme"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "qp3: --gamma needs a value, such as 4 or 1/2+3/2*i\n"
 
 
 def test_line_scheme_verify(capsys):
@@ -159,8 +169,9 @@ def test_resource_limit_exit(capsys):
     assert "resource limit" in err
 
 
-def test_verification_failure_exit(monkeypatch, capsys):
-    # force a failing decomposition report to exercise the exit path
+def test_verification_failure_exit(monkeypatch, capsys, fresh_caches):
+    # force a failing decomposition report to exercise the exit path; with
+    # warm memos an earlier gamma = 1 answer would be read back instead
     import qp3.line_scheme as ls
 
     real = ls.verify_decomposition
@@ -170,8 +181,14 @@ def test_verification_failure_exit(monkeypatch, capsys):
         return dataclasses.replace(real(L, C), degrees_sum=0)
 
     monkeypatch.setattr(ls, "verify_decomposition", broken)
-    code, _, _ = run_cli(["--gamma", "1", "line-scheme", "--verify"], capsys)
-    assert code == EXIT_VERIFICATION
+    argv = ["--gamma", "1", "line-scheme", "--verify"]
+    first = run_cli(argv, capsys)
+    assert first[0] == EXIT_VERIFICATION
+    assert "verified: False" in first[1]
+    # the failed answer is memoized like a success: same stdout, exit 2
+    hits = cli.answer.cache_info().hits
+    assert run_cli(argv, capsys) == first
+    assert cli.answer.cache_info().hits == hits + 1
 
 
 SESSION = (["point-scheme"], ["line-scheme", "--verify"],
@@ -180,22 +197,62 @@ SESSION = (["point-scheme"], ["line-scheme", "--verify"],
            ["lines-through", "--numeric"])
 
 
-def test_session_revisit_reads_the_certificate_memos(capsys):
-    # a second visit at the same gamma reprints every report from its memo
+def test_session_revisit_reads_the_answer_memo(capsys):
+    # a second visit at the same gamma reprints the answer from the answer
+    # memo: one hit there, and no certificate memo is asked again
     from qp3 import line_scheme, numeric, plucker, point_scheme
 
-    memos = {"point-scheme": point_scheme.count_points,
-             "line-scheme": line_scheme.verify_decomposition,
-             "lines-through": plucker._lines_through}
+    certificates = (point_scheme.count_points, line_scheme.verify_decomposition,
+                    plucker._lines_through, numeric.numeric_table)
     for command in SESSION:
-        memo = (numeric.numeric_table if "--numeric" in command
-                else memos[command[0]])
         argv = ["--gamma=3/2+i", *command, "--format", "json"]
         first = run_cli(argv, capsys)
-        hits = memo.cache_info().hits
+        hits = cli.answer.cache_info().hits
+        certificate_hits = [m.cache_info().hits for m in certificates]
         assert run_cli(argv, capsys) == first
         assert first[0] == EXIT_OK
-        assert memo.cache_info().hits == hits + 1
+        assert cli.answer.cache_info().hits == hits + 1
+        assert [m.cache_info().hits for m in certificates] == certificate_hits
+
+
+def test_answer_memo_keeps_text_and_json_apart(capsys, fresh_caches):
+    _, text, _ = run_cli(["--gamma=3", "point-scheme"], capsys)
+    _, doc, _ = run_cli(["--gamma=3", "point-scheme", "--format", "json"], capsys)
+    assert "distinct points: 20" in text
+    assert json.loads(doc)["command"] == "point-scheme"
+    assert cli.answer.cache_info().currsize == 2
+
+
+def test_answer_memo_respects_the_limits(monkeypatch, capsys):
+    # a cached success is keyed on the limits, so a narrower bound
+    # recomputes and still stops
+    argv = ["--gamma=5", "point-scheme"]
+    assert run_cli(argv, capsys)[0] == EXIT_OK
+    code, out, err = run_cli([*argv, "--max-pairs", "1"], capsys)
+    assert code == EXIT_RESOURCE and out == "" and "resource limit" in err
+    monkeypatch.setenv("QP3_MAX_PAIRS", "1")
+    assert run_cli(argv, capsys)[0] == EXIT_RESOURCE
+
+
+def test_answer_memo_keys_the_tolerance_in_numeric_mode_only(capsys):
+    numeric = ["--gamma=3/2+i", "lines-through", "--numeric"]
+    assert run_cli(numeric, capsys)[0] == EXIT_OK
+    code, out, _ = run_cli([*numeric, "--tolerance=1e-30"], capsys)
+    assert code == EXIT_VERIFICATION and out == ""
+    symbolic = ["--gamma=3/2+i", "lines-through", "--symbolic"]
+    first = run_cli(symbolic, capsys)
+    hits = cli.answer.cache_info().hits
+    assert run_cli([*symbolic, "--tolerance=1e-30"], capsys) == first
+    assert cli.answer.cache_info().hits == hits + 1
+
+
+def test_usage_error_is_not_cached(capsys):
+    info = cli.answer.cache_info()
+    for _ in range(2):
+        code, out, err = run_cli(["--gamma=1", "lines-through", "--numeric",
+                                  "--symbolic"], capsys)
+        assert code == EXIT_USAGE and out == "" and "--numeric" in err
+    assert cli.answer.cache_info() == info
 
 
 def test_numeric_refusal_is_not_cached(capsys):

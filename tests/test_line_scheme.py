@@ -1,14 +1,17 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
+from qp3.multipoly import (DEGREVLEX, Polynomial, parse_poly, print_poly,
+                           substitute)
 from qp3.polylinalg import ScalarMatrix, all_minors
-from qp3.groebner import Ideal, ideals_equal, normal_form
+from qp3.groebner import (Ideal, buchberger, hilbert_numerator, ideals_equal,
+                          normal_form)
 from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
 from qp3.line_scheme import (build_big_matrix, component_catalog,
-                             displayed_big_matrix,
+                             components_intersection, displayed_big_matrix,
                              fixture_forensics, gamma4_factorization,
                              jacobian_smoothness_check, line_scheme_ideal,
                              match_displayed_big_matrix, match_fixture_polys,
@@ -325,3 +328,34 @@ def test_memoized_decomposition_report_is_read_only():
         report.component_hilbert["L1"] = (0, 0)
     again = verify_decomposition(line_scheme_ideal(g), component_catalog(g))
     assert dict(again.component_hilbert) == before and again.ok
+
+
+def _hilbert_function(I: Ideal, top: int):
+    """dim (S/I)_d for d = 0..top, from the Hilbert numerator over (1-t)^n."""
+    n = len(I.varset)
+    num = hilbert_numerator(
+        buchberger(I.with_order(DEGREVLEX)).leading_monomials(), n)
+    return [sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num[:d + 1]))
+            for d in range(top + 1)]
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(-4), gr(Fraction(3, 2), 1)],
+                         ids=str)
+def test_saturated_line_scheme_ideal_is_the_component_intersection(gamma):
+    # L lies in I_cap, whose components are complete intersections, so
+    # I_cap is saturated and holds L^sat.  Each generator of I_cap lies in
+    # L or has all six M_ij * f in L, so I_cap lies in (L : m) and
+    # L^sat = I_cap: the scheme is the union of the curves, no embedded
+    # point, and L differs from I_cap in degree 3 alone.
+    L = line_scheme_ideal(gamma)
+    inter = components_intersection(component_catalog(gamma))
+    gb = buchberger(L.ideal)
+    variables = [Polynomial.variable(L.ideal.varset, v) for v in M_VARS.names]
+    in_L = [normal_form(f, gb).is_zero() for f in inter.generators]
+    assert (len(in_L), sum(in_L)) == (14, 4)
+    assert all(normal_form(m * f, gb).is_zero()
+               for f, inside in zip(inter.generators, in_L) if not inside
+               for m in variables)
+    hf_L, hf_cap = _hilbert_function(L.ideal, 9), _hilbert_function(inter, 9)
+    assert [d for d in range(10) if hf_L[d] != hf_cap[d]] == [3]
+    assert (hf_L[3], hf_cap[3]) == (50, 40)

@@ -129,9 +129,11 @@ def test_line_scheme_lies_in_every_component_ideal():
     assert all(l.in_line_scheme for b in rep.branches for l in b.lines)
 
 
-def test_in_line_scheme_needs_the_46_in_the_component_ideal(monkeypatch, capsys):
+def test_in_line_scheme_needs_the_46_in_the_component_ideal(monkeypatch, capsys,
+                                                           fresh_caches):
     # L2 without its cubic is a larger component whose ideal misses the
-    # 46: its line still lies in it, but is not certified in the scheme
+    # 46: its line still lies in it, but is not certified in the scheme.
+    # The CLI's answer memo would read back an earlier gamma = 1 answer
     C = component_catalog(gr(1))
     l2 = C.get("L2")
     weak = replace(l2, ideal=Ideal(list(l2.ideal.generators[:-1])))
