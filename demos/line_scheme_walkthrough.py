@@ -15,14 +15,16 @@ form, and with P the 46 polynomials cut out the line scheme in P5.
 from math import comb
 
 from qp3 import gr, print_poly
-from qp3.multipoly import DEGREVLEX, Polynomial
-from qp3.quadratic_algebra import koszul_dual_relations, m_hat, make_A
-from qp3.groebner import (buchberger, hilbert_dimension_degree,
-                          hilbert_numerator, normal_form)
+from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly
+from qp3.polylinalg import PolyMatrix, all_minors
+from qp3.quadratic_algebra import M_VARS, koszul_dual_relations, m_hat, make_A
+from qp3.fixtures import load_fixtures
+from qp3.groebner import (Ideal, buchberger, eliminate,
+                          hilbert_dimension_degree, hilbert_numerator,
+                          intersect, normal_form)
 from qp3.line_scheme import (build_big_matrix, component_catalog,
-                             components_intersection, gamma4_factorization,
-                             line_scheme_ideal, match_displayed_big_matrix,
-                             verify_decomposition)
+                             components_intersection, line_scheme_ideal,
+                             match_displayed_big_matrix, verify_decomposition)
 
 gamma = gr(1)
 A = make_A(gamma)
@@ -63,10 +65,38 @@ for gv in (1, 4):
           f"{rep.intersection_in_radical}")
     print(f"  dimension and degree of the scheme: {rep.hilbert}")
     print(f"  component degrees sum: {rep.degrees_sum}")
-    if gv == 4:
-        print(f"  quadric factorization at gamma^2 = 16: "
-              f"{gamma4_factorization(g)}")
     print()
+
+print("=== gamma^2 = 16: L1 splits into the conics L1a and L1b ===")
+# the pencil member q2 - (gamma/2) q1 of L1 is f^2 - h^2 there, and the
+# catalog replaces q2 by f + h and by f - h
+for gv in (4, -4):
+    q1, q2 = (parse_poly(t, M_VARS, gamma=gr(gv))
+              for t in load_fixtures().component_generators["L1"][2:])
+    f1, f2 = (component_catalog(gr(gv)).get(n).ideal.generators[-1]
+              for n in ("L1a", "L1b"))
+    print(f"  gamma = {gv}: q2 - (gamma/2) q1 = ({print_poly(f1)}) * "
+          f"({print_poly(f2)}): {f1 * f2 == q2 - gr(gv) / 2 * q1}")
+
+print()
+print("=== for every gamma at once: where is a component singular? ===")
+# over Q(i)[g], a component plus the 4x4 minors of its Jacobian in the M_ij,
+# one chart M_ij = 1 at a time with the M_ij eliminated, leaves the gammas
+# where it is singular; away from them the printed kinds hold
+MG = VarSet([*M_VARS.names, "g"])
+for name, texts in load_fixtures().component_generators.items():
+    gens = [parse_poly(t, MG) for t in texts]
+    jac = PolyMatrix([[f.derivative(n) for n in M_VARS.names] for f in gens])
+    sing = gens + [d for d in all_minors(jac, 4) if not d.is_zero()]
+    union = None
+    for n in M_VARS.names:
+        chart = eliminate(Ideal(sing + [Polynomial.variable(MG, n) - 1]), ["g"])
+        union = chart if union is None else intersect(union, chart)
+    where = ", ".join(print_poly(p) for p in buchberger(union))
+    print(f"  {name}: " + ("smooth for every gamma" if where == "1"
+                          else f"singular where {where} = 0"))
+
+print()
 
 print("=== the scheme, not just the set: L^sat is the intersection ===")
 # I_cap, the intersection of the component ideals, is saturated, and it

@@ -1,5 +1,6 @@
 """Golden data: the reference polynomial lists for the point scheme and
-line scheme, the component generators, and the named surfaces and rulings.
+line scheme, the generators of the seven generic components (nothing
+derived from them), and the named surfaces and rulings.
 
 Fixture text keeps the parameter symbolic as 'g'; callers bind a concrete
 gamma when they parse.  The line-scheme list is shipped as printed; the
@@ -31,9 +32,7 @@ class FixtureSet:
     point_scheme_polys: Tuple[str, ...]     # 15 quartics in x1..x4
     line_scheme_polys: Tuple[str, ...]      # P followed by 45 quartics in M12..M34
     line_scheme_errata: Mapping[int, str]   # entry index -> corrected text
-    component_generators: Mapping[str, Mapping]   # name -> {generators, dimension, ...}
-    component_generators_gamma4: Mapping[str, Mapping]
-    component_generators_gamma_minus4: Mapping[str, Mapping]
+    component_generators: Mapping[str, Tuple[str, ...]]   # name -> generators
     surfaces: Mapping[str, str]
     planar_curves: Mapping[str, Tuple[str, ...]]
     pencil_points: Mapping[str, str]
@@ -138,8 +137,6 @@ def load_fixtures() -> FixtureSet:
         line_scheme_errata=MappingProxyType(
             {int(k): v for k, v in errata["line_scheme_polys"].items()}),
         component_generators=comp["components"],
-        component_generators_gamma4=comp["components_gamma4"],
-        component_generators_gamma_minus4=comp["components_gamma_minus4"],
         surfaces=comp["surfaces"],
         planar_curves=comp["planar_curves"],
         pencil_points=comp["pencil_points"],

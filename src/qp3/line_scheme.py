@@ -29,13 +29,13 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
-from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
-                        substitute)
+from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly,
+                        print_poly, substitute)
 from .polylinalg import PolyMatrix, all_minors
-from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
-                       cached_under_limits, hilbert_dimension_degree,
-                       intersect, normal_form, quotient_dimension,
-                       radical_member)
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _stripped_numerator,
+                       buchberger, cached_under_limits,
+                       hilbert_dimension_degree, intersect, normal_form,
+                       quotient_dimension, radical_member)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 ZeroGammaError, m_hat, make_A)
 from .fixtures import load_fixtures
@@ -300,13 +300,37 @@ def match_displayed_big_matrix(A: QuadraticAlgebra) -> List[Tuple[int, GaussianR
 # ---------------------------------------------------------------------------
 
 
+# (degree, arithmetic genus, span P^k) of a smooth curve -> its kind
+_KINDS = {(4, 1, 3): "spatial_elliptic", (3, 1, 2): "planar_elliptic",
+          (2, 0, 2): "conic"}
+
+
+@cached_under_limits
+def curve_invariants(ideal: Ideal) -> Tuple[int, int, str]:
+    """(dimension, degree, kind) of V(ideal) in P5.  With h the Hilbert
+    numerator of its DEGREVLEX basis, a curve has arithmetic genus
+    1 - h(1) + h'(1) (Hartshorne, Algebraic Geometry, I.7), and it spans
+    P^(5 - k), k the number of linear leading monomials.  The kinds
+    presume smoothness, which tests/test_line_scheme.py proves for every
+    gamma.  Any other shape is a pipeline bug: ValueError."""
+    dimension, degree = hilbert_dimension_degree(ideal)
+    G = buchberger(ideal.with_order(DEGREVLEX))
+    h, _ = _stripped_numerator(G)
+    genus = 1 - sum(h) + sum(k * c for k, c in enumerate(h))
+    span = len(ideal.varset) - 1 - sum(sum(m) == 1 for m in G.leading_monomials())
+    kind = _KINDS.get((degree, genus, span)) if dimension == 1 else None
+    if kind is None:
+        raise ValueError(f"no kind for {dimension=}, {degree=}, {genus=}, {span=}")
+    return dimension, degree, kind
+
+
 @dataclass(frozen=True)
 class Component:
     name: str
     ideal: Ideal
-    dimension: int
-    degree: int
-    kind: str
+    dimension = property(lambda self: curve_invariants(self.ideal)[0])
+    degree = property(lambda self: curve_invariants(self.ideal)[1])
+    kind = property(lambda self: curve_invariants(self.ideal)[2])
 
 
 @dataclass(frozen=True)
@@ -342,45 +366,32 @@ class ComponentCatalog:
         }
 
 
+def _split_l1(gamma: GaussianRational, l1: List[Polynomial]):
+    """L1a and L1b, the conics of gamma^2 = 16: L1 with q2 replaced by f + h
+    (M12, M14 coefficients equal) and by f - h, where f = M12 - s M34,
+    h = M14 - s M23, s = gamma/4.  Both Gram blocks of q2 - (gamma/2) q1
+    have rank one, so it is f^2 - h^2, or else ValueError."""
+    *lines, q1, q2 = l1
+    f, h = (parse_poly(t, M_VARS, gamma=gamma / 4)
+            for t in ("M12 - g*M34", "M14 - g*M23"))
+    if f * f - h * h != q2 - (gamma / 2) * q1:
+        raise ValueError(f"the L1 pencil does not split at gamma = {gamma}")
+    return {"L1a": lines + [q1, f + h], "L1b": lines + [q1, f - h]}
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
-    """The reference components: seven when gamma^2 != 16, eight (L1 split
-    into two conics) when gamma^2 = 16."""
+    """The components: the seven generic ones, where gamma^2 != 16, and
+    eight, with L1 split into two conics, where gamma^2 = 16."""
     gamma = gr(gamma)
     if gamma.is_zero():
         raise ZeroGammaError("gamma must be nonzero")
-    fx = load_fixtures()
-    names: List[Tuple[str, dict]] = []
+    gens = {name: [parse_poly(t, M_VARS, gamma=gamma) for t in texts]
+            for name, texts in load_fixtures().component_generators.items()}
     if gamma * gamma == gr(16):
-        split = (fx.component_generators_gamma4 if gamma == gr(4)
-                 else fx.component_generators_gamma_minus4)
-        names.extend(sorted(split.items()))
-        names.extend((n, d) for n, d in fx.component_generators.items() if n != "L1")
-    else:
-        names.extend(fx.component_generators.items())
-    comps = []
-    for name, data in names:
-        gens = [parse_poly(t, M_VARS, gamma=gamma) for t in data["generators"]]
-        comps.append(Component(name=name, ideal=Ideal(gens),
-                               dimension=data["dimension"],
-                               degree=data["degree"], kind=data["kind"]))
-    return ComponentCatalog(gamma=gamma, components=tuple(comps))
-
-
-def gamma4_factorization(gamma: GaussianRational) -> bool:
-    """At gamma^2 = 16 the quadric q2 - (gamma/2) q1 of the generic L1
-    ideal factors into the linear forms that cut the catalog's conics L1a
-    and L1b out of it; verified by expansion."""
-    if gamma * gamma != gr(16):
-        return False
-    generic = [parse_poly(t, M_VARS, gamma=gamma)
-               for t in load_fixtures().component_generators["L1"]["generators"]]
-    q1, q2 = (g for g in generic if g.degree() == 2)
-    catalog = component_catalog(gamma)
-    f1, f2 = (next(g for g in catalog.get(name).ideal.generators
-                   if g.degree() == 1 and g not in generic)
-              for name in ("L1a", "L1b"))
-    return f1 * f2 == q2 - (gamma / 2) * q1
+        gens = {**_split_l1(gamma, gens.pop("L1")), **gens}
+    return ComponentCatalog(gamma=gamma, components=tuple(
+        Component(name=name, ideal=Ideal(g)) for name, g in gens.items()))
 
 
 # ---------------------------------------------------------------------------

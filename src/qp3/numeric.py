@@ -18,7 +18,7 @@ from .gaussian import GaussianRational
 from .multipoly import Polynomial
 from .groebner import cached_under_limits
 from .fixtures import load_fixtures
-from .plucker import generic_line_points, pluecker_join
+from .plucker import generic_line_points, incidence_contractions, pluecker_join
 
 if TYPE_CHECKING:
     import numpy as np
@@ -278,8 +278,9 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     sep = _line_separation(g)
     if min(abs(x2), abs(x3), abs(x4)) < sep:
         raise DegeneratePointError("point too close to a coordinate hyperplane")
-    l6 = "L6a" if abs(x2 - 1j * x3 * x4) < abs(x2 + 1j * x3 * x4) else "L6b"
     joins = generic_line_points(x2, x3, x4, 1j)
+    l6 = min(("L6a", "L6b"), key=lambda name: max(   # the conic line p is on
+        abs(d) for d in incidence_contractions(pluecker_join(*joins[name]), c)))
     lines = [_pluecker_join(*joins[name])
              for name in ("L1", "L2", "L3", "L4", "L5", l6)]
     for m in lines:

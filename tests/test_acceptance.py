@@ -24,9 +24,8 @@ from qp3.groebner import Ideal, buchberger, hilbert_dimension_degree, \
     ideals_equal, normal_form
 from qp3.quadratic_algebra import M_VARS, X_VARS, make_A
 from qp3.point_scheme import ProjectivePoint, count_points, point_ideal
-from qp3.line_scheme import (component_catalog, gamma4_factorization,
-                             line_scheme_ideal, match_fixture_polys,
-                             verify_decomposition)
+from qp3.line_scheme import (component_catalog, line_scheme_ideal,
+                             match_fixture_polys, verify_decomposition)
 from qp3.plucker import (DependentPointsError, line_family, line_from_points,
                          lines_through_point, point_on_line, ruling_lines,
                          surface_containment, line_in_component)
@@ -151,7 +150,11 @@ def test_criterion_5_decomposition():
         ok = ok and rep.poly_in_components and rep.intersection_in_radical
     cat4 = component_catalog(gr(4))
     ok = ok and len(cat4) == 8
-    ok = ok and gamma4_factorization(gr(4))
+    # L1a and L1b cut L1 by the two linear factors of q2 - 2 q1
+    q1, q2 = (parse_poly(t, M_VARS, gamma=gr(4))
+              for t in load_fixtures().component_generators["L1"][2:])
+    f1, f2 = (cat4.get(name).ideal.generators[-1] for name in ("L1a", "L1b"))
+    ok = ok and f1.degree() == f2.degree() == 1 and f1 * f2 == q2 - 2 * q1
     rep4 = verify_decomposition(line_scheme_ideal(gr(4)), cat4)
     ok = ok and rep4.poly_in_components and rep4.intersection_in_radical
     _report("criterion 5 (component decomposition)", ok)

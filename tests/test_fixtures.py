@@ -48,7 +48,7 @@ def test_component_generator_data_present():
     fx = load_fixtures()
     assert set(fx.component_generators) == {"L1", "L2", "L3", "L4", "L5",
                                             "L6a", "L6b"}
-    assert set(fx.component_generators_gamma4) == {"L1a", "L1b"}
+    assert all(len(gens) == 4 for gens in fx.component_generators.values())
     assert {"quartic", "Q6a", "Q6b", "Qa", "Qb"} <= set(fx.surfaces)
     assert set(fx.planar_curves) == {"L2", "L3", "L4", "L5"}
 
@@ -116,10 +116,10 @@ def test_memoized_fixtures_are_read_only():
 
     fx = load_fixtures()
     with pytest.raises(TypeError):
-        fx.component_generators["L1"]["generators"] = ("M12",)
+        fx.component_generators["L1"] = ("M12",)
     with pytest.raises(AttributeError):
-        fx.component_generators["L1"]["generators"].append("M12")
+        fx.component_generators["L1"].append("M12")
     with pytest.raises(TypeError):
         fx.line_scheme_errata[31] = "M12"
-    assert len(load_fixtures().component_generators["L1"]["generators"]) == 4
+    assert len(load_fixtures().component_generators["L1"]) == 4
     assert len(component_catalog(gr(3)).get("L1").ideal.generators) == 4

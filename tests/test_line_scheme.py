@@ -4,19 +4,19 @@ from math import comb
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import (DEGREVLEX, Polynomial, parse_poly, print_poly,
-                           substitute)
-from qp3.polylinalg import ScalarMatrix, all_minors
-from qp3.groebner import (Ideal, buchberger, hilbert_numerator, ideals_equal,
-                          normal_form)
+from qp3.multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly,
+                           print_poly, substitute)
+from qp3.polylinalg import PolyMatrix, ScalarMatrix, all_minors
+from qp3.groebner import (Ideal, buchberger, eliminate, hilbert_numerator,
+                          ideals_equal, intersect, normal_form)
 from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
-from qp3.line_scheme import (build_big_matrix, component_catalog,
+from qp3.line_scheme import (Component, build_big_matrix, component_catalog,
                              components_intersection, displayed_big_matrix,
-                             fixture_forensics, gamma4_factorization,
-                             jacobian_smoothness_check, line_scheme_ideal,
-                             match_displayed_big_matrix, match_fixture_polys,
-                             pluecker_polynomial, verify_decomposition,
-                             _pluecker_gb_M, _quartic_of_minor)
+                             fixture_forensics, jacobian_smoothness_check,
+                             line_scheme_ideal, match_displayed_big_matrix,
+                             match_fixture_polys, pluecker_polynomial,
+                             verify_decomposition, _pluecker_gb_M,
+                             _quartic_of_minor, _split_l1)
 from qp3.fixtures import load_fixtures
 
 
@@ -207,10 +207,29 @@ def test_component_catalog_counts():
     assert "M12 + M14 - M23 - M34" in gens
 
 
-def test_gamma4_factorization():
-    assert gamma4_factorization(gr(4))
-    assert gamma4_factorization(gr(-4))
-    assert not gamma4_factorization(gr(1))
+def test_gamma4_split_forms():
+    # at gamma = +-4, L1a and L1b are L1 with its quadric q2 replaced by
+    # the two linear factors of the pencil member q2 - (gamma/2) q1
+    for gv, forms in ((4, ("M12 + M14 - M23 - M34", "M12 - M14 + M23 - M34")),
+                      (-4, ("M12 + M14 + M23 + M34", "M12 - M14 - M23 + M34"))):
+        g = gr(gv)
+        q1, q2 = (parse_poly(t, M_VARS, gamma=g)
+                  for t in load_fixtures().component_generators["L1"][2:])
+        split = []
+        for name, form in zip(("L1a", "L1b"), forms):
+            *rest, f = component_catalog(g).get(name).ideal.generators
+            assert [print_poly(p) for p in rest] == ["M13", "M24", print_poly(q1)]
+            assert print_poly(f) == form
+            split.append(f)
+        assert split[0] * split[1] == q2 - (g / 2) * q1
+    for g in (gr(0, 4), gr(0, -4), gr(2)):
+        assert [c.name for c in component_catalog(g)] == [
+            "L1", "L2", "L3", "L4", "L5", "L6a", "L6b"]
+    # elsewhere the pencil member is no difference of two squares
+    l1 = [parse_poly(t, M_VARS, gamma=gr(2))
+          for t in load_fixtures().component_generators["L1"]]
+    with pytest.raises(ValueError, match="does not split"):
+        _split_l1(gr(2), l1)
 
 
 def test_verify_decomposition():
@@ -244,6 +263,19 @@ def test_component_degree_table():
     cat = component_catalog(gr(5))
     for name, dd in expected.items():
         assert hilbert_dimension_degree(cat.get(name).ideal) == dd
+        assert (cat.get(name).dimension, cat.get(name).degree) == dd
+    kinds = {"L1": "spatial_elliptic", "L1a": "conic", "L1b": "conic",
+             "L2": "planar_elliptic", "L3": "planar_elliptic",
+             "L4": "planar_elliptic", "L5": "planar_elliptic",
+             "L6a": "conic", "L6b": "conic"}
+    for gv, count in ((5, 7), (4, 8), (-4, 8)):
+        cat = component_catalog(gr(gv))
+        assert len(cat) == count
+        assert all(c.kind == kinds[c.name] for c in cat)
+    # a quadric surface and a line have no kind
+    for texts in (("M13", "M24", "M12*M34 - M14*M23"), ("M13", "M24", "M14", "M23")):
+        with pytest.raises(ValueError, match="no kind"):
+            Component("X", Ideal([parse_poly(t, M_VARS) for t in texts])).kind
 
 
 def test_jacobian_smoothness():
@@ -318,6 +350,29 @@ def test_jacobian_smoothness_planar_cubics_with_gamma():
         cat = component_catalog(gr(gv))
         for name in ("L3", "L4", "L5"):
             assert jacobian_smoothness_check(cat.get(name).ideal)
+
+
+def test_generic_components_are_singular_only_at_listed_gammas():
+    # over Q(i)[g]: each generic component plus the 4x4 minors of its
+    # Jacobian in the M_ij, one chart M_ij = 1 at a time, with the M_ij
+    # eliminated, leaves the gammas where the component is singular.  So
+    # every kind holds for every gamma but 0 and, for L1, +-4, where L1
+    # splits into the conics L1a and L1b
+    MG = VarSet([*M_VARS.names, "g"])
+    expected = {"L1": "g^3 - 16*g", "L2": "1", "L3": "1", "L4": "g^2",
+                "L5": "g^2", "L6a": "1", "L6b": "1"}
+    found = {}
+    for name, texts in load_fixtures().component_generators.items():
+        gens = [parse_poly(t, MG) for t in texts]
+        jac = PolyMatrix([[f.derivative(n) for n in M_VARS.names] for f in gens])
+        sing = gens + [d for d in all_minors(jac, 4) if not d.is_zero()]
+        charts = [eliminate(Ideal(sing + [Polynomial.variable(MG, n) - 1]), ["g"])
+                  for n in M_VARS.names]
+        union = charts[0]
+        for chart in charts[1:]:
+            union = intersect(union, chart)
+        [found[name]] = (print_poly(p) for p in buchberger(union))
+    assert found == expected
 
 
 def test_memoized_decomposition_report_is_read_only():

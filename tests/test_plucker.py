@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 
 from qp3.gaussian import ZERO, gr
-from qp3.multipoly import parse_poly
+from qp3.multipoly import Polynomial, parse_poly
 from qp3.quadratic_algebra import X_VARS
-from qp3.point_scheme import E1, E2, E3, E4, ProjectivePoint
+from qp3.point_scheme import BASIS_POINTS, E1, E2, E3, E4, ProjectivePoint
 from qp3 import cli, plucker
 from qp3.groebner import Ideal
 from qp3.line_scheme import (ComponentCatalog, component_catalog,
                              line_scheme_ideal, scheme_in_ideal)
 from qp3.plucker import (DependentPointsError, PluckerLine, ZeroParameterError,
-                         line_family, line_from_points,
-                         line_in_component, lines_through_point, point_on_line,
-                         ruling_lines, surface_containment)
+                         evaluate_in_M, line_family, line_from_points,
+                         line_in_component, lines_through_point, pluecker_join,
+                         point_on_line, ruling_lines, surface_containment)
 from qp3.fixtures import load_fixtures
 
 
@@ -167,6 +167,26 @@ def test_pencil_component_matches_fixture_table():
     for comp_name, point_name in table.items():
         rep = lines_through_point(point_name, gr(1))
         assert rep.component_dimensions[comp_name][0] == 1
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(5), gr(Fraction(3, 2), 1), gr(4)],
+                         ids=["1", "5", "3/2+i", "4"])
+def test_pencil_lines_pull_back_to_the_plane_cubics(gamma):
+    # L_k is the pencil of lines joining its pencil point to the points of
+    # a plane: on the join with a generic point of that plane, the linear
+    # generators of L_k vanish and its cubic is +- the plane's cubic
+    fx = load_fixtures()
+    for name, (plane, cubic) in fx.planar_curves.items():
+        pencil = [Polynomial.constant(X_VARS, c)
+                  for c in BASIS_POINTS[fx.pencil_points[name]].coords]
+        point = [Polynomial.zero(X_VARS) if n == plane else Polynomial.variable(X_VARS, n)
+                 for n in X_VARS.names]
+        join = pluecker_join(pencil, point)
+        *linear, curve = (evaluate_in_M(f, join, X_VARS)
+                          for f in component_catalog(gamma).get(name).ideal.generators)
+        assert all(f.is_zero() for f in linear)
+        plane_cubic = parse_poly(cubic, X_VARS, gamma=gamma)
+        assert curve in (plane_cubic, -plane_cubic)
 
 
 def test_surface_containment_quartic():
