@@ -87,8 +87,8 @@ def current_limits() -> GroebnerLimits:
     return _LIMITS.get()
 
 
-# entries each memo of a certificate or per-gamma object keeps: the five
-# `lines-through` points at a dozen gammas, under one set of limits
+# entries each memo of a CLI answer or per-gamma object keeps: a `session`
+# benchmark run (8 commands at 8 gammas) fills exactly 64 of `cli.answer`
 MEMO_SIZE = 64
 # entries each memo of the Groebner layer keeps: bases, unit answers,
 # inverses and Hilbert numerators.  A `session` benchmark run over eight

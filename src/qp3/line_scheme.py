@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
@@ -446,7 +445,6 @@ def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
     return all(normal_form(p, gb).is_zero() for p in L.polys)
 
 
-@cached_under_limits
 def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
     """Both inclusions of the decomposition plus the dimension and degree
     bookkeeping; every clause is reported separately."""
@@ -466,7 +464,7 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
         poly_in_components=poly_in_components,
         intersection_in_radical=intersection_in_radical,
         hilbert=hd,
-        component_hilbert=MappingProxyType(comp_h),
+        component_hilbert=comp_h,
         degrees_sum=degrees_sum,
     )
 

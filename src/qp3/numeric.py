@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial
-from .groebner import cached_under_limits
 from .fixtures import load_fixtures
 from .plucker import generic_line_points, incidence_contractions, pluecker_join
 
@@ -295,7 +294,6 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
 NumericRow = Tuple[Tuple[complex, ...], Tuple[Tuple[complex, ...], ...]]
 
 
-@cached_under_limits
 def numeric_table(gamma, tol: float) -> Tuple[NumericRow, ...]:
     """The sixteen generic points of `enumerate_points`, each with the six
     lines of `six_lines_numeric` through it, as tuples of complex numbers.

@@ -7,20 +7,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import (Polynomial, VarSet, parse_poly, print_poly,
                         substitute)
-from .groebner import (GroebnerBasis, Ideal, buchberger, cached_under_limits,
+from .groebner import (GroebnerBasis, Ideal, buchberger,
                        hilbert_dimension_degree, is_unit_mod, normal_form,
                        quotient_dimension)
 from .quadratic_algebra import CHART_VARS, M_VARS, X_VARS
 from .point_scheme import (BASIS_POINTS, ProjectivePoint, symbolic_point,
                            zgamma_ideal)
-from .line_scheme import (Component, ComponentCatalog, LineSchemeIdeal,
-                          component_catalog, line_scheme_ideal,
+from .line_scheme import (Component, component_catalog, line_scheme_ideal,
                           scheme_in_ideal)
 
 class DependentPointsError(ValueError):
@@ -143,25 +141,19 @@ class LineFamily:
 
 
 def line_family(name: str, gamma: GaussianRational) -> LineFamily:
-    if name == "L1":
+    if name in ("L1", "L1a", "L1b"):
+        # the catalog's generators pulled back to the rows: those that do
+        # not vanish identically cut the family out
         P = VarSet(["a1", "a3", "b2", "b4"])
         v = {n: Polynomial.variable(P, n) for n in P.names}
         zero = Polynomial.zero(P)
         row1 = (v["a1"], zero, v["a3"], zero)
         row2 = (zero, v["b2"], zero, v["b4"])
-        c = parse_poly(
-            "a1^2*b2^2 + a3^2*b4^2 - g*a1*b2*a3*b4 - a1^2*b4^2 - b2^2*a3^2",
-            P, gamma=gamma)
-        return LineFamily(name, P, row1, row2, (c,))
-    if name in ("L1a", "L1b"):
-        P = VarSet(["a1", "a3", "b2", "b4"])
-        v = {n: Polynomial.variable(P, n) for n in P.names}
-        zero = Polynomial.zero(P)
-        row1 = (v["a1"], zero, v["a3"], zero)
-        row2 = (zero, v["b2"], zero, v["b4"])
-        text = ("a1*b2 + a1*b4 + a3*b2 - a3*b4" if name == "L1a"
-                else "a3*b4 + a3*b2 + a1*b4 - a1*b2")
-        return LineFamily(name, P, row1, row2, (parse_poly(text, P),))
+        join = pluecker_join(row1, row2)
+        pulled = (evaluate_in_M(g, join, P)
+                  for g in component_catalog(gamma).get(name).ideal.generators)
+        return LineFamily(name, P, row1, row2,
+                          tuple(c for c in pulled if not c.is_zero()))
     if name in ("L6a", "L6b"):
         P = VarSet(["a1", "a2", "a3", "a4", "al", "be"])
         v = {n: Polynomial.variable(P, n) for n in P.names}
@@ -335,7 +327,7 @@ class SixLinesReport:
     point: str
     branches: Tuple[BranchReport, ...] = ()
     component_dimensions: Mapping[str, Tuple[int, int]] = field(
-        default_factory=lambda: MappingProxyType({}))
+        default_factory=dict)
     infinite: bool = False
     branch_dims_consistent: bool = True
     total: Union[int, str] = 0
@@ -457,16 +449,8 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
         point = next((n for n, bp in BASIS_POINTS.items() if point == bp), None)
     if point not in ("generic", *BASIS_POINTS):
         raise ValueError("point must be a basis point or 'generic'")
-    return _lines_through(point, gamma, component_catalog(gamma),
-                          line_scheme_ideal(gamma))
-
-
-@cached_under_limits
-def _lines_through(point: str, gamma: GaussianRational,
-                   catalog: ComponentCatalog,
-                   L46: LineSchemeIdeal) -> SixLinesReport:
-    """`lines_through_point` at 'e1'..'e4' or 'generic', on the catalog
-    and the 46 it read for gamma."""
+    catalog = component_catalog(gamma)
+    L46 = line_scheme_ideal(gamma)
     if point in BASIS_POINTS:
         forms = incidence_ideal_forms(BASIS_POINTS[point])
         dims: Dict[str, Tuple[int, int]] = {}
@@ -477,7 +461,7 @@ def _lines_through(point: str, gamma: GaussianRational,
         full_dim = hilbert_dimension_degree(full)
         infinite = full_dim[0] >= 1
         return SixLinesReport(gamma=gamma, point=point,
-                              component_dimensions=MappingProxyType(dims),
+                              component_dimensions=dims,
                               infinite=infinite,
                               total="infinite" if infinite else 0)
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
@@ -14,9 +13,8 @@ from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
 from .polylinalg import all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
-                       cached_under_limits, invert_mod, is_unit_mod,
-                       normal_form, quotient_dimension, radical_member,
-                       saturate)
+                       invert_mod, is_unit_mod, normal_form,
+                       quotient_dimension, radical_member, saturate)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS,
                                 ZeroGammaError, make_A, relation_matrix,
                                 tensor_bilinear)
@@ -329,7 +327,6 @@ class PointSchemeReport:
         return "\n".join(lines)
 
 
-@cached_under_limits
 def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
     """Chart-by-chart counting of the point scheme with multiplicity,
     distinct-point count via the triangular system, and sigma orbits."""
@@ -393,13 +390,13 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
 
     return PointSchemeReport(
         gamma=gamma,
-        chart_counts=MappingProxyType(chart_counts),
+        chart_counts=chart_counts,
         total_with_multiplicity=total,
         distinct_count=distinct,
-        multiplicity_profile=MappingProxyType(profile),
+        multiplicity_profile=profile,
         sigma_orbits=(2, 2) + (4,) * (distinct_z // 4),
         rho1_squarefree=rho1_squarefree,
-        checks=MappingProxyType(checks),
+        checks=checks,
     )
 
 

@@ -177,7 +177,7 @@ def test_verification_failure_exit(monkeypatch, capsys, fresh_caches):
     real = ls.verify_decomposition
 
     def broken(L, C):
-        # reports are cached values: build a changed copy, never assign
+        # reports are frozen: build a changed copy, never assign
         return dataclasses.replace(real(L, C), degrees_sum=0)
 
     monkeypatch.setattr(ls, "verify_decomposition", broken)
@@ -199,20 +199,36 @@ SESSION = (["point-scheme"], ["line-scheme", "--verify"],
 
 def test_session_revisit_reads_the_answer_memo(capsys):
     # a second visit at the same gamma reprints the answer from the answer
-    # memo: one hit there, and no certificate memo is asked again
-    from qp3 import line_scheme, numeric, plucker, point_scheme
+    # memo: one hit there, and no memo of the Groebner layer is asked again
+    from qp3 import groebner, line_scheme
 
-    certificates = (point_scheme.count_points, line_scheme.verify_decomposition,
-                    plucker._lines_through, numeric.numeric_table)
+    below = (groebner.buchberger, groebner.is_unit_mod, groebner.invert_mod,
+             line_scheme.curve_invariants)
     for command in SESSION:
         argv = ["--gamma=3/2+i", *command, "--format", "json"]
         first = run_cli(argv, capsys)
         hits = cli.answer.cache_info().hits
-        certificate_hits = [m.cache_info().hits for m in certificates]
+        infos = [m.cache_info() for m in below]
         assert run_cli(argv, capsys) == first
         assert first[0] == EXIT_OK
         assert cli.answer.cache_info().hits == hits + 1
-        assert [m.cache_info().hits for m in certificates] == certificate_hits
+        assert [m.cache_info() for m in below] == infos
+
+
+def test_every_memo_serves_a_session(capsys, fresh_caches):
+    # a memo that no repeated question reads is waste: two visits at two
+    # gammas, one of them split (gamma^2 = 16), read every cache of qp3
+    for gamma in ("3/2+i", "4"):
+        for _ in range(2):
+            for command in SESSION:
+                run_cli([f"--gamma={gamma}", *command], capsys)
+    memos = {id(v): (f"{name}.{attr}", v)
+             for name, mod in list(sys.modules.items())
+             if (name == "qp3" or name.startswith("qp3.")) and mod is not None
+             for attr, v in vars(mod).items()
+             if callable(getattr(v, "cache_info", None))}
+    idle = sorted(n for n, m in memos.values() if m.cache_info().hits == 0)
+    assert idle == []
 
 
 def test_answer_memo_keeps_text_and_json_apart(capsys, fresh_caches):

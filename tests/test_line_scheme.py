@@ -375,16 +375,6 @@ def test_generic_components_are_singular_only_at_listed_gammas():
     assert found == expected
 
 
-def test_memoized_decomposition_report_is_read_only():
-    g = gr(1)
-    report = verify_decomposition(line_scheme_ideal(g), component_catalog(g))
-    before = dict(report.component_hilbert)
-    with pytest.raises(TypeError):
-        report.component_hilbert["L1"] = (0, 0)
-    again = verify_decomposition(line_scheme_ideal(g), component_catalog(g))
-    assert dict(again.component_hilbert) == before and again.ok
-
-
 def _hilbert_function(I: Ideal, top: int):
     """dim (S/I)_d for d = 0..top, from the Hilbert numerator over (1-t)^n."""
     n = len(I.varset)

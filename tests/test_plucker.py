@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qp3.gaussian import ZERO, gr
-from qp3.multipoly import Polynomial, parse_poly
+from qp3.multipoly import Polynomial, parse_poly, substitute
 from qp3.quadratic_algebra import X_VARS
 from qp3.point_scheme import BASIS_POINTS, E1, E2, E3, E4, ProjectivePoint
 from qp3 import cli, plucker
@@ -216,6 +216,18 @@ def test_surface_containment_gamma4():
     assert surface_containment(line_family("L1b", gr(4)), qb)
 
 
+def test_surface_containment_gamma_minus4():
+    # A(gamma) and A(-gamma) are isomorphic by x2 -> -x2, which takes the
+    # gamma = 4 quadrics to the ones the gamma = -4 families sweep, with
+    # the roles of Qa and Qb exchanged
+    fx = load_fixtures()
+    flip = {"x2": -Polynomial.variable(X_VARS, "x2")}
+    qa, qb = (substitute(parse_poly(fx.surfaces[q], X_VARS), flip)
+              for q in ("Qa", "Qb"))
+    assert surface_containment(line_family("L1a", gr(-4)), qb)
+    assert surface_containment(line_family("L1b", gr(-4)), qa)
+
+
 def test_ruling_lines_examples():
     cat = component_catalog(gr(1))
     l = ruling_lines("Q6a", (1, 0))
@@ -292,12 +304,3 @@ def test_line_check_transcript_serializes():
     doc = rep.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["total"] == 6
-
-
-def test_memoized_six_lines_report_is_read_only():
-    for point in ("e1", "generic"):
-        report = lines_through_point(point, gr(1))
-        before = dict(report.component_dimensions)
-        with pytest.raises(TypeError):
-            report.component_dimensions["L1"] = (5, 5)
-        assert dict(lines_through_point(point, gr(1)).component_dimensions) == before
