@@ -66,7 +66,7 @@ def parse_gamma(text: str) -> GaussianRational:
     return value
 
 
-def _join_gamma(argv: List[str]) -> List[str]:
+def _join_gamma(argv: tuple) -> List[str]:
     """`--gamma <value>` as `--gamma=<value>`, since argparse takes a
     separate value such as `-1/2` or `-i` for an option."""
     out: List[str] = []
@@ -78,51 +78,42 @@ def _join_gamma(argv: List[str]) -> List[str]:
     return out
 
 
-def _add_common(p, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--gamma", default=d,
-                   help="family parameter, a nonzero Gaussian rational")
-    p.add_argument("--format", choices=("text", "json"),
-                   default=argparse.SUPPRESS if suppress else "text")
-    p.add_argument("--max-pairs", type=int, default=d)
-    p.add_argument("--max-basis", type=int, default=d)
-    p.add_argument("--max-degree", type=int, default=d)
-    p.add_argument("--tolerance", type=float,
-                   default=argparse.SUPPRESS if suppress else 1e-8,
-                   help="numeric-mode residual tolerance")
+# the flags that one command alone takes: (flag, command, choices, help);
+# a flag without choices is a switch
+COMMAND_FLAGS = (
+    ("verify", "line-scheme", None, "verify the decomposition and the degrees"),
+    ("symbolic", "lines-through", None,
+     "exact verification at the generic point (default)"),
+    ("numeric", "lines-through", None, "numeric table over the enumerated points"),
+    ("point", "lines-through", ("e1", "e2", "e3", "e4", "generic"),
+     "a basis point e1..e4 (symbolic mode)"),
+)
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """One parser for every command; each flag works before or after it."""
     p = _Parser(prog="qp3", description=__doc__)
-    _add_common(p, suppress=False)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("point-scheme",
-                        help="point counts, multiplicities, sigma orbits")
-    _add_common(ps, suppress=True)
-
-    ls = sub.add_parser("line-scheme", help="the 46 polynomials and components")
-    ls.add_argument("--verify", action="store_true",
-                    help="verify the component decomposition and degrees")
-    _add_common(ls, suppress=True)
-
-    lt = sub.add_parser("lines-through",
-                        help="lines of the line scheme through a point")
-    lt.add_argument("--symbolic", action="store_true",
-                    help="exact verification at the generic point (default)")
-    lt.add_argument("--numeric", action="store_true",
-                    help="numeric table over the enumerated points")
-    lt.add_argument("--point", default=None,
-                    choices=("e1", "e2", "e3", "e4", "generic"),
-                    help="a basis point e1..e4 (symbolic mode)")
-    _add_common(lt, suppress=True)
+    p.add_argument("command", metavar="command", choices=(
+        "point-scheme", "line-scheme", "lines-through"),
+        help="point-scheme (point counts, multiplicities, sigma orbits), "
+             "line-scheme (the 46 polynomials and components) or "
+             "lines-through (lines of the line scheme through a point)")
+    p.add_argument("--gamma", help="family parameter, a nonzero Gaussian rational")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    for field in LIMIT_ENV:
+        p.add_argument("--" + field.replace("_", "-"), type=int)
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="numeric-mode residual tolerance")
+    for flag, command, choices, text in COMMAND_FLAGS:
+        kind = {"choices": choices} if choices else {"action": "store_true"}
+        p.add_argument("--" + flag, help=f"{command} only: {text}", **kind)
     return p
 
 
-def _limit(args, field: str) -> int:
+def _limit(field: str, value: Optional[int]) -> int:
     """One bound: the flag, else its environment variable, else the default."""
-    value, source = getattr(args, field), "--" + field.replace("_", "-")
+    source = "--" + field.replace("_", "-")
     if value is None:
         name = LIMIT_ENV[field]
         raw = os.environ.get(name)
@@ -138,8 +129,9 @@ def _limit(args, field: str) -> int:
     return value
 
 
-def make_limits(args) -> GroebnerLimits:
-    return GroebnerLimits(**{field: _limit(args, field) for field in LIMIT_ENV})
+def make_limits(flags: tuple) -> GroebnerLimits:
+    """The limits from the flags (in LIMIT_ENV order) and the environment."""
+    return GroebnerLimits(**{f: _limit(f, v) for f, v in zip(LIMIT_ENV, flags)})
 
 
 def _emit(payload, fmt: str, text_fn) -> str:
@@ -252,25 +244,32 @@ def _question(args, gamma) -> tuple:
     return cmd_lines_through_numeric, gamma, args.format, args.tolerance
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _parsed(argv: tuple) -> tuple:
+    """(question, limit flags) for one command line: everything `main`
+    takes from argv, once per distinct argv.  A usage error raises and is
+    not cached; the environment is read later, by `make_limits`."""
+    args = build_parser().parse_args(_join_gamma(argv))
+    for flag, command, _, _ in COMMAND_FLAGS:
+        if getattr(args, flag) not in (None, False) and args.command != command:
+            raise UsageError(f"unrecognized arguments: --{flag}")
+    if args.gamma is None:
+        raise UsageError("--gamma is required")
+    if not isinstance(args.gamma, str):
+        # argparse drops a `--` value and leaves an empty list
+        raise UsageError("--gamma needs a value, such as 4 or 1/2+3/2*i")
+    gamma = parse_gamma(args.gamma)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError("--tolerance must be a finite positive number")
+    return _question(args, gamma), tuple(getattr(args, f) for f in LIMIT_ENV)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_gamma(argv))
-        if args.gamma is None:
-            raise UsageError("--gamma is required")
-        if not isinstance(args.gamma, str):
-            # argparse drops a `--` value and leaves an empty list
-            raise UsageError("--gamma needs a value, such as 4 or 1/2+3/2*i")
-        gamma = parse_gamma(args.gamma)
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise UsageError("--tolerance must be a finite positive number")
-        with limits_scope(make_limits(args)):
-            text, code = answer(*_question(args, gamma))
-    except UsageError as exc:
-        sys.stderr.write(f"qp3: {exc}\n")
-        return EXIT_USAGE
-    except ZeroGammaError as exc:
+        question, flags = _parsed(tuple(sys.argv[1:] if argv is None else argv))
+        with limits_scope(make_limits(flags)):
+            text, code = answer(*question)
+    except (UsageError, ZeroGammaError) as exc:
         sys.stderr.write(f"qp3: {exc}\n")
         return EXIT_USAGE
     except ResourceLimitError as exc:

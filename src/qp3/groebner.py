@@ -89,6 +89,7 @@ def current_limits() -> GroebnerLimits:
 
 # entries each memo of a CLI answer or per-gamma object keeps: a `session`
 # benchmark run (8 commands at 8 gammas) fills exactly 64 of `cli.answer`
+# and 64 of `cli._parsed`
 MEMO_SIZE = 64
 # entries each memo of the Groebner layer keeps: bases, unit answers,
 # inverses and Hilbert numerators.  A `session` benchmark run over eight

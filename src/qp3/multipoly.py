@@ -914,6 +914,11 @@ class _Lexer:
         return tok
 
 
+# the deepest parentheses the parsers take: each level costs four Python
+# frames, so a deeper text would end in RecursionError
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over the grammar.  The values are Polynomials,
     built by `constant` and `variable` and the arithmetic operators."""
@@ -924,6 +929,7 @@ class _Parser:
         self.varset = varset
         self.gamma = gamma
         self.order = order
+        self.depth = 0
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -972,7 +978,12 @@ class _Parser:
         tok = self.lex.next()
         kind, value, pos = tok
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than "
+                                     f"{MAX_NESTING}", pos)
             p = self.expr()
+            self.depth -= 1
             closing = self.lex.next()
             if closing[0] != ")":
                 raise PolyParseError("expected ')'", closing[2])
@@ -984,9 +995,12 @@ class _Parser:
                 den_tok = self.lex.next()
                 if den_tok[0] != "nat":
                     raise PolyParseError("expected denominator", den_tok[2])
+                den = int(den_tok[1])
+                if den == 0:
+                    raise PolyParseError("division by zero", den_tok[2])
                 from fractions import Fraction
 
-                c = GaussianRational(Fraction(num, int(den_tok[1])))
+                c = GaussianRational(Fraction(num, den))
             else:
                 c = GaussianRational(num)
             return self.constant(c)
@@ -1040,7 +1054,9 @@ class _Height:
         return _Height(self.num + other.num + (not real), self.den + other.den, real)
 
     def __pow__(self, n: int) -> "_Height":
-        # |z^n| = |z|^n, and |z| <= 2^(num + 1/2)
+        # |z^n| = |z|^n, and |z| <= 2^(num + 1/2); z^0 is 1, but z is
+        # still evaluated, so it is bounded like z^1
+        n = max(n, 1)
         return _Height(n * self.num + (0 if self.real else (n + 1) // 2),
                        n * self.den, self.real)
 

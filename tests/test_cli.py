@@ -372,7 +372,7 @@ def test_unreachable_tolerance_is_a_verification_failure(capsys):
 def test_gamma_division_by_zero_usage_error(capsys):
     code, _, err = run_cli(["--gamma", "1/0", "point-scheme"], capsys)
     assert code == EXIT_USAGE
-    assert err.startswith("qp3: ") and "gamma" in err
+    assert err.startswith("qp3: cannot parse gamma '1/0': division by zero")
 
 
 @pytest.mark.parametrize("gamma", ["2^100000", "(1+i)^100000",
@@ -481,3 +481,70 @@ def test_numeric_with_symbolic_mode_flag_usage_error(extra, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("qp3: ") and "--numeric" in err
+
+
+def _spellings(gamma, command):
+    """The same question spelled five ways: flags after or before the
+    command, `--gamma X` or `--gamma=X`, `--format json` or `--format=json`."""
+    name, own = command[0], command[1:]
+    return ([f"--gamma={gamma}", name, *own, "--format", "json"],
+            [name, *own, "--gamma", gamma, "--format=json"],
+            ["--format=json", *own, "--gamma", gamma, name],
+            [*own, "--format", "json", name, f"--gamma={gamma}"],
+            ["--gamma", gamma, name, "--format=json", *own])
+
+
+@pytest.mark.parametrize("command", SESSION, ids=" ".join)
+def test_flags_work_on_either_side_of_the_command(command, capsys):
+    answers = {run_cli(argv, capsys) for argv in _spellings("3/2+i", command)}
+    assert len(answers) == 1
+    (code, out, err), = answers
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["command"] == command[0]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["point-scheme", "--verify"], "--verify"),
+    (["line-scheme", "--point", "e1"], "--point"),
+    (["--numeric", "point-scheme"], "--numeric"),
+    (["line-scheme", "--symbolic"], "--symbolic"),
+])
+def test_command_flag_of_another_command_usage_error(argv, flag, capsys):
+    code, out, err = run_cli(["--gamma=1", *argv], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", f"qp3: unrecognized arguments: {flag}\n")
+
+
+def test_repeated_command_line_is_parsed_once(capsys):
+    # a revisit reads both memos: the parsed question and its answer
+    argv = ["--gamma=3/2+i", "lines-through", "--point", "e3"]
+    first = run_cli(argv, capsys)
+    parsed, answered = cli._parsed.cache_info(), cli.answer.cache_info()
+    assert run_cli(argv, capsys) == first
+    assert cli._parsed.cache_info().hits == parsed.hits + 1
+    assert cli._parsed.cache_info().misses == parsed.misses
+    assert cli.answer.cache_info().hits == answered.hits + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma=1", "point-scheme", "--verify"],
+    ["--gamma=1/0", "point-scheme"],
+    ["--gamma=1", "lines-through", "--numeric", "--point", "e2"],
+    ["--gamma=1", "lines-through", "--numeric", "--tolerance=0"],
+])
+def test_usage_error_is_not_kept_by_the_parse_memo(argv, capsys):
+    before = cli._parsed.cache_info()
+    for _ in range(2):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == "" and err.startswith("qp3: ")
+    after = cli._parsed.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+def test_deeply_nested_gamma_usage_error():
+    # a cold process through the real entry point: no RecursionError
+    deep = "(" * 300 + "1" + ")" * 300
+    proc = _run_qp3([f"--gamma={deep}", "point-scheme"])
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("qp3: cannot parse gamma ")
+    assert "nested deeper than" in proc.stderr and "Traceback" not in proc.stderr

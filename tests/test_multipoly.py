@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import (MonomialOrder, PolyParseError,
+from qp3.multipoly import (MAX_NESTING, MonomialOrder, PolyParseError,
                            Polynomial, UnknownVariableError, VarSet,
                            VarSetMismatchError, height_bound, parse_poly,
                            print_poly, substitute)
@@ -229,6 +229,25 @@ def test_height_bound_bounds_every_constant():
         assert max(abs(v.a), abs(v.b), v.d).bit_length() <= height_bound(text), text
     # each power bounds only the subexpression it applies to
     assert height_bound("2^100+2^100*i") <= 110
+
+
+@pytest.mark.parametrize("parse", [lambda text: parse_poly(text, VarSet([])),
+                                   height_bound])
+def test_nesting_and_zero_denominators_are_parse_errors(parse):
+    # deep parentheses would otherwise end in RecursionError, and 1/0 in
+    # the ZeroDivisionError of Fraction(1, 0)
+    parse("(" * MAX_NESTING + "1" + ")" * MAX_NESTING)
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(PolyParseError, match="nested deeper than"):
+            parse("(" * depth + "1" + ")" * depth)
+    with pytest.raises(PolyParseError, match="division by zero"):
+        parse("2 + 1/0")
+
+
+def test_height_bound_of_a_zeroth_power_bounds_its_base():
+    # x^0 is 1, but evaluating it evaluates x, so x must pass the bound
+    assert height_bound("(2^9000)^0") > 9000
+    assert height_bound("(2^100)^0") == height_bound("2^100")
 
 
 def test_polynomial_exponents_beyond_the_packed_width_stay_exact():
