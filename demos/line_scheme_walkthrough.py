@@ -14,8 +14,8 @@ form, and with P the 46 polynomials cut out the line scheme in P5.
 
 from math import comb
 
-from qp3 import gr, print_poly
-from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly
+from qp3.gaussian import gr
+from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly
 from qp3.polylinalg import PolyMatrix, all_minors
 from qp3.quadratic_algebra import M_VARS, koszul_dual_relations, m_hat, make_A
 from qp3.fixtures import load_fixtures

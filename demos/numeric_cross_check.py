@@ -5,7 +5,7 @@ sigma orbits, and lay six lines through each generic point.
 
 import numpy as np
 
-from qp3 import gr
+from qp3.gaussian import gr
 from qp3.numeric import (distinct_count, enumerate_points, line_residual,
                          minor_residual, proj_distance, sigma_numeric,
                          six_lines_numeric)

@@ -7,7 +7,8 @@ linear forms, the point scheme is the vanishing locus of the fifteen
 degenerate value gamma = 2, and prints what the exact engine certifies.
 """
 
-from qp3 import gr, print_poly
+from qp3.gaussian import gr
+from qp3.multipoly import print_poly
 from qp3.quadratic_algebra import make_A, relation_matrix
 from qp3.point_scheme import (E1, E2, count_points, point_ideal, rho_system,
                               sigma, verify_vanishing_pairs)

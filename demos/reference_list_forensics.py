@@ -15,7 +15,8 @@ itself was computed from the "right" basis.  This script prints:
     distinct "right" minors.
 """
 
-from qp3 import gr, print_poly
+from qp3.gaussian import gr
+from qp3.multipoly import print_poly
 from qp3.groebner import Ideal, ideals_equal
 from qp3.line_scheme import (fixture_forensics, line_scheme_ideal,
                              match_fixture_polys)

@@ -6,7 +6,8 @@ residue class of (1, x2, x3, x4) modulo the triangular ideal, so one
 computation covers all sixteen points at once.
 """
 
-from qp3 import gr, parse_poly, print_poly
+from qp3.gaussian import gr
+from qp3.multipoly import parse_poly, print_poly
 from qp3.quadratic_algebra import X_VARS
 from qp3.fixtures import load_fixtures
 from qp3.line_scheme import component_catalog

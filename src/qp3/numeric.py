@@ -76,6 +76,8 @@ class ComplexPoint:
         import numpy as np
 
         c = np.asarray([_to_complex(x) for x in coords], dtype=complex)
+        if not np.all(np.isfinite(c)):
+            raise DegeneratePointError("point coordinates must be finite")
         k = int(np.argmax(np.abs(c)))
         if abs(c[k]) == 0:
             raise ValueError("zero vector is not a projective point")
@@ -230,6 +232,9 @@ def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
     for k, swap in ((0, 1), (1, 0), (2, 3), (3, 2)):
         if proj_distance(p.coords, basis[k]) < 1e-12:
             return ComplexPoint(basis[swap])
+    if p.coords[0] == 0 or p.coords[2] == 0:
+        raise DegeneratePointError(
+            "sigma is undefined where x1 = 0 or x3 = 0 off the basis points")
     c = p.coords / p.coords[0]
     a2, a3, a4 = c[1], c[2], c[3]
     return ComplexPoint((1.0, 1j * a2 / (a3 * a3), 1.0 / a3, -1j * a4))
@@ -277,7 +282,7 @@ def six_lines_numeric(p: ComplexPoint, gamma, tol: float = DEFAULT_TOL
     sep = _line_separation(g)
     if min(abs(x2), abs(x3), abs(x4)) < sep:
         raise DegeneratePointError("point too close to a coordinate hyperplane")
-    joins = generic_line_points(x2, x3, x4, 1j)
+    joins = generic_line_points(1, x2, x3, x4, 1j)
     l6 = min(("L6a", "L6b"), key=lambda name: max(   # the conic line p is on
         abs(d) for d in incidence_contractions(pluecker_join(*joins[name]), c)))
     lines = [_pluecker_join(*joins[name])

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
-from .multipoly import (Polynomial, VarSet, parse_poly, print_poly,
-                        substitute)
+from .gaussian import GaussianRational, gr
+from .multipoly import Polynomial, VarSet, print_poly, substitute
 from .groebner import (GroebnerBasis, Ideal, buchberger,
                        hilbert_dimension_degree, is_unit_mod, normal_form,
                        quotient_dimension)
@@ -128,6 +127,29 @@ def evaluate_in_M(f: Polynomial, coords: Sequence[Polynomial],
 # ---------------------------------------------------------------------------
 
 
+def generic_line_points(x1, x2, x3, x4, i) -> Dict[str, Tuple[Tuple, Tuple]]:
+    """Each component's line through the point (x1:x2:x3:x4) of the point
+    scheme, as two points it joins; i is a square root of -1 of the
+    coordinates' kind (gr(0, 1) for polynomials, 1j for floats).  The
+    split conics L1a and L1b of gamma^2 = 16 are met on the line of L1."""
+    l1 = ((x1, 0, x3, 0), (0, x2, 0, x4))
+    return {
+        "L1": l1, "L1a": l1, "L1b": l1,
+        "L2": ((0, 1, 0, 0), (x1, 0, x3, x4)),
+        "L3": ((x1, x2, x3, 0), (0, 0, 0, 1)),
+        "L4": ((x1, x2, 0, x4), (0, 0, 1, 0)),
+        "L5": ((1, 0, 0, 0), (0, x2, x3, x4)),
+        "L6a": ((x1, 0, 0, x4), (0, i * x4, x1, 0)),
+        "L6b": ((x1, 0, 0, x4), (0, -i * x4, x1, 0)),
+    }
+
+
+def _on(varset: VarSet, coords: Sequence) -> Tuple[Polynomial, ...]:
+    """The entries as polynomials on varset, scalars as constants."""
+    return tuple(c if isinstance(c, Polynomial) else Polynomial.constant(varset, c)
+                 for c in coords)
+
+
 @dataclass(frozen=True)
 class LineFamily:
     """A parametrized 2x4 matrix of row polynomials plus the parameter
@@ -141,33 +163,17 @@ class LineFamily:
 
 
 def line_family(name: str, gamma: GaussianRational) -> LineFamily:
-    if name in ("L1", "L1a", "L1b"):
-        # the catalog's generators pulled back to the rows: those that do
-        # not vanish identically cut the family out
-        P = VarSet(["a1", "a3", "b2", "b4"])
-        v = {n: Polynomial.variable(P, n) for n in P.names}
-        zero = Polynomial.zero(P)
-        row1 = (v["a1"], zero, v["a3"], zero)
-        row2 = (zero, v["b2"], zero, v["b4"])
-        join = pluecker_join(row1, row2)
-        pulled = (evaluate_in_M(g, join, P)
-                  for g in component_catalog(gamma).get(name).ideal.generators)
-        return LineFamily(name, P, row1, row2,
-                          tuple(c for c in pulled if not c.is_zero()))
-    if name in ("L6a", "L6b"):
-        P = VarSet(["a1", "a2", "a3", "a4", "al", "be"])
-        v = {n: Polynomial.variable(P, n) for n in P.names}
-        row1 = (v["a1"], v["a2"], v["a3"], v["a4"])
-        if name == "L6a":
-            row2 = (v["al"] * v["a1"], v["be"] * v["a2"],
-                    v["be"] * v["a3"], v["al"] * v["a4"])
-            c = parse_poly("a1*a2 - i*a3*a4", P)
-        else:
-            row2 = (v["be"] * v["a1"], v["al"] * v["a2"],
-                    v["al"] * v["a3"], v["be"] * v["a4"])
-            c = parse_poly("a3*a4 - i*a1*a2", P)
-        return LineFamily(name, P, row1, row2, (c,))
-    raise KeyError(f"no line family named {name!r}")
+    """The lines of the component `name`: the join of its two points in
+    `generic_line_points` over x1..x4, cut out by the catalog's generators
+    pulled back to the join, those that do not vanish identically."""
+    a, b = generic_line_points(
+        *(Polynomial.variable(X_VARS, n) for n in X_VARS.names), gr(0, 1))[name]
+    row1, row2 = _on(X_VARS, a), _on(X_VARS, b)
+    join = pluecker_join(row1, row2)
+    pulled = (evaluate_in_M(g, join, X_VARS)
+              for g in component_catalog(gamma).get(name).ideal.generators)
+    return LineFamily(name, X_VARS, row1, row2,
+                      tuple(c for c in pulled if not c.is_zero()))
 
 
 def surface_containment(family: LineFamily, surface: Polynomial) -> bool:
@@ -188,51 +194,37 @@ def surface_containment(family: LineFamily, surface: Polynomial) -> bool:
     if image.is_zero():
         return True
     constraints = [lift(c) for c in family.constraints]
-    gb = buchberger(Ideal(constraints))
+    gb = buchberger(Ideal(constraints, varset=big))
     return normal_form(image, gb).is_zero()
 
 
 def ruling_lines(quadric: str, param) -> PluckerLine:
-    """One line of the named quadric's reference ruling.
+    """One line of the named quadric's reference ruling: the line of the
+    component sweeping the quadric through one point of it.
 
     Q6a and Q6b take a parameter pair (delta, eps) != (0, 0); Qa and Qb
     (the gamma^2 = 16 split) take a single scalar, or None for the ruling
     member at infinity.
     """
+    i = gr(0, 1)
     if quadric in ("Q6a", "Q6b"):
         delta, eps = gr(param[0]), gr(param[1])
         if delta.is_zero() and eps.is_zero():
             raise ZeroParameterError("(delta, eps) must be nonzero")
-        i = gr(0, 1)
-        if quadric == "Q6a":
-            # V(delta x1 - eps x4, delta x3 + i eps x2)
-            p1 = ProjectivePoint((eps, ZERO, ZERO, delta))
-            p2 = ProjectivePoint((ZERO, delta, -i * eps, ZERO))
-        else:
-            # V(delta x3 - eps x2, delta x1 + i eps x4)
-            p1 = ProjectivePoint((ZERO, delta, eps, ZERO))
-            p2 = ProjectivePoint((-i * eps, ZERO, ZERO, delta))
-        return line_from_points(p1, p2)
-    if quadric in ("Qa", "Qb"):
+        name, point = (("L6a", (eps, 0, 0, delta)) if quadric == "Q6a"
+                       else ("L6b", (-i * eps, 0, 0, delta)))
+    elif quadric in ("Qa", "Qb"):
+        name = "L1"
         if param is None:
-            # the ruling member with no finite parameter value
-            if quadric == "Qa":
-                return line_from_points(ProjectivePoint((1, 0, 0, 0)),
-                                        ProjectivePoint((0, 1, 0, -1)))
-            return line_from_points(ProjectivePoint((0, 0, 1, 0)),
-                                    ProjectivePoint((0, 1, 0, -1)))
-        alpha = gr(param)
-        one = ONE
-        if quadric == "Qa":
-            # V(x1 - alpha x3, (alpha+1) x2 + (alpha-1) x4)
-            p1 = ProjectivePoint((alpha, ZERO, one, ZERO))
-            p2 = ProjectivePoint((ZERO, one - alpha, ZERO, one + alpha))
+            point = (1, 1, 0, -1) if quadric == "Qa" else (0, 1, 1, -1)
         else:
-            # V(x3 - alpha x1, (alpha-1) x2 + (alpha+1) x4)
-            p1 = ProjectivePoint((one, ZERO, alpha, ZERO))
-            p2 = ProjectivePoint((ZERO, one + alpha, ZERO, one - alpha))
-        return line_from_points(p1, p2)
-    raise KeyError(f"no ruling data for quadric {quadric!r}")
+            a = gr(param)
+            point = ((a, 1 - a, 1, 1 + a) if quadric == "Qa"
+                     else (1, 1 + a, a, 1 - a))
+    else:
+        raise KeyError(f"no ruling data for quadric {quadric!r}")
+    return line_from_points(
+        *map(ProjectivePoint, generic_line_points(*point, i)[name]))
 
 
 def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
@@ -246,30 +238,13 @@ def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def generic_line_points(x2, x3, x4, i) -> Dict[str, Tuple[Tuple, Tuple]]:
-    """Each component's line through the generic chart point (1, x2, x3, x4),
-    as two points it joins; i is a square root of -1 of the coordinates'
-    kind (gr(0, 1) for polynomials, 1j for floats)."""
-    return {
-        "L1": ((1, 0, x3, 0), (0, x2, 0, x4)),
-        "L2": ((0, 1, 0, 0), (1, 0, x3, x4)),
-        "L3": ((1, x2, x3, 0), (0, 0, 0, 1)),
-        "L4": ((1, x2, 0, x4), (0, 0, 1, 0)),
-        "L5": ((1, 0, 0, 0), (0, x2, x3, x4)),
-        "L6a": ((1, 0, 0, x4), (0, i * x4, 1, 0)),
-        "L6b": ((1, 0, 0, x4), (0, -i * x4, 1, 0)),
-    }
-
-
-# the Pluecker coordinates of those lines as polynomials in x2, x3, x4; the
-# split conics L1a and L1b of gamma^2 = 16 are met on the line of L1
+# the Pluecker coordinates of the table's lines at the chart point (1, x2, x3, x4),
+# as polynomials in x2, x3, x4
 GENERIC_LINES = {
-    name: tuple(c if isinstance(c, Polynomial) else Polynomial.constant(CHART_VARS, c)
-                for c in pluecker_join(a, b))
+    name: _on(CHART_VARS, pluecker_join(a, b))
     for name, (a, b) in generic_line_points(
-        *(Polynomial.variable(CHART_VARS, n) for n in ("x2", "x3", "x4")),
+        1, *(Polynomial.variable(CHART_VARS, n) for n in ("x2", "x3", "x4")),
         gr(0, 1)).items()}
-GENERIC_LINES["L1a"] = GENERIC_LINES["L1b"] = GENERIC_LINES["L1"]
 
 
 def _branch_factors(gamma: GaussianRational) -> Dict[str, Polynomial]:

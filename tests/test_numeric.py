@@ -3,7 +3,8 @@ import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import VarSet, parse_poly
-from qp3.point_scheme import count_points
+from qp3.point_scheme import (ProjectivePoint, UndefinedAtPointError, _sigma_formula,
+                             count_points)
 from qp3.quadratic_algebra import make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
@@ -208,6 +209,21 @@ def test_exact_generic_lines_agree_with_numeric_lines(text):
 def test_degenerate_point_rejected():
     with pytest.raises(DegeneratePointError):
         six_lines_numeric(ComplexPoint((1, 0, 1, 1)), gr(1))
+
+
+@pytest.mark.parametrize("coords", [(1, 2, 0, 1), (0, 1, 1, 0)])
+def test_sigma_refuses_where_the_formula_is_undefined(coords):
+    # off the basis points sigma's chart formula divides by x1 and x3
+    with pytest.raises(UndefinedAtPointError):
+        _sigma_formula(ProjectivePoint(coords))
+    with pytest.raises(DegeneratePointError):
+        sigma_numeric(ComplexPoint(coords))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_complex_point_refuses_non_finite_coordinates(bad):
+    with pytest.raises(DegeneratePointError):
+        ComplexPoint((1, bad, 1, 1))
 
 
 def test_sigma_permutes_points_with_orbit_profile():

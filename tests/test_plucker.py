@@ -189,23 +189,41 @@ def test_pencil_lines_pull_back_to_the_plane_cubics(gamma):
         assert curve in (plane_cubic, -plane_cubic)
 
 
-def test_surface_containment_quartic():
+_CONTAINMENT_GAMMAS = pytest.mark.parametrize(
+    "gamma", [gr(1), gr(5), gr(3, 2)], ids=["1", "5", "3+2*i"])
+
+
+@_CONTAINMENT_GAMMAS
+def test_surface_containment_quartic(gamma):
     fx = load_fixtures()
-    fam = line_family("L1", gr(1))
-    quartic = parse_poly(fx.surfaces["quartic"], X_VARS, gamma=gr(1))
+    fam = line_family("L1", gamma)
+    quartic = parse_poly(fx.surfaces["quartic"], X_VARS, gamma=gamma)
     assert surface_containment(fam, quartic)
 
 
-def test_surface_containment_quadrics():
+@_CONTAINMENT_GAMMAS
+def test_surface_containment_quadrics(gamma):
     fx = load_fixtures()
     q6a = parse_poly(fx.surfaces["Q6a"], X_VARS)
     q6b = parse_poly(fx.surfaces["Q6b"], X_VARS)
-    fam_a = line_family("L6a", gr(1))
-    fam_b = line_family("L6b", gr(1))
+    fam_a = line_family("L6a", gamma)
+    fam_b = line_family("L6b", gamma)
     assert surface_containment(fam_a, q6a)
     assert not surface_containment(fam_a, q6b)
     assert surface_containment(fam_b, q6b)
     assert not surface_containment(fam_b, q6a)
+
+
+@_CONTAINMENT_GAMMAS
+def test_family_constraints_are_the_swept_surfaces(gamma):
+    # the conics' joins are their whole families; the L1 join is cut out by
+    # the quartic its lines sweep, read in the rows' parameters x1..x4
+    assert line_family("L6a", gamma).constraints == ()
+    assert line_family("L6b", gamma).constraints == ()
+    (c,) = line_family("L1", gamma).constraints
+    quartic = parse_poly(load_fixtures().surfaces["quartic"], X_VARS, gamma=gamma)
+    unit = c.leading_coefficient() * quartic.leading_coefficient().inverse()
+    assert c == quartic * unit
 
 
 def test_surface_containment_gamma4():
@@ -258,6 +276,36 @@ def test_ruling_lines_sweep_components():
     for a in (-2, -1, 1, 2, 5, None):
         assert line_in_component(ruling_lines("Qa", a), cat4.get("L1a").ideal)
         assert line_in_component(ruling_lines("Qb", a), cat4.get("L1b").ideal)
+
+
+_I, _Z = gr(0, 1), gr(Fraction(3, 2), 1)
+
+
+@pytest.mark.parametrize("quadric, param, expected", [
+    ("Q6a", (1, 0), ("0", "0", "0", "0", "1", "0")),
+    ("Q6a", (0, 1), ("0", "1", "0", "0", "0", "0")),
+    ("Q6a", (2, -3), ("1", "3/2*i", "0", "0", "2/3", "i")),
+    ("Q6a", (_I, _Z), ("1", "-3/2 - i", "0", "0", "-4/13 - 6/13*i", "i")),
+    ("Q6b", (1, 0), ("0", "0", "0", "0", "1", "0")),
+    ("Q6b", (0, 1), ("0", "1", "0", "0", "0", "0")),
+    ("Q6b", (2, -3), ("1", "-3/2", "0", "0", "2/3*i", "-i")),
+    ("Q6b", (_I, _Z), ("1", "1 - 3/2*i", "0", "0", "6/13 - 4/13*i", "-i")),
+    ("Qa", 0, ("0", "0", "0", "1", "0", "-1")),
+    ("Qa", 1, ("0", "0", "1", "0", "0", "1")),
+    ("Qa", -1, ("1", "0", "0", "1", "0", "0")),
+    ("Qa", gr(Fraction(1, 3)), ("1", "0", "2", "-3", "0", "6")),
+    ("Qa", gr(1, 2), ("1", "0", "-1 + i", "-1/5 + 2/5*i", "0", "1/5 + 3/5*i")),
+    ("Qa", None, ("1", "0", "-1", "0", "0", "0")),
+    ("Qb", 0, ("1", "0", "1", "0", "0", "0")),
+    ("Qb", 1, ("1", "0", "0", "-1", "0", "0")),
+    ("Qb", -1, ("0", "0", "1", "0", "0", "-1")),
+    ("Qb", gr(Fraction(1, 3)), ("1", "0", "1/2", "-1/3", "0", "1/6")),
+    ("Qb", gr(1, 2), ("1", "0", "-1/2 - 1/2*i", "-1 - 2*i", "0", "1/2 - 3/2*i")),
+    ("Qb", None, ("0", "0", "0", "1", "0", "1")),
+])
+def test_ruling_lines_pinned(quadric, param, expected):
+    # the rulings as the transcribed point pairs gave them
+    assert tuple(map(str, ruling_lines(quadric, param).normalized())) == expected
 
 
 def test_ruling_zero_parameter():
