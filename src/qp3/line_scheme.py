@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .gaussian import GaussianRational, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly,
                         print_poly, substitute)
-from .polylinalg import PolyMatrix, all_minors
+from .polylinalg import PolyMatrix, all_minors, solve
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _stripped_numerator,
                        buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
@@ -193,22 +193,9 @@ class FixtureForensics:
 
 def _fixture_combination(f: Polynomial, images: Sequence[Polynomial]):
     """Exact scalar combination of the images equal to f, or None."""
-    from .polylinalg import ScalarMatrix
-
     monos = sorted({m for p in images for m in p.terms} | set(f.terms))
-    idx = {m: r for r, m in enumerate(monos)}
-    cols = []
-    for p in images:
-        v = [ZERO] * len(monos)
-        for m, c in p.terms.items():
-            v[idx[m]] = c
-        cols.append(v)
-    mat = ScalarMatrix([[cols[c][r] for c in range(len(images))]
-                        for r in range(len(monos))])
-    rhs = [ZERO] * len(monos)
-    for m, c in f.terms.items():
-        rhs[idx[m]] = c
-    sol = mat.solve(rhs)
+    sol = solve([[p.terms.get(m, ZERO) for p in images] for m in monos],
+                [f.terms.get(m, ZERO) for m in monos])
     if sol is None:
         return None
     return [(k, c) for k, c in enumerate(sol) if not c.is_zero()]

@@ -235,9 +235,13 @@ def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
     if p.coords[0] == 0 or p.coords[2] == 0:
         raise DegeneratePointError(
             "sigma is undefined where x1 = 0 or x3 = 0 off the basis points")
-    c = p.coords / p.coords[0]
-    a2, a3, a4 = c[1], c[2], c[3]
-    return ComplexPoint((1.0, 1j * a2 / (a3 * a3), 1.0 / a3, -1j * a4))
+    # the chart map (1, i*a2/a3^2, 1/a3, -i*a4) times x1*x3^2, with x1 and
+    # x3 scaled by their larger modulus: nothing divides or underflows
+    x1, x2, x3, x4 = p.coords
+    s = max(abs(x1), abs(x3))
+    y1, y3 = x1 / s, x3 / s
+    return ComplexPoint((s * y1 * y3 * y3, 1j * y1 * y1 * x2, s * y1 * y1 * y3,
+                         -1j * y3 * y3 * x4))
 
 
 @lru_cache(maxsize=1)

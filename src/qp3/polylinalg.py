@@ -1,16 +1,19 @@
 """Matrices over the polynomial ring and over Q(i): determinants, minors,
-exact row reduction and nullspaces."""
+and the rank, nullspace and solutions of a scalar matrix, read off the
+reduced Groebner basis of its rows as linear forms."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
-from .multipoly import (Polynomial, VarSetMismatchError, _FieldOverflow, _Packing,
-                        _TermList, _iadd, _ishift, _packing, _poly, _product, _times,
-                        _widening)
+from .gaussian import GaussianRational, ONE, ZERO
+from .groebner import GroebnerLimits, Ideal, buchberger, limits_scope
+from .multipoly import (Monomial, Polynomial, VarSet, VarSetMismatchError,
+                        _FieldOverflow, _Packing, _TermList, _iadd, _ishift, _packing,
+                        _poly, _product, _times, _widening)
 
 
 class PolyMatrix:
@@ -210,104 +213,68 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
     return out
 
 
-def _content_free(row: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """A row of Gaussian integers divided by the integer gcd of its parts."""
-    g = 0
-    for x, y in row:
-        g = gcd(g, x, y)
-        if g == 1:
-            return row
-    return [(x // g, y // g) for x, y in row] if g > 1 else row
+@lru_cache(maxsize=8)
+def _unit_forms(width: int) -> Tuple[VarSet, Tuple[Monomial, ...]]:
+    """Variables c0, c1, ... for the columns, and their monomials."""
+    return (VarSet(f"c{j}" for j in range(width)),
+            tuple(tuple(int(j == k) for j in range(width)) for k in range(width)))
 
 
-class ScalarMatrix:
-    """Rectangular matrix over Q(i) with exact row reduction."""
+def row_echelon(rows: Sequence[Sequence[GaussianRational]]
+                ) -> Tuple[List[List[GaussianRational]], List[int]]:
+    """The nonzero rows of the reduced row echelon form of a matrix over
+    Q(i), and their pivot columns.
 
-    __slots__ = ("rows", "cols", "entries")
+    Row k is read as the linear form sum_j rows[k][j] * c_j, and the
+    result is the reduced Groebner basis of those forms: under DEGREVLEX
+    c0 > c1 > ..., so each lead is a row's first nonzero column, and a
+    reduced basis of linear forms, monic, is the reduced echelon form.
+    """
+    if not rows:
+        raise ValueError("matrix must have at least one row")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    varset, units = _unit_forms(width)
+    # forms with distinct leads make no S-pairs, and the basis keeps one per
+    # pivot: bounds that always hold, so no caller's narrower limits apply
+    with limits_scope(GroebnerLimits(max_pairs=0, max_basis=width, max_degree=1)):
+        G = buchberger(Ideal([Polynomial(varset, dict(zip(units, row))) for row in rows],
+                             varset=varset))
+    echelon = [[terms.get(m, ZERO) for m in units] for terms in (g.terms for g in G)]
+    return echelon, [m.index(1) for m in G.leading_monomials()]
 
-    def __init__(self, entries: Sequence[Sequence[GaussianRational]]):
-        entries = [[gr(c) for c in row] for row in entries]
-        if not entries:
-            raise ValueError("matrix must have at least one row")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
 
-    def rref(self) -> Tuple["ScalarMatrix", List[int]]:
-        """Reduced row echelon form and the list of pivot columns.
+def rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
+    return len(row_echelon(rows)[1])
 
-        The rows are reduced fraction-free over Z[i]: each is scaled to
-        Gaussian integers, a step takes row to p*row - f*pivot_row, and
-        the integer content of the result goes.  Pivot rows are divided
-        by their pivots at the end; the form is unique, so it is the one
-        that division first would give.
-        """
-        a = []
-        for row in self.entries:
-            d = lcm(*(c.d for c in row))
-            a.append([(c.a * (d // c.d), c.b * (d // c.d)) for c in row])
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((rr for rr in range(r, self.rows) if a[rr][c] != (0, 0)),
-                             None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            pa, pb = a[r][c]
-            for rr in range(self.rows):
-                fa, fb = a[rr][c]
-                if rr != r and (fa or fb):
-                    a[rr] = _content_free([(pa * x - pb * y - fa * u + fb * v,
-                                            pa * y + pb * x - fa * v - fb * u)
-                                           for (x, y), (u, v) in zip(a[rr], a[r])])
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for k, c in enumerate(pivots):
-            # x / p = x * conj(p) / |p|^2
-            pa, pb = a[k][c]
-            n = pa * pa + pb * pb
-            out[k] = [GaussianRational._make(x * pa + y * pb, y * pa - x * pb, n)
-                      for x, y in a[k]]
-        return ScalarMatrix(out), pivots
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
+def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
+    """Canonical basis of the right nullspace.
 
-    def nullspace(self) -> List[List[GaussianRational]]:
-        """Canonical basis of the right nullspace.
+    One vector per free column, in increasing column order, with a 1 in
+    its free coordinate; this makes downstream fixtures deterministic.
+    """
+    echelon, pivots = row_echelon(rows)
+    width = len(rows[0])
+    basis = []
+    for fc in sorted(set(range(width)) - set(pivots)):
+        v = [ZERO] * width
+        v[fc] = ONE
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
 
-        One vector per free column, in increasing column order, with a 1 in
-        its free coordinate; this makes downstream fixtures deterministic.
-        """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                coeff = red.entries[r][fc]
-                if not coeff.is_zero():
-                    v[pc] = -coeff
-            basis.append(v)
-        return basis
 
-    def solve(self, rhs: Sequence[GaussianRational]):
-        """One exact solution of A x = rhs, or None if inconsistent."""
-        aug = ScalarMatrix([row + [b] for row, b in zip(self.entries, rhs)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return x
+def solve(rows: Sequence[Sequence[GaussianRational]],
+          rhs: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
+    """One exact solution x of rows . x = rhs, or None if inconsistent."""
+    echelon, pivots = row_echelon([[*row, b] for row, b in zip(rows, rhs, strict=True)])
+    width = len(rows[0])
+    if width in pivots:
+        return None
+    x = [ZERO] * width
+    for row, pc in zip(echelon, pivots):
+        x[pc] = row[width]
+    return x

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, gr, sqrt as gr_sqrt
 from .multipoly import Polynomial, VarSet, parse_poly, substitute
-from .polylinalg import PolyMatrix, ScalarMatrix
+from .polylinalg import PolyMatrix, nullspace, rank
 from .groebner import MEMO_SIZE
 
 X_VARS = VarSet(["x1", "x2", "x3", "x4"])
@@ -76,13 +76,8 @@ class QuadraticAlgebra:
     def __post_init__(self):
         if len(self.relations) != 6:
             raise ValueError("exactly six relations expected")
-        if relation_rank(self.relations) != 6:
+        if rank([[c for row in t for c in row] for t in self.relations]) != 6:
             raise RankDeficiencyError("relation tensors are linearly dependent")
-
-
-def relation_rank(relations: Sequence[Tensor]) -> int:
-    rows = [[t[i][j] for i in range(4) for j in range(4)] for t in relations]
-    return ScalarMatrix(rows).rank()
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -172,23 +167,13 @@ def koszul_dual_relations(A: QuadraticAlgebra,
     """
     if tensor_order not in ("left", "right"):
         raise ValueError("tensor_order must be 'left' or 'right'")
-    if tensor_order == "left":
-        rows = [[t[i][j] for i in range(4) for j in range(4)]
-                for t in A.relations]
-    else:
-        rows = [[t[i][j] for j in range(4) for i in range(4)]
-                for t in A.relations]
+    right = tensor_order == "right"
+    rows = [[c for row in (zip(*t) if right else t) for c in row] for t in A.relations]
     # rank 6, which every QuadraticAlgebra has, leaves a nullspace of ten
     duals = []
-    for vec in ScalarMatrix(rows).nullspace():
-        grid = _zero_grid()
-        for k, c in enumerate(vec):
-            if not c.is_zero():
-                if tensor_order == "left":
-                    grid[k // 4][k % 4] = c
-                else:
-                    grid[k % 4][k // 4] = c
-        duals.append(_freeze(grid))
+    for vec in nullspace(rows):
+        grid = [vec[k:k + 4] for k in range(0, 16, 4)]
+        duals.append(_freeze(zip(*grid) if right else grid))
     return duals
 
 

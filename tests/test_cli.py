@@ -311,6 +311,14 @@ def test_text_output_deterministic(capsys):
     assert j1 == j2
 
 
+def test_limits_do_not_bound_the_relation_row_reduction(capsys):
+    # building A(gamma) reduces its six relation rows to a basis of six
+    # forms; a basis bound under six still lets line-scheme answer
+    code, out, err = run_cli(["--max-basis=5", "--gamma=7/3+2*i", "line-scheme"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert "46 polynomials" in out
+
+
 def test_env_var_limits(monkeypatch, capsys):
     monkeypatch.setenv("QP3_MAX_PAIRS", "1")
     code, _, _ = run_cli(["--gamma", "5", "point-scheme"], capsys)

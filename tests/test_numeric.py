@@ -220,6 +220,18 @@ def test_sigma_refuses_where_the_formula_is_undefined(coords):
         sigma_numeric(ComplexPoint(coords))
 
 
+@pytest.mark.parametrize("coords, image", [
+    # sigma(1 : 1 : t : 1) = (t^2 : i : t : -i*t^2), near e2 for tiny t
+    ((1, 1, 1e-200, 1), (0, 1, -1e-200j, 0)),
+    # the chart image (1 : i/t : 1 : -i/t) of (t : 1 : t : 1), scaled
+    ((1e-200, 1, 1e-200, 1), (-1e-200j, 1, -1e-200j, -1)),
+], ids=["tiny x3", "tiny x1 and x3"])
+def test_sigma_numeric_at_tiny_coordinates_divides_by_none(coords, image):
+    # a RuntimeWarning (divide by zero) is an error under the pytest config
+    q = sigma_numeric(ComplexPoint(coords))
+    assert np.all(np.abs(q.coords - np.array(image)) <= 1e-12 * np.abs(image))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
 def test_complex_point_refuses_non_finite_coordinates(bad):
     with pytest.raises(DegeneratePointError):

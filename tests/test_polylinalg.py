@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
+from qp3.groebner import GroebnerLimits, limits_scope
 from qp3.multipoly import Polynomial, VarSet, parse_poly
-from qp3.polylinalg import (PolyMatrix, ScalarMatrix, all_minors, minor,
-                            poly_exact_div)
+from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace,
+                            poly_exact_div, rank, row_echelon, solve)
 from qp3.quadratic_algebra import X_VARS, make_A, relation_matrix
 from qp3.line_scheme import build_big_matrix
 
@@ -71,21 +72,19 @@ def test_minor_index_errors():
 
 
 def test_nullspace_identity_empty():
-    m = ScalarMatrix([[ONE if r == c else ZERO for c in range(4)]
-                      for r in range(4)])
-    assert m.nullspace() == []
+    rows = [[ONE if r == c else ZERO for c in range(4)] for r in range(4)]
+    assert nullspace(rows) == []
 
 
 def test_nullspace_zero_matrix():
-    m = ScalarMatrix([[ZERO] * 5, [ZERO] * 5])
-    assert len(m.nullspace()) == 5
+    rows = [[ZERO] * 5, [ZERO] * 5]
+    assert len(nullspace(rows)) == 5
 
 
 def test_relation_coefficient_nullspace_has_ten_vectors():
     A = make_A(gr(1))
     rows = [[t[i][j] for i in range(4) for j in range(4)] for t in A.relations]
-    m = ScalarMatrix(rows)
-    basis = m.nullspace()
+    basis = nullspace(rows)
     assert len(basis) == 10
     for v in basis:
         for row in rows:
@@ -95,11 +94,59 @@ def test_relation_coefficient_nullspace_has_ten_vectors():
 def test_rank_nullity():
     rng = random.Random(5)
     for _ in range(30):
-        rows = rng.randint(1, 4)
+        n_rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
-        m = ScalarMatrix([[gr(rng.randint(-3, 3), rng.randint(-2, 2))
-                           for _ in range(cols)] for _ in range(rows)])
-        assert m.rank() + len(m.nullspace()) == cols
+        rows = [[gr(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(cols)]
+                for _ in range(n_rows)]
+        assert rank(rows) + len(nullspace(rows)) == cols
+
+
+def test_row_echelon_is_reduced_with_first_nonzero_columns_as_pivots():
+    i = gr(0, 1)
+    # the third row is the sum of the first two
+    rows = [[ZERO, 2 * i, gr(4), ONE],
+            [ZERO, ONE, ZERO, i],
+            [ZERO, gr(1, 2), gr(4), gr(1, 1)]]
+    echelon, pivots = row_echelon(rows)
+    assert pivots == [1, 2]
+    assert echelon == [[ZERO, ONE, ZERO, i],
+                       [ZERO, ZERO, ONE, gr(3) / gr(4)]]
+
+
+@pytest.mark.parametrize("rows", [[], [[ONE, ZERO], [ONE]]], ids=["no rows", "ragged"])
+def test_row_reduction_refuses_a_malformed_matrix(rows):
+    for fn in (row_echelon, rank, nullspace, lambda r: solve(r, [ONE] * len(r))):
+        with pytest.raises(ValueError):
+            fn(rows)
+
+
+def test_row_reduction_ignores_narrower_groebner_limits():
+    rows = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    with limits_scope(GroebnerLimits(max_pairs=1, max_basis=1, max_degree=1)):
+        assert rank(rows) == 3
+
+
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        solve([[ONE, ZERO], [ZERO, ONE]], [ONE])
+
+
+def test_solve_returns_none_on_an_inconsistent_system():
+    # x + y = 1 and 2x + 2y = 3 have no common solution
+    assert solve([[ONE, ONE], [gr(2), gr(2)]], [ONE, gr(3)]) is None
+
+
+def test_solve_returns_the_exact_solution_of_a_consistent_system():
+    i = gr(0, 1)
+    rows = [[ONE, i, ZERO], [ZERO, ONE, gr(2)], [gr(1, 1), ZERO, ONE]]
+    x = [gr(1, 2) / gr(3), gr(-5), i]
+    rhs = [sum((a * b for a, b in zip(row, x)), ZERO) for row in rows]
+    assert solve(rows, rhs) == x
+
+
+def test_solve_sets_free_columns_to_zero():
+    # one equation in three unknowns: the pivot column takes the whole rhs
+    assert solve([[ZERO, gr(2), gr(4)]], [gr(6)]) == [ZERO, gr(3), ZERO]
 
 
 def _random_poly_matrix(rng, n, varset):

@@ -135,6 +135,16 @@ def test_m_hat_rank_deficiency_error():
         QuadraticAlgebra(gr(1), rels)
 
 
+def test_rank_deficiency_error_on_a_hidden_dependence():
+    # no relation repeats, but the sixth is a combination of two others
+    rels = make_A(gr(3, 2)).relations
+    i = gr(0, 1)
+    combo = tuple(tuple(2 * a + i * b for a, b in zip(ra, rb))
+                  for ra, rb in zip(rels[0], rels[3]))
+    with pytest.raises(RankDeficiencyError):
+        QuadraticAlgebra(gr(3, 2), rels[:5] + (combo,))
+
+
 def test_psi1_maps_L2_to_L3_and_L6a_to_L6b():
     cat = component_catalog(gr(5))
     img_l2 = Ideal([psi1_on_pluecker(p) for p in cat.get("L2").ideal.generators])

@@ -1,5 +1,5 @@
 """A differential oracle that shares no arithmetic with the engine: sympy's
-own Groebner bases over Q(i).
+own Groebner bases over Q(i), and its own row reduction.
 
 Polynomials cross between the two systems as text only: qp3's printed form
 is read by sympy's parser, and each term of a sympy basis element is
@@ -8,6 +8,7 @@ monomial) and read by `parse_poly`.  Reduced bases are unique, so the two
 sets of monic polynomials must agree."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +19,9 @@ from qp3.groebner import buchberger, normal_form  # noqa: E402
 from qp3.line_scheme import (component_catalog, components_intersection,  # noqa: E402
                              line_scheme_ideal)
 from qp3.multipoly import Polynomial, parse_poly, print_poly  # noqa: E402
-from qp3.quadratic_algebra import M_VARS  # noqa: E402
+from qp3.quadratic_algebra import M_VARS, make_A  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
+from qp3.polylinalg import nullspace, row_echelon  # noqa: E402
 
 GAMMAS = [gr(1), gr(4), gr(3, 2)]
 IDS = ["1", "4", "3+2i"]
@@ -122,3 +124,61 @@ def test_components_intersection_matches_sympy(gamma):
     theirs = sympy.groebner(inter, *symbols, order="grevlex", domain="QQ_I")
     mine = {print_poly(g) for g in buchberger(components_intersection(C))}
     assert {print_poly(_from_sympy(p, M_VARS).monic()) for p in theirs.polys} == mine
+
+
+# Row reduction: qp3 reads a scalar matrix's rows as linear forms and takes
+# their reduced Groebner basis; sympy eliminates on Matrix entries built
+# from sympy.I.  Reduced echelon forms and the nullspace bases read off
+# them are unique, so the two must agree entry by entry.
+
+def _sympy_entry(c):
+    return sympy.Rational(c.a, c.d) + sympy.Rational(c.b, c.d) * sympy.I
+
+
+def _from_sympy_entry(x):
+    x = sympy.expand(sympy.radsimp(x))
+    re, im = sympy.re(x), sympy.im(x)
+    return gr(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _assert_same_reduction(rows):
+    theirs = sympy.Matrix([[_sympy_entry(c) for c in row] for row in rows])
+    red, pivots = theirs.rref(iszerofunc=lambda x: sympy.expand(sympy.radsimp(x)) == 0,
+                              simplify=True)
+    echelon, mine = row_echelon(rows)
+    assert mine == list(pivots)
+    assert echelon == [[_from_sympy_entry(x) for x in red.row(k)]
+                       for k in range(len(pivots))]
+    kernel = theirs.nullspace(simplify=True)
+    assert nullspace(rows) == [[_from_sympy_entry(x) for x in v] for v in kernel]
+
+
+def _random_matrix(rng):
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 7)
+    rows = [[gr(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+             if rng.random() < 0.7 else gr(0)
+             for _ in range(n_cols)] for _ in range(n_rows)]
+    if rng.random() < 0.4:
+        rows[rng.randrange(n_rows)] = [gr(0)] * n_cols
+    if rng.random() < 0.4:
+        col = rng.randrange(n_cols)
+        for row in rows:
+            row[col] = gr(0)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_row_reduction_matches_sympy_on_random_matrices(seed):
+    _assert_same_reduction(_random_matrix(random.Random(seed)))
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+@pytest.mark.parametrize("gamma", GAMMAS, ids=IDS)
+def test_relation_row_reduction_matches_sympy(gamma, order):
+    rels = make_A(gamma).relations
+    if order == "left":
+        rows = [[t[i][j] for i in range(4) for j in range(4)] for t in rels]
+    else:
+        rows = [[t[i][j] for j in range(4) for i in range(4)] for t in rels]
+    _assert_same_reduction(rows)
