@@ -11,11 +11,10 @@ single entries, applied on request by `parse_line_polys(corrected=True)`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial, VarSet, parse_poly
@@ -27,8 +26,7 @@ _XG_VARS = VarSet([*X_VARS.names, "g"])
 _MG_VARS = VarSet([*M_VARS.names, "g"])
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(NamedTuple):
     point_scheme_polys: Tuple[str, ...]     # 15 quartics in x1..x4
     line_scheme_polys: Tuple[str, ...]      # P followed by 45 quartics in M12..M34
     line_scheme_errata: Mapping[int, str]   # entry index -> corrected text

@@ -30,11 +30,10 @@ import bisect
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
                         VarSetMismatchError, _BITS, _FieldOverflow, _Packing,
@@ -54,8 +53,7 @@ class NotAUnitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroebnerLimits:
+class GroebnerLimits(NamedTuple):
     max_pairs: int = 500_000
     max_basis: int = 5_000
     max_degree: int = 200

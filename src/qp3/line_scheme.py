@@ -23,9 +23,8 @@ is no such quartic; the division then raises ValueError
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
 from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly,
@@ -99,8 +98,7 @@ def _quartic_of_minor(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineSchemeIdeal:
+class LineSchemeIdeal(NamedTuple):
     gamma: GaussianRational
     polys: Tuple[Polynomial, ...]          # P, then the 45 quartics (NF mod P)
     ideal: Ideal
@@ -175,8 +173,7 @@ def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
     return matching
 
 
-@dataclass
-class FixtureForensics:
+class FixtureForensics(NamedTuple):
     """How the reference 46-entry list relates to the computed minors.
 
     The reference representatives do not all equal unit multiples of the
@@ -310,8 +307,7 @@ def curve_invariants(ideal: Ideal) -> Tuple[int, int, str]:
     return dimension, degree, kind
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     name: str
     ideal: Ideal
     dimension = property(lambda self: curve_invariants(self.ideal)[0])
@@ -319,10 +315,25 @@ class Component:
     kind = property(lambda self: curve_invariants(self.ideal)[2])
 
 
-@dataclass(frozen=True)
 class ComponentCatalog:
-    gamma: GaussianRational
-    components: Tuple[Component, ...]
+    __slots__ = ("gamma", "components")
+
+    def __init__(self, gamma: GaussianRational, components: Tuple[Component, ...]):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComponentCatalog is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, ComponentCatalog) and self.gamma == other.gamma
+                and self.components == other.components)
+
+    def __hash__(self):
+        return hash((self.gamma, self.components))
+
+    def __repr__(self):
+        return f"ComponentCatalog(gamma={self.gamma!r}, components={self.components!r})"
 
     def __iter__(self):
         return iter(self.components)
@@ -385,8 +396,7 @@ def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     gamma: GaussianRational
     poly_in_components: bool       # V(L_k) inside V(L) for every k
     intersection_in_radical: bool  # V(L) inside the union of the V(L_k)

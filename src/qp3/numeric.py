@@ -9,7 +9,6 @@ disagreement the tolerances here are suspected first.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -66,11 +65,10 @@ def _float_gamma(gamma) -> complex:
     return g
 
 
-@dataclass(eq=False)
 class ComplexPoint:
     """A numeric point of P3, max-modulus coordinate scaled to 1."""
 
-    coords: np.ndarray
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         import numpy as np
@@ -82,6 +80,12 @@ class ComplexPoint:
         if abs(c[k]) == 0:
             raise ValueError("zero vector is not a projective point")
         object.__setattr__(self, "coords", c / c[k])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComplexPoint is immutable")
+
+    def __repr__(self):
+        return f"ComplexPoint(coords={self.coords!r})"
 
     def __getitem__(self, k: int) -> complex:
         return self.coords[k]
@@ -228,10 +232,8 @@ def distinct_count(points: List[ComplexPoint],
 def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
     import numpy as np
 
-    basis = np.eye(4)
-    for k, swap in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        if proj_distance(p.coords, basis[k]) < 1e-12:
-            return ComplexPoint(basis[swap])
+    if np.count_nonzero(p.coords) == 1:    # a basis point: e1 <-> e2, e3 <-> e4
+        return ComplexPoint(p.coords[[1, 0, 3, 2]])
     if p.coords[0] == 0 or p.coords[2] == 0:
         raise DegeneratePointError(
             "sigma is undefined where x1 = 0 or x3 = 0 off the basis points")

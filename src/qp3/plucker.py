@@ -5,9 +5,9 @@ six distinct lines of the line scheme."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, gr
 from .multipoly import Polynomial, VarSet, print_poly, substitute
@@ -150,8 +150,7 @@ def _on(varset: VarSet, coords: Sequence) -> Tuple[Polynomial, ...]:
                  for c in coords)
 
 
-@dataclass(frozen=True)
-class LineFamily:
+class LineFamily(NamedTuple):
     """A parametrized 2x4 matrix of row polynomials plus the parameter
     constraints cutting out the family."""
 
@@ -268,8 +267,7 @@ def _branch_factors(gamma: GaussianRational) -> Dict[str, Polynomial]:
     return out
 
 
-@dataclass(frozen=True)
-class LineCheck:
+class LineCheck(NamedTuple):
     component: str
     through_point: bool
     in_component: bool
@@ -282,8 +280,7 @@ class LineCheck:
                 and self.in_line_scheme and self.well_defined)
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     name: str
     proper: bool
     quotient_dim: Optional[int]
@@ -296,13 +293,11 @@ class BranchReport:
                 and all(l.ok for l in self.lines))
 
 
-@dataclass(frozen=True)
-class SixLinesReport:
+class SixLinesReport(NamedTuple):
     gamma: GaussianRational
     point: str
     branches: Tuple[BranchReport, ...] = ()
-    component_dimensions: Mapping[str, Tuple[int, int]] = field(
-        default_factory=dict)
+    component_dimensions: Mapping[str, Tuple[int, int]] = MappingProxyType({})
     infinite: bool = False
     branch_dims_consistent: bool = True
     total: Union[int, str] = 0

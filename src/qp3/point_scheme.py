@@ -4,9 +4,8 @@ automorphism sigma and the vanishing pairs in P3 x P3."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
@@ -279,8 +278,7 @@ def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointSchemeReport:
+class PointSchemeReport(NamedTuple):
     gamma: GaussianRational
     chart_counts: Mapping[str, int]
     total_with_multiplicity: int

@@ -10,7 +10,6 @@ pipeline and the symmetry maps psi1, psi2 acting on Pluecker coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -63,21 +62,31 @@ A_RELATION_ROWS = (
 )
 
 
-@dataclass(frozen=True)
 class QuadraticAlgebra:
     """Presentation with six linearly independent quadratic relations."""
 
-    gamma: GaussianRational
-    relations: Tuple[Tensor, ...]
+    __slots__ = ("gamma", "relations")
+
+    def __init__(self, gamma: GaussianRational, relations: Tuple[Tensor, ...]):
+        if len(relations) != 6:
+            raise ValueError("exactly six relations expected")
+        if rank([[c for row in t for c in row] for t in relations]) != 6:
+            raise RankDeficiencyError("relation tensors are linearly dependent")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "relations", relations)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticAlgebra is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, QuadraticAlgebra) and self.gamma == other.gamma
+                and self.relations == other.relations)
 
     def __hash__(self):  # equal algebras share gamma; cheap for cache keys
         return hash(self.gamma)
 
-    def __post_init__(self):
-        if len(self.relations) != 6:
-            raise ValueError("exactly six relations expected")
-        if rank([[c for row in t for c in row] for t in self.relations]) != 6:
-            raise RankDeficiencyError("relation tensors are linearly dependent")
+    def __repr__(self):
+        return f"QuadraticAlgebra(gamma={self.gamma!r}, relations={self.relations!r})"
 
 
 @lru_cache(maxsize=MEMO_SIZE)

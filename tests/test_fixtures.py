@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from qp3.gaussian import gr
@@ -68,7 +66,7 @@ def test_component_generator_data_present():
 def test_validate_rejects_bad_erratum(errata, reason):
     # the errata are checked where they are applied, at every gamma
     fx = load_fixtures()
-    bad = replace(fx, line_scheme_errata=errata)
+    bad = fx._replace(line_scheme_errata=errata)
     for gamma in (gr(1), gr(4), None):
         fx.parse_line_polys(gamma, corrected=True)
         bad.parse_line_polys(gamma)
@@ -87,7 +85,7 @@ def test_parse_rejects_fixture_of_wrong_degree(field, k, text, reason):
     fx = load_fixtures()
     texts = list(getattr(fx, field))
     texts[k] = text
-    bad = replace(fx, **{field: tuple(texts)})
+    bad = fx._replace(**{field: tuple(texts)})
     parse = (bad.parse_point_polys if field == "point_scheme_polys"
              else bad.parse_line_polys)
     for gamma in (gr(1), None):

@@ -166,13 +166,12 @@ def test_match_fixture_polys_reports_mismatch():
 def test_match_fixture_polys_rejects_non_unit_scalar(monkeypatch):
     # entry 1 is a single monomial: three times it has the same monic form
     # as its minor but is not a unit multiple of it
-    from dataclasses import replace
     import qp3.line_scheme as ls
 
     fx = load_fixtures()
     assert fx.line_scheme_polys[1] == "2*M13*M14*M23*M24"
-    scaled = replace(fx, line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
-                     + fx.line_scheme_polys[2:])
+    scaled = fx._replace(line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
+                         + fx.line_scheme_polys[2:])
     monkeypatch.setattr(ls, "load_fixtures", lambda: scaled)
     with pytest.raises(ValueError, match="non-unit"):
         match_fixture_polys(line_scheme_ideal(gr(1), "right"))
@@ -182,13 +181,12 @@ def test_fixture_forensics_direct_matches_need_a_unit_scalar(monkeypatch):
     # entry 1 is one of the 30 direct "left" matches; three times it has
     # the same monic form but is only a combination, with a non-unit
     # coefficient
-    from dataclasses import replace
     import qp3.line_scheme as ls
 
     fx = load_fixtures()
     assert fx.line_scheme_polys[1] == "2*M13*M14*M23*M24"
-    scaled = replace(fx, line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
-                     + fx.line_scheme_polys[2:])
+    scaled = fx._replace(line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
+                         + fx.line_scheme_polys[2:])
     monkeypatch.setattr(ls, "load_fixtures", lambda: scaled)
     fr = fixture_forensics(gr(5))
     assert 1 not in fr.direct_matches

@@ -232,6 +232,16 @@ def test_sigma_numeric_at_tiny_coordinates_divides_by_none(coords, image):
     assert np.all(np.abs(q.coords - np.array(image)) <= 1e-12 * np.abs(image))
 
 
+def test_sigma_numeric_snaps_only_exact_basis_points():
+    # 1e-100 from e2, yet sigma maps it to (1 : i*1e-50 : 1e-150 : -i),
+    # about 0.7 from e1 = sigma(e2); the third coordinate underflows
+    q = sigma_numeric(ComplexPoint((1e-250, 1, 1e-100, 1e-250)))
+    assert np.allclose(q.coords, (1, 1e-50j, 0, -1j), rtol=1e-12, atol=0)
+    for k, swap in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        assert np.array_equal(sigma_numeric(ComplexPoint(np.eye(4)[k])).coords,
+                              np.eye(4)[swap])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
 def test_complex_point_refuses_non_finite_coordinates(bad):
     with pytest.raises(DegeneratePointError):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,7 +135,7 @@ def test_in_line_scheme_needs_the_46_in_the_component_ideal(monkeypatch, capsys,
     # The CLI's answer memo would read back an earlier gamma = 1 answer
     C = component_catalog(gr(1))
     l2 = C.get("L2")
-    weak = replace(l2, ideal=Ideal(list(l2.ideal.generators[:-1])))
+    weak = l2._replace(ideal=Ideal(list(l2.ideal.generators[:-1])))
     assert not scheme_in_ideal(line_scheme_ideal(gr(1)), weak.ideal)
     catalog = ComponentCatalog(gamma=C.gamma, components=tuple(
         weak if c.name == "L2" else c for c in C))
