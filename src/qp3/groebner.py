@@ -265,12 +265,15 @@ class GroebnerBasis:
                  varset: VarSet, packing: _Packing):
         """The basis of primitive lists, packed by `packing`, sorted by
         ascending leading key."""
-        self.basis = tuple(_wrap(varset, packing, p, (1, 0, p[0][2][0]))
-                           for p in reversed(lists))
-        self.order = order
-        self.varset = varset
-        self._lists = lists
-        self._packing = packing
+        object.__setattr__(self, "basis", tuple(
+            _wrap(varset, packing, p, (1, 0, p[0][2][0])) for p in reversed(lists)))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "varset", varset)
+        object.__setattr__(self, "_lists", lists)
+        object.__setattr__(self, "_packing", packing)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroebnerBasis is immutable")
 
     def __iter__(self):
         return iter(self.basis)

@@ -35,7 +35,7 @@ from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _stripped_numerator,
                        hilbert_dimension_degree, intersect, normal_form,
                        quotient_dimension, radical_member)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
-                                ZeroGammaError, m_hat, make_A)
+                                m_hat, make_A, nonzero_gamma)
 from .fixtures import load_fixtures
 
 
@@ -380,9 +380,7 @@ def _split_l1(gamma: GaussianRational, l1: List[Polynomial]):
 def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
     """The components: the seven generic ones, where gamma^2 != 16, and
     eight, with L1 split into two conics, where gamma^2 = 16."""
-    gamma = gr(gamma)
-    if gamma.is_zero():
-        raise ZeroGammaError("gamma must be nonzero")
+    gamma = nonzero_gamma(gamma)
     gens = {name: [parse_poly(t, M_VARS, gamma=gamma) for t in texts]
             for name, texts in load_fixtures().component_generators.items()}
     if gamma * gamma == gr(16):

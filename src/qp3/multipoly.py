@@ -106,8 +106,12 @@ class MonomialOrder:
     def __init__(self, kind: str, block: Optional[Tuple[int, ...]] = None):
         if kind not in ("lex", "degrevlex", "elim"):
             raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.block = block  # indices of the variables being eliminated
+        object.__setattr__(self, "kind", kind)
+        # indices of the variables being eliminated
+        object.__setattr__(self, "block", block)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialOrder is immutable")
 
     @staticmethod
     def lex() -> "MonomialOrder":

@@ -28,45 +28,24 @@ class ZeroParameterError(ValueError):
     pass
 
 
-M_NAMES = ("M12", "M13", "M14", "M23", "M24", "M34")
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-class PluckerLine:
-    """Six Pluecker coordinates (M12, M13, M14, M23, M24, M34), not all
-    zero, satisfying the Pluecker quadric; equality up to a scalar."""
+class PluckerLine(ProjectivePoint):
+    """A line of P3 as a point of P5: Pluecker coordinates (M12, M13, M14,
+    M23, M24, M34) on the Pluecker quadric."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
+    LENGTH = 6
 
     def __init__(self, coords: Sequence):
-        coords = tuple(gr(c) for c in coords)
-        if len(coords) != 6:
-            raise ValueError("six Pluecker coordinates expected")
-        if all(c.is_zero() for c in coords):
-            raise ValueError("Pluecker coordinates cannot all vanish")
-        m12, m13, m14, m23, m24, m34 = coords
+        super().__init__(coords)
+        m12, m13, m14, m23, m24, m34 = self.coords
         if not (m12 * m34 - m13 * m24 + m14 * m23).is_zero():
             raise ValueError("coordinates do not satisfy the Pluecker identity")
-        self.coords = coords
-
-    def normalized(self) -> Tuple[GaussianRational, ...]:
-        pivot = next(c for c in self.coords if not c.is_zero())
-        inv = pivot.inverse()
-        return tuple(c * inv for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, PluckerLine):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __getitem__(self, k):
-        return self.coords[k]
 
     def __repr__(self):
-        return "PluckerLine(" + ", ".join(str(c) for c in self.normalized()) + ")"
+        return "PluckerLine" + super().__repr__()
 
 
 def pluecker_join(a: Sequence, b: Sequence) -> List:
@@ -108,7 +87,7 @@ def point_on_line(p: ProjectivePoint, l: PluckerLine) -> bool:
 
 def incidence_ideal_forms(p: ProjectivePoint) -> List[Polynomial]:
     """Linear forms in the M_ij vanishing exactly on lines through p."""
-    coord_polys = [Polynomial.variable(M_VARS, n) for n in M_NAMES]
+    coord_polys = [Polynomial.variable(M_VARS, n) for n in M_VARS.names]
     consts = [Polynomial.constant(M_VARS, c) for c in p.coords]
     return [f for f in incidence_contractions(coord_polys, consts)
             if not f.is_zero()]
@@ -118,8 +97,7 @@ def evaluate_in_M(f: Polynomial, coords: Sequence[Polynomial],
                   target: VarSet) -> Polynomial:
     """Substitute polynomial Pluecker coordinates into a polynomial on the
     M variables."""
-    assignment = {n: c for n, c in zip(M_NAMES, coords)}
-    return substitute(f, assignment, target=target)
+    return substitute(f, dict(zip(M_VARS.names, coords)), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +206,7 @@ def ruling_lines(quadric: str, param) -> PluckerLine:
 
 def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
     """Exact evaluation of every component generator at the line."""
-    at_l = dict(zip(M_NAMES, l.coords))
+    at_l = dict(zip(M_VARS.names, l.coords))
     return all(substitute(g, at_l).is_zero() for g in comp_ideal.generators)
 
 
@@ -241,16 +219,11 @@ def line_in_component(l: PluckerLine, comp_ideal: Ideal) -> bool:
 # as polynomials in x2, x3, x4
 GENERIC_LINES = {
     name: _on(CHART_VARS, pluecker_join(a, b))
-    for name, (a, b) in generic_line_points(
-        1, *(Polynomial.variable(CHART_VARS, n) for n in ("x2", "x3", "x4")),
-        gr(0, 1)).items()}
+    for name, (a, b) in generic_line_points(*symbolic_point(), gr(0, 1)).items()}
 
 
 def _branch_factors(gamma: GaussianRational) -> Dict[str, Polynomial]:
-    x2 = Polynomial.variable(CHART_VARS, "x2")
-    x3 = Polynomial.variable(CHART_VARS, "x3")
-    x4 = Polynomial.variable(CHART_VARS, "x4")
-    one = Polynomial.constant(CHART_VARS, 1)
+    one, x2, x3, x4 = symbolic_point()
     i = gr(0, 1)
     out = {
         "L6a": x2 - i * (x3 * x4),

@@ -14,9 +14,8 @@ from .polylinalg import all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
                        invert_mod, is_unit_mod, normal_form,
                        quotient_dimension, radical_member, saturate)
-from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS,
-                                ZeroGammaError, make_A, relation_matrix,
-                                tensor_bilinear)
+from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, make_A,
+                                nonzero_gamma, relation_matrix, tensor_bilinear)
 
 
 class UndefinedAtPointError(ValueError):
@@ -28,17 +27,22 @@ class NotOnSchemeError(ValueError):
 
 
 class ProjectivePoint:
-    """A point of P3 over Q(i); equality up to a global nonzero scalar."""
+    """A point of P3 over Q(i), or of P(LENGTH - 1) in a subclass; equality
+    up to a global nonzero scalar, and only between points of one class."""
 
     __slots__ = ("coords",)
+    LENGTH = 4
 
     def __init__(self, coords: Sequence):
         coords = tuple(gr(c) for c in coords)
-        if len(coords) != 4:
-            raise ValueError("a point of P3 needs four coordinates")
+        if len(coords) != self.LENGTH:
+            raise ValueError(f"{type(self).__name__} needs {self.LENGTH} coordinates")
         if all(c.is_zero() for c in coords):
             raise ValueError("projective point cannot be all zero")
-        self.coords = coords
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def normalized(self) -> Tuple[GaussianRational, ...]:
         """First nonzero coordinate scaled to 1."""
@@ -47,7 +51,7 @@ class ProjectivePoint:
         return tuple(c * inv for c in self.coords)
 
     def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
+        if type(other) is not type(self):
             return NotImplemented
         return self.normalized() == other.normalized()
 
@@ -66,6 +70,8 @@ E2 = ProjectivePoint((0, 1, 0, 0))
 E3 = ProjectivePoint((0, 0, 1, 0))
 E4 = ProjectivePoint((0, 0, 0, 1))
 BASIS_POINTS = {"e1": E1, "e2": E2, "e3": E3, "e4": E4}
+# sigma on the basis points
+SIGMA_SWAPS = {E1: E2, E2: E1, E3: E4, E4: E3}
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -139,9 +145,7 @@ RHO_STRINGS = (
 def rho_system(gamma: GaussianRational):
     """The three polynomials cutting out Z_gamma on the chart x1 = 1;
     `verify_rho_derivation` certifies them against the minors."""
-    gamma = gr(gamma)
-    if gamma.is_zero():
-        raise ZeroGammaError("gamma must be nonzero")
+    gamma = nonzero_gamma(gamma)
     return tuple(parse_poly(s, CHART_VARS, gamma=gamma) for s in RHO_STRINGS)
 
 
@@ -160,7 +164,7 @@ def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
     rho1, rho2, rho3 = rho_system(gamma)
     A = make_A(gamma)
     chart = chart_ideal(A, 0)
-    x4 = Polynomial.variable(CHART_VARS, "x4")
+    x4 = symbolic_point()[3]
     sat = saturate(chart, x4)
     lex = MonomialOrder.lex()
     lex_gb = buchberger(sat.with_order(lex))
@@ -183,9 +187,6 @@ def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
 
 def sigma(p: ProjectivePoint, gamma: GaussianRational) -> ProjectivePoint:
     """The automorphism of the point scheme on closed points."""
-    gamma = gr(gamma)
-    if gamma.is_zero():
-        raise ZeroGammaError("gamma must be nonzero")
     at_p = dict(zip(X_VARS.names, p.coords))
     if any(not substitute(m, at_p).is_zero()
            for m in point_ideal(make_A(gamma)).generators):
@@ -195,10 +196,8 @@ def sigma(p: ProjectivePoint, gamma: GaussianRational) -> ProjectivePoint:
 
 def _sigma_formula(p: ProjectivePoint) -> ProjectivePoint:
     """sigma's formula: the basis-point swaps, and the x1 = 1 chart map."""
-    swaps = {E1: E2, E2: E1, E3: E4, E4: E3}
-    for src, dst in swaps.items():
-        if p == src:
-            return dst
+    if p in SIGMA_SWAPS:
+        return SIGMA_SWAPS[p]
     c = p.normalized()
     if c[0].is_zero():
         raise UndefinedAtPointError("sigma formula needs the x1 != 0 chart")
@@ -212,11 +211,8 @@ def _sigma_formula(p: ProjectivePoint) -> ProjectivePoint:
 
 def symbolic_point() -> Tuple[Polynomial, ...]:
     """The generic chart point (1, x2, x3, x4) as chart polynomials."""
-    one = Polynomial.constant(CHART_VARS, 1)
-    return (one,
-            Polynomial.variable(CHART_VARS, "x2"),
-            Polynomial.variable(CHART_VARS, "x3"),
-            Polynomial.variable(CHART_VARS, "x4"))
+    return (Polynomial.constant(CHART_VARS, 1),
+            *(Polynomial.variable(CHART_VARS, n) for n in CHART_VARS.names))
 
 
 def sigma_symbolic(coords: Sequence[Polynomial], gamma: GaussianRational):
@@ -255,9 +251,7 @@ def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
     # sigma(Z) stays inside the point scheme: pull every chart minor back
     # through the projective form (x3^2, i*x2, x3, -i*x4*x3^2)
     A = make_A(gamma)
-    x2 = Polynomial.variable(CHART_VARS, "x2")
-    x3 = Polynomial.variable(CHART_VARS, "x3")
-    x4 = Polynomial.variable(CHART_VARS, "x4")
+    _, x2, x3, x4 = p
     i = gr(0, 1)
     images = {"x1": x3 * x3, "x2": i * x2, "x3": x3, "x4": -i * x4 * x3 * x3}
     chart = chart_ideal(A, 0)
@@ -351,12 +345,11 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
         and radical_member(Polynomial.variable(I3.varset, "x4"), I3))
     checks["chart_x4_is_e4"] = ideals[3].is_zero()
     # on the x1 = 1 chart, x4 = 0 pins down e1
-    I1 = ideals[0]
-    e1_ideal = Ideal(list(I1.generators) + [Polynomial.variable(CHART_VARS, "x4")])
+    _, x2, x3, x4 = symbolic_point()
+    e1_ideal = Ideal(list(ideals[0].generators) + [x4])
     checks["x4_zero_slice_is_e1"] = (
         quotient_dimension(e1_ideal) == 1
-        and radical_member(Polynomial.variable(CHART_VARS, "x2"), e1_ideal)
-        and radical_member(Polynomial.variable(CHART_VARS, "x3"), e1_ideal))
+        and radical_member(x2, e1_ideal) and radical_member(x3, e1_ideal))
 
     checks.update({f"rho_{k}": v
                    for k, v in verify_rho_derivation(gamma).items() if k != "all"})
@@ -382,9 +375,8 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
 
     cert = sigma_orbit_certificates(gamma)
     checks.update({f"sigma_{k}": v for k, v in cert.items() if k != "all"})
-    checks["sigma_basis_swaps"] = (
-        sigma(E1, gamma) == E2 and sigma(E2, gamma) == E1
-        and sigma(E3, gamma) == E4 and sigma(E4, gamma) == E3)
+    checks["sigma_basis_swaps"] = all(sigma(p, gamma) == q
+                                      for p, q in SIGMA_SWAPS.items())
 
     return PointSchemeReport(
         gamma=gamma,
@@ -401,8 +393,7 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
 def verify_vanishing_pairs(A: QuadraticAlgebra) -> bool:
     """The relations vanish exactly on the pairs (p, sigma(p)): the four
     basis pairs directly, the Z_gamma pairs symbolically mod the rho ideal."""
-    pairs = ((E1, E2), (E2, E1), (E3, E4), (E4, E3))
-    for p, q in pairs:
+    for p, q in SIGMA_SWAPS.items():
         for t in A.relations:
             if not tensor_bilinear(t, p.coords, q.coords).is_zero():
                 return False

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .groebner import GroebnerLimits, Ideal, buchberger, limits_scope
 from .multipoly import (Monomial, Polynomial, VarSet, VarSetMismatchError,
-                        _FieldOverflow, _Packing, _TermList, _iadd, _ishift, _packing,
+                        _FieldOverflow, _Packing, _TermList, _iadd, _packing,
                         _poly, _product, _times, _widening)
 
 
@@ -22,7 +22,7 @@ class PolyMatrix:
     __slots__ = ("rows", "cols", "entries", "varset")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]]):
-        entries = [list(row) for row in entries]
+        entries = tuple(tuple(row) for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(entries[0])
@@ -33,10 +33,13 @@ class PolyMatrix:
             for e in row:
                 if e.varset != varset:
                     raise VarSetMismatchError("matrix entries on different VarSets")
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
-        self.varset = varset
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "varset", varset)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyMatrix is immutable")
 
     def row(self, k: int) -> List[Polynomial]:
         return list(self.entries[k])
@@ -80,51 +83,22 @@ class PolyMatrix:
 
 
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises ValueError if g does not divide f.
-
-    It runs on the term lists over Z[i] as the Groebner engine's normal
-    form does: with d the integer lead of g's list and c x^m the lead of
-    the work list, a step takes work to (d/h)*work - (c/h)*x^(m/l)*g,
-    h = gcd(d, c) in Z, and keeps s, the product of the d/h, with
-    s*f = q*g + work.  The work list stays a multiple of g when g divides
-    f, so then the leading monomial l of g divides every lead; the first
-    lead that l does not divide shows that g does not divide f.
-    """
+    """Exact quotient f/g by long division on leading terms, in f's order;
+    raises ValueError if g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-
-    def run(pk: _Packing):
-        p, (fa, fb, fd) = f._packed(pk)
-        q, (ga, gb, gd) = g._packed(pk)
-        key_l, l, (d, _) = q[0]
-        top = 0
-        for _, m, _ in q:
-            top |= m
-        guard = pk.guard
-        quo: _TermList = []
-        work, s = p, 1
-        while work:
-            key0, m0, (a0, b0) = work[0]
-            if ((m0 | guard) - l) & guard != guard:    # l does not divide m0
-                raise ValueError("not an exact polynomial division")
-            u = m0 - l
-            if (u + top) & guard:
-                raise _FieldOverflow
-            h = gcd(d, a0, b0)
-            e = d // h
-            quo.append((key0 - key_l, u, (a0 // h, b0 // h)))
-            tail = _ishift(q[1:], key0 - key_l, u, (-a0 // h, -b0 // h))
-            work = work[1:]
-            if e > 1:
-                work = _times(work, e, 0)
-                quo[:-1] = _times(quo[:-1], e, 0)
-                s *= e
-            work = _iadd(work, tail)
-        # f = (f_s/s) * quo * q and g = g_s * q
-        na, nb = fa * ga + fb * gb, fb * ga - fa * gb    # f_s * conj(g_s)
-        return _poly(f.varset, pk, quo, na * gd, nb * gd, fd * s * (ga * ga + gb * gb))
-
-    return _widening(run, f._pk)
+    if f.varset != g.varset:
+        raise VarSetMismatchError("polynomials live on different VarSets")
+    g = g.with_order(f.order)
+    lm, inv = g.leading_monomial(), g.leading_coefficient().inverse()
+    q = Polynomial.zero(f.varset, f.order)
+    while not f.is_zero():
+        u = tuple(a - b for a, b in zip(f.leading_monomial(), lm))
+        if min(u) < 0:
+            raise ValueError("not an exact polynomial division")
+        t = Polynomial(f.varset, {u: f.leading_coefficient() * inv}, f.order)
+        q, f = q + t, f - t * g
+    return q
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:

@@ -29,6 +29,14 @@ class ZeroGammaError(ValueError):
     pass
 
 
+def nonzero_gamma(gamma) -> GaussianRational:
+    """gamma as a Gaussian rational; the family needs it nonzero."""
+    gamma = gr(gamma)
+    if gamma.is_zero():
+        raise ZeroGammaError("gamma must be nonzero")
+    return gamma
+
+
 class RankDeficiencyError(ValueError):
     pass
 
@@ -93,9 +101,7 @@ class QuadraticAlgebra:
 def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
     """The algebra A(gamma), read from its relation matrix; gamma must be
     nonzero.  Cached: the algebra is immutable."""
-    gamma = gr(gamma)
-    if gamma.is_zero():
-        raise ZeroGammaError("gamma must be a nonzero scalar")
+    gamma = nonzero_gamma(gamma)
     rows = PolyMatrix([[parse_poly(t, X_VARS, gamma=gamma) for t in row]
                        for row in A_RELATION_ROWS])
     return QuadraticAlgebra(gamma, tuple(expand_matrix_rows(rows)))

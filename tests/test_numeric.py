@@ -5,7 +5,7 @@ from qp3.gaussian import gr
 from qp3.multipoly import VarSet, parse_poly
 from qp3.point_scheme import (ProjectivePoint, UndefinedAtPointError, _sigma_formula,
                              count_points)
-from qp3.quadratic_algebra import make_A
+from qp3.quadratic_algebra import M_VARS, make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
 from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
@@ -15,7 +15,7 @@ from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
                          sigma_numeric, six_lines_numeric)
 from qp3.fixtures import load_fixtures
 from qp3.line_scheme import component_catalog
-from qp3.plucker import GENERIC_LINES, M_NAMES
+from qp3.plucker import GENERIC_LINES
 
 
 def _x4_roots(gamma):
@@ -183,7 +183,7 @@ def test_split_conics_exactly_one_form_vanishes(gv):
              if f.degree() == 1 and len(f.terms) > 1]
     assert len(forms) == 2
     for p in enumerate_points(gr(gv))[4:]:
-        at = dict(zip(M_NAMES, six_lines_numeric(p, gr(gv))[0]))
+        at = dict(zip(M_VARS.names, six_lines_numeric(p, gr(gv))[0]))
         small, large = sorted(abs(f.evaluate(at)) for f in forms)
         assert small < 1e-8 and large > 1e-3
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -337,6 +338,29 @@ def test_l1_family_rational_instances():
 def test_pluecker_line_validates_identity():
     with pytest.raises(ValueError):
         PluckerLine((1, 0, 0, 0, 0, 1))  # violates the quadric
+    with pytest.raises(ValueError):
+        PluckerLine((1, 0, 0, 0))
+
+
+def test_pluecker_line_is_a_point_of_p5():
+    l = PluckerLine((0, 0, 0, 0, 0, 2))
+    assert isinstance(l, ProjectivePoint)
+    assert l == line_from_points(E3, E4) and hash(l) == hash(line_from_points(E3, E4))
+    assert repr(l) == "PluckerLine(0, 0, 0, 0, 0, 1)"
+    assert l.__eq__(E4) is NotImplemented and E4.__eq__(l) is NotImplemented
+    assert l != E4 and E4 != l
+
+
+@pytest.mark.xfail(strict=True, reason="the gamma = -4 row of plucker._branch_factors "
+                   "swaps L1a and L1b (ROADMAP item 1)")
+def test_gamma_minus_4_six_lines_are_verified(capsys):
+    code = cli.main(["--gamma=-4", "lines-through", "--symbolic", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    checks = [l for b in report["branches"] for l in b["lines"]]
+    assert len(checks) == 4 * 6
+    assert [l["component"] for l in checks if not all(
+        v for k, v in l.items() if k != "component")] == []
+    assert code == 0 and report["verified"]
 
 
 def test_lines_through_accepts_projective_point():

@@ -6,7 +6,8 @@ import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.groebner import GroebnerLimits, limits_scope
-from qp3.multipoly import Polynomial, VarSet, parse_poly
+from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
+                           VarSetMismatchError, parse_poly)
 from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace,
                             poly_exact_div, rank, row_echelon, solve)
 from qp3.quadratic_algebra import X_VARS, make_A, relation_matrix
@@ -185,6 +186,18 @@ def test_row_swap_flips_sign():
         assert swapped.det() == -m.det()
 
 
+def _random_qi_poly(rng, varset, order):
+    """A nonzero seeded polynomial over Q(i) of up to four terms, degree <= 3
+    in each variable, in the given order."""
+    while True:
+        f = Polynomial(varset, {
+            tuple(rng.randint(0, 3) for _ in varset.names):
+                gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 4))}, order)
+        if not f.is_zero():
+            return f
+
+
 def test_poly_exact_div():
     f = parse_poly("x1^2 - x2^2", X_VARS)
     g = parse_poly("x1 - x2", X_VARS)
@@ -195,6 +208,27 @@ def test_poly_exact_div():
     vs = VarSet(["x", "y"])
     with pytest.raises(ValueError):
         poly_exact_div(parse_poly("x*y + 1", vs), parse_poly("x", vs))
+    # the divisor's lead is read in the dividend's order: y^3 under DEGREVLEX
+    lex = MonomialOrder.lex()
+    f, g = parse_poly("x - 2*y + i", vs), parse_poly("x + y^3", vs, order=lex)
+    assert poly_exact_div(f * g, g) == f
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(f, Polynomial.zero(vs))
+    with pytest.raises(VarSetMismatchError):
+        poly_exact_div(parse_poly("x1", X_VARS), f)
+    # seeded products, with f and g in every pair of orders
+    rng = random.Random(2903)
+    vs = VarSet(["x", "y", "z"])
+    orders = (DEGREVLEX, MonomialOrder.lex(), MonomialOrder.elimination(vs, ["y"]))
+    for f_order in orders:
+        for g_order in orders:
+            for _ in range(6):
+                f = _random_qi_poly(rng, vs, f_order)
+                g = _random_qi_poly(rng, vs, g_order)
+                assert poly_exact_div(f * g, g) == f
+                if g.degree() > 0:    # then g does not divide f*g + 1
+                    with pytest.raises(ValueError):
+                        poly_exact_div(f * g + 1, g)
 
 
 def test_big_matrix_minors_match_per_subset_minor_and_bareiss():

@@ -1,5 +1,6 @@
 """The record types of qp3: NamedTuples and slotted classes that refuse
-assignment, compare by value and hash where their fields hash."""
+assignment, compare by value (a Groebner basis and a matrix by identity)
+and hash where their fields hash."""
 
 from types import MappingProxyType
 
@@ -8,13 +9,15 @@ import pytest
 
 from qp3.fixtures import FixtureSet, load_fixtures
 from qp3.gaussian import gr
-from qp3.groebner import GroebnerLimits, Ideal
+from qp3.groebner import GroebnerLimits, Ideal, buchberger
 from qp3.line_scheme import (Component, ComponentCatalog, DecompositionReport,
                              FixtureForensics, LineSchemeIdeal)
-from qp3.multipoly import parse_poly
+from qp3.multipoly import MonomialOrder, parse_poly
 from qp3.numeric import ComplexPoint
-from qp3.plucker import BranchReport, LineCheck, LineFamily, SixLinesReport
-from qp3.point_scheme import PointSchemeReport
+from qp3.plucker import (BranchReport, LineCheck, LineFamily, PluckerLine,
+                         SixLinesReport)
+from qp3.point_scheme import PointSchemeReport, ProjectivePoint
+from qp3.polylinalg import PolyMatrix
 from qp3.quadratic_algebra import M_VARS, X_VARS, QuadraticAlgebra, make_A
 
 P = parse_poly("M12*M34 - M13*M24 + M14*M23", M_VARS)
@@ -46,7 +49,14 @@ RECORDS = {
         (4, 4), True, MappingProxyType({"rho": True})),
     "QuadraticAlgebra": lambda: QuadraticAlgebra(gr(1), make_A(gr(1)).relations),
     "ComplexPoint": lambda: ComplexPoint((1, 2, 3, 4)),
+    "ProjectivePoint": lambda: ProjectivePoint((1, 2, 3, 4)),
+    "PluckerLine": lambda: PluckerLine((1, 0, 0, 0, 0, 0)),
+    "MonomialOrder": MonomialOrder.lex,
+    "GroebnerBasis": lambda: buchberger(Ideal([X1])),
+    "PolyMatrix": lambda: PolyMatrix([[X1]]),
 }
+# compared by identity, not by their fields
+IDENTITY = {"ComplexPoint", "GroebnerBasis", "PolyMatrix"}
 
 
 def _hashable(value):
@@ -61,14 +71,15 @@ def _hashable(value):
 def test_record_refuses_assignment(name):
     record = RECORDS[name]()
     field = (type(record)._fields if isinstance(record, tuple)
-             else type(record).__slots__)[0]
+             else [f for c in type(record).__mro__
+                   for f in getattr(c, "__slots__", ())])[0]
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"ComplexPoint"}))
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - IDENTITY))
 def test_equal_fields_make_equal_records(name):
     a, b = RECORDS[name](), RECORDS[name]()
     assert a is not b and a == b and not a != b
@@ -80,7 +91,9 @@ def test_hash_where_the_fields_hash():
     hashable = {n for n in RECORDS if _hashable(RECORDS[n]())}
     assert hashable == {"GroebnerLimits", "LineSchemeIdeal", "Component",
                         "ComponentCatalog", "LineFamily", "LineCheck",
-                        "BranchReport", "QuadraticAlgebra", "ComplexPoint"}
+                        "BranchReport", "QuadraticAlgebra", "ComplexPoint",
+                        "ProjectivePoint", "PluckerLine", "MonomialOrder",
+                        "GroebnerBasis", "PolyMatrix"}
 
 
 def test_complex_points_compare_by_identity():
