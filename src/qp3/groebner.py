@@ -4,8 +4,9 @@ The engine reduces the term lists that Polynomials store (`multipoly`):
 Gaussian-integer coefficients, so no rational arithmetic happens in the
 hot loop, and each monomial and order key one int (`_Packing`), so a
 divisibility test is one subtraction and a mask test, and a shift two
-int additions.  Fields that an exponent outgrows are widened and the
-computation rerun, so no exponent wraps.
+int additions.  The fields are fixed: a computation whose exponents
+would outgrow them raises `ExponentOverflowError`, a `ResourceLimitError`,
+so no exponent wraps.
 
 Every list the engine keeps is primitive (`_primitive`): its lead is a
 positive integer and no Gaussian content such as (1+i)^k survives.  A
@@ -35,14 +36,10 @@ from itertools import chain
 from math import gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .multipoly import (DEGREVLEX, MonomialOrder, Monomial, Polynomial, VarSet,
-                        VarSetMismatchError, _BITS, _FieldOverflow, _Packing,
-                        _TermList, _iadd, _ishift, _packing, _primitive, _poly,
-                        _widening, _wrap, substitute)
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured Buchberger resource bound was exceeded."""
+from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
+                        Polynomial, ResourceLimitError, VarSet, VarSetMismatchError,
+                        _BITS, _Packing, _TermList, _iadd, _ishift, _packing,
+                        _primitive, _poly, _wrap, substitute)
 
 
 class NonHomogeneousError(ValueError):
@@ -192,7 +189,7 @@ def _nf(f: _TermList, heads: Sequence[_Head],
     so its step just drops c x^m from the work list: the read position
     moves on and nothing is rebuilt.  f itself is never changed.  The
     lists must pass `pk.check`; a multiplier x^(m/l) that would not keep
-    the product inside its fields raises _FieldOverflow.
+    the product inside its fields raises ExponentOverflowError.
     """
     guard, high = pk.guard, pk.high
     r: _TermList = []
@@ -214,7 +211,7 @@ def _nf(f: _TermList, heads: Sequence[_Head],
             continue
         u = m0 - l
         if u & high:
-            raise _FieldOverflow
+            raise ExponentOverflowError(f"multiplier exponent above {pk.mask >> 1}")
         h = gcd(d, a0, b0)
         d //= h
         rest = work[pos + 1:]
@@ -309,22 +306,15 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     those reduce to zero, and only pairs that involve a later element are
     queued.  The prefix counts toward `max_basis`, and the post-hoc check
     reduces it like every other generator.
-    """
-    limits = current_limits()
-    return _widening(lambda pk: _run_buchberger(I, reduced_prefix, limits, pk),
-                     _packing(len(I.varset), I.order, _BITS))
-
-
-def _run_buchberger(I: Ideal, reduced_prefix: int, limits: GroebnerLimits,
-                    pk: _Packing) -> GroebnerBasis:
-    """`_buchberger` on monomials packed by pk.
 
     An element's sugar is the degree of its lead, so the sugar of a pair
     is the degree of its lcm.  Pairs are selected by (sugar, key of the
-    lcm, indices); key ints compare as the key tuples do, so the pairs
-    formed and their order do not depend on the field width."""
+    lcm, indices); key ints compare as the key tuples do.
+    """
+    limits = current_limits()
+    pk = _packing(len(I.varset), I.order)
     gens = [g._packed(pk)[0] for g in I.generators]
-    guard, bits = pk.guard, pk.bits
+    guard, bits = pk.guard, _BITS
 
     entries: List[_TermList] = []    # every element ever inserted, by index
     lms: List[int] = []    # their leading monomials
@@ -440,15 +430,10 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """
     if f.varset != G.varset:
         raise VarSetMismatchError("polynomial and basis on different VarSets")
-
-    def run(pk: _Packing):
-        lists = (G._lists if pk is G._packing
-                 else [g._packed(pk)[0] for g in reversed(G.basis)])
-        p, scale = f._packed(pk)
-        return pk, scale, _nf(p, list(map(_head, lists)), pk)
-
+    pk = G._packing
+    p, (a, b, d) = f._packed(pk)
+    r, s = _nf(p, list(map(_head, G._lists)), pk)
     # f = scale * p and s * p = r modulo <G>, so the remainder is scale/s * r
-    pk, (a, b, d), (r, s) = _widening(run, G._packing)
     return _poly(f.varset, pk, r, a, b, d * s)
 
 
@@ -530,8 +515,12 @@ def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
 
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
-    """Generators of I intersected with the subring on the kept variables."""
+    """Generators of I intersected with the subring on the kept variables,
+    each of which must be a variable of I."""
     vs = I.varset
+    unknown = [n for n in keep if n not in vs]
+    if unknown:
+        raise VarSetMismatchError(f"kept names not in the VarSet: {unknown}")
     drop = [n for n in vs.names if n not in keep]
     if not drop:
         return I

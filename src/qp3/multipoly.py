@@ -5,8 +5,9 @@ A polynomial is one exact scale in Q(i) times a term list over Z[i]
 whose monomials and order keys are packed into ints (`_Packing`), the
 representation the Groebner engine reduces directly: a divisibility test
 is one subtraction and a mask test, and a product of monomials one int
-addition.  Fields that an exponent outgrows are widened, so no exponent
-wraps.  The text grammar is:
+addition.  The fields are fixed at 15 bits: an exponent that would
+outgrow them raises `ExponentOverflowError`, so no exponent wraps.  The
+text grammar is:
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -27,8 +28,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, lshift, mul
 from types import MappingProxyType
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, TypeVar, Union)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, ZERO, gr
 
@@ -37,6 +37,16 @@ Monomial = Tuple[int, ...]
 
 class VarSetMismatchError(ValueError):
     pass
+
+
+class ResourceLimitError(RuntimeError):
+    """A Buchberger limit or the exponent fields of `_Packing` were exceeded."""
+
+
+class ExponentOverflowError(ResourceLimitError):
+    """An exponent outgrew the fixed fields of `_Packing`: a stored
+    monomial holds exponents up to 2^15 - 1, and a list the Groebner engine
+    reduces against, or a multiplier it shifts one by, up to 2^14 - 1."""
 
 
 class PolyParseError(ValueError):
@@ -171,25 +181,22 @@ Coefficient = Union[GaussianRational, int]
 
 _TermList = List[Tuple[int, int, Tuple[int, int]]]
 
-_BITS = 15    # exponent bits per field at the start; widened on overflow
-
-
-class _FieldOverflow(Exception):
-    """An exponent outgrew the packed fields; `_widening` doubles them and
-    runs the computation again, so no exponent ever wraps."""
+_BITS = 15    # exponent bits per field
 
 
 class _Packing:
     """Monomials and order keys of one ring and order, each as one int.
 
     Exponent k of a monomial sits in field k of `mono`: bits k*w to
-    k*w + bits - 1, with w = bits + 1.  The top bit of each field is a
+    k*w + _BITS - 1, with w = _BITS + 1.  The top bit of each field is a
     guard bit, always clear in a stored monomial, whose exponents are below
-    2**bits.  The exponents of every list the Groebner engine reduces
+    2**_BITS.  The exponents of every list the Groebner engine reduces
     against, and of every multiplier it shifts one by, stay below
-    2**(bits - 1), so a product never reaches a guard bit.  Then m divides
+    2**(_BITS - 1), so a product never reaches a guard bit.  Then m divides
     n iff ((n | guard) - m) & guard == guard: a field of n below that of m
-    borrows its own guard bit, and no borrow crosses a field.
+    borrows its own guard bit, and no borrow crosses a field.  `pack`,
+    `check` and every product refuse an exponent past these bounds with
+    ExponentOverflowError.
 
     The order key is the sum of e_k * weights[k].  weights[k] packs column
     k of the rows of `MonomialOrder.key`, one row per digit in base
@@ -200,17 +207,14 @@ class _Packing:
     and key(m*n) = key(m) + key(n).
     """
 
-    __slots__ = ("n", "order", "bits", "shifts", "mask", "guard", "high",
-                 "weights")
+    __slots__ = ("order", "shifts", "mask", "guard", "high", "weights")
 
-    def __init__(self, n: int, order: MonomialOrder, bits: int):
-        w = bits + 1
-        self.n = n
+    def __init__(self, n: int, order: MonomialOrder):
+        w = _BITS + 1
         self.order = order
-        self.bits = bits
         self.shifts = tuple(range(0, n * w, w))
-        self.mask = (1 << bits) - 1
-        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.mask = (1 << _BITS) - 1
+        self.guard = sum(1 << (s + _BITS) for s in self.shifts)
         self.high = self.guard >> 1    # the top exponent bit of each field
         cols = [order.key(tuple(int(i == k) for i in range(n))) for k in range(n)]
         rows = len(cols[0]) if cols else 0
@@ -222,7 +226,7 @@ class _Packing:
     def pack(self, m: Monomial) -> Tuple[int, int]:
         """(key, mono) of an exponent tuple."""
         if m and max(m) > self.mask:
-            raise _FieldOverflow
+            raise ExponentOverflowError(f"exponent {max(m)} exceeds {self.mask}")
         return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
 
     def unpack(self, mono: int) -> Monomial:
@@ -242,51 +246,19 @@ class _Packing:
     def lcm(self, m: int, n: int) -> int:
         """The fieldwise maximum: m where its field is at least n's, else n."""
         ge = ((m | self.guard) - n) & self.guard
-        return n ^ ((m ^ n) & (ge - (ge >> self.bits)))
+        return n ^ ((m ^ n) & (ge - (ge >> _BITS)))
 
     def check(self, p: _TermList) -> None:
-        """Raise _FieldOverflow unless p may be reduced against."""
+        """Raise ExponentOverflowError unless p may be reduced against."""
         high = self.high
         for _, m, _ in p:
             if m & high:
-                raise _FieldOverflow
+                raise ExponentOverflowError(f"reducer exponent above {self.mask >> 1}")
 
 
 @lru_cache(maxsize=64)
-def _packing(n: int, order: MonomialOrder, bits: int) -> _Packing:
-    return _Packing(n, order, bits)
-
-
-def _fitting(pk: _Packing, e: int) -> _Packing:
-    """The packing of pk's ring and order with the narrowest fields, of
-    width _BITS * 2^k, that store the exponent e."""
-    bits = _BITS
-    while e >> bits:
-        bits *= 2
-    return _packing(pk.n, pk.order, bits)
-
-
-T = TypeVar("T")
-
-
-def _widening(run: Callable[[_Packing], T], pk: _Packing) -> T:
-    """run(pk), run again on fields twice as wide while an exponent
-    outgrows them."""
-    while True:
-        try:
-            return run(pk)
-        except _FieldOverflow:
-            pk = _packing(pk.n, pk.order, 2 * pk.bits)
-
-
-def _to_packing(p: _TermList, old: _Packing, new: _Packing) -> _TermList:
-    """The terms of p, packed by old, packed by new; sorted again when the
-    order changes.  Raises _FieldOverflow if an exponent outgrows new."""
-    unpack, pack = old.unpack, new.pack
-    q = [(*pack(unpack(m)), c) for _, m, c in p]
-    if new.order != old.order:
-        q.sort(reverse=True)
-    return q
+def _packing(n: int, order: MonomialOrder) -> _Packing:
+    return _Packing(n, order)
 
 
 def _primitive(p: _TermList) -> Tuple[_TermList, Tuple[int, int], int]:
@@ -356,22 +328,30 @@ def _ishift(p: _TermList, key_u: int, u: int, c: Tuple[int, int]) -> _TermList:
             for key, m, (a, b) in p]
 
 
-def _product(p: _TermList, q: _TermList,
-             pk: _Packing) -> Tuple[_Packing, _TermList]:
-    """(pk', p*q) for nonzero lists packed by pk; pk' is pk, or wider when
-    a product exponent could outgrow pk's fields."""
+def _field_max(p: _TermList, pk: _Packing) -> List[int]:
+    """The largest exponent of each variable in the nonzero list p."""
+    return list(map(max, zip(*(pk.unpack(m) for _, m, _ in p))))
+
+
+def _product(p: _TermList, q: _TermList, pk: _Packing) -> _TermList:
+    """p*q for nonzero lists packed by pk.  Raises ExponentOverflowError
+    when an exponent of the product outgrows the fields."""
     top_p = top_q = 0
     for _, m, _ in p:
         top_p |= m
     for _, m, _ in q:
         top_q |= m
-    if (top_p + top_q) & pk.guard:    # a field sum bounds those exponents
-        wide = _fitting(pk, max(map(add, pk.unpack(top_p), pk.unpack(top_q))))
-        p, q, pk = _to_packing(p, pk, wide), _to_packing(q, pk, wide), wide
+    # the or of the fields bounds their largest exponents; when the bound
+    # reaches a guard bit, the exact largest exponent of the product, the
+    # sum of the factors', decides
+    if (top_p + top_q) & pk.guard:
+        top = max(map(add, _field_max(p, pk), _field_max(q, pk)))
+        if top > pk.mask:
+            raise ExponentOverflowError(f"exponent {top} exceeds {pk.mask}")
     if len(q) == 1:
-        return pk, _ishift(p, *q[0])
+        return _ishift(p, *q[0])
     if len(p) == 1:
-        return pk, _ishift(q, *p[0])
+        return _ishift(q, *p[0])
     acc: Dict[int, list] = {}
     for k1, m1, (a1, b1) in p:
         for k2, m2, (a2, b2) in q:
@@ -381,7 +361,7 @@ def _product(p: _TermList, q: _TermList,
             else:
                 t[1] += a1 * a2 - b1 * b2
                 t[2] += a1 * b2 + b1 * a2
-    return pk, _collected(acc)
+    return _collected(acc)
 
 
 def _collected(acc: Dict[int, list]) -> _TermList:
@@ -420,13 +400,6 @@ def _normalized(p: _TermList, a: int, b: int, d: int) -> Tuple[_TermList, _Scale
 def _wrap(varset: VarSet, pk: _Packing, p: _TermList, scale: _Scale,
           obj: Optional["Polynomial"] = None) -> "Polynomial":
     """The polynomial scale * p, for a primitive list p packed by pk."""
-    if pk.bits > _BITS:
-        top = 0
-        for _, m, _ in p:
-            top |= m
-        narrow = _fitting(pk, max(pk.unpack(top), default=0))
-        if narrow is not pk:
-            p, pk = _to_packing(p, pk, narrow), narrow
     if obj is None:
         obj = object.__new__(Polynomial)
     _SET_VARSET(obj, varset)
@@ -441,7 +414,7 @@ def _poly(varset: VarSet, pk: _Packing, p: _TermList, a: int = 1, b: int = 0,
           d: int = 1, obj: Optional["Polynomial"] = None) -> "Polynomial":
     """The polynomial (a + b*i)/d * p, for any sorted list p packed by pk."""
     if not p:
-        return _wrap(varset, _packing(pk.n, pk.order, _BITS), p, _UNIT, obj)
+        return _wrap(varset, pk, p, _UNIT, obj)
     return _wrap(varset, pk, *_normalized(p, a, b, d), obj)
 
 
@@ -449,12 +422,12 @@ class Polynomial:
     """Immutable sparse polynomial over Q(i) on a fixed VarSet.
 
     The value is s times a term list over Z[i]: the list is primitive
-    (`_primitive`) and packed by the narrowest fields of width _BITS * 2^k
-    that hold its exponents, and s is one exact scale in Q(i) in lowest
-    terms.  For a given order both are unique, so equality and hashing
-    compare them structurally.  Arithmetic, `derivative`, `with_order` and
-    `substitute` work on the packed ints; `terms` is a read-only view
-    {exponent tuple: GaussianRational}, built when first asked for.
+    (`_primitive`) and packed by the one `_Packing` of its ring and order,
+    and s is one exact scale in Q(i) in lowest terms.  For a given order
+    both are unique, so equality and hashing compare them structurally.
+    Arithmetic, `derivative`, `with_order` and `substitute` work on the
+    packed ints; `terms` is a read-only view {exponent tuple:
+    GaussianRational}, built when first asked for.
     """
 
     # `_view` and `_hash` are set when first asked for
@@ -472,8 +445,7 @@ class Polynomial:
             if c:
                 clean[m] = c
                 denom = lcm(denom, c.d)
-        pk = _fitting(_packing(n, order, _BITS),
-                      max((max(m, default=0) for m in clean), default=0))
+        pk = _packing(n, order)
         pack = pk.pack
         p = sorted(((*pack(m), (c.a * (denom // c.d), c.b * (denom // c.d)))
                     for m, c in clean.items()), reverse=True)
@@ -496,7 +468,7 @@ class Polynomial:
         else:
             c = gr(c)
             scale = (c.a, c.b, c.d)
-        pk = _packing(len(varset), order, _BITS)
+        pk = _packing(len(varset), order)
         if not c:
             return _wrap(varset, pk, [], _UNIT)
         return _wrap(varset, pk, [(0, 0, (1, 0))], scale)
@@ -505,20 +477,20 @@ class Polynomial:
     def variable(varset: VarSet, name: str,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         k = varset.index(name)
-        pk = _packing(len(varset), order, _BITS)
+        pk = _packing(len(varset), order)
         return _wrap(varset, pk, [(pk.weights[k], 1 << pk.shifts[k], (1, 0))], _UNIT)
 
     # -- the packed form ------------------------------------------------
 
     def _packed(self, pk: _Packing) -> Tuple[_TermList, _Scale]:
         """(list, scale) of self with its terms packed by pk, a packing of
-        the same ring; raises _FieldOverflow if an exponent outgrows pk."""
+        the same ring.  Packings are compared by value: after `_packing`'s
+        cache is cleared, an equal packing may be another object."""
         own = self._pk
-        if pk is own:
+        if pk is own or pk.order == own.order or not self._list:
             return self._list, self._scale
-        p = _to_packing(self._list, own, pk)
-        if pk.order == own.order or not p:
-            return p, self._scale
+        unpack, pack = own.unpack, pk.pack
+        p = sorted(((*pack(unpack(m)), c) for _, m, c in self._list), reverse=True)
         return _normalized(p, *self._scale)    # a new lead
 
     def _common(self, other: "Polynomial"):
@@ -528,9 +500,7 @@ class Polynomial:
         pk = self._pk
         if other._pk is pk:
             return pk, self._list, self._scale, other._list, other._scale
-        if other._pk.bits > pk.bits:
-            pk = _packing(pk.n, pk.order, other._pk.bits)
-        return (pk, *self._packed(pk), *other._packed(pk))
+        return (pk, self._list, self._scale, *other._packed(pk))
 
     # -- basic queries -------------------------------------------------
 
@@ -599,7 +569,7 @@ class Polynomial:
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.order:
             return self
-        pk = _packing(len(self.varset), order, self._pk.bits)
+        pk = _packing(len(self.varset), order)
         return _wrap(self.varset, pk, *self._packed(pk))
 
     # -- arithmetic ----------------------------------------------------
@@ -652,7 +622,7 @@ class Polynomial:
         pk, p, (a1, b1, d1), q, (a2, b2, d2) = self._common(other)
         if not p or not q:
             return Polynomial.zero(self.varset, self.order)
-        pk, pq = _product(p, q, pk)
+        pq = _product(p, q, pk)
         scale = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
         if len(p) == 1 or len(q) == 1:    # x^u times a primitive list is one
             return _wrap(self.varset, pk, pq, _lowest(*scale))
@@ -688,12 +658,10 @@ class Polynomial:
         if self.varset != other.varset:
             return False
         other = other.with_order(self.order)
-        return (self._pk.bits == other._pk.bits and self._scale == other._scale
-                and self._list == other._list)
+        return self._scale == other._scale and self._list == other._list
 
     def __hash__(self):
-        # the packed monomials depend on the field width alone, which is
-        # the narrowest that holds the exponents: not on the order
+        # the packed monomials do not depend on the order
         try:
             return self._hash
         except AttributeError:
@@ -748,11 +716,13 @@ def substitute(f: Polynomial,
 
     An assigned variable goes to its value, a polynomial on `target` or a
     scalar; every other variable must exist (by name) in `target` and
-    goes to itself.  `target` defaults to f's VarSet and `order` to f's
-    order.
+    goes to itself.  Every assigned name must be a variable of f.
+    `target` defaults to f's VarSet and `order` to f's order.
 
-    When every image is a single term (c times a monomial, or zero) each
-    term of f maps to one term; otherwise the images are expanded.
+    When every image is a single term (c times a monomial, or zero) and
+    a bound on the image exponents fits the fields, each term of f maps
+    to one term; otherwise the images are expanded, and an image exponent
+    past the fields raises ExponentOverflowError.
     """
     target = f.varset if target is None else target
     order = f.order if order is None else order
@@ -760,8 +730,10 @@ def substitute(f: Polynomial,
     # the target variable it stays
     images: list = []
     expand = False    # whether an image has more than one term
+    assigned = 0
     for name in f.varset.names:
         if name in assignment:
+            assigned += 1
             v = assignment[name]
             if not isinstance(v, Polynomial):
                 v = gr(v)
@@ -775,6 +747,9 @@ def substitute(f: Polynomial,
             raise VarSetMismatchError(
                 f"variable {name!r} neither assigned nor present in target")
         images.append(v)
+    if assigned != len(assignment):
+        unknown = sorted(n for n in assignment if n not in f.varset)
+        raise VarSetMismatchError(f"assigned names not in the VarSet: {unknown}")
 
     fpk = f._pk
     unpack = fpk.unpack
@@ -794,13 +769,18 @@ def substitute(f: Polynomial,
                 top |= t[1]
                 kept.append(t)
         tops = unpack(top)
+        # a bound on the image exponents: the monomials below are built
+        # with no check per term, so when a field could overflow the images
+        # are expanded instead, by products that check it
         bound = 0
         for e, v in zip(tops, images):
             if isinstance(v, str):
                 bound += e
             elif e and isinstance(v, Polynomial) and v._list:
                 bound += e * max(v._pk.unpack(v._list[0][1]), default=0)
-        pk = _fitting(_packing(n, order, _BITS), bound)
+        expand = bound > fpk.mask
+    if not expand:
+        pk = _packing(n, order)
         # per variable of f: the key and monomial of its image, and the
         # image coefficients other than 1, each the scale of its image
         key_of, mono_of, scaled = [0] * len(images), [0] * len(images), []
@@ -849,7 +829,7 @@ def substitute(f: Polynomial,
     polys = [v.with_order(order) if isinstance(v, Polynomial)
              else Polynomial.variable(target, v, order) if isinstance(v, str)
              else Polynomial.constant(target, v, order) for v in images]
-    one = _packing(n, order, _BITS)
+    one = _packing(n, order)
     pows: Dict[Tuple[int, int], Polynomial] = {}
     out = Polynomial.zero(target, order)
     for _, m, (a, b) in f._list:

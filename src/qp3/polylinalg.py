@@ -12,8 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, ZERO
 from .groebner import GroebnerLimits, Ideal, buchberger, limits_scope
 from .multipoly import (Monomial, Polynomial, VarSet, VarSetMismatchError,
-                        _FieldOverflow, _Packing, _TermList, _iadd, _packing,
-                        _poly, _product, _times, _widening)
+                        _TermList, _iadd, _packing, _poly, _product, _times)
 
 
 class PolyMatrix:
@@ -136,48 +135,40 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
     if k > min(m.rows, m.cols):
         raise IndexError("minor size exceeds matrix dimensions")
     denoms = [lcm(*(e._scale[2] for e in row)) for row in m.entries]
-    bits = max(e._pk.bits for row in m.entries for e in row)
-
-    def run(pk: _Packing):
-        # per column, (r, D_r * entry, -D_r * entry) for each nonzero entry
-        cols: List[List[Tuple[int, _TermList, _TermList]]] = [[] for _ in range(m.cols)]
-        for r, row in enumerate(m.entries):
-            for c, e in enumerate(row):
-                if not e.is_zero():
-                    p, (a, b, d) = e._packed(pk)
-                    f = denoms[r] // d
-                    p = _times(p, a * f, b * f)
-                    cols[c].append((r, p, _times(p, -1, 0)))
-        support = [sum(1 << r for r, _, _ in col) for col in cols]
-        by_cols = []
-        for chosen in combinations(range(m.cols), k):
-            left, used, taken = list(chosen), 0, []
-            while left:
-                c = min(left, key=lambda j: (support[j] & ~used).bit_count())
-                left.remove(c)
-                taken.append(c)
-                used |= support[c]
-            inversions = sum(a > b for a, b in combinations(taken, 2))
-            level: Dict[int, _TermList] = {0: [(0, 0, (1, 0))]}
-            for c in taken:
-                nxt: Dict[int, _TermList] = {}
-                for mask, val in level.items():
-                    for r, p, neg in cols[c]:
-                        bit = 1 << r
-                        if mask & bit:
-                            continue
-                        wide, contrib = _product(
-                            neg if (mask >> (r + 1)).bit_count() % 2 else p, val, pk)
-                        if wide is not pk:
-                            raise _FieldOverflow
-                        acc = nxt.get(mask | bit)
-                        nxt[mask | bit] = contrib if acc is None else _iadd(acc, contrib)
-                level = {mask: val for mask, val in nxt.items() if val}
-            by_cols.append((-1 if inversions % 2 else 1, level))
-        return pk, by_cols
-
-    order = m.entries[0][0].order
-    pk, by_cols = _widening(run, _packing(len(m.varset), order, bits))
+    pk = _packing(len(m.varset), m.entries[0][0].order)
+    # per column, (r, D_r * entry, -D_r * entry) for each nonzero entry
+    cols: List[List[Tuple[int, _TermList, _TermList]]] = [[] for _ in range(m.cols)]
+    for r, row in enumerate(m.entries):
+        for c, e in enumerate(row):
+            if not e.is_zero():
+                p, (a, b, d) = e._packed(pk)
+                f = denoms[r] // d
+                p = _times(p, a * f, b * f)
+                cols[c].append((r, p, _times(p, -1, 0)))
+    support = [sum(1 << r for r, _, _ in col) for col in cols]
+    by_cols = []
+    for chosen in combinations(range(m.cols), k):
+        left, used, taken = list(chosen), 0, []
+        while left:
+            c = min(left, key=lambda j: (support[j] & ~used).bit_count())
+            left.remove(c)
+            taken.append(c)
+            used |= support[c]
+        inversions = sum(a > b for a, b in combinations(taken, 2))
+        level: Dict[int, _TermList] = {0: [(0, 0, (1, 0))]}
+        for c in taken:
+            nxt: Dict[int, _TermList] = {}
+            for mask, val in level.items():
+                for r, p, neg in cols[c]:
+                    bit = 1 << r
+                    if mask & bit:
+                        continue
+                    contrib = _product(
+                        neg if (mask >> (r + 1)).bit_count() % 2 else p, val, pk)
+                    acc = nxt.get(mask | bit)
+                    nxt[mask | bit] = contrib if acc is None else _iadd(acc, contrib)
+            level = {mask: val for mask, val in nxt.items() if val}
+        by_cols.append((-1 if inversions % 2 else 1, level))
     out = []
     for rows in combinations(range(m.rows), k):
         mask = sum(1 << r for r in rows)

@@ -168,6 +168,46 @@ def test_resource_limit_exit(capsys):
     assert "resource limit" in err
 
 
+def test_exponent_overflow_exits_as_a_resource_limit(monkeypatch, capsys,
+                                                    fresh_caches):
+    # an exponent past the packed fields is a resource limit: exit 3 with
+    # the one message of that exit, no traceback
+    import qp3.point_scheme as ps
+    from qp3.multipoly import ExponentOverflowError
+
+    def overflow(*_):
+        raise ExponentOverflowError("exponent 40000 exceeds 32767")
+
+    monkeypatch.setattr(ps, "count_points", overflow)
+    code, out, err = run_cli(["--gamma", "5", "point-scheme"], capsys)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == "qp3: resource limit: exponent 40000 exceeds 32767\n"
+
+
+def test_engine_exponents_stay_far_below_the_packed_width(monkeypatch, capsys,
+                                                         fresh_caches):
+    # the fields are fixed at 15 bits, and every list the Groebner engine
+    # reduces against passes `_Packing.check`, which allows exponents up
+    # to 2^14 - 1; the paper's computations stay far below that
+    from qp3 import multipoly
+
+    largest = 0
+    check = multipoly._Packing.check
+
+    def recorded(pk, p):
+        nonlocal largest
+        for _, m, _ in p:
+            largest = max(largest, *pk.unpack(m))
+        return check(pk, p)
+
+    monkeypatch.setattr(multipoly._Packing, "check", recorded)
+    for gamma in ("1", "4", "3/2+i"):
+        for command in (["point-scheme"], ["line-scheme", "--verify"],
+                        ["lines-through", "--symbolic"]):
+            assert run_cli([f"--gamma={gamma}", *command], capsys)[0] == EXIT_OK
+    assert 0 < largest < 64
+
+
 def test_verification_failure_exit(monkeypatch, capsys, fresh_caches):
     # force a failing decomposition report to exercise the exit path; with
     # warm memos an earlier gamma = 1 answer would be read back instead

@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 
 from qp3.gaussian import GaussianRational, gr
-from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
-                           parse_poly, print_poly)
+from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
+                           Polynomial, VarSet, VarSetMismatchError, parse_poly,
+                           print_poly)
 from qp3 import groebner, multipoly
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           NotAUnitError, ResourceLimitError, buchberger,
@@ -331,7 +332,7 @@ def test_packed_monomials_match_their_tuple_definitions(order):
     # exponent a field stores and the largest a reducer may carry
     rng = random.Random(23)
     n = len(_FIVE)
-    pk = multipoly._packing(n, order, multipoly._BITS)
+    pk = multipoly._packing(n, order)
     top, half = pk.mask, pk.mask >> 1
 
     def vector(bound):
@@ -351,27 +352,40 @@ def test_packed_monomials_match_their_tuple_definitions(order):
         c, d = vector(half), vector(half)
         (kc, mc), (kd, md) = pk.pack(c), pk.pack(d)
         assert pk.pack(tuple(x + y for x, y in zip(c, d))) == (kc + kd, mc + md)
-    with pytest.raises(multipoly._FieldOverflow):
+    with pytest.raises(ExponentOverflowError):
         pk.pack((0, top + 1, 0, 0, 0))
-    with pytest.raises(multipoly._FieldOverflow):
+    with pytest.raises(ExponentOverflowError):
         pk.check([pk.pack((0, 0, half + 1, 0, 0)) + ((1, 0),)])
 
 
-def test_exponents_beyond_the_packed_width_widen_the_fields(fresh_caches):
-    # y - x^3 reduces to y - z^36000 modulo x - z^12000: the reduction
-    # outgrows the starting fields, which widen; the basis stays exact
+def test_exponents_beyond_the_packed_width_are_refused(fresh_caches):
+    # y - x^3 reduces to y - z^36000 modulo x - z^12000: a multiplier of
+    # the reduction passes 2^14 - 1, the most the fixed fields allow, so
+    # the basis is refused as a resource limit
+    assert groebner.ResourceLimitError is multipoly.ResourceLimitError
+    assert issubclass(ExponentOverflowError, ResourceLimitError)
     lex = MonomialOrder.lex()
     vs = VarSet(["y", "x", "z"])
-    assert 12000 < 2 ** (multipoly._BITS - 1) <= 24000 < 2 ** multipoly._BITS < 36000
+    assert 12000 < 2 ** 14 <= 24000 < 2 ** 15 < 36000
     I = Ideal([parse_poly("y - x^3", vs, order=lex),
                parse_poly("x - z^12000", vs, order=lex)], lex)
-    G = buchberger(I)
-    assert [print_poly(p) for p in G] == ["y - z^36000", "x - z^12000"]
-    assert G._packing.bits > multipoly._BITS
-    # an input exponent beyond even the widened fields
-    huge = 2 ** (2 * multipoly._BITS) + 1
-    f = parse_poly(f"x*z^{huge}", vs, order=lex)
-    assert print_poly(normal_form(f, G)) == f"z^{huge + 12000}"
+    with pytest.raises(ResourceLimitError):
+        buchberger(I)
+    # modulo x - z^12000 alone, x*z^10000 shifts the reducer by z^10000,
+    # which fits; x*z^30000 would shift it by z^30000, which does not
+    G = buchberger(Ideal([parse_poly("x - z^12000", vs, order=lex)], lex))
+    f = parse_poly("x*z^10000", vs, order=lex)
+    assert print_poly(normal_form(f, G)) == "z^22000"
+    with pytest.raises(ExponentOverflowError):
+        normal_form(parse_poly("x*z^30000", vs, order=lex), G)
+
+
+def test_eliminate_refuses_kept_names_that_are_not_variables():
+    vs = VarSet(["x", "y"])
+    I = Ideal([parse_poly("x - y", vs)])
+    with pytest.raises(VarSetMismatchError):
+        eliminate(I, ["x", "q"])
+    assert [print_poly(g) for g in eliminate(I, ["x", "y"]).generators] == ["x - y"]
 
 
 def _assert_spolys_reduce(G):

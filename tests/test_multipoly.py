@@ -3,10 +3,10 @@ import random
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import (MAX_NESTING, MonomialOrder, PolyParseError,
-                           Polynomial, UnknownVariableError, VarSet,
-                           VarSetMismatchError, height_bound, parse_poly,
-                           print_poly, substitute)
+from qp3.multipoly import (MAX_NESTING, ExponentOverflowError, MonomialOrder,
+                           PolyParseError, Polynomial, UnknownVariableError,
+                           VarSet, VarSetMismatchError, height_bound,
+                           parse_poly, print_poly, substitute)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, UV_VARS, X_VARS
 from qp3.fixtures import load_fixtures
 
@@ -250,25 +250,38 @@ def test_height_bound_of_a_zeroth_power_bounds_its_base():
     assert height_bound("(2^100)^0") == height_bound("2^100")
 
 
-def test_polynomial_exponents_beyond_the_packed_width_stay_exact():
-    # products and substitute images whose exponents pass 2^15 widen the
-    # packed fields; a result whose exponents fit again is stored narrow,
-    # so equal polynomials compare and hash alike
-    from qp3 import multipoly
-
+def test_polynomial_exponents_beyond_the_packed_width_are_refused():
+    # the fields are fixed at 15 bits: a product, power, parsed text or
+    # substitute image with an exponent past 2^15 - 1 is refused
     vs = VarSet(["x", "y"])
     x = parse_poly("x^20000", vs)
     assert 2 ** 15 > 20000 and 40000 > 2 ** 15
-    assert print_poly(x * x) == "x^40000"
-    assert (x * x)._pk.bits > multipoly._BITS
-    assert print_poly((x + 1) ** 2) == "x^40000 + 2*x^20000 + 1"
-    img = substitute(parse_poly("x^3 - x*y", vs), {"x": parse_poly("y^20000", vs)})
-    assert print_poly(img) == "y^60000 - y^20001"
-    assert print_poly(img.derivative("y")) == "60000*y^59999 - 20001*y^20000"
-    wide = parse_poly("x^40000 + y", vs)
-    assert wide._pk.bits > multipoly._BITS
-    narrow = wide - parse_poly("x^40000", vs)
-    assert narrow._pk.bits == multipoly._BITS
-    assert narrow == parse_poly("y", vs) and hash(narrow) == hash(parse_poly("y", vs))
-    lex = MonomialOrder.lex()
-    assert wide.with_order(lex) == wide and hash(wide.with_order(lex)) == hash(wide)
+    cubic = parse_poly("x^3 - x*y", vs)
+    for make in (lambda: x * x, lambda: (x + 1) ** 2,
+                 lambda: parse_poly("x^40000", vs),
+                 lambda: substitute(cubic, {"x": parse_poly("y^20000", vs)})):
+        with pytest.raises(ExponentOverflowError):
+            make()
+    # the or of a factor's exponents may pass the fields while the
+    # product's exponents do not: that product is exact
+    near = parse_poly("x^16384 + x^16383", vs) * parse_poly("x^16383 + y", vs)
+    assert print_poly(near) == "x^32767 + x^32766 + x^16384*y + x^16383*y"
+    # a lift, a renaming and a map that sends two variables to one are
+    # exact when their exponents fit, though a bound on them does not
+    big = parse_poly("x^20000*y^20000 + 1", vs)
+    assert print_poly(substitute(big, {}, target=VarSet(["y", "x", "t"]))) == \
+        "y^20000*x^20000 + 1"
+    assert substitute(big, {"x": parse_poly("y", vs), "y": parse_poly("x", vs)}) == big
+    both = parse_poly("x^20000 + y^20000", vs)
+    assert print_poly(substitute(both, {"x": parse_poly("y", vs)})) == "2*y^20000"
+
+
+def test_substitute_refuses_names_that_are_not_variables():
+    # a misspelt name would otherwise leave its variable unmapped
+    vs = VarSet(["x", "y"])
+    f = parse_poly("x + y", vs)
+    for assignment in ({"zz": 1}, {"x": 2, "zz": 1},
+                       {"zz": parse_poly("x*y + 1", vs)}):
+        with pytest.raises(VarSetMismatchError):
+            substitute(f, assignment)
+    assert print_poly(substitute(f, {"x": 2})) == "y + 2"

@@ -6,8 +6,8 @@ import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.groebner import GroebnerLimits, limits_scope
-from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
-                           VarSetMismatchError, parse_poly)
+from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
+                           Polynomial, VarSet, VarSetMismatchError, parse_poly)
 from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace,
                             poly_exact_div, rank, row_echelon, solve)
 from qp3.quadratic_algebra import X_VARS, make_A, relation_matrix
@@ -336,25 +336,18 @@ def test_all_minors_odd_greedy_column_order():
     assert not all_minors(m, 3)[0].is_zero()
 
 
-def test_all_minors_widen_the_fields_for_large_exponents(monkeypatch):
-    # exponents above 2^14 fit the first packing, but their products do
-    # not: the dynamic program runs again on wider fields
-    from qp3 import polylinalg
-
-    bits = []
-    product = polylinalg._product
-
-    def recorded(p, q, pk):
-        bits.append(pk.bits)
-        return product(p, q, pk)
-
-    monkeypatch.setattr(polylinalg, "_product", recorded)
+def test_all_minors_refuse_exponents_beyond_the_packed_width():
+    # entries with exponents above 2^14 fit the fixed fields, and so do
+    # their products up to 2^15 - 1; a product past that is refused
     vs = VarSet(["x", "y"])
+
+    def matrix(a, b):
+        return PolyMatrix([[parse_poly(t, vs) for t in row] for row in (
+            (f"x^{a} + y", "2*y"), ("i", f"(1/3)*x^{b}"))])
+
     big = 2 ** 14 + 3
-    m = PolyMatrix([[parse_poly(t, vs) for t in row] for row in (
-        (f"x^{big} + y", f"2*y^{big}", "x"),
-        (f"(1/3)*x^{big}*y", "i", f"x^{big} - y^{big}"),
-        ("x - 1", f"(1/5)*y^{big}", f"x^{big}"))])
-    assert all_minors(m, 3) == [m.det_bareiss()]
-    assert all_minors(m, 2) == _bareiss_minors(m, 2)
-    assert bits[0] < max(bits)
+    with pytest.raises(ExponentOverflowError):
+        all_minors(matrix(big, big), 2)
+    fits = matrix(2 ** 14, 2 ** 14 - 1)
+    assert all_minors(fits, 2) == [fits.det_bareiss()]
+    assert fits.det().degree() == 2 ** 15 - 1
