@@ -32,14 +32,14 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache, wraps
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
                         Polynomial, ResourceLimitError, VarSet, VarSetMismatchError,
                         _BITS, _Packing, _TermList, _iadd, _ishift, _packing,
-                        _primitive, _poly, _wrap, substitute)
+                        _primitive, _poly, _times, _wrap, substitute)
 
 
 class NonHomogeneousError(ValueError):
@@ -442,30 +442,61 @@ def ideal_member(f: Polynomial, I) -> bool:
     return normal_form(f, G).is_zero()
 
 
-def _fresh_name(varset: VarSet, stem: str) -> str:
-    name = stem
-    k = 0
-    while name in varset:
+def _append(vs: VarSet, polys: Sequence[Polynomial], stem: str,
+            elim: bool = False) -> Tuple[Polynomial, List[Polynomial]]:
+    """(t, lifts): a fresh variable t appended last to vs, and polys lifted
+    there, under DEGREVLEX, or under the order that eliminates t if elim.
+
+    A packed monomial on n variables is the same int on n + 1, since the
+    first n fields keep their shifts, so no exponent is packed anew.  Both
+    orders restrict to DEGREVLEX on the t-free monomials, so a DEGREVLEX
+    list keeps its order and lead; only its keys are recomputed, and not at
+    all where the packings' weights agree, as the elimination order's do.
+    """
+    name, k = stem, 0
+    while name in vs:
         k += 1
         name = f"{stem}{k}"
-    return name
-
-
-def extend_ring(polys: Sequence[Polynomial], extra: str):
-    """Lift polynomials to a VarSet with one fresh variable appended."""
-    vs = polys[0].varset
-    name = _fresh_name(vs, extra)
     big = vs.extend([name])
-    lifted = [substitute(p, {}, target=big, order=DEGREVLEX) for p in polys]
-    return big, name, lifted
+    t = Polynomial.variable(big, name, MonomialOrder.elimination(big, [name])
+                            if elim else DEGREVLEX)
+    small, pk = _packing(len(vs), DEGREVLEX), t._pk
+    same = pk.weights[:-1] == small.weights
+    lifts = []
+    for f in polys:
+        p, scale = f._packed(small)
+        lifts.append(_wrap(big, pk, p if same else [(pk.key(m), m, c) for _, m, c in p],
+                           scale))
+    return t, lifts
 
 
-def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial,
-                  stem: str) -> List[Polynomial]:
-    """lift(polys) + [1 - t f], with t a fresh variable appended last."""
-    big, name, lifted = extend_ring(list(polys) + [f], stem)
-    t = Polynomial.variable(big, name)
-    return lifted[:-1] + [Polynomial.constant(big, 1) - t * lifted[-1]]
+def _drop(G: GroebnerBasis, keep: Sequence[str]) -> Ideal:
+    """The elements of G free of the variables not in `keep`, on the ring of
+    the kept ones under DEGREVLEX.  G's order is the block order that
+    eliminates the others, so an element whose lead is free of them is free
+    of them and keeps its lead and sort order; where the kept variables
+    come first and the weights agree, as with t appended, its list stays."""
+    vs, big = G.varset, G._packing
+    idx = [k for k, name in enumerate(vs.names) if name in keep]
+    small = VarSet([vs.names[k] for k in idx])
+    pk = _packing(len(small), DEGREVLEX)
+    gone = sum(big.mask << s for k, s in enumerate(big.shifts) if k not in idx)
+    same = idx == list(range(len(idx))) and pk.weights == big.weights[:len(idx)]
+    out = []
+    for p in reversed(G._lists):
+        if not p[0][1] & gone:
+            if not same:
+                p = [(*pk.pack(tuple(map(big.unpack(m).__getitem__, idx))), c)
+                     for _, m, c in p]
+            out.append(_wrap(small, pk, p, (1, 0, p[0][2][0])))
+    return Ideal(out, DEGREVLEX, varset=small)
+
+
+def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial, stem: str,
+                  elim: bool = False) -> List[Polynomial]:
+    """polys + [1 - t f], lifted by `_append` with t appended last."""
+    t, lifts = _append(f.varset, list(polys) + [f], stem, elim)
+    return lifts[:-1] + [1 - t * lifts[-1]]
 
 
 _MAX_POWER = 3    # powers of f tried before Rabinowitsch
@@ -480,12 +511,12 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     and r_(k+1) = NF(f * r_k, G), which is NF(f^(k+1), G), the answer is
     True as soon as some r_k is zero, k <= _MAX_POWER; k = 1 is plain
     membership.  Otherwise Rabinowitsch's trick decides: f is in rad(I)
-    iff 1 is in I + <1 - t f>.  That basis is computed from
-    lift(G) + [1 - t f] with lift(G) as a finished prefix.  This is sound
-    because t is appended last: DEGREVLEX on the extended ring restricts
-    to DEGREVLEX on the old one, so lift(G) is still a reduced basis
-    there, and only pairs that involve 1 - t f or an element derived from
-    it need to be formed.
+    iff 1 is in I + <1 - t f>.  That basis is computed from G + [1 - t f],
+    with t appended last by `_append` and G as a finished prefix.  This is
+    sound because DEGREVLEX on the extended ring restricts to DEGREVLEX on
+    the old one, so G's lists, their keys recomputed, are still a reduced
+    basis there, and only pairs that involve 1 - t f or an element derived
+    from it need to be formed.
     """
     if f.is_zero():
         return True
@@ -516,7 +547,8 @@ def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     """Generators of I intersected with the subring on the kept variables,
-    each of which must be a variable of I."""
+    each of which must be a variable of I: the reduced basis of I under the
+    order that eliminates the others, its elements free of them (`_drop`)."""
     vs = I.varset
     unknown = [n for n in keep if n not in vs]
     if unknown:
@@ -524,37 +556,41 @@ def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     drop = [n for n in vs.names if n not in keep]
     if not drop:
         return I
-    G = buchberger(Ideal(I.generators, MonomialOrder.elimination(vs, drop)))
-    small = VarSet([n for n in vs.names if n in keep])
-    zero_drop = {n: 0 for n in drop}
-    out = [substitute(g, zero_drop, target=small, order=DEGREVLEX) for g in G
-           if all(g.degree_in(n) == 0 for n in drop)]
-    return Ideal(out, DEGREVLEX, varset=small)
+    return _drop(buchberger(Ideal(I.generators, MonomialOrder.elimination(vs, drop),
+                                  varset=vs)), keep)
 
 
-def _eliminate_t(gens: List[Polynomial], I: Ideal) -> Ideal:
-    """Eliminate the appended variable t from gens, back on I's ring and order."""
-    E = eliminate(Ideal(gens), I.varset.names)
-    return Ideal([g.with_order(I.order) for g in E.generators], I.order,
-                 varset=I.varset)
+def _eliminate_t(E: Ideal, I: Ideal) -> Ideal:
+    """Eliminate the appended variable t from E, back on I's ring and order."""
+    return Ideal([g.with_order(I.order) for g in eliminate(E, I.varset.names).generators],
+                 I.order, varset=I.varset)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Ideal intersection via t*I + (1-t)*J and elimination of t."""
+    """I intersect J, as t*I + (1 - t)*J intersected with the base ring (Cox,
+    Little, O'Shea, Ideals, Varieties, and Algorithms, 4.3).
+
+    The generators are lifted by `_append` under the order that eliminates
+    t, which puts every term of t*g above every term of g: t*g is g's list
+    shifted by t, (1 - t)*g is -(t*g followed by -g), and nothing is sorted.
+    """
     if I.varset != J.varset:
         raise VarSetMismatchError("ideals on different VarSets")
-    polys = list(I.generators) + list(J.generators)
-    big, name, lifted = extend_ring(polys, "t_int")
-    t = Polynomial.variable(big, name)
-    one_minus_t = Polynomial.constant(big, 1) - t
-    n_i = len(I.generators)
-    gens = [t * p for p in lifted[:n_i]] + [one_minus_t * p for p in lifted[n_i:]]
-    return _eliminate_t(gens, I)
+    t, lifts = _append(I.varset, I.generators + J.generators, "t_int", elim=True)
+    (kt, mt, _), = t._list
+    gens = []
+    for k, g in enumerate(lifts):
+        p, (a, b, d) = _ishift(g._list, kt, mt, (1, 0)), g._scale
+        gens.append(_wrap(t.varset, t._pk, p, (a, b, d)) if k < len(I.generators)
+                    else _wrap(t.varset, t._pk, p + _times(g._list, -1, 0), (-a, -b, d)))
+    return _eliminate_t(Ideal(gens, t.order, varset=t.varset), I)
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring."""
-    return _eliminate_t(_rabinowitsch(I.generators, f, "t_sat"), I)
+    """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring,
+    with t appended by `_append` under the order that eliminates it."""
+    gens = _rabinowitsch(I.generators, f, "t_sat", elim=True)
+    return _eliminate_t(Ideal(gens), I)
 
 
 def ideals_equal(I: Ideal, J: Ideal) -> bool:
@@ -570,40 +606,13 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _divides(m: Monomial, n: Monomial) -> bool:
-    for a, b in zip(m, n):
-        if a > b:
-            return False
-    return True
-
-
 def _minimalize(gens: Sequence[Monomial]) -> List[Monomial]:
     gens = sorted(set(gens), key=lambda m: (sum(m), m))
     out: List[Monomial] = []
     for m in gens:
-        if not any(_divides(g, m) for g in out):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
             out.append(m)
     return out
-
-
-def _poly_add(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = max(len(p), len(q))
-    return tuple((p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0)
-                 for k in range(n))
-
-
-def _poly_mul(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                if qb:
-                    out[a + b] += pa * qb
-    return tuple(out)
-
-
-def _poly_shift(p: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    return (0,) * k + p
 
 
 def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
@@ -619,33 +628,23 @@ def _numerator(gens: Tuple[Monomial, ...], nvars: int) -> Tuple[int, ...]:
     if any(sum(m) == 0 for m in gens):
         return (0,)
     supports = [frozenset(k for k, e in enumerate(m) if e) for m in gens]
-    disjoint = True
-    seen: set = set()
-    for s in supports:
-        if seen & s:
-            disjoint = False
-            break
-        seen |= s
-    if disjoint:
+    if sum(map(len, supports)) == len(frozenset().union(*supports)):
+        # pairwise coprime: HN is the product of the factors 1 - t^deg(m)
         result: Tuple[int, ...] = (1,)
         for m in gens:
-            factor = [0] * (sum(m) + 1)
-            factor[0] = 1
-            factor[sum(m)] = -1
-            result = _poly_mul(result, tuple(factor))
+            pad = (0,) * sum(m)
+            result = tuple(a - b for a, b in zip(result + pad, pad + result))
         return result
-    counts = [0] * nvars
-    for m in gens:
-        for k, e in enumerate(m):
-            if e:
-                counts[k] += 1
+    counts = [sum(1 for m in gens if m[k]) for k in range(nvars)]
     v = max(range(nvars), key=lambda k: (counts[k], -k))
     pivot = tuple(1 if k == v else 0 for k in range(nvars))
     plus = [m for m in gens if m[v] == 0] + [pivot]
     colon = [tuple(max(e - 1, 0) if k == v else e for k, e in enumerate(m))
              for m in gens]
-    return _poly_add(hilbert_numerator(plus, nvars),
-                     _poly_shift(hilbert_numerator(colon, nvars), 1))
+    # HN(gens) = HN(plus) + t * HN(colon)
+    return tuple(map(sum, zip_longest(hilbert_numerator(plus, nvars),
+                                      (0,) + hilbert_numerator(colon, nvars),
+                                      fillvalue=0)))
 
 
 def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
@@ -705,15 +704,15 @@ def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
     If u is a unit modulo I : u^infinity, with u v = 1 there, the basis of
     I + <1 - t u> that eliminates t holds t - v.  v inverts u modulo I
     only if u v - 1 reduces to zero modulo G (x modulo <x^2 - x> gives
-    t - 1), so this is checked; else NotAUnitError.  A DEGREVLEX G is a
-    finished prefix, as in `radical_member`: the order restricts to it.
-    That basis is dropped; the inverse is cached.
+    t - 1), so this is checked; else NotAUnitError.  G + [1 - t u] is
+    lifted by `_append` under the order that eliminates t, which restricts
+    to DEGREVLEX: a DEGREVLEX G is a finished prefix, as in
+    `radical_member`.  That basis is dropped; the inverse is cached.
     """
-    gens = _rabinowitsch(G.basis, u, "t_inv")
+    gens = _rabinowitsch(G.basis, u, "t_inv", elim=True)
     big = gens[-1].varset
     t = big.names[-1]
-    E = _buchberger(Ideal(gens, MonomialOrder.elimination(big, [t])),
-                    len(G) if G.order == DEGREVLEX else 0)
+    E = _buchberger(Ideal(gens), len(G) if G.order == DEGREVLEX else 0)
     for p, m in zip(E.basis, E.leading_monomials()):
         if m == big.var_monomial(t):    # p = t - v, so -p at t = 0 is v
             inv = normal_form(substitute(-p, {t: 0}, target=G.varset,
