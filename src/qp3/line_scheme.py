@@ -422,14 +422,18 @@ class DecompositionReport(NamedTuple):
 
 
 def components_intersection(C: ComponentCatalog) -> Ideal:
-    """The intersection of the component ideals, folded as a balanced tree:
-    adjacent pairs in catalog order, an odd one carried up a level.  Its
-    generators are the reduced basis of the intersection that `intersect`
-    returns, which does not depend on how the fold is bracketed."""
+    """The intersection of the component ideals, folded ψ1 partners first
+    (the pairs `psi1_on_pluecker` swaps): each level intersects adjacent
+    ideals in pairs counted from the end of the catalog, and carries an odd
+    first one up.  Level one is L1, L2∩L3, L4∩L5 and L6a∩L6b, or at γ² = 16
+    L1a∩L1b and the same three pairs.  Its generators are the reduced basis
+    of the intersection that `intersect` returns, which does not depend on
+    the bracketing."""
     level = [comp.ideal for comp in C]
     while len(level) > 1:
-        level = [intersect(*level[k:k + 2]) if k + 1 < len(level) else level[k]
-                 for k in range(0, len(level), 2)]
+        odd = len(level) % 2
+        level = level[:odd] + [intersect(*level[k:k + 2])
+                               for k in range(odd, len(level), 2)]
     return level[0]
 
 

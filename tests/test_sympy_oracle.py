@@ -111,7 +111,8 @@ def _sympy_intersection(I, J, t, symbols):
 
 @pytest.mark.parametrize("gamma", GAMMAS, ids=IDS)
 def test_components_intersection_matches_sympy(gamma):
-    # qp3 folds the intersection as a balanced tree, sympy as a chain
+    # qp3 folds the intersection psi1 partners first (L2 with L3, L4 with
+    # L5, L6a with L6b, and L1a with L1b at gamma = 4), sympy as a chain
     # from the left; the reduced basis of the intersection is unique
     names = M_VARS.names
     symbols = sympy.symbols(names)
