@@ -196,7 +196,7 @@ class _Packing:
     n iff ((n | guard) - m) & guard == guard: a field of n below that of m
     borrows its own guard bit, and no borrow crosses a field.  `pack`,
     `check` and every product refuse an exponent past these bounds with
-    ExponentOverflowError.
+    ExponentOverflowError, and `pack` a negative one with ValueError.
 
     The order key is the sum of e_k * weights[k].  weights[k] packs column
     k of the rows of `MonomialOrder.key`, one row per digit in base
@@ -224,8 +224,11 @@ class _Packing:
                                  for j in range(rows)) for c in cols)
 
     def pack(self, m: Monomial) -> Tuple[int, int]:
-        """(key, mono) of an exponent tuple."""
-        if m and max(m) > self.mask:
+        """(key, mono) of an exponent tuple; a negative exponent would borrow
+        from the next field, so it raises ValueError."""
+        if m and not 0 <= min(m) <= max(m) <= self.mask:
+            if min(m) < 0:
+                raise ValueError(f"negative exponent {min(m)}")
             raise ExponentOverflowError(f"exponent {max(m)} exceeds {self.mask}")
         return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
 

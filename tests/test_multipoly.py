@@ -276,6 +276,19 @@ def test_polynomial_exponents_beyond_the_packed_width_are_refused():
     assert print_poly(substitute(both, {"x": parse_poly("y", vs)})) == "2*y^20000"
 
 
+def test_negative_exponents_are_refused():
+    # a negative exponent would borrow from the neighbouring field: x^-1*y
+    # used to pack as x^32767*y^32767
+    vs = VarSet(["x", "y"])
+    for m in ((-1, 0), (0, -1), (-40000, 3)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(vs, {m: 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(vs, {(-1, 0): 1}, MonomialOrder.lex())
+    assert not isinstance(ValueError("x"), ExponentOverflowError)
+    assert print_poly(Polynomial(vs, {(0, 0): 1, (0, 1): 1})) == "y + 1"
+
+
 def test_substitute_refuses_names_that_are_not_variables():
     # a misspelt name would otherwise leave its variable unmapped
     vs = VarSet(["x", "y"])

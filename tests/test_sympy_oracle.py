@@ -15,10 +15,12 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from qp3.gaussian import gr  # noqa: E402
-from qp3.groebner import buchberger, normal_form  # noqa: E402
+from qp3.groebner import (Ideal, buchberger, eliminate, intersect,  # noqa: E402
+                          normal_form, saturate)
 from qp3.line_scheme import (component_catalog, components_intersection,  # noqa: E402
                              line_scheme_ideal)
-from qp3.multipoly import Polynomial, parse_poly, print_poly  # noqa: E402
+from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial,  # noqa: E402
+                           VarSet, parse_poly, print_poly)
 from qp3.quadratic_algebra import M_VARS, make_A  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
 from qp3.polylinalg import nullspace, row_echelon  # noqa: E402
@@ -125,6 +127,118 @@ def test_components_intersection_matches_sympy(gamma):
     theirs = sympy.groebner(inter, *symbols, order="grevlex", domain="QQ_I")
     mine = {print_poly(g) for g in buchberger(components_intersection(C))}
     assert {print_poly(_from_sympy(p, M_VARS).monic()) for p in theirs.polys} == mine
+
+
+# The "append t, eliminate t" step on small random ideals: `intersect`,
+# `saturate` and `eliminate` against sympy's lex basis of the same
+# construction, the eliminated variables first.  The reduced DEGREVLEX
+# bases of the two results are unique, so they must agree.
+
+T = sympy.Symbol("t_oracle")
+
+
+def _random_ideal(rng, vs, order=DEGREVLEX, size=None):
+    gens = []
+    while not gens:
+        for _ in range(size or rng.randint(1, 2)):
+            terms = {tuple(rng.randint(0, 2) for _ in vs.names):
+                     gr(rng.randint(-3, 3), rng.randint(-2, 2))
+                     for _ in range(rng.randint(1, 3))}
+            p = Polynomial(vs, terms, order)
+            if not p.is_zero():
+                gens.append(p)
+    return Ideal(gens, order)
+
+
+def _eliminated(exprs, first, rest):
+    # the elements free of `first` of the lex basis with `first` ahead
+    gb = sympy.groebner(exprs, *first, *rest, order="lex", domain="QQ_I")
+    return [p for p in gb.exprs if not p.has(*first)]
+
+
+def _assert_same_ideal(mine, theirs):
+    vs = mine.varset
+    expected = set()
+    if theirs:
+        gb = sympy.groebner(theirs, *sympy.symbols(vs.names), order="grevlex",
+                            domain="QQ_I")
+        expected = {print_poly(_from_sympy(p, vs).monic()) for p in gb.polys}
+    assert {print_poly(g) for g in buchberger(mine.with_order(DEGREVLEX))} == expected
+
+
+def _sympy_intersect(I, J):
+    names = I.varset.names
+    return _eliminated([T * _to_sympy(f, names) for f in I.generators]
+                       + [(1 - T) * _to_sympy(g, names) for g in J.generators],
+                       [T], sympy.symbols(names))
+
+
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "t_int", "y")],
+                         ids=["xyz", "holds-t_int"])
+def test_intersect_matches_sympy_on_random_ideals(names):
+    # a VarSet that already holds t_int makes the lift pick another name
+    rng = random.Random(401)
+    vs = VarSet(names)
+    for _ in range(8):
+        I, J = _random_ideal(rng, vs), _random_ideal(rng, vs)
+        inter = intersect(I, J)
+        assert inter == intersect(J, I)
+        _assert_same_ideal(inter, _sympy_intersect(I, J))
+
+
+def test_intersect_with_the_unit_ideal_and_itself_matches_sympy():
+    rng = random.Random(409)
+    vs = VarSet(["x", "y"])
+    one = Ideal([Polynomial.constant(vs, 1)])
+    for _ in range(6):
+        I = _random_ideal(rng, vs)
+        basis = buchberger(I).basis
+        for J in (one, I):
+            assert intersect(I, J).generators == intersect(J, I).generators == basis
+            _assert_same_ideal(intersect(I, J), _sympy_intersect(I, J))
+    assert [print_poly(g) for g in intersect(one, one).generators] == ["1"]
+
+
+def test_saturate_and_eliminate_match_sympy_on_random_ideals():
+    # kept variables in front, in the back and around a dropped one
+    rng = random.Random(419)
+    names = ("x", "y", "z")
+    vs = VarSet(names)
+    proper = 0
+    for _ in range(8):
+        I = _random_ideal(rng, vs)
+        gens = [_to_sympy(g, names) for g in I.generators]
+        f = _random_ideal(rng, vs).generators[0]
+        _assert_same_ideal(saturate(I, f), _eliminated(
+            gens + [1 - T * _to_sympy(f, names)], [T], sympy.symbols(names)))
+        K = _random_ideal(rng, vs, size=2)
+        for keep in (["x", "y"], ["y", "z"], ["x", "z"], ["z"]):
+            drop = [n for n in names if n not in keep]
+            E = eliminate(K, keep)
+            proper += [print_poly(g) for g in E.generators] not in ([], ["1"])
+            _assert_same_ideal(E, _eliminated([_to_sympy(g, names) for g in K.generators],
+                                              sympy.symbols(drop), sympy.symbols(keep)))
+    assert proper >= 12
+
+
+def test_elimination_of_lex_ordered_ideals_matches_sympy():
+    # a lex input is repacked into DEGREVLEX before t is appended, and the
+    # result comes back in lex
+    rng = random.Random(421)
+    lex = MonomialOrder.lex()
+    names = ("x", "y", "z")
+    vs = VarSet(names)
+    for _ in range(6):
+        I, J = _random_ideal(rng, vs, lex), _random_ideal(rng, vs, lex)
+        f = _random_ideal(rng, vs, lex).generators[0]
+        inter, sat = intersect(I, J), saturate(I, f)
+        for result in (inter, sat):
+            assert result.order == lex
+            assert all(g.order == lex for g in result.generators)
+        _assert_same_ideal(inter, _sympy_intersect(I, J))
+        _assert_same_ideal(sat, _eliminated(
+            [_to_sympy(g, names) for g in I.generators] + [1 - T * _to_sympy(f, names)],
+            [T], sympy.symbols(names)))
 
 
 # Row reduction: qp3 reads a scalar matrix's rows as linear forms and takes
