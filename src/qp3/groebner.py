@@ -589,8 +589,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring,
     with t appended by `_append` under the order that eliminates it."""
-    gens = _rabinowitsch(I.generators, f, "t_sat", elim=True)
-    return _eliminate_t(Ideal(gens), I)
+    return _eliminate_t(Ideal(_rabinowitsch(I.generators, f, "t_sat", elim=True)), I)
 
 
 def ideals_equal(I: Ideal, J: Ideal) -> bool:

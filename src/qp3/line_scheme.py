@@ -423,17 +423,14 @@ class DecompositionReport(NamedTuple):
 
 def components_intersection(C: ComponentCatalog) -> Ideal:
     """The intersection of the component ideals, folded ψ1 partners first
-    (the pairs `psi1_on_pluecker` swaps): each level intersects adjacent
-    ideals in pairs counted from the end of the catalog, and carries an odd
-    first one up.  Level one is L1, L2∩L3, L4∩L5 and L6a∩L6b, or at γ² = 16
-    L1a∩L1b and the same three pairs.  Its generators are the reduced basis
-    of the intersection that `intersect` returns, which does not depend on
-    the bracketing."""
+    (the pairs `psi1_on_pluecker` swaps): adjacent pairs counted from the end
+    of the catalog, an odd first one carried up, so level one is L1, L2∩L3,
+    L4∩L5, L6a∩L6b (L1a∩L1b at γ² = 16).  Its generators are the reduced
+    basis that `intersect` returns, which does not depend on the bracketing."""
     level = [comp.ideal for comp in C]
     while len(level) > 1:
         odd = len(level) % 2
-        level = level[:odd] + [intersect(*level[k:k + 2])
-                               for k in range(odd, len(level), 2)]
+        level = level[:odd] + [intersect(*level[k:k + 2]) for k in range(odd, len(level), 2)]
     return level[0]
 
 

@@ -224,12 +224,10 @@ class _Packing:
                                  for j in range(rows)) for c in cols)
 
     def pack(self, m: Monomial) -> Tuple[int, int]:
-        """(key, mono) of an exponent tuple; a negative exponent would borrow
-        from the next field, so it raises ValueError."""
-        if m and not 0 <= min(m) <= max(m) <= self.mask:
-            if min(m) < 0:
-                raise ValueError(f"negative exponent {min(m)}")
-            raise ExponentOverflowError(f"exponent {max(m)} exceeds {self.mask}")
+        """(key, mono) of an exponent tuple."""
+        if m and not 0 <= min(m) <= max(m) <= self.mask:    # a negative one would borrow
+            raise (ValueError(f"negative exponent {min(m)}") if min(m) < 0 else
+                   ExponentOverflowError(f"exponent {max(m)} exceeds {self.mask}"))
         return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts))
 
     def unpack(self, mono: int) -> Monomial:
