@@ -419,6 +419,14 @@ def _poly(varset: VarSet, pk: _Packing, p: _TermList, a: int = 1, b: int = 0,
     return _wrap(varset, pk, *_normalized(p, a, b, d), obj)
 
 
+def _constant(c: Coefficient) -> Tuple[_TermList, _Scale]:
+    """(list, scale) of the constant c, on any packing."""
+    if not isinstance(c, int):
+        c = gr(c)
+        return ([(0, 0, (1, 0))], (c.a, c.b, c.d)) if c else ([], _UNIT)
+    return ([(0, 0, (1, 0))], (c, 0, 1)) if c else ([], _UNIT)
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q(i) on a fixed VarSet.
 
@@ -464,15 +472,7 @@ class Polynomial:
     @staticmethod
     def constant(varset: VarSet, c: Coefficient,
                  order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if isinstance(c, int):
-            scale = (c, 0, 1)
-        else:
-            c = gr(c)
-            scale = (c.a, c.b, c.d)
-        pk = _packing(len(varset), order)
-        if not c:
-            return _wrap(varset, pk, [], _UNIT)
-        return _wrap(varset, pk, [(0, 0, (1, 0))], scale)
+        return _wrap(varset, _packing(len(varset), order), *_constant(c))
 
     @staticmethod
     def variable(varset: VarSet, name: str,
@@ -709,6 +709,26 @@ _SET_VARSET, _SET_ORDER, _SET_PK, _SET_LIST, _SET_SCALE = (
     for name in ("varset", "order", "_pk", "_list", "_scale"))
 
 
+def _power(varset: VarSet, pk: _Packing, p: _TermList, s: _Scale,
+           e: int) -> Tuple[_TermList, _Scale]:
+    """(s*p)^e as (primitive list, scale), for a primitive list p packed by
+    pk.  Raises ExponentOverflowError when an exponent outgrows the fields."""
+    if len(p) > 1:
+        w = _wrap(varset, pk, p, s) ** e
+        return w._list, w._scale
+    (key, m, c), = p    # c is 1
+    top = max(pk.unpack(m)) * e
+    if top > pk.mask:
+        raise ExponentOverflowError(f"exponent {top} exceeds {pk.mask}")
+    x, y, d = s
+    a, b, n = 1, 0, e
+    while n:    # (x + y*i)^e by binary powering
+        if n & 1:
+            a, b = a * x - b * y, a * y + b * x
+        x, y, n = x * x - y * y, 2 * x * y, n >> 1
+    return [(key * e, m * e, c)], (a, b, d ** e)
+
+
 def substitute(f: Polynomial,
                assignment: Mapping[str, Union[Polynomial, GaussianRational, int]],
                target: Optional[VarSet] = None,
@@ -720,131 +740,71 @@ def substitute(f: Polynomial,
     goes to itself.  Every assigned name must be a variable of f.
     `target` defaults to f's VarSet and `order` to f's order.
 
-    When every image is a single term (c times a monomial, or zero) and
-    a bound on the image exponents fits the fields, each term of f maps
-    to one term; otherwise the images are expanded, and an image exponent
-    past the fields raises ExponentOverflowError.
+    Each image is a primitive list packed for `target` and `order`, times
+    a scale.  A term of f with a zero image is dropped; any other maps to
+    the product of its images' powers, which raises ExponentOverflowError
+    exactly when one of its exponents exceeds 2^15 - 1.  A one-term power
+    is added to the term's monomial, both with every field below 2^15, so
+    no field carries and a field reaches 2^15 exactly when its guard bit
+    is set.  Powers of more terms multiply in by `_product`, which checks.
     """
     target = f.varset if target is None else target
     order = f.order if order is None else order
-    # per variable of f: a Polynomial on target, a scalar, or the name of
-    # the target variable it stays
-    images: list = []
-    expand = False    # whether an image has more than one term
-    assigned = 0
-    for name in f.varset.names:
+    pk, fpk = _packing(len(target), order), f._pk
+    # (k, e): the image of variable k of f to the e, as (list, scale)
+    pows: Dict[Tuple[int, int], Tuple[_TermList, _Scale]] = {}
+    zero = 0    # the fields of the variables with a zero image
+    for k, name in enumerate(f.varset.names):
         if name in assignment:
-            assigned += 1
             v = assignment[name]
             if not isinstance(v, Polynomial):
-                v = gr(v)
+                image = _constant(v)
             elif v.varset is not target and v.varset != target:
                 raise VarSetMismatchError("assigned value on wrong VarSet")
             else:
-                expand = expand or len(v._list) > 1
+                image = v._packed(pk)
+            if not image[0]:
+                zero |= fpk.mask << fpk.shifts[k]
         elif name in target:
-            v = name
+            j = target.index(name)
+            image = [(pk.weights[j], 1 << pk.shifts[j], (1, 0))], _UNIT
         else:
             raise VarSetMismatchError(
                 f"variable {name!r} neither assigned nor present in target")
-        images.append(v)
-    if assigned != len(assignment):
+        pows[(k, 1)] = image
+    if not assignment.keys() <= f.varset._index.keys():
         unknown = sorted(n for n in assignment if n not in f.varset)
         raise VarSetMismatchError(f"assigned names not in the VarSet: {unknown}")
-
-    fpk = f._pk
-    unpack = fpk.unpack
-    sa, sb, sd = f._scale
-    n = len(target)
-    if not expand:
-        # point evaluations, renamings, lifts and signed permutations: the
-        # bulk of the calls, so each term of f maps to one term
-        zero = 0    # the fields of the variables with a zero image
-        for k, v in enumerate(images):
-            if not isinstance(v, str) and v.is_zero():
-                zero |= fpk.mask << fpk.shifts[k]
-        top = 0
-        kept = []    # the terms of f whose image is not zero
-        for t in f._list:
-            if not t[1] & zero:
-                top |= t[1]
-                kept.append(t)
-        tops = unpack(top)
-        # a bound on the image exponents: the monomials below are built
-        # with no check per term, so when a field could overflow the images
-        # are expanded instead, by products that check it
-        bound = 0
-        for e, v in zip(tops, images):
-            if isinstance(v, str):
-                bound += e
-            elif e and isinstance(v, Polynomial) and v._list:
-                bound += e * max(v._pk.unpack(v._list[0][1]), default=0)
-        expand = bound > fpk.mask
-    if not expand:
-        pk = _packing(n, order)
-        # per variable of f: the key and monomial of its image, and the
-        # image coefficients other than 1, each the scale of its image
-        key_of, mono_of, scaled = [0] * len(images), [0] * len(images), []
-        for k, v in enumerate(images):
-            if not tops[k]:
-                continue
-            if isinstance(v, str):
-                j = target.index(v)
-                key_of[k], mono_of[k] = pk.weights[j], 1 << pk.shifts[j]
-                continue
-            if isinstance(v, GaussianRational):
-                c = (v.a, v.b, v.d)
-            else:
-                (key_of[k], mono_of[k], _), = v._packed(pk)[0]
-                c = v._scale
-            if c != _UNIT:
-                scaled.append((k, c))
-        # every term's coefficient is (a + b*i)/d with d dividing denom
-        denom = 1
-        for k, (_, _, cd) in scaled:
-            denom *= cd ** tops[k]
-        coeff_pows: Dict[Tuple[int, int], _Scale] = {}
-        acc: Dict[int, list] = {}
-        for _, m, (a, b) in kept:
-            exps = unpack(m)
-            d = 1
-            for k, (ca, cb, cd) in scaled:
-                e = exps[k]
-                if e:
-                    p = coeff_pows.get((k, e))
-                    if p is None:
-                        x, y = 1, 0
-                        for _ in range(e):
-                            x, y = x * ca - y * cb, x * cb + y * ca
-                        p = coeff_pows[(k, e)] = (x, y, cd ** e)
-                    a, b, d = a * p[0] - b * p[1], a * p[1] + b * p[0], d * p[2]
-            a, b, mono = a * (denom // d), b * (denom // d), sum(map(mul, exps, mono_of))
-            t = acc.get(mono)
-            if t is None:
-                acc[mono] = [sum(map(mul, exps, key_of)), a, b]
-            else:
-                t[1] += a
-                t[2] += b
-        return _poly(target, pk, _collected(acc), sa, sb, sd * denom)
-
-    polys = [v.with_order(order) if isinstance(v, Polynomial)
-             else Polynomial.variable(target, v, order) if isinstance(v, str)
-             else Polynomial.constant(target, v, order) for v in images]
-    one = _packing(n, order)
-    pows: Dict[Tuple[int, int], Polynomial] = {}
-    out = Polynomial.zero(target, order)
+    guard, unpack = pk.guard, fpk.unpack
+    parts = []    # per term kept: (list, a, b, d), its image (a + b*i)/d * list
     for _, m, (a, b) in f._list:
-        # the scaled coefficient of the term, times the powers of its images
-        term = _wrap(target, one, [(0, 0, (1, 0))],
-                     _lowest(a * sa - b * sb, a * sb + b * sa, sd))
+        if m & zero:
+            continue
+        key, mono, d, rest = 0, 0, 1, None    # rest: the longer powers' product
         for k, e in enumerate(unpack(m)):
             if e:
                 p = pows.get((k, e))
                 if p is None:
-                    p = pows[(k, e)] = polys[k] ** e
-                term = term * p
-        out = out + term
-    return out
+                    p = pows[(k, e)] = _power(target, pk, *pows[(k, 1)], e)
+                q, (x, y, z) = p
+                a, b, d = a * x - b * y, a * y + b * x, d * z
+                if len(q) > 1:
+                    rest = q if rest is None else _product(rest, q, pk)
+                    continue
+                key, mono = key + q[0][0], mono + q[0][1]
+                if mono & guard:
+                    raise ExponentOverflowError(f"exponent exceeds {pk.mask}")
+        t = [(key, mono, (1, 0))]
+        parts.append((t if rest is None else _product(rest, t, pk), a, b, d))
+    denom = lcm(*(d for *_, d in parts))
+    acc: Dict[int, list] = {}
+    for q, a, b, d in parts:
+        for key, mono, (x, y) in _times(q, a * (denom // d), b * (denom // d)):
+            t = acc.setdefault(mono, [key, 0, 0])
+            t[1] += x
+            t[2] += y
+    sa, sb, sd = f._scale
+    return _poly(target, pk, _collected(acc), sa, sb, sd * denom)
 
 
 # ---------------------------------------------------------------------------

@@ -75,40 +75,68 @@ def _image_products(f, images, target):
 @pytest.mark.parametrize("multi_term", [False, True])
 def test_substitute_matches_products_of_images(multi_term):
     """Single-term images (scalars, zero, +-c*variable, c*monomial), and
-    with one multi-term image the expansion; coefficients are non-units so
-    that every power of an image coefficient shows."""
+    with two multi-term images the expansion; coefficients are non-units
+    with denominators, so that every power of an image coefficient shows.
+    Each `order=` (None keeps f's order) gets f and images in orders drawn
+    independently of it."""
     from fractions import Fraction
 
     rng = random.Random(5)
     src = VarSet(["a", "b", "c", "d"])
     target = VarSet(["b", "x", "y"])
+    src_orders = [MonomialOrder.degrevlex(), MonomialOrder.lex(),
+                  MonomialOrder.elimination(src, ["a", "c"])]
+    target_orders = [MonomialOrder.degrevlex(), MonomialOrder.lex(),
+                     MonomialOrder.elimination(target, ["x"]),
+                     MonomialOrder.elimination(target, ["b", "y"])]
 
     def coeff():
         return gr(Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.randint(1, 3)),
                   rng.randint(-2, 2))
 
-    for _ in range(150):
-        f = Polynomial(src, {tuple(rng.randint(0, 3) for _ in range(4)): coeff()
-                             for _ in range(rng.randint(1, 6))})
-        images = {}
-        for name in src.names:
-            kind = rng.choice(["scalar", "zero", "variable", "monomial"]
-                              + (["keep"] if name == "b" else []))
-            if kind == "scalar":
-                images[name] = coeff()
-            elif kind == "zero":
-                images[name] = 0
-            elif kind == "variable":
-                images[name] = rng.choice([1, -1]) * coeff() * \
-                    Polynomial.variable(target, rng.choice(target.names))
-            elif kind == "monomial":
-                images[name] = Polynomial(target, {
-                    tuple(rng.randint(0, 2) for _ in range(3)): coeff()})
-        if multi_term:
-            images["c"] = Polynomial(target, {(1, 0, 0): coeff(), (0, 1, 1): coeff()})
-        got = substitute(f, images, target=target)
-        assert got.varset == target
-        assert got == _image_products(f, images, target)
+    def on_target(terms):
+        return Polynomial(target, terms, rng.choice(target_orders))
+
+    for order in [None, *target_orders]:
+        for _ in range(60):
+            f = Polynomial(src, {tuple(rng.randint(0, 3) for _ in range(4)): coeff()
+                                 for _ in range(rng.randint(1, 6))},
+                           rng.choice(src_orders))
+            images = {}
+            for name in src.names:
+                kind = rng.choice(["scalar", "zero", "variable", "monomial"]
+                                  + (["keep"] if name == "b" else []))
+                if kind == "scalar":
+                    images[name] = coeff()
+                elif kind == "zero":
+                    images[name] = 0
+                elif kind == "variable":
+                    images[name] = rng.choice([1, -1]) * coeff() * \
+                        Polynomial.variable(target, rng.choice(target.names),
+                                            rng.choice(target_orders))
+                elif kind == "monomial":
+                    images[name] = on_target({
+                        tuple(rng.randint(0, 2) for _ in range(3)): coeff()})
+            if multi_term:
+                images["c"] = on_target({(1, 0, 0): coeff(), (0, 1, 1): coeff()})
+                images["d"] = on_target({(0, 0, 2): coeff(), (1, 1, 0): coeff(),
+                                         (0, 0, 0): coeff()})
+            got = substitute(f, images, target=target, order=order)
+            assert got.varset == target
+            assert got.order == (f.order if order is None else order)
+            assert got == _image_products(f, images, target)
+
+
+def test_substitute_drops_a_term_with_a_zero_image_unchecked():
+    # a term with a zero image is dropped before the powers of its other
+    # images are formed, so y^2 -> z^40000 is never refused
+    vs, target = VarSet(["x", "y", "w"]), VarSet(["z", "u"])
+    images = {"x": 0, "y": parse_poly("z^20000", target),
+              "w": parse_poly("u^20000", target)}
+    for text, image in (("x*y^2 + y", "z^20000"),
+                        ("x*y^2 + y*w", "z^20000*u^20000")):
+        assert print_poly(substitute(parse_poly(text, vs), images,
+                                     target=target)) == image
 
 
 def test_parse_rho1_with_gamma():
@@ -274,6 +302,18 @@ def test_polynomial_exponents_beyond_the_packed_width_are_refused():
     assert substitute(big, {"x": parse_poly("y", vs), "y": parse_poly("x", vs)}) == big
     both = parse_poly("x^20000 + y^20000", vs)
     assert print_poly(substitute(both, {"x": parse_poly("y", vs)})) == "2*y^20000"
+    # the exact rule: a term's image is refused when one of its exponents
+    # passes 2^15 - 1, whatever the other terms' fields sum to
+    xyzw = VarSet(["x", "y", "z", "w"])
+    to_w = dict.fromkeys("xyz", parse_poly("w", xyzw))
+    three = parse_poly("x^30000 + y^30000 + z^30000", xyzw)
+    assert print_poly(substitute(three, to_w)) == "3*w^30000"
+    # y^80000 would carry past the guard bit of its field
+    for f, images in ((parse_poly("x^20000*y^20000", xyzw), to_w),
+                      (parse_poly("x^4", vs), {"x": parse_poly("y^20000", vs)}),
+                      (parse_poly("x^2", vs), {"x": parse_poly("y^20000 + 1", vs)})):
+        with pytest.raises(ExponentOverflowError):
+            substitute(f, images)
 
 
 def test_negative_exponents_are_refused():
