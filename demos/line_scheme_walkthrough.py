@@ -84,8 +84,7 @@ print("=== for every gamma at once: where is a component singular? ===")
 # one chart M_ij = 1 at a time with the M_ij eliminated, leaves the gammas
 # where it is singular; away from them the printed kinds hold
 MG = VarSet([*M_VARS.names, "g"])
-for name, texts in load_fixtures().component_generators.items():
-    gens = [parse_poly(t, MG) for t in texts]
+for name, gens in load_fixtures().parse_components(None).items():
     jac = PolyMatrix([[f.derivative(n) for n in M_VARS.names] for f in gens])
     sing = gens + [d for d in all_minors(jac, 4) if not d.is_zero()]
     union = None

@@ -1,6 +1,6 @@
 """Golden data: the reference polynomial lists for the point scheme and
-line scheme, the generators of the seven generic components (nothing
-derived from them), and the named surfaces and rulings.
+line scheme, the generators of L1, L2, L4 and L6a (psi1 derives the other
+three generic components from them), and the named surfaces and rulings.
 
 Fixture text keeps the parameter symbolic as 'g'; callers bind a concrete
 gamma when they parse.  The line-scheme list is shipped as printed; the
@@ -14,23 +14,23 @@ import json
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import Polynomial, VarSet, parse_poly
-from .quadratic_algebra import M_VARS, X_VARS
+from .quadratic_algebra import M_VARS, MG_VARS, X_VARS, psi1_on_pluecker
 
-# the coordinates with the family parameter kept as a variable, so that
-# fixture text can be compared, or evaluated, for every gamma at once
+# x1..x4 with the family parameter kept as a variable (MG_VARS for the M_ij),
+# so that fixture text can be compared, or evaluated, for every gamma at once
 _XG_VARS = VarSet([*X_VARS.names, "g"])
-_MG_VARS = VarSet([*M_VARS.names, "g"])
+_PSI1_PARTNERS = {"L2": "L3", "L4": "L5", "L6a": "L6b"}   # shipped -> derived
 
 
 class FixtureSet(NamedTuple):
     point_scheme_polys: Tuple[str, ...]     # 15 quartics in x1..x4
     line_scheme_polys: Tuple[str, ...]      # P followed by 45 quartics in M12..M34
     line_scheme_errata: Mapping[int, str]   # entry index -> corrected text
-    component_generators: Mapping[str, Tuple[str, ...]]   # name -> generators
+    component_generators: Mapping[str, Tuple[str, ...]]   # L1, L2, L4, L6a -> generators
     surfaces: Mapping[str, str]
     planar_curves: Mapping[str, Tuple[str, ...]]
     pencil_points: Mapping[str, str]
@@ -59,7 +59,7 @@ class FixtureSet(NamedTuple):
         erratum replaces a quartic entry by a quartic that changes the
         coefficient of exactly one monomial.
         """
-        vs = M_VARS if gamma is not None else _MG_VARS
+        vs = M_VARS if gamma is not None else MG_VARS
         fixed: Dict[int, Polynomial] = {}
         for k, t in sorted(self.line_scheme_errata.items() if corrected else ()):
             if not 1 <= k <= 45:
@@ -67,7 +67,7 @@ class FixtureSet(NamedTuple):
             fixed[k] = parse_poly(t, vs, gamma=gamma)
             if not _is_form(fixed[k], 4):
                 raise ValueError(f"line-scheme erratum {k} is not a quartic: {t}")
-            diff = parse_poly(self.line_scheme_polys[k], _MG_VARS) - parse_poly(t, _MG_VARS)
+            diff = parse_poly(self.line_scheme_polys[k], MG_VARS) - parse_poly(t, MG_VARS)
             changed = {m[:-1] for m in diff.monomials()}   # g exponent dropped
             if len(changed) != 1:
                 raise ValueError(f"line-scheme erratum {k} must change the coefficient of "
@@ -82,6 +82,26 @@ class FixtureSet(NamedTuple):
                 raise ValueError(f"line-scheme fixture {k} has wrong degree: {t}")
             polys.append(p)
         return polys
+
+    def parse_components(self, gamma: Optional[GaussianRational]) -> Dict[str, List[Polynomial]]:
+        """The seven generic components' generators in catalog order, g bound
+        to gamma or kept as a last variable when gamma is None; L3, L5 and
+        L6b are the psi1 images of L2, L4 and L6a, in `_catalog_form`."""
+        vs = M_VARS if gamma is not None else MG_VARS
+        gens = {}
+        for name, texts in self.component_generators.items():
+            gens[name] = [parse_poly(t, vs, gamma=gamma) for t in texts]
+            if name in _PSI1_PARTNERS:
+                gens[_PSI1_PARTNERS[name]] = _catalog_form(map(psi1_on_pluecker, gens[name]))
+        return gens
+
+
+def _catalog_form(gens: Iterable[Polynomial]) -> List[Polynomial]:
+    """The form of the shipped generator lists: linear forms monic, single
+    variables first, in variable order, then the rest in the order given."""
+    gens = [p.monic() if p.degree() == 1 else p for p in gens]
+    return sorted(gens, key=lambda p: p.leading_monomial().index(1) if (
+        p.degree() == 1 and len(p.monomials()) == 1) else len(p.varset))
 
 
 def _is_form(p: Polynomial, degree: int) -> bool:

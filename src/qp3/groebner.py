@@ -437,11 +437,6 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return _poly(f.varset, pk, r, a, b, d * s)
 
 
-def ideal_member(f: Polynomial, I) -> bool:
-    G = I if isinstance(I, GroebnerBasis) else buchberger(I)
-    return normal_form(f, G).is_zero()
-
-
 def _append(vs: VarSet, polys: Sequence[Polynomial], stem: str,
             elim: bool = False) -> Tuple[Polynomial, List[Polynomial]]:
     """(t, lifts): a fresh variable t appended last to vs, and polys lifted

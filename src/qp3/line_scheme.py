@@ -381,8 +381,7 @@ def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
     """The components: the seven generic ones, where gamma^2 != 16, and
     eight, with L1 split into two conics, where gamma^2 = 16."""
     gamma = nonzero_gamma(gamma)
-    gens = {name: [parse_poly(t, M_VARS, gamma=gamma) for t in texts]
-            for name, texts in load_fixtures().component_generators.items()}
+    gens = load_fixtures().parse_components(gamma)
     if gamma * gamma == gr(16):
         gens = {**_split_l1(gamma, gens.pop("L1")), **gens}
     return ComponentCatalog(gamma=gamma, components=tuple(

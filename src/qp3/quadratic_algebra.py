@@ -22,6 +22,7 @@ X_VARS = VarSet(["x1", "x2", "x3", "x4"])
 Z_VARS = VarSet(["z1", "z2", "z3", "z4"])
 UV_VARS = VarSet(["u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4"])
 M_VARS = VarSet(["M12", "M13", "M14", "M23", "M24", "M34"])
+MG_VARS = VarSet([*M_VARS.names, "g"])
 CHART_VARS = VarSet(["x2", "x3", "x4"])
 
 
@@ -220,14 +221,16 @@ _PSI1_TABLE = {
     "M24": (-ONE, "M24"),
     "M34": (ONE, "M12"),
 }
+# its substitution images, built once for each VarSet it acts on
+_PSI1_IMAGES = {vs: substitution_images(_PSI1_TABLE, vs) for vs in (M_VARS, MG_VARS)}
 
 
 def psi1_on_pluecker(f: Polynomial) -> Polynomial:
     """Action of the antiautomorphism x1 <-> x3, x2 <-> x4 on the Pluecker
-    coordinates; an involution."""
-    if f.varset != M_VARS:
+    coordinates, of f on M_VARS or MG_VARS (g kept); an involution."""
+    if f.varset not in _PSI1_IMAGES:
         raise ValueError("psi1_on_pluecker expects a polynomial in the M variables")
-    return substitute(f, substitution_images(_PSI1_TABLE, M_VARS))
+    return substitute(f, _PSI1_IMAGES[f.varset])
 
 
 def psi2_on_pluecker(f: Polynomial, gamma: GaussianRational) -> Polynomial:
@@ -256,15 +259,9 @@ def psi2_on_pluecker(f: Polynomial, gamma: GaussianRational) -> Polynomial:
 
 
 def gamma_sign_on_pluecker(f: Polynomial) -> Polynomial:
-    """Pluecker action of x2 -> -x2, the isomorphism A(g) ~ A(-g)."""
+    """Pluecker action of x2 -> -x2, the isomorphism A(g) ~ A(-g): it
+    negates each M_ij with 2 in {i, j}."""
     if f.varset != M_VARS:
         raise ValueError("expects a polynomial in the M variables")
-    table = {
-        "M12": (-ONE, "M12"),
-        "M13": (ONE, "M13"),
-        "M14": (ONE, "M14"),
-        "M23": (-ONE, "M23"),
-        "M24": (-ONE, "M24"),
-        "M34": (ONE, "M34"),
-    }
+    table = {n: (-ONE if "2" in n else ONE, n) for n in M_VARS.names}
     return substitute(f, substitution_images(table, M_VARS))

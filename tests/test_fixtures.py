@@ -44,9 +44,12 @@ def test_degrees_and_homogeneity():
 
 def test_component_generator_data_present():
     fx = load_fixtures()
-    assert set(fx.component_generators) == {"L1", "L2", "L3", "L4", "L5",
-                                            "L6a", "L6b"}
+    assert list(fx.component_generators) == ["L1", "L2", "L4", "L6a"]
     assert all(len(gens) == 4 for gens in fx.component_generators.values())
+    for gamma in (None, gr(2)):
+        parsed = fx.parse_components(gamma)
+        assert list(parsed) == ["L1", "L2", "L3", "L4", "L5", "L6a", "L6b"]
+        assert all(len(gens) == 4 for gens in parsed.values())
     assert {"quartic", "Q6a", "Q6b", "Qa", "Qb"} <= set(fx.surfaces)
     assert set(fx.planar_curves) == {"L2", "L3", "L4", "L5"}
 

@@ -301,13 +301,40 @@ def unnamed_in(texts, modules):
     return unnamed
 
 
+def _sources(root, *dirs):
+    """{path: source} for every Python file under the given directories."""
+    return {p: p.read_text() for d in dirs for p in sorted((root / d).rglob("*.py"))}
+
+
 def unnamed_definitions():
     """Top-level functions, classes and assigned names of src/qp3, and the
     non-dunder methods of its top-level classes, that no Python file in
     src, tests, demos or bench names outside the defining statement."""
-    texts = {p: p.read_text() for d in ("src", "tests", "demos", "bench")
-             for p in sorted((ROOT / d).rglob("*.py"))}
-    return unnamed_in(texts, MODULES)
+    return unnamed_in(_sources(ROOT, "src", "tests", "demos", "bench"), MODULES)
+
+
+# The definitions of src/qp3 that only tests name: no command, demo or
+# bench script reaches them.  Each stays for the claim its tests back.
+TEST_ONLY_API = {
+    "jacobian_smoothness_check": "every catalog component is smooth, so each "
+                                 "printed kind holds",
+    "Polynomial.bidegree": "the 8x8 minors of [M^(u) | M^(v)] have bidegree (4, 4)",
+    "point_on_line": "criterion 10d: a line joined from two points holds both",
+    "PolyMatrix.det_bareiss": "an oracle for `det` and `all_minors` that shares "
+                              "neither's expansion",
+    "tensor_pairing": "the Koszul dual relations are orthogonal to the relations",
+    "psi2_on_pluecker": "psi2 sends L2 to L4 and L3 to L5 where gamma is a square",
+    "gamma_sign_on_pluecker": "x2 -> -x2 sends the line scheme of A(gamma) to "
+                              "that of A(-gamma)",
+}
+
+
+def named_only_by_tests(root, modules):
+    """The labels of the definitions of `modules` that no Python file in
+    src, demos or bench under `root` names outside the defining statement
+    (see `unnamed_in`): API that only tests reach."""
+    texts = _sources(root, "src", "demos", "bench")
+    return [u.split(" ", 1)[1] for u in unnamed_in(texts, modules)]
 
 
 def test_defined_names_cover_assignments():
@@ -332,3 +359,23 @@ def test_unnamed_method_is_reported():
                       "def f():\n    return K().used()\n"),
              Path("t.py"): "from m import K, f\nK().prop\nf()\n"}
     assert unnamed_in(texts, [module]) == ["m.py:6 K.unused", "m.py:11 K.recursive"]
+
+
+def test_test_only_api_is_allowlisted():
+    found = named_only_by_tests(ROOT, MODULES)
+    assert sorted(set(found) - set(TEST_ONLY_API)) == [], "test-only, not allowlisted"
+    assert sorted(set(TEST_ONLY_API) - set(found)) == [], "stale allowlist entries"
+
+
+def test_name_only_tests_use_is_reported(tmp_path):
+    files = {"src/m.py": ("def run():\n    return step()\n"
+                          "def step():\n    return 1\n"
+                          "def oracle():\n    return 2\n"),
+             "demos/d.py": "from m import run\nrun()\n",
+             "tests/t.py": "from m import oracle\nassert oracle() == 2\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    module = tmp_path / "src" / "m.py"
+    assert unnamed_in(_sources(tmp_path, "src", "demos", "tests"), [module]) == []
+    assert named_only_by_tests(tmp_path, [module]) == ["oracle"]

@@ -360,8 +360,7 @@ def test_generic_components_are_singular_only_at_listed_gammas():
     expected = {"L1": "g^3 - 16*g", "L2": "1", "L3": "1", "L4": "g^2",
                 "L5": "g^2", "L6a": "1", "L6b": "1"}
     found = {}
-    for name, texts in load_fixtures().component_generators.items():
-        gens = [parse_poly(t, MG) for t in texts]
+    for name, gens in load_fixtures().parse_components(None).items():
         jac = PolyMatrix([[f.derivative(n) for n in M_VARS.names] for f in gens])
         sing = gens + [d for d in all_minors(jac, 4) if not d.is_zero()]
         charts = [eliminate(Ideal(sing + [Polynomial.variable(MG, n) - 1]), ["g"])

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.multipoly import Polynomial, parse_poly, print_poly
 from qp3.groebner import Ideal, ideals_equal
-from qp3.quadratic_algebra import (M_VARS, X_VARS, Psi2UnavailableError,
+from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, Psi2UnavailableError,
                                    QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, expand_matrix_rows,
                                    gamma_sign_on_pluecker, koszul_dual_relations,
@@ -13,7 +14,7 @@ from qp3.quadratic_algebra import (M_VARS, X_VARS, Psi2UnavailableError,
                                    psi2_on_pluecker, relation_matrix,
                                    tensor_pairing)
 from qp3.line_scheme import component_catalog, line_scheme_ideal
-from qp3.fixtures import load_fixtures
+from qp3.fixtures import _catalog_form, load_fixtures
 
 I = gr(0, 1)
 
@@ -145,12 +146,39 @@ def test_rank_deficiency_error_on_a_hidden_dependence():
         QuadraticAlgebra(gr(3, 2), rels[:5] + (combo,))
 
 
-def test_psi1_maps_L2_to_L3_and_L6a_to_L6b():
-    cat = component_catalog(gr(5))
-    img_l2 = Ideal([psi1_on_pluecker(p) for p in cat.get("L2").ideal.generators])
-    assert ideals_equal(img_l2, cat.get("L3").ideal)
-    img_l6a = Ideal([psi1_on_pluecker(p) for p in cat.get("L6a").ideal.generators])
-    assert ideals_equal(img_l6a, cat.get("L6b").ideal)
+# The psi1 partners as the paper prints them.  components.json ships only
+# L1, L2, L4 and L6a, and psi1 derives these three from L2, L4 and L6a.
+PAPER_PSI1_PARTNERS = {
+    "L3": ("M12", "M13", "M23", "M34^3 - M14^2*M34 + i*M14*M24^2"),
+    "L5": ("M23", "M24", "M34", "M12*M14^2 - i*g*M13^2*M14 - M12^3"),
+    "L6b": ("M14", "M23", "M12*M34 - M13*M24", "M12 - i*M34"),
+}
+
+
+@pytest.mark.parametrize("gamma", [None, gr(1), gr(4), gr(-4), gr(Fraction(3, 2), 1),
+                                   gr(Fraction(1, 3), Fraction(-7, 3))], ids=str)
+def test_psi1_derives_the_paper_partners(gamma):
+    vs = M_VARS if gamma is not None else MG_VARS
+    comps = load_fixtures().parse_components(gamma)
+    assert list(comps) == ["L1", "L2", "L3", "L4", "L5", "L6a", "L6b"]
+    for name, texts in PAPER_PSI1_PARTNERS.items():
+        assert comps[name] == [parse_poly(t, vs, gamma=gamma) for t in texts]
+    # the catalog form leaves the shipped lists as they are, and psi1
+    # fixes L1 list for list
+    for name in load_fixtures().component_generators:
+        assert _catalog_form(comps[name]) == comps[name]
+    assert _catalog_form(map(psi1_on_pluecker, comps["L1"])) == comps["L1"]
+    if gamma is not None and gamma * gamma == gr(16):
+        cat = component_catalog(gamma)
+        a, b = (list(cat.get(n).ideal.generators) for n in ("L1a", "L1b"))
+        assert _catalog_form(map(psi1_on_pluecker, a)) == b
+
+
+def test_psi1_takes_the_M_variables_alone_or_with_g():
+    f = parse_poly("M12*M13 + g*M24^2", MG_VARS)
+    assert print_poly(psi1_on_pluecker(f)) == "M24^2*g - M13*M34"
+    with pytest.raises(ValueError, match="M variables"):
+        psi1_on_pluecker(Polynomial.variable(X_VARS, "x1"))
 
 
 def test_psi1_involution_random():
