@@ -50,14 +50,6 @@ class GaussianRational:
         object.__setattr__(self, "d", d)
         return self
 
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -149,10 +141,6 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2 as a rational number."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
 
@@ -196,45 +184,3 @@ def gr(re=0, im=0) -> GaussianRational:
     if im == 0 and isinstance(re, GaussianRational):
         return re
     return GaussianRational(re, im)
-
-
-def rational_sqrt(x: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if x < 0:
-        return None
-    pn = _isqrt_exact(x.numerator)
-    if pn is None:
-        return None
-    pd = _isqrt_exact(x.denominator)
-    if pd is None:
-        return None
-    return Fraction(pn, pd)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def sqrt(x: GaussianRational):
-    """A square root of x inside Q(i) if one exists, else None.
-
-    Solves (p + q*i)^2 = x exactly: p^2 - q^2 = re(x), 2pq = im(x).
-    """
-    n = rational_sqrt(x.norm())
-    if n is None:
-        return None
-    # p^2 = (re + |x|)/2 and q^2 = (|x| - re)/2 must both be rational squares
-    p2 = (x.re + n) / 2
-    q2 = (n - x.re) / 2
-    p = rational_sqrt(p2)
-    q = rational_sqrt(q2)
-    if p is None or q is None:
-        return None
-    if 2 * p * q != x.im:
-        q = -q
-        if 2 * p * q != x.im:
-            return None
-    return GaussianRational(p, q)

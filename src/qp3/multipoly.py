@@ -555,18 +555,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({self._pk.degree(m) for _, m, _ in self._list}) <= 1
 
-    def bidegree(self, left_vars: Sequence[str]):
-        """(d1, d2) degrees w.r.t. a variable split, or None if mixed."""
-        idx = {self.varset.index(v) for v in left_vars}
-        pairs = {
-            (sum(e for k, e in enumerate(m) if k in idx),
-             sum(e for k, e in enumerate(m) if k not in idx))
-            for m in self.monomials()
-        }
-        if len(pairs) == 1:
-            return next(iter(pairs))
-        return None
-
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.order:
             return self
@@ -690,18 +678,6 @@ class Polynomial:
             if e:
                 out.append((key - w, m - (1 << s), (a * e, b * e)))
         return _poly(self.varset, pk, out, *self._scale)
-
-    def evaluate(self, values: Mapping[str, complex]) -> complex:
-        """Numeric evaluation with complex values for every variable."""
-        vs = [values[n] for n in self.varset.names]
-        total = 0j
-        for m, c in self.terms.items():
-            t = c.to_complex()
-            for v, e in zip(vs, m):
-                if e:
-                    t *= v ** e
-            total += t
-        return total
 
 
 _SET_VARSET, _SET_ORDER, _SET_PK, _SET_LIST, _SET_SCALE = (

@@ -111,8 +111,9 @@ class _TermTable:
     Each term holds its complex coefficient and the slots of its nonzero
     (variable, exponent) pairs, in `terms` order; `slots` lists those
     pairs.  `max_abs` fills one table of powers per call and then does
-    the multiplications and additions of `Polynomial.evaluate` in the
-    same order, so its value is the same float, bit for bit.
+    the multiplications and additions of the test oracle `evaluate`
+    (tests/oracles.py) in the same order, so its value is the same float,
+    bit for bit.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):

@@ -142,9 +142,11 @@ RHO_STRINGS = (
 )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def rho_system(gamma: GaussianRational):
     """The three polynomials cutting out Z_gamma on the chart x1 = 1;
-    `verify_rho_derivation` certifies them against the minors."""
+    `verify_rho_derivation` certifies them against the minors.  Parsed
+    once per gamma: the certificates, the orbits and the lines read them."""
     gamma = nonzero_gamma(gamma)
     return tuple(parse_poly(s, CHART_VARS, gamma=gamma) for s in RHO_STRINGS)
 

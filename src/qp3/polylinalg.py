@@ -52,52 +52,6 @@ class PolyMatrix:
             raise ValueError("determinant of a non-square matrix")
         return all_minors(self, self.rows)[0]
 
-    def det_bareiss(self) -> Polynomial:
-        """Fraction-free Gaussian elimination determinant (cross-check oracle)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        order = self.entries[0][0].order
-        one = Polynomial.constant(self.varset, 1, order)
-        a = [[self.entries[r][c] for c in range(n)] for r in range(n)]
-        prev = one
-        sign = 1
-        for k in range(n - 1):
-            if a[k][k].is_zero():
-                for r in range(k + 1, n):
-                    if not a[r][k].is_zero():
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Polynomial.zero(self.varset, order)
-            for r in range(k + 1, n):
-                for c in range(k + 1, n):
-                    num = a[r][c] * a[k][k] - a[r][k] * a[k][c]
-                    a[r][c] = poly_exact_div(num, prev)
-                a[r][k] = Polynomial.zero(self.varset, order)
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign > 0 else -d
-
-
-def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g by long division on leading terms, in f's order;
-    raises ValueError if g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.varset != g.varset:
-        raise VarSetMismatchError("polynomials live on different VarSets")
-    g = g.with_order(f.order)
-    lm, inv = g.leading_monomial(), g.leading_coefficient().inverse()
-    q = Polynomial.zero(f.varset, f.order)
-    while not f.is_zero():
-        u = tuple(a - b for a, b in zip(f.leading_monomial(), lm))
-        if min(u) < 0:
-            raise ValueError("not an exact polynomial division")
-        t = Polynomial(f.varset, {u: f.leading_coefficient() * inv}, f.order)
-        q, f = q + t, f - t * g
-    return q
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, gr, sqrt as gr_sqrt
+from .gaussian import GaussianRational, ONE, ZERO, gr
 from .multipoly import Polynomial, VarSet, parse_poly, substitute
 from .polylinalg import PolyMatrix, nullspace, rank
 from .groebner import MEMO_SIZE
@@ -39,10 +39,6 @@ def nonzero_gamma(gamma) -> GaussianRational:
 
 
 class RankDeficiencyError(ValueError):
-    pass
-
-
-class Psi2UnavailableError(ValueError):
     pass
 
 
@@ -146,15 +142,6 @@ def expand_matrix_rows(m: PolyMatrix) -> List[Tensor]:
     return out
 
 
-def tensor_pairing(t: Tensor, w: Tensor) -> GaussianRational:
-    """<x_i (x) x_j , z_k (x) z_l> = delta_ik delta_jl, extended bilinearly."""
-    acc = ZERO
-    for i in range(4):
-        for j in range(4):
-            acc = acc + t[i][j] * w[i][j]
-    return acc
-
-
 def tensor_bilinear(t: Tensor, p: Sequence, q: Sequence):
     """Evaluate the tensor as a bilinear form at a pair of points."""
     acc = None
@@ -233,20 +220,12 @@ def psi1_on_pluecker(f: Polynomial) -> Polynomial:
     return substitute(f, _PSI1_IMAGES[f.varset])
 
 
-def psi2_on_pluecker(f: Polynomial, gamma: GaussianRational) -> Polynomial:
+def psi2_on_pluecker(f: Polynomial, s: GaussianRational) -> Polynomial:
     """Action of psi2 (x2 <-> lambda*x3, x4 <-> lambda*x1, lambda^4 = gamma)
-    on Pluecker coordinates.
-
-    Only lambda^2 enters the induced map on lines, so this is available
-    exactly when gamma is a square in Q(i); otherwise a field extension
-    would be required and Psi2UnavailableError is raised.
-    """
+    on Pluecker coordinates, given s = lambda^2, a square root of gamma:
+    only lambda^2 enters the induced map on lines."""
     if f.varset != M_VARS:
         raise ValueError("psi2_on_pluecker expects a polynomial in the M variables")
-    s = gr_sqrt(gamma)
-    if s is None:
-        raise Psi2UnavailableError(
-            f"gamma = {gamma} has no square root in Q(i); psi2 needs lambda^2")
     table = {
         "M12": (ONE, "M34"),
         "M13": (s.inverse(), "M24"),

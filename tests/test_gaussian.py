@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qp3.gaussian import GaussianRational, I, ONE, ZERO, gr, sqrt
+from qp3.gaussian import GaussianRational, I, ONE, ZERO, gr
 
 
 def test_mul_conjugate_pair():
@@ -58,15 +58,6 @@ def test_str_forms():
     assert str(-I) == "-i"
     assert str(gr(0, 2)) == "2*i"
     assert str(gr(Fraction(1, 2), Fraction(-1, 3))) == "1/2 - 1/3*i"
-
-
-def test_sqrt_and_fourth_root():
-    assert sqrt(gr(4)) == gr(2)
-    assert sqrt(gr(0, 2)) == gr(1, 1)       # (1+i)^2 = 2i
-    assert sqrt(gr(5)) is None
-    # fourth roots as square roots of square roots
-    assert sqrt(sqrt(gr(-4))) == gr(1, 1)   # (1+i)^4 = -4
-    assert sqrt(sqrt(gr(4))) is None        # needs sqrt(2)
 
 
 def _random_gr(rng):

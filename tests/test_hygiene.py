@@ -1,9 +1,13 @@
 """Source hygiene: every name a qp3 module imports is used in it, every
-function and class it defines is named somewhere else, and every cache
-it makes is bounded."""
+function and class it defines is named somewhere else, every public
+function is entered by a command or a demo, and every cache it makes is
+bounded."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -307,25 +311,28 @@ def _sources(root, *dirs):
 
 
 def unnamed_definitions():
-    """Top-level functions, classes and assigned names of src/qp3, and the
-    non-dunder methods of its top-level classes, that no Python file in
-    src, tests, demos or bench names outside the defining statement."""
-    return unnamed_in(_sources(ROOT, "src", "tests", "demos", "bench"), MODULES)
+    """Top-level functions, classes and assigned names of src/qp3 and of
+    the test oracles, and the non-dunder methods of their top-level
+    classes, that no Python file in src, tests, demos or bench names
+    outside the defining statement."""
+    return unnamed_in(_sources(ROOT, "src", "tests", "demos", "bench"),
+                      [*MODULES, ROOT / "tests" / "oracles.py"])
 
 
-# The definitions of src/qp3 that only tests name: no command, demo or
-# bench script reaches them.  Each stays for the claim its tests back.
+# The definitions of src/qp3 that only tests reach: no command or demo
+# enters the functions, and no file in src, demos or bench names the
+# rest.  Each stays for the claim its tests back.
 TEST_ONLY_API = {
     "jacobian_smoothness_check": "every catalog component is smooth, so each "
                                  "printed kind holds",
-    "Polynomial.bidegree": "the 8x8 minors of [M^(u) | M^(v)] have bidegree (4, 4)",
     "point_on_line": "criterion 10d: a line joined from two points holds both",
-    "PolyMatrix.det_bareiss": "an oracle for `det` and `all_minors` that shares "
-                              "neither's expansion",
-    "tensor_pairing": "the Koszul dual relations are orthogonal to the relations",
     "psi2_on_pluecker": "psi2 sends L2 to L4 and L3 to L5 where gamma is a square",
     "gamma_sign_on_pluecker": "x2 -> -x2 sends the line scheme of A(gamma) to "
                               "that of A(-gamma)",
+    "minor": "bench/tracing.py times the minors through it by name, until "
+             "its span moves to all_minors",
+    "PolyMatrix.submatrix": "the square submatrix of `minor`",
+    "PolyMatrix.det": "the determinant of `minor`: all_minors at full size",
 }
 
 
@@ -335,6 +342,48 @@ def named_only_by_tests(root, modules):
     (see `unnamed_in`): API that only tests reach."""
     texts = _sources(root, "src", "demos", "bench")
     return [u.split(" ", 1)[1] for u in unnamed_in(texts, modules)]
+
+
+def _public_functions(tree):
+    """(first line, label) for each top-level function, and each method of
+    a top-level class, whose name and whose class's name have no `_`
+    prefix.  A decorated function starts at its first decorator."""
+    for node in tree.body:
+        items = [(node, node.name)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            items += [(item, f"{node.name}.{item.name}") for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        for fn, label in items:
+            if not fn.name.startswith("_"):
+                yield min([fn.lineno] + [d.lineno for d in fn.decorator_list]), label
+
+
+def never_entered(src, modules, runs):
+    """The labels of the public functions and methods of `modules`, files
+    under `src`, that none of `runs` enters: `tests/_entered.py` runs them
+    in one fresh interpreter and records every call from before the first
+    import."""
+    probe = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("_entered.py")), str(src),
+         json.dumps(runs)], capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    entered = {(path, line) for path, line, _ in json.loads(probe.stdout)}
+    return [label for path in modules
+            for line, label in _public_functions(ast.parse(path.read_text()))
+            if (path.relative_to(src).as_posix(), line) not in entered]
+
+
+# what the package ships: every command in text format at a generic gamma,
+# the split line scheme (gamma^2 = 16), the point scheme at gamma = 2
+# (saturate and invert_mod), and every demo
+COMMANDS = (["point-scheme"], ["line-scheme"], ["line-scheme", "--verify"],
+            ["lines-through", "--symbolic"],
+            *(["lines-through", "--point", p] for p in ("e1", "e2", "e3", "e4")),
+            ["lines-through", "--numeric"])
+RUNS = [*(["-m", "qp3", "--gamma=3/2+i", *c] for c in COMMANDS),
+        ["-m", "qp3", "--gamma=4", "line-scheme", "--verify"],
+        ["-m", "qp3", "--gamma=2", "point-scheme"],
+        *([str(d)] for d in sorted((ROOT / "demos").glob("*.py")))]
 
 
 def test_defined_names_cover_assignments():
@@ -362,9 +411,15 @@ def test_unnamed_method_is_reported():
 
 
 def test_test_only_api_is_allowlisted():
-    found = named_only_by_tests(ROOT, MODULES)
-    assert sorted(set(found) - set(TEST_ONLY_API)) == [], "test-only, not allowlisted"
-    assert sorted(set(TEST_ONLY_API) - set(found)) == [], "stale allowlist entries"
+    found = {*named_only_by_tests(ROOT, MODULES), *never_entered(SRC.parent, MODULES, RUNS)}
+    assert sorted(found - set(TEST_ONLY_API)) == [], "test-only, not allowlisted"
+    assert sorted(set(TEST_ONLY_API) - found) == [], "stale allowlist entries"
+
+
+def _write_tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
 
 
 def test_name_only_tests_use_is_reported(tmp_path):
@@ -373,9 +428,35 @@ def test_name_only_tests_use_is_reported(tmp_path):
                           "def oracle():\n    return 2\n"),
              "demos/d.py": "from m import run\nrun()\n",
              "tests/t.py": "from m import oracle\nassert oracle() == 2\n"}
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+    _write_tree(tmp_path, files)
     module = tmp_path / "src" / "m.py"
     assert unnamed_in(_sources(tmp_path, "src", "demos", "tests"), [module]) == []
     assert named_only_by_tests(tmp_path, [module]) == ["oracle"]
+
+
+def test_probe_reports_what_the_word_rule_misses(tmp_path):
+    # `evaluate` is named in src but never called there, and `root` only
+    # through the test-only `oracle`: the word rule passes both, and only
+    # the calls show them; the decorated `cached` and the private
+    # `_hidden` are not reported
+    files = {"src/m.py": ("import functools\n"
+                          "def run():\n"
+                          "    # evaluate: named here, never called\n"
+                          "    return K().step() + cached()\n"
+                          "@functools.lru_cache(maxsize=1)\n"
+                          "def cached():\n    return 1\n"
+                          "def evaluate():\n    return 2\n"
+                          "def oracle():\n    return root() + _hidden()\n"
+                          "def root():\n    return 3\n"
+                          "def _hidden():\n    return 4\n"
+                          "class K:\n    def step(self):\n        return 5\n"
+                          "    def unused(self):\n        return 6\n"),
+             "demos/d.py": "from m import run\nrun()\n",
+             "tests/t.py": ("from m import K, evaluate, oracle\n"
+                            "assert evaluate() + oracle() + K().unused() == 15\n")}
+    _write_tree(tmp_path, files)
+    module = tmp_path / "src" / "m.py"
+    assert named_only_by_tests(tmp_path, [module]) == ["oracle", "K.unused"]
+    runs = [[str(tmp_path / "demos" / "d.py")]]
+    assert never_entered(tmp_path / "src", [module], runs) == [
+        "evaluate", "oracle", "root", "K.unused"]

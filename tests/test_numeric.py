@@ -16,6 +16,7 @@ from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
 from qp3.fixtures import load_fixtures
 from qp3.line_scheme import component_catalog
 from qp3.plucker import GENERIC_LINES
+from oracles import evaluate
 
 
 def _x4_roots(gamma):
@@ -130,12 +131,12 @@ def test_compiled_residuals_equal_evaluate_bit_for_bit():
         for p in pts:
             at = dict(zip(("x1", "x2", "x3", "x4"), p.coords), g=g)
             assert minor_residual(p.coords, g) == max(
-                abs(f.evaluate(at)) for f in minors)
+                abs(evaluate(f, at)) for f in minors)
         for p in pts[4:]:
             for m in six_lines_numeric(p, g):
                 at = dict(zip(m_names, m), g=g)
                 assert line_residual(m, g) == max(
-                    abs(f.evaluate(at)) for f in quartics)
+                    abs(evaluate(f, at)) for f in quartics)
 
 
 def test_line_separation_scales_with_gamma():
@@ -168,8 +169,8 @@ def test_l1_line_lies_on_quartic_surface():
     for _ in range(10):
         s, t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         x = s * a + t * b
-        val = quartic.evaluate({"x1": x[0], "x2": x[1], "x3": x[2],
-                                "x4": x[3], "g": 1.0})
+        val = evaluate(quartic, {"x1": x[0], "x2": x[1], "x3": x[2],
+                                 "x4": x[3], "g": 1.0})
         assert abs(val) < 1e-8
 
 
@@ -184,7 +185,7 @@ def test_split_conics_exactly_one_form_vanishes(gv):
     assert len(forms) == 2
     for p in enumerate_points(gr(gv))[4:]:
         at = dict(zip(M_VARS.names, six_lines_numeric(p, gr(gv))[0]))
-        small, large = sorted(abs(f.evaluate(at)) for f in forms)
+        small, large = sorted(abs(evaluate(f, at)) for f in forms)
         assert small < 1e-8 and large > 1e-3
 
 
@@ -197,7 +198,7 @@ def test_exact_generic_lines_agree_with_numeric_lines(text):
     for p in enumerate_points(g)[4:]:
         c = p.coords / p.coords[0]
         at = dict(zip(("x2", "x3", "x4"), c[1:]))
-        exact = {name: [f.evaluate(at) for f in coords]
+        exact = {name: [evaluate(f, at) for f in coords]
                  for name, coords in GENERIC_LINES.items()}
         lines = six_lines_numeric(p, g)
         for name, m in zip(("L1", "L2", "L3", "L4", "L5"), lines):

@@ -210,6 +210,23 @@ def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):
     assert builds == [4]
 
 
+def test_count_points_parses_the_rho_system_once(fresh_caches, monkeypatch):
+    # the rho certificate, the sigma orbits and Z_gamma's basis all read
+    # rho1, rho2 and rho3, and each text is parsed once per gamma
+    import qp3.point_scheme as ps
+
+    parsed = []
+    real = ps.parse_poly
+
+    def counted(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(ps, "parse_poly", counted)
+    assert count_points(make_A(gr(Fraction(5, 2)))).ok
+    assert sorted(t for t in parsed if t in ps.RHO_STRINGS) == sorted(ps.RHO_STRINGS)
+
+
 def test_certificate_caches_respect_the_limits(capsys):
     # the bases and the answers are cached per input and per limits, so
     # an unrestricted run cannot lend its results to a narrow one
