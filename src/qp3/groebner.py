@@ -600,53 +600,63 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _minimalize(gens: Sequence[Monomial]) -> List[Monomial]:
-    gens = sorted(set(gens), key=lambda m: (sum(m), m))
-    out: List[Monomial] = []
-    for m in gens:
-        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+def _minimal(monos: Sequence[int], guard: int) -> Tuple[int, ...]:
+    """The minimal generators, ascending, of packed monomials with guard bits
+    `guard`: int order extends divisibility, so none before a minimal one divides it."""
+    out: List[int] = []
+    for m in sorted(set(monos)):
+        if all(((m | guard) - g) & guard != guard for g in out):
             out.append(m)
-    return out
+    return tuple(out)
 
 
 def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
-    """Numerator of the Hilbert series of R/<gens> over (1-t)^nvars."""
-    return _numerator(tuple(_minimalize(gens)), nvars)
+    """Numerator of the Hilbert series of R/<gens> over (1-t)^nvars.  Each
+    exponent must lie in [0, 2**15), else ExponentOverflowError (ValueError
+    if negative): the generators are packed by `_packing(nvars, DEGREVLEX)`."""
+    pk = _packing(nvars, DEGREVLEX)
+    return _staircase(_minimal([pk.pack(m)[1] for m in gens], pk.guard), nvars)
 
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
-def _numerator(gens: Tuple[Monomial, ...], nvars: int) -> Tuple[int, ...]:
-    """`hilbert_numerator` of a generating set that `_minimalize` made."""
-    if not gens:
-        return (1,)
-    if any(sum(m) == 0 for m in gens):
-        return (0,)
-    supports = [frozenset(k for k, e in enumerate(m) if e) for m in gens]
-    if sum(map(len, supports)) == len(frozenset().union(*supports)):
+def _staircase(gens: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """`hilbert_numerator` of the ideal I of the minimal generators `gens`,
+    ascending and packed on n variables, by HN(I) = HN(I + <x_v>) + t *
+    HN(I : x_v) for the first x_v that divides the most of them."""
+    if not gens or gens[0] == 0:
+        return (0,) if gens else (1,)
+    pk, w = _packing(n, DEGREVLEX), _BITS + 1
+    guard, ones = pk.guard, pk.guard >> _BITS
+    if len(gens) >> w:
+        raise ResourceLimitError(f"{len(gens)} generators overflow a pivot count")
+    # field k: how many generators x_k divides (the guard bits of nonzero fields)
+    counts = sum(((m | guard) - ones) & guard for m in gens) >> _BITS
+    if not counts & ~ones:
         # pairwise coprime: HN is the product of the factors 1 - t^deg(m)
         result: Tuple[int, ...] = (1,)
         for m in gens:
-            pad = (0,) * sum(m)
+            pad = (0,) * pk.degree(m)
             result = tuple(a - b for a, b in zip(result + pad, pad + result))
         return result
-    counts = [sum(1 for m in gens if m[k]) for k in range(nvars)]
-    v = max(range(nvars), key=lambda k: (counts[k], -k))
-    pivot = tuple(1 if k == v else 0 for k in range(nvars))
-    plus = [m for m in gens if m[v] == 0] + [pivot]
-    colon = [tuple(max(e - 1, 0) if k == v else e for k, e in enumerate(m))
-             for m in gens]
-    # HN(gens) = HN(plus) + t * HN(colon)
-    return tuple(map(sum, zip_longest(hilbert_numerator(plus, nvars),
-                                      (0,) + hilbert_numerator(colon, nvars),
-                                      fillvalue=0)))
+    v = max(range(n), key=lambda k: ((counts >> k * w) & ((1 << w) - 1), -k))
+    unit, field = 1 << v * w, pk.mask << v * w
+    # the generators free of x_v and x_v itself are minimal; the colon is not
+    plus = tuple(sorted([m for m in gens if not m & field] + [unit]))
+    colon = _minimal([m - unit if m & field else m for m in gens], guard)
+    return tuple(map(sum, zip_longest(_staircase(plus, n),
+                                      (0,) + _staircase(colon, n), fillvalue=0)))
 
 
 def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
     """The Hilbert numerator of G's leading-term ideal over (1 - t)^n with
-    (1 - t) divided out as often as it goes, and how often that was."""
-    num = list(hilbert_numerator(G.leading_monomials(), len(G.varset)))
+    (1 - t) divided out as often as it goes, and how often that was (n times
+    for the series 0 of the unit ideal).  G's leads are minimal generators."""
+    n = len(G.varset)
+    num = list(_staircase(tuple(sorted(p[0][1] for p in G._lists)), n))
+    if not any(num):
+        return [], n
     stripped = 0
-    while any(num) and sum(num) == 0:
+    while sum(num) == 0:
         # synthetic division by (1 - t)
         out = [0] * (len(num) - 1)
         acc = 0
@@ -664,11 +674,16 @@ def quotient_dimension(I: Ideal) -> Optional[int]:
     The Hilbert series of the standard monomials of I is a polynomial,
     and their number finite, exactly when all n factors (1 - t) strip.
     """
-    G = buchberger(I.with_order(DEGREVLEX))
-    if G.contains_one():
-        return 0
-    num, stripped = _stripped_numerator(G)
+    num, stripped = _stripped_numerator(buchberger(I.with_order(DEGREVLEX)))
     return sum(num) if stripped == len(I.varset) else None
+
+
+def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
+    """The DEGREVLEX basis of I, whose generators must be homogeneous."""
+    for g in I.generators:
+        if not g.is_homogeneous():
+            raise NonHomogeneousError("hilbert_dimension_degree needs a homogeneous ideal")
+    return buchberger(I.with_order(DEGREVLEX))
 
 
 def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
@@ -678,14 +693,7 @@ def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
     factors of (1 - t) from the numerator; the remaining pole order is
     the affine cone dimension and the numerator at t = 1 is the degree.
     """
-    for g in I.generators:
-        if not g.is_homogeneous():
-            raise NonHomogeneousError("hilbert_dimension_degree needs a "
-                                      "homogeneous ideal")
-    G = buchberger(I.with_order(DEGREVLEX))
-    if G.contains_one():
-        return (-1, 0)
-    num, stripped = _stripped_numerator(G)
+    num, stripped = _stripped_numerator(_homogeneous_basis(I))
     # series = num / (1-t)^(n - stripped) after cancellation, so the affine
     # cone has Krull dimension n - stripped and degree num(1)
     return (len(I.varset) - stripped - 1, sum(num))

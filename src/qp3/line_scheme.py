@@ -27,11 +27,11 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, gr
-from .multipoly import (DEGREVLEX, Polynomial, VarSet, _wrap, parse_poly,
-                        print_poly, substitute)
+from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
+                        substitute)
 from .polylinalg import PolyMatrix, all_minors, solve
-from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _stripped_numerator,
-                       buchberger, cached_under_limits,
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _homogeneous_basis,
+                       _stripped_numerator, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
                        quotient_dimension, radical_member)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
@@ -296,11 +296,11 @@ def curve_invariants(ideal: Ideal) -> Tuple[int, int, str]:
     P^(5 - k), k the number of linear leading monomials.  The kinds
     presume smoothness, which tests/test_line_scheme.py proves for every
     gamma.  Any other shape is a pipeline bug: ValueError."""
-    dimension, degree = hilbert_dimension_degree(ideal)
-    G = buchberger(ideal.with_order(DEGREVLEX))
-    h, _ = _stripped_numerator(G)
+    G = _homogeneous_basis(ideal)
+    h, stripped = _stripped_numerator(G)
+    dimension, degree = len(ideal.varset) - stripped - 1, sum(h)
     genus = 1 - sum(h) + sum(k * c for k, c in enumerate(h))
-    span = len(ideal.varset) - 1 - sum(sum(m) == 1 for m in G.leading_monomials())
+    span = len(ideal.varset) - 1 - sum(G._packing.degree(p[0][1]) == 1 for p in G._lists)
     kind = _KINDS.get((degree, genus, span)) if dimension == 1 else None
     if kind is None:
         raise ValueError(f"no kind for {dimension=}, {degree=}, {genus=}, {span=}")

@@ -207,7 +207,7 @@ class _Packing:
     and key(m*n) = key(m) + key(n).
     """
 
-    __slots__ = ("order", "shifts", "mask", "guard", "high", "weights")
+    __slots__ = ("order", "shifts", "mask", "guard", "high", "evens", "weights")
 
     def __init__(self, n: int, order: MonomialOrder):
         w = _BITS + 1
@@ -216,6 +216,8 @@ class _Packing:
         self.mask = (1 << _BITS) - 1
         self.guard = sum(1 << (s + _BITS) for s in self.shifts)
         self.high = self.guard >> 1    # the top exponent bit of each field
+        # `degree`: odd fields added onto these fill 32-bit slots, summed mod 2**32 - 1
+        self.evens = sum(self.mask << s for s in self.shifts[::2])
         cols = [order.key(tuple(int(i == k) for i in range(n))) for k in range(n)]
         rows = len(cols[0]) if cols else 0
         span = max((sum(abs(c[j]) for c in cols) for j in range(rows)), default=1)
@@ -238,7 +240,7 @@ class _Packing:
         return sum(map(mul, self.unpack(mono), self.weights))
 
     def degree(self, mono: int) -> int:
-        return sum(self.unpack(mono))
+        return ((mono & self.evens) + (mono >> _BITS + 1 & self.evens)) % 0xFFFFFFFF
 
     def divides(self, m: int, n: int) -> bool:
         guard = self.guard

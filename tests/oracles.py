@@ -2,11 +2,14 @@
 
 Each computes what an engine routine computes by another method, and no
 command needs it: Bareiss elimination for the determinant and the minors
-of `polylinalg.all_minors`, the exact long division it rests on, and a
-plain float evaluator for the compiled residuals of `numeric`.
+of `polylinalg.all_minors`, the exact long division it rests on, a plain
+float evaluator for the compiled residuals of `numeric`, and a count of
+standard monomials for the Hilbert numerators of `groebner`.
 """
 
-from typing import Mapping
+from itertools import combinations_with_replacement
+from operator import le
+from typing import List, Mapping, Sequence, Tuple
 
 from qp3.multipoly import Polynomial, VarSetMismatchError
 from qp3.polylinalg import PolyMatrix
@@ -71,3 +74,18 @@ def evaluate(f: Polynomial, values: Mapping[str, complex]) -> complex:
                 t *= v ** e
         total += t
     return total
+
+
+def staircase_counts(gens: Sequence[Tuple[int, ...]], nvars: int,
+                     top: int) -> List[int]:
+    """For d = 0..top, the number of monomials of degree d in nvars
+    variables that no generator divides: the Hilbert function of the
+    quotient by the monomial ideal, one monomial at a time."""
+    counts = []
+    for d in range(top + 1):
+        count = 0
+        for vs in combinations_with_replacement(range(nvars), d):
+            m = tuple(vs.count(k) for k in range(nvars))
+            count += not any(all(map(le, g, m)) for g in gens)
+        counts.append(count)
+    return counts

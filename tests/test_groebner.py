@@ -2,6 +2,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
 from qp3 import groebner, multipoly
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           NotAUnitError, ResourceLimitError, buchberger,
-                          eliminate, hilbert_dimension_degree,
+                          eliminate, hilbert_dimension_degree, hilbert_numerator,
                           intersect, invert_mod, is_unit_mod, limits_scope,
                           normal_form, quotient_dimension, radical_member,
                           saturate)
@@ -22,6 +23,7 @@ from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (component_catalog, components_intersection,
                              line_scheme_ideal, verify_decomposition)
 from qp3.fixtures import load_fixtures
+from oracles import staircase_counts
 
 
 def test_single_monic_generator():
@@ -271,6 +273,74 @@ def test_hilbert_invariant_under_generator_shuffle():
     for _ in range(3):
         rng.shuffle(gens)
         assert hilbert_dimension_degree(Ideal(list(gens))) == base
+
+
+def _series(num, n, top):
+    """The coefficients of t^0..t^top in num / (1 - t)^n."""
+    s = (list(num) + [0] * top)[:top + 1]
+    for _ in range(n):
+        s = list(accumulate(s))
+    return s
+
+
+def _monomial_ideal(gens, vs):
+    return Ideal([Polynomial(vs, {m: 1}) for m in gens], varset=vs)
+
+
+def test_hilbert_numerator_matches_a_staircase_count():
+    rng = random.Random(35)
+    for n in range(8):
+        one = (0,) * n
+        cases = [[], [one], [one, one, (1,) * n]]
+        for _ in range(6):
+            gens = [tuple(rng.randrange(3) for _ in range(n))
+                    for _ in range(rng.randrange(1, 7))]
+            gens += [tuple(e + rng.randrange(2) for e in g) for g in gens]
+            cases.append(gens + rng.sample(gens, 2))    # non-minimal, repeated
+        for gens in cases:
+            assert _series(hilbert_numerator(gens, n), n, 6) == staircase_counts(gens, n, 6)
+        if n:
+            # with a power of every variable the quotient is finite: the
+            # count ends in zeros, and sums to the quotient's dimension
+            powers = [rng.randrange(1, 3) for _ in range(n)]
+            gens = [tuple(e * (j == k) for j in range(n)) for k, e in enumerate(powers)]
+            gens += cases[-1]
+            top = sum(powers) - n + 1
+            counts = staircase_counts(gens, n, top)
+            assert counts[-1] == 0
+            assert _series(hilbert_numerator(gens, n), n, top) == counts
+            I = _monomial_ideal(gens, VarSet([f"x{k}" for k in range(n)]))
+            assert quotient_dimension(I) == sum(counts)
+            assert hilbert_dimension_degree(I) == (-1, sum(counts))
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(-4), gr(Fraction(3, 2), 1)],
+                         ids=str)
+def test_line_scheme_hilbert_data_match_a_staircase_count(gamma):
+    # L and its components are curves: from degree 4 on, their Hilbert
+    # function grows by the degree at each step
+    L = line_scheme_ideal(gamma)
+    for ideal in [L.ideal, *(c.ideal for c in component_catalog(gamma))]:
+        n = len(ideal.varset)
+        lead = buchberger(ideal.with_order(DEGREVLEX)).leading_monomials()
+        counts = staircase_counts(lead, n, 7)
+        assert _series(hilbert_numerator(lead, n), n, 7) == counts
+        [degree] = {b - a for a, b in zip(counts[4:], counts[5:])}
+        for I in (ideal, _monomial_ideal(lead, ideal.varset)):
+            assert hilbert_dimension_degree(I) == (1, degree)
+            assert quotient_dimension(I) is None
+
+
+def test_hilbert_numerator_refuses_what_its_fields_cannot_hold():
+    # the generators are packed into 15-bit fields, as the engine's are
+    assert hilbert_numerator([(2 ** 15 - 1, 0)], 2) == (1,) + (0,) * (2 ** 15 - 2) + (-1,)
+    with pytest.raises(ExponentOverflowError):
+        hilbert_numerator([(2 ** 15, 0)], 2)
+    with pytest.raises(ValueError):
+        hilbert_numerator([(1, -1)], 2)
+    # the pivot count keeps one 16-bit field per variable
+    with pytest.raises(ResourceLimitError):
+        groebner._staircase(tuple(range(1, 2 ** 16 + 1)), 2)
 
 
 def test_buchberger_s_polynomials_reduce_posthoc():
