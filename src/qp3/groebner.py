@@ -611,18 +611,19 @@ def _minimal(monos: Sequence[int], guard: int) -> Tuple[int, ...]:
 
 
 def hilbert_numerator(gens: Sequence[Monomial], nvars: int) -> Tuple[int, ...]:
-    """Numerator of the Hilbert series of R/<gens> over (1-t)^nvars.  Each
-    exponent must lie in [0, 2**15), else ExponentOverflowError (ValueError
-    if negative): the generators are packed by `_packing(nvars, DEGREVLEX)`."""
+    """Numerator of the Hilbert series of R/<gens> over (1-t)^nvars.  Each of
+    the nvars exponents of a generator must lie in [0, 2**15), else ValueError
+    (ExponentOverflowError if too large): `_packing(nvars, DEGREVLEX)` packs them."""
     pk = _packing(nvars, DEGREVLEX)
+    if any(len(m) != nvars for m in gens):
+        raise ValueError(f"a monomial without {nvars} exponents")
     return _staircase(_minimal([pk.pack(m)[1] for m in gens], pk.guard), nvars)
 
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
 def _staircase(gens: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """`hilbert_numerator` of the ideal I of the minimal generators `gens`,
-    ascending and packed on n variables, by HN(I) = HN(I + <x_v>) + t *
-    HN(I : x_v) for the first x_v that divides the most of them."""
+    """`hilbert_numerator` of the minimal generators `gens`, ascending and packed on n
+    variables, of I: HN(I + <x_v>) + t * HN(I : x_v), x_v the first dividing most."""
     if not gens or gens[0] == 0:
         return (0,) if gens else (1,)
     pk, w = _packing(n, DEGREVLEX), _BITS + 1
@@ -680,9 +681,8 @@ def quotient_dimension(I: Ideal) -> Optional[int]:
 
 def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
     """The DEGREVLEX basis of I, whose generators must be homogeneous."""
-    for g in I.generators:
-        if not g.is_homogeneous():
-            raise NonHomogeneousError("hilbert_dimension_degree needs a homogeneous ideal")
+    if not all(g.is_homogeneous() for g in I.generators):
+        raise NonHomogeneousError("hilbert_dimension_degree needs a homogeneous ideal")
     return buchberger(I.with_order(DEGREVLEX))
 
 

@@ -338,6 +338,8 @@ def test_hilbert_numerator_refuses_what_its_fields_cannot_hold():
         hilbert_numerator([(2 ** 15, 0)], 2)
     with pytest.raises(ValueError):
         hilbert_numerator([(1, -1)], 2)
+    with pytest.raises(ValueError):
+        hilbert_numerator([(1, 0, 5)], 2)
     # the pivot count keeps one 16-bit field per variable
     with pytest.raises(ResourceLimitError):
         groebner._staircase(tuple(range(1, 2 ** 16 + 1)), 2)
