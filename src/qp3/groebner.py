@@ -437,32 +437,24 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return _poly(f.varset, pk, r, a, b, d * s)
 
 
-def _append(vs: VarSet, polys: Sequence[Polynomial], stem: str,
-            elim: bool = False) -> Tuple[Polynomial, List[Polynomial]]:
+def _append(vs: VarSet, polys: Sequence[Polynomial],
+            stem: str) -> Tuple[Polynomial, List[Polynomial]]:
     """(t, lifts): a fresh variable t appended last to vs, and polys lifted
-    there, under DEGREVLEX, or under the order that eliminates t if elim.
+    there, under the order that eliminates t.
 
     A packed monomial on n variables is the same int on n + 1, since the
-    first n fields keep their shifts, so no exponent is packed anew.  Both
-    orders restrict to DEGREVLEX on the t-free monomials, so a DEGREVLEX
-    list keeps its order and lead; only its keys are recomputed, and not at
-    all where the packings' weights agree, as the elimination order's do.
+    first n fields keep their shifts, so no exponent is packed anew.  The
+    order restricts to DEGREVLEX on the t-free monomials with the same
+    weights, so a DEGREVLEX list keeps its order, lead and keys.
     """
     name, k = stem, 0
     while name in vs:
         k += 1
         name = f"{stem}{k}"
     big = vs.extend([name])
-    t = Polynomial.variable(big, name, MonomialOrder.elimination(big, [name])
-                            if elim else DEGREVLEX)
-    small, pk = _packing(len(vs), DEGREVLEX), t._pk
-    same = pk.weights[:-1] == small.weights
-    lifts = []
-    for f in polys:
-        p, scale = f._packed(small)
-        lifts.append(_wrap(big, pk, p if same else [(pk.key(m), m, c) for _, m, c in p],
-                           scale))
-    return t, lifts
+    t = Polynomial.variable(big, name, MonomialOrder.elimination(big, [name]))
+    small = _packing(len(vs), DEGREVLEX)
+    return t, [_wrap(big, t._pk, *f._packed(small)) for f in polys]
 
 
 def _drop(G: GroebnerBasis, keep: Sequence[str]) -> Ideal:
@@ -487,41 +479,30 @@ def _drop(G: GroebnerBasis, keep: Sequence[str]) -> Ideal:
     return Ideal(out, DEGREVLEX, varset=small)
 
 
-def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial, stem: str,
-                  elim: bool = False) -> List[Polynomial]:
+def _rabinowitsch(polys: Sequence[Polynomial], f: Polynomial,
+                  stem: str) -> List[Polynomial]:
     """polys + [1 - t f], lifted by `_append` with t appended last."""
-    t, lifts = _append(f.varset, list(polys) + [f], stem, elim)
+    t, lifts = _append(f.varset, list(polys) + [f], stem)
     return lifts[:-1] + [1 - t * lifts[-1]]
 
 
-_MAX_POWER = 3    # powers of f tried before Rabinowitsch
-
-
 def radical_member(f: Polynomial, I: Ideal) -> bool:
-    """True iff f vanishes on V(I), that is f lies in the radical of I.
+    """True iff f lies in the radical of I, that is vanishes on V(I); f must
+    lie in I, or I be zero-dimensional, else ValueError.
 
-    G is the reduced DEGREVLEX basis of I, which `buchberger` caches.
-    First a power certificate: f^k in I implies f in rad(I) (Cox, Little,
-    O'Shea, Ideals, Varieties, and Algorithms, 4.2).  With r_1 = NF(f, G)
-    and r_(k+1) = NF(f * r_k, G), which is NF(f^(k+1), G), the answer is
-    True as soon as some r_k is zero, k <= _MAX_POWER; k = 1 is plain
-    membership.  Otherwise Rabinowitsch's trick decides: f is in rad(I)
-    iff 1 is in I + <1 - t f>.  That basis is computed from G + [1 - t f],
-    with t appended last by `_append` and G as a finished prefix.  This is
-    sound because DEGREVLEX on the extended ring restricts to DEGREVLEX on
-    the old one, so G's lists, their keys recomputed, are still a reduced
-    basis there, and only pairs that involve 1 - t f or an element derived
-    from it need to be formed.
+    G is the reduced DEGREVLEX basis of I that `buchberger` caches: f is in
+    I iff NF(f, G) = 0.  Else the ring A modulo I must have finite dimension
+    D (`quotient_dimension`), where a nilpotent f has f^D = 0, since the
+    ideals f^k A shrink strictly until they vanish.
     """
-    if f.is_zero():
-        return True
     G = buchberger(I.with_order(DEGREVLEX))
-    for k in range(1, _MAX_POWER + 1):
-        r = normal_form(f * r if k > 1 else f, G)    # NF(f^k, G)
-        if r.is_zero():
-            return True
-    gens = _rabinowitsch(G.basis, f, "t_rad")
-    return _buchberger(Ideal(gens, DEGREVLEX), len(G)).contains_one()
+    r = normal_form(f, G)
+    D = 1 if r.is_zero() else quotient_dimension(I)
+    if D is None:
+        raise ValueError("a non-member of an ideal that is not zero-dimensional")
+    while D > 1 and not r.is_zero():    # r = NF(f^(2^j), G) until 2^j >= D
+        r, D = normal_form(r * r, G), (D + 1) // 2
+    return r.is_zero()
 
 
 @cached_under_limits(maxsize=GB_CACHE_SIZE)
@@ -571,7 +552,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     """
     if I.varset != J.varset:
         raise VarSetMismatchError("ideals on different VarSets")
-    t, lifts = _append(I.varset, I.generators + J.generators, "t_int", elim=True)
+    t, lifts = _append(I.varset, I.generators + J.generators, "t_int")
     (kt, mt, _), = t._list
     gens = []
     for k, g in enumerate(lifts):
@@ -584,7 +565,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring,
     with t appended by `_append` under the order that eliminates it."""
-    return _eliminate_t(Ideal(_rabinowitsch(I.generators, f, "t_sat", elim=True)), I)
+    return _eliminate_t(Ideal(_rabinowitsch(I.generators, f, "t_sat")), I)
 
 
 def ideals_equal(I: Ideal, J: Ideal) -> bool:
@@ -708,10 +689,10 @@ def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
     only if u v - 1 reduces to zero modulo G (x modulo <x^2 - x> gives
     t - 1), so this is checked; else NotAUnitError.  G + [1 - t u] is
     lifted by `_append` under the order that eliminates t, which restricts
-    to DEGREVLEX: a DEGREVLEX G is a finished prefix, as in
-    `radical_member`.  That basis is dropped; the inverse is cached.
+    to DEGREVLEX, so a DEGREVLEX G is a finished prefix (`_buchberger`).
+    That basis is dropped; the inverse is cached.
     """
-    gens = _rabinowitsch(G.basis, u, "t_inv", elim=True)
+    gens = _rabinowitsch(G.basis, u, "t_inv")
     big = gens[-1].varset
     t = big.names[-1]
     E = _buchberger(Ideal(gens), len(G) if G.order == DEGREVLEX else 0)

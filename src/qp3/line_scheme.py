@@ -33,7 +33,7 @@ from .polylinalg import PolyMatrix, all_minors, solve
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _homogeneous_basis,
                        _stripped_numerator, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
-                       quotient_dimension, radical_member)
+                       quotient_dimension)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 m_hat, make_A, nonzero_gamma)
 from .fixtures import load_fixtures
@@ -396,7 +396,7 @@ def component_catalog(gamma: GaussianRational) -> ComponentCatalog:
 class DecompositionReport(NamedTuple):
     gamma: GaussianRational
     poly_in_components: bool       # V(L_k) inside V(L) for every k
-    intersection_in_radical: bool  # V(L) inside the union of the V(L_k)
+    intersection_in_radical: bool  # each L_k complete, their intersection in L^sat
     hilbert: Tuple[int, int]
     component_hilbert: Mapping[str, Tuple[int, int]]
     degrees_sum: int
@@ -441,19 +441,29 @@ def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
 
 
 def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
-    """Both inclusions of the decomposition plus the dimension and degree
-    bookkeeping; every clause is reported separately."""
+    """Both inclusions of the decomposition as schemes, L^sat = I for I the
+    intersection of the component ideals L_k, plus the dimension and degree
+    bookkeeping; every clause is reported separately.  L lies in each L_k.
+    Each L_k has as many generators as its codimension, so it is unmixed,
+    hence saturated, and so is I; and each generator f of I has f, or else
+    every M_ij * NF(f), in L.  Then I lies in L^sat, which lies in I^sat = I
+    (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 4.4; Eisenbud,
+    Commutative Algebra, ch. 18)."""
     if L.gamma != C.gamma:
         raise ValueError("line scheme and catalog built at different gamma")
     poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
 
-    inter = components_intersection(C)
-    intersection_in_radical = all(radical_member(g, L.ideal)
-                                  for g in inter.generators)
-
     hd = hilbert_dimension_degree(L.ideal)
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())
+
+    vs, gb = L.ideal.varset, buchberger(L.ideal)
+    ms = [Polynomial.variable(vs, n) for n in vs.names]
+    remainders = (normal_form(f, gb) for f in components_intersection(C).generators)
+    intersection_in_radical = (
+        all(len(c.ideal.generators) == len(vs) - 1 - comp_h[c.name][0] for c in C)
+        and all(r.is_zero() or all(normal_form(m * r, gb).is_zero() for m in ms)
+                for r in remainders))
     return DecompositionReport(
         gamma=L.gamma,
         poly_in_components=poly_in_components,

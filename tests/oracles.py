@@ -3,15 +3,17 @@
 Each computes what an engine routine computes by another method, and no
 command needs it: Bareiss elimination for the determinant and the minors
 of `polylinalg.all_minors`, the exact long division it rests on, a plain
-float evaluator for the compiled residuals of `numeric`, and a count of
-standard monomials for the Hilbert numerators of `groebner`.
+float evaluator for the compiled residuals of `numeric`, a count of
+standard monomials for the Hilbert numerators of `groebner`, and
+Rabinowitsch's rule for its `radical_member`.
 """
 
 from itertools import combinations_with_replacement
 from operator import le
 from typing import List, Mapping, Sequence, Tuple
 
-from qp3.multipoly import Polynomial, VarSetMismatchError
+from qp3.groebner import Ideal, buchberger
+from qp3.multipoly import DEGREVLEX, Polynomial, VarSetMismatchError, substitute
 from qp3.polylinalg import PolyMatrix
 
 
@@ -89,3 +91,17 @@ def staircase_counts(gens: Sequence[Tuple[int, ...]], nvars: int,
             count += not any(all(map(le, g, m)) for g in gens)
         counts.append(count)
     return counts
+
+
+def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:
+    """Whether f lies in the radical of I, by Rabinowitsch's rule: iff 1
+    lies in I + <1 - t f>, t a new variable (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, 4.2).  The basis is computed under
+    DEGREVLEX from I's generators, each lifted by `substitute`."""
+    vs = f.varset
+    name = "t" + "_" * max(map(len, vs.names))
+    big = vs.extend([name])
+    t = Polynomial.variable(big, name)
+    gens = [substitute(g, {}, target=big, order=DEGREVLEX)
+            for g in (*I.generators, f)]
+    return buchberger(Ideal(gens[:-1] + [1 - t * gens[-1]], DEGREVLEX)).contains_one()

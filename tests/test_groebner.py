@@ -23,7 +23,7 @@ from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (component_catalog, components_intersection,
                              line_scheme_ideal, verify_decomposition)
 from qp3.fixtures import load_fixtures
-from oracles import staircase_counts
+from oracles import radical_member_rabinowitsch, staircase_counts
 
 
 def test_single_monic_generator():
@@ -99,18 +99,27 @@ def test_ideal_member_order_independent():
 
 
 def _no_rabinowitsch(*args):
-    raise AssertionError("Rabinowitsch run where a power certificate suffices")
+    raise AssertionError("Rabinowitsch run inside radical_member")
 
 
 @pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(Fraction(3, 2), 1)])
-def test_line_scheme_inclusion_certified_by_powers(gamma, monkeypatch):
-    # V(L) lies in the union of the components: every generator g of the
-    # intersection of their ideals has g^k in L for some k <= 3
-    monkeypatch.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
-    L = line_scheme_ideal(gamma).ideal
-    inter = components_intersection(component_catalog(gamma))
-    assert inter.generators
-    assert all(radical_member(g, L) for g in inter.generators)
+def test_line_scheme_saturation_identity(gamma):
+    # L^sat = I, the intersection of the component ideals: every component
+    # is a complete intersection, four generators in codimension four, L
+    # lies in I, and m*I lies in L, m the ideal of the M_ij.  Four of the
+    # fourteen generators of I lie in L and the other ten only times m
+    L = line_scheme_ideal(gamma)
+    C = component_catalog(gamma)
+    assert all(len(c.ideal.generators) == 4
+               and hilbert_dimension_degree(c.ideal)[0] == 1 for c in C)
+    assert all(normal_form(p, buchberger(c.ideal)).is_zero()
+               for c in C for p in L.polys)
+    gb = buchberger(L.ideal)
+    inter = components_intersection(C).generators
+    assert (sum(normal_form(f, gb).is_zero() for f in inter), len(inter)) == (4, 14)
+    assert all(normal_form(Polynomial.variable(M_VARS, n) * f, gb).is_zero()
+               for f in inter for n in M_VARS.names)
+    assert verify_decomposition(L, C).intersection_in_radical
 
 
 @pytest.mark.parametrize("gamma", [gr(1), gr(-4), gr(Fraction(3, 2), 1)],
@@ -126,21 +135,57 @@ def test_intersection_tree_matches_chained_fold(gamma):
 
 
 def test_radical_member_examples(monkeypatch):
+    monkeypatch.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
     vs = VarSet(["x", "y"])
-    x = parse_poly("x", vs)
-    # x^2 and x^3 in I: settled by normal forms, no Rabinowitsch run
-    with monkeypatch.context() as m:
-        m.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
-        assert radical_member(x, Ideal([parse_poly("x^2", vs)]))
-        assert radical_member(x, Ideal([parse_poly("x^3", vs)]))
-    # past the power cap, and for a non-member, Rabinowitsch decides
-    runs = []
-    rabinowitsch = groebner._rabinowitsch
-    monkeypatch.setattr(groebner, "_rabinowitsch",
-                        lambda *a: runs.append(a) or rabinowitsch(*a))
-    assert radical_member(x, Ideal([parse_poly("x^5", vs)]))
-    assert not radical_member(x, Ideal([parse_poly("y", vs)]))
-    assert len(runs) == 2
+    x, y = parse_poly("x", vs), parse_poly("y", vs)
+    # a member of any ideal, by its normal form
+    assert radical_member(x * y, Ideal([y]))
+    assert radical_member(Polynomial.zero(vs), Ideal([y]))
+    # nilpotent modulo a zero-dimensional ideal, or not
+    assert radical_member(x, Ideal([parse_poly("x^2", vs), y]))
+    assert radical_member(x + y, Ideal([parse_poly("x^3", vs), y * y]))
+    assert not radical_member(x, Ideal([parse_poly("x^2 - x", vs), y]))
+    assert not radical_member(x, Ideal([parse_poly("x - 1", vs), y]))
+    # x^5 is in <x^5, y> and x^4 is not: squaring runs to x^8, past D = 5
+    I = Ideal([parse_poly("x^5", vs), y])
+    assert quotient_dimension(I) == 5
+    assert not normal_form(parse_poly("x^4", vs), buchberger(I)).is_zero()
+    assert radical_member(x, I)
+    # a non-member of an ideal of positive dimension has no power bound
+    for I in (Ideal([y]), Ideal([parse_poly("x^2", vs)])):
+        with pytest.raises(ValueError, match="zero-dimensional"):
+            radical_member(x, I)
+
+
+def _random_poly(rng, vs, terms, top):
+    return Polynomial(vs, {tuple(rng.randint(0, top) for _ in vs.names):
+                           gr(rng.randint(-3, 3), rng.randint(-3, 3))
+                           for _ in range(terms)})
+
+
+def test_radical_member_on_random_zero_dimensional_ideals(fresh_caches, monkeypatch):
+    # I = <a^j, b^k> for random a, b with <a, b> zero-dimensional: a and b
+    # lie in rad(I) and, for j or k above one, mostly not in I; x, y and
+    # a + x*b are drawn against the same ideal.  Each answer is checked
+    # against Rabinowitsch's rule
+    monkeypatch.setattr(groebner, "_rabinowitsch", _no_rabinowitsch)
+    rng = random.Random(36)
+    vs = VarSet(["x", "y"])
+    x, y = parse_poly("x", vs), parse_poly("y", vs)
+    nilpotent = cases = 0
+    while cases < 60:
+        a = _random_poly(rng, vs, rng.randint(1, 3), 2)
+        b = _random_poly(rng, vs, rng.randint(1, 3), 2)
+        if a.is_zero() or b.is_zero() or quotient_dimension(Ideal([a, b])) is None:
+            continue
+        I = Ideal([a ** rng.randint(1, 2), b ** rng.randint(1, 2)])
+        G = buchberger(I)
+        for f in (a, b, x, y, a + x * b):
+            answer = radical_member(f, I)
+            assert answer == radical_member_rabinowitsch(f, I)
+            nilpotent += answer and not normal_form(f, G).is_zero()
+            cases += 1
+    assert nilpotent > 20
 
 
 def test_radical_member_component_product():
@@ -431,6 +476,16 @@ def test_packed_monomials_match_their_tuple_definitions(order):
         pk.check([pk.pack((0, 0, half + 1, 0, 0)) + ((1, 0),)])
 
 
+def test_an_appended_eliminated_variable_keeps_the_degrevlex_weights():
+    # why `_append` lifts a DEGREVLEX list to the order that eliminates a
+    # variable appended last without computing a key anew
+    for n in range(1, 21):
+        vs = VarSet([f"x{k}" for k in range(n + 1)])
+        elim = MonomialOrder.elimination(vs, [vs.names[-1]])
+        assert (multipoly._packing(n + 1, elim).weights[:-1]
+                == multipoly._packing(n, DEGREVLEX).weights)
+
+
 def test_exponents_beyond_the_packed_width_are_refused(fresh_caches):
     # y - x^3 reduces to y - z^36000 modulo x - z^12000: a multiplier of
     # the reduction passes 2^14 - 1, the most the fixed fields allow, so
@@ -657,22 +712,31 @@ def test_determinism_repeated_runs(fresh_caches):
 
 
 def _rabinowitsch_bases(f, I):
-    """The Rabinowitsch basis for f and I, seeded from the reduced basis of
+    """The Rabinowitsch basis for f and I under the order that eliminates
+    t, as `invert_mod` forms it, seeded from the reduced DEGREVLEX basis of
     I and unseeded from its raw generators.  Only the plain one is cached."""
     from qp3.groebner import _buchberger, _rabinowitsch
 
     G = buchberger(I)
-    seeded = _buchberger(Ideal(_rabinowitsch(G.basis, f, "t_rad"), DEGREVLEX),
-                         len(G))
-    plain = buchberger(Ideal(_rabinowitsch(I.generators, f, "t_rad"), DEGREVLEX))
+    seeded = _buchberger(Ideal(_rabinowitsch(G.basis, f, "t_rad")), len(G))
+    plain = buchberger(Ideal(_rabinowitsch(I.generators, f, "t_rad")))
     assert seeded is not plain
     return seeded, plain
 
 
 def _assert_seeded_rabinowitsch_agrees(f, I):
+    # both bases agree, decide Rabinowitsch's rule as the DEGREVLEX oracle
+    # does, and radical_member agrees wherever it answers
     seeded, plain = _rabinowitsch_bases(f, I)
     assert seeded.basis == plain.basis
-    assert radical_member(f, I) == plain.contains_one()
+    expected = radical_member_rabinowitsch(f, I)
+    assert plain.contains_one() == expected
+    if (normal_form(f, buchberger(I)).is_zero()
+            or quotient_dimension(I) is not None):
+        assert radical_member(f, I) == expected
+    else:
+        with pytest.raises(ValueError):
+            radical_member(f, I)
 
 
 def test_seeded_rabinowitsch_on_line_scheme_and_components(fresh_caches):

@@ -241,15 +241,58 @@ def test_verify_decomposition():
         assert rep.degrees_sum == 20
 
 
-def test_verify_decomposition_negative_control():
+_GAMMAS = {"3/2+i": gr(Fraction(3, 2), 1), "4": gr(4)}
+
+
+@pytest.mark.parametrize("gamma, dropped", [
+    (g, c.name) for g in _GAMMAS for c in component_catalog(_GAMMAS[g])])
+def test_verify_decomposition_negative_control(gamma, dropped):
+    from qp3.line_scheme import ComponentCatalog
+
+    L = line_scheme_ideal(_GAMMAS[gamma])
+    C = component_catalog(_GAMMAS[gamma])
+    truncated = ComponentCatalog(
+        gamma=C.gamma, components=tuple(c for c in C if c.name != dropped))
+    rep = verify_decomposition(L, truncated)
+    assert rep.poly_in_components
+    assert not rep.intersection_in_radical
+    assert not rep.ok
+
+
+def test_verify_decomposition_refuses_an_embedded_point():
+    # L cap m_p^2, p a point of the conic L6a on no other component: the
+    # same zero set and Hilbert polynomial as L, but its saturation is the
+    # intersection of the components cap m_p^2, which misses the
+    # generators of the intersection that are regular at p
+    gamma = _GAMMAS["3/2+i"]
+    L = line_scheme_ideal(gamma)
+    C = component_catalog(gamma)
+    p = dict(zip(M_VARS.names, (gr(0, -1), gr(1), gr(0), gr(0), gr(0, -1), gr(1))))
+    assert all(substitute(f, p).is_zero() for f in L.polys)
+    assert [c.name for c in C if all(substitute(f, p).is_zero()
+                                     for f in c.ideal.generators)] == ["L6a"]
+    m34 = Polynomial.variable(M_VARS, "M34")
+    lin = [Polynomial.variable(M_VARS, n) - m34 * p[n] for n in M_VARS.names[:-1]]
+    J = intersect(L.ideal, Ideal([a * b for k, a in enumerate(lin) for b in lin[k:]]))
+    rep = verify_decomposition(L._replace(polys=J.generators, ideal=J), C)
+    assert rep.poly_in_components and rep.hilbert == (1, 20) and rep.degrees_sum == 20
+    assert not rep.intersection_in_radical
+    assert not rep.ok
+
+
+def test_verify_decomposition_needs_complete_intersections():
+    # L6a with a fifth, redundant generator is the same ideal, but no
+    # longer a complete intersection, so nothing shows it saturated
     from qp3.line_scheme import ComponentCatalog
 
     L = line_scheme_ideal(gr(1))
     C = component_catalog(gr(1))
-    truncated = ComponentCatalog(
-        gamma=C.gamma,
-        components=tuple(c for c in C if c.name != "L6b"))
-    rep = verify_decomposition(L, truncated)
+    padded = ComponentCatalog(gamma=C.gamma, components=tuple(
+        c._replace(ideal=Ideal(list(c.ideal.generators)
+                               + [sum(c.ideal.generators[:2], Polynomial.zero(M_VARS))]))
+        if c.name == "L6a" else c for c in C))
+    rep = verify_decomposition(L, padded)
+    assert rep.poly_in_components and rep.degrees_sum == 20
     assert not rep.intersection_in_radical
     assert not rep.ok
 
