@@ -99,7 +99,7 @@ def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     Varieties, and Algorithms, 4.2).  The basis is computed under
     DEGREVLEX from I's generators, each lifted by `substitute`."""
     vs = f.varset
-    name = "t" + "_" * max(map(len, vs.names))
+    name = "t" + "_" * max(map(len, vs.names))    # longer than every name
     big = vs.extend([name])
     t = Polynomial.variable(big, name)
     gens = [substitute(g, {}, target=big, order=DEGREVLEX)

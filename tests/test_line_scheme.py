@@ -10,8 +10,9 @@ from qp3.polylinalg import PolyMatrix, all_minors, rank
 from qp3.groebner import (Ideal, buchberger, eliminate, hilbert_numerator,
                           ideals_equal, intersect, normal_form)
 from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
-from qp3.line_scheme import (Component, build_big_matrix, component_catalog,
-                             components_intersection, displayed_big_matrix,
+from qp3.line_scheme import (Component, ComponentCatalog, build_big_matrix,
+                             component_catalog, components_intersection,
+                             displayed_big_matrix,
                              fixture_forensics, jacobian_smoothness_check,
                              line_scheme_ideal, match_displayed_big_matrix,
                              match_fixture_polys, pluecker_polynomial,
@@ -247,8 +248,6 @@ _GAMMAS = {"3/2+i": gr(Fraction(3, 2), 1), "4": gr(4)}
 @pytest.mark.parametrize("gamma, dropped", [
     (g, c.name) for g in _GAMMAS for c in component_catalog(_GAMMAS[g])])
 def test_verify_decomposition_negative_control(gamma, dropped):
-    from qp3.line_scheme import ComponentCatalog
-
     L = line_scheme_ideal(_GAMMAS[gamma])
     C = component_catalog(_GAMMAS[gamma])
     truncated = ComponentCatalog(
@@ -283,14 +282,12 @@ def test_verify_decomposition_refuses_an_embedded_point():
 def test_verify_decomposition_needs_complete_intersections():
     # L6a with a fifth, redundant generator is the same ideal, but no
     # longer a complete intersection, so nothing shows it saturated
-    from qp3.line_scheme import ComponentCatalog
-
     L = line_scheme_ideal(gr(1))
     C = component_catalog(gr(1))
+    gens = C.get("L6a").ideal.generators
     padded = ComponentCatalog(gamma=C.gamma, components=tuple(
-        c._replace(ideal=Ideal(list(c.ideal.generators)
-                               + [sum(c.ideal.generators[:2], Polynomial.zero(M_VARS))]))
-        if c.name == "L6a" else c for c in C))
+        c._replace(ideal=Ideal([*gens, gens[0] + gens[1]])) if c.name == "L6a" else c
+        for c in C))
     rep = verify_decomposition(L, padded)
     assert rep.poly_in_components and rep.degrees_sum == 20
     assert not rep.intersection_in_radical
