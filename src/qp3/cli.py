@@ -1,19 +1,22 @@
 """Command-line front end: point-scheme, line-scheme and lines-through
 reports in deterministic text or JSON.
 
+One command and its options, in any order, each option written `--x v`
+or `--x=v` or by a unique prefix of its name; after a bare `--` every
+token is positional.  README.md describes each command and option.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource
 limit exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .multipoly import (VarSet, height_bound, parse_poly, print_poly,
@@ -42,11 +45,6 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def parse_gamma(text: str) -> GaussianRational:
     """Gamma from its text form, e.g. '4', '-1', '1/2 + 3/2*i'.
@@ -66,49 +64,58 @@ def parse_gamma(text: str) -> GaussianRational:
     return value
 
 
-def _join_gamma(argv: tuple) -> List[str]:
-    """`--gamma <value>` as `--gamma=<value>`, since argparse takes a
-    separate value such as `-1/2` or `-i` for an option."""
-    out: List[str] = []
-    for arg in argv:
-        if out and out[-1] == "--gamma":
-            out[-1] = f"--gamma={arg}"
-        else:
-            out.append(arg)
-    return out
+COMMANDS = ("point-scheme", "line-scheme", "lines-through")
+
+# each option: what its value must be (a type, the tuple of its choices,
+# or None for a switch), and the one command that takes it (None: all)
+OPTIONS = {
+    "--help": (None, None), "--gamma": (str, None), "--format": (("text", "json"), None),
+    "--max-pairs": (int, None), "--max-basis": (int, None), "--max-degree": (int, None),
+    "--tolerance": (float, None), "--verify": (None, "line-scheme"),
+    "--symbolic": (None, "lines-through"), "--numeric": (None, "lines-through"),
+    "--point": (("e1", "e2", "e3", "e4", "generic"), "lines-through")}
+
+USAGE = f"""\
+usage: qp3 [-h] --gamma GAMMA [--format {{text,json}}] [--max-pairs N] [--max-basis N]
+           [--max-degree N] [--tolerance T] [--verify] [--symbolic] [--numeric]
+           [--point {{e1,e2,e3,e4,generic}}] {{point-scheme,line-scheme,lines-through}}
+
+{__doc__}"""
 
 
-# the flags that one command alone takes: (flag, command, choices, help);
-# a flag without choices is a switch
-COMMAND_FLAGS = (
-    ("verify", "line-scheme", None, "verify the decomposition and the degrees"),
-    ("symbolic", "lines-through", None,
-     "exact verification at the generic point (default)"),
-    ("numeric", "lines-through", None, "numeric table over the enumerated points"),
-    ("point", "lines-through", ("e1", "e2", "e3", "e4", "generic"),
-     "a basis point e1..e4 (symbolic mode)"),
-)
+def _option(token: str, tokens: Iterator[str]) -> tuple:
+    """(option, value) for a token that begins with `--`: the option it names
+    in full or by a unique prefix, and True for a switch, else the checked
+    text after `=` or the next token; (None, None) if it names none."""
+    name, eq, text = token.partition("=")
+    found = [name] if name in OPTIONS else [o for o in OPTIONS if o.startswith(name)]
+    if len(found) != 1:
+        if found:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        return None, None
+    option, = found
+    kind = OPTIONS[option][0]
+    if kind is None:
+        if eq:
+            raise UsageError(f"argument {option}: ignored explicit argument {text!r}")
+        return option, True
+    text = text if eq else next(tokens, None)
+    if text is None:
+        raise UsageError(f"argument {option}: expected one argument")
+    return option, _value(option, text, kind)
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> _Parser:
-    """One parser for every command; each flag works before or after it."""
-    p = _Parser(prog="qp3", description=__doc__)
-    p.add_argument("command", metavar="command", choices=(
-        "point-scheme", "line-scheme", "lines-through"),
-        help="point-scheme (point counts, multiplicities, sigma orbits), "
-             "line-scheme (the 46 polynomials and components) or "
-             "lines-through (lines of the line scheme through a point)")
-    p.add_argument("--gamma", help="family parameter, a nonzero Gaussian rational")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    for field in LIMIT_ENV:
-        p.add_argument("--" + field.replace("_", "-"), type=int)
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="numeric-mode residual tolerance")
-    for flag, command, choices, text in COMMAND_FLAGS:
-        kind = {"choices": choices} if choices else {"action": "store_true"}
-        p.add_argument("--" + flag, help=f"{command} only: {text}", **kind)
-    return p
+def _value(name: str, text: str, kind):
+    """`text` as the value of `name`, checked against its type or choices."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {text!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
 
 def _limit(field: str, value: Optional[int]) -> int:
@@ -230,43 +237,71 @@ def answer(command, *args) -> Tuple[str, int]:
     return command(*args)
 
 
-def _question(args, gamma) -> tuple:
-    """The command function and the arguments that decide its answer.
-    The tolerance counts in numeric mode only."""
-    if args.command == "point-scheme":
-        return cmd_point_scheme, gamma, args.format
-    if args.command == "line-scheme":
-        return cmd_line_scheme, gamma, args.format, args.verify
-    if not args.numeric:
-        return cmd_lines_through, gamma, args.format, args.point or "generic"
-    if args.symbolic or args.point:
+def _question(command: str, given: dict, gamma) -> tuple:
+    """The command function and the arguments that decide its answer,
+    from the options `given`.  The tolerance counts in numeric mode only."""
+    fmt = given.get("--format", "text")
+    if command == "point-scheme":
+        return cmd_point_scheme, gamma, fmt
+    if command == "line-scheme":
+        return cmd_line_scheme, gamma, fmt, "--verify" in given
+    if "--numeric" not in given:
+        return cmd_lines_through, gamma, fmt, given.get("--point", "generic")
+    if "--symbolic" in given or "--point" in given:
         raise UsageError("--numeric cannot be combined with --symbolic or --point")
-    return cmd_lines_through_numeric, gamma, args.format, args.tolerance
+    return cmd_lines_through_numeric, gamma, fmt, given["--tolerance"]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _parsed(argv: tuple) -> tuple:
-    """(question, limit flags) for one command line: everything `main`
-    takes from argv, once per distinct argv.  A usage error raises and is
-    not cached; the environment is read later, by `make_limits`."""
-    args = build_parser().parse_args(_join_gamma(argv))
-    for flag, command, _, _ in COMMAND_FLAGS:
-        if getattr(args, flag) not in (None, False) and args.command != command:
-            raise UsageError(f"unrecognized arguments: --{flag}")
-    if args.gamma is None:
+def _parsed(argv: tuple) -> Optional[tuple]:
+    """(question, limit flags) for one command line, or None for `-h` or
+    `--help`: everything `main` takes from argv, once per distinct argv.
+    As with argparse, a bad value or an ambiguous prefix raises where it
+    stands, and stray tokens and the checks across options wait for the
+    end.  A usage error is not cached; `make_limits` reads the environment."""
+    command, given, stray = None, {"--tolerance": 1e-8}, []
+    tokens = iter(argv)
+    options = True    # until a bare `--`
+    for token in tokens:
+        if options and token == "--":
+            options = False
+        elif options and (token == "-h" or token.startswith("--")):
+            option, value = _option("--help" if token == "-h" else token, tokens)
+            if option == "--help":
+                return None
+            if option is None:
+                stray.append(token)
+            else:
+                given[option] = value
+        elif command is None:
+            command = _value("command", token, COMMANDS)
+        else:
+            stray.append(token)
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    for option, (_, only) in OPTIONS.items():
+        if option in given and only not in (None, command):
+            raise UsageError(f"unrecognized arguments: {option}")
+    if "--gamma" not in given:
         raise UsageError("--gamma is required")
-    if not isinstance(args.gamma, str):
-        # argparse drops a `--` value and leaves an empty list
+    if given["--gamma"] == "--":
         raise UsageError("--gamma needs a value, such as 4 or 1/2+3/2*i")
-    gamma = parse_gamma(args.gamma)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+    gamma = parse_gamma(given["--gamma"])
+    if not (math.isfinite(given["--tolerance"]) and given["--tolerance"] > 0):
         raise UsageError("--tolerance must be a finite positive number")
-    return _question(args, gamma), tuple(getattr(args, f) for f in LIMIT_ENV)
+    return (_question(command, given, gamma),
+            tuple(given.get("--" + f.replace("_", "-")) for f in LIMIT_ENV))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        question, flags = _parsed(tuple(sys.argv[1:] if argv is None else argv))
+        parsed = _parsed(tuple(sys.argv[1:] if argv is None else argv))
+        if parsed is None:    # -h or --help
+            sys.stdout.write(USAGE)
+            return EXIT_OK
+        question, flags = parsed
         with limits_scope(make_limits(flags)):
             text, code = answer(*question)
     except (UsageError, ZeroGammaError) as exc:

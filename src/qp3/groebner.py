@@ -252,11 +252,11 @@ class GroebnerBasis:
     element's leading term; every S-polynomial reduces to zero.
 
     The engine reduces against the elements as primitive term lists,
-    kept in ascending order of leading monomial.  `basis` is the monic
-    view of the same lists, in descending order of leading monomial.
+    kept in ascending order of leading monomial, by their `_head`s.
+    `basis` is the monic view of the same lists, in descending order.
     """
 
-    __slots__ = ("basis", "order", "varset", "_lists", "_packing")
+    __slots__ = ("basis", "order", "varset", "_lists", "_heads", "_packing")
 
     def __init__(self, lists: List[_TermList], order: MonomialOrder,
                  varset: VarSet, packing: _Packing):
@@ -267,6 +267,7 @@ class GroebnerBasis:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "_lists", lists)
+        object.__setattr__(self, "_heads", list(map(_head, lists)))
         object.__setattr__(self, "_packing", packing)
 
     def __setattr__(self, name, value):
@@ -414,12 +415,12 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
              for k, g in enumerate(live)]
     for p in lists:
         pk.check(p)
-    basis = list(map(_head, lists))
+    G = GroebnerBasis(lists, I.order, I.varset, pk)
     for p in gens:
-        if _nf(p, basis, pk)[0]:
+        if _nf(p, G._heads, pk)[0]:
             raise AssertionError("generator does not reduce to zero "
                                  "modulo the computed basis")
-    return GroebnerBasis(lists, I.order, I.varset, pk)
+    return G
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -432,7 +433,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise VarSetMismatchError("polynomial and basis on different VarSets")
     pk = G._packing
     p, (a, b, d) = f._packed(pk)
-    r, s = _nf(p, list(map(_head, G._lists)), pk)
+    r, s = _nf(p, G._heads, pk)
     # f = scale * p and s * p = r modulo <G>, so the remainder is scale/s * r
     return _poly(f.varset, pk, r, a, b, d * s)
 

@@ -4,14 +4,18 @@ Each computes what an engine routine computes by another method, and no
 command needs it: Bareiss elimination for the determinant and the minors
 of `polylinalg.all_minors`, the exact long division it rests on, a plain
 float evaluator for the compiled residuals of `numeric`, a count of
-standard monomials for the Hilbert numerators of `groebner`, and
-Rabinowitsch's rule for its `radical_member`.
+standard monomials for the Hilbert numerators of `groebner`,
+Rabinowitsch's rule for its `radical_member`, and argparse for the
+command-line parser `cli._parsed`.
 """
 
+import argparse
+import math
 from itertools import combinations_with_replacement
 from operator import le
 from typing import List, Mapping, Sequence, Tuple
 
+from qp3 import cli
 from qp3.groebner import Ideal, buchberger
 from qp3.multipoly import DEGREVLEX, Polynomial, VarSetMismatchError, substitute
 from qp3.polylinalg import PolyMatrix
@@ -105,3 +109,61 @@ def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     gens = [substitute(g, {}, target=big, order=DEGREVLEX)
             for g in (*I.generators, f)]
     return buchberger(Ideal(gens[:-1] + [1 - t * gens[-1]], DEGREVLEX)).contains_one()
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.UsageError(message)
+
+
+# the options that one command alone takes: (option, command, choices)
+_COMMAND_FLAGS = (("verify", "line-scheme", None), ("symbolic", "lines-through", None),
+                  ("numeric", "lines-through", None),
+                  ("point", "lines-through", ("e1", "e2", "e3", "e4", "generic")))
+
+
+def argparse_parsed(argv: Sequence[str]) -> tuple:
+    """What `cli._parsed` returns for argv, (question, limit flags), read
+    by one flat argparse parser; a usage error raises `cli.UsageError`,
+    and `-h` exits.  `--gamma <value>` is joined to `--gamma=<value>`
+    first, since argparse takes no separate value such as `-1/2` or `-i`
+    for an option; a prefix of `--gamma` is not joined."""
+    p = _ArgumentParser(prog="qp3")
+    p.add_argument("command", choices=cli.COMMANDS)
+    p.add_argument("--gamma")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    for field in cli.LIMIT_ENV:
+        p.add_argument("--" + field.replace("_", "-"), type=int)
+    p.add_argument("--tolerance", type=float, default=1e-8)
+    for flag, _, choices in _COMMAND_FLAGS:
+        p.add_argument("--" + flag, **({"choices": choices} if choices
+                                       else {"action": "store_true"}))
+    joined: List[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--gamma":
+            joined[-1] = f"--gamma={arg}"
+        else:
+            joined.append(arg)
+    args = p.parse_args(joined)
+    for flag, command, _ in _COMMAND_FLAGS:
+        if getattr(args, flag) not in (None, False) and args.command != command:
+            raise cli.UsageError(f"unrecognized arguments: --{flag}")
+    if args.gamma is None:
+        raise cli.UsageError("--gamma is required")
+    if not isinstance(args.gamma, str):
+        # argparse before 3.13 drops a `--` value and leaves an empty list
+        raise cli.UsageError("--gamma needs a value, such as 4 or 1/2+3/2*i")
+    gamma = cli.parse_gamma(args.gamma)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise cli.UsageError("--tolerance must be a finite positive number")
+    if args.command == "point-scheme":
+        question = cli.cmd_point_scheme, gamma, args.format
+    elif args.command == "line-scheme":
+        question = cli.cmd_line_scheme, gamma, args.format, args.verify
+    elif not args.numeric:
+        question = cli.cmd_lines_through, gamma, args.format, args.point or "generic"
+    elif args.symbolic or args.point:
+        raise cli.UsageError("--numeric cannot be combined with --symbolic or --point")
+    else:
+        question = cli.cmd_lines_through_numeric, gamma, args.format, args.tolerance
+    return question, tuple(getattr(args, f) for f in cli.LIMIT_ENV)

@@ -523,6 +523,44 @@ def test_cold_import_loads_no_dataclasses():
         "qp3.point_scheme", "qp3.polylinalg", "qp3.quadratic_algebra"]]
 
 
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+import qp3.cli
+
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qp3.cli.main(["--gamma=1", *sys.argv[1:]]) == 0
+print(json.dumps(sorted({"argparse", "gettext", "locale"} & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("command", [[], ["line-scheme", "--verify"],
+                                     ["lines-through", "--symbolic"]],
+                         ids=" ".join)
+def test_cold_command_loads_no_argparse(command):
+    # the command line is read by a table, so a cold process imports
+    # neither argparse nor the gettext and locale that it pulls in
+    proc = _run_python(["-c", STDLIB_PROBE, *command])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                  ["--gamma=1", "line-scheme", "--he"],
+                                  ["--bogus", "point-scheme", "-h", "--verify"]])
+def test_help_prints_the_usage_and_exits_0(argv, monkeypatch, capsys):
+    # before any check of the command line or of the environment
+    monkeypatch.setenv("QP3_MAX_PAIRS", "many")
+    assert run_cli(argv, capsys) == (EXIT_OK, cli.USAGE, "")
+    assert cli.USAGE.startswith("usage: qp3 ")
+
+
+def test_help_in_a_cold_process():
+    for flag in ("-h", "--help"):
+        proc = _run_qp3([flag])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, cli.USAGE, "")
+
+
 def test_numeric_degenerate_float_point_exits_2(capsys):
     # at gamma = 2^511 a generic point rounds onto a coordinate hyperplane
     code, out, err = run_cli(["--gamma=2^511", "lines-through", "--numeric"],

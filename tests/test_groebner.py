@@ -670,10 +670,24 @@ def test_nf_leaves_its_input_unchanged():
     f = parse_poly("3*x^2*z + y^3 - 2*x*y + z^3 + (1+i)*y*z^2 + z - 5", vs)
     p, _ = f._packed(G._packing)
     before = list(p)
-    r, s = groebner._nf(p, list(map(groebner._head, G._lists)), G._packing)
+    r, s = groebner._nf(p, G._heads, G._packing)
     assert p == before
     assert groebner._poly(vs, G._packing, r, 1, 0, s) == parse_poly(
         "(1+i)*y*z^2 + y*z + z - 5", vs)
+
+
+def test_normal_form_reduces_against_the_stored_heads(monkeypatch):
+    # the heads of a basis are built once, by the Buchberger run that
+    # returns it; a normal form builds none
+    vs = VarSet(["x", "y", "z"])
+    G = buchberger(Ideal([parse_poly(t, vs) for t in ("x*y - z^2", "y^2 - x*z")]))
+    assert G._heads == [groebner._head(p) for p in G._lists]
+    calls = []
+    head = groebner._head
+    monkeypatch.setattr(groebner, "_head", lambda g: calls.append(g) or head(g))
+    f = parse_poly("x^3*y + y^3 - z^4 + x*y*z", vs)
+    assert normal_form(f, G) == normal_form(f, G) != f
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["unit", "non-unit", "u in I", "1 in I",
