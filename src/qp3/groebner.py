@@ -19,7 +19,7 @@ criteria, coprime pairs only serve to drop others, and the B_k test
 prunes queued pairs.  Pairs are selected by sugar with deterministic
 tie-breaking, so repeated runs produce identical bases.  A run keeps,
 for each element it inserts, the leading monomial and the reducer head
-(`_head`: the lead and the list without it), and the list of heads of
+(`_head`: the lead and the list itself), and the list of heads of
 its current basis, rebuilt only when the basis changes.  It tests
 divisibility and takes lcms on the packed ints inline, and computes the
 order key of an lcm only for a pair it queues.
@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
                         Polynomial, ResourceLimitError, VarSet, VarSetMismatchError,
-                        _BITS, _Packing, _TermList, _iadd, _ishift, _packing,
+                        _BITS, _Packing, _TermList, _ishift, _packing,
                         _primitive, _poly, _times, _wrap, substitute)
 
 
@@ -171,8 +171,33 @@ _Head = Tuple[int, int, int, _TermList]
 
 def _head(g: _TermList) -> _Head:
     """What `_nf` reduces against for a primitive list g: the key, monomial
-    and integer coefficient of its lead, and g without its lead."""
-    return g[0][0], g[0][1], g[0][2][0], g[1:]
+    and integer coefficient of its lead, and g itself."""
+    return g[0][0], g[0][1], g[0][2][0], g
+
+
+def _merge(p: _TermList, pos: int, g: _TermList, key_u: int, u: int,
+           c: Tuple[int, int]) -> _TermList:
+    """p[pos:] + c * x^u * (g without its lead), in one pass: each term of
+    g's tail is shifted and scaled as it is read and merged into p."""
+    x, y = c
+    out: _TermList = []
+    n = len(p)
+    for k, m, (a, b) in g[1:]:
+        k += key_u
+        while pos < n and p[pos][0] > k:
+            out.append(p[pos])
+            pos += 1
+        a, b = a * x - b * y, a * y + b * x
+        if pos < n and p[pos][0] == k:
+            _, _, (a1, b1) = p[pos]
+            pos += 1
+            a += a1
+            b += b1
+            if not (a or b):
+                continue
+        out.append((k, m + u, (a, b)))
+    out += p[pos:]
+    return out
 
 
 def _nf(f: _TermList, heads: Sequence[_Head],
@@ -183,13 +208,16 @@ def _nf(f: _TermList, heads: Sequence[_Head],
     Returns (r, s) with s a positive integer and s*f = r modulo the ideal
     of the lists.  A step cancels the first reducible term c x^m of the
     work list against the first list g whose lead d x^l divides it: work
-    becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in Z.
-    Whenever s > 1, the common integer factor of r, work and s goes.  A g
-    of one term, a monomial, lies in the ideal with every multiple of it,
-    so its step just drops c x^m from the work list: the read position
-    moves on and nothing is rebuilt.  f itself is never changed.  The
-    lists must pass `pk.check`; a multiplier x^(m/l) that would not keep
-    the product inside its fields raises ExponentOverflowError.
+    becomes (d/h)*work - (c/h)*x^(m/l)*g, with h = gcd(d, c) in Z.  The
+    step is one pass: each term of g's tail is shifted, scaled and merged
+    into the work list after c x^m as it is read, and only when d/h > 1
+    are that rest and r rescaled first.  Whenever s > 1, the common
+    integer factor of r, work and s goes.  A g of one term, a monomial,
+    lies in the ideal with every multiple of it, so its step just drops
+    c x^m from the work list: the read position moves on and nothing is
+    rebuilt.  f itself is never changed.  The lists must pass `pk.check`;
+    a multiplier x^(m/l) that would not keep the product inside its
+    fields raises ExponentOverflowError.
     """
     guard, high = pk.guard, pk.high
     r: _TermList = []
@@ -199,28 +227,28 @@ def _nf(f: _TermList, heads: Sequence[_Head],
     while pos < len(work):
         key0, m0, (a0, b0) = work[pos]
         top = m0 | guard    # _Packing.divides(l, m0), inlined
-        for key_l, l, d, tail in heads:
+        for key_l, l, d, g in heads:
             if (top - l) & guard == guard:
                 break
         else:
             r.append(work[pos])
             pos += 1
             continue
-        if not tail:
-            pos += 1
+        pos += 1
+        if len(g) == 1:
             continue
         u = m0 - l
         if u & high:
             raise ExponentOverflowError(f"multiplier exponent above {pk.mask >> 1}")
         h = gcd(d, a0, b0)
         d //= h
-        rest = work[pos + 1:]
-        pos = 0
         if d > 1:
-            rest = [(k, m, (a * d, b * d)) for k, m, (a, b) in rest]
+            work = [(k, m, (a * d, b * d)) for k, m, (a, b) in work[pos:]]
             r = [(k, m, (a * d, b * d)) for k, m, (a, b) in r]
             s *= d
-        work = _iadd(rest, _ishift(tail, key0 - key_l, u, (-a0 // h, -b0 // h)))
+            pos = 0
+        work = _merge(work, pos, g, key0 - key_l, u, (-a0 // h, -b0 // h))
+        pos = 0
         if s > 1:
             g0 = s
             for _, _, (a, b) in chain(work, r):
@@ -237,13 +265,14 @@ def _nf(f: _TermList, heads: Sequence[_Head],
 def _spoly(f: _TermList, g: _TermList, key_l: int, l: int) -> _TermList:
     """The primitive S-polynomial of two primitive lists with lead lcm l.
 
-    l is the lcm of two leads that pass `_Packing.check`, so neither
-    multiplier takes a term out of its fields."""
+    One merge: g's tail, shifted to l and scaled, goes into f shifted to l
+    and scaled, past its lead.  l is the lcm of two leads that pass
+    `_Packing.check`, so neither multiplier takes a term out of its fields."""
     kf, mf, (df, _) = f[0]
     kg, mg, (dg, _) = g[0]
     h = gcd(df, dg)
-    s = _iadd(_ishift(f[1:], key_l - kf, l - mf, (dg // h, 0)),
-              _ishift(g[1:], key_l - kg, l - mg, (-df // h, 0)))
+    s = _merge(_ishift(f, key_l - kf, l - mf, (dg // h, 0)), 1,
+               g, key_l - kg, l - mg, (-df // h, 0))
     return _primitive(s)[0] if s else s
 
 

@@ -5,19 +5,22 @@ command needs it: Bareiss elimination for the determinant and the minors
 of `polylinalg.all_minors`, the exact long division it rests on, a plain
 float evaluator for the compiled residuals of `numeric`, a count of
 standard monomials for the Hilbert numerators of `groebner`,
-Rabinowitsch's rule for its `radical_member`, and argparse for the
+Rabinowitsch's rule for its `radical_member`, the two-pass reduction
+step for its one-pass `_nf` and `_spoly`, and argparse for the
 command-line parser `cli._parsed`.
 """
 
 import argparse
 import math
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from operator import le
 from typing import List, Mapping, Sequence, Tuple
 
 from qp3 import cli
 from qp3.groebner import Ideal, buchberger
-from qp3.multipoly import DEGREVLEX, Polynomial, VarSetMismatchError, substitute
+from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, Polynomial,
+                           VarSetMismatchError, _iadd, _ishift, _primitive,
+                           substitute)
 from qp3.polylinalg import PolyMatrix
 
 
@@ -95,6 +98,64 @@ def staircase_counts(gens: Sequence[Tuple[int, ...]], nvars: int,
             count += not any(all(map(le, g, m)) for g in gens)
         counts.append(count)
     return counts
+
+
+def nf_two_pass(f, heads, pk):
+    """`groebner._nf` with a step in two passes: the rest of the work list
+    is copied, the reducer's tail shifted and scaled into a second list,
+    and `_iadd` merges the two into a third.  Same heads, same (r, s)."""
+    guard, high = pk.guard, pk.high
+    r = []
+    work = f
+    pos = 0
+    s = 1
+    while pos < len(work):
+        key0, m0, (a0, b0) = work[pos]
+        top = m0 | guard
+        for key_l, l, d, g in heads:
+            if (top - l) & guard == guard:
+                break
+        else:
+            r.append(work[pos])
+            pos += 1
+            continue
+        tail = g[1:]
+        if not tail:
+            pos += 1
+            continue
+        u = m0 - l
+        if u & high:
+            raise ExponentOverflowError(f"multiplier exponent above {pk.mask >> 1}")
+        h = math.gcd(d, a0, b0)
+        d //= h
+        rest = work[pos + 1:]
+        pos = 0
+        if d > 1:
+            rest = [(k, m, (a * d, b * d)) for k, m, (a, b) in rest]
+            r = [(k, m, (a * d, b * d)) for k, m, (a, b) in r]
+            s *= d
+        work = _iadd(rest, _ishift(tail, key0 - key_l, u, (-a0 // h, -b0 // h)))
+        if s > 1:
+            g0 = s
+            for _, _, (a, b) in chain(work, r):
+                g0 = math.gcd(g0, a, b)
+                if g0 == 1:
+                    break
+            else:
+                work = [(k, m, (a // g0, b // g0)) for k, m, (a, b) in work]
+                r = [(k, m, (a // g0, b // g0)) for k, m, (a, b) in r]
+                s //= g0
+    return r, s
+
+
+def spoly_two_pass(f, g, key_l, l):
+    """`groebner._spoly` from two shifted, scaled tails and an `_iadd`."""
+    kf, mf, (df, _) = f[0]
+    kg, mg, (dg, _) = g[0]
+    h = math.gcd(df, dg)
+    s = _iadd(_ishift(f[1:], key_l - kf, l - mf, (dg // h, 0)),
+              _ishift(g[1:], key_l - kg, l - mg, (-df // h, 0)))
+    return _primitive(s)[0] if s else s
 
 
 def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:

@@ -2,7 +2,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 
 import pytest
@@ -23,7 +23,8 @@ from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (component_catalog, components_intersection,
                              line_scheme_ideal, verify_decomposition)
 from qp3.fixtures import load_fixtures
-from oracles import radical_member_rabinowitsch, staircase_counts
+from oracles import (nf_two_pass, radical_member_rabinowitsch, spoly_two_pass,
+                     staircase_counts)
 
 
 def test_single_monic_generator():
@@ -682,12 +683,86 @@ def test_normal_form_reduces_against_the_stored_heads(monkeypatch):
     vs = VarSet(["x", "y", "z"])
     G = buchberger(Ideal([parse_poly(t, vs) for t in ("x*y - z^2", "y^2 - x*z")]))
     assert G._heads == [groebner._head(p) for p in G._lists]
+    # each head points into its stored list; no copy of a tail is kept
+    assert all(h[3] is p for h, p in zip(G._heads, G._lists))
     calls = []
     head = groebner._head
     monkeypatch.setattr(groebner, "_head", lambda g: calls.append(g) or head(g))
     f = parse_poly("x^3*y + y^3 - z^4 + x*y*z", vs)
     assert normal_form(f, G) == normal_form(f, G) != f
     assert calls == []
+
+
+def _random_list(rng, pk, n, terms, degree):
+    """A term list of at most `terms` terms in n variables, each exponent
+    at most `degree`, with Gaussian coefficients of 1, 4 or 20 bits."""
+    bits = rng.choice((1, 4, 20))
+    monos = {pk.pack(tuple(rng.randint(0, degree) for _ in range(n)))
+             for _ in range(terms)}
+    coeffs = ((rng.randint(-2 ** bits, 2 ** bits), rng.randint(-2 ** bits, 2 ** bits))
+              for _ in monos)
+    return sorted(((k, m, c) for (k, m), c in zip(monos, coeffs) if c != (0, 0)),
+                  reverse=True)
+
+
+def _kernels_agree(lists, fs, pk):
+    """Assert that the one-pass kernels and the two-pass oracle give the
+    same normal forms of fs and S-polynomials of lists; the s of each f."""
+    heads = [groebner._head(g) for g in lists]
+    for g, h in combinations(lists, 2):
+        l = pk.lcm(g[0][1], h[0][1])
+        assert groebner._spoly(g, h, pk.key(l), l) == spoly_two_pass(g, h, pk.key(l), l)
+    found = [groebner._nf(f, heads, pk) for f in fs]
+    assert found == [nf_two_pass(f, heads, pk) for f in fs]
+    return [s for _, s in found]
+
+
+@pytest.mark.parametrize("elimination", [False, True], ids=["degrevlex", "elimination"])
+def test_one_pass_kernels_match_the_two_pass_oracle(elimination):
+    # random primitive reducers, some of one term, most with leads d > 1
+    # (the rescale path); an empty f, and small ones that reduce to zero
+    rng = random.Random(3801 + elimination)
+    scales = []
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        vs = VarSet([f"v{k}" for k in range(n)])
+        pk = multipoly._packing(n, MonomialOrder.elimination(vs, ["v0", "v1"])
+                                if elimination else DEGREVLEX)
+        lists = [multipoly._primitive(p)[0] for p in (
+            _random_list(rng, pk, n, rng.choice((1, 2, 4)), 2) for _ in range(4)) if p]
+        fs = [[]] + [_random_list(rng, pk, n, rng.randint(1, 8), 3) for _ in range(4)]
+        scales += _kernels_agree(lists, fs, pk)
+    assert scales.count(1) > 1 and max(scales) > 1
+    # c = 1+i on the lead 2x of 2x + (1+i)y: the step rescales by 2, and the
+    # content 2 of 2z - 2i*y then goes, so s returns to 1
+    pk = multipoly._packing(3, DEGREVLEX)
+    (kx, x), (ky, y), (kz, z) = (pk.pack(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    f = [(kx, x, (1, 1)), (kz, z, (1, 0))]
+    g = [(kx, x, (2, 0)), (ky, y, (1, 1))]
+    assert _kernels_agree([g], [f], pk) == [1]
+    assert groebner._nf(f, [groebner._head(g)], pk) == ([(ky, y, (0, -1)), (kz, z, (1, 0))], 1)
+
+
+def test_one_pass_kernels_match_on_the_line_scheme_bases():
+    # the reducer sets that line-scheme --verify meets at gamma = 3/2+i: the
+    # basis of L and of each component, each reducing every generator of
+    # the others
+    gamma = gr(Fraction(3, 2), 1)
+    ideals = [line_scheme_ideal(gamma).ideal] + [
+        c.ideal for c in component_catalog(gamma).components]
+    for G in map(buchberger, ideals):
+        pk = G._packing
+        fs = [f._packed(pk)[0] for I in ideals for f in I.generators]
+        _kernels_agree(G._lists, fs, pk)
+
+
+def test_both_kernels_refuse_a_multiplier_with_its_high_bit_set():
+    pk = multipoly._packing(3, DEGREVLEX)
+    f = [(*pk.pack((2 ** 14 + 1, 0, 0)), (1, 0))]
+    g = [(*pk.pack((1, 0, 0)), (1, 0)), (*pk.pack((0, 1, 0)), (1, 0))]
+    for nf in (groebner._nf, nf_two_pass):
+        with pytest.raises(ExponentOverflowError):
+            nf(f, [groebner._head(g)], pk)
 
 
 @pytest.mark.parametrize("case", ["unit", "non-unit", "u in I", "1 in I",
