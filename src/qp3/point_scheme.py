@@ -10,12 +10,12 @@ from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 from .gaussian import GaussianRational, ONE, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
-from .polylinalg import all_minors
+from .polylinalg import PolyMatrix, all_minors, rank
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
                        invert_mod, is_unit_mod, normal_form,
                        quotient_dimension, radical_member, saturate)
-from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, make_A,
-                                nonzero_gamma, relation_matrix, tensor_bilinear)
+from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, bilinear_value,
+                                make_A, nonzero_gamma, relation_matrix)
 
 
 class UndefinedAtPointError(ValueError):
@@ -393,17 +393,25 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
 
 
 def verify_vanishing_pairs(A: QuadraticAlgebra) -> bool:
-    """The relations vanish exactly on the pairs (p, sigma(p)): the four
-    basis pairs directly, the Z_gamma pairs symbolically mod the rho ideal."""
-    for p, q in SIGMA_SWAPS.items():
-        for t in A.relations:
-            if not tensor_bilinear(t, p.coords, q.coords).is_zero():
-                return False
-    gb = zgamma_gb(A.gamma)
+    """The relations vanish exactly on the pairs (p, sigma(p)).  They
+    vanish on each pair: the four basis pairs directly, the Z_gamma pairs
+    symbolically mod the rho ideal.  And sigma(p) is p's only partner:
+    R(p), the relation matrix at x = p, has rank 3, directly at e1..e4 and
+    on Z_gamma as 1 in <rho1, rho2, rho3> + <the 3x3 minors of R(p)>."""
     p_sym = symbolic_point()
     q_sym = sigma_symbolic(p_sym, A.gamma)
-    for t in A.relations:
-        val = tensor_bilinear(t, p_sym, q_sym)
-        if not normal_form(val, gb).is_zero():
+    gb = zgamma_gb(A.gamma)
+    for f in A.relations:
+        if any(not bilinear_value(f, p.coords, q.coords).is_zero()
+               for p, q in SIGMA_SWAPS.items()):
             return False
-    return True
+        if not normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero():
+            return False
+    R = relation_matrix(A).entries
+    for p in SIGMA_SWAPS:
+        at_p = dict(zip(X_VARS.names, p.coords))
+        if rank([[substitute(e, at_p).constant_value() for e in row] for row in R]) != 3:
+            return False
+    at_sym = dict(zip(X_VARS.names, p_sym))
+    R_sym = PolyMatrix([[substitute(e, at_sym, CHART_VARS) for e in row] for row in R])
+    return buchberger(Ideal([*rho_system(A.gamma), *all_minors(R_sym, 3)])).contains_one()

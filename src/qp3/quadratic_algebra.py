@@ -1,11 +1,10 @@
 """The family A(gamma): quadratic algebras on four generators.
 
-A(gamma) is defined by its 6x4 relation matrix, written in the polynomial
-grammar of `multipoly.parse_poly`.  Relations are stored as 4x4
-coefficient tensors on the tensor square (entry (i, j) is the coefficient
-of x_i (x) x_j, zero-indexed), which is the form Koszul duality needs.
-This module also hosts the coordinate variable sets shared by the whole
-pipeline and the symmetry maps psi1, psi2 acting on Pluecker coordinates.
+A(gamma) is defined by six relations, bilinear forms on XY_VARS in the
+grammar of `multipoly.parse_poly` (the word x_a x_b is x_a*y_b); the
+relation matrix, the Koszul dual relations and their matrix are read off
+them.  The module also hosts the coordinate variable sets of the whole
+pipeline and the symmetry maps psi1, psi2 on Pluecker coordinates.
 """
 
 from __future__ import annotations
@@ -20,6 +19,9 @@ from .groebner import MEMO_SIZE
 
 X_VARS = VarSet(["x1", "x2", "x3", "x4"])
 Z_VARS = VarSet(["z1", "z2", "z3", "z4"])
+# the left and right factors x_i y_j of a word, and z_i w_j of a dual word
+XY_VARS = X_VARS.extend(["y1", "y2", "y3", "y4"])
+ZW_VARS = Z_VARS.extend(["w1", "w2", "w3", "w4"])
 UV_VARS = VarSet(["u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4"])
 M_VARS = VarSet(["M12", "M13", "M14", "M23", "M24", "M34"])
 MG_VARS = VarSet([*M_VARS.names, "g"])
@@ -42,41 +44,45 @@ class RankDeficiencyError(ValueError):
     pass
 
 
-Tensor = Tuple[Tuple[GaussianRational, ...], ...]
-
-
-def _zero_grid() -> List[List[GaussianRational]]:
-    return [[ZERO] * 4 for _ in range(4)]
-
-
-def _freeze(grid) -> Tensor:
-    return tuple(tuple(row) for row in grid)
-
-
-# Entry (r, j) is the linear form that multiplies x_j from the left in
-# relation r, stored as (left side) - (right side).  In order the relations
-# are x4 x1 = i x1 x4, x3^2 = x1^2, x3 x1 = x1 x3 - x2^2, x3 x2 = i x2 x3,
-# x4^2 = x2^2 and x4 x2 = x2 x4 - g x1^2.
-A_RELATION_ROWS = (
-    ("x4", "0", "0", "-i*x1"),
-    ("-x1", "0", "x3", "0"),
-    ("x3", "x2", "-x1", "0"),
-    ("0", "x3", "-i*x2", "0"),
-    ("0", "-x2", "0", "x4"),
-    ("g*x1", "x4", "0", "-x2"),
+# The relations as the paper writes them, each stored as (left side) -
+# (right side) with the word x_a x_b written x_a*y_b.
+A_RELATIONS = (
+    "x4*y1 - i*x1*y4",             # x4 x1 = i x1 x4
+    "x3*y3 - x1*y1",               # x3^2 = x1^2
+    "x3*y1 - x1*y3 + x2*y2",       # x3 x1 = x1 x3 - x2^2
+    "x3*y2 - i*x2*y3",             # x3 x2 = i x2 x3
+    "x4*y4 - x2*y2",               # x4^2 = x2^2
+    "x4*y2 - x2*y4 + g*x1*y1",     # x4 x2 = x2 x4 - g x1^2
 )
+# The 16 words x_i*y_j as exponent tuples on XY_VARS or ZW_VARS: (i, j)
+# is at 4i + j in the "left" order, at 4j + i in the "right" one.
+_WORDS = {"left": tuple(tuple(int(k in (i, 4 + j)) for k in range(8))
+                        for i in range(4) for j in range(4))}
+_WORDS["right"] = tuple(_WORDS["left"][4 * i + j] for j in range(4) for i in range(4))
+
+
+def _coefficients(f: Polynomial, tensor_order: str) -> List[GaussianRational]:
+    """The 16 coefficients of the bilinear form f, in that word order."""
+    if tensor_order not in _WORDS:
+        raise ValueError("tensor_order must be 'left' or 'right'")
+    terms = f.terms
+    return [terms.get(w, ZERO) for w in _WORDS[tensor_order]]
 
 
 class QuadraticAlgebra:
-    """Presentation with six linearly independent quadratic relations."""
+    """Six linearly independent quadratic relations, bilinear forms on XY_VARS."""
 
     __slots__ = ("gamma", "relations")
 
-    def __init__(self, gamma: GaussianRational, relations: Tuple[Tensor, ...]):
+    def __init__(self, gamma: GaussianRational, relations: Tuple[Polynomial, ...]):
         if len(relations) != 6:
             raise ValueError("exactly six relations expected")
-        if rank([[c for row in t for c in row] for t in relations]) != 6:
-            raise RankDeficiencyError("relation tensors are linearly dependent")
+        for f in relations:
+            if (not isinstance(f, Polynomial) or f.varset != XY_VARS
+                    or not f.terms.keys() <= set(_WORDS["left"])):
+                raise ValueError(f"not a bilinear form x_i*y_j on XY_VARS: {f!r}")
+        if rank([_coefficients(f, "left") for f in relations]) != 6:
+            raise RankDeficiencyError("relations are linearly dependent")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "relations", relations)
 
@@ -96,94 +102,57 @@ class QuadraticAlgebra:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def make_A(gamma: GaussianRational) -> QuadraticAlgebra:
-    """The algebra A(gamma), read from its relation matrix; gamma must be
+    """The algebra A(gamma), read from its six relations; gamma must be
     nonzero.  Cached: the algebra is immutable."""
     gamma = nonzero_gamma(gamma)
-    rows = PolyMatrix([[parse_poly(t, X_VARS, gamma=gamma) for t in row]
-                       for row in A_RELATION_ROWS])
-    return QuadraticAlgebra(gamma, tuple(expand_matrix_rows(rows)))
+    return QuadraticAlgebra(gamma, tuple(parse_poly(t, XY_VARS, gamma=gamma)
+                                         for t in A_RELATIONS))
 
 
-def tensor_to_rows(tensors: Sequence[Tensor], varset: VarSet) -> PolyMatrix:
-    """Matrix with row r, column j equal to sum_i T_ij * var_i, so that
-    (matrix) . (vars)^T expands back to each tensor."""
+def _matrix(forms: Sequence[Polynomial], left: VarSet) -> PolyMatrix:
+    """Entry (r, j) is the part of form r paired with the (j+1)-th right-hand
+    variable, a linear form on `left`: times those variables, the forms."""
     rows = []
-    for t in tensors:
-        row = []
-        for j in range(4):
-            terms = {}
-            for i in range(4):
-                c = t[i][j]
-                if not c.is_zero():
-                    terms[varset.var_monomial(varset.names[i])] = c
-            row.append(Polynomial(varset, terms))
-        rows.append(row)
+    for f in forms:
+        row = [{} for _ in range(4)]
+        for m, c in f.terms.items():
+            row[m.index(1, 4) - 4][m[:4]] = c
+        rows.append([Polynomial(left, t) for t in row])
     return PolyMatrix(rows)
 
 
 def relation_matrix(A: QuadraticAlgebra) -> PolyMatrix:
     """The 6x4 matrix M with M x = 0 encoding the relations, rows in the
     order the presentation lists them."""
-    return tensor_to_rows(A.relations, X_VARS)
+    return _matrix(A.relations, X_VARS)
 
 
-def expand_matrix_rows(m: PolyMatrix) -> List[Tensor]:
-    """Inverse of tensor_to_rows: read each row of (m . vars) as a tensor,
-    vars the four variables of the entries' VarSet."""
-    out = []
-    for r in range(m.rows):
-        grid = _zero_grid()
-        for j in range(4):
-            entry = m.entries[r][j]
-            for mono, c in entry.terms.items():
-                i = next(k for k, e in enumerate(mono) if e)
-                grid[i][j] = grid[i][j] + c
-        out.append(_freeze(grid))
-    return out
-
-
-def tensor_bilinear(t: Tensor, p: Sequence, q: Sequence):
-    """Evaluate the tensor as a bilinear form at a pair of points."""
-    acc = None
-    for i in range(4):
-        for j in range(4):
-            c = t[i][j]
-            if c.is_zero():
-                continue
-            term = c * p[i] * q[j]
-            acc = term if acc is None else acc + term
-    return ZERO if acc is None else acc
+def bilinear_value(f: Polynomial, p: Sequence, q: Sequence) -> Polynomial:
+    """The form f at the pair of points (p, q), x_i -> p[i] and y_i -> q[i]:
+    on the VarSet of the coordinates if they are polynomials, else f's."""
+    images = dict(zip(f.varset.names, (*p, *q)))
+    target = p[0].varset if isinstance(p[0], Polynomial) else f.varset
+    return substitute(f, images, target)
 
 
 def koszul_dual_relations(A: QuadraticAlgebra,
-                          tensor_order: str = "left") -> List[Tensor]:
-    """The ten relations of the Koszul dual: a canonical basis of the
-    orthogonal complement of the relation span in the tensor square.
-
-    The basis comes from the reduced row echelon form of the relation
-    coefficient matrix (one vector per free coordinate, in increasing
-    coordinate order), which makes the output deterministic.  The tensor
-    coordinates can be enumerated with either factor as the major index
-    (tensor_order "left" or "right"); both give canonical bases of the
-    same space but different representatives, hence different minors
-    downstream.  "left" reproduces the displayed dual matrix.
-    """
-    if tensor_order not in ("left", "right"):
-        raise ValueError("tensor_order must be 'left' or 'right'")
-    right = tensor_order == "right"
-    rows = [[c for row in (zip(*t) if right else t) for c in row] for t in A.relations]
+                          tensor_order: str = "left") -> List[Polynomial]:
+    """The ten relations of the Koszul dual, bilinear forms on ZW_VARS: the
+    canonical nullspace basis (`nullspace`) of the relations' coefficient
+    rows, which makes the output deterministic.  Either factor can be the
+    major index of the words (tensor_order "left" or "right"): both give
+    bases of the same space, but different representatives and minors.
+    "left" reproduces the displayed dual matrix."""
+    rows = [_coefficients(f, tensor_order) for f in A.relations]
     # rank 6, which every QuadraticAlgebra has, leaves a nullspace of ten
-    duals = []
-    for vec in nullspace(rows):
-        grid = [vec[k:k + 4] for k in range(0, 16, 4)]
-        duals.append(_freeze(zip(*grid) if right else grid))
-    return duals
+    return [Polynomial(ZW_VARS, dict(zip(_WORDS[tensor_order], v)))
+            for v in nullspace(rows)]
 
 
 def m_hat(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMatrix:
     """10x4 matrix of linear forms in the z_i with M^ z = 0 giving the
     Koszul dual relations, rows ordered as koszul_dual_relations."""
-    return tensor_to_rows(koszul_dual_relations(A, tensor_order), Z_VARS)
+    return _matrix(koszul_dual_relations(A, tensor_order), Z_VARS)
 
 
 # ---------------------------------------------------------------------------

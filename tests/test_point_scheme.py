@@ -5,9 +5,9 @@ import pytest
 from qp3.gaussian import gr
 from qp3.multipoly import Polynomial, VarSet, parse_poly
 from qp3.groebner import (GroebnerLimits, Ideal, ResourceLimitError, buchberger,
-                          ideals_equal, is_unit_mod, limits_scope)
+                          ideals_equal, is_unit_mod, limits_scope, normal_form)
 from qp3.quadratic_algebra import CHART_VARS, ZeroGammaError, make_A
-from qp3.point_scheme import (E1, E2, E3, E4, NotOnSchemeError,
+from qp3.point_scheme import (E1, E2, E3, E4, SIGMA_SWAPS, NotOnSchemeError,
                               ProjectivePoint, UndefinedAtPointError,
                               chart_ideal, count_points, point_ideal,
                               rho_system, root_multiplicities, sigma,
@@ -15,7 +15,7 @@ from qp3.point_scheme import (E1, E2, E3, E4, NotOnSchemeError,
                               sigma_symbolic, verify_rho_derivation,
                               verify_vanishing_pairs, zgamma_ideal,
                               _sigma_formula)
-from qp3.quadratic_algebra import tensor_bilinear
+from qp3.quadratic_algebra import QuadraticAlgebra, bilinear_value
 from qp3.fixtures import load_fixtures
 from qp3 import cli
 
@@ -148,17 +148,42 @@ def test_sigma_squared_is_coordinate_sign_flip():
     assert s2[1] == -x2 and s2[2] == x3 and s2[3] == -x4
 
 
-def test_vanishing_pairs():
-    assert verify_vanishing_pairs(make_A(gr(1)))
-    assert verify_vanishing_pairs(make_A(gr(4)))
+@pytest.mark.parametrize("gamma", [gr(1), gr(2), gr(4), gr(-4), gr(3, 3), gr(1, 3)],
+                         ids=str)
+def test_vanishing_pairs(gamma):
+    assert verify_vanishing_pairs(make_A(gamma))
 
 
 def test_vanishing_pairs_negative_control():
     # relation three evaluated at (e1, e3) is x3 x1 - x1 x3 + x2^2 at
-    # p = e1, q = e3: the x1 (x) x3 slot contributes -1
+    # p = e1, q = e3: the word x1 x3 contributes -1
     A = make_A(gr(1))
-    val = tensor_bilinear(A.relations[2], E1.coords, E3.coords)
-    assert not val.is_zero()
+    val = bilinear_value(A.relations[2], E1.coords, E3.coords)
+    assert val.constant_value() == gr(-1)
+
+
+def test_vanishing_pairs_fail_where_sigma_p_is_not_the_only_partner():
+    # a relation replaced by a copy of another still vanishes on every
+    # (p, sigma p), but the five distinct ones leave R(p) of rank 2 at some
+    # basis point.  The copy would be refused by the constructor, so the
+    # record is filled in directly.
+    A = make_A(gr(3, 2))
+    p_sym = symbolic_point()
+    q_sym = sigma_symbolic(p_sym, A.gamma)
+    gb = buchberger(zgamma_ideal(A.gamma))
+    for f in A.relations:
+        assert all(bilinear_value(f, p.coords, q.coords).is_zero()
+                   for p, q in SIGMA_SWAPS.items())
+        assert normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero()
+    for r in range(6):
+        for src in range(6):
+            if r == src:
+                continue
+            B = object.__new__(QuadraticAlgebra)
+            object.__setattr__(B, "gamma", A.gamma)
+            object.__setattr__(B, "relations",
+                               A.relations[:r] + (A.relations[src],) + A.relations[r + 1:])
+            assert not verify_vanishing_pairs(B), (r, src)
 
 
 def test_alpha3_nonzero_on_Z():

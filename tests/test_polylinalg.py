@@ -10,7 +10,7 @@ from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            Polynomial, VarSet, VarSetMismatchError, parse_poly)
 from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace, rank,
                             row_echelon, solve)
-from qp3.quadratic_algebra import X_VARS, make_A, relation_matrix
+from qp3.quadratic_algebra import X_VARS, XY_VARS, make_A, relation_matrix
 from qp3.line_scheme import build_big_matrix
 from oracles import det_bareiss, poly_exact_div
 
@@ -84,8 +84,9 @@ def test_nullspace_zero_matrix():
 
 
 def test_relation_coefficient_nullspace_has_ten_vectors():
-    A = make_A(gr(1))
-    rows = [[t[i][j] for i in range(4) for j in range(4)] for t in A.relations]
+    words = [parse_poly(f"x{i}*y{j}", XY_VARS).leading_monomial()
+             for i in range(1, 5) for j in range(1, 5)]
+    rows = [[f.terms.get(w, ZERO) for w in words] for f in make_A(gr(1)).relations]
     basis = nullspace(rows)
     assert len(basis) == 10
     for v in basis:

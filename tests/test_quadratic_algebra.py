@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from qp3.gaussian import ONE, ZERO, gr
-from qp3.multipoly import Polynomial, parse_poly, print_poly
+from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
 from qp3.groebner import Ideal, ideals_equal
-from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, QuadraticAlgebra,
-                                   RankDeficiencyError, ZeroGammaError,
-                                   expand_matrix_rows, gamma_sign_on_pluecker,
+from qp3.polylinalg import rank
+from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, XY_VARS, ZW_VARS,
+                                   QuadraticAlgebra, RankDeficiencyError,
+                                   ZeroGammaError, gamma_sign_on_pluecker,
                                    koszul_dual_relations, m_hat, make_A,
                                    psi1_on_pluecker, psi2_on_pluecker,
                                    relation_matrix)
@@ -18,8 +19,8 @@ from qp3.fixtures import _catalog_form, load_fixtures
 I = gr(0, 1)
 
 # The six relations as the paper writes them.  Each is stored as (left
-# side) - (right side); the table lists its nonzero tensor entries
-# {(i, j): coefficient of x_(i+1) (x) x_(j+1)}, with "g" for gamma.
+# side) - (right side); the table lists its nonzero entries {(i, j):
+# coefficient of the word x_(i+1) x_(j+1)}, with "g" for gamma.
 PAPER_RELATIONS = (
     ("x4 x1 = i x1 x4", {(3, 0): ONE, (0, 3): -I}),
     ("x3^2 = x1^2", {(2, 2): ONE, (0, 0): -ONE}),
@@ -30,32 +31,42 @@ PAPER_RELATIONS = (
 )
 
 
+def entries(f):
+    """{(i, j): coefficient of x_(i+1)*y_(j+1)} of a bilinear form on XY_VARS
+    or ZW_VARS; asserts that every term is such a word."""
+    assert all(sum(m[:4]) == 1 == sum(m[4:]) for m in f.terms)
+    return {(m.index(1), m.index(1, 4) - 4): c for m, c in f.terms.items()}
+
+
+def times_right(M, varset):
+    """The rows of M (linear forms in the first four variables of varset)
+    times the last four variables, as forms on varset."""
+    right = [Polynomial.variable(varset, n) for n in varset.names[4:]]
+    return [sum((substitute(e, {}, varset) * v for e, v in zip(row, right)),
+                Polynomial.zero(varset)) for row in M.entries]
+
+
 @pytest.mark.parametrize("gamma", [gr(1), gr(-4), gr(3, 2) + I], ids=str)
 def test_relations_as_the_paper_writes_them(gamma):
     A = make_A(gamma)
     assert A is make_A(gamma)
     assert len(A.relations) == len(PAPER_RELATIONS)
-    for t, (text, entries) in zip(A.relations, PAPER_RELATIONS):
-        expected = {k: gamma if c == "g" else c for k, c in entries.items()}
-        found = {(i, j): t[i][j] for i in range(4) for j in range(4)
-                 if not t[i][j].is_zero()}
-        assert found == expected, text
+    for f, (text, table) in zip(A.relations, PAPER_RELATIONS):
+        expected = {k: gamma if c == "g" else c for k, c in table.items()}
+        assert f.varset == XY_VARS and entries(f) == expected, text
 
 
 def test_relation_two_tensor():
     A = make_A(gr(1))
-    t = A.relations[1]
-    assert t[2][2] == ONE and t[0][0] == gr(-1)
-    assert sum(1 for i in range(4) for j in range(4) if not t[i][j].is_zero()) == 2
+    assert entries(A.relations[1]) == {(2, 2): ONE, (0, 0): gr(-1)}
 
 
 def test_relation_six_tensor_gamma_coefficient():
-    # relation six stored as (left - right) carries +gamma at the x1 (x) x1
-    # slot: x4 x2 - x2 x4 + gamma x1^2
-    A = make_A(gr(4))
-    t = A.relations[5]
-    assert t[0][0] == gr(4)
-    assert t[3][1] == ONE and t[1][3] == gr(-1)
+    # relation six stored as (left - right) carries +gamma at the word
+    # x1 x1: x4 x2 - x2 x4 + gamma x1^2
+    e = entries(make_A(gr(4)).relations[5])
+    assert e[(0, 0)] == gr(4)
+    assert e[(3, 1)] == ONE and e[(1, 3)] == gr(-1)
 
 
 def test_zero_gamma_rejected():
@@ -84,48 +95,47 @@ def test_relation_matrix_row6_general_gamma():
     assert [print_poly(e) for e in M.row(5)] == ["4*x1", "x4", "0", "-x2"]
 
 
-def test_relation_matrix_reproduces_tensors():
+def test_relation_matrix_reproduces_the_forms():
     A = make_A(gr(5))
-    M = relation_matrix(A)
-    assert expand_matrix_rows(M) == list(A.relations)
+    assert times_right(relation_matrix(A), XY_VARS) == list(A.relations)
 
 
 def test_koszul_dual_has_ten_relations():
     duals = koszul_dual_relations(make_A(gr(1)))
     assert len(duals) == 10
+    with pytest.raises(ValueError, match="tensor_order"):
+        koszul_dual_relations(make_A(gr(1)), "up")
 
 
 def test_koszul_duals_orthogonal_to_relations():
     A = make_A(gr(5))
     for w in koszul_dual_relations(A):
-        for t in A.relations:
-            assert sum(t[i][j] * w[i][j] for i in range(4) for j in range(4)).is_zero()
+        assert w.varset == ZW_VARS
+        for f in A.relations:
+            e = entries(f)
+            assert sum((c * e.get(k, ZERO) for k, c in entries(w).items()), ZERO).is_zero()
 
 
 def test_koszul_dual_of_commutative_analogue_is_symmetric():
     # six commutators x_i x_j - x_j x_i: the dual relations are exactly the
-    # ten symmetric tensors
-    rels = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            grid = [[ZERO] * 4 for _ in range(4)]
-            grid[i][j] = ONE
-            grid[j][i] = -ONE
-            rels.append(tuple(tuple(r) for r in grid))
-    A = QuadraticAlgebra(gr(1), tuple(rels))
+    # ten symmetric forms
+    rels = tuple(parse_poly(f"x{i}*y{j} - x{j}*y{i}", XY_VARS)
+                 for i in range(1, 5) for j in range(i + 1, 5))
+    A = QuadraticAlgebra(gr(1), rels)
     duals = koszul_dual_relations(A)
     assert len(duals) == 10
     for w in duals:
+        e = entries(w)
         for i in range(4):
             for j in range(4):
-                assert w[i][j] == w[j][i]
+                assert e.get((i, j), ZERO) == e.get((j, i), ZERO)
 
 
 def test_m_hat_shape_and_reproduction():
     A = make_A(gr(1))
     mh = m_hat(A)
     assert (mh.rows, mh.cols) == (10, 4)
-    assert expand_matrix_rows(mh) == koszul_dual_relations(A)
+    assert times_right(mh, ZW_VARS) == koszul_dual_relations(A)
 
 
 def test_m_hat_rank_deficiency_error():
@@ -138,11 +148,88 @@ def test_m_hat_rank_deficiency_error():
 def test_rank_deficiency_error_on_a_hidden_dependence():
     # no relation repeats, but the sixth is a combination of two others
     rels = make_A(gr(3, 2)).relations
-    i = gr(0, 1)
-    combo = tuple(tuple(2 * a + i * b for a, b in zip(ra, rb))
-                  for ra, rb in zip(rels[0], rels[3]))
+    combo = 2 * rels[0] + I * rels[3]
     with pytest.raises(RankDeficiencyError):
         QuadraticAlgebra(gr(3, 2), rels[:5] + (combo,))
+
+
+@pytest.mark.parametrize("text", ["z1*w2", "x1*x2", "y1*y2", "x1", "1", "x1^2*y1"])
+def test_a_relation_that_is_no_bilinear_form_is_refused(text):
+    rels = make_A(gr(1)).relations
+    bad = parse_poly(text, ZW_VARS if "z" in text else XY_VARS)
+    with pytest.raises(ValueError, match="bilinear form") as err:
+        QuadraticAlgebra(gr(1), (bad,) + rels[1:])
+    assert not isinstance(err.value, RankDeficiencyError)
+
+
+def test_a_relation_that_is_no_polynomial_is_refused():
+    grid = ((ONE, ZERO, ZERO, ZERO),) + ((ZERO,) * 4,) * 3
+    with pytest.raises(ValueError, match="bilinear form"):
+        QuadraticAlgebra(gr(1), (grid,) + make_A(gr(1)).relations[1:])
+
+
+@pytest.mark.parametrize("count", [0, 5, 7])
+def test_six_relations_and_no_other_count(count):
+    rels = make_A(gr(1)).relations
+    with pytest.raises(ValueError, match="six relations"):
+        QuadraticAlgebra(gr(1), (rels * 2)[:count])
+
+
+# The symmetries of the family, checked on the relations themselves: a
+# map of the generators sends A onto B when the images of A's relations,
+# and those together with B's, both have rank 6.  These back the Pluecker
+# maps gamma_sign_on_pluecker, psi1_on_pluecker and psi2_on_pluecker.
+
+XY = {n: Polynomial.variable(XY_VARS, n) for n in XY_VARS.names}
+
+
+def maps_onto(A, assignment, B):
+    images = [substitute(f, assignment) for f in A.relations]
+    rows = [[entries(f).get((i, j), ZERO) for i in range(4) for j in range(4)]
+            for f in images + list(B.relations)]
+    return rank(rows[:6]) == 6 and rank(rows) == 6
+
+
+def reversed_map(images):
+    """The antihomomorphism with x_k -> images[k]: the factors of each word
+    swap, so x_k goes to the image on the y's and y_k to it on the x's."""
+    out = {}
+    for k, (c, j) in images.items():
+        out[f"x{k}"], out[f"y{k}"] = c * XY[f"y{j}"], c * XY[f"x{j}"]
+    return out
+
+
+def forward_map(images):
+    out = {}
+    for k, (c, j) in images.items():
+        out[f"x{k}"], out[f"y{k}"] = c * XY[f"x{j}"], c * XY[f"y{j}"]
+    return out
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(3, 3), gr(4), gr(-4), gr(16), gr(0, 2)],
+                         ids=str)
+def test_x2_sign_maps_A_gamma_onto_A_minus_gamma(gamma):
+    flip = forward_map({1: (ONE, 1), 2: (-ONE, 2), 3: (ONE, 3), 4: (ONE, 4)})
+    assert maps_onto(make_A(gamma), flip, make_A(-gamma))
+    assert not maps_onto(make_A(gamma), flip, make_A(gamma))
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(3, 3), gr(4), gr(-4), gr(16), gr(0, 2)],
+                         ids=str)
+def test_psi1_is_an_antiautomorphism_and_no_automorphism(gamma):
+    psi1 = {1: (ONE, 3), 2: (ONE, 4), 3: (ONE, 1), 4: (ONE, 2)}
+    A = make_A(gamma)
+    assert maps_onto(A, reversed_map(psi1), A)
+    assert not maps_onto(A, forward_map(psi1), A)
+
+
+@pytest.mark.parametrize("lam", [gr(1), I, gr(1, 1), gr(1, -1), gr(2), gr(3)], ids=str)
+def test_psi2_is_an_antiautomorphism_of_A_lambda_to_the_fourth(lam):
+    inv = lam.inverse()
+    psi2 = {1: (inv, 4), 2: (lam, 3), 3: (inv, 2), 4: (lam, 1)}
+    A = make_A(lam ** 4)
+    assert maps_onto(A, reversed_map(psi2), A)
+    assert not maps_onto(A, forward_map(psi2), A)
 
 
 # The psi1 partners as the paper prints them.  components.json ships only

@@ -21,7 +21,7 @@ from qp3.line_scheme import (component_catalog, components_intersection,  # noqa
                              line_scheme_ideal)
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial,  # noqa: E402
                            VarSet, parse_poly, print_poly)
-from qp3.quadratic_algebra import M_VARS, make_A  # noqa: E402
+from qp3.quadratic_algebra import M_VARS, XY_VARS, make_A  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
 from qp3.polylinalg import nullspace, row_echelon  # noqa: E402
 
@@ -291,9 +291,9 @@ def test_row_reduction_matches_sympy_on_random_matrices(seed):
 @pytest.mark.parametrize("order", ["left", "right"])
 @pytest.mark.parametrize("gamma", GAMMAS, ids=IDS)
 def test_relation_row_reduction_matches_sympy(gamma, order):
-    rels = make_A(gamma).relations
-    if order == "left":
-        rows = [[t[i][j] for i in range(4) for j in range(4)] for t in rels]
-    else:
-        rows = [[t[i][j] for j in range(4) for i in range(4)] for t in rels]
+    # the word x_a x_b at 4a + b ("left") or at 4b + a ("right")
+    pairs = [(a, b) if order == "left" else (b, a)
+             for a in range(1, 5) for b in range(1, 5)]
+    words = [parse_poly(f"x{a}*y{b}", XY_VARS).leading_monomial() for a, b in pairs]
+    rows = [[f.terms.get(w, gr(0)) for w in words] for f in make_A(gamma).relations]
     _assert_same_reduction(rows)
