@@ -12,7 +12,24 @@ from fractions import Fraction
 from math import gcd
 
 
-class GaussianRational:
+class _Frozen:
+    """The value-type contract of qp3: an instance refuses set and del.
+
+    A subclass declares its fields in `__slots__` and fills them in its
+    constructor through `object.__setattr__`; after that, assigning or
+    deleting a field raises AttributeError.  The memos share these values
+    between callers, so a change to one would reach them all."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(_Frozen):
     """An element (a + b*i)/d of Q(i), always stored in lowest terms."""
 
     __slots__ = ("a", "b", "d")
@@ -31,9 +48,6 @@ class GaussianRational:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def _make(a: int, b: int, d: int) -> "GaussianRational":

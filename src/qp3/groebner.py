@@ -36,6 +36,7 @@ from itertools import chain, zip_longest
 from math import gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .gaussian import _Frozen
 from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
                         Polynomial, ResourceLimitError, VarSet, VarSetMismatchError,
                         _BITS, _Packing, _TermList, _ishift, _packing,
@@ -113,7 +114,7 @@ def cached_under_limits(fn=None, *, maxsize: int = MEMO_SIZE):
     return wrapper
 
 
-class Ideal:
+class Ideal(_Frozen):
     """A polynomial ideal given by generators plus a working order."""
 
     __slots__ = ("generators", "order", "varset")
@@ -136,9 +137,6 @@ class Ideal:
         object.__setattr__(self, "order",
                            order if order is not None
                            else (gens[0].order if gens else DEGREVLEX))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Ideal)
@@ -276,7 +274,7 @@ def _spoly(f: _TermList, g: _TermList, key_l: int, l: int) -> _TermList:
     return _primitive(s)[0] if s else s
 
 
-class GroebnerBasis:
+class GroebnerBasis(_Frozen):
     """A reduced Groebner basis: no element's term divisible by another
     element's leading term; every S-polynomial reduces to zero.
 
@@ -298,9 +296,6 @@ class GroebnerBasis:
         object.__setattr__(self, "_lists", lists)
         object.__setattr__(self, "_heads", list(map(_head, lists)))
         object.__setattr__(self, "_packing", packing)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroebnerBasis is immutable")
 
     def __iter__(self):
         return iter(self.basis)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ZERO, gr
+from .gaussian import GaussianRational, ZERO, _Frozen, gr
 from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
                         substitute)
 from .polylinalg import PolyMatrix, all_minors, solve
@@ -315,15 +315,12 @@ class Component(NamedTuple):
     kind = property(lambda self: curve_invariants(self.ideal)[2])
 
 
-class ComponentCatalog:
+class ComponentCatalog(_Frozen):
     __slots__ = ("gamma", "components")
 
     def __init__(self, gamma: GaussianRational, components: Tuple[Component, ...]):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComponentCatalog is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, ComponentCatalog) and self.gamma == other.gamma

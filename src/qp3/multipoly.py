@@ -30,7 +30,7 @@ from operator import add, lshift, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .gaussian import GaussianRational, ZERO, gr
+from .gaussian import GaussianRational, ZERO, _Frozen, gr
 
 Monomial = Tuple[int, ...]
 
@@ -59,7 +59,7 @@ class UnknownVariableError(PolyParseError):
     pass
 
 
-class VarSet:
+class VarSet(_Frozen):
     """Ordered set of variable names; the index order is total and fixed."""
 
     __slots__ = ("names", "_index")
@@ -70,9 +70,6 @@ class VarSet:
             raise ValueError("variable names must be distinct")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: k for k, n in enumerate(names)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarSet is immutable")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -103,7 +100,7 @@ class VarSet:
         return VarSet(self.names + tuple(extra))
 
 
-class MonomialOrder:
+class MonomialOrder(_Frozen):
     """A multiplicative well-order on monomials: lex, degrevlex, or a
     two-block elimination order (degrevlex inside each block).
 
@@ -119,9 +116,6 @@ class MonomialOrder:
         object.__setattr__(self, "kind", kind)
         # indices of the variables being eliminated
         object.__setattr__(self, "block", block)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialOrder is immutable")
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -381,6 +375,7 @@ def _collected(acc: Dict[int, list]) -> _TermList:
 
 _Scale = Tuple[int, int, int]
 _UNIT: _Scale = (1, 0, 1)
+_P = (1 << 61) - 1    # the modulus of `Polynomial.__hash__`
 
 
 def _lowest(a: int, b: int, d: int) -> _Scale:
@@ -429,13 +424,15 @@ def _constant(c: Coefficient) -> Tuple[_TermList, _Scale]:
     return ([(0, 0, (1, 0))], (c, 0, 1)) if c else ([], _UNIT)
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Immutable sparse polynomial over Q(i) on a fixed VarSet.
 
     The value is s times a term list over Z[i]: the list is primitive
     (`_primitive`) and packed by the one `_Packing` of its ring and order,
     and s is one exact scale in Q(i) in lowest terms.  For a given order
-    both are unique, so equality and hashing compare them structurally.
+    both are unique, so equality compares them structurally; the hash
+    reads what does not depend on the order, the packed monomials and the
+    coefficients s times the list's.
     Arithmetic, `derivative`, `with_order` and `substitute` work on the
     packed ints; `terms` is a read-only view {exponent tuple:
     GaussianRational}, built when first asked for.
@@ -461,9 +458,6 @@ class Polynomial:
         p = sorted(((*pack(m), (c.a * (denom // c.d), c.b * (denom // c.d)))
                     for m, c in clean.items()), reverse=True)
         _poly(varset, pk, p, 1, 0, denom, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -652,11 +646,17 @@ class Polynomial:
         return self._scale == other._scale and self._list == other._list
 
     def __hash__(self):
-        # the packed monomials do not depend on the order
+        # each term's monomial and coefficient modulo the prime P = 2^61 - 1;
+        # P is prime in Z[i] too, so if it divides the scale's d in one
+        # order it divides it in every order, and then only monomials count
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.varset, frozenset([m for _, m, _ in self._list])))
+            a, b, d = self._scale
+            t = pow(d, -1, _P) if d % _P else 0
+            a, b = a * t % _P, b * t % _P
+            h = hash((self.varset, frozenset([(m, (a * x - b * y) % _P, (a * y + b * x) % _P)
+                                              for _, m, (x, y) in self._list])))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, _Frozen
 from .multipoly import Polynomial
 from .fixtures import load_fixtures
 from .plucker import generic_line_points, incidence_contractions, pluecker_join
@@ -65,7 +65,7 @@ def _float_gamma(gamma) -> complex:
     return g
 
 
-class ComplexPoint:
+class ComplexPoint(_Frozen):
     """A numeric point of P3, max-modulus coordinate scaled to 1."""
 
     __slots__ = ("coords",)
@@ -80,9 +80,6 @@ class ComplexPoint:
         if abs(c[k]) == 0:
             raise ValueError("zero vector is not a projective point")
         object.__setattr__(self, "coords", c / c[k])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPoint is immutable")
 
     def __repr__(self):
         return f"ComplexPoint(coords={self.coords!r})"

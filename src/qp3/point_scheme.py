@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, gr
+from .gaussian import GaussianRational, ONE, _Frozen, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
 from .polylinalg import PolyMatrix, all_minors, rank
@@ -26,7 +26,7 @@ class NotOnSchemeError(ValueError):
     pass
 
 
-class ProjectivePoint:
+class ProjectivePoint(_Frozen):
     """A point of P3 over Q(i), or of P(LENGTH - 1) in a subclass; equality
     up to a global nonzero scalar, and only between points of one class."""
 
@@ -40,9 +40,6 @@ class ProjectivePoint:
         if all(c.is_zero() for c in coords):
             raise ValueError("projective point cannot be all zero")
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def normalized(self) -> Tuple[GaussianRational, ...]:
         """First nonzero coordinate scaled to 1."""
@@ -377,8 +374,7 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
 
     cert = sigma_orbit_certificates(gamma)
     checks.update({f"sigma_{k}": v for k, v in cert.items() if k != "all"})
-    checks["sigma_basis_swaps"] = all(sigma(p, gamma) == q
-                                      for p, q in SIGMA_SWAPS.items())
+    checks["sigma_basis_swaps"] = _basis_pairs_hold(A)
 
     return PointSchemeReport(
         gamma=gamma,
@@ -392,26 +388,35 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
     )
 
 
+def _basis_pairs_hold(A: QuadraticAlgebra) -> bool:
+    """The relations vanish at each basis pair (p, SIGMA_SWAPS[p]), and
+    R(p), the relation matrix at x = p, has rank 3, so SIGMA_SWAPS[p] is
+    p's only partner."""
+    R = relation_matrix(A).entries
+    for p, q in SIGMA_SWAPS.items():
+        if any(not bilinear_value(f, p.coords, q.coords).is_zero() for f in A.relations):
+            return False
+        at_p = dict(zip(X_VARS.names, p.coords))
+        if rank([[substitute(e, at_p).constant_value() for e in row] for row in R]) != 3:
+            return False
+    return True
+
+
 def verify_vanishing_pairs(A: QuadraticAlgebra) -> bool:
     """The relations vanish exactly on the pairs (p, sigma(p)).  They
     vanish on each pair: the four basis pairs directly, the Z_gamma pairs
     symbolically mod the rho ideal.  And sigma(p) is p's only partner:
     R(p), the relation matrix at x = p, has rank 3, directly at e1..e4 and
     on Z_gamma as 1 in <rho1, rho2, rho3> + <the 3x3 minors of R(p)>."""
+    if not _basis_pairs_hold(A):
+        return False
     p_sym = symbolic_point()
     q_sym = sigma_symbolic(p_sym, A.gamma)
     gb = zgamma_gb(A.gamma)
-    for f in A.relations:
-        if any(not bilinear_value(f, p.coords, q.coords).is_zero()
-               for p, q in SIGMA_SWAPS.items()):
-            return False
-        if not normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero():
-            return False
-    R = relation_matrix(A).entries
-    for p in SIGMA_SWAPS:
-        at_p = dict(zip(X_VARS.names, p.coords))
-        if rank([[substitute(e, at_p).constant_value() for e in row] for row in R]) != 3:
-            return False
+    if any(not normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero()
+           for f in A.relations):
+        return False
     at_sym = dict(zip(X_VARS.names, p_sym))
-    R_sym = PolyMatrix([[substitute(e, at_sym, CHART_VARS) for e in row] for row in R])
+    R_sym = PolyMatrix([[substitute(e, at_sym, CHART_VARS) for e in row]
+                        for row in relation_matrix(A).entries])
     return buchberger(Ideal([*rho_system(A.gamma), *all_minors(R_sym, 3)])).contains_one()

@@ -9,13 +9,13 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO
-from .groebner import GroebnerLimits, Ideal, buchberger, limits_scope
+from .gaussian import GaussianRational, ONE, ZERO, _Frozen
+from .groebner import GroebnerLimits, Ideal, _buchberger, limits_scope
 from .multipoly import (Monomial, Polynomial, VarSet, VarSetMismatchError,
                         _TermList, _iadd, _packing, _poly, _product, _times)
 
 
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """Dense rectangular matrix whose entries are Polynomials on one VarSet."""
 
     __slots__ = ("rows", "cols", "entries", "varset")
@@ -37,21 +37,8 @@ class PolyMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "varset", varset)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
     def row(self, k: int) -> List[Polynomial]:
         return list(self.entries[k])
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[r][c] for c in col_idx] for r in row_idx])
-
-    def det(self) -> Polynomial:
-        """Determinant: `all_minors`'s dynamic program at full size."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return all_minors(self, self.rows)[0]
-
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:
@@ -64,7 +51,8 @@ def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Poly
     for c in col_idx:
         if not 0 <= c < m.cols:
             raise IndexError(f"column index {c} out of range")
-    return m.submatrix(row_idx, col_idx).det()
+    return all_minors(PolyMatrix([[m.entries[r][c] for c in col_idx] for r in row_idx]),
+                      len(row_idx))[0]
 
 
 def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
@@ -148,6 +136,8 @@ def row_echelon(rows: Sequence[Sequence[GaussianRational]]
     result is the reduced Groebner basis of those forms: under DEGREVLEX
     c0 > c1 > ..., so each lead is a row's first nonzero column, and a
     reduced basis of linear forms, monic, is the reduced echelon form.
+    The basis is not memoized: a hit in `buchberger`'s memo, which builds,
+    hashes and compares the forms, costs about half of computing it.
     """
     if not rows:
         raise ValueError("matrix must have at least one row")
@@ -158,8 +148,8 @@ def row_echelon(rows: Sequence[Sequence[GaussianRational]]
     # forms with distinct leads make no S-pairs, and the basis keeps one per
     # pivot: bounds that always hold, so no caller's narrower limits apply
     with limits_scope(GroebnerLimits(max_pairs=0, max_basis=width, max_degree=1)):
-        G = buchberger(Ideal([Polynomial(varset, dict(zip(units, row))) for row in rows],
-                             varset=varset))
+        G = _buchberger(Ideal([Polynomial(varset, dict(zip(units, row))) for row in rows],
+                              varset=varset), 0)
     echelon = [[terms.get(m, ZERO) for m in units] for terms in (g.terms for g in G)]
     return echelon, [m.index(1) for m in G.leading_monomials()]
 

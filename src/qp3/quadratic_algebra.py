@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GaussianRational, ONE, ZERO, _Frozen, gr
 from .multipoly import Polynomial, VarSet, parse_poly, substitute
 from .polylinalg import PolyMatrix, nullspace, rank
 from .groebner import MEMO_SIZE
@@ -69,7 +69,7 @@ def _coefficients(f: Polynomial, tensor_order: str) -> List[GaussianRational]:
     return [terms.get(w, ZERO) for w in _WORDS[tensor_order]]
 
 
-class QuadraticAlgebra:
+class QuadraticAlgebra(_Frozen):
     """Six linearly independent quadratic relations, bilinear forms on XY_VARS."""
 
     __slots__ = ("gamma", "relations")
@@ -85,9 +85,6 @@ class QuadraticAlgebra:
             raise RankDeficiencyError("relations are linearly dependent")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "relations", relations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticAlgebra is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticAlgebra) and self.gamma == other.gamma

@@ -1,7 +1,7 @@
 """Source hygiene: every name a qp3 module imports is used in it, every
 function and class it defines is named somewhere else, every public
-function is entered by a command or a demo, and every cache it makes is
-bounded."""
+function is entered by a command or a demo, every cache it makes is
+bounded, and one base class states the value-type contract."""
 
 import ast
 import json
@@ -176,6 +176,51 @@ def test_unbounded_cache_is_reported():
     assert unbounded_caches(source) == [2, 3, 5, 11]
 
 
+def frozen_contract_breaches(sources):
+    """Where the classes of `sources` ({label: module text}) break the
+    value-type contract: a class other than `_Frozen` that defines
+    `__setattr__` or `__delattr__`, and a public class that declares
+    `__slots__` but derives from `_Frozen` neither directly nor through
+    another class of `sources`."""
+    classes = {node.name: (label, node) for label, text in sources.items()
+               for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)}
+
+    def frozen(name):
+        if name == "_Frozen":
+            return True
+        return name in classes and any(
+            frozen(ast.unparse(base).split(".")[-1]) for base in classes[name][1].bases)
+
+    breaches = []
+    for name, (label, node) in classes.items():
+        methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        if name != "_Frozen":
+            breaches += [f"{label}: {name} defines {m}"
+                         for m in sorted(methods & {"__setattr__", "__delattr__"})]
+        slotted = any(isinstance(t, ast.Name) and t.id == "__slots__"
+                      for item in node.body if isinstance(item, ast.Assign)
+                      for t in item.targets)
+        if slotted and not name.startswith("_") and not frozen(name):
+            breaches.append(f"{label}: {name} has __slots__ but is no _Frozen")
+    return sorted(breaches)
+
+
+def test_only_the_frozen_base_refuses_set_and_del():
+    assert frozen_contract_breaches({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_frozen_contract_breach_is_reported():
+    source = ("class _Frozen:\n    __slots__ = ()\n"
+              "    def __setattr__(self, name, value):\n        pass\n"
+              "class Value(_Frozen):\n    __slots__ = ('a',)\n"
+              "class Child(Value):\n    __slots__ = ()\n"
+              "class Loose:\n    __slots__ = ('a',)\n"
+              "class _Private:\n    __slots__ = ('a',)\n"
+              "class Own(m._Frozen):\n    def __delattr__(self, name):\n        pass\n")
+    assert frozen_contract_breaches({"m.py": source}) == [
+        "m.py: Loose has __slots__ but is no _Frozen", "m.py: Own defines __delattr__"]
+
+
 def unread_parameters(source: str):
     """`function.parameter` for each parameter of a function or method
     that its body never reads.  Such a parameter is an option that does
@@ -331,8 +376,6 @@ TEST_ONLY_API = {
                               "that of A(-gamma)",
     "minor": "bench/tracing.py times the minors through it by name, until "
              "its span moves to all_minors",
-    "PolyMatrix.submatrix": "the square submatrix of `minor`",
-    "PolyMatrix.det": "the determinant of `minor`: all_minors at full size",
 }
 
 

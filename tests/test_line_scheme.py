@@ -153,7 +153,7 @@ def test_erratum_31_certified_by_bareiss_determinant():
     rows = (1, 3, 4, 5, 6, 7, 8, 9)
     for gv in (1, 4, 5):
         big = build_big_matrix(make_A(gr(gv)), "right")
-        det = det_bareiss(big.submatrix(rows, range(8)))
+        det = det_bareiss(PolyMatrix([big.entries[r] for r in rows]))
         entry = load_fixtures().parse_line_polys(gr(gv), corrected=True)[31]
         assert _in_uv(entry) == det * gr(0, 1)
         printed = load_fixtures().parse_line_polys(gr(gv))[31]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,40 @@ def test_monomial_order_axioms_random():
                 prod1 = tuple(a + b for a, b in zip(m1, n))
                 prod2 = tuple(a + b for a, b in zip(m2, n))
                 assert key(prod1) <= key(prod2)
+
+
+ORDERS = (MonomialOrder.lex(), MonomialOrder.degrevlex(),
+          MonomialOrder.elimination(VarSet(["x", "y", "z"]), ["x"]))
+
+
+def test_equal_polynomials_hash_equal_in_every_order():
+    # each order stores another primitive list and scale for one value
+    rng = random.Random(23)
+    vs = VarSet(["x", "y", "z"])
+    p = (1 << 61) - 1    # a denominator the hash's modulus divides
+    for k in range(60):
+        scale = gr(Fraction(rng.randint(1, 9), p if k % 10 == 0 else rng.randint(1, 9)),
+                   rng.randint(-3, 3))
+        f = _random_poly(rng, vs) * scale
+        views = [f.with_order(order) for order in ORDERS]
+        for a in views:
+            for b in views:
+                assert a == b and hash(a) == hash(b)
+
+
+def test_polynomials_that_differ_in_coefficients_hash_apart():
+    rng = random.Random(29)
+    vs = VarSet(["x", "y", "z"])
+    for order in ORDERS:
+        for _ in range(40):
+            f = _random_poly(rng, vs).with_order(order)
+            if f.is_zero():
+                continue
+            m = rng.choice(list(f.terms))
+            g = f + Polynomial(vs, {m: gr(rng.randint(1, 5), rng.randint(-5, 5))}, order)
+            for h in (f * 2, f * gr(0, 1), g):
+                if h.monomials() == f.monomials():
+                    assert h != f and hash(h) != hash(f)
 
 
 def test_bidegree_bookkeeping():

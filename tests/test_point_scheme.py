@@ -123,6 +123,18 @@ def test_sigma_basis_swaps():
         assert sigma(sigma(e, g), g) == e
 
 
+def test_sigma_basis_check_fails_on_a_wrong_swap_table(monkeypatch):
+    # the check reads the relations at (p, SIGMA_SWAPS[p]), not the table
+    # itself: e1 <-> e3 and e2 <-> e4 are no vanishing pairs
+    import qp3.point_scheme as ps
+
+    A = make_A(gr(1))
+    assert count_points(A).checks["sigma_basis_swaps"]
+    monkeypatch.setattr(ps, "SIGMA_SWAPS", {E1: E3, E3: E1, E2: E4, E4: E2})
+    report = count_points(A)
+    assert report.checks["sigma_basis_swaps"] is False and not report.ok
+
+
 def test_sigma_rejects_points_off_the_scheme():
     with pytest.raises(NotOnSchemeError):
         sigma(ProjectivePoint((1, 1, 1, 1)), gr(1))
@@ -219,8 +231,8 @@ def test_sigma_undefined_at_x3_zero():
 
 
 def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):
-    # chart_ideal (four charts), sigma (four basis points) and the rho and
-    # sigma certificates all share one set of fifteen minors per algebra
+    # chart_ideal (four charts) and the rho and sigma certificates all
+    # share one set of fifteen minors per algebra
     import qp3.point_scheme as ps
 
     builds = []

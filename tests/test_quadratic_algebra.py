@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,32 @@ def test_m_hat_shape_and_reproduction():
     mh = m_hat(A)
     assert (mh.rows, mh.cols) == (10, 4)
     assert times_right(mh, ZW_VARS) == koszul_dual_relations(A)
+
+
+# make_A and m_hat over forty gammas, counting Polynomial.__eq__ calls
+EQ_CALLS = """
+from qp3.gaussian import gr
+from qp3.multipoly import Polynomial
+from qp3.quadratic_algebra import m_hat, make_A
+
+calls = []
+eq = Polynomial.__eq__
+Polynomial.__eq__ = lambda self, other: calls.append(1) or eq(self, other)
+for k in range(1, 41):
+    m_hat(make_A(gr(k, 1)))
+print(len(calls))
+"""
+
+
+def test_forty_gammas_compare_few_polynomials():
+    # a hash blind to the coefficients let the memoized ideals of every
+    # gamma collide, and each lookup compared them: over 22,000 calls
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", EQ_CALLS], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert int(run.stdout) < 40
 
 
 def test_m_hat_rank_deficiency_error():

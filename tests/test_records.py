@@ -1,6 +1,6 @@
-"""The record types of qp3: NamedTuples and slotted classes that refuse
-assignment, compare by value (a Groebner basis and a matrix by identity)
-and hash where their fields hash."""
+"""The record and value types of qp3: NamedTuples and slotted classes that
+refuse assignment and deletion, compare by value (a Groebner basis and a
+matrix by identity) and hash where their fields hash."""
 
 from types import MappingProxyType
 
@@ -12,7 +12,7 @@ from qp3.gaussian import gr
 from qp3.groebner import GroebnerLimits, Ideal, buchberger
 from qp3.line_scheme import (Component, ComponentCatalog, DecompositionReport,
                              FixtureForensics, LineSchemeIdeal)
-from qp3.multipoly import MonomialOrder, parse_poly
+from qp3.multipoly import MonomialOrder, VarSet, parse_poly
 from qp3.numeric import ComplexPoint
 from qp3.plucker import (BranchReport, LineCheck, LineFamily, PluckerLine,
                          SixLinesReport)
@@ -54,6 +54,10 @@ RECORDS = {
     "MonomialOrder": MonomialOrder.lex,
     "GroebnerBasis": lambda: buchberger(Ideal([X1])),
     "PolyMatrix": lambda: PolyMatrix([[X1]]),
+    "GaussianRational": lambda: gr(1, 2),
+    "VarSet": lambda: VarSet(["x", "y"]),
+    "Polynomial": lambda: X1 + 1,
+    "Ideal": lambda: Ideal([X1]),
 }
 # compared by identity, not by their fields
 IDENTITY = {"ComplexPoint", "GroebnerBasis", "PolyMatrix"}
@@ -67,15 +71,29 @@ def _hashable(value):
     return True
 
 
+def _first_field(record):
+    return (type(record)._fields if isinstance(record, tuple)
+            else [f for c in type(record).__mro__
+                  for f in getattr(c, "__slots__", ())])[0]
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_refuses_assignment(name):
     record = RECORDS[name]()
-    field = (type(record)._fields if isinstance(record, tuple)
-             else [f for c in type(record).__mro__
-                   for f in getattr(c, "__slots__", ())])[0]
+    field = _first_field(record)
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_refuses_deletion(name):
+    record = RECORDS[name]()
+    field = _first_field(record)
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     assert getattr(record, field) is before
 
 
@@ -93,7 +111,8 @@ def test_hash_where_the_fields_hash():
                         "ComponentCatalog", "LineFamily", "LineCheck",
                         "BranchReport", "QuadraticAlgebra", "ComplexPoint",
                         "ProjectivePoint", "PluckerLine", "MonomialOrder",
-                        "GroebnerBasis", "PolyMatrix"}
+                        "GroebnerBasis", "PolyMatrix", "GaussianRational",
+                        "VarSet", "Polynomial", "Ideal"}
 
 
 def test_complex_points_compare_by_identity():
