@@ -17,12 +17,9 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational
-from .multipoly import Polynomial, VarSet, parse_poly
-from .quadratic_algebra import M_VARS, MG_VARS, X_VARS, psi1_on_pluecker
+from .multipoly import Polynomial, parse_poly
+from .quadratic_algebra import M_VARS, MG_VARS, X_VARS, psi1_on_pluecker, with_g
 
-# x1..x4 with the family parameter kept as a variable (MG_VARS for the M_ij),
-# so that fixture text can be compared, or evaluated, for every gamma at once
-_XG_VARS = VarSet([*X_VARS.names, "g"])
 _PSI1_PARTNERS = {"L2": "L3", "L4": "L5", "L6a": "L6b"}   # shipped -> derived
 
 
@@ -32,16 +29,13 @@ class FixtureSet(NamedTuple):
     line_scheme_errata: Mapping[int, str]   # entry index -> corrected text
     component_generators: Mapping[str, Tuple[str, ...]]   # L1, L2, L4, L6a -> generators
     surfaces: Mapping[str, str]
-    planar_curves: Mapping[str, Tuple[str, ...]]
-    pencil_points: Mapping[str, str]
-    displayed_relation_matrix: Tuple[Tuple[str, ...], ...]
     displayed_big_matrix: Tuple[Tuple[str, ...], ...]
 
     def parse_point_polys(self, gamma: Optional[GaussianRational]) -> List[Polynomial]:
         """The 15 point-scheme entries, with g bound to gamma, or kept as a
         last variable when gamma is None.  ValueError unless each entry is
         a quartic."""
-        vs = X_VARS if gamma is not None else _XG_VARS
+        vs = with_g(X_VARS, gamma)
         polys = [parse_poly(t, vs, gamma=gamma) for t in self.point_scheme_polys]
         for t, p in zip(self.point_scheme_polys, polys):
             if not _is_form(p, 4):
@@ -59,7 +53,7 @@ class FixtureSet(NamedTuple):
         erratum replaces a quartic entry by a quartic that changes the
         coefficient of exactly one monomial.
         """
-        vs = M_VARS if gamma is not None else MG_VARS
+        vs = with_g(M_VARS, gamma)
         fixed: Dict[int, Polynomial] = {}
         for k, t in sorted(self.line_scheme_errata.items() if corrected else ()):
             if not 1 <= k <= 45:
@@ -87,7 +81,7 @@ class FixtureSet(NamedTuple):
         """The seven generic components' generators in catalog order, g bound
         to gamma or kept as a last variable when gamma is None; L3, L5 and
         L6b are the psi1 images of L2, L4 and L6a, in `_catalog_form`."""
-        vs = M_VARS if gamma is not None else MG_VARS
+        vs = with_g(M_VARS, gamma)
         gens = {}
         for name, texts in self.component_generators.items():
             gens[name] = [parse_poly(t, vs, gamma=gamma) for t in texts]
@@ -156,8 +150,5 @@ def load_fixtures() -> FixtureSet:
             {int(k): v for k, v in errata["line_scheme_polys"].items()}),
         component_generators=comp["components"],
         surfaces=comp["surfaces"],
-        planar_curves=comp["planar_curves"],
-        pencil_points=comp["pencil_points"],
-        displayed_relation_matrix=comp["displayed_relation_matrix"],
         displayed_big_matrix=comp["displayed_big_matrix"],
     )

@@ -312,17 +312,20 @@ class GroebnerBasis(_Frozen):
 
 
 @cached_under_limits(maxsize=GB_CACHE_SIZE)
-def buchberger(I: Ideal) -> GroebnerBasis:
+def buchberger(I: Ideal, numerator: Optional[Tuple[int, ...]] = None) -> GroebnerBasis:
     """Reduced Groebner basis of I under I.order.
 
     Deterministic: identical input yields an identical basis.  Raises
     ResourceLimitError when a bound of the current `limits_scope` is hit.
     Every generator of I is checked to reduce to zero modulo the result.
+    `numerator` is a known Hilbert numerator that lets the run stop early
+    (`_buchberger`); it never changes the basis.
     """
-    return _buchberger(I, 0)
+    return _buchberger(I, 0, numerator)
 
 
-def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
+def _buchberger(I: Ideal, reduced_prefix: int,
+                numerator: Optional[Tuple[int, ...]] = None) -> GroebnerBasis:
     """The Buchberger core behind `buchberger`, uncached.
 
     The first `reduced_prefix` generators of I must be a reduced Groebner
@@ -331,6 +334,17 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
     those reduce to zero, and only pairs that involve a later element are
     queued.  The prefix counts toward `max_basis`, and the post-hoc check
     reduces it like every other generator.
+
+    `numerator`, if given, must be the Hilbert numerator over (1 - t)^n
+    (`hilbert_numerator`) of some R/J with HF(R/J) <= HF(R/I) in every
+    degree, I homogeneous.  Then the generators are interreduced and
+    inserted before any pair is formed.  The leads of the inserted elements
+    lie in LT(I), so HF(R/<leads>) >= HF(R/I) >= HF(R/J); when their
+    numerator equals `numerator`, all three are equal, the leads generate
+    LT(I), and the elements are already a Groebner basis: no pair is formed
+    (Traverso, Hilbert functions and the Buchberger algorithm, JSC 1996).
+    Otherwise the UPDATE of each inserted element is replayed in insertion
+    order, and the pairs are exactly those of a run without `numerator`.
 
     An element's sugar is the degree of its lead, so the sugar of a pair
     is the degree of its lcm.  Pairs are selected by (sugar, key of the
@@ -404,17 +418,28 @@ def _buchberger(I: Ideal, reduced_prefix: int) -> GroebnerBasis:
         for g, l in new:
             queued[(g, h)] = l
             heapq.heappush(heap, (pk.degree(l), pk.key(l), g, h))
+        enter(h)
+
+    def enter(h: int) -> None:
+        """h joins G, and the elements whose leads it divides leave."""
+        mh = lms[h]
         live[:] = [g for g in live if ((lms[g] | guard) - mh) & guard != guard]
         bisect.insort(live, h, key=lambda g: heads[g][0])
         reducers[:] = [heads[g] for g in live]
 
-    live[:] = sorted((insert(p) for p in gens[:reduced_prefix]),
-                     key=lambda g: heads[g][0])
+    prefix = sorted((insert(p) for p in gens[:reduced_prefix]), key=lambda g: heads[g][0])
+    live[:] = prefix
     reducers[:] = [heads[g] for g in live]
+    step = update if numerator is None else enter
     for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
         r, _ = _nf(p, reducers, pk)
         if r:
-            update(insert(_primitive(r)[0]))
+            step(insert(_primitive(r)[0]))
+    if numerator is not None and _staircase(
+            tuple(sorted(lms[g] for g in live)), len(I.varset)) != numerator:
+        live[:] = prefix
+        for h in range(reduced_prefix, len(entries)):
+            update(h)
 
     pairs_done = 0
     while heap:

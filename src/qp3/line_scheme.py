@@ -18,7 +18,8 @@ is M14*M23, free of M34, so a normal form times M34^4 is still one:
 NF(minor) = M34^4 * NF(Q), and dividing NF(minor) by M34^4 gives NF(Q)
 exactly.  A term with M34 to a power below 4 would show that the minor
 is no such quartic; the division then raises ValueError
-(`_quartic_of_minor`).
+(`_quartic_of_minor`).  With gamma None, g stays the last variable
+(MG_VARS) and every step runs over Q(i)[g]: P and its lead are free of g.
 """
 
 from __future__ import annotations
@@ -34,21 +35,21 @@ from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _homogeneous_basis,
                        _stripped_numerator, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
                        quotient_dimension)
-from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
-                                m_hat, make_A, nonzero_gamma)
+from .quadratic_algebra import (M_VARS, MG_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
+                                m_hat, make_A, nonzero_gamma, with_g)
 from .fixtures import load_fixtures
 
 
 PLUECKER_POLY_STRING = "M12*M34 - M13*M24 + M14*M23"
 
 
-def pluecker_polynomial() -> Polynomial:
-    return parse_poly(PLUECKER_POLY_STRING, M_VARS)
+def pluecker_polynomial(varset: VarSet = M_VARS) -> Polynomial:
+    return parse_poly(PLUECKER_POLY_STRING, varset)
 
 
-@lru_cache(maxsize=1)
-def _pluecker_gb_M() -> GroebnerBasis:
-    return buchberger(Ideal([pluecker_polynomial()]))
+@lru_cache(maxsize=2)
+def _pluecker_gb_M(varset: VarSet) -> GroebnerBasis:
+    return buchberger(Ideal([pluecker_polynomial(varset)]))
 
 
 def _doubled_matrix(A: QuadraticAlgebra, tensor_order: str, u: Sequence,
@@ -70,27 +71,28 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
 
 
-# u and v of the module docstring: each bracket of u, v is M34 times its
-# signed Pluecker coordinate modulo P
-_PLUECKER_U, _PLUECKER_V = ([parse_poly(t, M_VARS) for t in w] for w in (
-    ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23")))
-_M34_4 = tuple(4 * e for e in M_VARS.var_monomial("M34"))
+# u and v of the module docstring, on M_VARS and on MG_VARS: each bracket
+# of u, v is M34 times its signed Pluecker coordinate modulo P
+_PLUECKER_UV = {vs: [[parse_poly(t, vs) for t in w] for w in (
+    ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23"))] for vs in (M_VARS, MG_VARS)}
 
 
 def _quartic_of_minor(f: Polynomial) -> Polynomial:
     """NF(f) modulo P divided by M34^4: the quartic that f is M34^4 times
-    modulo P.  The division shifts the keys and monomials of the normal
-    form's term list, which stays primitive.  Raises ValueError when
-    M34^4 does not divide a term, that is when f is no such multiple."""
-    nf = normal_form(f, _pluecker_gb_M())
+    modulo P, on f's VarSet.  The division shifts the keys and monomials
+    of the normal form's term list, which stays primitive.  Raises
+    ValueError when M34^4 does not divide a term, that is when f is no
+    such multiple."""
+    vs = f.varset
+    nf = normal_form(f, _pluecker_gb_M(vs))
     pk = nf._pk
-    key_u, u = pk.pack(_M34_4)
+    key_u, u = pk.pack(tuple(4 * e for e in vs.var_monomial("M34")))
     out = []
     for key, m, c in nf._list:
         if not pk.divides(u, m):
             raise ValueError("M34^4 does not divide the normal form modulo P")
         out.append((key - key_u, m - u, c))
-    return _wrap(M_VARS, pk, out, nf._scale)
+    return _wrap(vs, pk, out, nf._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ def _quartic_of_minor(f: Polynomial) -> Polynomial:
 
 
 class LineSchemeIdeal(NamedTuple):
-    gamma: GaussianRational
+    gamma: Optional[GaussianRational]
     polys: Tuple[Polynomial, ...]          # P, then the 45 quartics (NF mod P)
     ideal: Ideal
 
@@ -111,27 +113,37 @@ class LineSchemeIdeal(NamedTuple):
         }
 
 
-def line_scheme_ideal(gamma: GaussianRational,
+def line_scheme_ideal(gamma: Optional[GaussianRational],
                       tensor_order: str = "left") -> LineSchemeIdeal:
     """The 46 polynomials in the M_ij cutting out the line scheme, each
-    minor image normalized modulo the Pluecker quadric."""
+    minor image normalized modulo the Pluecker quadric; with gamma None,
+    on MG_VARS over Q(i)[g], and their images at g = gamma are the 46 at
+    gamma."""
     return _line_scheme_ideal(gamma, tensor_order)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _line_scheme_ideal(gamma: GaussianRational,
+def _line_scheme_ideal(gamma: Optional[GaussianRational],
                        tensor_order: str) -> LineSchemeIdeal:
-    big = _doubled_matrix(make_A(gamma), tensor_order, _PLUECKER_U, _PLUECKER_V,
-                          M_VARS)
+    vs = with_g(M_VARS, gamma)
+    big = _doubled_matrix(make_A(gamma), tensor_order, *_PLUECKER_UV[vs], vs)
     images = []
     for f in all_minors(big, 8):
         h = _quartic_of_minor(f)
         if h.is_zero():
             raise ValueError("a minor image vanished; pipeline bug")
         images.append(h)
-    polys = (pluecker_polynomial(),) + tuple(images)
+    polys = (pluecker_polynomial(vs),) + tuple(images)
     return LineSchemeIdeal(gamma=gamma, polys=polys, ideal=Ideal(list(polys)))
 
+
+# The Hilbert numerator of R/L over (1 - t)^6 for the 46 over Q(i)(g),
+# which tests/test_line_scheme.py computes from `line_scheme_ideal(None)`.
+# It bounds each L(gamma)'s series from below: dim L(gamma)_d is the rank at
+# g = gamma of a matrix over Q(i)[g], at most its rank over Q(i)(g), so
+# HF(R/L(gamma)) >= HF(R/L) in every degree.  `buchberger` takes it as the
+# numerator that certifies a basis with no S-pair.
+LINE_SCHEME_NUMERATOR = (1, 0, -1, 0, -45, 154, -215, 156, -60, 10)
 
 UNITS = (gr(1), gr(-1), gr(0, 1), gr(0, -1))
 
@@ -155,7 +167,7 @@ def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
 
     Raises ValueError when no perfect matching exists.
     """
-    gbP = _pluecker_gb_M()
+    gbP = _pluecker_gb_M(M_VARS)
     fixture = load_fixtures().parse_line_polys(L.gamma, corrected=True)
     free = dict(enumerate(L.polys))    # the 45 are normal forms already
     matching: Dict[int, int] = {}
@@ -204,7 +216,7 @@ def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
     certificates (a change of dual basis mixes minors by Cauchy-Binet),
     and the residual single-term discrepancies under the other tensor
     enumeration."""
-    gbP = _pluecker_gb_M()
+    gbP = _pluecker_gb_M(M_VARS)
     fixture = load_fixtures().parse_line_polys(gamma)
     fix_nf = [normal_form(f, gbP) for f in fixture[1:]]
 
@@ -450,11 +462,14 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
         raise ValueError("line scheme and catalog built at different gamma")
     poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
 
-    hd = hilbert_dimension_degree(L.ideal)
+    # the numerator bounds the series of the 46 that line_scheme_ideal builds
+    built = L.ideal == line_scheme_ideal(L.gamma).ideal
+    vs, gb = L.ideal.varset, buchberger(L.ideal, LINE_SCHEME_NUMERATOR if built else None)
+    num, stripped = _stripped_numerator(gb)
+    hd = (len(vs) - stripped - 1, sum(num))
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())
 
-    vs, gb = L.ideal.varset, buchberger(L.ideal)
     ms = [Polynomial.variable(vs, n) for n in vs.names]
     remainders = (normal_form(f, gb) for f in components_intersection(C).generators)
     intersection_in_radical = (

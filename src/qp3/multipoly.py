@@ -633,11 +633,7 @@ class Polynomial(_Frozen):
         return _wrap(self.varset, self._pk, self._list, (1, 0, self._list[0][2][0]))
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            c = gr(other)
-            if c.is_zero():
-                return self.is_zero()
-            other = Polynomial.constant(self.varset, c, self.order)
+        # a scalar is no Polynomial, even a constant one: it hashes apart
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.varset != other.varset:

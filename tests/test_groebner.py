@@ -11,7 +11,7 @@ from qp3.gaussian import GaussianRational, gr
 from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            Polynomial, VarSet, VarSetMismatchError, parse_poly,
                            print_poly)
-from qp3 import groebner, multipoly
+from qp3 import cli, groebner, multipoly
 from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           NotAUnitError, ResourceLimitError, buchberger,
                           eliminate, hilbert_dimension_degree, hilbert_numerator,
@@ -20,8 +20,9 @@ from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           saturate)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
 from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
-from qp3.line_scheme import (component_catalog, components_intersection,
-                             line_scheme_ideal, verify_decomposition)
+from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, component_catalog,
+                             components_intersection, line_scheme_ideal,
+                             verify_decomposition)
 from qp3.fixtures import load_fixtures
 from oracles import (nf_two_pass, radical_member_rabinowitsch, spoly_two_pass,
                      staircase_counts)
@@ -901,8 +902,8 @@ def test_update_criteria_pinned_pair_by_pair(fresh_caches, monkeypatch):
         "x^2 - 1/2*x*y + y^2"]
 
 
-@pytest.mark.parametrize("gamma, spolys", [(gr(1), 376), (gr(4), 383),
-                                           (gr(3, 2), 376)],
+@pytest.mark.parametrize("gamma, spolys", [(gr(1), 218), (gr(4), 225),
+                                           (gr(3, 2), 218)],
                          ids=["1", "4", "3+2i"])
 def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch,
                                               gamma, spolys):
@@ -911,7 +912,8 @@ def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch,
     # the component intersection folded psi1 partners first among them.
     # The pairs depend on the leading monomials, the selection order and
     # the bracketing of that fold alone, so how polynomials are stored or
-    # pairs are bookkept must not change these counts
+    # pairs are bookkept must not change these counts.  The basis of the
+    # 46 forms none: its leads carry LINE_SCHEME_NUMERATOR (158 fewer)
     calls = []
     spoly = groebner._spoly
 
@@ -923,3 +925,66 @@ def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch,
     assert verify_decomposition(line_scheme_ideal(gamma),
                                 component_catalog(gamma)).ok
     assert len(calls) == spolys
+
+
+# the 8 digest gammas, the other signs of 2, 4 and 2i, and the ends of the
+# range the exact commands are tried at
+HINT_GAMMAS = ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "-2*i", "1/3",
+               "2^40", "1/2^30")
+
+
+def _recorded_spolys(monkeypatch):
+    """The leads of the two elements of each S-polynomial formed from now on."""
+    leads = []
+    spoly = groebner._spoly
+
+    def recorded(f, g, key_l, l):
+        leads.append((f[0][1], g[0][1]))
+        return spoly(f, g, key_l, l)
+
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    return leads
+
+
+@pytest.mark.parametrize("text", HINT_GAMMAS)
+def test_line_scheme_numerator_stops_the_pair_loop(monkeypatch, text):
+    # the leads of the interreduced 46 carry the generic numerator at each
+    # gamma, so the hinted run forms no S-pair and ends with the basis the
+    # pair loop finds
+    L = line_scheme_ideal(cli.parse_gamma(text))
+    leads = _recorded_spolys(monkeypatch)
+    hinted = groebner._buchberger(L.ideal, 0, LINE_SCHEME_NUMERATOR)
+    assert leads == []
+    assert hinted._lists == groebner._buchberger(L.ideal, 0)._lists
+    assert leads
+
+
+@pytest.mark.parametrize("k", range(len(LINE_SCHEME_NUMERATOR)))
+def test_an_unattained_numerator_replays_every_pair(monkeypatch, k):
+    # a hint the leads do not carry changes nothing: the same S-polynomials
+    # in the same order, and the same basis
+    L = line_scheme_ideal(gr(3, 2))
+    leads = _recorded_spolys(monkeypatch)
+    plain = groebner._buchberger(L.ideal, 0)
+    expected, leads[:] = leads[:], []
+    wrong = list(LINE_SCHEME_NUMERATOR)
+    wrong[k] += 1
+    assert groebner._buchberger(L.ideal, 0, tuple(wrong))._lists == plain._lists
+    assert leads == expected and len(expected) == 158
+
+
+def test_line_scheme_verification_runs_one_basis_of_the_46(fresh_caches, monkeypatch):
+    # the hinted basis is the only one: the Hilbert data of L is read off
+    # it, not off a second, unhinted memo entry
+    gamma = gr(3, 2)
+    L = line_scheme_ideal(gamma)
+    runs = []
+    core = groebner._buchberger
+
+    def counted(I, *args):
+        runs.append(I == L.ideal)
+        return core(I, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    assert verify_decomposition(L, component_catalog(gamma)).ok
+    assert runs.count(True) == 1

@@ -1,6 +1,7 @@
 """Source hygiene: every name a qp3 module imports is used in it, every
 function and class it defines is named somewhere else, every public
-function is entered by a command or a demo, every cache it makes is
+function is entered by a command or a demo, every key of its data files
+is read by code a command or a demo enters, every cache it makes is
 bounded, and one base class states the value-type contract."""
 
 import ast
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -401,16 +403,22 @@ def _public_functions(tree):
                 yield min([fn.lineno] + [d.lineno for d in fn.decorator_list]), label
 
 
-def never_entered(src, modules, runs):
-    """The labels of the public functions and methods of `modules`, files
-    under `src`, that none of `runs` enters: `tests/_entered.py` runs them
-    in one fresh interpreter and records every call from before the first
-    import."""
+@lru_cache(maxsize=4)
+def _entered(src, runs_json):
+    """(file relative to src, first line) of each function under `src`
+    that the runs, a JSON list, enter: `tests/_entered.py` runs them in one
+    fresh interpreter and records every call from before the first import."""
     probe = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("_entered.py")), str(src),
-         json.dumps(runs)], capture_output=True, text=True)
+         runs_json], capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
-    entered = {(path, line) for path, line, _ in json.loads(probe.stdout)}
+    return {(path, line) for path, line, _ in json.loads(probe.stdout)}
+
+
+def never_entered(src, modules, runs):
+    """The labels of the public functions and methods of `modules`, files
+    under `src`, that none of `runs` enters (`_entered`)."""
+    entered = _entered(src, json.dumps(runs))
     return [label for path in modules
             for line, label in _public_functions(ast.parse(path.read_text()))
             if (path.relative_to(src).as_posix(), line) not in entered]
@@ -427,6 +435,62 @@ RUNS = [*(["-m", "qp3", "--gamma=3/2+i", *c] for c in COMMANDS),
         ["-m", "qp3", "--gamma=4", "line-scheme", "--verify"],
         ["-m", "qp3", "--gamma=2", "point-scheme"],
         *([str(d)] for d in sorted((ROOT / "demos").glob("*.py")))]
+
+
+# keys of a data file that are prose for its reader, not data
+PROSE_KEYS = {"note"}
+
+
+def unread_data_keys(src, runs, demos):
+    """`file:key` for each top-level key of a JSON file under `src` that no
+    code the runs enter reads, prose keys aside.  A key is read where a
+    function under `src` that the runs enter (`_entered`) subscripts with
+    it; where that binds a keyword argument (a `FixtureSet` field), the
+    field must be read too, as an attribute, by such a function or by a
+    demo in `demos`."""
+    entered = _entered(src, json.dumps(runs))
+    code = [ast.parse(d.read_text()) for d in demos]
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        code += [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef) and (rel, min(
+                     [node.lineno] + [d.lineno for d in node.decorator_list])) in entered]
+    nodes = [n for tree in code for n in ast.walk(tree)]
+
+    def key(n):
+        return n.slice.value if (isinstance(n, ast.Subscript)
+                                 and isinstance(n.slice, ast.Constant)) else None
+
+    subscripted = set(map(key, nodes))
+    fields = {key(n.value): n.arg for n in nodes if isinstance(n, ast.keyword)}
+    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    return [f"{data.name}:{k}" for data in sorted(src.rglob("*.json"))
+            for k in json.loads(data.read_text())
+            if k not in PROSE_KEYS and (k not in subscripted
+                                        or k in fields and fields[k] not in attributes)]
+
+
+def test_every_shipped_data_key_is_read():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert unread_data_keys(SRC.parent, RUNS, demos) == []
+
+
+def test_unread_data_key_is_reported(tmp_path):
+    # `kept` becomes a field that only a test reads, and `never` is not
+    # read at all; the prose key `note` is not reported
+    files = {"src/m.py": ("import json\nfrom pathlib import Path\n"
+                          "from typing import NamedTuple\n"
+                          "class Data(NamedTuple):\n    used: int\n    kept: int\n"
+                          "def load():\n"
+                          "    raw = json.loads(Path(__file__).with_name('d.json').read_text())\n"
+                          "    return Data(used=raw['used'], kept=raw['kept'])\n"),
+             "src/d.json": '{"note": "prose", "used": 1, "kept": 2, "never": 3}',
+             "demos/d.py": "from m import load\nprint(load().used)\n",
+             "tests/t.py": "from m import load\nassert load().kept == 2\n"}
+    _write_tree(tmp_path, files)
+    demos = [tmp_path / "demos" / "d.py"]
+    assert unread_data_keys(tmp_path / "src", [[str(demos[0])]], demos) == [
+        "d.json:kept", "d.json:never"]
 
 
 def test_defined_names_cover_assignments():

@@ -4,13 +4,15 @@ from math import comb
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import (DEGREVLEX, Polynomial, VarSet, parse_poly,
-                           print_poly, substitute)
+from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
+                           parse_poly, print_poly, substitute)
 from qp3.polylinalg import PolyMatrix, all_minors, rank
 from qp3.groebner import (Ideal, buchberger, eliminate, hilbert_numerator,
                           ideals_equal, intersect, normal_form)
-from qp3.quadratic_algebra import M_VARS, UV_VARS, make_A
-from qp3.line_scheme import (Component, ComponentCatalog, build_big_matrix,
+from qp3.quadratic_algebra import M_VARS, MG_VARS, UV_VARS, make_A
+from qp3.cli import parse_gamma
+from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, Component, ComponentCatalog,
+                             build_big_matrix,
                              component_catalog, components_intersection,
                              displayed_big_matrix,
                              fixture_forensics, jacobian_smoothness_check,
@@ -103,7 +105,7 @@ def test_line_scheme_ideal_shape():
     L = line_scheme_ideal(gr(1))
     assert len(L.polys) == 46
     assert L.polys[0] == pluecker_polynomial()
-    gbP = _pluecker_gb_M()
+    gbP = _pluecker_gb_M(M_VARS)
     for p in L.polys[1:]:
         assert p.is_homogeneous() and p.degree() == 4
         assert normal_form(p, gbP) == p
@@ -129,7 +131,7 @@ def test_fixture_forensics_certificates():
     assert len(fr.direct_matches) == 30
     assert len(fr.combination_certificates) == 15
     # each certificate reconstructs the reference polynomial exactly
-    gbP = _pluecker_gb_M()
+    gbP = _pluecker_gb_M(M_VARS)
     fixture = load_fixtures().parse_line_polys(gr(5))
     mine = [normal_form(p, gbP) for p in line_scheme_ideal(gr(5)).polys[1:]]
     for j, combo in fr.combination_certificates.items():
@@ -442,3 +444,35 @@ def test_saturated_line_scheme_ideal_is_the_component_intersection(gamma):
     hf_L, hf_cap = _hilbert_function(L.ideal, 9), _hilbert_function(inter, 9)
     assert [d for d in range(10) if hf_L[d] != hf_cap[d]] == [3]
     assert (hf_L[3], hf_cap[3]) == (50, 40)
+
+
+@pytest.mark.parametrize("text", ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3"))
+def test_the_46_over_q_i_g_specialise_to_each_gamma(text):
+    gamma = parse_gamma(text)
+    for order in ("left", "right"):
+        assert [substitute(f, {"g": gamma}, target=M_VARS)
+                for f in line_scheme_ideal(None, order).polys] == list(
+                    line_scheme_ideal(gamma, order).polys)
+
+
+def test_line_scheme_numerator_is_the_series_over_q_i_g():
+    """LINE_SCHEME_NUMERATOR is the Hilbert numerator of the 46 over Q(i)(g).
+
+    The 46 over Q(i)[g] are what the commands build with g kept: the dual
+    comes from Cramer's rule on a constant pivot minor, so it, and each of
+    the 45 minors and quartics after it, specialises at g = gamma to the
+    one built at gamma, at every gamma (see the tests above).  A basis G
+    of them under the order that eliminates the M_ij, with g dropped from
+    its leads, is a basis over Q(i)(g) in DEGREVLEX.
+
+    Why a run at one gamma may stop on this numerator: dim L(gamma)_d is
+    the rank at gamma of a matrix over Q(i)[g], which cannot exceed its
+    rank over Q(i)(g), so HF(R/L(gamma)) >= the generic series.  The
+    leads of the run's elements lie in LT(L(gamma)), so HF(R/leads) >=
+    HF(R/L(gamma)).  Equality of the leads' series with the generic one
+    forces LT(L(gamma)) to be generated by the leads: the elements are a
+    Groebner basis."""
+    L = line_scheme_ideal(None)
+    G = buchberger(Ideal(L.polys, MonomialOrder.elimination(MG_VARS, M_VARS.names)))
+    leads = [m[:-1] for m in G.leading_monomials()]
+    assert hilbert_numerator(leads, len(M_VARS)) == LINE_SCHEME_NUMERATOR

@@ -241,6 +241,12 @@ def test_equal_polynomials_hash_equal_in_every_order():
         for a in views:
             for b in views:
                 assert a == b and hash(a) == hash(b)
+    # across types: a constant polynomial equals no scalar, as its hash
+    # is no scalar's, so a scalar is never found among polynomials
+    for c in (0, 3, gr(3), gr(1, -2)):
+        const = Polynomial.constant(vs, c)
+        assert const != c and c != const
+        assert c not in {const} and const not in {c}
 
 
 def test_polynomials_that_differ_in_coefficients_hash_apart():

@@ -23,7 +23,7 @@ def _const_matrix(varset, grid):
 def test_identity_minor():
     m = _const_matrix(X_VARS, [[1 if r == c else 0 for c in range(4)]
                                for r in range(4)])
-    assert minor(m, (0, 1, 2, 3), (0, 1, 2, 3)) == 1
+    assert minor(m, (0, 1, 2, 3), (0, 1, 2, 3)) == Polynomial.constant(X_VARS, 1)
 
 
 def test_two_by_two_cofactor():

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -10,15 +11,19 @@ import pytest
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
 from qp3.groebner import Ideal, ideals_equal
-from qp3.polylinalg import rank
-from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, XY_VARS, ZW_VARS,
-                                   QuadraticAlgebra, RankDeficiencyError,
+from qp3.polylinalg import PolyMatrix, minor, rank
+from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, XY_VARS, Z_VARS,
+                                   ZW_VARS, QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, gamma_sign_on_pluecker,
                                    koszul_dual_relations, m_hat, make_A,
                                    psi1_on_pluecker, psi2_on_pluecker,
-                                   relation_matrix)
+                                   relation_matrix, with_g, _PIVOTS, _coefficients)
+from qp3.cli import parse_gamma
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.fixtures import _catalog_form, load_fixtures
+
+# tables the paper displays that only tests compare with
+TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
 
 I = gr(0, 1)
 
@@ -84,7 +89,7 @@ def test_relation_matrix_displayed_rows():
     assert [print_poly(e) for e in M.row(5)] == ["x1", "x4", "0", "-x2"]
     # the shipped displayed matrix, with g = gamma, holds the same six
     # relations: rows 1 and 6 in place, rows 2-5 permuted, two negated
-    shipped = load_fixtures().displayed_relation_matrix
+    shipped = TABLES["displayed_relation_matrix"]
     assert len(shipped) == 6
     placed = ((0, 1), (3, 1), (1, -1), (4, -1), (2, 1), (5, 1))
     for g in (gr(1), gr(4), gr(3, 2) + gr(0, 1)):
@@ -353,3 +358,38 @@ def test_gamma_sign_isomorphism_at_four():
     Lm = line_scheme_ideal(gr(-4))
     img = Ideal([gamma_sign_on_pluecker(p) for p in Lp.ideal.generators])
     assert ideals_equal(img, Lm.ideal)
+
+
+# the gammas whose line-scheme --verify output tests/line_verify_digests.json pins
+DIGEST_GAMMAS = ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3")
+
+
+@pytest.mark.parametrize("order, det", [("left", 1), ("right", -1)])
+def test_the_pivot_minor_is_constant_over_q_i_g(order, det):
+    # so Cramer's rule gives the dual over Q(i)[g], with no denominator
+    rows = [_coefficients(f, order) for f in make_A(None).relations]
+    assert minor(PolyMatrix(rows), range(6), _PIVOTS) == Polynomial.constant(
+        with_g(XY_VARS, None), det)
+
+
+@pytest.mark.parametrize("text", DIGEST_GAMMAS)
+def test_the_algebra_over_q_i_g_specialises_to_each_gamma(text):
+    # relations, dual forms in both orders and their matrices, with g -> gamma
+    gamma = parse_gamma(text)
+    A, At = make_A(None), make_A(gamma)
+
+    def at(polys, vs):
+        return [substitute(f, {"g": gamma}, target=vs) for f in polys]
+
+    assert at(A.relations, XY_VARS) == list(At.relations)
+    assert at(relation_matrix(A).entries[5], X_VARS) == relation_matrix(At).row(5)
+    for order in ("left", "right"):
+        assert at(koszul_dual_relations(A, order), ZW_VARS) == koszul_dual_relations(At, order)
+        assert [at(row, Z_VARS) for row in m_hat(A, order).entries] == [
+            list(row) for row in m_hat(At, order).entries]
+
+
+def test_dependent_relations_over_q_i_g_are_refused():
+    rels = make_A(None).relations
+    with pytest.raises(RankDeficiencyError):
+        QuadraticAlgebra(None, rels[:5] + (rels[0],))
