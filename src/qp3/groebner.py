@@ -335,16 +335,17 @@ def _buchberger(I: Ideal, reduced_prefix: int,
     queued.  The prefix counts toward `max_basis`, and the post-hoc check
     reduces it like every other generator.
 
-    `numerator`, if given, must be the Hilbert numerator over (1 - t)^n
-    (`hilbert_numerator`) of some R/J with HF(R/J) <= HF(R/I) in every
-    degree, I homogeneous.  Then the generators are interreduced and
-    inserted before any pair is formed.  The leads of the inserted elements
-    lie in LT(I), so HF(R/<leads>) >= HF(R/I) >= HF(R/J); when their
-    numerator equals `numerator`, all three are equal, the leads generate
-    LT(I), and the elements are already a Groebner basis: no pair is formed
-    (Traverso, Hilbert functions and the Buchberger algorithm, JSC 1996).
-    Otherwise the UPDATE of each inserted element is replayed in insertion
-    order, and the pairs are exactly those of a run without `numerator`.
+    The generators are interreduced and inserted before any pair is
+    formed; then the UPDATE of each inserted element is replayed in
+    insertion order.  `numerator`, if given, must be the Hilbert numerator
+    over (1 - t)^n (`hilbert_numerator`) of some R/J with HF(R/J) <=
+    HF(R/I) in every degree, I homogeneous.  The leads of the inserted
+    elements lie in LT(I), so HF(R/<leads>) >= HF(R/I) >= HF(R/J); when
+    their numerator equals `numerator`, all three are equal, the leads
+    generate LT(I), and the elements are already a Groebner basis: no
+    UPDATE is replayed and no pair is formed (Traverso, Hilbert functions
+    and the Buchberger algorithm, JSC 1996).  Otherwise the pairs are
+    exactly those of a run without `numerator`.
 
     An element's sugar is the degree of its lead, so the sugar of a pair
     is the degree of its lcm.  Pairs are selected by (sugar, key of the
@@ -430,12 +431,11 @@ def _buchberger(I: Ideal, reduced_prefix: int,
     prefix = sorted((insert(p) for p in gens[:reduced_prefix]), key=lambda g: heads[g][0])
     live[:] = prefix
     reducers[:] = [heads[g] for g in live]
-    step = update if numerator is None else enter
     for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
         r, _ = _nf(p, reducers, pk)
         if r:
-            step(insert(_primitive(r)[0]))
-    if numerator is not None and _staircase(
+            enter(insert(_primitive(r)[0]))
+    if numerator is None or _staircase(
             tuple(sorted(lms[g] for g in live)), len(I.varset)) != numerator:
         live[:] = prefix
         for h in range(reduced_prefix, len(entries)):

@@ -35,7 +35,7 @@ from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _homogeneous_basis,
                        _stripped_numerator, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
                        quotient_dimension)
-from .quadratic_algebra import (M_VARS, MG_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
+from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 m_hat, make_A, nonzero_gamma, with_g)
 from .fixtures import load_fixtures
 
@@ -71,10 +71,12 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
 
 
-# u and v of the module docstring, on M_VARS and on MG_VARS: each bracket
-# of u, v is M34 times its signed Pluecker coordinate modulo P
-_PLUECKER_UV = {vs: [[parse_poly(t, vs) for t in w] for w in (
-    ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23"))] for vs in (M_VARS, MG_VARS)}
+@lru_cache(maxsize=2)
+def _pluecker_uv(vs: VarSet) -> List[List[Polynomial]]:
+    """u and v of the module docstring on vs: each bracket of u, v is M34
+    times its signed Pluecker coordinate modulo P."""
+    return [[parse_poly(t, vs) for t in w] for w in (
+        ("M34", "0", "-M14", "M13"), ("0", "M34", "-M24", "M23"))]
 
 
 def _quartic_of_minor(f: Polynomial) -> Polynomial:
@@ -126,7 +128,7 @@ def line_scheme_ideal(gamma: Optional[GaussianRational],
 def _line_scheme_ideal(gamma: Optional[GaussianRational],
                        tensor_order: str) -> LineSchemeIdeal:
     vs = with_g(M_VARS, gamma)
-    big = _doubled_matrix(make_A(gamma), tensor_order, *_PLUECKER_UV[vs], vs)
+    big = _doubled_matrix(make_A(gamma), tensor_order, *_pluecker_uv(vs), vs)
     images = []
     for f in all_minors(big, 8):
         h = _quartic_of_minor(f)
@@ -462,10 +464,11 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
         raise ValueError("line scheme and catalog built at different gamma")
     poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
 
-    # the numerator bounds the series of the 46 that line_scheme_ideal builds
+    # the numerator bounds the series of the 46 that line_scheme_ideal
+    # builds, in DEGREVLEX; any other L must be homogeneous
     built = L.ideal == line_scheme_ideal(L.gamma).ideal
-    vs, gb = L.ideal.varset, buchberger(L.ideal, LINE_SCHEME_NUMERATOR if built else None)
-    num, stripped = _stripped_numerator(gb)
+    gb = buchberger(L.ideal, LINE_SCHEME_NUMERATOR) if built else _homogeneous_basis(L.ideal)
+    vs, (num, stripped) = L.ideal.varset, _stripped_numerator(gb)
     hd = (len(vs) - stripped - 1, sum(num))
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())

@@ -7,13 +7,16 @@ float evaluator for the compiled residuals of `numeric`, a count of
 standard monomials for the Hilbert numerators of `groebner`,
 Rabinowitsch's rule for its `radical_member`, the two-pass reduction
 step for its one-pass `_nf` and `_spoly`, and argparse for the
-command-line parser `cli._parsed`.
+command-line parser `cli._parsed`.  `TABLES` holds the tables the paper
+displays that only tests compare with (`displayed_tables.json`).
 """
 
 import argparse
+import json
 import math
 from itertools import chain, combinations_with_replacement
 from operator import le
+from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
 
 from qp3 import cli
@@ -22,6 +25,8 @@ from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, Polynomial,
                            VarSetMismatchError, _iadd, _ishift, _primitive,
                            substitute)
 from qp3.polylinalg import PolyMatrix
+
+TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
 
 
 def det_bareiss(m: PolyMatrix) -> Polynomial:

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import pytest
 
 from qp3.gaussian import gr
@@ -8,8 +5,7 @@ from qp3.multipoly import parse_poly
 from qp3.quadratic_algebra import M_VARS, X_VARS
 from qp3.fixtures import load_fixtures
 
-# tables the paper displays that only tests compare with
-TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
+from oracles import TABLES
 
 
 def test_counts():

@@ -7,8 +7,8 @@ from qp3.gaussian import gr
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly, substitute)
 from qp3.polylinalg import PolyMatrix, all_minors, rank
-from qp3.groebner import (Ideal, buchberger, eliminate, hilbert_numerator,
-                          ideals_equal, intersect, normal_form)
+from qp3.groebner import (Ideal, NonHomogeneousError, buchberger, eliminate,
+                          hilbert_numerator, ideals_equal, intersect, normal_form)
 from qp3.quadratic_algebra import M_VARS, MG_VARS, UV_VARS, make_A
 from qp3.cli import parse_gamma
 from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, Component, ComponentCatalog,
@@ -279,6 +279,16 @@ def test_verify_decomposition_refuses_an_embedded_point():
     assert rep.poly_in_components and rep.hilbert == (1, 20) and rep.degrees_sum == 20
     assert not rep.intersection_in_radical
     assert not rep.ok
+
+
+def test_verify_decomposition_refuses_an_inhomogeneous_scheme():
+    # the Hilbert data of an L that line_scheme_ideal did not build is
+    # that of hilbert_dimension_degree, which needs homogeneous generators
+    L = line_scheme_ideal(gr(1))
+    polys = L.polys[:-1] + (L.polys[-1] + Polynomial.constant(M_VARS, 1),)
+    with pytest.raises(NonHomogeneousError):
+        verify_decomposition(L._replace(polys=polys, ideal=Ideal(list(polys))),
+                             component_catalog(gr(1)))
 
 
 def test_verify_decomposition_needs_complete_intersections():

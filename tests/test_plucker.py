@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,7 @@ from qp3.plucker import (DependentPointsError, PluckerLine, ZeroParameterError,
                          point_on_line, ruling_lines, surface_containment)
 from qp3.fixtures import load_fixtures
 
-# tables the paper displays that only tests compare with
-TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
+from oracles import TABLES
 
 
 def test_line_from_basis_points():

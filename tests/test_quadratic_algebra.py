@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -22,8 +21,7 @@ from qp3.cli import parse_gamma
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.fixtures import _catalog_form, load_fixtures
 
-# tables the paper displays that only tests compare with
-TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
+from oracles import TABLES
 
 I = gr(0, 1)
 
