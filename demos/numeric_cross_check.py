@@ -21,7 +21,7 @@ print("=== sigma orbits at gamma = 1 (numeric) ===")
 pts = enumerate_points(gr(1))
 perm = []
 for p in pts:
-    q = sigma_numeric(p)
+    q = sigma_numeric(p, gr(1))
     dists = [proj_distance(q.coords, r.coords) for r in pts]
     perm.append(int(np.argmin(dists)))
 seen, sizes = set(), []

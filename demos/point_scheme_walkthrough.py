@@ -40,6 +40,6 @@ for gv in (1, 2):
     print()
 
 print("=== the automorphism sigma on closed points ===")
-print(f"  sigma(e1) = {sigma(E1, gamma)}   sigma(e2) = {sigma(E2, gamma)}")
+print(f"  sigma(e1) = {sigma(E1, A)}   sigma(e2) = {sigma(E2, A)}")
 print(f"  relations vanish exactly on the pairs (p, sigma p): "
       f"{verify_vanishing_pairs(A)}")

@@ -17,6 +17,7 @@ from .gaussian import GaussianRational, _Frozen
 from .multipoly import Polynomial
 from .fixtures import load_fixtures
 from .plucker import generic_line_points, incidence_contractions, pluecker_join
+from .quadratic_algebra import make_A, relation_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,12 +106,10 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
 class _TermTable:
     """Polynomials on one VarSet compiled for repeated float evaluation.
 
-    Each term holds its complex coefficient and the slots of its nonzero
-    (variable, exponent) pairs, in `terms` order; `slots` lists those
-    pairs.  `max_abs` fills one table of powers per call and then does
-    the multiplications and additions of the test oracle `evaluate`
-    (tests/oracles.py) in the same order, so its value is the same float,
-    bit for bit.
+    Each term holds its complex coefficient and the slots, in `slots`, of
+    its nonzero (variable, exponent) pairs.  `values` fills one table of
+    powers per call, then multiplies and adds in the order of the test
+    oracle `evaluate` (tests/oracles.py): each value is the same float.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -123,30 +122,28 @@ class _TermTable:
             for p in polys)
         self.slots = tuple(slot_of)
 
-    def max_abs(self, values: Sequence[complex]) -> float:
-        """max |p(values)| over the polynomials, values in VarSet order."""
+    def values(self, values: Sequence[complex]) -> List[complex]:
+        """The polynomials at `values`, given in VarSet order."""
         powers = [values[k] ** e for k, e in self.slots]
-        sizes = []
+        out = []
         for terms in self.polys:
             total = 0j
             for t, factors in terms:
                 for s in factors:
                     t *= powers[s]
                 total += t
-            sizes.append(abs(total))
-        return max(sizes)
+            out.append(total)
+        return out
 
 
 @lru_cache(maxsize=1)
 def _minor_polys_symbolic() -> _TermTable:
-    """The fifteen minors with g carried as an honest variable, compiled
-    once, so they evaluate at arbitrary complex gamma."""
+    """The fifteen minors on X_VARS, g, compiled once."""
     return _TermTable(load_fixtures().parse_point_polys(None))
 
 
 def minor_residual(point: Sequence[complex], gamma: complex) -> float:
-    return _minor_polys_symbolic().max_abs(
-        (point[0], point[1], point[2], point[3], gamma))
+    return max(map(abs, _minor_polys_symbolic().values((*point[:4], gamma))))
 
 
 def _newton(coeffs: np.ndarray, x: complex, scale: float) -> complex:
@@ -227,21 +224,19 @@ def distinct_count(points: List[ComplexPoint],
     return len(reps)
 
 
-def sigma_numeric(p: ComplexPoint) -> ComplexPoint:
+def sigma_numeric(p: ComplexPoint, gamma) -> ComplexPoint:
+    """sigma(p) = ker R(p) for p on the point scheme: the signed 3x3 minors of
+    the row triple of R(p) whose minors are largest; raises as `_float_gamma`."""
     import numpy as np
 
-    if np.count_nonzero(p.coords) == 1:    # a basis point: e1 <-> e2, e3 <-> e4
-        return ComplexPoint(p.coords[[1, 0, 3, 2]])
-    if p.coords[0] == 0 or p.coords[2] == 0:
-        raise DegeneratePointError(
-            "sigma is undefined where x1 = 0 or x3 = 0 off the basis points")
-    # the chart map (1, i*a2/a3^2, 1/a3, -i*a4) times x1*x3^2, with x1 and
-    # x3 scaled by their larger modulus: nothing divides or underflows
-    x1, x2, x3, x4 = p.coords
-    s = max(abs(x1), abs(x3))
-    y1, y3 = x1 / s, x3 / s
-    return ComplexPoint((s * y1 * y3 * y3, 1j * y1 * y1 * x2, s * y1 * y1 * y3,
-                         -1j * y3 * y3 * x4))
+    # R on X_VARS, g, compiled per call (32 us of 210): no command reads
+    # sigma_numeric, and a memo that no session reads is waste
+    entries = _TermTable([e for row in relation_matrix(make_A(None)).entries for e in row])
+    R = np.reshape(entries.values((*p.coords, _float_gamma(gamma))), (6, 4))
+    triples = R[list(combinations(range(6), 3))]
+    minors = np.stack([(-1) ** j * np.linalg.det(np.delete(triples, j, axis=2))
+                       for j in range(4)], axis=1)
+    return ComplexPoint(minors[np.argmax(np.linalg.norm(minors, axis=1))])
 
 
 @lru_cache(maxsize=1)
@@ -252,7 +247,7 @@ def _line_polys_symbolic() -> _TermTable:
 
 def line_residual(m: Sequence[complex], gamma: complex) -> float:
     """max |f(m)| over the 46, m the six coordinates M12..M34."""
-    return _line_polys_symbolic().max_abs(tuple(m[:6]) + (gamma,))
+    return max(map(abs, _line_polys_symbolic().values(tuple(m[:6]) + (gamma,))))
 
 
 def _pluecker_join(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:

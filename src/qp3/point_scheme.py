@@ -5,24 +5,25 @@ automorphism sigma and the vanishing pairs in P3 x P3."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from operator import sub
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, _Frozen, gr
+from .gaussian import GaussianRational, ZERO, _Frozen, gr
 from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                         parse_poly, substitute)
-from .polylinalg import PolyMatrix, all_minors, rank
+from .polylinalg import PolyMatrix, all_minors, kernel_vector, nullspace
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
-                       invert_mod, is_unit_mod, normal_form,
+                       NotAUnitError, invert_mod, is_unit_mod, normal_form,
                        quotient_dimension, radical_member, saturate)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, bilinear_value,
                                 make_A, nonzero_gamma, relation_matrix)
 
 
-class UndefinedAtPointError(ValueError):
+class NotOnSchemeError(ValueError):
     pass
 
 
-class NotOnSchemeError(ValueError):
+class NotAMonomialMapError(ValueError):
     pass
 
 
@@ -67,8 +68,6 @@ E2 = ProjectivePoint((0, 1, 0, 0))
 E3 = ProjectivePoint((0, 0, 1, 0))
 E4 = ProjectivePoint((0, 0, 0, 1))
 BASIS_POINTS = {"e1": E1, "e2": E2, "e3": E3, "e4": E4}
-# sigma on the basis points
-SIGMA_SWAPS = {E1: E2, E2: E1, E3: E4, E4: E3}
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -183,29 +182,34 @@ def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
 # sigma and the orbit structure
 # ---------------------------------------------------------------------------
 
+# the rows of R whose signed 3x3 minors, i*(x1*x3^2, i*x1^2*x2, x1^2*x3,
+# -i*x3^2*x4), are sigma's forms; the first is a unit on Z_gamma
+SIGMA_ROWS = (0, 1, 3)
 
-def sigma(p: ProjectivePoint, gamma: GaussianRational) -> ProjectivePoint:
-    """The automorphism of the point scheme on closed points."""
-    at_p = dict(zip(X_VARS.names, p.coords))
-    if any(not substitute(m, at_p).is_zero()
-           for m in point_ideal(make_A(gamma)).generators):
+
+def _kernel(A: QuadraticAlgebra, p: ProjectivePoint) -> List[List[GaussianRational]]:
+    """The canonical nullspace basis of R(p), the relation matrix at x = p."""
+    return nullspace([[sum((c * p[m.index(1)] for m, c in e.terms.items()), ZERO)
+                       for e in row] for row in relation_matrix(A).entries])
+
+
+def sigma(p: ProjectivePoint, A: QuadraticAlgebra) -> ProjectivePoint:
+    """The automorphism of the point scheme on closed points: p lies on it
+    iff R(p) has rank below 4, and sigma(p) is the kernel of R(p)."""
+    kernel = _kernel(A, p)
+    if not kernel:
         raise NotOnSchemeError("point does not lie on the point scheme")
-    return _sigma_formula(p)
+    if len(kernel) > 1:
+        raise ValueError("R(p) has rank below 3: sigma(p) is not one point")
+    return ProjectivePoint(kernel[0])
 
 
-def _sigma_formula(p: ProjectivePoint) -> ProjectivePoint:
-    """sigma's formula: the basis-point swaps, and the x1 = 1 chart map."""
-    if p in SIGMA_SWAPS:
-        return SIGMA_SWAPS[p]
-    c = p.normalized()
-    if c[0].is_zero():
-        raise UndefinedAtPointError("sigma formula needs the x1 != 0 chart")
-    a2, a3, a4 = c[1], c[2], c[3]
-    if a3.is_zero():
-        raise UndefinedAtPointError("sigma is undefined where x3 = 0 off the basis points")
-    i = gr(0, 1)
-    inv3 = a3.inverse()
-    return ProjectivePoint((ONE, i * a2 * inv3 * inv3, inv3, -i * a4))
+@lru_cache(maxsize=MEMO_SIZE)
+def sigma_forms(A: QuadraticAlgebra) -> Tuple[Polynomial, ...]:
+    """sigma as cubic forms on X_VARS: the signed 3x3 minors of the rows
+    SIGMA_ROWS of R, a vector that those rows annihilate."""
+    R = relation_matrix(A)
+    return tuple(kernel_vector(PolyMatrix([R.row(r) for r in SIGMA_ROWS])))
 
 
 def symbolic_point() -> Tuple[Polynomial, ...]:
@@ -214,54 +218,55 @@ def symbolic_point() -> Tuple[Polynomial, ...]:
             *(Polynomial.variable(CHART_VARS, n) for n in CHART_VARS.names))
 
 
-def sigma_symbolic(coords: Sequence[Polynomial], gamma: GaussianRational):
-    """Apply sigma to residue classes modulo <rho1, rho2, rho3>."""
-    gb = zgamma_gb(gamma)
-    one, a2, a3, a4 = (normal_form(c, gb) for c in coords)
-    if not (one - Polynomial.constant(CHART_VARS, 1)).is_zero():
-        raise UndefinedAtPointError("first coordinate must reduce to 1")
-    inv3 = invert_mod(a3, gb)
-    i = gr(0, 1)
-    return (one,
-            normal_form(a2 * inv3 * inv3 * i, gb),
-            normal_form(inv3, gb),
-            normal_form(a4 * (-i), gb))
+def sigma_symbolic(coords: Sequence[Polynomial], A: QuadraticAlgebra):
+    """Apply sigma to residue classes modulo <rho1, rho2, rho3>: each form
+    of `sigma_forms`, a monomial (else NotAMonomialMapError), over the
+    first, so c * x^d in the chart x1 = 1.  Each coordinate dividing the
+    first form is inverted by `invert_mod`, or raises NotAUnitError."""
+    gb = zgamma_gb(A.gamma)
+    terms = [f.terms.items() for f in sigma_forms(A)]
+    if any(len(t) != 1 for t in terms):
+        raise NotAMonomialMapError("sigma's forms are not monomials")
+    (m0, c0), = terms[0]
+    inverse = {k: invert_mod(coords[k], gb) for k, e in enumerate(m0) if e}
+    image = []
+    for (m, c), in terms:
+        v = Polynomial.constant(CHART_VARS, c / c0)
+        for k, d in enumerate(map(sub, m, m0)):
+            if d:
+                v = v * (coords[k] if d > 0 else inverse[k]) ** abs(d)
+        image.append(normal_form(v, gb))
+    return tuple(image)
 
 
-def sigma_orbit_certificates(gamma: GaussianRational) -> Dict[str, bool]:
-    """Symbolic proofs about sigma on Z_gamma: order four, no fixed points
-    of sigma or sigma^2, and sigma maps Z_gamma into the point scheme."""
-    gb = zgamma_gb(gamma)
-    rho = zgamma_ideal(gamma)
+def sigma_orbit_certificates(A: QuadraticAlgebra) -> Dict[str, bool]:
+    """Symbolic proofs that sigma keeps Z_gamma in the chart x1 = 1 and in
+    the point scheme, has order four and no fixed points of sigma or sigma^2."""
+    gb, rho = zgamma_gb(A.gamma), zgamma_ideal(A.gamma)
     p = symbolic_point()
-    s1 = sigma_symbolic(p, gamma)
-    s2 = sigma_symbolic(s1, gamma)
-    s3 = sigma_symbolic(s2, gamma)
-    s4 = sigma_symbolic(s3, gamma)
-    checks: Dict[str, bool] = {}
+    checks = dict.fromkeys(("x3_is_unit_on_Z", "sigma4_is_identity", "sigma2_fixed_point_free",
+                            "sigma_fixed_point_free", "sigma_preserves_point_ideal"), False)
+    try:
+        s1 = sigma_symbolic(p, A)
+        # each coordinate dividing sigma's first form is a unit modulo rho
+        checks["x3_is_unit_on_Z"] = True
+        s2 = sigma_symbolic(s1, A)
+        s4 = sigma_symbolic(sigma_symbolic(s2, A), A)
+    except (NotAUnitError, NotAMonomialMapError):
+        return {**checks, "all": False}
     checks["sigma4_is_identity"] = all(
         normal_form(a - b, gb).is_zero() for a, b in zip(s4, p))
-    fix2 = Ideal(list(rho.generators)
-                 + [a - b for a, b in zip(s2, p) if not (a - b).is_zero()])
-    checks["sigma2_fixed_point_free"] = buchberger(fix2).contains_one()
-    fix1_gens = [a - b for a, b in zip(s1, p) if not (a - b).is_zero()]
-    fix1 = Ideal(list(rho.generators) + fix1_gens)
-    checks["sigma_fixed_point_free"] = buchberger(fix1).contains_one()
-    # sigma(Z) stays inside the point scheme: pull every chart minor back
-    # through the projective form (x3^2, i*x2, x3, -i*x4*x3^2)
-    A = make_A(gamma)
-    _, x2, x3, x4 = p
-    i = gr(0, 1)
-    images = {"x1": x3 * x3, "x2": i * x2, "x3": x3, "x4": -i * x4 * x3 * x3}
+    for name, s in (("sigma2_fixed_point_free", s2), ("sigma_fixed_point_free", s1)):
+        fixed = Ideal(list(rho.generators)
+                      + [a - b for a, b in zip(s, p) if not (a - b).is_zero()])
+        checks[name] = buchberger(fixed).contains_one()
+    # sigma(Z) lies in the point scheme: each minor pulled back through sigma
+    at_p = dict(zip(X_VARS.names, p))
+    pull = {n: substitute(f, at_p, CHART_VARS) for n, f in zip(X_VARS.names, sigma_forms(A))}
     chart = chart_ideal(A, 0)
-    ok = True
-    for m in point_ideal(A).generators:
-        pulled = substitute(m, images, target=CHART_VARS)
-        if not radical_member(pulled, chart):
-            ok = False
-            break
-    checks["sigma_preserves_point_ideal"] = ok
-    checks["x3_is_unit_on_Z"] = is_unit_mod(x3, rho)
+    checks["sigma_preserves_point_ideal"] = all(
+        radical_member(substitute(m, pull, target=CHART_VARS), chart)
+        for m in point_ideal(A).generators)
     checks["all"] = all(checks.values())
     return checks
 
@@ -372,9 +377,10 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
         sum(m * c for m, c in profile.items()) == 20)
     checks["chart_counts_sum_to_20"] = total == 20
 
-    cert = sigma_orbit_certificates(gamma)
+    cert = sigma_orbit_certificates(A)
     checks.update({f"sigma_{k}": v for k, v in cert.items() if k != "all"})
-    checks["sigma_basis_swaps"] = _basis_pairs_hold(A)
+    basis_cycles = _basis_cycles(A)
+    checks["sigma_basis_swaps"] = basis_cycles == (2, 2)
 
     return PointSchemeReport(
         gamma=gamma,
@@ -382,41 +388,34 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
         total_with_multiplicity=total,
         distinct_count=distinct,
         multiplicity_profile=profile,
-        sigma_orbits=(2, 2) + (4,) * (distinct_z // 4),
+        sigma_orbits=(basis_cycles or ()) + (4,) * (distinct_z // 4),
         rho1_squarefree=rho1_squarefree,
         checks=checks,
     )
 
 
-def _basis_pairs_hold(A: QuadraticAlgebra) -> bool:
-    """The relations vanish at each basis pair (p, SIGMA_SWAPS[p]), and
-    R(p), the relation matrix at x = p, has rank 3, so SIGMA_SWAPS[p] is
-    p's only partner."""
-    R = relation_matrix(A).entries
-    for p, q in SIGMA_SWAPS.items():
-        if any(not bilinear_value(f, p.coords, q.coords).is_zero() for f in A.relations):
-            return False
-        at_p = dict(zip(X_VARS.names, p.coords))
-        if rank([[substitute(e, at_p).constant_value() for e in row] for row in R]) != 3:
-            return False
-    return True
+def _basis_cycles(A: QuadraticAlgebra) -> Optional[Tuple[int, ...]]:
+    """The cycle lengths of sigma on e1..e4, sorted; None unless each
+    R(e_k) has rank 3 and sigma permutes e1..e4."""
+    units = [list(e.coords) for e in BASIS_POINTS.values()]
+    kernels = [_kernel(A, e) for e in BASIS_POINTS.values()]
+    perm = [units.index(k[0]) if len(k) == 1 and k[0] in units else None for k in kernels]
+    if set(perm) != set(range(4)):
+        return None
+    # the cycle through k: k and its first three images
+    cycles = {frozenset((k, perm[k], perm[perm[k]], perm[perm[perm[k]]])) for k in range(4)}
+    return tuple(sorted(map(len, cycles)))
 
 
 def verify_vanishing_pairs(A: QuadraticAlgebra) -> bool:
-    """The relations vanish exactly on the pairs (p, sigma(p)).  They
-    vanish on each pair: the four basis pairs directly, the Z_gamma pairs
-    symbolically mod the rho ideal.  And sigma(p) is p's only partner:
-    R(p), the relation matrix at x = p, has rank 3, directly at e1..e4 and
-    on Z_gamma as 1 in <rho1, rho2, rho3> + <the 3x3 minors of R(p)>."""
-    if not _basis_pairs_hold(A):
+    """The relations vanish exactly on the pairs (p, sigma(p)): R(p) has
+    rank 3 at e1..e4 and on Z_gamma, where `sigma_symbolic` inverts its
+    minor i*x3^2, and there the six vanish on (p, sigma(p)) modulo rho."""
+    if any(len(_kernel(A, e)) != 1 for e in BASIS_POINTS.values()):
         return False
-    p_sym = symbolic_point()
-    q_sym = sigma_symbolic(p_sym, A.gamma)
-    gb = zgamma_gb(A.gamma)
-    if any(not normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero()
-           for f in A.relations):
+    p, gb = symbolic_point(), zgamma_gb(A.gamma)
+    try:
+        q = sigma_symbolic(p, A)
+    except (NotAUnitError, NotAMonomialMapError):
         return False
-    at_sym = dict(zip(X_VARS.names, p_sym))
-    R_sym = PolyMatrix([[substitute(e, at_sym, CHART_VARS) for e in row]
-                        for row in relation_matrix(A).entries])
-    return buchberger(Ideal([*rho_system(A.gamma), *all_minors(R_sym, 3)])).contains_one()
+    return all(normal_form(bilinear_value(f, p, q), gb).is_zero() for f in A.relations)

@@ -1,6 +1,7 @@
 """Matrices over the polynomial ring and over Q(i): determinants, minors,
-and the rank, nullspace and solutions of a scalar matrix, read off the
-reduced Groebner basis of its rows as linear forms."""
+the kernel vector of maximal minors, and the nullspace and solutions of
+a scalar matrix, read off the reduced Groebner basis of its rows as
+linear forms."""
 
 from __future__ import annotations
 
@@ -120,6 +121,13 @@ def all_minors(m: PolyMatrix, k: int) -> List[Polynomial]:
     return out
 
 
+def kernel_vector(m: PolyMatrix) -> List[Polynomial]:
+    """The signed maximal minors of an n x (n + 1) matrix: entry j is (-1)^j
+    times the minor without column j, j-th from the end of `all_minors`.
+    Every row annihilates it, as a determinant with that row twice."""
+    return [d if j % 2 == 0 else -d for j, d in enumerate(reversed(all_minors(m, m.rows)))]
+
+
 @lru_cache(maxsize=8)
 def _unit_forms(width: int) -> Tuple[VarSet, Tuple[Monomial, ...]]:
     """Variables c0, c1, ... for the columns, and their monomials."""
@@ -152,10 +160,6 @@ def row_echelon(rows: Sequence[Sequence[GaussianRational]]
                               varset=varset), 0)
     echelon = [[terms.get(m, ZERO) for m in units] for terms in (g.terms for g in G)]
     return echelon, [m.index(1) for m in G.leading_monomials()]
-
-
-def rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
-    return len(row_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:

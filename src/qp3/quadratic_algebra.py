@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _Frozen, gr
 from .multipoly import Polynomial, VarSet, parse_poly, substitute
-from .polylinalg import PolyMatrix, all_minors, nullspace
+from .polylinalg import PolyMatrix, kernel_vector, nullspace
 from .groebner import MEMO_SIZE
 
 X_VARS = VarSet(["x1", "x2", "x3", "x4"])
@@ -93,11 +93,10 @@ def _dual_forms(relations: Sequence[Polynomial], varset: VarSet,
     raise RankDeficiencyError.
 
     Over Q(i)[g] (polynomial rows) it is Cramer's rule on `_PIVOTS`: the
-    vector of free column c has v_c = 1, v_j = (-1)^k det(rows without
-    column j) / (-1)^k' det(rows without column c) on the seven columns
-    `_PIVOTS` + (c,), k the position of j there and k' that of c.  The
-    divisor is a nonzero constant, so each v_j lies in Q(i)[g], and it
-    specialises to the vector `nullspace` finds at every gamma."""
+    vector of free column c is the `kernel_vector` of the seven columns
+    `_PIVOTS` + (c,), divided by its entry c.  That divisor is a nonzero
+    constant, so each entry lies in Q(i)[g], and the vector specialises to
+    the one `nullspace` finds at every gamma."""
     rows = [_coefficients(f, tensor_order) for f in relations]
     words = _WORDS[tensor_order]
     if "g" not in varset:
@@ -106,10 +105,7 @@ def _dual_forms(relations: Sequence[Polynomial], varset: VarSet,
         forms = []
         for c in sorted(set(range(16)) - set(_PIVOTS)):
             cols = sorted((*_PIVOTS, c))
-            # all_minors: column sets in lexicographic order, so the k-th
-            # omits column cols[6 - k]
-            dets = all_minors(PolyMatrix([[row[j] for j in cols] for row in rows]), 6)[::-1]
-            v = [d if k % 2 == 0 else -d for k, d in enumerate(dets)]
+            v = kernel_vector(PolyMatrix([[row[j] for j in cols] for row in rows]))
             pivot = v[cols.index(c)]
             if pivot.is_zero() or pivot.degree() != 0:
                 raise RankDeficiencyError("the pivot minor is not a nonzero constant")
@@ -180,9 +176,10 @@ def _matrix(forms: Sequence[Polynomial], left: VarSet) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def relation_matrix(A: QuadraticAlgebra) -> PolyMatrix:
     """The 6x4 matrix M with M x = 0 encoding the relations, rows in the
-    order the presentation lists them."""
+    order the presentation lists them.  Cached: sigma reads it at each point."""
     return _matrix(A.relations, with_g(X_VARS, A.gamma))
 
 

@@ -2,13 +2,16 @@
 
 Each computes what an engine routine computes by another method, and no
 command needs it: Bareiss elimination for the determinant and the minors
-of `polylinalg.all_minors`, the exact long division it rests on, a plain
-float evaluator for the compiled residuals of `numeric`, a count of
-standard monomials for the Hilbert numerators of `groebner`,
-Rabinowitsch's rule for its `radical_member`, the two-pass reduction
-step for its one-pass `_nf` and `_spoly`, and argparse for the
-command-line parser `cli._parsed`.  `TABLES` holds the tables the paper
-displays that only tests compare with (`displayed_tables.json`).
+of `polylinalg.all_minors`, the exact long division it rests on, Gaussian
+elimination for the rank that `polylinalg.row_echelon` reads off a
+Groebner basis, a plain float evaluator for the compiled residuals of
+`numeric`, a count of standard monomials for the Hilbert numerators of
+`groebner`, Rabinowitsch's rule for its `radical_member`, the two-pass
+reduction step for its one-pass `_nf` and `_spoly`, argparse for the
+command-line parser `cli._parsed`, and sigma as the paper types it for
+`point_scheme`, which reads sigma off the relations.  `TABLES` holds the
+tables the paper displays that only tests compare with
+(`displayed_tables.json`).
 """
 
 import argparse
@@ -20,6 +23,7 @@ from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
 
 from qp3 import cli
+from qp3.gaussian import gr
 from qp3.groebner import Ideal, buchberger
 from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, Polynomial,
                            VarSetMismatchError, _iadd, _ishift, _primitive,
@@ -58,6 +62,24 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
     return d if sign > 0 else -d
 
 
+def rank(rows: Sequence[Sequence]) -> int:
+    """The rank of a matrix over Q(i), by Gaussian elimination with the
+    first nonzero entry of each column as pivot."""
+    rows = [[gr(c) for c in row] for row in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(done, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        inv = rows[done][col].inverse()
+        for r in range(done + 1, len(rows)):
+            f = rows[r][col] * inv
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[done])]
+        done += 1
+    return done
+
+
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g by long division on leading terms, in f's order;
     raises ValueError if g does not divide f."""
@@ -88,6 +110,17 @@ def evaluate(f: Polynomial, values: Mapping[str, complex]) -> complex:
                 t *= v ** e
         total += t
     return total
+
+
+# sigma on the basis points, by index: e1 <-> e2, e3 <-> e4
+SIGMA_SWAPS = {0: 1, 1: 0, 2: 3, 3: 2}
+
+
+def sigma_chart_map(x1, x2, x3, x4, i):
+    """sigma's x1 = 1 chart map (1, i*a2/a3^2, 1/a3, -i*a4) times x1*x3^2:
+    at x1 = 1 the projective form (x3^2, i*x2, x3, -i*x4*x3^2).  The
+    coordinates and i may be numbers or polynomials."""
+    return (x1 * x3 * x3, i * x1 * x1 * x2, x1 * x1 * x3, -i * x3 * x3 * x4)
 
 
 def staircase_counts(gens: Sequence[Tuple[int, ...]], nvars: int,

@@ -594,6 +594,9 @@ def test_is_unit_and_invert_mod():
     inv = invert_mod(x3, G)
     assert normal_form(x3 * inv, G) == Polynomial.constant(CHART_VARS, 1)
     assert quotient_dimension(rho) == 16
+    # a nonzero constant inverts in Q(i)
+    assert invert_mod(Polynomial.constant(CHART_VARS, 4), G) == Polynomial.constant(
+        CHART_VARS, gr(1) / gr(4))
     with pytest.raises(NotAUnitError):
         invert_mod(Polynomial.zero(CHART_VARS), G)
     with limits_scope(GroebnerLimits(max_pairs=1)):

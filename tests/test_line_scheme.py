@@ -6,7 +6,7 @@ import pytest
 from qp3.gaussian import gr
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly, substitute)
-from qp3.polylinalg import PolyMatrix, all_minors, rank
+from qp3.polylinalg import PolyMatrix, all_minors
 from qp3.groebner import (Ideal, NonHomogeneousError, buchberger, eliminate,
                           hilbert_numerator, ideals_equal, intersect, normal_form)
 from qp3.quadratic_algebra import M_VARS, MG_VARS, UV_VARS, make_A
@@ -21,7 +21,7 @@ from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, Component, ComponentCatalog,
                              verify_decomposition, _pluecker_gb_M,
                              _quartic_of_minor, _split_l1)
 from qp3.fixtures import load_fixtures
-from oracles import det_bareiss
+from oracles import det_bareiss, rank
 
 
 # M_ij -> the bracket it stands for, N_kl = u_k v_l - u_l v_k; its kernel

@@ -3,8 +3,8 @@ import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import VarSet, parse_poly
-from qp3.point_scheme import (ProjectivePoint, UndefinedAtPointError, _sigma_formula,
-                             count_points)
+from qp3.point_scheme import (BASIS_POINTS, NotOnSchemeError, ProjectivePoint,
+                              count_points, sigma)
 from qp3.quadratic_algebra import M_VARS, make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
@@ -16,7 +16,7 @@ from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
 from qp3.fixtures import load_fixtures
 from qp3.line_scheme import component_catalog
 from qp3.plucker import GENERIC_LINES
-from oracles import evaluate
+from oracles import SIGMA_SWAPS, evaluate, sigma_chart_map
 
 
 def _x4_roots(gamma):
@@ -212,35 +212,69 @@ def test_degenerate_point_rejected():
         six_lines_numeric(ComplexPoint((1, 0, 1, 1)), gr(1))
 
 
+def _typed_sigma(p: ComplexPoint) -> np.ndarray:
+    """The paper's sigma in complex floats: the swaps at e1..e4, elsewhere
+    the division-free chart map."""
+    if np.count_nonzero(p.coords) == 1:
+        return np.eye(4)[SIGMA_SWAPS[int(np.argmax(np.abs(p.coords)))]]
+    return np.array(sigma_chart_map(*p.coords, 1j))
+
+
+@pytest.mark.parametrize("text", ["1", "3/2+i", "2^40"])
+def test_sigma_numeric_is_the_exact_sigma(text):
+    # at e1..e4 the exact sigma, the kernel of R(p) over Q(i); at the
+    # sixteen points of Z_gamma the paper's chart map
+    g = parse_gamma(text)
+    points = enumerate_points(g)
+    for p, e in zip(points, BASIS_POINTS.values()):    # e1..e4 come first
+        exact = [c.to_complex() for c in sigma(e, make_A(g)).coords]
+        assert proj_distance(sigma_numeric(p, g).coords, exact) < 1e-9
+    for p in points:
+        assert proj_distance(sigma_numeric(p, g).coords, _typed_sigma(p)) < 1e-9
+
+
 @pytest.mark.parametrize("coords", [(1, 2, 0, 1), (0, 1, 1, 0)])
-def test_sigma_refuses_where_the_formula_is_undefined(coords):
-    # off the basis points sigma's chart formula divides by x1 and x3
-    with pytest.raises(UndefinedAtPointError):
-        _sigma_formula(ProjectivePoint(coords))
-    with pytest.raises(DegeneratePointError):
-        sigma_numeric(ComplexPoint(coords))
+def test_sigma_refuses_points_off_the_scheme_where_the_chart_map_divides(coords):
+    # the chart map divides by x1 and x3, sigma reads the kernel of R(p):
+    # these points are off the scheme, so R(p) has rank 4
+    with pytest.raises(NotOnSchemeError):
+        sigma(ProjectivePoint(coords), make_A(gr(1)))
 
 
-@pytest.mark.parametrize("coords, image", [
-    # sigma(1 : 1 : t : 1) = (t^2 : i : t : -i*t^2), near e2 for tiny t
-    ((1, 1, 1e-200, 1), (0, 1, -1e-200j, 0)),
-    # the chart image (1 : i/t : 1 : -i/t) of (t : 1 : t : 1), scaled
-    ((1e-200, 1, 1e-200, 1), (-1e-200j, 1, -1e-200j, -1)),
-], ids=["tiny x3", "tiny x1 and x3"])
-def test_sigma_numeric_at_tiny_coordinates_divides_by_none(coords, image):
-    # a RuntimeWarning (divide by zero) is an error under the pytest config
-    q = sigma_numeric(ComplexPoint(coords))
-    assert np.all(np.abs(q.coords - np.array(image)) <= 1e-12 * np.abs(image))
+def _tiny_points(g):
+    """The points of Z_gamma at which every coordinate is nonzero."""
+    return [p for p in enumerate_points(g)[4:] if np.all(p.coords != 0)]
 
 
-def test_sigma_numeric_snaps_only_exact_basis_points():
-    # 1e-100 from e2, yet sigma maps it to (1 : i*1e-50 : 1e-150 : -i),
-    # about 0.7 from e1 = sigma(e2); the third coordinate underflows
-    q = sigma_numeric(ComplexPoint((1e-250, 1, 1e-100, 1e-250)))
-    assert np.allclose(q.coords, (1, 1e-50j, 0, -1j), rtol=1e-12, atol=0)
-    for k, swap in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        assert np.array_equal(sigma_numeric(ComplexPoint(np.eye(4)[k])).coords,
-                              np.eye(4)[swap])
+def test_sigma_numeric_at_tiny_coordinates_divides_by_none():
+    # at gamma = 2^200 the points of Z_gamma hold coordinates near 1e-45,
+    # 1e-30 and 1e-15, and so do their images; each coordinate matches the
+    # chart map's to 1e-12 relative, and a RuntimeWarning (divide by zero)
+    # is an error under the pytest config
+    g = parse_gamma("2^200")
+    points = _tiny_points(g)
+    assert len(points) == 8
+    for p in points:
+        assert np.min(np.abs(p.coords)) < 1e-44
+        q = sigma_numeric(p, g).coords
+        image = ComplexPoint(_typed_sigma(p)).coords
+        assert np.min(np.abs(image)) < 1e-44
+        assert np.all(np.abs(q - image) <= 1e-12 * np.abs(image))
+
+
+def test_sigma_numeric_near_a_basis_point_is_not_its_swap():
+    # sigma blows up near e1..e4: at gamma = 2^200 a point of Z_gamma
+    # within 1e-14 of e2 goes near e4, not to sigma(e2) = e1; at the basis
+    # points themselves sigma_numeric gives the swaps exactly
+    g = parse_gamma("2^200")
+    e = np.eye(4)
+    for p in _tiny_points(g):
+        q = sigma_numeric(p, g).coords
+        assert proj_distance(p.coords, e[1]) < 1e-14
+        assert proj_distance(q, e[3]) < 1e-14 and proj_distance(q, e[0]) > 0.99
+    for k in range(4):
+        assert np.array_equal(sigma_numeric(ComplexPoint(e[k]), g).coords,
+                              e[SIGMA_SWAPS[k]])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
@@ -254,7 +288,7 @@ def test_sigma_permutes_points_with_orbit_profile():
     n = len(pts)
     perm = []
     for p in pts:
-        q = sigma_numeric(p)
+        q = sigma_numeric(p, gr(1))
         dists = [proj_distance(q.coords, r.coords) for r in pts]
         k = int(np.argmin(dists))
         assert dists[k] < 1e-6

@@ -81,7 +81,7 @@ def test_pluecker_identity_random():
 
 
 def test_incidence_agrees_with_rank_oracle():
-    from qp3.polylinalg import rank
+    from oracles import rank
 
     rng = random.Random(37)
     n = 0

@@ -3,21 +3,25 @@ from fractions import Fraction
 import pytest
 
 from qp3.gaussian import gr
-from qp3.multipoly import Polynomial, VarSet, parse_poly
-from qp3.groebner import (GroebnerLimits, Ideal, ResourceLimitError, buchberger,
-                          ideals_equal, is_unit_mod, limits_scope, normal_form)
-from qp3.quadratic_algebra import CHART_VARS, ZeroGammaError, make_A
-from qp3.point_scheme import (E1, E2, E3, E4, SIGMA_SWAPS, NotOnSchemeError,
-                              ProjectivePoint, UndefinedAtPointError,
-                              chart_ideal, count_points, point_ideal,
-                              rho_system, root_multiplicities, sigma,
-                              sigma_orbit_certificates, symbolic_point,
+from qp3.multipoly import Polynomial, VarSet, parse_poly, substitute
+from qp3.groebner import (GroebnerLimits, Ideal, NotAUnitError, ResourceLimitError,
+                          buchberger, ideals_equal, is_unit_mod, limits_scope,
+                          normal_form)
+from qp3.quadratic_algebra import CHART_VARS, X_VARS, ZeroGammaError, make_A
+from qp3.point_scheme import (BASIS_POINTS, E1, E2, E3, E4, NotOnSchemeError,
+                              ProjectivePoint, chart_ideal, count_points,
+                              point_ideal, rho_system, root_multiplicities, sigma,
+                              sigma_forms, sigma_orbit_certificates, symbolic_point,
                               sigma_symbolic, verify_rho_derivation,
-                              verify_vanishing_pairs, zgamma_ideal,
-                              _sigma_formula)
+                              verify_vanishing_pairs, zgamma_gb, zgamma_ideal)
 from qp3.quadratic_algebra import QuadraticAlgebra, bilinear_value
+from qp3.cli import parse_gamma
 from qp3.fixtures import load_fixtures
 from qp3 import cli
+from oracles import SIGMA_SWAPS, sigma_chart_map
+
+# the gamma values whose outputs the digests pin
+DIGEST_GAMMAS = ["1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3"]
 
 
 def test_point_ideal_generator_count():
@@ -114,35 +118,62 @@ def rep_chart_dim(g):
 
 
 def test_sigma_basis_swaps():
-    g = gr(1)
-    assert sigma(E1, g) == E2
-    assert sigma(E2, g) == E1
-    assert sigma(E3, g) == E4
-    assert sigma(E4, g) == E3
-    for e in (E1, E2, E3, E4):
-        assert sigma(sigma(e, g), g) == e
-
-
-def test_sigma_basis_check_fails_on_a_wrong_swap_table(monkeypatch):
-    # the check reads the relations at (p, SIGMA_SWAPS[p]), not the table
-    # itself: e1 <-> e3 and e2 <-> e4 are no vanishing pairs
-    import qp3.point_scheme as ps
-
     A = make_A(gr(1))
-    assert count_points(A).checks["sigma_basis_swaps"]
-    monkeypatch.setattr(ps, "SIGMA_SWAPS", {E1: E3, E3: E1, E2: E4, E4: E2})
-    report = count_points(A)
-    assert report.checks["sigma_basis_swaps"] is False and not report.ok
+    assert sigma(E1, A) == E2
+    assert sigma(E2, A) == E1
+    assert sigma(E3, A) == E4
+    assert sigma(E4, A) == E3
+    for e in (E1, E2, E3, E4):
+        assert sigma(sigma(e, A), A) == e
+
+
+@pytest.mark.parametrize("text", DIGEST_GAMMAS)
+def test_derived_sigma_is_the_typed_sigma(text):
+    # sigma read off the relations agrees with the paper's formulas: the
+    # swaps at e1..e4, and the chart map on Z_gamma modulo rho, compared
+    # projectively by the 2x2 minors of the two vectors
+    A = make_A(parse_gamma(text))
+    basis = list(BASIS_POINTS.values())
+    assert [sigma(e, A) for e in basis] == [basis[SIGMA_SWAPS[k]] for k in range(4)]
+    gb = zgamma_gb(A.gamma)
+    derived = sigma_symbolic(symbolic_point(), A)
+    typed = sigma_chart_map(*symbolic_point(), gr(0, 1))
+    assert all(normal_form(derived[j] * typed[k] - derived[k] * typed[j], gb).is_zero()
+               for j in range(4) for k in range(j + 1, 4))
+
+
+def test_sigma_forms_are_the_typed_chart_map():
+    # the rows SIGMA_ROWS give i times the typed projective form, which
+    # leaves out gamma; at a point off the scheme, with x3 != 0, the
+    # chart image is (1, i*a2/a3^2, 1/a3, -i*a4)
+    i = gr(0, 1)
+    typed = sigma_chart_map(*(Polynomial.variable(X_VARS, n) for n in X_VARS.names), i)
+    for gv in (gr(1), gr(3, 2), gr(-4)):
+        assert sigma_forms(make_A(gv)) == tuple(i * f for f in typed)
+    at = dict(zip(X_VARS.names, (1, 2, 4, 3)))
+    q = ProjectivePoint([substitute(f, at).constant_value() for f in sigma_forms(make_A(gr(1)))])
+    quarter = gr(1) / gr(4)
+    assert q == ProjectivePoint((1, i * gr(2) * quarter * quarter, quarter, -i * gr(3)))
 
 
 def test_sigma_rejects_points_off_the_scheme():
     with pytest.raises(NotOnSchemeError):
-        sigma(ProjectivePoint((1, 1, 1, 1)), gr(1))
+        sigma(ProjectivePoint((1, 1, 1, 1)), make_A(gr(1)))
+
+
+def test_sigma_refuses_a_point_whose_kernel_is_a_plane():
+    # with relation 3 replaced by a copy of relation 5, R(e1) has rank 2
+    A = make_A(gr(1))
+    B = object.__new__(QuadraticAlgebra)
+    object.__setattr__(B, "gamma", A.gamma)
+    object.__setattr__(B, "relations", A.relations[:2] + (A.relations[4],) + A.relations[3:])
+    with pytest.raises(ValueError, match="rank below 3"):
+        sigma(E1, B)
 
 
 def test_sigma_orbit_certificates():
     for gv in (1, 2, 4):
-        cert = sigma_orbit_certificates(gr(gv))
+        cert = sigma_orbit_certificates(make_A(gr(gv)))
         assert cert["sigma4_is_identity"]
         assert cert["sigma2_fixed_point_free"]
         assert cert["sigma_fixed_point_free"]
@@ -151,9 +182,9 @@ def test_sigma_orbit_certificates():
 
 
 def test_sigma_squared_is_coordinate_sign_flip():
-    g = gr(1)
+    A = make_A(gr(1))
     p = symbolic_point()
-    s2 = sigma_symbolic(sigma_symbolic(p, g), g)
+    s2 = sigma_symbolic(sigma_symbolic(p, A), A)
     x2 = Polynomial.variable(CHART_VARS, "x2")
     x3 = Polynomial.variable(CHART_VARS, "x3")
     x4 = Polynomial.variable(CHART_VARS, "x4")
@@ -181,11 +212,11 @@ def test_vanishing_pairs_fail_where_sigma_p_is_not_the_only_partner():
     # record is filled in directly.
     A = make_A(gr(3, 2))
     p_sym = symbolic_point()
-    q_sym = sigma_symbolic(p_sym, A.gamma)
+    q_sym = sigma_symbolic(p_sym, A)
     gb = buchberger(zgamma_ideal(A.gamma))
     for f in A.relations:
-        assert all(bilinear_value(f, p.coords, q.coords).is_zero()
-                   for p, q in SIGMA_SWAPS.items())
+        assert all(bilinear_value(f, p.coords, sigma(p, A).coords).is_zero()
+                   for p in BASIS_POINTS.values())
         assert normal_form(bilinear_value(f, p_sym, q_sym), gb).is_zero()
     for r in range(6):
         for src in range(6):
@@ -199,7 +230,8 @@ def test_vanishing_pairs_fail_where_sigma_p_is_not_the_only_partner():
 
 
 def test_alpha3_nonzero_on_Z():
-    # 1 in <rho1, rho2, rho3, x3>: sigma's formula never divides by zero
+    # 1 in <rho1, rho2, rho3, x3>: sigma's first form, i*x3^2 on the
+    # chart, vanishes nowhere on Z_gamma
     rho = zgamma_ideal(gr(1))
     x3 = Polynomial.variable(CHART_VARS, "x3")
     G = buchberger(Ideal(list(rho.generators) + [x3]))
@@ -212,22 +244,19 @@ def test_separability_witness_is_unit_mod_rho1():
     assert is_unit_mod(disc, Ideal([rho1]))
 
 
-def test_sigma_formula_path():
-    # formula arithmetic on a synthetic chart point, off the scheme, so
-    # without sigma's scheme check
-    p = ProjectivePoint((1, 2, 4, 3))
-    q = _sigma_formula(p)
-    i = gr(0, 1)
-    quarter = gr(1) / gr(4)
-    assert q.coords[0] == gr(1)
-    assert q.coords[1] == i * gr(2) * (quarter * quarter)
-    assert q.coords[2] == quarter
-    assert q.coords[3] == -i * gr(3)
-
-
-def test_sigma_undefined_at_x3_zero():
-    with pytest.raises(UndefinedAtPointError):
-        _sigma_formula(ProjectivePoint((1, 5, 0, 3)))
+def test_sigma_at_x3_zero():
+    # the chart map divides by x3; sigma, the kernel of R(p), does not: on
+    # the scheme x3 = 0 holds at e1, e2 and e4, and off it sigma refuses
+    A = make_A(gr(1))
+    basis = list(BASIS_POINTS.values())
+    for k in (0, 1, 3):
+        assert sigma(basis[k], A) == basis[SIGMA_SWAPS[k]]
+    with pytest.raises(NotOnSchemeError):
+        sigma(ProjectivePoint((1, 5, 0, 3)), A)
+    # a residue vector whose x3 is no unit modulo rho
+    one, x2, _, x4 = symbolic_point()
+    with pytest.raises(NotAUnitError):
+        sigma_symbolic((one, x2, x4 * x4 * x4 * x4 - 2, x4), make_A(gr(2)))
 
 
 def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):

@@ -8,11 +8,11 @@ from qp3.gaussian import ONE, ZERO, gr
 from qp3.groebner import GroebnerLimits, limits_scope
 from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            Polynomial, VarSet, VarSetMismatchError, parse_poly)
-from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace, rank,
-                            row_echelon, solve)
+from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace, row_echelon,
+                            solve)
 from qp3.quadratic_algebra import X_VARS, XY_VARS, make_A, relation_matrix
 from qp3.line_scheme import build_big_matrix
-from oracles import det_bareiss, poly_exact_div
+from oracles import det_bareiss, poly_exact_div, rank
 
 
 def _const_matrix(varset, grid):
@@ -118,7 +118,7 @@ def test_row_echelon_is_reduced_with_first_nonzero_columns_as_pivots():
 
 @pytest.mark.parametrize("rows", [[], [[ONE, ZERO], [ONE]]], ids=["no rows", "ragged"])
 def test_row_reduction_refuses_a_malformed_matrix(rows):
-    for fn in (row_echelon, rank, nullspace, lambda r: solve(r, [ONE] * len(r))):
+    for fn in (row_echelon, nullspace, lambda r: solve(r, [ONE] * len(r))):
         with pytest.raises(ValueError):
             fn(rows)
 
@@ -126,7 +126,7 @@ def test_row_reduction_refuses_a_malformed_matrix(rows):
 def test_row_reduction_ignores_narrower_groebner_limits():
     rows = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
     with limits_scope(GroebnerLimits(max_pairs=1, max_basis=1, max_degree=1)):
-        assert rank(rows) == 3
+        assert row_echelon(rows)[1] == [0, 1, 2]
 
 
 def test_solve_refuses_a_right_hand_side_of_the_wrong_length():

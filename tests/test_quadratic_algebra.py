@@ -10,7 +10,7 @@ import pytest
 from qp3.gaussian import ONE, ZERO, gr
 from qp3.multipoly import Polynomial, parse_poly, print_poly, substitute
 from qp3.groebner import Ideal, ideals_equal
-from qp3.polylinalg import PolyMatrix, minor, rank
+from qp3.polylinalg import PolyMatrix, minor
 from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, XY_VARS, Z_VARS,
                                    ZW_VARS, QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, gamma_sign_on_pluecker,
@@ -21,7 +21,7 @@ from qp3.cli import parse_gamma
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.fixtures import _catalog_form, load_fixtures
 
-from oracles import TABLES
+from oracles import TABLES, rank
 
 I = gr(0, 1)
 

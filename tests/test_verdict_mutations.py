@@ -1,0 +1,143 @@
+"""Every printed sigma check of `point-scheme` can say NO.
+
+For each check a seeded mutation of the data the check reads turns it
+False, and the mutation is shown to change that data:
+- a relation plus a seeded multiple of one word, a form outside the span
+  of the six relations;
+- a rho system with one polynomial changed by a seeded amount, the new
+  polynomial outside the rho ideal.
+A relation mutation is read through `count_points` of the mutated
+algebra; a rho mutation replaces `point_scheme.rho_system`, with every
+memo of qp3 emptied before and after (`fresh_caches`).
+"""
+
+import io
+import random
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+import qp3.point_scheme as ps
+from qp3 import cli
+from qp3.gaussian import gr
+from qp3.groebner import buchberger, normal_form
+from qp3.multipoly import Polynomial, parse_poly
+from qp3.point_scheme import count_points, zgamma_ideal
+from oracles import rank
+from qp3.quadratic_algebra import CHART_VARS, X_VARS, XY_VARS, QuadraticAlgebra, make_A
+
+GAMMA = gr(Fraction(3, 2), 1)
+SEED = 1990
+
+
+def _scalar(rng):
+    """A seeded nonzero Gaussian rational of small height."""
+    return gr(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(1, 9))
+
+
+def _outside_span(f, relations):
+    """f is no linear combination of the relations."""
+    forms = (*relations, f)
+    words = sorted({m for g in forms for m in g.terms})
+    return rank([[g.terms.get(w, gr(0)) for w in words] for g in forms]) == len(forms)
+
+
+def _with_word(r, word, c):
+    """A(GAMMA) with relation r plus c times the word."""
+    A = make_A(GAMMA)
+    f = A.relations[r] + c * parse_poly(word, XY_VARS)
+    assert _outside_span(f, A.relations)
+    return QuadraticAlgebra(GAMMA, A.relations[:r] + (f,) + A.relations[r + 1:])
+
+
+# (check, relation index, word).  Sigma's forms stay monomials: rows 2
+# and 4 of R lie outside SIGMA_ROWS, and row 3 changes a coefficient only
+# (`test_forms_that_are_not_monomials_read_false` takes row 1).
+RELATION_MUTATIONS = [
+    # R(e1) gains c in column 2: its kernel, (0, 1, c, 0), is no basis point
+    ("sigma_basis_swaps", 2, "x1*y2"),
+    # the x2*y3 entry of row 3 becomes -(i - c)*x2: sigma^4 scales x2 by
+    # (i - c)^4, not 1
+    ("sigma_sigma4_is_identity", 3, "x2*y3"),
+    # the point scheme moves off sigma(Z_gamma)
+    ("sigma_sigma_preserves_point_ideal", 4, "x1*y1"),
+]
+
+
+@pytest.mark.parametrize("check, r, word", RELATION_MUTATIONS,
+                         ids=[m[0] for m in RELATION_MUTATIONS])
+def test_a_relation_mutation_turns_the_check_false(check, r, word, fresh_caches):
+    assert count_points(make_A(GAMMA)).checks[check]
+    c = _scalar(random.Random(SEED))
+    if check == "sigma_sigma4_is_identity":
+        assert (gr(0, 1) - c) ** 4 != gr(1)
+    report = count_points(_with_word(r, word, c))
+    assert report.checks[check] is False and not report.ok
+
+
+def _rho_mutations(rng):
+    """{check: (rho1, rho2, rho3)} of the mutated systems at GAMMA."""
+    rho1, rho2, rho3 = ps.rho_system(GAMMA)
+    x3, x4 = (Polynomial.variable(CHART_VARS, n) for n in ("x3", "x4"))
+    c, d = _scalar(rng), _scalar(rng)
+    # x4 = 0 becomes a root of rho1; with rho2 and rho3 there, x3^2 = 1 and
+    # x2 = 0, and sigma fixes (1, 0, +-1, 0)
+    fixed_rho1 = rho1 - GAMMA * GAMMA + c * x4
+    return {
+        "sigma_sigma_fixed_point_free": (fixed_rho1, rho2, rho3),
+        # with x3^2 = 1 + d there instead, sigma moves (1, 0, x3, 0) to
+        # (1, 0, 1/x3, 0) and back, so sigma^2 fixes it
+        "sigma_sigma2_fixed_point_free": (fixed_rho1, rho2 - d, rho3),
+        # x3 = 0 becomes a root of rho2, where sigma leaves the chart x1 = 1
+        "sigma_x3_is_unit_on_Z": (rho1, x3 * (x3 - d), rho3),
+    }
+
+
+@pytest.mark.parametrize("check", ["sigma_sigma_fixed_point_free",
+                                   "sigma_sigma2_fixed_point_free",
+                                   "sigma_x3_is_unit_on_Z"])
+def test_a_rho_mutation_turns_the_check_false(check, monkeypatch, fresh_caches):
+    assert count_points(make_A(GAMMA)).checks[check]
+    mutated = _rho_mutations(random.Random(SEED))[check]
+    G = buchberger(zgamma_ideal(GAMMA))
+    assert any(not normal_form(f, G).is_zero() for f in mutated)
+    monkeypatch.setattr(ps, "rho_system", lambda gamma: mutated)
+    report = count_points(make_A(GAMMA))
+    assert report.checks[check] is False and not report.ok
+    if check == "sigma_sigma2_fixed_point_free":
+        # sigma itself keeps no fixed point: the mutation reaches sigma^2 only
+        assert report.checks["sigma_sigma_fixed_point_free"]
+
+
+def test_forms_that_are_not_monomials_read_false(fresh_caches):
+    """Relation 1 plus a seeded multiple of x3*y4 gives two of sigma's
+    forms a second term: the chart checks read False and nothing raises."""
+    A = _with_word(1, "x3*y4", _scalar(random.Random(SEED)))
+    assert [len(f.terms) for f in ps.sigma_forms(A)] == [1, 2, 2, 1]
+    report = count_points(A)
+    assert report.checks["sigma_x3_is_unit_on_Z"] is False and not report.ok
+    assert ps.verify_vanishing_pairs(A) is False
+
+
+def test_the_unit_check_inverts_each_coordinate_of_the_first_form(monkeypatch,
+                                                                  fresh_caches):
+    """Forms x3 * (x1, x2, x3, x4) divide by x3 in no quotient, yet x3
+    divides the first; where x3 = 0 meets Z_gamma the check reads False."""
+    x = [Polynomial.variable(X_VARS, n) for n in X_VARS.names]
+    monkeypatch.setattr(ps, "sigma_forms", lambda A: tuple(x[2] * v for v in x))
+    mutated = _rho_mutations(random.Random(SEED))["sigma_x3_is_unit_on_Z"]
+    monkeypatch.setattr(ps, "rho_system", lambda gamma: mutated)
+    assert ps.sigma_orbit_certificates(make_A(GAMMA))["x3_is_unit_on_Z"] is False
+
+
+def test_the_cli_says_no_under_a_mutation(monkeypatch, fresh_caches):
+    mutated = _rho_mutations(random.Random(SEED))["sigma_sigma_fixed_point_free"]
+    monkeypatch.setattr(ps, "rho_system", lambda gamma: mutated)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--gamma=3/2+i", "point-scheme"])
+    assert code == cli.EXIT_VERIFICATION
+    text = out.getvalue()
+    assert "check sigma_sigma_fixed_point_free: FAIL" in text
+    assert text.rstrip().endswith("verified: NO")
