@@ -150,9 +150,6 @@ class Ideal(_Frozen):
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators on {self.varset!r})"
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def with_order(self, order: MonomialOrder) -> "Ideal":
         if order == self.order:
             return self

@@ -691,7 +691,7 @@ def _power(varset: VarSet, pk: _Packing, p: _TermList, s: _Scale,
         w = _wrap(varset, pk, p, s) ** e
         return w._list, w._scale
     (key, m, c), = p    # c is 1
-    top = max(pk.unpack(m)) * e
+    top = max(pk.unpack(m), default=0) * e
     if top > pk.mask:
         raise ExponentOverflowError(f"exponent {top} exceeds {pk.mask}")
     x, y, d = s

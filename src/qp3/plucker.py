@@ -1,11 +1,11 @@
 """Lines in P3 via Pluecker coordinates: incidence, the component line
 families with their surface containments and rulings, and the symbolic
-verification that every generic point of the point scheme lies on exactly
-six distinct lines of the line scheme."""
+verification that six distinct lines of the line scheme pass through every
+generic point of the point scheme."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -294,25 +294,8 @@ class SixLinesReport(NamedTuple):
             out["component_dimensions"] = {
                 k: list(v) for k, v in sorted(self.component_dimensions.items())}
         else:
-            out["branches"] = [
-                {
-                    "name": b.name,
-                    "proper": b.proper,
-                    "quotient_dim": b.quotient_dim,
-                    "distinct": b.distinct,
-                    "lines": [
-                        {
-                            "component": l.component,
-                            "through_point": l.through_point,
-                            "in_component": l.in_component,
-                            "in_line_scheme": l.in_line_scheme,
-                            "well_defined": l.well_defined,
-                        }
-                        for l in b.lines
-                    ],
-                }
-                for b in self.branches
-            ]
+            out["branches"] = [{**b._asdict(), "lines": [l._asdict() for l in b.lines]}
+                               for b in self.branches]
         return out
 
     def to_text(self) -> str:
@@ -336,13 +319,13 @@ class SixLinesReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _check_line_on_branch(name: str, coords, comp: Component,
-                          scheme_comps: Dict[str, Component],
+def _check_line_on_branch(comp: Component, scheme_comps: Dict[str, Component],
                           branch_gb: GroebnerBasis, branch_ideal: Ideal) -> LineCheck:
-    """The line `coords` against the branch.  `scheme_comps` are the
-    components whose ideal holds the 46: for those, f = sum h_j g_j, and
-    substitution is a ring map, so a line on which every g_j vanishes
-    modulo the branch lies in the line scheme there too."""
+    """The component's line through the generic point against the branch.
+    `scheme_comps` are the components whose ideal holds the 46: for those,
+    f = sum h_j g_j, and substitution is a ring map, so a line on which
+    every g_j vanishes modulo the branch lies in the line scheme there too."""
+    name, coords = comp.name, GENERIC_LINES[comp.name]
 
     def on_branch(ideal: Ideal) -> bool:
         return all(
@@ -361,22 +344,15 @@ def _check_line_on_branch(name: str, coords, comp: Component,
                      well_defined=well)
 
 
-def _pairwise_distinct(lines: List[Tuple[str, Tuple[Polynomial, ...]]],
+def _pairwise_distinct(lines: List[Tuple[Polynomial, ...]],
                        branch_ideal: Ideal) -> bool:
     """Every pair of the six lines differs at every point of the branch:
     some 2x2 cross-minor of their coordinate vectors is a unit."""
-    for (n1, c1), (n2, c2) in combinations(lines, 2):
-        found = False
-        for a, b in combinations(range(6), 2):
-            m = c1[a] * c2[b] - c1[b] * c2[a]
-            if m.is_zero():
-                continue
-            if is_unit_mod(m, branch_ideal):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        any(is_unit_mod(m, branch_ideal)
+            for m in (c1[a] * c2[b] - c1[b] * c2[a] for a, b in combinations(range(6), 2))
+            if not m.is_zero())
+        for c1, c2 in combinations(lines, 2))
 
 
 def lines_through_point(point: Union[str, ProjectivePoint, None],
@@ -411,54 +387,32 @@ def lines_through_point(point: Union[str, ProjectivePoint, None],
     rho = zgamma_ideal(gamma)
     scheme_comps = {c.name: c for c in catalog if scheme_in_ideal(L46, c.ideal)}
     factors = _branch_factors(gamma)
-    split16 = gamma * gamma == gr(16)
-
-    six_sets: List[Tuple[str, Tuple[str, ...]]] = []
-    base = ("L2", "L3", "L4", "L5")
-    l6_cases = ("L6a", "L6b")
-    l1_cases = ("L1a", "L1b") if split16 else ("L1",)
-    for l6 in l6_cases:
-        for l1 in l1_cases:
-            branch_factors = [factors[l6]] + ([factors[l1]] if split16 else [])
-            name = " & ".join(f"{print_poly(f)} = 0" for f in branch_factors)
-            six_sets.append((name, (l1,) + base + (l6,)))
-
-    # exclusivity of the branch split: no point satisfies both factors
-    both6 = Ideal(list(rho.generators)
-                  + [factors["L6a"], factors["L6b"]])
-    dims_consistent = buchberger(both6).contains_one()
-    if split16:
-        both1 = Ideal(list(rho.generators)
-                      + [factors["L1a"], factors["L1b"]])
-        dims_consistent = dims_consistent and buchberger(both1).contains_one()
-
-    total_dim = quotient_dimension(rho)
-    branch_dims = []
+    # Z_gamma splits by the conic its point lies on: L6a or L6b, and at
+    # gamma^2 = 16 also L1a or L1b; a branch takes one conic of each split
+    splits = [s for s in (("L6a", "L6b"), ("L1a", "L1b")) if s[0] in factors]
+    # exclusivity: no point of Z_gamma lies on both conics of a split
+    dims_consistent = all(
+        buchberger(Ideal([*rho.generators, factors[a], factors[b]])).contains_one()
+        for a, b in splits)
     branches: List[BranchReport] = []
-    for name, comps in six_sets:
-        extra = []
-        for c in comps:
-            f = factors.get(c)
-            if f is not None:
-                extra.append(f)
-        branch_ideal = Ideal(list(rho.generators) + extra)
+    for branch in product(*splits):
+        # the six lines: the branch's conics and the components outside the splits
+        comps = [c for c in catalog
+                 if c.name in branch or all(c.name not in s for s in splits)]
+        branch_ideal = Ideal([*rho.generators,
+                              *(factors[c.name] for c in comps if c.name in factors)])
         gb = buchberger(branch_ideal)
-        proper = not gb.contains_one()
-        qdim = quotient_dimension(branch_ideal)
-        branch_dims.append(qdim or 0)
-        checks = []
-        used_lines = []
-        for cname in comps:
-            checks.append(_check_line_on_branch(
-                cname, GENERIC_LINES[cname], catalog.get(cname), scheme_comps,
-                gb, branch_ideal))
-            used_lines.append((cname, GENERIC_LINES[cname]))
-        distinct = _pairwise_distinct(used_lines, branch_ideal)
-        branches.append(BranchReport(name=name, proper=proper,
-                                     quotient_dim=qdim, lines=tuple(checks),
-                                     distinct=distinct))
-    dims_consistent = dims_consistent and (sum(branch_dims) == total_dim)
-    totals = {len(b.lines) for b in branches}
+        branches.append(BranchReport(
+            name=" & ".join(f"{print_poly(factors[n])} = 0" for n in branch),
+            proper=not gb.contains_one(),
+            quotient_dim=quotient_dimension(branch_ideal),
+            lines=tuple(_check_line_on_branch(c, scheme_comps, gb, branch_ideal)
+                        for c in comps),
+            distinct=_pairwise_distinct([GENERIC_LINES[c.name] for c in comps],
+                                        branch_ideal)))
+    dims_consistent = dims_consistent and (
+        sum(b.quotient_dim or 0 for b in branches) == quotient_dimension(rho))
+    # every branch takes one conic of each split, so all count alike
     return SixLinesReport(gamma=gamma, point="generic", branches=tuple(branches),
                           branch_dims_consistent=dims_consistent,
-                          total=totals.pop() if len(totals) == 1 else -1)
+                          total=len(branches[0].lines))

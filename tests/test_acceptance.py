@@ -182,9 +182,11 @@ def test_criterion_6_dimension_and_degree():
 
 
 def test_criterion_7_six_lines():
-    """Exactly six distinct lines through the generic point at gamma in
-    {1, 4}, each verified in its component and in the full 46-polynomial
-    ideal; basis points flagged as lying on infinitely many lines."""
+    """Six distinct lines of the line scheme through the generic point at
+    gamma in {1, 4}, on every branch, each verified in its component and
+    in the full 46-polynomial ideal (that no seventh line passes through
+    the point is not checked); basis points flagged as lying on infinitely
+    many lines."""
     ok = True
     for gv in (1, 4):
         rep = lines_through_point("generic", gr(gv))

@@ -1,9 +1,10 @@
 """Byte-identical certificates: `line-scheme --verify`, as text and as JSON,
 at eight values of gamma (the generic 1, 3/2+i, 2*i and 1/3, gamma^2 = 4
 and gamma^2 = 16), prints exactly the stdout whose sha256 is recorded in
-tests/line_verify_digests.json; `point-scheme`, `lines-through --symbolic`
-and `lines-through --point e2` at the same gamma print the stdout and exit
-with the code recorded in tests/command_digests.json."""
+tests/line_verify_digests.json; `point-scheme`, `line-scheme`,
+`lines-through --symbolic` and `lines-through --point e1` .. `e4` at the
+same gamma print the stdout and exit with the code recorded in
+tests/command_digests.json."""
 
 import contextlib
 import hashlib
@@ -47,7 +48,8 @@ def test_command_stdout_and_exit_code_match_their_pin(run):
 
 
 def test_every_command_is_pinned_at_every_gamma_in_both_formats():
-    commands = ["point-scheme", "lines-through --symbolic", "lines-through --point e2"]
+    commands = ["point-scheme", "line-scheme", "lines-through --symbolic",
+                *(f"lines-through --point e{k}" for k in range(1, 5))]
     assert sorted((r["command"], r["gamma"], r["format"]) for r in COMMAND_RUNS) == sorted(
         (c, g, f) for c in commands for g in GAMMAS for f in ("text", "json"))
     # the gamma = -4 defect stays visible: it is pinned as a failure

@@ -140,6 +140,14 @@ def test_substitute_drops_a_term_with_a_zero_image_unchecked():
                                      target=target)) == image
 
 
+def test_substitute_onto_the_ring_with_no_variables():
+    # a power of a constant image is a power of the empty monomial
+    point = {"x1": 0, "x2": 0, "x3": 0, "x4": 1}
+    for text, value in (("x4^2", 1), ("(2 + i)*x4^3 + x3*x4", gr(2, 1)), ("x1^5", 0)):
+        img = substitute(parse_poly(text, X_VARS), point, target=VarSet([]))
+        assert img == Polynomial.constant(VarSet([]), value)
+
+
 def test_parse_rho1_with_gamma():
     f = parse_poly("x4^8 - 4*x4^4 + g^2", CHART_VARS, gamma=gr(1))
     assert f == parse_poly("x4^8 - 4*x4^4 + 1", CHART_VARS)

@@ -314,3 +314,18 @@ def test_complex_points_compare_and_hash_by_identity():
     assert p == p and p != q
     assert len({p, q, p}) == 2
     assert repr(p).startswith("ComplexPoint(coords=")
+
+
+@pytest.mark.xfail(strict=True, reason="enumerate_points returns false points at tiny "
+                   "and huge gamma (ROADMAP item 11)")
+def test_enumerated_points_are_twenty_or_refused_at_extreme_gamma():
+    # at tiny gamma, x2 = (2i x4^3 - x3 x4^5) / gamma cancels at the roots
+    # with x4^4 near 4 and lands near e2, which the absolute minor residual
+    # passes; at 2^200, x3 reads 0.0 where it is about 1e-45 of the largest
+    # coordinate.  distinct_count reads 16, 6 and 4
+    for text in ("1/2^40", "1/2^100", "2^200"):
+        try:
+            points = enumerate_points(parse_gamma(text))
+        except ConvergenceError:
+            continue
+        assert distinct_count(points) == 20, text

@@ -80,7 +80,7 @@ def test_rho2_independent_of_gamma():
 
 def test_rho_derivation_verified():
     for gv in (1, 2, 4, 5):
-        assert verify_rho_derivation(gr(gv))["all"]
+        assert all(verify_rho_derivation(gr(gv)).values())
 
 
 def test_rho_zero_gamma():

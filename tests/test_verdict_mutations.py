@@ -1,4 +1,5 @@
-"""Every printed sigma check of `point-scheme` can say NO.
+"""Every printed sigma check of `point-scheme`, and its check that the chart
+x1 = x2 = x3 = 0 is e4, can say NO.
 
 For each check a seeded mutation of the data the check reads turns it
 False, and the mutation is shown to change that data:
@@ -62,6 +63,9 @@ RELATION_MUTATIONS = [
     ("sigma_sigma4_is_identity", 3, "x2*y3"),
     # the point scheme moves off sigma(Z_gamma)
     ("sigma_sigma_preserves_point_ideal", 4, "x1*y1"),
+    # R(e4) gains c in column 3 and has rank 4: a minor is a nonzero
+    # constant on the chart x1 = x2 = x3 = 0, which holds no point
+    ("chart_x4_is_e4", 2, "x4*y3"),
 ]
 
 
