@@ -19,8 +19,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from .gaussian import GaussianRational
-from .multipoly import (VarSet, height_bound, parse_poly, print_poly,
-                        PolyParseError)
+from .multipoly import VarSet, height_bound, parse_poly, PolyParseError
 from .groebner import (DEFAULT_LIMITS, MEMO_SIZE, GroebnerLimits,
                        ResourceLimitError, cached_under_limits, limits_scope)
 from .numeric import ConvergenceError, DegeneratePointError, numeric_table
@@ -170,26 +169,20 @@ def cmd_line_scheme(gamma, fmt, verify: bool) -> Tuple[str, int]:
         **catalog.to_json_dict(),
     }
     ok = True
-    decomposition = None
     if verify:
         decomposition = verify_decomposition(L, catalog)
         payload["decomposition"] = decomposition.to_json_dict()
         ok = decomposition.ok
 
     def text():
-        lines = [f"line scheme of A({gamma}): {len(L.polys)} polynomials,"
-                 f" {len(catalog)} components"]
-        for k, p in enumerate(L.polys):
-            lines.append(f"  [{k}] {print_poly(p)}")
-        for c in catalog:
-            lines.append(f"  component {c.name} ({c.kind}, degree {c.degree}):")
-            for g in c.ideal.generators:
-                lines.append(f"      {print_poly(g)}")
-        if decomposition is not None:
-            d = decomposition.to_json_dict()
-            for k in sorted(d):
-                if k != "gamma":
-                    lines.append(f"  {k}: {d[k]}")
+        comps, d = payload["components"], payload.get("decomposition", {})
+        lines = [f"line scheme of A({gamma}): {len(payload['polynomials'])} polynomials,"
+                 f" {len(comps)} components"]
+        lines += [f"  [{k}] {p}" for k, p in enumerate(payload["polynomials"])]
+        for c in comps:
+            lines.append(f"  component {c['name']} ({c['kind']}, degree {c['degree']}):")
+            lines += [f"      {g}" for g in c["generators"]]
+        lines += [f"  {k}: {d[k]}" for k in sorted(d) if k != "gamma"]
         return "\n".join(lines)
 
     return _emit(payload, fmt, text), EXIT_OK if ok else EXIT_VERIFICATION

@@ -333,16 +333,16 @@ def _buchberger(I: Ideal, reduced_prefix: int,
     reduces it like every other generator.
 
     The generators are interreduced and inserted before any pair is
-    formed; then the UPDATE of each inserted element is replayed in
-    insertion order.  `numerator`, if given, must be the Hilbert numerator
-    over (1 - t)^n (`hilbert_numerator`) of some R/J with HF(R/J) <=
-    HF(R/I) in every degree, I homogeneous.  The leads of the inserted
-    elements lie in LT(I), so HF(R/<leads>) >= HF(R/I) >= HF(R/J); when
-    their numerator equals `numerator`, all three are equal, the leads
-    generate LT(I), and the elements are already a Groebner basis: no
-    UPDATE is replayed and no pair is formed (Traverso, Hilbert functions
-    and the Buchberger algorithm, JSC 1996).  Otherwise the pairs are
-    exactly those of a run without `numerator`.
+    formed.  `numerator`, if given, must be the Hilbert numerator over
+    (1 - t)^n (`hilbert_numerator`) of some R/J with HF(R/J) <= HF(R/I) in
+    every degree, I homogeneous.  The leads of the inserted elements lie
+    in LT(I), so HF(R/<leads>) >= HF(R/I) >= HF(R/J); when their numerator
+    equals `numerator`, all three are equal, the leads generate LT(I), and
+    the elements are already a Groebner basis: no pair is formed
+    (Traverso, Hilbert functions and the Buchberger algorithm, JSC 1996).
+    Otherwise each inserted element, in insertion order, forms its pairs
+    against the G it met when it was inserted, so the queue, and every
+    pair after it, is exactly that of a run without `numerator`.
 
     An element's sugar is the degree of its lead, so the sugar of a pair
     is the degree of its lcm.  Pairs are selected by (sugar, key of the
@@ -361,19 +361,28 @@ def _buchberger(I: Ideal, reduced_prefix: int,
     queued: Dict[Tuple[int, int], int] = {}   # B: pair -> lcm
     heap: List[Tuple] = []
 
-    def insert(p: _TermList) -> int:
+    def insert(p: _TermList) -> Tuple[int, List[int]]:
+        """p joins G as element h, and the elements whose leads lm(h)
+        divides leave: (h, met), met the G that h met.  G is bound anew, so
+        met is never changed."""
+        nonlocal live, reducers
         pk.check(p)
         entries.append(p)
         lms.append(p[0][1])
         heads.append(_head(p))
         if len(entries) > limits.max_basis:
             raise ResourceLimitError(f"basis size exceeded {limits.max_basis}")
-        return len(entries) - 1
+        h, mh, met = len(entries) - 1, p[0][1], live
+        live = [g for g in met if ((lms[g] | guard) - mh) & guard != guard]
+        bisect.insort(live, h, key=lambda g: heads[g][0])
+        reducers = [heads[g] for g in live]
+        return h, met
 
-    def update(h: int) -> None:
-        """The Gebauer-Moeller UPDATE of (G, B) by h (Becker-Weispfenning,
-        Groebner Bases, 1993, 5.5).  `_Packing.divides` and `.lcm` are
-        inlined: n divides m iff ((m | guard) - n) & guard == guard."""
+    def pairs(h: int, met: List[int]) -> None:
+        """The pairs of the Gebauer-Moeller UPDATE of (G, B) by h, G the
+        elements h met (Becker-Weispfenning, Groebner Bases, 1993, 5.5).
+        `_Packing.divides` and `.lcm` are inlined: n divides m iff
+        ((m | guard) - n) & guard == guard."""
         mh = lms[h]
         top_h = mh | guard
         # new pairs by ascending lcm, coprime ones first among equals: a
@@ -382,7 +391,7 @@ def _buchberger(I: Ideal, reduced_prefix: int,
         # extends divisibility, and which pairs survive below does not
         # depend on the extension
         cands = []
-        for g in live:
+        for g in met:
             m = lms[g]
             ge = (top_h - m) & guard
             l = m ^ ((mh ^ m) & (ge - (ge >> bits)))
@@ -416,27 +425,18 @@ def _buchberger(I: Ideal, reduced_prefix: int,
         for g, l in new:
             queued[(g, h)] = l
             heapq.heappush(heap, (pk.degree(l), pk.key(l), g, h))
-        enter(h)
 
-    def enter(h: int) -> None:
-        """h joins G, and the elements whose leads it divides leave."""
-        mh = lms[h]
-        live[:] = [g for g in live if ((lms[g] | guard) - mh) & guard != guard]
-        bisect.insort(live, h, key=lambda g: heads[g][0])
-        reducers[:] = [heads[g] for g in live]
-
-    prefix = sorted((insert(p) for p in gens[:reduced_prefix]), key=lambda g: heads[g][0])
-    live[:] = prefix
-    reducers[:] = [heads[g] for g in live]
+    for p in gens[:reduced_prefix]:
+        insert(p)
+    inputs = []    # (h, met) of each input element, as `insert` returned it
     for p in sorted(gens[reduced_prefix:], key=lambda p: (p[0][0], len(p))):
         r, _ = _nf(p, reducers, pk)
         if r:
-            enter(insert(_primitive(r)[0]))
+            inputs.append(insert(_primitive(r)[0]))
     if numerator is None or _staircase(
             tuple(sorted(lms[g] for g in live)), len(I.varset)) != numerator:
-        live[:] = prefix
-        for h in range(reduced_prefix, len(entries)):
-            update(h)
+        for h, met in inputs:
+            pairs(h, met)
 
     pairs_done = 0
     while heap:
@@ -454,7 +454,7 @@ def _buchberger(I: Ideal, reduced_prefix: int,
             continue
         r, _ = _nf(s, reducers, pk)
         if r:
-            update(insert(_primitive(r)[0]))
+            pairs(*insert(_primitive(r)[0]))
 
     # tail reduction: each element against the others
     lists = [_primitive(_nf(entries[g], reducers[:k] + reducers[k + 1:], pk)[0])[0]
@@ -676,14 +676,19 @@ def _staircase(gens: Tuple[int, ...], n: int) -> Tuple[int, ...]:
                                       (0,) + _staircase(colon, n), fillvalue=0)))
 
 
-def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
-    """The Hilbert numerator of G's leading-term ideal over (1 - t)^n with
-    (1 - t) divided out as often as it goes, and how often that was (n times
-    for the series 0 of the unit ideal).  G's leads are minimal generators."""
+def _hilbert_data(G: GroebnerBasis) -> Tuple[int, int, List[int]]:
+    """(projective dimension, degree, numerator) of the ring modulo G's
+    leading-term ideal, whose minimal generators G's leads are.
+
+    Its Hilbert series is a numerator over (1 - t)^n; with d factors
+    (1 - t) divided out of it, as often as they go, the series is
+    num / (1 - t)^(n - d), so the affine cone has Krull dimension n - d and
+    degree num(1).  The unit ideal, series 0, gives (-1, 0, []).
+    """
     n = len(G.varset)
     num = list(_staircase(tuple(sorted(p[0][1] for p in G._lists)), n))
     if not any(num):
-        return [], n
+        return -1, 0, []
     stripped = 0
     while sum(num) == 0:
         # synthetic division by (1 - t)
@@ -694,17 +699,18 @@ def _stripped_numerator(G: GroebnerBasis) -> Tuple[List[int], int]:
             out[k] = acc
         num = out
         stripped += 1
-    return num, stripped
+    return n - stripped - 1, sum(num), num
 
 
 def quotient_dimension(I: Ideal) -> Optional[int]:
     """dim over Q(i) of the ring modulo I; None when infinite.
 
-    The Hilbert series of the standard monomials of I is a polynomial,
-    and their number finite, exactly when all n factors (1 - t) strip.
+    The standard monomials of I are finite in number exactly when all n
+    factors (1 - t) strip from the Hilbert numerator, projective dimension
+    -1; their number is then the degree.
     """
-    num, stripped = _stripped_numerator(buchberger(I.with_order(DEGREVLEX)))
-    return sum(num) if stripped == len(I.varset) else None
+    dimension, degree, _ = _hilbert_data(buchberger(I.with_order(DEGREVLEX)))
+    return degree if dimension < 0 else None
 
 
 def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
@@ -715,16 +721,9 @@ def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
 
 
 def hilbert_dimension_degree(I: Ideal) -> Tuple[int, int]:
-    """(projective dimension, degree) of a homogeneous ideal.
-
-    Extracted from the Hilbert series of the leading-term ideal: strip
-    factors of (1 - t) from the numerator; the remaining pole order is
-    the affine cone dimension and the numerator at t = 1 is the degree.
-    """
-    num, stripped = _stripped_numerator(_homogeneous_basis(I))
-    # series = num / (1-t)^(n - stripped) after cancellation, so the affine
-    # cone has Krull dimension n - stripped and degree num(1)
-    return (len(I.varset) - stripped - 1, sum(num))
+    """(projective dimension, degree) of a homogeneous ideal, read off the
+    Hilbert series of its leading-term ideal (`_hilbert_data`)."""
+    return _hilbert_data(_homogeneous_basis(I))[:2]
 
 
 @cached_under_limits(maxsize=GB_CACHE_SIZE)

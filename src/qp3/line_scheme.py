@@ -31,8 +31,8 @@ from .gaussian import GaussianRational, ZERO, _Frozen, gr
 from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
                         substitute)
 from .polylinalg import PolyMatrix, all_minors, solve
-from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _homogeneous_basis,
-                       _stripped_numerator, buchberger, cached_under_limits,
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _hilbert_data,
+                       _homogeneous_basis, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
                        quotient_dimension)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
@@ -311,9 +311,8 @@ def curve_invariants(ideal: Ideal) -> Tuple[int, int, str]:
     presume smoothness, which tests/test_line_scheme.py proves for every
     gamma.  Any other shape is a pipeline bug: ValueError."""
     G = _homogeneous_basis(ideal)
-    h, stripped = _stripped_numerator(G)
-    dimension, degree = len(ideal.varset) - stripped - 1, sum(h)
-    genus = 1 - sum(h) + sum(k * c for k, c in enumerate(h))
+    dimension, degree, h = _hilbert_data(G)
+    genus = 1 - degree + sum(k * c for k, c in enumerate(h))
     span = len(ideal.varset) - 1 - sum(G._packing.degree(p[0][1]) == 1 for p in G._lists)
     kind = _KINDS.get((degree, genus, span)) if dimension == 1 else None
     if kind is None:
@@ -468,8 +467,7 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
     # builds, in DEGREVLEX; any other L must be homogeneous
     built = L.ideal == line_scheme_ideal(L.gamma).ideal
     gb = buchberger(L.ideal, LINE_SCHEME_NUMERATOR) if built else _homogeneous_basis(L.ideal)
-    vs, (num, stripped) = L.ideal.varset, _stripped_numerator(gb)
-    hd = (len(vs) - stripped - 1, sum(num))
+    vs, hd = L.ideal.varset, _hilbert_data(gb)[:2]
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())
 

@@ -280,7 +280,7 @@ class SixLinesReport(NamedTuple):
         if self.point in BASIS_POINTS:
             return self.infinite
         return (bool(self.branches) and self.branch_dims_consistent
-                and all(b.ok for b in self.branches) and self.total == 6)
+                and all(b.ok for b in self.branches))
 
     def to_json_dict(self) -> dict:
         out = {

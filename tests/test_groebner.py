@@ -359,6 +359,10 @@ def test_hilbert_numerator_matches_a_staircase_count():
             I = _monomial_ideal(gens, VarSet([f"x{k}" for k in range(n)]))
             assert quotient_dimension(I) == sum(counts)
             assert hilbert_dimension_degree(I) == (-1, sum(counts))
+            # the unit ideal, series 0: no standard monomial, empty projectively
+            unit = _monomial_ideal([one], I.varset)
+            assert quotient_dimension(unit) == 0
+            assert hilbert_dimension_degree(unit) == (-1, 0)
 
 
 @pytest.mark.parametrize("gamma", [gr(1), gr(4), gr(-4), gr(Fraction(3, 2), 1)],
@@ -974,6 +978,43 @@ def test_an_unattained_numerator_replays_every_pair(monkeypatch, k):
     wrong[k] += 1
     assert groebner._buchberger(L.ideal, 0, tuple(wrong))._lists == plain._lists
     assert leads == expected and len(expected) == 158
+
+
+@pytest.mark.parametrize("run", ["the 46", "a unit with a prefix"])
+def test_each_element_enters_the_basis_once(fresh_caches, monkeypatch, run):
+    # an element joins G by one insort.  Each inserted element builds one
+    # `_head`, and so does each element of the basis returned, so the
+    # insorts are the `_head` calls less the basis length: a run that no
+    # numerator certifies forms each input's pairs against the G it met
+    # and inserts none again, and a finished prefix enters the same way
+    if run == "the 46":
+        I, prefix = line_scheme_ideal(gr(Fraction(3, 2), 1)).ideal, 0
+    else:
+        I = chart_ideal(make_A(gr(Fraction(3, 2), 1)), 0)
+        prefix = len(buchberger(I))
+        assert prefix > 1
+    calls = {"insort": 0, "head": 0, "basis": 0}
+    insort, head, core = groebner.bisect.insort, groebner._head, groebner._buchberger
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def measured(*args):
+        G = core(*args)
+        calls["basis"] += len(G)
+        return G
+
+    monkeypatch.setattr(groebner.bisect, "insort", counted("insort", insort))
+    monkeypatch.setattr(groebner, "_head", counted("head", head))
+    monkeypatch.setattr(groebner, "_buchberger", measured)
+    if prefix:
+        is_unit_mod(Polynomial.variable(I.varset, I.varset.names[-1]), I)
+    else:
+        groebner._buchberger(I, 0)
+    assert calls["insort"] == calls["head"] - calls["basis"] > prefix
 
 
 def test_line_scheme_verification_runs_one_basis_of_the_46(fresh_caches, monkeypatch):
