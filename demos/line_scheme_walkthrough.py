@@ -9,10 +9,14 @@ u = (M34, 0, -M14, M13) and v = (0, M34, -M24, M23): every N_ij is then
 M34 times its coordinate modulo the Pluecker quadric P, so each minor is
 M34^4 times a quartic modulo P.  The lead M14*M23 of P is free of M34, so
 the minor's normal form modulo P divided by M34^4 is that quartic's normal
-form, and with P the 46 polynomials cut out the line scheme in P5.
+form, and with P the 46 polynomials cut out the line scheme in P5.  The
+displayed matrix it is compared with is the tests' transcription
+(tests/printed.py).
 """
 
+import sys
 from math import comb
+from pathlib import Path
 
 from qp3.gaussian import gr
 from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly
@@ -24,7 +28,10 @@ from qp3.groebner import (Ideal, buchberger, eliminate,
                           intersect, normal_form)
 from qp3.line_scheme import (build_big_matrix, component_catalog,
                              components_intersection, line_scheme_ideal,
-                             match_displayed_big_matrix, verify_decomposition)
+                             verify_decomposition)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from printed import match_displayed_big_matrix  # noqa: E402
 
 gamma = gr(1)
 A = make_A(gamma)

@@ -11,22 +11,29 @@ itself was computed from the "right" basis.  This script prints:
   * against the "right" minors, 44 of 45 agree directly; the holdout,
     entry 31, differs from i times a minor in the single term
     (1 - i) * M12^2 * M14 * M24;
-  * with the shipped erratum for entry 31 applied, all 45 quartics match
+  * with the recorded erratum for entry 31 applied, all 45 quartics match
     distinct "right" minors.
+
+The reference list, its errata and the forensic code are test oracles,
+in tests/printed.py.
 """
+
+import sys
+from pathlib import Path
 
 from qp3.gaussian import gr
 from qp3.multipoly import print_poly
 from qp3.groebner import Ideal, ideals_equal
-from qp3.line_scheme import (fixture_forensics, line_scheme_ideal,
-                             match_fixture_polys)
-from qp3.fixtures import load_fixtures
+from qp3.line_scheme import line_scheme_ideal
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from printed import (LINE_SCHEME_ERRATA, LINE_SCHEME_POLYS, fixture_forensics,  # noqa: E402
+                     match_fixture_polys, parse_line_polys)
 
 gamma = gr(5)
-fx = load_fixtures()
 
 L = line_scheme_ideal(gamma)
-reference = Ideal(fx.parse_line_polys(gamma))
+reference = Ideal(parse_line_polys(gamma))
 print(f"ideals equal at gamma = {gamma}: {ideals_equal(L.ideal, reference)}")
 
 fr = fixture_forensics(gamma)
@@ -44,8 +51,8 @@ for j, disc in fr.right_order_discrepancies.items():
     print(f"  entry {j}: residual single-term discrepancy {print_poly(disc)}")
 
 print()
-for j, text in sorted(fx.line_scheme_errata.items()):
-    print(f"erratum, entry {j}, printed:   {fx.line_scheme_polys[j]}")
+for j, text in sorted(LINE_SCHEME_ERRATA.items()):
+    print(f"erratum, entry {j}, printed:   {LINE_SCHEME_POLYS[j]}")
     print(f"erratum, entry {j}, corrected: {text}")
 matching = match_fixture_polys(line_scheme_ideal(gamma, "right"))
 print(f"'right' minors, errata applied: {len(matching) - 1} / 45 direct")

@@ -3,26 +3,32 @@ and the six lines through every generic point of the point scheme.
 
 All verification here is symbolic: the generic point of Z_gamma is the
 residue class of (1, x2, x3, x4) modulo the triangular ideal, so one
-computation covers all sixteen points at once.
+computation covers all sixteen points at once.  The surfaces are the
+paper's, read from the tests' transcription (tests/printed.py).
 """
+
+import sys
+from pathlib import Path
 
 from qp3.gaussian import gr
 from qp3.multipoly import parse_poly, print_poly
 from qp3.quadratic_algebra import X_VARS
-from qp3.fixtures import load_fixtures
 from qp3.line_scheme import component_catalog
 from qp3.plucker import (line_family, line_in_component, lines_through_point,
                          ruling_lines, surface_containment)
 
-fx = load_fixtures()
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from printed import TABLES  # noqa: E402
+
+surfaces = TABLES["surfaces"]
 
 print("=== surfaces swept by the line families ===")
-quartic = parse_poly(fx.surfaces["quartic"], X_VARS, gamma=gr(1))
+quartic = parse_poly(surfaces["quartic"], X_VARS, gamma=gr(1))
 print(f"  quartic: {print_poly(quartic)}")
 print(f"  L1 family lies on it: "
       f"{surface_containment(line_family('L1', gr(1)), quartic)}")
-q6a = parse_poly(fx.surfaces["Q6a"], X_VARS)
-q6b = parse_poly(fx.surfaces["Q6b"], X_VARS)
+q6a = parse_poly(surfaces["Q6a"], X_VARS)
+q6b = parse_poly(surfaces["Q6b"], X_VARS)
 print(f"  L6a family on V({print_poly(q6a)}): "
       f"{surface_containment(line_family('L6a', gr(1)), q6a)}")
 print(f"  L6a family on V({print_poly(q6b)}) (the other quadric): "

@@ -25,12 +25,12 @@ is no such quartic; the division then raises ValueError
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ZERO, _Frozen, gr
+from .gaussian import GaussianRational, _Frozen, gr
 from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
                         substitute)
-from .polylinalg import PolyMatrix, all_minors, solve
+from .polylinalg import PolyMatrix, all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _hilbert_data,
                        _homogeneous_basis, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
@@ -176,151 +176,6 @@ COMPONENTS_INTERSECTION = (
     "M23*M24*M34",
     "M14*M23 - M13*M24 + M12*M34",
 )
-
-UNITS = (gr(1), gr(-1), gr(0, 1), gr(0, -1))
-
-
-def _ratio(f: Polynomial, g: Polynomial) -> Optional[GaussianRational]:
-    """The scalar c with f = c*g, or None; None also when f is zero."""
-    if f.is_zero() or g.is_zero() or f.monic() != g.monic():
-        return None
-    return f.leading_coefficient() / g.leading_coefficient()
-
-
-def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
-    """Bijection from the reference list to the computed polynomials, each
-    matching up to a unit scalar after Pluecker normal form.
-
-    The reference list is matched with its errata applied
-    (`FixtureSet.line_scheme_errata`): entry 31 as printed is a unit
-    multiple of no minor.  The list was computed from the "right" tensor
-    enumeration, so only `line_scheme_ideal(gamma, "right")` matches in
-    full; the "left" minors match 30 of the 45 quartics.
-
-    Raises ValueError when no perfect matching exists.
-    """
-    gbP = _pluecker_gb_M(M_VARS)
-    fixture = load_fixtures().parse_line_polys(L.gamma, corrected=True)
-    free = dict(enumerate(L.polys))    # the 45 are normal forms already
-    matching: Dict[int, int] = {}
-    for j, f in enumerate(fixture):
-        nf = normal_form(f, gbP) if j else f
-        k = next((k for k, p in free.items() if _ratio(nf, p) is not None), None)
-        if k is None:
-            raise ValueError(f"fixture {j} has no computed counterpart: {print_poly(f)}")
-        if _ratio(nf, free.pop(k)) not in UNITS:
-            raise ValueError(f"fixture {j} matches computed polynomial {k} only "
-                             "up to a non-unit scalar")
-        matching[j] = k
-    if free:
-        raise ValueError(f"computed polynomials left unmatched: {sorted(free)}")
-    return matching
-
-
-class FixtureForensics(NamedTuple):
-    """How the reference 46-entry list relates to the computed minors.
-
-    The reference representatives do not all equal unit multiples of the
-    minors of the displayed dual matrix; this report certifies exactly
-    how each entry arises.
-    """
-
-    gamma: GaussianRational
-    direct_matches: Dict[int, int]            # fixture idx -> minor idx ("left")
-    combination_certificates: Dict[int, List[Tuple[int, GaussianRational]]]
-    right_order_matches: Dict[int, int]       # fixture idx -> minor idx ("right")
-    right_order_discrepancies: Dict[int, Polynomial]  # fixture - unit*minor
-
-
-def _fixture_combination(f: Polynomial, images: Sequence[Polynomial]):
-    """Exact scalar combination of the images equal to f, or None."""
-    monos = sorted({m for p in images for m in p.terms} | set(f.terms))
-    sol = solve([[p.terms.get(m, ZERO) for p in images] for m in monos],
-                [f.terms.get(m, ZERO) for m in monos])
-    if sol is None:
-        return None
-    return [(k, c) for k, c in enumerate(sol) if not c.is_zero()]
-
-
-def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
-    """Certify, entry by entry, how the reference list arises from the
-    computed minors: direct unit-scalar matches, exact linear-combination
-    certificates (a change of dual basis mixes minors by Cauchy-Binet),
-    and the residual single-term discrepancies under the other tensor
-    enumeration."""
-    gbP = _pluecker_gb_M(M_VARS)
-    fixture = load_fixtures().parse_line_polys(gamma)
-    fix_nf = [normal_form(f, gbP) for f in fixture[1:]]
-
-    left = line_scheme_ideal(gamma, "left").polys[1:]     # normal forms already
-    right = line_scheme_ideal(gamma, "right").polys[1:]
-
-    def unit_match(f, polys):
-        """First computed index whose polynomial is a unit multiple of f."""
-        return next((k for k, p in enumerate(polys) if _ratio(f, p) in UNITS), None)
-
-    direct: Dict[int, int] = {}
-    combos: Dict[int, List[Tuple[int, GaussianRational]]] = {}
-    right_matches: Dict[int, int] = {}
-    right_disc: Dict[int, Polynomial] = {}
-    for j, f in enumerate(fix_nf, start=1):
-        k = unit_match(f, left)
-        if k is not None:
-            direct[j] = k
-            continue
-        combo = _fixture_combination(f, left)
-        if combo is not None:
-            combos[j] = combo
-        k = unit_match(f, right)
-        if k is not None:
-            right_matches[j] = k
-        else:
-            # smallest single-minor discrepancy over unit scalings
-            best = None
-            for p in right:
-                for u in UNITS:
-                    diff = f - p * u
-                    if best is None or len(diff.terms) < len(best.terms):
-                        best = diff
-            if best is not None:
-                right_disc[j] = best
-    return FixtureForensics(
-        gamma=gamma,
-        direct_matches=direct,
-        combination_certificates=combos,
-        right_order_matches=right_matches,
-        right_order_discrepancies=right_disc,
-    )
-
-
-def displayed_big_matrix(gamma: GaussianRational) -> PolyMatrix:
-    rows = load_fixtures().displayed_big_matrix
-    return PolyMatrix([[parse_poly(t, UV_VARS, gamma=gamma) for t in row]
-                       for row in rows])
-
-
-def match_displayed_big_matrix(A: QuadraticAlgebra) -> List[Tuple[int, GaussianRational]]:
-    """For each displayed row, the (computed row index, scalar) with
-    computed = scalar * displayed; raises ValueError if no bijection."""
-    mine = build_big_matrix(A)
-    shown = displayed_big_matrix(A.gamma)
-
-    def row_ratio(s: int, r: int) -> Optional[GaussianRational]:
-        """The scalar c with computed row s = c * displayed row r, or None."""
-        ratios = {_ratio(a, b) for a, b in zip(mine.entries[s], shown.entries[r])
-                  if not (a.is_zero() and b.is_zero())}
-        return ratios.pop() if len(ratios) == 1 else None
-
-    free = list(range(mine.rows))
-    out = []
-    for r in range(shown.rows):
-        s = next((s for s in free if row_ratio(s, r) is not None), None)
-        if s is None:
-            raise ValueError(f"displayed row {r} has no computed counterpart")
-        free.remove(s)
-        out.append((s, row_ratio(s, r)))
-    return out
-
 
 # ---------------------------------------------------------------------------
 # the component catalog of the closed-point decomposition

@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, _Frozen
 from .multipoly import Polynomial
-from .fixtures import load_fixtures
+from .line_scheme import line_scheme_ideal
 from .plucker import generic_line_points, incidence_contractions, pluecker_join
+from .point_scheme import point_ideal
 from .quadratic_algebra import make_A, relation_matrix
 
 if TYPE_CHECKING:
@@ -138,8 +139,9 @@ class _TermTable:
 
 @lru_cache(maxsize=1)
 def _minor_polys_symbolic() -> _TermTable:
-    """The fifteen minors on X_VARS, g, compiled once."""
-    return _TermTable(load_fixtures().parse_point_polys(None))
+    """The fifteen 4x4 minors of R on X_VARS, g, each made monic, compiled
+    once."""
+    return _TermTable([p.monic() for p in point_ideal(make_A(None)).generators])
 
 
 def minor_residual(point: Sequence[complex], gamma: complex) -> float:
@@ -242,7 +244,7 @@ def sigma_numeric(p: ComplexPoint, gamma) -> ComplexPoint:
 @lru_cache(maxsize=1)
 def _line_polys_symbolic() -> _TermTable:
     """The 46 line-scheme polynomials on M12..M34, g, compiled once."""
-    return _TermTable(load_fixtures().parse_line_polys(None))
+    return _TermTable(line_scheme_ideal(None).polys)
 
 
 def line_residual(m: Sequence[complex], gamma: complex) -> float:

@@ -1,14 +1,14 @@
 """Matrices over the polynomial ring and over Q(i): determinants, minors,
-the kernel vector of maximal minors, and the nullspace and solutions of
-a scalar matrix, read off the reduced Groebner basis of its rows as
-linear forms."""
+the kernel vector of maximal minors, and the nullspace of a scalar
+matrix, read off the reduced Groebner basis of its rows as linear
+forms."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _Frozen
 from .groebner import GroebnerLimits, Ideal, _buchberger, limits_scope
@@ -178,16 +178,3 @@ def nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianR
             v[pc] = -row[fc]
         basis.append(v)
     return basis
-
-
-def solve(rows: Sequence[Sequence[GaussianRational]],
-          rhs: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
-    """One exact solution x of rows . x = rhs, or None if inconsistent."""
-    echelon, pivots = row_echelon([[*row, b] for row, b in zip(rows, rhs, strict=True)])
-    width = len(rows[0])
-    if width in pivots:
-        return None
-    x = [ZERO] * width
-    for row, pc in zip(echelon, pivots):
-        x[pc] = row[width]
-    return x

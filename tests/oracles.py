@@ -12,18 +12,14 @@ command-line parser `cli._parsed`, and sigma as the paper types it for
 `point_scheme`, which reads sigma off the relations, and the fold of
 `line_scheme.components_intersection` over Q(i)[g], which certifies the
 table `line_scheme.COMPONENTS_INTERSECTION` that the verify specialises
-in its place.  `TABLES` holds the
-tables the paper displays that only tests compare with
-(`displayed_tables.json`).
+in its place.  What the paper prints is in `printed.py`.
 """
 
 import argparse
-import json
 import math
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from operator import le
-from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
 
 from qp3 import cli
@@ -36,8 +32,6 @@ from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            _primitive, print_poly, substitute)
 from qp3.polylinalg import PolyMatrix
 from qp3.quadratic_algebra import M_VARS, MG_VARS
-
-TABLES = json.loads(Path(__file__).with_name("displayed_tables.json").read_text())
 
 
 def det_bareiss(m: PolyMatrix) -> Polynomial:

@@ -9,8 +9,8 @@ Criterion 2b matches the reference line list entry by entry against the
 minors of the "right" tensor enumeration, the dual basis the list was
 computed from, with one certified erratum applied: entry 31 is printed
 with + M12^2*M14*M24 where the minor has + i*M12^2*M14*M24.  The test pins
-that erratum to this single term.  See the errata record in
-src/qp3/data/ and the fixture forensics report.
+that erratum to this single term.  See the errata record,
+tests/line_scheme_errata.json, and the fixture forensics report.
 """
 
 import random
@@ -25,7 +25,7 @@ from qp3.groebner import Ideal, buchberger, hilbert_dimension_degree, \
 from qp3.quadratic_algebra import M_VARS, X_VARS, make_A
 from qp3.point_scheme import ProjectivePoint, count_points, point_ideal
 from qp3.line_scheme import (component_catalog, line_scheme_ideal,
-                             match_fixture_polys, verify_decomposition)
+                             verify_decomposition)
 from qp3.plucker import (DependentPointsError, line_family, line_from_points,
                          lines_through_point, point_on_line, ruling_lines,
                          surface_containment, line_in_component)
@@ -35,6 +35,8 @@ from qp3.fixtures import load_fixtures
 
 
 from _acceptance_log import record
+from printed import (LINE_SCHEME_ERRATA, LINE_SCHEME_POLYS, POINT_SCHEME_POLYS, TABLES,
+                     match_fixture_polys, parse_line_polys, parse_point_polys)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -50,7 +52,7 @@ def test_criterion_1_reference_point_list():
     ok = True
     for g in GAMMAS_145:
         mine = point_ideal(make_A(g))
-        fixture = Ideal(load_fixtures().parse_point_polys(g))
+        fixture = Ideal(parse_point_polys(g))
         ok = ok and ideals_equal(mine, fixture)
         mset = sorted(print_poly(p.monic()) for p in mine.generators)
         fset = sorted(print_poly(p.monic()) for p in fixture.generators)
@@ -65,7 +67,7 @@ def test_criterion_2a_reference_line_ideal():
     ok = True
     for g in GAMMAS_145:
         L = line_scheme_ideal(g)
-        fixture = Ideal(load_fixtures().parse_line_polys(g))
+        fixture = Ideal(parse_line_polys(g))
         ok = ok and ideals_equal(L.ideal, fixture)
     _report("criterion 2a (reference line list, ideal equivalence)", ok)
     assert ok
@@ -81,7 +83,6 @@ def test_criterion_2b_reference_line_polynomials():
     entry 31 is exactly (1 - i)*M12^2*M14*M24, and no other entry is
     corrected.
     """
-    fx = load_fixtures()
     typo = parse_poly("(1 - i)*M12^2*M14*M24", M_VARS)
     failures = []
     for g in GAMMAS_145:
@@ -92,12 +93,12 @@ def test_criterion_2b_reference_line_polynomials():
                                 f"polynomials: {matching}")
         except ValueError as exc:
             failures.append(f"gamma {g}: {exc}")
-        diff = fx.parse_line_polys(g)[31] - fx.parse_line_polys(g, corrected=True)[31]
+        diff = parse_line_polys(g)[31] - parse_line_polys(g, corrected=True)[31]
         if diff != typo:
             failures.append(f"gamma {g}: printed minus corrected entry 31 is "
                             f"{print_poly(diff)}, not {print_poly(typo)}")
-    if set(fx.line_scheme_errata) != {31}:
-        failures.append(f"errata cover entries {sorted(fx.line_scheme_errata)}, not [31]")
+    if set(LINE_SCHEME_ERRATA) != {31}:
+        failures.append(f"errata cover entries {sorted(LINE_SCHEME_ERRATA)}, not [31]")
     ok = not failures
     _report("criterion 2b (reference line list, polynomial-by-polynomial)", ok,
             "46/46 against the 'right' minors, erratum at entry 31"
@@ -201,17 +202,17 @@ def test_criterion_7_six_lines():
 def test_criterion_8_containments_and_rulings():
     """Surface containments: the quartic for the L1 family, the quadrics
     and rulings for L6a/L6b, and Qa/Qb with their rulings at gamma = 4."""
-    fx = load_fixtures()
+    surfaces = TABLES["surfaces"]
     ok = True
-    quartic = parse_poly(fx.surfaces["quartic"], X_VARS, gamma=gr(1))
+    quartic = parse_poly(surfaces["quartic"], X_VARS, gamma=gr(1))
     ok = ok and surface_containment(line_family("L1", gr(1)), quartic)
-    q6a = parse_poly(fx.surfaces["Q6a"], X_VARS)
-    q6b = parse_poly(fx.surfaces["Q6b"], X_VARS)
+    q6a = parse_poly(surfaces["Q6a"], X_VARS)
+    q6b = parse_poly(surfaces["Q6b"], X_VARS)
     ok = ok and surface_containment(line_family("L6a", gr(1)), q6a)
     ok = ok and surface_containment(line_family("L6b", gr(1)), q6b)
     ok = ok and not surface_containment(line_family("L6a", gr(1)), q6b)
-    qa = parse_poly(fx.surfaces["Qa"], X_VARS)
-    qb = parse_poly(fx.surfaces["Qb"], X_VARS)
+    qa = parse_poly(surfaces["Qa"], X_VARS)
+    qb = parse_poly(surfaces["Qb"], X_VARS)
     ok = ok and surface_containment(line_family("L1a", gr(4)), qa)
     ok = ok and surface_containment(line_family("L1b", gr(4)), qb)
     cat1 = component_catalog(gr(1))
@@ -377,11 +378,10 @@ def test_criterion_10d_pluecker_identity():
 def test_criterion_10e_parser_roundtrips():
     rng = random.Random(113)
     ok = True
-    fx = load_fixtures()
-    for text in fx.point_scheme_polys:
+    for text in POINT_SCHEME_POLYS:
         f = parse_poly(text, X_VARS, gamma=gr(5))
         ok = ok and parse_poly(print_poly(f), X_VARS) == f
-    for text in fx.line_scheme_polys:
+    for text in LINE_SCHEME_POLYS:
         f = parse_poly(text, M_VARS, gamma=gr(5))
         ok = ok and parse_poly(print_poly(f), M_VARS) == f
     vs = VarSet(["x", "y", "z"])

@@ -23,9 +23,9 @@ from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, component_catalog,
                              components_intersection, line_scheme_ideal,
                              verify_decomposition)
-from qp3.fixtures import load_fixtures
 from oracles import (nf_two_pass, radical_member_rabinowitsch, spoly_two_pass,
                      staircase_counts)
+from printed import parse_point_polys
 
 
 def test_single_monic_generator():
@@ -92,7 +92,7 @@ def test_ideal_member_order_independent():
     PI = point_ideal(make_A(gr(1)))
     G_drl = buchberger(PI)
     G_lex = buchberger(PI.with_order(MonomialOrder.lex()))
-    fx = load_fixtures().parse_point_polys(gr(1))
+    fx = parse_point_polys(gr(1))
     probes = fx + [Polynomial.variable(X_VARS, "x1"),
                    parse_poly("x1*x2 - x3*x4", X_VARS)]
     for f in probes:

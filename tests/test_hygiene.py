@@ -1,8 +1,8 @@
 """Source hygiene: every name a qp3 module imports is used in it, every
 function and class it defines is named somewhere else, every public
 function is entered by a command or a demo, every key of its data files
-is read by code a command or a demo enters, every cache it makes is
-bounded, and one base class states the value-type contract."""
+is read by code a command enters, every cache it makes is bounded, and
+one base class states the value-type contract."""
 
 import ast
 import json
@@ -358,12 +358,12 @@ def _sources(root, *dirs):
 
 
 def unnamed_definitions():
-    """Top-level functions, classes and assigned names of src/qp3 and of
-    the test oracles, and the non-dunder methods of their top-level
-    classes, that no Python file in src, tests, demos or bench names
-    outside the defining statement."""
+    """Top-level functions, classes and assigned names of src/qp3, of
+    the test oracles and of the printed evidence, and the non-dunder
+    methods of their top-level classes, that no Python file in src, tests,
+    demos or bench names outside the defining statement."""
     return unnamed_in(_sources(ROOT, "src", "tests", "demos", "bench"),
-                      [*MODULES, ROOT / "tests" / "oracles.py"])
+                      [*MODULES, ROOT / "tests" / "oracles.py", ROOT / "tests" / "printed.py"])
 
 
 # The definitions of src/qp3 that only tests reach: no command or demo
@@ -425,31 +425,30 @@ def never_entered(src, modules, runs):
 
 
 # what the package ships: every command in text format at a generic gamma,
-# the split line scheme (gamma^2 = 16), the point scheme at gamma = 2
-# (saturate and invert_mod), and every demo
+# the split line scheme (gamma^2 = 16) and the point scheme at gamma = 2
+# (saturate and invert_mod); RUNS adds every demo
 COMMANDS = (["point-scheme"], ["line-scheme"], ["line-scheme", "--verify"],
             ["lines-through", "--symbolic"],
             *(["lines-through", "--point", p] for p in ("e1", "e2", "e3", "e4")),
             ["lines-through", "--numeric"])
-RUNS = [*(["-m", "qp3", "--gamma=3/2+i", *c] for c in COMMANDS),
-        ["-m", "qp3", "--gamma=4", "line-scheme", "--verify"],
-        ["-m", "qp3", "--gamma=2", "point-scheme"],
-        *([str(d)] for d in sorted((ROOT / "demos").glob("*.py")))]
+COMMAND_RUNS = [*(["-m", "qp3", "--gamma=3/2+i", *c] for c in COMMANDS),
+                ["-m", "qp3", "--gamma=4", "line-scheme", "--verify"],
+                ["-m", "qp3", "--gamma=2", "point-scheme"]]
+RUNS = [*COMMAND_RUNS, *([str(d)] for d in sorted((ROOT / "demos").glob("*.py")))]
 
 
 # keys of a data file that are prose for its reader, not data
 PROSE_KEYS = {"note"}
 
 
-def unread_data_keys(src, runs, demos):
+def unread_data_keys(src, runs):
     """`file:key` for each top-level key of a JSON file under `src` that no
     code the runs enter reads, prose keys aside.  A key is read where a
     function under `src` that the runs enter (`_entered`) subscripts with
     it; where that binds a keyword argument (a `FixtureSet` field), the
-    field must be read too, as an attribute, by such a function or by a
-    demo in `demos`."""
+    field must be read too, as an attribute, by such a function."""
     entered = _entered(src, json.dumps(runs))
-    code = [ast.parse(d.read_text()) for d in demos]
+    code = []
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         code += [node for node in ast.walk(ast.parse(path.read_text()))
@@ -471,26 +470,27 @@ def unread_data_keys(src, runs, demos):
 
 
 def test_every_shipped_data_key_is_read():
-    demos = sorted((ROOT / "demos").glob("*.py"))
-    assert unread_data_keys(SRC.parent, RUNS, demos) == []
+    # by a command: a key that only a demo reads is no package data
+    assert unread_data_keys(SRC.parent, COMMAND_RUNS) == []
 
 
 def test_unread_data_key_is_reported(tmp_path):
-    # `kept` becomes a field that only a test reads, and `never` is not
-    # read at all; the prose key `note` is not reported
+    # `kept` becomes a field that only a demo and a test read, and `never`
+    # is not read at all; the prose key `note` is not reported
     files = {"src/m.py": ("import json\nfrom pathlib import Path\n"
                           "from typing import NamedTuple\n"
                           "class Data(NamedTuple):\n    used: int\n    kept: int\n"
                           "def load():\n"
                           "    raw = json.loads(Path(__file__).with_name('d.json').read_text())\n"
-                          "    return Data(used=raw['used'], kept=raw['kept'])\n"),
+                          "    return Data(used=raw['used'], kept=raw['kept'])\n"
+                          "def run():\n    print(load().used)\n"),
              "src/d.json": '{"note": "prose", "used": 1, "kept": 2, "never": 3}',
-             "demos/d.py": "from m import load\nprint(load().used)\n",
+             "cmd.py": "from m import run\nrun()\n",
+             "demos/d.py": "from m import load\nprint(load().kept)\n",
              "tests/t.py": "from m import load\nassert load().kept == 2\n"}
     _write_tree(tmp_path, files)
-    demos = [tmp_path / "demos" / "d.py"]
-    assert unread_data_keys(tmp_path / "src", [[str(demos[0])]], demos) == [
-        "d.json:kept", "d.json:never"]
+    runs = [[str(tmp_path / "cmd.py")], [str(tmp_path / "demos" / "d.py")]]
+    assert unread_data_keys(tmp_path / "src", runs) == ["d.json:kept", "d.json:never"]
 
 
 def test_defined_names_cover_assignments():

@@ -15,15 +15,15 @@ import qp3.line_scheme as ls
 from qp3.line_scheme import (COMPONENTS_INTERSECTION, LINE_SCHEME_NUMERATOR,
                              Component, ComponentCatalog, build_big_matrix,
                              component_catalog, components_intersection,
-                             displayed_big_matrix,
-                             fixture_forensics, jacobian_smoothness_check,
-                             line_scheme_ideal, match_displayed_big_matrix,
-                             match_fixture_polys, pluecker_polynomial,
-                             verify_decomposition, _pluecker_gb_M,
-                             _quartic_of_minor, _split_l1)
+                             jacobian_smoothness_check, line_scheme_ideal,
+                             pluecker_polynomial, verify_decomposition,
+                             _pluecker_gb_M, _quartic_of_minor, _split_l1)
 from qp3.fixtures import load_fixtures
 from oracles import (certifies_intersection_table, det_bareiss,
                      intersection_over_q_i_g, rank)
+import printed
+from printed import (LINE_SCHEME_POLYS, displayed_big_matrix, fixture_forensics,
+                     match_displayed_big_matrix, match_fixture_polys, parse_line_polys)
 
 
 # M_ij -> the bracket it stands for, N_kl = u_k v_l - u_l v_k; its kernel
@@ -116,12 +116,12 @@ def test_line_scheme_ideal_shape():
 def test_line_scheme_matches_fixture_ideal():
     for gv in (1, 4, 5):
         L = line_scheme_ideal(gr(gv))
-        F = Ideal(load_fixtures().parse_line_polys(gr(gv)))
+        F = Ideal(parse_line_polys(gr(gv)))
         assert ideals_equal(L.ideal, F)
 
 
 def test_fixture_difference_18_19():
-    fx = load_fixtures().parse_line_polys(gr(1))
+    fx = parse_line_polys(gr(1))
     diff = fx[18] - fx[19]
     target = parse_poly("M14*M23*M24^2", M_VARS)
     # proportional to M14 M23 M24^2 (the factor is 2i)
@@ -134,7 +134,7 @@ def test_fixture_forensics_certificates():
     assert len(fr.combination_certificates) == 15
     # each certificate reconstructs the reference polynomial exactly
     gbP = _pluecker_gb_M(M_VARS)
-    fixture = load_fixtures().parse_line_polys(gr(5))
+    fixture = parse_line_polys(gr(5))
     mine = [normal_form(p, gbP) for p in line_scheme_ideal(gr(5)).polys[1:]]
     for j, combo in fr.combination_certificates.items():
         acc = Polynomial.zero(M_VARS)
@@ -158,10 +158,24 @@ def test_erratum_31_certified_by_bareiss_determinant():
     for gv in (1, 4, 5):
         big = build_big_matrix(make_A(gr(gv)), "right")
         det = det_bareiss(PolyMatrix([big.entries[r] for r in rows]))
-        entry = load_fixtures().parse_line_polys(gr(gv), corrected=True)[31]
+        entry = parse_line_polys(gr(gv), corrected=True)[31]
         assert _in_uv(entry) == det * gr(0, 1)
-        printed = load_fixtures().parse_line_polys(gr(gv))[31]
-        assert _in_uv(printed) != det * gr(0, 1)
+        as_printed = parse_line_polys(gr(gv))[31]
+        assert _in_uv(as_printed) != det * gr(0, 1)
+
+
+def test_reference_list_matches_the_right_minors_over_q_i_g():
+    # criterion 2b as an identity in g: with its erratum, each printed
+    # quartic reduced modulo P over MG_VARS is a unit multiple of a distinct
+    # "right" entry over Q(i)[g], 46 of 46; as printed, entry 31 is the
+    # one miss
+    L = line_scheme_ideal(None, "right")
+    assert sorted(match_fixture_polys(L).values()) == list(range(46))
+    gbP = _pluecker_gb_M(MG_VARS)
+    misses = [j for j, f in enumerate(parse_line_polys(None))
+              if all(printed._ratio(normal_form(f, gbP) if j else f, p)
+                     not in printed.UNITS for p in L.polys)]
+    assert misses == [31]
 
 
 def test_match_fixture_polys_reports_mismatch():
@@ -172,13 +186,9 @@ def test_match_fixture_polys_reports_mismatch():
 def test_match_fixture_polys_rejects_non_unit_scalar(monkeypatch):
     # entry 1 is a single monomial: three times it has the same monic form
     # as its minor but is not a unit multiple of it
-    import qp3.line_scheme as ls
-
-    fx = load_fixtures()
-    assert fx.line_scheme_polys[1] == "2*M13*M14*M23*M24"
-    scaled = fx._replace(line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
-                         + fx.line_scheme_polys[2:])
-    monkeypatch.setattr(ls, "load_fixtures", lambda: scaled)
+    assert LINE_SCHEME_POLYS[1] == "2*M13*M14*M23*M24"
+    monkeypatch.setattr(printed, "LINE_SCHEME_POLYS", (
+        LINE_SCHEME_POLYS[0], "6*M13*M14*M23*M24") + LINE_SCHEME_POLYS[2:])
     with pytest.raises(ValueError, match="non-unit"):
         match_fixture_polys(line_scheme_ideal(gr(1), "right"))
 
@@ -187,18 +197,14 @@ def test_fixture_forensics_direct_matches_need_a_unit_scalar(monkeypatch):
     # entry 1 is one of the 30 direct "left" matches; three times it has
     # the same monic form but is only a combination, with a non-unit
     # coefficient
-    import qp3.line_scheme as ls
-
-    fx = load_fixtures()
-    assert fx.line_scheme_polys[1] == "2*M13*M14*M23*M24"
-    scaled = fx._replace(line_scheme_polys=(fx.line_scheme_polys[0], "6*M13*M14*M23*M24")
-                         + fx.line_scheme_polys[2:])
-    monkeypatch.setattr(ls, "load_fixtures", lambda: scaled)
+    assert LINE_SCHEME_POLYS[1] == "2*M13*M14*M23*M24"
+    monkeypatch.setattr(printed, "LINE_SCHEME_POLYS", (
+        LINE_SCHEME_POLYS[0], "6*M13*M14*M23*M24") + LINE_SCHEME_POLYS[2:])
     fr = fixture_forensics(gr(5))
     assert 1 not in fr.direct_matches
     assert len(fr.direct_matches) == 29
     [(k, c)] = fr.combination_certificates[1]
-    assert c / gr(3) in ls.UNITS
+    assert c / gr(3) in printed.UNITS
     assert 1 not in fr.right_order_matches
 
 

@@ -9,7 +9,7 @@ from qp3.multipoly import (MAX_NESTING, ExponentOverflowError, MonomialOrder,
                            VarSet, VarSetMismatchError, height_bound,
                            parse_poly, print_poly, substitute)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, UV_VARS, X_VARS
-from qp3.fixtures import load_fixtures
+from printed import LINE_SCHEME_POLYS, POINT_SCHEME_POLYS
 
 
 def test_sub_self():
@@ -183,12 +183,11 @@ def test_print_rho3_descending_degrevlex():
 
 
 def test_print_parse_idempotent_on_fixtures():
-    fx = load_fixtures()
-    for text in fx.point_scheme_polys:
+    for text in POINT_SCHEME_POLYS:
         f = parse_poly(text, X_VARS, gamma=gr(1))
         s = print_poly(f)
         assert print_poly(parse_poly(s, X_VARS)) == s
-    for text in fx.line_scheme_polys:
+    for text in LINE_SCHEME_POLYS:
         f = parse_poly(text, M_VARS, gamma=gr(5))
         s = print_poly(f)
         assert print_poly(parse_poly(s, M_VARS)) == s

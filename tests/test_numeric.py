@@ -4,7 +4,7 @@ import pytest
 from qp3.gaussian import gr
 from qp3.multipoly import VarSet, parse_poly
 from qp3.point_scheme import (BASIS_POINTS, NotOnSchemeError, ProjectivePoint,
-                              count_points, sigma)
+                              count_points, point_ideal, sigma)
 from qp3.quadratic_algebra import M_VARS, make_A
 from qp3 import numeric
 from qp3.cli import parse_gamma
@@ -13,10 +13,10 @@ from qp3.numeric import (DEFAULT_TOL, DISTINCT_TOL, RECOMPUTE_ABOVE,
                          distinct_count, enumerate_points,
                          line_residual, minor_residual, proj_distance,
                          sigma_numeric, six_lines_numeric)
-from qp3.fixtures import load_fixtures
-from qp3.line_scheme import component_catalog
+from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.plucker import GENERIC_LINES
 from oracles import SIGMA_SWAPS, evaluate, sigma_chart_map
+from printed import TABLES
 
 
 def _x4_roots(gamma):
@@ -121,9 +121,10 @@ def test_six_lines_per_point():
 
 
 def test_compiled_residuals_equal_evaluate_bit_for_bit():
-    fx = load_fixtures()
-    minors = fx.parse_point_polys(None)
-    quartics = fx.parse_line_polys(None)
+    # the tables compile the builders' lists over Q(i)[g]: the 15 minors
+    # made monic and the 46
+    minors = [p.monic() for p in point_ideal(make_A(None)).generators]
+    quartics = line_scheme_ideal(None).polys
     m_names = ("M12", "M13", "M14", "M23", "M24", "M34")
     for text in ("1", "3/2+i", "1/7-2/3*i", "2^25"):
         g = parse_gamma(text).to_complex()
@@ -157,9 +158,8 @@ def test_coincident_lines_raise(monkeypatch):
 
 
 def test_l1_line_lies_on_quartic_surface():
-    fx = load_fixtures()
     gvars = VarSet(["x1", "x2", "x3", "x4", "g"])
-    quartic = parse_poly(fx.surfaces["quartic"], gvars)
+    quartic = parse_poly(TABLES["surfaces"]["quartic"], gvars)
     rng = np.random.default_rng(7)
     pts = enumerate_points(gr(1))
     p = pts[5]

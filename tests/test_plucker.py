@@ -16,9 +16,8 @@ from qp3.plucker import (DependentPointsError, PluckerLine, ZeroParameterError,
                          evaluate_in_M, line_family, line_from_points,
                          line_in_component, lines_through_point, pluecker_join,
                          point_on_line, ruling_lines, surface_containment)
-from qp3.fixtures import load_fixtures
 
-from oracles import TABLES
+from printed import TABLES
 
 
 def test_line_from_basis_points():
@@ -196,17 +195,15 @@ _CONTAINMENT_GAMMAS = pytest.mark.parametrize(
 
 @_CONTAINMENT_GAMMAS
 def test_surface_containment_quartic(gamma):
-    fx = load_fixtures()
     fam = line_family("L1", gamma)
-    quartic = parse_poly(fx.surfaces["quartic"], X_VARS, gamma=gamma)
+    quartic = parse_poly(TABLES["surfaces"]["quartic"], X_VARS, gamma=gamma)
     assert surface_containment(fam, quartic)
 
 
 @_CONTAINMENT_GAMMAS
 def test_surface_containment_quadrics(gamma):
-    fx = load_fixtures()
-    q6a = parse_poly(fx.surfaces["Q6a"], X_VARS)
-    q6b = parse_poly(fx.surfaces["Q6b"], X_VARS)
+    q6a = parse_poly(TABLES["surfaces"]["Q6a"], X_VARS)
+    q6b = parse_poly(TABLES["surfaces"]["Q6b"], X_VARS)
     fam_a = line_family("L6a", gamma)
     fam_b = line_family("L6b", gamma)
     assert surface_containment(fam_a, q6a)
@@ -222,15 +219,14 @@ def test_family_constraints_are_the_swept_surfaces(gamma):
     assert line_family("L6a", gamma).constraints == ()
     assert line_family("L6b", gamma).constraints == ()
     (c,) = line_family("L1", gamma).constraints
-    quartic = parse_poly(load_fixtures().surfaces["quartic"], X_VARS, gamma=gamma)
+    quartic = parse_poly(TABLES["surfaces"]["quartic"], X_VARS, gamma=gamma)
     unit = c.leading_coefficient() * quartic.leading_coefficient().inverse()
     assert c == quartic * unit
 
 
 def test_surface_containment_gamma4():
-    fx = load_fixtures()
-    qa = parse_poly(fx.surfaces["Qa"], X_VARS)
-    qb = parse_poly(fx.surfaces["Qb"], X_VARS)
+    qa = parse_poly(TABLES["surfaces"]["Qa"], X_VARS)
+    qb = parse_poly(TABLES["surfaces"]["Qb"], X_VARS)
     assert surface_containment(line_family("L1a", gr(4)), qa)
     assert surface_containment(line_family("L1b", gr(4)), qb)
 
@@ -239,9 +235,8 @@ def test_surface_containment_gamma_minus4():
     # A(gamma) and A(-gamma) are isomorphic by x2 -> -x2, which takes the
     # gamma = 4 quadrics to the ones the gamma = -4 families sweep, with
     # the roles of Qa and Qb exchanged
-    fx = load_fixtures()
     flip = {"x2": -Polynomial.variable(X_VARS, "x2")}
-    qa, qb = (substitute(parse_poly(fx.surfaces[q], X_VARS), flip)
+    qa, qb = (substitute(parse_poly(TABLES["surfaces"][q], X_VARS), flip)
               for q in ("Qa", "Qb"))
     assert surface_containment(line_family("L1a", gr(-4)), qb)
     assert surface_containment(line_family("L1b", gr(-4)), qa)

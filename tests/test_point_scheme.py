@@ -16,9 +16,9 @@ from qp3.point_scheme import (BASIS_POINTS, E1, E2, E3, E4, NotOnSchemeError,
                               verify_vanishing_pairs, zgamma_gb, zgamma_ideal)
 from qp3.quadratic_algebra import QuadraticAlgebra, bilinear_value
 from qp3.cli import parse_gamma
-from qp3.fixtures import load_fixtures
 from qp3 import cli
 from oracles import SIGMA_SWAPS, sigma_chart_map
+from printed import parse_point_polys
 
 # the gamma values whose outputs the digests pin
 DIGEST_GAMMAS = ["1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3"]
@@ -31,8 +31,28 @@ def test_point_ideal_generator_count():
 def test_point_ideal_matches_fixture_ideal():
     for gv in (1, 4, 5):
         PI = point_ideal(make_A(gr(gv)))
-        FI = Ideal(load_fixtures().parse_point_polys(gr(gv)))
+        FI = Ideal(parse_point_polys(gr(gv)))
         assert ideals_equal(PI, FI)
+
+
+def test_point_minors_over_q_i_g_are_the_printed_list():
+    # made monic, the 15 minors over Q(i)[g] are the printed 15 made monic
+    generic = [p.monic() for p in point_ideal(make_A(None)).generators]
+    assert len(generic) == 15
+    assert set(generic) == {p.monic() for p in parse_point_polys(None)}
+
+
+@pytest.mark.parametrize("text", DIGEST_GAMMAS)
+def test_point_minors_over_q_i_g_specialise(text):
+    # g -> gamma takes each minor over Q(i)[g] to the minor at gamma, up to
+    # a nonzero scalar
+    gamma = parse_gamma(text)
+    generic = point_ideal(make_A(None)).generators
+    minors = point_ideal(make_A(gamma)).generators
+    assert len(generic) == len(minors) == 15
+    for f, h in zip(generic, minors):
+        at = substitute(f, {"g": gamma}, target=X_VARS)
+        assert not at.is_zero() and at.monic() == h.monic()
 
 
 def test_every_generator_vanishes_at_e2():

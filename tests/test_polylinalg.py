@@ -8,11 +8,11 @@ from qp3.gaussian import ONE, ZERO, gr
 from qp3.groebner import GroebnerLimits, limits_scope
 from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            Polynomial, VarSet, VarSetMismatchError, parse_poly)
-from qp3.polylinalg import (PolyMatrix, all_minors, minor, nullspace, row_echelon,
-                            solve)
+from qp3.polylinalg import PolyMatrix, all_minors, minor, nullspace, row_echelon
 from qp3.quadratic_algebra import X_VARS, XY_VARS, make_A, relation_matrix
 from qp3.line_scheme import build_big_matrix
 from oracles import det_bareiss, poly_exact_div, rank
+from printed import parse_point_polys, solve
 
 
 def _const_matrix(varset, grid):
@@ -35,12 +35,11 @@ def test_two_by_two_cofactor():
 
 def test_relation_matrix_minor_in_point_ideal():
     from qp3.groebner import Ideal, buchberger, normal_form
-    from qp3.fixtures import load_fixtures
 
     A = make_A(gr(1))
     M = relation_matrix(A)
     d = minor(M, (0, 1, 2, 3), (0, 1, 2, 3))
-    fixture_ideal = Ideal(load_fixtures().parse_point_polys(gr(1)))
+    fixture_ideal = Ideal(parse_point_polys(gr(1)))
     assert normal_form(d, buchberger(fixture_ideal)).is_zero()
 
 

@@ -21,7 +21,8 @@ from qp3.cli import parse_gamma
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.fixtures import _catalog_form, load_fixtures
 
-from oracles import TABLES, rank
+from oracles import rank
+from printed import TABLES
 
 I = gr(0, 1)
 

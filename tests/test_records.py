@@ -11,7 +11,7 @@ from qp3.fixtures import FixtureSet, load_fixtures
 from qp3.gaussian import gr
 from qp3.groebner import GroebnerLimits, Ideal, buchberger
 from qp3.line_scheme import (Component, ComponentCatalog, DecompositionReport,
-                             FixtureForensics, LineSchemeIdeal)
+                             LineSchemeIdeal)
 from qp3.multipoly import MonomialOrder, VarSet, parse_poly
 from qp3.numeric import ComplexPoint
 from qp3.plucker import (BranchReport, LineCheck, LineFamily, PluckerLine,
@@ -19,6 +19,7 @@ from qp3.plucker import (BranchReport, LineCheck, LineFamily, PluckerLine,
 from qp3.point_scheme import PointSchemeReport, ProjectivePoint
 from qp3.polylinalg import PolyMatrix
 from qp3.quadratic_algebra import M_VARS, X_VARS, QuadraticAlgebra, make_A
+from printed import FixtureForensics
 
 P = parse_poly("M12*M34 - M13*M24 + M14*M23", M_VARS)
 X1 = parse_poly("x1", X_VARS)
