@@ -24,7 +24,7 @@ from pathlib import Path
 from qp3.gaussian import gr
 from qp3.multipoly import print_poly
 from qp3.groebner import Ideal, ideals_equal
-from qp3.line_scheme import line_scheme_ideal
+from qp3.line_scheme import line_scheme_ideal, minors_modulo_P
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from printed import (LINE_SCHEME_ERRATA, LINE_SCHEME_POLYS, fixture_forensics,  # noqa: E402
@@ -54,5 +54,5 @@ print()
 for j, text in sorted(LINE_SCHEME_ERRATA.items()):
     print(f"erratum, entry {j}, printed:   {LINE_SCHEME_POLYS[j]}")
     print(f"erratum, entry {j}, corrected: {text}")
-matching = match_fixture_polys(line_scheme_ideal(gamma, "right"))
+matching = match_fixture_polys(minors_modulo_P(gamma, "right"))
 print(f"'right' minors, errata applied: {len(matching) - 1} / 45 direct")

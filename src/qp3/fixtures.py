@@ -1,5 +1,8 @@
-"""Golden data: the generators of the generic line-scheme components L1,
-L2, L4 and L6a (`data/components.json`); psi1 derives the other three.
+"""Golden data (`data/components.json`): the generators of the generic
+line-scheme components L1, L2, L4 and L6a, from which psi1 derives the
+other three, and the 46 polynomials of the line scheme over Q(i)[g],
+which `line_scheme.minors_modulo_P` derives and `line_scheme_ideal`
+reads.
 
 Fixture text keeps the parameter symbolic as 'g'; callers bind a concrete
 gamma when they parse.  The lists the paper prints (the 15 point minors,
@@ -25,6 +28,7 @@ _PSI1_PARTNERS = {"L2": "L3", "L4": "L5", "L6a": "L6b"}   # shipped -> derived
 
 class FixtureSet(NamedTuple):
     component_generators: Mapping[str, Tuple[str, ...]]   # L1, L2, L4, L6a -> generators
+    line_scheme: Tuple[str, ...]    # the 46 over Q(i)[g] on MG_VARS, P first
 
     def parse_components(self, gamma: Optional[GaussianRational]) -> Dict[str, List[Polynomial]]:
         """The seven generic components' generators in catalog order, g bound
@@ -59,7 +63,10 @@ def _frozen(value):
 
 @lru_cache(maxsize=1)
 def load_fixtures() -> FixtureSet:
-    """Load the shipped generator lists.  No text is parsed here: a
-    generator is parsed where `FixtureSet.parse_components` reads it."""
-    data = resources.files("qp3").joinpath("data", "components.json").read_text()
-    return FixtureSet(component_generators=_frozen(json.loads(data))["components"])
+    """Load the shipped lists.  No text is parsed here: a generator is
+    parsed where `FixtureSet.parse_components` reads it, and the 46 where
+    `line_scheme.line_scheme_ideal` does."""
+    text = resources.files("qp3").joinpath("data", "components.json").read_text()
+    data = _frozen(json.loads(text))
+    return FixtureSet(component_generators=data["components"],
+                      line_scheme=data["line_scheme"])

@@ -20,6 +20,13 @@ exactly.  A term with M34 to a power below 4 would show that the minor
 is no such quartic; the division then raises ValueError
 (`_quartic_of_minor`).  With gamma None, g stays the last variable
 (MG_VARS) and every step runs over Q(i)[g]: P and its lead are free of g.
+
+That pipeline, `minors_modulo_P`, derives the 46 once, over Q(i)[g]: they
+ship as a table in `data/components.json`, and `line_scheme_ideal`, which
+every command calls, parses the table at gamma.  Tests prove that the
+table is the pipeline's output and that it specialises to the pipeline's
+output at gamma; the pipeline still builds the "right" tensor order,
+which only the reference list needs.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ def pluecker_polynomial(varset: VarSet = M_VARS) -> Polynomial:
     return parse_poly(PLUECKER_POLY_STRING, varset)
 
 
-@lru_cache(maxsize=2)
 def _pluecker_gb_M(varset: VarSet) -> GroebnerBasis:
     return buchberger(Ideal([pluecker_polynomial(varset)]))
 
@@ -71,7 +77,6 @@ def build_big_matrix(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMat
     return _doubled_matrix(A, tensor_order, u, v, UV_VARS)
 
 
-@lru_cache(maxsize=2)
 def _pluecker_uv(vs: VarSet) -> List[List[Polynomial]]:
     """u and v of the module docstring on vs: each bracket of u, v is M34
     times its signed Pluecker coordinate modulo P."""
@@ -115,18 +120,13 @@ class LineSchemeIdeal(NamedTuple):
         }
 
 
-def line_scheme_ideal(gamma: Optional[GaussianRational],
-                      tensor_order: str = "left") -> LineSchemeIdeal:
-    """The 46 polynomials in the M_ij cutting out the line scheme, each
-    minor image normalized modulo the Pluecker quadric; with gamma None,
-    on MG_VARS over Q(i)[g], and their images at g = gamma are the 46 at
-    gamma."""
-    return _line_scheme_ideal(gamma, tensor_order)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _line_scheme_ideal(gamma: Optional[GaussianRational],
-                       tensor_order: str) -> LineSchemeIdeal:
+def minors_modulo_P(gamma: Optional[GaussianRational],
+                    tensor_order: str = "left") -> LineSchemeIdeal:
+    """The 46 polynomials in the M_ij cutting out the line scheme, built
+    from the minors: each minor image normalized modulo the Pluecker
+    quadric and divided by M34^4 (module docstring); with gamma None, on
+    MG_VARS over Q(i)[g].  The derivation of `line_scheme_ideal`'s table,
+    and the one source of the "right" tensor order's 46."""
     vs = with_g(M_VARS, gamma)
     big = _doubled_matrix(make_A(gamma), tensor_order, *_pluecker_uv(vs), vs)
     images = []
@@ -136,6 +136,33 @@ def _line_scheme_ideal(gamma: Optional[GaussianRational],
             raise ValueError("a minor image vanished; pipeline bug")
         images.append(h)
     polys = (pluecker_polynomial(vs),) + tuple(images)
+    return LineSchemeIdeal(gamma=gamma, polys=polys, ideal=Ideal(list(polys)))
+
+
+def line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
+    """The 46 of `minors_modulo_P(gamma)`, P first, read off the table of
+    the 46 over Q(i)[g] (`FixtureSet.line_scheme`) at g = gamma; with gamma
+    None, on MG_VARS."""
+    return _line_scheme_ideal(gamma)
+
+
+# The table is `minors_modulo_P(None)` printed, which tests/test_line_scheme.py
+# checks, and its text parsed at g = gamma is `minors_modulo_P(gamma)` at
+# every gamma != 0, polynomial for polynomial:
+# - the pivot minor of `_dual_forms` over Q(i)[g] is a nonzero constant (the
+#   function raises otherwise), so `_PIVOTS` are the echelon pivots at every
+#   gamma, and `nullspace` at gamma is the image of the forms over Q(i)[g];
+# - a minor is a polynomial identity, so it commutes with g -> gamma;
+# - P is free of g and its lead M14*M23 has coefficient 1, so the normal
+#   form modulo P, and the division by M34^4, commute with g -> gamma term
+#   by term.
+# The tests compare the two, as polynomials and as printed text, at the 8
+# gammas of tests/line_verify_digests.json, +-2 and +-4 among them, and as
+# polynomials at 1/7 - 2/3*i and 2^40*i too.
+@lru_cache(maxsize=MEMO_SIZE)
+def _line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
+    vs = with_g(M_VARS, gamma)
+    polys = tuple(parse_poly(t, vs, gamma=gamma) for t in load_fixtures().line_scheme)
     return LineSchemeIdeal(gamma=gamma, polys=polys, ideal=Ideal(list(polys)))
 
 

@@ -24,13 +24,14 @@ through it.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, lshift, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .gaussian import GaussianRational, ZERO, _Frozen, gr
+from .gaussian import GaussianRational, ZERO, _Frozen, _frac_str, gr
 
 Monomial = Tuple[int, ...]
 
@@ -695,12 +696,17 @@ def _power(varset: VarSet, pk: _Packing, p: _TermList, s: _Scale,
     if top > pk.mask:
         raise ExponentOverflowError(f"exponent {top} exceeds {pk.mask}")
     x, y, d = s
-    a, b, n = 1, 0, e
-    while n:    # (x + y*i)^e by binary powering
-        if n & 1:
+    return [(key * e, m * e, c)], (*_gaussian_power(x, y, e), d ** e)
+
+
+def _gaussian_power(x: int, y: int, e: int) -> Tuple[int, int]:
+    """(x + y*i)^e by binary powering."""
+    a, b = 1, 0
+    while e:
+        if e & 1:
             a, b = a * x - b * y, a * y + b * x
-        x, y, n = x * x - y * y, 2 * x * y, n >> 1
-    return [(key * e, m * e, c)], (a, b, d ** e)
+        x, y, e = x * x - y * y, 2 * x * y, e >> 1
+    return a, b
 
 
 def substitute(f: Polynomial,
@@ -786,160 +792,209 @@ def substitute(f: Polynomial,
 # ---------------------------------------------------------------------------
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.k = 0
-
-    def _scan(self):
-        text = self.text
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*^()/":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("nat", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise PolyParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n))
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        if tok[0] != "end":
-            self.k += 1
-        return tok
+# a token is a natural number, a name or an operator; whitespace between
+# tokens is skipped, and a character no token may hold is refused first
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|[-+*^()/]")
+_UNEXPECTED = re.compile(r"[^\w\s+\-*^()/]")
+_OPERATORS = frozenset("+-*^()/")
 
 
-# the deepest parentheses the parsers take: each level costs four Python
+# the deepest parentheses the parsers take: each level costs three Python
 # frames, so a deeper text would end in RecursionError
 MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent over the grammar.  The values are Polynomials,
-    built by `constant` and `variable` and the arithmetic operators."""
+    """Recursive descent over the grammar, the one walk of it.  What the
+    walk builds is up to its hooks: `one` starts a term, `constant` gives
+    a number's value, `times` multiplies a factor, a constant, a variable's
+    number or a parenthesised expr, into its term, `negative` negates a
+    term, and `total` sums the terms of an expr.
+
+    Here a term is a list [a, b, d, key, mono, rest, top]: its coefficient
+    (a + b*i)/d, its monomial packed (key, mono), the product `rest` of its
+    parenthesised factors of more than one term (None while there is
+    none), and `top`, the largest exponent of each variable in the term,
+    packed.  A factor's exponent is added into its field only when the
+    field stays at most 2^15 - 1, so no field carries; the check is skipped
+    on a zero term, whose product is zero whatever follows.  `total`
+    collects the terms of an expr into one term list and wraps it once.
+    Only a parenthesised factor is a Polynomial, and only its power and
+    the product `rest` go through Polynomial arithmetic.
+    """
 
     def __init__(self, text: str, varset: VarSet,
                  gamma: Optional[GaussianRational], order: MonomialOrder):
-        self.lex = _Lexer(text)
+        bad = _UNEXPECTED.search(text)
+        if bad:
+            raise PolyParseError(f"unexpected character {bad.group()!r}", bad.start())
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]    # "" ends the text
+        self.k = 0
         self.varset = varset
         self.gamma = gamma
-        self.order = order
+        self.pk = _packing(len(varset), order)
         self.depth = 0
 
-    def parse(self) -> Polynomial:
+    def next(self) -> str:
+        tok = self.tokens[self.k]
+        self.k += 1    # past the end only to raise: "" is followed by no read
+        return tok
+
+    def error(self, message: str, kind=PolyParseError) -> PolyParseError:
+        """The error at the token read last, whose position is found again
+        here: only an error needs the positions."""
+        k = self.k - 1
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return kind(message, starts[k] if k < len(starts) else len(self.text))
+
+    def parse(self):
         p = self.expr()
-        tok = self.lex.peek()
-        if tok[0] != "end":
-            raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
+        tok = self.next()
+        if tok:
+            raise self.error(f"unexpected token {tok!r}")
         return p
 
-    def expr(self) -> Polynomial:
-        negate = False
-        if self.lex.peek()[0] == "-":
-            self.lex.next()
-            negate = True
-        p = self.term()
+    def expr(self):
+        tokens = self.tokens
+        negate = tokens[self.k] == "-"
         if negate:
-            p = -p
+            self.k += 1
+        terms = [self.term(negate)]
         while True:
-            tok = self.lex.peek()
-            if tok[0] == "+":
-                self.lex.next()
-                p = p + self.term()
-            elif tok[0] == "-":
-                self.lex.next()
-                p = p - self.term()
+            tok = tokens[self.k]
+            if tok != "+" and tok != "-":
+                return self.total(terms)
+            self.k += 1
+            terms.append(self.term(tok == "-"))
+
+    def term(self, negate: bool):
+        tokens = self.tokens
+        t = self.one()
+        while True:
+            atom = self.atom()
+            if tokens[self.k] == "^":
+                self.k += 1
+                tok = self.next()
+                if not tok.isdecimal():
+                    raise self.error("exponent must be a natural number")
+                t = self.times(t, atom, int(tok))
             else:
-                return p
+                t = self.times(t, atom, None)
+            if tokens[self.k] != "*":
+                return self.negative(t) if negate else t
+            self.k += 1
 
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while self.lex.peek()[0] == "*":
-            self.lex.next()
-            p = p * self.factor()
-        return p
-
-    def factor(self) -> Polynomial:
-        p = self.atom()
-        if self.lex.peek()[0] == "^":
-            self.lex.next()
-            tok = self.lex.next()
-            if tok[0] != "nat":
-                raise PolyParseError("exponent must be a natural number", tok[2])
-            p = p ** int(tok[1])
-        return p
-
-    def atom(self) -> Polynomial:
-        tok = self.lex.next()
-        kind, value, pos = tok
-        if kind == "(":
+    def atom(self):
+        tok = self.next()
+        if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise PolyParseError(f"parentheses nested deeper than "
-                                     f"{MAX_NESTING}", pos)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
             p = self.expr()
             self.depth -= 1
-            closing = self.lex.next()
-            if closing[0] != ")":
-                raise PolyParseError("expected ')'", closing[2])
+            if self.next() != ")":
+                raise self.error("expected ')'")
             return p
-        if kind == "nat":
-            num = int(value)
-            if self.lex.peek()[0] == "/":
-                self.lex.next()
-                den_tok = self.lex.next()
-                if den_tok[0] != "nat":
-                    raise PolyParseError("expected denominator", den_tok[2])
-                den = int(den_tok[1])
-                if den == 0:
-                    raise PolyParseError("division by zero", den_tok[2])
-                from fractions import Fraction
+        if tok.isdecimal():
+            if self.tokens[self.k] != "/":
+                return self.constant(int(tok), 0, 1)
+            self.k += 1
+            den = self.next()
+            if not den.isdecimal():
+                raise self.error("expected denominator")
+            if not int(den):
+                raise self.error("division by zero")
+            return self.constant(int(tok), 0, int(den))
+        if tok and tok not in _OPERATORS:
+            if tok == "i":
+                return self.constant(0, 1, 1)
+            j = self.varset._index.get(tok)
+            if j is not None:
+                return j
+            if tok == "g":
+                g = self.gamma
+                if g is None:
+                    raise self.error("placeholder 'g' used but no gamma bound")
+                return self.constant(g.a, g.b, g.d)
+            raise self.error(f"unknown variable {tok!r}", UnknownVariableError)
+        raise self.error(f"unexpected token {tok!r}")
 
-                c = GaussianRational(Fraction(num, den))
-            else:
-                c = GaussianRational(num)
-            return self.constant(c)
-        if kind == "name":
-            if value == "i":
-                return self.constant(gr(0, 1))
-            if value in self.varset:
-                return self.variable(value)
-            if value == "g":
-                if self.gamma is None:
-                    raise PolyParseError("placeholder 'g' used but no gamma bound", pos)
-                return self.constant(self.gamma)
-            raise UnknownVariableError(f"unknown variable {value!r}", pos)
-        raise PolyParseError(f"unexpected token {value!r}", pos)
+    # -- the hooks: a term gathered as ints ------------------------------
 
-    def constant(self, c: GaussianRational) -> Polynomial:
-        return Polynomial.constant(self.varset, c, self.order)
+    def one(self) -> list:
+        return [1, 0, 1, 0, 0, None, 0]
 
-    def variable(self, name: str) -> Polynomial:
-        return Polynomial.variable(self.varset, name, self.order)
+    def negative(self, t: list) -> list:
+        t[0], t[1] = -t[0], -t[1]
+        return t
+
+    def constant(self, a: int, b: int, d: int) -> Tuple[int, int, int]:
+        return a, b, d
+
+    def times(self, t: list, atom, k: Optional[int]) -> list:
+        pk = self.pk
+        if atom.__class__ is int:    # the variable numbered atom, to the k
+            e = 1 if k is None else k
+            if e > pk.mask:
+                raise ExponentOverflowError(f"exponent {e} exceeds {pk.mask}")
+            if t[0] or t[1]:
+                u = e << pk.shifts[atom]
+                self.fits(t, u)
+                t[3] += e * pk.weights[atom]
+                t[4] += u
+            return t
+        if atom.__class__ is tuple:    # a constant (a + b*i)/d
+            a, b, d = atom
+            if k is not None:
+                (a, b), d = _gaussian_power(a, b, k), d ** k
+        else:    # a parenthesised factor
+            if k is not None:
+                atom = atom ** k
+            p, (a, b, d) = atom._list, atom._scale
+            if not p:
+                a = b = 0
+            elif len(p) == 1:    # folded into the coefficient and monomial
+                key, m, (x, y) = p[0]
+                a, b = a * x - b * y, a * y + b * x
+                if t[0] or t[1]:
+                    self.fits(t, m)
+                    t[3] += key
+                    t[4] += m
+            elif t[0] or t[1]:
+                self.fits(t, sum(map(lshift, _field_max(p, pk), pk.shifts)))
+                t[5] = atom if t[5] is None else t[5] * atom
+                a, b, d = 1, 0, 1
+        t[0], t[1], t[2] = t[0] * a - t[1] * b, t[0] * b + t[1] * a, t[2] * d
+        return t
+
+    def fits(self, t: list, fields: int) -> None:
+        """Add the packed exponents `fields`, each at most 2^15 - 1, to the
+        term's `top`, or raise ExponentOverflowError if one would pass it."""
+        top = t[6] + fields    # no carry: each field sums to below 2^16
+        if top & self.pk.guard:
+            wide = 2 * self.pk.mask + 1
+            top = max((top >> s) & wide for s in self.pk.shifts)
+            raise ExponentOverflowError(f"exponent {top} exceeds {self.pk.mask}")
+        t[6] = top
+
+    def total(self, terms: List[list]) -> Polynomial:
+        terms = [t for t in terms if t[0] or t[1]]
+        denom = lcm(*(t[2] * (1 if t[5] is None else t[5]._scale[2]) for t in terms))
+        acc: Dict[int, list] = {}
+        for a, b, d, key, mono, rest, _ in terms:
+            if rest is None:
+                q = [(key, mono, (a, b))]
+            else:    # c*x^mono*rest, over d times rest's denominator
+                sa, sb, sd = rest._scale
+                q = _ishift(rest._list, key, mono, (a * sa - b * sb, a * sb + b * sa))
+                d *= sd
+            f = denom // d
+            for key, mono, (x, y) in q:
+                e = acc.setdefault(mono, [key, 0, 0])
+                e[1] += x * f
+                e[2] += y * f
+        return _poly(self.varset, self.pk, _collected(acc), 1, 0, denom)
 
 
 def parse_poly(text: str, varset: VarSet,
@@ -981,9 +1036,28 @@ class _Height:
 
 
 class _HeightParser(_Parser):
-    def constant(self, c: GaussianRational) -> _Height:
-        return _Height((max(abs(c.a), abs(c.b), 1) - 1).bit_length(),
-                       (c.d - 1).bit_length(), not c.b)
+    """The walk with a `_Height` in place of each value."""
+
+    def one(self) -> None:
+        return None    # a term is its first factor
+
+    def negative(self, h: _Height) -> _Height:
+        return -h
+
+    def constant(self, a: int, b: int, d: int) -> _Height:
+        return _Height((max(abs(a), abs(b), 1) - 1).bit_length(),
+                       (d - 1).bit_length(), not b)
+
+    def times(self, h: Optional[_Height], atom: _Height, k: Optional[int]) -> _Height:
+        if k is not None:
+            atom = atom ** k
+        return atom if h is None else h * atom
+
+    def total(self, terms: List[_Height]) -> _Height:
+        h = terms[0]
+        for t in terms[1:]:
+            h = h + t
+        return h
 
 
 def height_bound(text: str) -> int:
@@ -1000,39 +1074,41 @@ def height_bound(text: str) -> int:
     return max(h.num, h.den) + 1
 
 
-def _coeff_str(c: GaussianRational) -> Tuple[bool, str]:
-    """(negated, body) split used when joining terms with + and -."""
-    if c.b == 0 or c.a == 0:
-        neg = (c.a < 0) or (c.a == 0 and c.b < 0)
-        body = str(-c if neg else c)
-        return neg, body
-    return False, "(" + str(c) + ")"
-
-
-def _monomial_str(varset: VarSet, m: Monomial) -> str:
-    parts = []
-    for name, e in zip(varset.names, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+def _imaginary_str(b: int, d: int) -> str:
+    """b*i/d for b > 0, as `GaussianRational.__str__` writes it."""
+    s = _frac_str(b, d)
+    return "i" if s == "1" else s + "*i"
 
 
 def print_poly(f: Polynomial) -> str:
-    """Deterministic text form: terms descending in the ambient order."""
-    if f.is_zero():
+    """Deterministic text form: terms descending in the ambient order.
+    Each coefficient is written as `GaussianRational.__str__` writes it,
+    from the packed list and the scale: a real or imaginary one with its
+    sign as the joining + or -, any other in parentheses."""
+    if not f._list:
         return "0"
+    a, b, d = f._scale
+    mask = f._pk.mask
+    fields = tuple(zip(f.varset.names, f._pk.shifts))
     pieces = []
-    for k, (m, c) in enumerate(f.terms.items()):
-        neg, body = _coeff_str(c)
-        mono = _monomial_str(f.varset, m)
+    for _, m, (x, y) in f._list:
+        re_, im = a * x - b * y, a * y + b * x
+        if re_ and im:
+            neg = False
+            body = (f"({_frac_str(re_, d)} {'+' if im > 0 else '-'} "
+                    f"{_imaginary_str(abs(im), d)})")
+        elif im:
+            neg, body = im < 0, _imaginary_str(abs(im), d)
+        else:
+            neg, body = re_ < 0, _frac_str(abs(re_), d)
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, s in fields if (e := (m >> s) & mask)])
         if mono:
             text = mono if body == "1" else body + "*" + mono
         else:
             text = body
-        if k == 0:
-            pieces.append("-" + text if neg else text)
-        else:
+        if pieces:
             pieces.append((" - " if neg else " + ") + text)
+        else:
+            pieces.append("-" + text if neg else text)
     return "".join(pieces)

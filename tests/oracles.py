@@ -8,8 +8,10 @@ Groebner basis, a plain float evaluator for the compiled residuals of
 `numeric`, a count of standard monomials for the Hilbert numerators of
 `groebner`, Rabinowitsch's rule for its `radical_member`, the two-pass
 reduction step for its one-pass `_nf` and `_spoly`, argparse for the
-command-line parser `cli._parsed`, and sigma as the paper types it for
-`point_scheme`, which reads sigma off the relations, and the fold of
+command-line parser `cli._parsed`, a walk of the polynomial grammar in
+Polynomial arithmetic for `multipoly.parse_poly`, which gathers each
+term as ints, sigma as the paper types it for `point_scheme`, which
+reads sigma off the relations, and the fold of
 `line_scheme.components_intersection` over Q(i)[g], which certifies the
 table `line_scheme.COMPONENTS_INTERSECTION` that the verify specialises
 in its place.  What the paper prints is in `printed.py`.
@@ -17,6 +19,7 @@ in its place.  What the paper prints is in `printed.py`.
 
 import argparse
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from operator import le
@@ -27,9 +30,10 @@ from qp3.gaussian import gr
 from qp3.fixtures import load_fixtures
 from qp3.groebner import GroebnerBasis, Ideal, buchberger
 from qp3.line_scheme import _psi1_fold
-from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
-                           Polynomial, VarSetMismatchError, _iadd, _ishift,
-                           _primitive, print_poly, substitute)
+from qp3.multipoly import (DEGREVLEX, MAX_NESTING, ExponentOverflowError,
+                           MonomialOrder, PolyParseError, Polynomial,
+                           UnknownVariableError, VarSet, VarSetMismatchError,
+                           _iadd, _ishift, _primitive, print_poly, substitute)
 from qp3.polylinalg import PolyMatrix
 from qp3.quadratic_algebra import M_VARS, MG_VARS
 
@@ -318,3 +322,134 @@ def argparse_parsed(argv: Sequence[str]) -> tuple:
     else:
         question = cli.cmd_lines_through_numeric, gamma, args.format, args.tolerance
     return question, tuple(getattr(args, f) for f in cli.LIMIT_ENV)
+
+
+def _arithmetic_tokens(text: str) -> List[Tuple[str, str, int]]:
+    """The tokens of `text`, one character at a time."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^()/":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        j = i
+        if ch.isdigit():
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+        else:
+            raise PolyParseError(f"unexpected character {ch!r}", i)
+        i = j
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ArithmeticParser:
+    """The grammar of `multipoly` walked with a Polynomial for every value,
+    built by `Polynomial.constant` and `Polynomial.variable` and the
+    arithmetic operators, with the errors `parse_poly` raises."""
+
+    def __init__(self, text, varset, gamma, order):
+        self.tokens, self.k = _arithmetic_tokens(text), 0
+        self.varset, self.gamma, self.order = varset, gamma, order
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def next(self):
+        tok = self.tokens[self.k]
+        if tok[0] != "end":
+            self.k += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
+        return p
+
+    def expr(self) -> Polynomial:
+        negate = self.peek()[0] == "-"
+        if negate:
+            self.next()
+        p = self.term()
+        if negate:
+            p = -p
+        while True:
+            tok = self.peek()
+            if tok[0] == "+":
+                self.next()
+                p = p + self.term()
+            elif tok[0] == "-":
+                self.next()
+                p = p - self.term()
+            else:
+                return p
+
+    def term(self) -> Polynomial:
+        p = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            p = p * self.factor()
+        return p
+
+    def factor(self) -> Polynomial:
+        p = self.atom()
+        if self.peek()[0] == "^":
+            self.next()
+            tok = self.next()
+            if tok[0] != "nat":
+                raise PolyParseError("exponent must be a natural number", tok[2])
+            p = p ** int(tok[1])
+        return p
+
+    def atom(self) -> Polynomial:
+        kind, value, pos = self.next()
+        if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            p = self.expr()
+            self.depth -= 1
+            closing = self.next()
+            if closing[0] != ")":
+                raise PolyParseError("expected ')'", closing[2])
+            return p
+        if kind == "nat":
+            c = gr(int(value))
+            if self.peek()[0] == "/":
+                self.next()
+                den_kind, den, den_pos = self.next()
+                if den_kind != "nat":
+                    raise PolyParseError("expected denominator", den_pos)
+                if not int(den):
+                    raise PolyParseError("division by zero", den_pos)
+                c = gr(Fraction(int(value), int(den)))
+            return Polynomial.constant(self.varset, c, self.order)
+        if kind == "name":
+            if value == "i":
+                return Polynomial.constant(self.varset, gr(0, 1), self.order)
+            if value in self.varset:
+                return Polynomial.variable(self.varset, value, self.order)
+            if value == "g":
+                if self.gamma is None:
+                    raise PolyParseError("placeholder 'g' used but no gamma bound", pos)
+                return Polynomial.constant(self.varset, self.gamma, self.order)
+            raise UnknownVariableError(f"unknown variable {value!r}", pos)
+        raise PolyParseError(f"unexpected token {value!r}", pos)
+
+
+def arithmetic_parse(text: str, varset: VarSet, gamma=None,
+                     order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """What `parse_poly` returns for the same arguments, or raises."""
+    return _ArithmeticParser(text, varset, gamma, order).parse()

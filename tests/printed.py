@@ -11,7 +11,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from qp3.gaussian import ZERO, GaussianRational, gr
 from qp3.groebner import normal_form
 from qp3.line_scheme import (LineSchemeIdeal, _pluecker_gb_M, build_big_matrix,
-                             line_scheme_ideal)
+                             minors_modulo_P)
 from qp3.multipoly import Polynomial, parse_poly, print_poly
 from qp3.polylinalg import PolyMatrix, row_echelon
 from qp3.quadratic_algebra import (M_VARS, MG_VARS, UV_VARS, X_VARS,
@@ -107,7 +107,7 @@ def match_fixture_polys(L: LineSchemeIdeal) -> Dict[int, int]:
     The reference list is matched with its errata applied
     (`LINE_SCHEME_ERRATA`): entry 31 as printed is a unit multiple of no
     minor.  The list was computed from the "right" tensor enumeration, so
-    only `line_scheme_ideal(gamma, "right")` matches in full; the "left"
+    only `minors_modulo_P(gamma, "right")` matches in full; the "left"
     minors match 30 of the 45 quartics.
 
     Raises ValueError when no perfect matching exists.
@@ -178,8 +178,8 @@ def fixture_forensics(gamma: GaussianRational) -> FixtureForensics:
     fixture = parse_line_polys(gamma)
     fix_nf = [normal_form(f, gbP) for f in fixture[1:]]
 
-    left = line_scheme_ideal(gamma, "left").polys[1:]     # normal forms already
-    right = line_scheme_ideal(gamma, "right").polys[1:]
+    left = minors_modulo_P(gamma, "left").polys[1:]     # normal forms already
+    right = minors_modulo_P(gamma, "right").polys[1:]
 
     def unit_match(f, polys):
         """First computed index whose polynomial is a unit multiple of f."""

@@ -25,7 +25,7 @@ from qp3.groebner import Ideal, buchberger, hilbert_dimension_degree, \
 from qp3.quadratic_algebra import M_VARS, X_VARS, make_A
 from qp3.point_scheme import ProjectivePoint, count_points, point_ideal
 from qp3.line_scheme import (component_catalog, line_scheme_ideal,
-                             verify_decomposition)
+                             minors_modulo_P, verify_decomposition)
 from qp3.plucker import (DependentPointsError, line_family, line_from_points,
                          lines_through_point, point_on_line, ruling_lines,
                          surface_containment, line_in_component)
@@ -87,7 +87,7 @@ def test_criterion_2b_reference_line_polynomials():
     failures = []
     for g in GAMMAS_145:
         try:
-            matching = match_fixture_polys(line_scheme_ideal(g, "right"))
+            matching = match_fixture_polys(minors_modulo_P(g, "right"))
             if sorted(matching.values()) != list(range(46)):
                 failures.append(f"gamma {g}: not a bijection onto the 46 "
                                 f"polynomials: {matching}")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -16,8 +17,9 @@ from qp3.line_scheme import (COMPONENTS_INTERSECTION, LINE_SCHEME_NUMERATOR,
                              Component, ComponentCatalog, build_big_matrix,
                              component_catalog, components_intersection,
                              jacobian_smoothness_check, line_scheme_ideal,
-                             pluecker_polynomial, verify_decomposition,
-                             _pluecker_gb_M, _quartic_of_minor, _split_l1)
+                             minors_modulo_P, pluecker_polynomial,
+                             verify_decomposition, _pluecker_gb_M,
+                             _quartic_of_minor, _split_l1)
 from qp3.fixtures import load_fixtures
 from oracles import (certifies_intersection_table, det_bareiss,
                      intersection_over_q_i_g, rank)
@@ -83,7 +85,9 @@ def test_line_scheme_polys_expand_to_the_uv_minors():
     for g in (gr(1), gr(2), gr(4), gr(-4), gr(Fraction(3, 2), 1),
               gr(Fraction(1, 7), Fraction(-2, 3)), gr(0, 2 ** 40)):
         for tensor_order in ("left", "right"):
-            L = line_scheme_ideal(g, tensor_order)
+            L = minors_modulo_P(g, tensor_order)
+            if tensor_order == "left":
+                assert L.polys == line_scheme_ideal(g).polys
             minors = all_minors(build_big_matrix(make_A(g), tensor_order), 8)
             assert len(minors) == len(L.polys) - 1 == 45
             for k, minor in enumerate(minors, start=1):
@@ -169,7 +173,7 @@ def test_reference_list_matches_the_right_minors_over_q_i_g():
     # quartic reduced modulo P over MG_VARS is a unit multiple of a distinct
     # "right" entry over Q(i)[g], 46 of 46; as printed, entry 31 is the
     # one miss
-    L = line_scheme_ideal(None, "right")
+    L = minors_modulo_P(None, "right")
     assert sorted(match_fixture_polys(L).values()) == list(range(46))
     gbP = _pluecker_gb_M(MG_VARS)
     misses = [j for j, f in enumerate(parse_line_polys(None))
@@ -190,7 +194,7 @@ def test_match_fixture_polys_rejects_non_unit_scalar(monkeypatch):
     monkeypatch.setattr(printed, "LINE_SCHEME_POLYS", (
         LINE_SCHEME_POLYS[0], "6*M13*M14*M23*M24") + LINE_SCHEME_POLYS[2:])
     with pytest.raises(ValueError, match="non-unit"):
-        match_fixture_polys(line_scheme_ideal(gr(1), "right"))
+        match_fixture_polys(minors_modulo_P(gr(1), "right"))
 
 
 def test_fixture_forensics_direct_matches_need_a_unit_scalar(monkeypatch):
@@ -469,19 +473,20 @@ def test_the_46_over_q_i_g_specialise_to_each_gamma(text):
     gamma = parse_gamma(text)
     for order in ("left", "right"):
         assert [substitute(f, {"g": gamma}, target=M_VARS)
-                for f in line_scheme_ideal(None, order).polys] == list(
-                    line_scheme_ideal(gamma, order).polys)
+                for f in minors_modulo_P(None, order).polys] == list(
+                    minors_modulo_P(gamma, order).polys)
 
 
 def test_line_scheme_numerator_is_the_series_over_q_i_g():
     """LINE_SCHEME_NUMERATOR is the Hilbert numerator of the 46 over Q(i)(g).
 
-    The 46 over Q(i)[g] are what the commands build with g kept: the dual
-    comes from Cramer's rule on a constant pivot minor, so it, and each of
-    the 45 minors and quartics after it, specialises at g = gamma to the
-    one built at gamma, at every gamma (see the tests above).  A basis G
-    of them under the order that eliminates the M_ij, with g dropped from
-    its leads, is a basis over Q(i)(g) in DEGREVLEX.
+    The 46 over Q(i)[g] are the table the commands read, the pipeline's
+    46 with g kept: the dual comes from Cramer's rule on a constant pivot
+    minor, so it, and each of the 45 minors and quartics after it,
+    specialises at g = gamma to the one built at gamma, at every gamma
+    (see the tests above).  A basis G of them under the order that
+    eliminates the M_ij, with g dropped from its leads, is a basis over
+    Q(i)(g) in DEGREVLEX.
 
     Why a run at one gamma may stop on this numerator: dim L(gamma)_d is
     the rank at gamma of a matrix over Q(i)[g], which cannot exceed its
@@ -519,6 +524,50 @@ def test_components_intersection_is_the_fold_over_q_i_g():
 
 # the 8 gammas of tests/line_verify_digests.json
 DIGEST_GAMMAS = ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3")
+
+
+def test_the_line_scheme_table_is_the_pipeline_over_q_i_g():
+    # the table that line_scheme_ideal parses is minors_modulo_P(None),
+    # polynomial for polynomial and printed, P first
+    built = minors_modulo_P(None).polys
+    assert line_scheme_ideal(None).polys == built
+    assert list(load_fixtures().line_scheme) == [print_poly(f) for f in built]
+
+
+@pytest.mark.parametrize("text", DIGEST_GAMMAS)
+def test_the_line_scheme_table_at_gamma_is_the_pipeline_at_gamma(text):
+    # the proof beside _line_scheme_ideal, checked at the digest gammas,
+    # +-2 and +-4 among them
+    gamma = parse_gamma(text)
+    table, built = line_scheme_ideal(gamma).polys, minors_modulo_P(gamma).polys
+    assert table == built
+    assert [print_poly(f) for f in table] == [print_poly(f) for f in built]
+
+
+@pytest.mark.parametrize("gamma", ["3/2+i", "4"])
+@pytest.mark.parametrize("command", [["line-scheme", "--verify"],
+                                     ["lines-through", "--symbolic"]], ids=" ".join)
+def test_commands_read_the_46_off_the_table(gamma, command, monkeypatch, capsys,
+                                            fresh_caches):
+    # no command computes a minor of the doubled matrix; the counter does
+    # see the pipeline's
+    from qp3 import cli, polylinalg
+
+    calls = []
+    original = polylinalg.all_minors
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qp3") and getattr(mod, "all_minors", None) is original:
+            monkeypatch.setattr(mod, "all_minors", counted)
+    assert cli.main([f"--gamma={gamma}", *command]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert calls == []
+    minors_modulo_P(parse_gamma(gamma))
+    assert calls == [8]
 
 
 @pytest.mark.parametrize("text", DIGEST_GAMMAS)
