@@ -19,7 +19,7 @@ from math import comb
 from pathlib import Path
 
 from qp3.gaussian import gr
-from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly, print_poly
+from qp3.multipoly import DEGREVLEX, Polynomial, VarSet, print_poly
 from qp3.polylinalg import PolyMatrix, all_minors
 from qp3.quadratic_algebra import M_VARS, koszul_dual_relations, m_hat, make_A
 from qp3.fixtures import load_fixtures
@@ -78,8 +78,7 @@ print("=== gamma^2 = 16: L1 splits into the conics L1a and L1b ===")
 # the pencil member q2 - (gamma/2) q1 of L1 is f^2 - h^2 there, and the
 # catalog replaces q2 by f + h and by f - h
 for gv in (4, -4):
-    q1, q2 = (parse_poly(t, M_VARS, gamma=gr(gv))
-              for t in load_fixtures().component_generators["L1"][2:])
+    q1, q2 = load_fixtures().parse_components(gr(gv))["L1"][2:]
     f1, f2 = (component_catalog(gr(gv)).get(n).ideal.generators[-1]
               for n in ("L1a", "L1b"))
     print(f"  gamma = {gv}: q2 - (gamma/2) q1 = ({print_poly(f1)}) * "

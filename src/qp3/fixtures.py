@@ -1,14 +1,17 @@
-"""Golden data (`data/components.json`): the generators of the generic
-line-scheme components L1, L2, L4 and L6a, from which psi1 derives the
-other three, and the 46 polynomials of the line scheme over Q(i)[g],
-which `line_scheme.minors_modulo_P` derives and `line_scheme_ideal`
-reads.
+"""Golden data (`data/components.json`): three tables over Q(i)[g], each
+polynomial a flat list of integer rows that `multipoly.from_rows` alone
+reads.  They are the generators of the generic line-scheme components
+L1, L2, L4 and L6a, from which psi1 derives the other three; the 46
+polynomials of the line scheme, which `line_scheme.minors_modulo_P`
+derives and `line_scheme_ideal` reads; and 14 generators of the seven
+components' intersection, which `line_scheme.verify_decomposition` reads.
 
-Fixture text keeps the parameter symbolic as 'g'; callers bind a concrete
-gamma when they parse.  The lists the paper prints (the 15 point minors,
-the 46 line-scheme polynomials with their errata, the surfaces and the
-displayed matrices) are the tests' oracles (`tests/printed.py`): no
-command reads them, since qp3 builds those lists itself.
+A table is specialised at a concrete gamma, or kept over Q(i)[g] with g
+the last variable (gamma None), by `table_polys`; no text is parsed.
+The tables' text forms, and the lists the paper prints (the 15 point
+minors, the 46 line-scheme polynomials with their errata, the surfaces
+and the displayed matrices), are the tests' oracles (`tests/tables.py`,
+`tests/printed.py`).
 """
 
 from __future__ import annotations
@@ -20,26 +23,37 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational
-from .multipoly import Polynomial, parse_poly
-from .quadratic_algebra import M_VARS, psi1_on_pluecker, with_g
+from .multipoly import Polynomial, from_rows
+from .quadratic_algebra import M_VARS, _PSI1_TABLE, with_g
+
+Rows = Tuple[int, ...]    # one polynomial's integer rows (`from_rows`)
 
 _PSI1_PARTNERS = {"L2": "L3", "L4": "L5", "L6a": "L6b"}   # shipped -> derived
+# psi1 as the signed permutation of the M_ij that `from_rows` applies
+_PSI1_PERM = tuple((M_VARS.index(dst), c.a) for c, dst in map(_PSI1_TABLE.get, M_VARS.names))
+
+
+def table_polys(table: Iterable[Rows], gamma: Optional[GaussianRational],
+                perm: Optional[Tuple[Tuple[int, int], ...]] = None) -> List[Polynomial]:
+    """The polynomials of a table, g bound to gamma on M_VARS, or kept as
+    the last variable of MG_VARS when gamma is None."""
+    return from_rows(table, with_g(M_VARS, gamma), gamma, perm)
 
 
 class FixtureSet(NamedTuple):
-    component_generators: Mapping[str, Tuple[str, ...]]   # L1, L2, L4, L6a -> generators
-    line_scheme: Tuple[str, ...]    # the 46 over Q(i)[g] on MG_VARS, P first
+    component_generators: Mapping[str, Tuple[Rows, ...]]   # L1, L2, L4, L6a -> generators
+    line_scheme: Tuple[Rows, ...]    # the 46, P first
+    components_intersection: Tuple[Rows, ...]    # the 14
 
     def parse_components(self, gamma: Optional[GaussianRational]) -> Dict[str, List[Polynomial]]:
         """The seven generic components' generators in catalog order, g bound
         to gamma or kept as a last variable when gamma is None; L3, L5 and
         L6b are the psi1 images of L2, L4 and L6a, in `_catalog_form`."""
-        vs = with_g(M_VARS, gamma)
         gens = {}
-        for name, texts in self.component_generators.items():
-            gens[name] = [parse_poly(t, vs, gamma=gamma) for t in texts]
+        for name, table in self.component_generators.items():
+            gens[name] = table_polys(table, gamma)
             if name in _PSI1_PARTNERS:
-                gens[_PSI1_PARTNERS[name]] = _catalog_form(map(psi1_on_pluecker, gens[name]))
+                gens[_PSI1_PARTNERS[name]] = _catalog_form(table_polys(table, gamma, _PSI1_PERM))
         return gens
 
 
@@ -51,22 +65,15 @@ def _catalog_form(gens: Iterable[Polynomial]) -> List[Polynomial]:
         p.degree() == 1 and len(p.monomials()) == 1) else len(p.varset))
 
 
-def _frozen(value):
-    """Parsed JSON with every object a read-only mapping and every array
-    a tuple, so the memo of `load_fixtures` cannot be changed."""
-    if isinstance(value, dict):
-        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return tuple(_frozen(v) for v in value)
-    return value
-
-
 @lru_cache(maxsize=1)
 def load_fixtures() -> FixtureSet:
-    """Load the shipped lists.  No text is parsed here: a generator is
-    parsed where `FixtureSet.parse_components` reads it, and the 46 where
-    `line_scheme.line_scheme_ideal` does."""
+    """Load the shipped tables, each polynomial's rows one tuple and the
+    components a read-only mapping, so the memo cannot be changed.  No
+    polynomial is built here: `table_polys` builds them at a gamma."""
     text = resources.files("qp3").joinpath("data", "components.json").read_text()
-    data = _frozen(json.loads(text))
-    return FixtureSet(component_generators=data["components"],
-                      line_scheme=data["line_scheme"])
+    data = json.loads(text)
+    return FixtureSet(
+        component_generators=MappingProxyType({name: tuple(map(tuple, table)) for name, table
+                                               in data["components"].items()}),
+        line_scheme=tuple(map(tuple, data["line_scheme"])),
+        components_intersection=tuple(map(tuple, data["intersection"])))

@@ -484,6 +484,14 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return _poly(f.varset, pk, r, a, b, d * s)
 
 
+def reduces_to_zero(f: Polynomial, G: GroebnerBasis) -> bool:
+    """Whether f lies in the ideal of G: `normal_form` without building
+    the remainder."""
+    if f.varset != G.varset:
+        raise VarSetMismatchError("polynomial and basis on different VarSets")
+    return not _nf(f._packed(G._packing)[0], G._heads, G._packing)[0]
+
+
 def _append(vs: VarSet, polys: Sequence[Polynomial],
             stem: str) -> Tuple[Polynomial, List[Polynomial]]:
     """(t, lifts): a fresh variable t appended last to vs, and polys lifted
@@ -561,10 +569,25 @@ def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
     it is a reduced basis of the ideal it generates in that order, so only
     pairs that involve u or an element derived from it are formed.  That
     basis is dropped; the answer is cached.  u = 0 is a unit iff 1 in I.
+    A nonzero constant is a unit, and a scalar times a monomial of more
+    than one variable, or of a higher power, is one iff each of its
+    variables is: those are asked, and only a lone variable x_k runs
+    Buchberger.
     """
+    if u.varset != I.varset:
+        raise VarSetMismatchError("unit candidate and ideal on different VarSets")
     G = buchberger(I)
     if u.is_zero():
         return G.contains_one()
+    if len(u._list) == 1:
+        pk, m = u._pk, u._list[0][1]
+        fields = [k for k, s in enumerate(pk.shifts) if m >> s & pk.mask]
+        if not fields:
+            return True
+        if m != 1 << pk.shifts[fields[0]]:    # no lone variable
+            names = u.varset.names
+            return all(is_unit_mod(Polynomial.variable(u.varset, names[k], u.order), I)
+                       for k in fields)
     return _buchberger(Ideal(list(G.basis) + [u], I.order), len(G)).contains_one()
 
 
@@ -619,8 +642,8 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
     """Ideal equality by double membership of generators."""
     GI = buchberger(I.with_order(DEGREVLEX))
     GJ = buchberger(J.with_order(DEGREVLEX))
-    return (all(normal_form(g, GI).is_zero() for g in J.generators)
-            and all(normal_form(g, GJ).is_zero() for g in I.generators))
+    return (all(reduces_to_zero(g, GI) for g in J.generators)
+            and all(reduces_to_zero(g, GJ) for g in I.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +656,11 @@ def _minimal(monos: Sequence[int], guard: int) -> Tuple[int, ...]:
     `guard`: int order extends divisibility, so none before a minimal one divides it."""
     out: List[int] = []
     for m in sorted(set(monos)):
-        if all(((m | guard) - g) & guard != guard for g in out):
+        top = m | guard
+        for g in out:
+            if (top - g) & guard == guard:
+                break
+        else:
             out.append(m)
     return tuple(out)
 
@@ -746,7 +773,6 @@ def invert_mod(u: Polynomial, G: GroebnerBasis) -> Polynomial:
         if m == big.var_monomial(t):    # p = t - v, so -p at t = 0 is v
             inv = normal_form(substitute(-p, {t: 0}, target=G.varset,
                                          order=G.order), G)
-            if normal_form(u * inv - Polynomial.constant(G.varset, 1, G.order),
-                           G).is_zero():
+            if reduces_to_zero(u * inv - Polynomial.constant(G.varset, 1, G.order), G):
                 return inv
     raise NotAUnitError("element is not a unit modulo the ideal")

@@ -22,11 +22,13 @@ is no such quartic; the division then raises ValueError
 (MG_VARS) and every step runs over Q(i)[g]: P and its lead are free of g.
 
 That pipeline, `minors_modulo_P`, derives the 46 once, over Q(i)[g]: they
-ship as a table in `data/components.json`, and `line_scheme_ideal`, which
-every command calls, parses the table at gamma.  Tests prove that the
-table is the pipeline's output and that it specialises to the pipeline's
-output at gamma; the pipeline still builds the "right" tensor order,
-which only the reference list needs.
+ship as integer rows in `data/components.json`, and `line_scheme_ideal`,
+which every command calls, builds them from the rows at gamma
+(`fixtures.table_polys`); so does `verify_decomposition` with the 14
+generators of the components' intersection.  No command parses a table's
+text.  Tests prove that the table is the pipeline's output and that it
+specialises to the pipeline's output at gamma; the pipeline still builds
+the "right" tensor order, which only the reference list needs.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from .polylinalg import PolyMatrix, all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _hilbert_data,
                        _homogeneous_basis, buchberger, cached_under_limits,
                        hilbert_dimension_degree, intersect, normal_form,
-                       quotient_dimension)
+                       quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 m_hat, make_A, nonzero_gamma, with_g)
-from .fixtures import load_fixtures
+from .fixtures import load_fixtures, table_polys
 
 
 PLUECKER_POLY_STRING = "M12*M34 - M13*M24 + M14*M23"
@@ -140,15 +142,15 @@ def minors_modulo_P(gamma: Optional[GaussianRational],
 
 
 def line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
-    """The 46 of `minors_modulo_P(gamma)`, P first, read off the table of
-    the 46 over Q(i)[g] (`FixtureSet.line_scheme`) at g = gamma; with gamma
-    None, on MG_VARS."""
+    """The 46 of `minors_modulo_P(gamma)`, P first, built from the rows of
+    the table of the 46 over Q(i)[g] (`FixtureSet.line_scheme`) at
+    g = gamma; with gamma None, on MG_VARS."""
     return _line_scheme_ideal(gamma)
 
 
-# The table is `minors_modulo_P(None)` printed, which tests/test_line_scheme.py
-# checks, and its text parsed at g = gamma is `minors_modulo_P(gamma)` at
-# every gamma != 0, polynomial for polynomial:
+# The table is `minors_modulo_P(None)`, which tests/test_line_scheme.py
+# checks, and its rows at g = gamma are `minors_modulo_P(gamma)` at every
+# gamma != 0, polynomial for polynomial:
 # - the pivot minor of `_dual_forms` over Q(i)[g] is a nonzero constant (the
 #   function raises otherwise), so `_PIVOTS` are the echelon pivots at every
 #   gamma, and `nullspace` at gamma is the image of the forms over Q(i)[g];
@@ -161,8 +163,7 @@ def line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
 # polynomials at 1/7 - 2/3*i and 2^40*i too.
 @lru_cache(maxsize=MEMO_SIZE)
 def _line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
-    vs = with_g(M_VARS, gamma)
-    polys = tuple(parse_poly(t, vs, gamma=gamma) for t in load_fixtures().line_scheme)
+    polys = tuple(table_polys(load_fixtures().line_scheme, gamma))
     return LineSchemeIdeal(gamma=gamma, polys=polys, ideal=Ideal(list(polys)))
 
 
@@ -174,8 +175,9 @@ def _line_scheme_ideal(gamma: Optional[GaussianRational]) -> LineSchemeIdeal:
 # numerator that certifies a basis with no S-pair.
 LINE_SCHEME_NUMERATOR = (1, 0, -1, 0, -45, 154, -215, 156, -60, 10)
 
-# Generators over Q(i)[g] of the intersection of the seven generic
-# components, which tests/test_line_scheme.py computes: the `_psi1_fold` of
+# The table of the intersection of the seven generic components
+# (`FixtureSet.components_intersection`) holds 14 generators over Q(i)[g],
+# which tests/test_line_scheme.py computes: the `_psi1_fold` of
 # `parse_components(None)`, each meet the t-free part of a basis under the
 # order that puts the block (M_ij, t), degrevlex, above g.  Every element
 # of each of the six bases is homogeneous in the M_ij, so it is t-free when
@@ -184,25 +186,6 @@ LINE_SCHEME_NUMERATOR = (1, 0, -1, 0, -45, 154, -215, 156, -60, 10)
 # of Groebner bases under specializations, JSC 1997), and at g = gamma the
 # table generates the intersection of the seven components at gamma; at
 # gamma^2 = 16 that of the eight too, L1a cap L1b being L1 (tested at +-4).
-COMPONENTS_INTERSECTION = (
-    "M12^2*M13*M24 + M13*M24*M34^2",
-    "M14^2*M24^2 - i*M12^2*M14*M34 + i*M14^3*M34 + i*M12*M14*M34^2*g"
-    " - i*M12*M23*M34^2 - i*M14*M34^3",
-    "M14*M24^3 - i*M12^2*M24*M34 + i*M14^2*M24*M34 - i*M24*M34^3",
-    "M12^3 + i*M13^2*M14*g - M12*M14^2 - M12*M23^2 + M12*M13*M24*g"
-    " - i*M23*M24^2 - M12^2*M34*g + M12*M34^2",
-    "M12*M13*M23",
-    "M13^2*M23*g - M14*M24^2 + i*M12^2*M34 - i*M14^2*M34 - i*M23^2*M34"
-    " + i*M13*M24*M34*g - i*M12*M34^2*g + i*M34^3",
-    "M13^2*M24 - M12*M13*M34",
-    "M12*M14*M24",
-    "M13*M14*M24",
-    "M13*M23*M24",
-    "M13*M24^2 - M12*M24*M34",
-    "M13*M14*M34",
-    "M23*M24*M34",
-    "M14*M23 - M13*M24 + M12*M34",
-)
 
 # ---------------------------------------------------------------------------
 # the component catalog of the closed-point decomposition
@@ -364,7 +347,7 @@ def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
     """Whether every one of the 46 lies in `ideal`, that is reduces to zero
     modulo its reduced basis; then V(ideal) lies in V(L)."""
     gb = buchberger(ideal)
-    return all(normal_form(p, gb).is_zero() for p in L.polys)
+    return all(reduces_to_zero(p, gb) for p in L.polys)
 
 
 def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
@@ -375,9 +358,10 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
     hence saturated, and so is I; and each generator f of I has f, or else
     every M_ij * NF(f), in L.  Then I lies in L^sat, which lies in I^sat = I
     (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 4.4; Eisenbud,
-    Commutative Algebra, ch. 18).  The generators of I are
-    COMPONENTS_INTERSECTION at gamma when C is the catalog that
-    `component_catalog` builds, else `components_intersection(C)`."""
+    Commutative Algebra, ch. 18).  The generators of I are the table of
+    the intersection (`FixtureSet.components_intersection`) at gamma when
+    C is the catalog that `component_catalog` builds, else
+    `components_intersection(C)`."""
     if L.gamma != C.gamma:
         raise ValueError("line scheme and catalog built at different gamma")
     poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
@@ -391,14 +375,14 @@ def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> Decompositi
     degrees_sum = sum(d for _, d in comp_h.values())
 
     if C == component_catalog(C.gamma):
-        inter = [parse_poly(t, M_VARS, gamma=C.gamma) for t in COMPONENTS_INTERSECTION]
+        inter = table_polys(load_fixtures().components_intersection, C.gamma)
     else:
         inter = components_intersection(C).generators
     ms = [Polynomial.variable(vs, n) for n in vs.names]
     remainders = (normal_form(f, gb) for f in inter)
     intersection_in_radical = (
         all(len(c.ideal.generators) == len(vs) - 1 - comp_h[c.name][0] for c in C)
-        and all(r.is_zero() or all(normal_form(m * r, gb).is_zero() for m in ms)
+        and all(r.is_zero() or all(reduces_to_zero(m * r, gb) for m in ms)
                 for r in remainders))
     return DecompositionReport(
         gamma=L.gamma,

@@ -787,6 +787,78 @@ def substitute(f: Polynomial,
     return _poly(target, pk, _collected(acc), sa, sb, sd * denom)
 
 
+def from_rows(table: Iterable[Sequence[int]], varset: VarSet,
+              gamma: Optional[GaussianRational] = None,
+              perm: Optional[Sequence[Tuple[int, int]]] = None) -> List[Polynomial]:
+    """The polynomials of a table over Q(i)[g] kept as integer rows.
+
+    Each entry of `table` is one polynomial's rows, flat: a scale a, b,
+    d, then one row per term, the n exponents of the ring's variables,
+    the exponent of g and a Gaussian integer x, y.  The polynomial is
+    (a + b*i)/d times the sum of the terms (x + y*i) * monomial * g^k.
+    With gamma None, g is the last of the n + 1 variables of `varset`;
+    else `varset` has the n others, and g^k is folded into the
+    coefficient as gamma^k.  `perm` is a signed permutation of the n
+    variables, (j, s) for each: variable k goes to s times variable j,
+    s = 1 or -1.  Rows of the wrong length, a scale or coefficient that is
+    zero, an exponent outside [0, 2^15) or a monomial that repeats in one
+    polynomial raises ValueError.
+    """
+    n = len(varset) - (gamma is None)
+    w = n + 3
+    pk = _packing(len(varset), DEGREVLEX)
+    mask, weights, shifts = pk.mask, pk.weights, pk.shifts
+    neg: Tuple[int, ...] = ()
+    if perm is not None:
+        weights = tuple(weights[j] for j, _ in perm) + weights[n:]
+        shifts = tuple(shifts[j] for j, _ in perm) + shifts[n:]
+        neg = tuple(k for k, (_, s) in enumerate(perm) if s == -1)
+    zpow, dpow = [(1, 0)], [1]    # gamma's numerator and denominator to the k
+    out = []
+    for rows in table:
+        if len(rows) < w + 3 or len(rows) % w != 3 or rows[2] <= 0 or not (rows[0] or rows[1]):
+            raise ValueError(f"a table row list needs a scale a, b, d > 0, not zero, "
+                             f"then rows of {w} ints")
+        a, b, d = rows[:3]
+        terms = list(zip(*[iter(rows[3:])] * w))
+        top = 0
+        if gamma is not None:
+            # (x + y*i) * gamma^k = (x + y*i) * zpow[k] * dpow[top - k] / dpow[top]
+            top = max(t[n] for t in terms)
+            while len(zpow) <= top:
+                x, y = zpow[-1]
+                zpow.append((x * gamma.a - y * gamma.b, x * gamma.b + y * gamma.a))
+                dpow.append(dpow[-1] * gamma.d)
+            d *= dpow[top]
+        seen = set()
+        acc: Dict[int, list] = {}
+        for t in terms:
+            e = t[:n + 1]
+            if not 0 <= min(e) <= max(e) <= mask:
+                raise ValueError(f"a table row exponent outside [0, {mask}]: {t}")
+            x, y = t[n + 1], t[n + 2]
+            if not (x or y):
+                raise ValueError(f"a table row with coefficient zero: {t}")
+            seen.add(e)
+            if neg and sum(t[k] for k in neg) & 1:
+                x, y = -x, -y
+            if top:
+                k = t[n]
+                (p, q), c = zpow[k], dpow[top - k]
+                x, y = (x * p - y * q) * c, (x * q + y * p) * c
+            mono = sum(map(lshift, e, shifts))    # with gamma bound, map stops before g
+            entry = acc.get(mono)
+            if entry is None:
+                acc[mono] = [sum(map(mul, e, weights)), x, y]
+            else:
+                entry[1] += x
+                entry[2] += y
+        if len(seen) < len(terms):
+            raise ValueError("a monomial repeats in a table row list")
+        out.append(_poly(varset, pk, _collected(acc), a, b, d))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parser / printer
 # ---------------------------------------------------------------------------

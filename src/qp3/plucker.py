@@ -12,8 +12,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 from .gaussian import GaussianRational, gr
 from .multipoly import Polynomial, VarSet, print_poly, substitute
 from .groebner import (GroebnerBasis, Ideal, buchberger,
-                       hilbert_dimension_degree, is_unit_mod, normal_form,
-                       quotient_dimension)
+                       hilbert_dimension_degree, is_unit_mod,
+                       quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import CHART_VARS, M_VARS, X_VARS
 from .point_scheme import (BASIS_POINTS, ProjectivePoint, symbolic_point,
                            zgamma_ideal)
@@ -172,7 +172,7 @@ def surface_containment(family: LineFamily, surface: Polynomial) -> bool:
         return True
     constraints = [lift(c) for c in family.constraints]
     gb = buchberger(Ideal(constraints, varset=big))
-    return normal_form(image, gb).is_zero()
+    return reduces_to_zero(image, gb)
 
 
 def ruling_lines(quadric: str, param) -> PluckerLine:
@@ -329,12 +329,12 @@ def _check_line_on_branch(comp: Component, scheme_comps: Dict[str, Component],
 
     def on_branch(ideal: Ideal) -> bool:
         return all(
-            normal_form(evaluate_in_M(g, coords, CHART_VARS), branch_gb).is_zero()
+            reduces_to_zero(evaluate_in_M(g, coords, CHART_VARS), branch_gb)
             for g in ideal.generators)
 
     p_sym = symbolic_point()
     contr = incidence_contractions(coords, p_sym)
-    through = all(normal_form(c, branch_gb).is_zero() for c in contr)
+    through = all(reduces_to_zero(c, branch_gb) for c in contr)
     in_comp = on_branch(comp.ideal)
     in_scheme = (in_comp and name in scheme_comps) or any(
         on_branch(c.ideal) for n, c in scheme_comps.items() if n != name)

@@ -215,15 +215,17 @@ def m_hat(A: QuadraticAlgebra, tensor_order: str = "left") -> PolyMatrix:
 # ---------------------------------------------------------------------------
 
 
-def substitution_images(table: Dict[str, Tuple[object, str]],
-                        varset: VarSet) -> Dict[str, Polynomial]:
+def _substitution_images(table: Dict[str, Tuple[object, str]],
+                         varset: VarSet) -> Dict[str, Polynomial]:
     """The `substitute` assignment of a signed variable table: each source
     name goes to c times the named variable of `varset`."""
     return {src: Polynomial(varset, {varset.var_monomial(dst): c})
             for src, (c, dst) in table.items()}
 
 
-# index swap 1<->3, 2<->4 with M_ji = -M_ij sign normalization
+# psi1, the antiautomorphism x1 <-> x3, x2 <-> x4, on the Pluecker
+# coordinates: index swap 1<->3, 2<->4 with M_ji = -M_ij sign normalization.
+# `fixtures` applies it to table rows as a signed permutation
 _PSI1_TABLE = {
     "M12": (ONE, "M34"),
     "M13": (-ONE, "M13"),
@@ -232,16 +234,6 @@ _PSI1_TABLE = {
     "M24": (-ONE, "M24"),
     "M34": (ONE, "M12"),
 }
-# its substitution images, built once for each VarSet it acts on
-_PSI1_IMAGES = {vs: substitution_images(_PSI1_TABLE, vs) for vs in (M_VARS, MG_VARS)}
-
-
-def psi1_on_pluecker(f: Polynomial) -> Polynomial:
-    """Action of the antiautomorphism x1 <-> x3, x2 <-> x4 on the Pluecker
-    coordinates, of f on M_VARS or MG_VARS (g kept); an involution."""
-    if f.varset not in _PSI1_IMAGES:
-        raise ValueError("psi1_on_pluecker expects a polynomial in the M variables")
-    return substitute(f, _PSI1_IMAGES[f.varset])
 
 
 def psi2_on_pluecker(f: Polynomial, s: GaussianRational) -> Polynomial:
@@ -258,7 +250,7 @@ def psi2_on_pluecker(f: Polynomial, s: GaussianRational) -> Polynomial:
         "M24": (s, "M13"),
         "M34": (ONE, "M12"),
     }
-    return substitute(f, substitution_images(table, M_VARS))
+    return substitute(f, _substitution_images(table, M_VARS))
 
 
 def gamma_sign_on_pluecker(f: Polynomial) -> Polynomial:
@@ -267,4 +259,4 @@ def gamma_sign_on_pluecker(f: Polynomial) -> Polynomial:
     if f.varset != M_VARS:
         raise ValueError("expects a polynomial in the M variables")
     table = {n: (-ONE if "2" in n else ONE, n) for n in M_VARS.names}
-    return substitute(f, substitution_images(table, M_VARS))
+    return substitute(f, _substitution_images(table, M_VARS))

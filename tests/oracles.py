@@ -11,10 +11,12 @@ reduction step for its one-pass `_nf` and `_spoly`, argparse for the
 command-line parser `cli._parsed`, a walk of the polynomial grammar in
 Polynomial arithmetic for `multipoly.parse_poly`, which gathers each
 term as ints, sigma as the paper types it for `point_scheme`, which
-reads sigma off the relations, and the fold of
+reads sigma off the relations, the fold of
 `line_scheme.components_intersection` over Q(i)[g], which certifies the
-table `line_scheme.COMPONENTS_INTERSECTION` that the verify specialises
-in its place.  What the paper prints is in `printed.py`.
+table of the intersection that the verify specialises in its place, and
+psi1 as a `substitute` ring map for the signed permutation of table rows
+(`fixtures.parse_components`).  What the paper prints is in `printed.py`;
+the tables' text is in `table_texts.py`.
 """
 
 import argparse
@@ -33,9 +35,9 @@ from qp3.line_scheme import _psi1_fold
 from qp3.multipoly import (DEGREVLEX, MAX_NESTING, ExponentOverflowError,
                            MonomialOrder, PolyParseError, Polynomial,
                            UnknownVariableError, VarSet, VarSetMismatchError,
-                           _iadd, _ishift, _primitive, print_poly, substitute)
+                           _iadd, _ishift, _primitive, substitute)
 from qp3.polylinalg import PolyMatrix
-from qp3.quadratic_algebra import M_VARS, MG_VARS
+from qp3.quadratic_algebra import _PSI1_TABLE, M_VARS, MG_VARS, _substitution_images
 
 
 def det_bareiss(m: PolyMatrix) -> Polynomial:
@@ -253,9 +255,9 @@ def specialises_everywhere(f: Polynomial) -> bool:
                  if m[:k] + m[k + 1:] == lead[:k] + lead[k + 1:]] == [lead])
 
 
-def certifies_intersection_table(table: Sequence[str]) -> bool:
+def certifies_intersection_table(table: Sequence[Polynomial]) -> bool:
     """Whether every element of every basis of `intersection_over_q_i_g`
-    `specialises_everywhere` and `table` is its generators, printed, in
+    `specialises_everywhere` and `table`, on MG_VARS, is its generators, in
     order.  Then, by Kalkbrener (On the stability of Groebner bases under
     specializations, JSC 1997), each basis at g = gamma != 0 is a basis of
     the specialised t*I + (1 - t)*J, whose elements with a t-free lead
@@ -263,7 +265,21 @@ def certifies_intersection_table(table: Sequence[str]) -> bool:
     the intersection of the seven components at gamma."""
     bases, generators = intersection_over_q_i_g()
     return (all(specialises_everywhere(f) for G in bases for f in G)
-            and [print_poly(f) for f in generators] == list(table))
+            and list(generators) == [substitute(f, {}, target=MGT_VARS, order=MGT_ORDER)
+                                     for f in table])
+
+
+# psi1 on the Pluecker coordinates as the ring map of its signed table,
+# built once for each VarSet it acts on
+_PSI1_IMAGES = {vs: _substitution_images(_PSI1_TABLE, vs) for vs in (M_VARS, MG_VARS)}
+
+
+def psi1_on_pluecker(f: Polynomial) -> Polynomial:
+    """Action of the antiautomorphism x1 <-> x3, x2 <-> x4 on the Pluecker
+    coordinates, of f on M_VARS or MG_VARS (g kept); an involution."""
+    if f.varset not in _PSI1_IMAGES:
+        raise ValueError("psi1_on_pluecker expects a polynomial in the M variables")
+    return substitute(f, _PSI1_IMAGES[f.varset])
 
 
 class _ArgumentParser(argparse.ArgumentParser):

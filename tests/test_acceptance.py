@@ -152,8 +152,7 @@ def test_criterion_5_decomposition():
     cat4 = component_catalog(gr(4))
     ok = ok and len(cat4) == 8
     # L1a and L1b cut L1 by the two linear factors of q2 - 2 q1
-    q1, q2 = (parse_poly(t, M_VARS, gamma=gr(4))
-              for t in load_fixtures().component_generators["L1"][2:])
+    q1, q2 = load_fixtures().parse_components(gr(4))["L1"][2:]
     f1, f2 = (cat4.get(name).ideal.generators[-1] for name in ("L1a", "L1b"))
     ok = ok and f1.degree() == f2.degree() == 1 and f1 * f2 == q2 - 2 * q1
     rep4 = verify_decomposition(line_scheme_ideal(gr(4)), cat4)

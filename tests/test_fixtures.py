@@ -1,11 +1,14 @@
+from importlib import resources
+
 import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import parse_poly
 from qp3.quadratic_algebra import M_VARS, X_VARS
-from qp3.fixtures import load_fixtures
+from qp3.fixtures import load_fixtures, table_polys
 
 import printed
+import table_texts
 from printed import (LINE_SCHEME_POLYS, POINT_SCHEME_POLYS, TABLES, parse_line_polys,
                      parse_point_polys)
 
@@ -93,19 +96,89 @@ def test_parse_rejects_fixture_of_wrong_degree(field, k, text, reason, monkeypat
             parse(gamma)
 
 
-def test_loading_parses_no_fixture_text(monkeypatch):
-    # a command that reads only components.json pays for no parse
-    from qp3 import fixtures
+def test_loading_parses_no_fixture_text(monkeypatch, fresh_caches):
+    # loading the tables and building all three at a gamma and over Q(i)[g]
+    # parses no text: the rows are read by multipoly.from_rows alone
+    import sys
+    from qp3 import multipoly
 
     calls = []
-    monkeypatch.setattr(fixtures, "parse_poly",
-                        lambda *a, **k: calls.append(a) or parse_poly(*a, **k))
-    load_fixtures.cache_clear()
-    try:
-        load_fixtures()
-    finally:
-        load_fixtures.cache_clear()
+    original = multipoly.parse_poly
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qp3") and getattr(mod, "parse_poly", None) is original:
+            monkeypatch.setattr(mod, "parse_poly",
+                                lambda *a, **k: calls.append(a) or original(*a, **k))
+    fx = load_fixtures()
+    for gamma in (gr(3), None):
+        fx.parse_components(gamma)
+        table_polys(fx.line_scheme, gamma)
+        table_polys(fx.components_intersection, gamma)
     assert calls == []
+
+
+def test_the_shipped_rows_are_the_text_oracles():
+    # components.json is exactly what tests/table_texts.py writes from the
+    # texts there: a table changed in one place and not the other fails
+    shipped = resources.files("qp3").joinpath("data", "components.json").read_text()
+    assert shipped == table_texts.components_json()
+
+
+def _terms(rows):
+    a, b, d, *body = rows
+    return (a, b, d), [tuple(body[k:k + 9]) for k in range(0, len(body), 9)], len(body) % 9
+
+
+def test_every_shipped_row_is_well_formed():
+    # each polynomial: a scale with d > 0 and a + b*i nonzero, then rows of
+    # the ring's arity (six M_ij, g, and x, y), exponents inside the 15-bit
+    # fields, no zero coefficient and no monomial twice
+    fx = load_fixtures()
+    tables = [*fx.component_generators.values(), fx.line_scheme, fx.components_intersection]
+    assert [len(t) for t in tables] == [4, 4, 4, 4, 46, 14]
+    for table in tables:
+        for rows in table:
+            (a, b, d), terms, rest = _terms(rows)
+            assert d > 0 and (a or b) and terms and not rest
+            assert all(0 <= e < 2 ** 15 for t in terms for e in t[:7])
+            assert all(t[7] or t[8] for t in terms)
+            assert len({t[:7] for t in terms}) == len(terms)
+
+
+MALFORMED = {
+    "arity": (lambda r: r + (0,), "rows of 9 ints"),
+    "no term": (lambda r: r[:3], "scale"),
+    "no scale": (lambda r: r[:2], "scale"),
+    "denominator": (lambda r: r[:2] + (0,) + r[3:], "scale"),
+    "zero scale": (lambda r: (0, 0) + r[2:], "scale"),
+    "wide exponent": (lambda r: r[:3] + (2 ** 15,) + r[4:], "exponent outside"),
+    "negative exponent": (lambda r: r[:3] + (-1,) + r[4:], "exponent outside"),
+    "zero coefficient": (lambda r: r[:10] + (0, 0) + r[12:], "coefficient zero"),
+    "repeated monomial": (lambda r: r + r[3:12], "repeats"),
+}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+def test_a_malformed_row_is_refused(malformed, monkeypatch, fresh_caches):
+    # a bad row in a table stops the builder that reads it with a
+    # ValueError that names what is wrong: the 46 and the components at a
+    # gamma and over Q(i)[g], the intersection in the verify
+    import qp3.line_scheme as ls
+
+    change, reason = MALFORMED[malformed]
+    fx = load_fixtures()
+    bad = change(fx.line_scheme[1])
+    gamma = gr(2)
+    for field, table, build, gammas in (
+            ("line_scheme", (fx.line_scheme[0], bad), ls.line_scheme_ideal, (gamma, None)),
+            ("component_generators", {"L2": (bad,)},
+             lambda g: ls.load_fixtures().parse_components(g), (gamma, None)),
+            ("components_intersection", (bad,), lambda g: ls.verify_decomposition(
+                ls.line_scheme_ideal(g), ls.component_catalog(g)), (gamma,))):
+        mutated = fx._replace(**{field: table})
+        monkeypatch.setattr(ls, "load_fixtures", lambda: mutated)
+        for g in gammas:
+            with pytest.raises(ValueError, match=reason):
+                build(g)
 
 
 def test_memoized_fixtures_are_read_only():

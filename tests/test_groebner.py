@@ -629,6 +629,18 @@ def test_zero_is_a_unit_exactly_modulo_the_unit_ideal(fresh_caches):
     assert not is_unit_mod(zero, Ideal([Polynomial.variable(vs, "x")]))
 
 
+def test_a_monomial_unit_is_read_off_its_variables(fresh_caches):
+    # a constant is a unit at once, x^2*y is one iff x and y are, and a
+    # candidate on another ring is refused, a constant too
+    vs = VarSet(["x", "y"])
+    x, y = (Polynomial.variable(vs, n) for n in "xy")
+    I = Ideal([x * y - 1])
+    assert is_unit_mod(Polynomial.constant(vs, 3), I)
+    assert is_unit_mod(2 * x * x * y, I) and not is_unit_mod(x * y, Ideal([x * x - x]))
+    with pytest.raises(VarSetMismatchError):
+        is_unit_mod(Polynomial.constant(VarSet(["x"]), 3), I)
+
+
 def test_unit_and_inverse_answers_are_cached_per_limits(fresh_caches):
     rho = zgamma_ideal(gr(1))
     G = buchberger(rho)

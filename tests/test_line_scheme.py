@@ -13,17 +13,17 @@ from qp3.groebner import (Ideal, NonHomogeneousError, buchberger, eliminate,
 from qp3.quadratic_algebra import M_VARS, MG_VARS, UV_VARS, make_A
 from qp3.cli import parse_gamma
 import qp3.line_scheme as ls
-from qp3.line_scheme import (COMPONENTS_INTERSECTION, LINE_SCHEME_NUMERATOR,
-                             Component, ComponentCatalog, build_big_matrix,
-                             component_catalog, components_intersection,
+from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, Component, ComponentCatalog,
+                             build_big_matrix, component_catalog, components_intersection,
                              jacobian_smoothness_check, line_scheme_ideal,
                              minors_modulo_P, pluecker_polynomial,
                              verify_decomposition, _pluecker_gb_M,
                              _quartic_of_minor, _split_l1)
-from qp3.fixtures import load_fixtures
+from qp3.fixtures import load_fixtures, table_polys
 from oracles import (certifies_intersection_table, det_bareiss,
                      intersection_over_q_i_g, rank)
 import printed
+import table_texts
 from printed import (LINE_SCHEME_POLYS, displayed_big_matrix, fixture_forensics,
                      match_displayed_big_matrix, match_fixture_polys, parse_line_polys)
 
@@ -227,8 +227,7 @@ def test_gamma4_split_forms():
     for gv, forms in ((4, ("M12 + M14 - M23 - M34", "M12 - M14 + M23 - M34")),
                       (-4, ("M12 + M14 + M23 + M34", "M12 - M14 - M23 + M34"))):
         g = gr(gv)
-        q1, q2 = (parse_poly(t, M_VARS, gamma=g)
-                  for t in load_fixtures().component_generators["L1"][2:])
+        q1, q2 = load_fixtures().parse_components(g)["L1"][2:]
         split = []
         for name, form in zip(("L1a", "L1b"), forms):
             *rest, f = component_catalog(g).get(name).ideal.generators
@@ -240,8 +239,7 @@ def test_gamma4_split_forms():
         assert [c.name for c in component_catalog(g)] == [
             "L1", "L2", "L3", "L4", "L5", "L6a", "L6b"]
     # elsewhere the pencil member is no difference of two squares
-    l1 = [parse_poly(t, M_VARS, gamma=gr(2))
-          for t in load_fixtures().component_generators["L1"]]
+    l1 = load_fixtures().parse_components(gr(2))["L1"]
     with pytest.raises(ValueError, match="does not split"):
         _split_l1(gr(2), l1)
 
@@ -502,8 +500,8 @@ def test_line_scheme_numerator_is_the_series_over_q_i_g():
 
 
 def test_components_intersection_is_the_fold_over_q_i_g():
-    """COMPONENTS_INTERSECTION generates the intersection of the seven
-    generic components at every gamma != 0.
+    """The table of the intersection, its rows over Q(i)[g], generates the
+    intersection of the seven generic components at every gamma != 0.
 
     The fold over Q(i)[g] meets the components as `components_intersection`
     does at one gamma, each basis under the order that puts the block
@@ -518,8 +516,9 @@ def test_components_intersection_is_the_fold_over_q_i_g():
     in order."""
     bases, generators = intersection_over_q_i_g()
     assert [len(G) for G in bases] == [11, 11, 6, 15, 15, 23]
-    assert len(generators) == len(COMPONENTS_INTERSECTION) == 14
-    assert certifies_intersection_table(COMPONENTS_INTERSECTION)
+    table = table_polys(load_fixtures().components_intersection, None)
+    assert len(generators) == len(table) == 14
+    assert certifies_intersection_table(table)
 
 
 # the 8 gammas of tests/line_verify_digests.json
@@ -527,11 +526,11 @@ DIGEST_GAMMAS = ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3")
 
 
 def test_the_line_scheme_table_is_the_pipeline_over_q_i_g():
-    # the table that line_scheme_ideal parses is minors_modulo_P(None),
-    # polynomial for polynomial and printed, P first
+    # the rows that line_scheme_ideal reads are minors_modulo_P(None),
+    # polynomial for polynomial, P first, and so is their text oracle, printed
     built = minors_modulo_P(None).polys
     assert line_scheme_ideal(None).polys == built
-    assert list(load_fixtures().line_scheme) == [print_poly(f) for f in built]
+    assert list(table_texts.LINE_SCHEME) == [print_poly(f) for f in built]
 
 
 @pytest.mark.parametrize("text", DIGEST_GAMMAS)
@@ -570,6 +569,33 @@ def test_commands_read_the_46_off_the_table(gamma, command, monkeypatch, capsys,
     assert calls == [8]
 
 
+@pytest.mark.parametrize("gamma", ["3/2+i", "4"])
+@pytest.mark.parametrize("command", [["line-scheme", "--verify"],
+                                     ["lines-through", "--symbolic"]], ids=" ".join)
+def test_commands_parse_no_table_text(gamma, command, monkeypatch, capsys, fresh_caches):
+    # the three tables are built from their rows; the counter does see a
+    # text of each when it is parsed
+    from qp3 import cli, multipoly
+
+    texts = set(table_texts.LINE_SCHEME) | set(table_texts.COMPONENTS_INTERSECTION) | {
+        t for gens in table_texts.COMPONENTS.values() for t in gens}
+    parsed = []
+    original = multipoly.parse_poly
+
+    def counted(text, *args, **kwargs):
+        parsed.append(text)
+        return original(text, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qp3") and getattr(mod, "parse_poly", None) is original:
+            monkeypatch.setattr(mod, "parse_poly", counted)
+    assert cli.main([f"--gamma={gamma}", *command]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert not texts & set(parsed)
+    multipoly.parse_poly(table_texts.LINE_SCHEME[1], MG_VARS)
+    assert texts & set(parsed) == {table_texts.LINE_SCHEME[1]}
+
+
 @pytest.mark.parametrize("text", DIGEST_GAMMAS)
 def test_the_table_at_gamma_is_the_folded_intersection(text):
     # a cross-check of the proof above, and at gamma = +-4, where the
@@ -584,7 +610,7 @@ def test_the_table_at_gamma_is_the_folded_intersection(text):
         for name, gens in fixtures.parse_components(gamma).items()}
     C = component_catalog(gamma)
     assert len(C) == (8 if gamma * gamma == gr(16) else 7)
-    table = Ideal([parse_poly(t, M_VARS, gamma=gamma) for t in COMPONENTS_INTERSECTION])
+    table = Ideal(table_polys(load_fixtures().components_intersection, gamma))
     assert ideals_equal(table, components_intersection(C))
 
 

@@ -15,13 +15,13 @@ from qp3.quadratic_algebra import (M_VARS, MG_VARS, X_VARS, XY_VARS, Z_VARS,
                                    ZW_VARS, QuadraticAlgebra, RankDeficiencyError,
                                    ZeroGammaError, gamma_sign_on_pluecker,
                                    koszul_dual_relations, m_hat, make_A,
-                                   psi1_on_pluecker, psi2_on_pluecker,
+                                   psi2_on_pluecker,
                                    relation_matrix, with_g, _PIVOTS, _coefficients)
 from qp3.cli import parse_gamma
 from qp3.line_scheme import component_catalog, line_scheme_ideal
 from qp3.fixtures import _catalog_form, load_fixtures
 
-from oracles import rank
+from oracles import psi1_on_pluecker, rank
 from printed import TABLES
 
 I = gr(0, 1)

@@ -17,9 +17,9 @@ sympy = pytest.importorskip("sympy")
 from qp3.gaussian import gr  # noqa: E402
 from qp3.groebner import (Ideal, buchberger, eliminate, intersect,  # noqa: E402
                           normal_form, saturate)
-from qp3.line_scheme import (COMPONENTS_INTERSECTION,  # noqa: E402
-                             component_catalog, components_intersection,
-                             line_scheme_ideal)
+from qp3.fixtures import load_fixtures, table_polys  # noqa: E402
+from qp3.line_scheme import (component_catalog,  # noqa: E402
+                             components_intersection, line_scheme_ideal)
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial,  # noqa: E402
                            VarSet, parse_poly, print_poly)
 from qp3.quadratic_algebra import M_VARS, XY_VARS, make_A  # noqa: E402
@@ -117,7 +117,7 @@ def test_components_intersection_matches_sympy(gamma):
     # qp3 folds the intersection psi1 partners first (L2 with L3, L4 with
     # L5, L6a with L6b, and L1a with L1b at gamma = 4), sympy as a chain
     # from the left; the reduced basis of the intersection is unique, and
-    # COMPONENTS_INTERSECTION at gamma, which the verify reads, has it too
+    # the table of the intersection at gamma, which the verify reads, has it too
     names = M_VARS.names
     symbols = sympy.symbols(names)
     t = sympy.Symbol("t")
@@ -129,7 +129,7 @@ def test_components_intersection_matches_sympy(gamma):
     theirs = sympy.groebner(inter, *symbols, order="grevlex", domain="QQ_I")
     expected = {print_poly(_from_sympy(p, M_VARS).monic()) for p in theirs.polys}
     assert {print_poly(g) for g in buchberger(components_intersection(C))} == expected
-    table = [parse_poly(t, M_VARS, gamma=gamma) for t in COMPONENTS_INTERSECTION]
+    table = table_polys(load_fixtures().components_intersection, gamma)
     assert {print_poly(g) for g in buchberger(Ideal(table))} == expected
 
 

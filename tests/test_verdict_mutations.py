@@ -1,7 +1,7 @@
 """Every printed sigma check of `point-scheme`, its check that the chart
 x1 = x2 = x3 = 0 is e4, and the cover check of `line-scheme --verify` read
-off `line_scheme.COMPONENTS_INTERSECTION` can say NO, and so can the test
-that certifies that table.
+off the table of the components' intersection can say NO, and so can the
+test that certifies that table.
 
 For each check a seeded mutation of the data the check reads turns it
 False, and the mutation is shown to change that data:
@@ -24,14 +24,16 @@ import pytest
 import qp3.line_scheme as ls
 import qp3.point_scheme as ps
 from qp3 import cli
+from qp3.fixtures import load_fixtures, table_polys
 from qp3.gaussian import gr
 from qp3.groebner import Ideal, buchberger, normal_form
-from qp3.multipoly import Polynomial, parse_poly, print_poly
+from qp3.multipoly import Polynomial, parse_poly
 from qp3.point_scheme import count_points, zgamma_ideal
 from oracles import (MGT_ORDER, MGT_VARS, certifies_intersection_table, rank,
                      specialises_everywhere)
-from qp3.quadratic_algebra import (CHART_VARS, M_VARS, X_VARS, XY_VARS,
+from qp3.quadratic_algebra import (CHART_VARS, M_VARS, MG_VARS, X_VARS, XY_VARS,
                                    QuadraticAlgebra, make_A)
+from table_texts import rows
 
 GAMMA = gr(Fraction(3, 2), 1)
 SEED = 1990
@@ -154,13 +156,16 @@ def test_the_cli_says_no_under_a_mutation(monkeypatch, fresh_caches):
 
 def test_a_generator_outside_the_intersection_turns_the_cover_false(
         monkeypatch, fresh_caches):
-    """M12, added to the table, lies outside the intersection: its normal
-    form modulo the table's basis is nonzero.  The cover check then reads
-    False, and the command exits 2."""
-    table = Ideal([parse_poly(t, M_VARS, gamma=GAMMA) for t in ls.COMPONENTS_INTERSECTION])
+    """M12, added to the table's rows, lies outside the intersection: its
+    normal form modulo the table's basis is nonzero.  The cover check then
+    reads False, and the command exits 2."""
+    fx = load_fixtures()
+    table = Ideal(table_polys(fx.components_intersection, GAMMA))
     m12 = Polynomial.variable(M_VARS, "M12")
     assert not normal_form(m12, buchberger(table)).is_zero()
-    monkeypatch.setattr(ls, "COMPONENTS_INTERSECTION", ls.COMPONENTS_INTERSECTION + ("M12",))
+    mutated = fx._replace(components_intersection=fx.components_intersection + (
+        tuple(rows(Polynomial.variable(MG_VARS, "M12"))),))
+    monkeypatch.setattr(ls, "load_fixtures", lambda: mutated)
     report = ls.verify_decomposition(ls.line_scheme_ideal(GAMMA), ls.component_catalog(GAMMA))
     assert report.poly_in_components and not report.intersection_in_radical
     assert not report.ok
@@ -175,16 +180,15 @@ def test_a_generator_outside_the_intersection_turns_the_cover_false(
 
 def test_the_table_certificate_refuses_a_dropped_or_changed_generator():
     rng = random.Random(SEED)
-    table = ls.COMPONENTS_INTERSECTION
+    table = table_polys(load_fixtures().components_intersection, None)
     assert certifies_intersection_table(table)
     k = rng.randrange(len(table))
     assert not certifies_intersection_table(table[:k] + table[k + 1:])
-    f = parse_poly(table[k], MGT_VARS, order=MGT_ORDER)
+    f = table[k]
     m = rng.choice(f.monomials())
-    changed = f + _scalar(rng) * Polynomial(MGT_VARS, {m: gr(1)}, MGT_ORDER)
+    changed = f + _scalar(rng) * Polynomial(MG_VARS, {m: gr(1)})
     assert sorted(changed.monomials()) == sorted(f.monomials()) and changed != f
-    assert not certifies_intersection_table(
-        table[:k] + (print_poly(changed),) + table[k + 1:])
+    assert not certifies_intersection_table(table[:k] + [changed] + table[k + 1:])
 
 
 @pytest.mark.parametrize("text, ok", [
