@@ -170,7 +170,7 @@ def cmd_line_scheme(gamma, fmt, verify: bool) -> Tuple[str, int]:
     }
     ok = True
     if verify:
-        decomposition = verify_decomposition(L, catalog)
+        decomposition = verify_decomposition(gamma)
         payload["decomposition"] = decomposition.to_json_dict()
         ok = decomposition.ok
 

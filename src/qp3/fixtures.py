@@ -17,8 +17,8 @@ and the displayed matrices), are the tests' oracles (`tests/tables.py`,
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -70,8 +70,9 @@ def load_fixtures() -> FixtureSet:
     """Load the shipped tables, each polynomial's rows one tuple and the
     components a read-only mapping, so the memo cannot be changed.  No
     polynomial is built here: `table_polys` builds them at a gamma."""
-    text = resources.files("qp3").joinpath("data", "components.json").read_text()
-    data = json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "components.json"),
+              encoding="utf-8") as f:
+        data = json.load(f)
     return FixtureSet(
         component_generators=MappingProxyType({name: tuple(map(tuple, table)) for name, table
                                                in data["components"].items()}),

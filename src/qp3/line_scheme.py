@@ -42,7 +42,7 @@ from .multipoly import (Polynomial, VarSet, _wrap, parse_poly, print_poly,
 from .polylinalg import PolyMatrix, all_minors
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, _hilbert_data,
                        _homogeneous_basis, buchberger, cached_under_limits,
-                       hilbert_dimension_degree, intersect, normal_form,
+                       hilbert_dimension_degree, normal_form,
                        quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import (M_VARS, UV_VARS, Z_VARS, QuadraticAlgebra,
                                 m_hat, make_A, nonzero_gamma, with_g)
@@ -177,15 +177,16 @@ LINE_SCHEME_NUMERATOR = (1, 0, -1, 0, -45, 154, -215, 156, -60, 10)
 
 # The table of the intersection of the seven generic components
 # (`FixtureSet.components_intersection`) holds 14 generators over Q(i)[g],
-# which tests/test_line_scheme.py computes: the `_psi1_fold` of
-# `parse_components(None)`, each meet the t-free part of a basis under the
-# order that puts the block (M_ij, t), degrevlex, above g.  Every element
-# of each of the six bases is homogeneous in the M_ij, so it is t-free when
-# its lead is, and has a leading coefficient c*g^k, c in Q(i) nonzero.  So
-# each basis stays one at every gamma != 0 (Kalkbrener, On the stability
-# of Groebner bases under specializations, JSC 1997), and at g = gamma the
-# table generates the intersection of the seven components at gamma; at
-# gamma^2 = 16 that of the eight too, L1a cap L1b being L1 (tested at +-4).
+# which tests/test_line_scheme.py computes: the psi1-first fold of
+# `parse_components(None)` (`_psi1_fold` in tests/oracles.py), each meet the
+# t-free part of a basis under the order that puts the block (M_ij, t),
+# degrevlex, above g.  Every element of each of the six bases is homogeneous
+# in the M_ij, so it is t-free when its lead is, and has a leading
+# coefficient c*g^k, c in Q(i) nonzero.  So each basis stays one at every
+# gamma != 0 (Kalkbrener, On the stability of Groebner bases under
+# specializations, JSC 1997), and at g = gamma the table generates the
+# intersection of the seven components at gamma; at gamma^2 = 16 that of
+# the eight too, L1a cap L1b being L1 (tested at +-4).
 
 # ---------------------------------------------------------------------------
 # the component catalog of the closed-point decomposition
@@ -325,24 +326,6 @@ class DecompositionReport(NamedTuple):
         }
 
 
-def _psi1_fold(level: List, meet):
-    """`level` folded by `meet` ψ1 partners first (the pairs
-    `psi1_on_pluecker` swaps): adjacent pairs counted from the end, an odd
-    first one carried up, so the catalog's level one is L1, L2∩L3, L4∩L5,
-    L6a∩L6b (L1a∩L1b at γ² = 16)."""
-    while len(level) > 1:
-        odd = len(level) % 2
-        level = level[:odd] + [meet(*level[k:k + 2]) for k in range(odd, len(level), 2)]
-    return level[0]
-
-
-def components_intersection(C: ComponentCatalog) -> Ideal:
-    """The intersection of the component ideals, folded by `_psi1_fold`.
-    Its generators are the reduced basis that `intersect` returns, which
-    does not depend on the bracketing."""
-    return _psi1_fold([comp.ideal for comp in C], intersect)
-
-
 def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
     """Whether every one of the 46 lies in `ideal`, that is reduces to zero
     modulo its reduced basis; then V(ideal) lies in V(L)."""
@@ -350,34 +333,26 @@ def scheme_in_ideal(L: LineSchemeIdeal, ideal: Ideal) -> bool:
     return all(reduces_to_zero(p, gb) for p in L.polys)
 
 
-def verify_decomposition(L: LineSchemeIdeal, C: ComponentCatalog) -> DecompositionReport:
-    """Both inclusions of the decomposition as schemes, L^sat = I for I the
-    intersection of the component ideals L_k, plus the dimension and degree
+def verify_decomposition(gamma: GaussianRational) -> DecompositionReport:
+    """Both inclusions of the decomposition as schemes, L^sat = I for L
+    `line_scheme_ideal(gamma)` and I the intersection of the component
+    ideals L_k of `component_catalog(gamma)`, plus the dimension and degree
     bookkeeping; every clause is reported separately.  L lies in each L_k.
     Each L_k has as many generators as its codimension, so it is unmixed,
     hence saturated, and so is I; and each generator f of I has f, or else
     every M_ij * NF(f), in L.  Then I lies in L^sat, which lies in I^sat = I
     (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 4.4; Eisenbud,
-    Commutative Algebra, ch. 18).  The generators of I are the table of
-    the intersection (`FixtureSet.components_intersection`) at gamma when
-    C is the catalog that `component_catalog` builds, else
-    `components_intersection(C)`."""
-    if L.gamma != C.gamma:
-        raise ValueError("line scheme and catalog built at different gamma")
+    Commutative Algebra, ch. 18).  The basis of L is certified by
+    `LINE_SCHEME_NUMERATOR`, and the generators of I are the table of the
+    intersection (`FixtureSet.components_intersection`) at gamma."""
+    L, C = line_scheme_ideal(gamma), component_catalog(gamma)
     poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
-
-    # the numerator bounds the series of the 46 that line_scheme_ideal
-    # builds, in DEGREVLEX; any other L must be homogeneous
-    built = L.ideal == line_scheme_ideal(L.gamma).ideal
-    gb = buchberger(L.ideal, LINE_SCHEME_NUMERATOR) if built else _homogeneous_basis(L.ideal)
+    gb = buchberger(L.ideal, LINE_SCHEME_NUMERATOR)
     vs, hd = L.ideal.varset, _hilbert_data(gb)[:2]
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())
 
-    if C == component_catalog(C.gamma):
-        inter = table_polys(load_fixtures().components_intersection, C.gamma)
-    else:
-        inter = components_intersection(C).generators
+    inter = table_polys(load_fixtures().components_intersection, C.gamma)
     ms = [Polynomial.variable(vs, n) for n in vs.names]
     remainders = (normal_form(f, gb) for f in inter)
     intersection_in_radical = (

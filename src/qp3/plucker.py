@@ -355,17 +355,12 @@ def _pairwise_distinct(lines: List[Tuple[Polynomial, ...]],
         for c1, c2 in combinations(lines, 2))
 
 
-def lines_through_point(point: Union[str, ProjectivePoint, None],
-                        gamma: GaussianRational) -> SixLinesReport:
+def lines_through_point(point: str, gamma: GaussianRational) -> SixLinesReport:
     """Count and verify the lines of the line scheme through a point.
 
-    point: 'e1'..'e4' (or the ProjectivePoint) for the basis points, or
-    None / 'generic' for the symbolic generic point of Z_gamma.
+    point: 'e1'..'e4' for the basis points, or 'generic' for the symbolic
+    generic point of Z_gamma.
     """
-    if point is None:
-        point = "generic"
-    elif isinstance(point, ProjectivePoint):
-        point = next((n for n, bp in BASIS_POINTS.items() if point == bp), None)
     if point not in ("generic", *BASIS_POINTS):
         raise ValueError("point must be a basis point or 'generic'")
     catalog = component_catalog(gamma)

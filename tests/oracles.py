@@ -11,12 +11,13 @@ reduction step for its one-pass `_nf` and `_spoly`, argparse for the
 command-line parser `cli._parsed`, a walk of the polynomial grammar in
 Polynomial arithmetic for `multipoly.parse_poly`, which gathers each
 term as ints, sigma as the paper types it for `point_scheme`, which
-reads sigma off the relations, the fold of
-`line_scheme.components_intersection` over Q(i)[g], which certifies the
-table of the intersection that the verify specialises in its place, and
-psi1 as a `substitute` ring map for the signed permutation of table rows
-(`fixtures.parse_components`).  What the paper prints is in `printed.py`;
-the tables' text is in `table_texts.py`.
+reads sigma off the relations, the psi1-first fold of a catalog's
+components (`components_intersection`), at one gamma and over Q(i)[g],
+which certifies the table of the intersection that the verify
+specialises in its place, and psi1 as a `substitute` ring map for the
+signed permutation of table rows (`fixtures.parse_components`).  What
+the paper prints is in `printed.py`; the tables' text is in
+`table_texts.py`.
 """
 
 import argparse
@@ -30,8 +31,8 @@ from typing import List, Mapping, Sequence, Tuple
 from qp3 import cli
 from qp3.gaussian import gr
 from qp3.fixtures import load_fixtures
-from qp3.groebner import GroebnerBasis, Ideal, buchberger
-from qp3.line_scheme import _psi1_fold
+from qp3.groebner import GroebnerBasis, Ideal, buchberger, intersect
+from qp3.line_scheme import ComponentCatalog
 from qp3.multipoly import (DEGREVLEX, MAX_NESTING, ExponentOverflowError,
                            MonomialOrder, PolyParseError, Polynomial,
                            UnknownVariableError, VarSet, VarSetMismatchError,
@@ -215,6 +216,24 @@ def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     gens = [substitute(g, {}, target=big, order=DEGREVLEX)
             for g in (*I.generators, f)]
     return buchberger(Ideal(gens[:-1] + [1 - t * gens[-1]], DEGREVLEX)).contains_one()
+
+
+def _psi1_fold(level: List, meet):
+    """`level` folded by `meet` ψ1 partners first (the pairs
+    `psi1_on_pluecker` swaps): adjacent pairs counted from the end, an odd
+    first one carried up, so the catalog's level one is L1, L2∩L3, L4∩L5,
+    L6a∩L6b (L1a∩L1b at γ² = 16)."""
+    while len(level) > 1:
+        odd = len(level) % 2
+        level = level[:odd] + [meet(*level[k:k + 2]) for k in range(odd, len(level), 2)]
+    return level[0]
+
+
+def components_intersection(C: ComponentCatalog) -> Ideal:
+    """The intersection of the component ideals, folded by `_psi1_fold`.
+    Its generators are the reduced basis that `intersect` returns, which
+    does not depend on the bracketing."""
+    return _psi1_fold([comp.ideal for comp in C], intersect)
 
 
 # the M_ij, g and t, ordered with the block (M_ij, t), degrevlex, above g

@@ -147,7 +147,7 @@ def test_criterion_5_decomposition():
         g = gr(gv)
         cat = component_catalog(g)
         ok = ok and len(cat) == 7
-        rep = verify_decomposition(line_scheme_ideal(g), cat)
+        rep = verify_decomposition(g)
         ok = ok and rep.poly_in_components and rep.intersection_in_radical
     cat4 = component_catalog(gr(4))
     ok = ok and len(cat4) == 8
@@ -155,7 +155,7 @@ def test_criterion_5_decomposition():
     q1, q2 = load_fixtures().parse_components(gr(4))["L1"][2:]
     f1, f2 = (cat4.get(name).ideal.generators[-1] for name in ("L1a", "L1b"))
     ok = ok and f1.degree() == f2.degree() == 1 and f1 * f2 == q2 - 2 * q1
-    rep4 = verify_decomposition(line_scheme_ideal(gr(4)), cat4)
+    rep4 = verify_decomposition(gr(4))
     ok = ok and rep4.poly_in_components and rep4.intersection_in_radical
     _report("criterion 5 (component decomposition)", ok)
     assert ok

@@ -215,9 +215,9 @@ def test_verification_failure_exit(monkeypatch, capsys, fresh_caches):
 
     real = ls.verify_decomposition
 
-    def broken(L, C):
+    def broken(gamma):
         # reports are frozen: build a changed copy, never assign
-        return real(L, C)._replace(degrees_sum=0)
+        return real(gamma)._replace(degrees_sum=0)
 
     monkeypatch.setattr(ls, "verify_decomposition", broken)
     argv = ["--gamma", "1", "line-scheme", "--verify"]
@@ -321,8 +321,7 @@ def test_numeric_refusal_is_not_cached(capsys):
 
 def test_reports_are_frozen():
     # memos hand out the same report to every caller, so none may change it
-    from qp3.line_scheme import (component_catalog, line_scheme_ideal,
-                                 verify_decomposition)
+    from qp3.line_scheme import verify_decomposition
     from qp3.plucker import lines_through_point
     from qp3.point_scheme import count_points
     from qp3.quadratic_algebra import make_A
@@ -330,8 +329,7 @@ def test_reports_are_frozen():
     six = lines_through_point("generic", gr(1))
     reports = {
         "distinct_count": count_points(make_A(gr(1))),
-        "degrees_sum": verify_decomposition(line_scheme_ideal(gr(1)),
-                                            component_catalog(gr(1))),
+        "degrees_sum": verify_decomposition(gr(1)),
         "total": six,
         "distinct": six.branches[0],
         "in_line_scheme": six.branches[0].lines[0],

@@ -21,10 +21,9 @@ from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
 from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
 from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, component_catalog,
-                             components_intersection, line_scheme_ideal,
-                             verify_decomposition)
-from oracles import (nf_two_pass, radical_member_rabinowitsch, spoly_two_pass,
-                     staircase_counts)
+                             line_scheme_ideal, verify_decomposition)
+from oracles import (components_intersection, nf_two_pass,
+                     radical_member_rabinowitsch, spoly_two_pass, staircase_counts)
 from printed import parse_point_polys
 
 
@@ -121,7 +120,7 @@ def test_line_scheme_saturation_identity(gamma):
     assert (sum(normal_form(f, gb).is_zero() for f in inter), len(inter)) == (4, 14)
     assert all(normal_form(Polynomial.variable(M_VARS, n) * f, gb).is_zero()
                for f in inter for n in M_VARS.names)
-    assert verify_decomposition(L, C).intersection_in_radical
+    assert verify_decomposition(gamma).intersection_in_radical
 
 
 @pytest.mark.parametrize("gamma", [gr(1), gr(-4), gr(Fraction(3, 2), 1)],
@@ -930,8 +929,7 @@ def test_line_scheme_verification_s_pair_count(fresh_caches, monkeypatch, gamma)
     # off COMPONENTS_INTERSECTION, not folded (218, 225 and 218 before,
     # all of them the fold's, pinned below)
     calls = _recorded_spolys(monkeypatch)
-    assert verify_decomposition(line_scheme_ideal(gamma),
-                                component_catalog(gamma)).ok
+    assert verify_decomposition(gamma).ok
     assert len(calls) == 0
 
 
@@ -1046,5 +1044,5 @@ def test_line_scheme_verification_runs_one_basis_of_the_46(fresh_caches, monkeyp
         return core(I, *args)
 
     monkeypatch.setattr(groebner, "_buchberger", counted)
-    assert verify_decomposition(L, component_catalog(gamma)).ok
+    assert verify_decomposition(gamma).ok
     assert runs.count(True) == 1

@@ -8,20 +8,20 @@ from qp3.gaussian import gr
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
                            parse_poly, print_poly, substitute)
 from qp3.polylinalg import PolyMatrix, all_minors
-from qp3.groebner import (Ideal, NonHomogeneousError, buchberger, eliminate,
+from qp3.groebner import (Ideal, buchberger, eliminate,
                           hilbert_numerator, ideals_equal, intersect, normal_form)
 from qp3.quadratic_algebra import M_VARS, MG_VARS, UV_VARS, make_A
 from qp3.cli import parse_gamma
 import qp3.line_scheme as ls
 from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, Component, ComponentCatalog,
-                             build_big_matrix, component_catalog, components_intersection,
+                             build_big_matrix, component_catalog,
                              jacobian_smoothness_check, line_scheme_ideal,
                              minors_modulo_P, pluecker_polynomial,
                              verify_decomposition, _pluecker_gb_M,
                              _quartic_of_minor, _split_l1)
 from qp3.fixtures import load_fixtures, table_polys
-from oracles import (certifies_intersection_table, det_bareiss,
-                     intersection_over_q_i_g, rank)
+from oracles import (certifies_intersection_table, components_intersection,
+                     det_bareiss, intersection_over_q_i_g, rank)
 import printed
 import table_texts
 from printed import (LINE_SCHEME_POLYS, displayed_big_matrix, fixture_forensics,
@@ -246,9 +246,7 @@ def test_gamma4_split_forms():
 
 def test_verify_decomposition():
     for gv in (1, 4):
-        L = line_scheme_ideal(gr(gv))
-        C = component_catalog(gr(gv))
-        rep = verify_decomposition(L, C)
+        rep = verify_decomposition(gr(gv))
         assert rep.ok
         assert rep.hilbert == (1, 20)
         assert rep.degrees_sum == 20
@@ -257,20 +255,52 @@ def test_verify_decomposition():
 _GAMMAS = {"3/2+i": gr(Fraction(3, 2), 1), "4": gr(4)}
 
 
+def _verified_with(monkeypatch, gamma, catalog=None, scheme=None):
+    """`verify_decomposition(gamma)` with the builders returning `catalog`
+    or `scheme` in place of their own.  A catalog comes with its own table
+    of the intersection: the rows of its oracle fold."""
+    if scheme is not None:
+        monkeypatch.setattr(ls, "line_scheme_ideal", lambda g: scheme)
+    if catalog is not None:
+        monkeypatch.setattr(ls, "component_catalog", lambda g: catalog)
+        fx = load_fixtures()
+        table = tuple(tuple(table_texts.rows(substitute(f, {}, target=MG_VARS)))
+                      for f in components_intersection(catalog).generators)
+        monkeypatch.setattr(ls, "load_fixtures",
+                            lambda: fx._replace(components_intersection=table))
+    return verify_decomposition(gamma)
+
+
 @pytest.mark.parametrize("gamma, dropped", [
     (g, c.name) for g in _GAMMAS for c in component_catalog(_GAMMAS[g])])
-def test_verify_decomposition_negative_control(gamma, dropped):
-    L = line_scheme_ideal(_GAMMAS[gamma])
+def test_verify_decomposition_negative_control(monkeypatch, gamma, dropped):
     C = component_catalog(_GAMMAS[gamma])
     truncated = ComponentCatalog(
         gamma=C.gamma, components=tuple(c for c in C if c.name != dropped))
-    rep = verify_decomposition(L, truncated)
+    rep = _verified_with(monkeypatch, C.gamma, catalog=truncated)
     assert rep.poly_in_components
     assert not rep.intersection_in_radical
     assert not rep.ok
 
 
-def test_verify_decomposition_refuses_an_embedded_point():
+@pytest.mark.parametrize("gamma", _GAMMAS)
+def test_verify_decomposition_refuses_a_doubled_component(monkeypatch, gamma):
+    # L2 replaced by a second copy of L3: L lies in every component, each
+    # is a complete intersection of dimension one, and the degrees still
+    # sum to 20, so only the cover clause sees that L2 is missing
+    C = component_catalog(_GAMMAS[gamma])
+    doubled = ComponentCatalog(gamma=C.gamma, components=tuple(
+        c._replace(ideal=C.get("L3").ideal) if c.name == "L2" else c for c in C))
+    rep = _verified_with(monkeypatch, C.gamma, catalog=doubled)
+    assert rep.poly_in_components
+    assert all(rep.component_hilbert[c.name][0] == 1 and len(c.ideal.generators) == 4
+               for c in doubled)
+    assert rep.hilbert == (1, 20) and rep.degrees_sum == 20
+    assert not rep.intersection_in_radical
+    assert not rep.ok
+
+
+def test_verify_decomposition_refuses_an_embedded_point(monkeypatch):
     # L cap m_p^2, p a point of the conic L6a on no other component: the
     # same zero set and Hilbert polynomial as L, but its saturation is the
     # intersection of the components cap m_p^2, which misses the
@@ -285,32 +315,21 @@ def test_verify_decomposition_refuses_an_embedded_point():
     m34 = Polynomial.variable(M_VARS, "M34")
     lin = [Polynomial.variable(M_VARS, n) - m34 * p[n] for n in M_VARS.names[:-1]]
     J = intersect(L.ideal, Ideal([a * b for k, a in enumerate(lin) for b in lin[k:]]))
-    rep = verify_decomposition(L._replace(polys=J.generators, ideal=J), C)
+    rep = _verified_with(monkeypatch, gamma, scheme=L._replace(polys=J.generators, ideal=J))
     assert rep.poly_in_components and rep.hilbert == (1, 20) and rep.degrees_sum == 20
     assert not rep.intersection_in_radical
     assert not rep.ok
 
 
-def test_verify_decomposition_refuses_an_inhomogeneous_scheme():
-    # the Hilbert data of an L that line_scheme_ideal did not build is
-    # that of hilbert_dimension_degree, which needs homogeneous generators
-    L = line_scheme_ideal(gr(1))
-    polys = L.polys[:-1] + (L.polys[-1] + Polynomial.constant(M_VARS, 1),)
-    with pytest.raises(NonHomogeneousError):
-        verify_decomposition(L._replace(polys=polys, ideal=Ideal(list(polys))),
-                             component_catalog(gr(1)))
-
-
-def test_verify_decomposition_needs_complete_intersections():
+def test_verify_decomposition_needs_complete_intersections(monkeypatch):
     # L6a with a fifth, redundant generator is the same ideal, but no
     # longer a complete intersection, so nothing shows it saturated
-    L = line_scheme_ideal(gr(1))
     C = component_catalog(gr(1))
     gens = C.get("L6a").ideal.generators
     padded = ComponentCatalog(gamma=C.gamma, components=tuple(
         c._replace(ideal=Ideal([*gens, gens[0] + gens[1]])) if c.name == "L6a" else c
         for c in C))
-    rep = verify_decomposition(L, padded)
+    rep = _verified_with(monkeypatch, C.gamma, catalog=padded)
     assert rep.poly_in_components and rep.degrees_sum == 20
     assert not rep.intersection_in_radical
     assert not rep.ok
@@ -402,7 +421,7 @@ def test_verify_decomposition_gamma_minus_four():
     g = gr(-4)
     cat = component_catalog(g)
     assert len(cat) == 8
-    rep = verify_decomposition(line_scheme_ideal(g), cat)
+    rep = verify_decomposition(g)
     assert rep.ok and rep.hilbert == (1, 20)
 
 
@@ -612,24 +631,3 @@ def test_the_table_at_gamma_is_the_folded_intersection(text):
     assert len(C) == (8 if gamma * gamma == gr(16) else 7)
     table = Ideal(table_polys(load_fixtures().components_intersection, gamma))
     assert ideals_equal(table, components_intersection(C))
-
-
-def test_verify_decomposition_folds_only_a_catalog_the_builders_did_not_make(
-        monkeypatch):
-    # the builders' catalog, or one equal to it, reads the table; one
-    # with a component dropped is folded
-    folded = []
-    fold = ls.components_intersection
-
-    def counted(C):
-        folded.append(len(C))
-        return fold(C)
-
-    monkeypatch.setattr(ls, "components_intersection", counted)
-    gamma = gr(Fraction(3, 2), 1)
-    L, C = line_scheme_ideal(gamma), component_catalog(gamma)
-    assert verify_decomposition(L, C).ok
-    assert verify_decomposition(L, ComponentCatalog(gamma, tuple(C))).ok
-    assert folded == []
-    assert not verify_decomposition(L, ComponentCatalog(gamma, tuple(C)[1:])).ok
-    assert folded == [6]

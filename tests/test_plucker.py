@@ -359,11 +359,6 @@ def test_gamma_minus_4_six_lines_are_verified(capsys):
     assert code == 0 and report["verified"]
 
 
-def test_lines_through_accepts_projective_point():
-    rep = lines_through_point(E2, gr(1))
-    assert rep.point == "e2" and rep.infinite
-
-
 def test_line_check_transcript_serializes():
     import json
 

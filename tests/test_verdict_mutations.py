@@ -166,7 +166,7 @@ def test_a_generator_outside_the_intersection_turns_the_cover_false(
     mutated = fx._replace(components_intersection=fx.components_intersection + (
         tuple(rows(Polynomial.variable(MG_VARS, "M12"))),))
     monkeypatch.setattr(ls, "load_fixtures", lambda: mutated)
-    report = ls.verify_decomposition(ls.line_scheme_ideal(GAMMA), ls.component_catalog(GAMMA))
+    report = ls.verify_decomposition(GAMMA)
     assert report.poly_in_components and not report.intersection_in_radical
     assert not report.ok
     out = io.StringIO()
