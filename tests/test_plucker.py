@@ -163,6 +163,14 @@ def test_basis_points_infinite():
                if n != "L2")
 
 
+@pytest.mark.parametrize("point", ["e5", "E2", "", None, E2],
+                         ids=["e5", "E2", "empty", "None", "ProjectivePoint"])
+def test_lines_through_takes_only_a_point_name(point):
+    # the CLI's names and nothing else: no None for generic, no point object
+    with pytest.raises(ValueError, match="point must be a basis point or 'generic'"):
+        lines_through_point(point, gr(1))
+
+
 def test_pencil_component_matches_fixture_table():
     table = TABLES["pencil_points"]
     for comp_name, point_name in table.items():
