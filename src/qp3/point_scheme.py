@@ -5,26 +5,18 @@ automorphism sigma and the vanishing pairs in P3 x P3."""
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, _Frozen, gr
-from .multipoly import (DEGREVLEX, MonomialOrder, Polynomial, VarSet,
-                        parse_poly, substitute)
+from .multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly, substitute
 from .polylinalg import PolyMatrix, all_minors, kernel_vector, nullspace
-from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger,
-                       NotAUnitError, invert_mod, is_unit_mod, normal_form,
-                       quotient_dimension, radical_member, reduces_to_zero,
-                       saturate)
+from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger, is_unit_mod,
+                       normal_form, quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, bilinear_value,
                                 make_A, nonzero_gamma, relation_matrix)
 
 
 class NotOnSchemeError(ValueError):
-    pass
-
-
-class NotAMonomialMapError(ValueError):
     pass
 
 
@@ -157,25 +149,26 @@ def zgamma_gb(gamma: GaussianRational) -> GroebnerBasis:
 
 
 def verify_rho_derivation(gamma: GaussianRational) -> Dict[str, bool]:
-    """Saturating the chart ideal at x4 and taking a lex basis must give
-    exactly the monic triangular system, every dehomogenized minor must
-    vanish on Z_gamma, and x4 * rho_k must vanish on the chart variety."""
-    rho1, rho2, rho3 = rho_system(gamma)
-    A = make_A(gamma)
-    chart = chart_ideal(A, 0)
-    x4 = symbolic_point()[3]
-    sat = saturate(chart, x4)
-    lex = MonomialOrder.lex()
-    lex_gb = buchberger(sat.with_order(lex))
-    triangular = {g.with_order(lex).monic() for g in (rho1, rho2, rho3)}
-    checks: Dict[str, bool] = {}
-    checks["saturated_lex_basis_is_rho"] = set(lex_gb.basis) == triangular
-    rho = zgamma_ideal(gamma)
-    checks["minors_vanish_on_Z"] = all(radical_member(m, rho)
-                                       for m in chart.generators)
-    checks["x4_rho_vanish_on_chart"] = all(radical_member(x4 * r, chart)
-                                           for r in (rho1, rho2, rho3))
-    return checks
+    """rho generates J : x4^infinity, J the ideal of the chart x1 = 1, by
+    three membership facts (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, 4.4):
+    (i) each generator of J reduces to zero modulo rho's basis, so
+        J lies in <rho>;
+    (ii) x4 is a unit modulo <rho>, so J : x4^infinity lies in
+        <rho> : x4^infinity = <rho>;
+    (iii) each x4 * rho_k reduces to zero modulo J's basis, the one
+        `quotient_dimension` caches, so each rho_k lies in J : x4^infinity.
+    rho's lex leads x4^8, x3^2 and x2 are pairwise coprime, so rho is a lex
+    basis (Buchberger's first criterion), and monic it is the reduced lex
+    basis of J : x4^infinity."""
+    chart, x4 = chart_ideal(make_A(gamma), 0), symbolic_point()[3]
+    gb, J = zgamma_gb(gamma), buchberger(chart)
+    return {
+        "minors_vanish_on_Z": all(reduces_to_zero(m, gb) for m in chart.generators),
+        "saturated_lex_basis_is_rho": is_unit_mod(x4, zgamma_ideal(gamma)),
+        "x4_rho_vanish_on_chart": all(reduces_to_zero(x4 * r, J)
+                                      for r in rho_system(gamma)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -219,53 +212,40 @@ def symbolic_point() -> Tuple[Polynomial, ...]:
 
 
 def sigma_symbolic(coords: Sequence[Polynomial], A: QuadraticAlgebra):
-    """Apply sigma to residue classes modulo <rho1, rho2, rho3>: each form
-    of `sigma_forms`, a monomial (else NotAMonomialMapError), over the
-    first, so c * x^d in the chart x1 = 1.  Each coordinate dividing the
-    first form is inverted by `invert_mod`, or raises NotAUnitError."""
+    """Apply sigma to a point with coordinates modulo <rho1, rho2, rho3>:
+    each form of `sigma_forms` at `coords`, reduced modulo rho.  The image
+    is a point up to a unit factor; `_cross_minors` compares two."""
     gb = zgamma_gb(A.gamma)
-    terms = [f.terms.items() for f in sigma_forms(A)]
-    if any(len(t) != 1 for t in terms):
-        raise NotAMonomialMapError("sigma's forms are not monomials")
-    (m0, c0), = terms[0]
-    inverse = {k: invert_mod(coords[k], gb) for k, e in enumerate(m0) if e}
-    image = []
-    for (m, c), in terms:
-        v = Polynomial.constant(CHART_VARS, c / c0)
-        for k, d in enumerate(map(sub, m, m0)):
-            if d:
-                v = v * (coords[k] if d > 0 else inverse[k]) ** abs(d)
-        image.append(normal_form(v, gb))
-    return tuple(image)
+    at = dict(zip(X_VARS.names, coords))
+    return tuple(normal_form(substitute(f, at, CHART_VARS), gb) for f in sigma_forms(A))
+
+
+def _cross_minors(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> List[Polynomial]:
+    """The six 2x2 minors of the rows a and b: they vanish at a point where
+    a and b agree up to scale, or one of them is 0."""
+    return [a[j] * b[k] - a[k] * b[j] for j in range(4) for k in range(j + 1, 4)]
 
 
 def sigma_orbit_certificates(A: QuadraticAlgebra) -> Dict[str, bool]:
     """Symbolic proofs that sigma keeps Z_gamma in the chart x1 = 1 and in
-    the point scheme, has order four and no fixed points of sigma or sigma^2."""
+    the point scheme, has order four and no fixed points of sigma or sigma^2.
+    Images are compared with p by cross-minors: none vanishes on Z_gamma,
+    where the first form, i*x1*x3^2, is a unit and which sigma keeps."""
     gb, rho = zgamma_gb(A.gamma), zgamma_ideal(A.gamma)
     p = symbolic_point()
-    checks = dict.fromkeys(("x3_is_unit_on_Z", "sigma4_is_identity", "sigma2_fixed_point_free",
-                            "sigma_fixed_point_free", "sigma_preserves_point_ideal"), False)
-    try:
-        s1 = sigma_symbolic(p, A)
-        # each coordinate dividing sigma's first form is a unit modulo rho
-        checks["x3_is_unit_on_Z"] = True
-        s2 = sigma_symbolic(s1, A)
-        s4 = sigma_symbolic(sigma_symbolic(s2, A), A)
-    except (NotAUnitError, NotAMonomialMapError):
-        return checks
-    checks["sigma4_is_identity"] = all(
-        reduces_to_zero(a - b, gb) for a, b in zip(s4, p))
+    s1 = sigma_symbolic(p, A)
+    s2 = sigma_symbolic(s1, A)
+    s4 = sigma_symbolic(sigma_symbolic(s2, A), A)
+    checks = {"x3_is_unit_on_Z": is_unit_mod(s1[0], rho),
+              "sigma4_is_identity": all(reduces_to_zero(m, gb)
+                                        for m in _cross_minors(s4, p))}
     for name, s in (("sigma2_fixed_point_free", s2), ("sigma_fixed_point_free", s1)):
-        fixed = Ideal(list(rho.generators)
-                      + [a - b for a, b in zip(s, p) if not (a - b).is_zero()])
+        fixed = Ideal(list(rho.generators) + _cross_minors(s, p))
         checks[name] = buchberger(fixed).contains_one()
     # sigma(Z) lies in the point scheme: each minor pulled back through sigma
-    at_p = dict(zip(X_VARS.names, p))
-    pull = {n: substitute(f, at_p, CHART_VARS) for n, f in zip(X_VARS.names, sigma_forms(A))}
-    chart = chart_ideal(A, 0)
+    at = dict(zip(X_VARS.names, s1))
     checks["sigma_preserves_point_ideal"] = all(
-        radical_member(substitute(m, pull, target=CHART_VARS), chart)
+        reduces_to_zero(substitute(m, at, target=CHART_VARS), gb)
         for m in point_ideal(A).generators)
     return checks
 
@@ -335,13 +315,15 @@ def count_points(A: QuadraticAlgebra) -> PointSchemeReport:
     total = sum(chart_counts.values())
 
     # e1..e4 are the slices x4 = 0 of the chart x1 = 1 and the three charts
-    # x1 = 0: each is its ring's origin, once (quotient dimension 1, every
-    # variable in the radical)
+    # x1 = 0: each is its ring's origin, once.  Quotient dimension 1 makes
+    # the quotient the field Q(i), so I is its own radical and every
+    # variable lies in I
     slices = (Ideal([*ideals[0].generators, symbolic_point()[3]]), *ideals[1:])
     for name, I in zip(("x4_zero_slice_is_e1", "chart_x2_is_e2", "chart_x3_is_e3",
                         "chart_x4_is_e4"), slices):
+        G = buchberger(I)
         checks[name] = quotient_dimension(I) == 1 and all(
-            radical_member(Polynomial.variable(I.varset, n), I) for n in I.varset.names)
+            reduces_to_zero(Polynomial.variable(I.varset, n), G) for n in I.varset.names)
 
     checks.update({f"rho_{k}": v for k, v in verify_rho_derivation(gamma).items()})
 
@@ -395,13 +377,12 @@ def _basis_cycles(A: QuadraticAlgebra) -> Optional[Tuple[int, ...]]:
 
 def verify_vanishing_pairs(A: QuadraticAlgebra) -> bool:
     """The relations vanish exactly on the pairs (p, sigma(p)): R(p) has
-    rank 3 at e1..e4 and on Z_gamma, where `sigma_symbolic` inverts its
-    minor i*x3^2, and there the six vanish on (p, sigma(p)) modulo rho."""
+    rank 3 at e1..e4 and on Z_gamma, where sigma's first form, the minor
+    i*x3^2, is a unit, and there the six vanish on (p, sigma(p)) modulo
+    rho.  They are bilinear, so sigma(p) up to a unit factor serves."""
     if any(len(_kernel(A, e)) != 1 for e in BASIS_POINTS.values()):
         return False
     p, gb = symbolic_point(), zgamma_gb(A.gamma)
-    try:
-        q = sigma_symbolic(p, A)
-    except (NotAUnitError, NotAMonomialMapError):
-        return False
-    return all(reduces_to_zero(bilinear_value(f, p, q), gb) for f in A.relations)
+    q = sigma_symbolic(p, A)
+    return is_unit_mod(q[0], zgamma_ideal(A.gamma)) and all(
+        reduces_to_zero(bilinear_value(f, p, q), gb) for f in A.relations)

@@ -7,7 +7,9 @@ elimination for the rank that `polylinalg.row_echelon` reads off a
 Groebner basis, a plain float evaluator for the compiled residuals of
 `numeric`, a count of standard monomials for the Hilbert numerators of
 `groebner`, Rabinowitsch's rule for its `radical_member`, the two-pass
-reduction step for its one-pass `_nf` and `_spoly`, argparse for the
+reduction step for its one-pass `_nf` and `_spoly`, saturation by an
+appended variable for the membership facts that certify rho in
+`point_scheme`, argparse for the
 command-line parser `cli._parsed`, a walk of the polynomial grammar in
 Polynomial arithmetic for `multipoly.parse_poly`, which gathers each
 term as ints, sigma as the paper types it for `point_scheme`, which
@@ -31,7 +33,8 @@ from typing import List, Mapping, Sequence, Tuple
 from qp3 import cli
 from qp3.gaussian import gr
 from qp3.fixtures import load_fixtures
-from qp3.groebner import GroebnerBasis, Ideal, buchberger, intersect
+from qp3.groebner import (GroebnerBasis, Ideal, _eliminate_t, _rabinowitsch, buchberger,
+                          intersect)
 from qp3.line_scheme import ComponentCatalog
 from qp3.multipoly import (DEGREVLEX, MAX_NESTING, ExponentOverflowError,
                            MonomialOrder, PolyParseError, Polynomial,
@@ -216,6 +219,15 @@ def radical_member_rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     gens = [substitute(g, {}, target=big, order=DEGREVLEX)
             for g in (*I.generators, f)]
     return buchberger(Ideal(gens[:-1] + [1 - t * gens[-1]], DEGREVLEX)).contains_one()
+
+
+def saturate(I: Ideal, f: Polynomial) -> Ideal:
+    """I : f^infinity, computed as (I + <1 - t f>) intersect the base ring
+    (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, 4.4), with t
+    appended by the engine's `_rabinowitsch` under the order that
+    eliminates it.  The reference for the three membership facts of
+    `point_scheme.verify_rho_derivation`."""
+    return _eliminate_t(Ideal(_rabinowitsch(I.generators, f, "t_sat")), I)
 
 
 def _psi1_fold(level: List, meet):

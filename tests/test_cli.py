@@ -241,8 +241,7 @@ def test_session_revisit_reads_the_answer_memo(capsys):
     # memo: one hit there, and no memo of the Groebner layer is asked again
     from qp3 import groebner, line_scheme
 
-    below = (groebner.buchberger, groebner.is_unit_mod, groebner.invert_mod,
-             line_scheme.curve_invariants)
+    below = (groebner.buchberger, groebner.is_unit_mod, line_scheme.curve_invariants)
     for command in SESSION:
         argv = ["--gamma=3/2+i", *command, "--format", "json"]
         first = run_cli(argv, capsys)

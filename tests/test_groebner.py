@@ -16,14 +16,15 @@ from qp3.groebner import (GroebnerLimits, Ideal, NonHomogeneousError,
                           NotAUnitError, ResourceLimitError, buchberger,
                           eliminate, hilbert_dimension_degree, hilbert_numerator,
                           intersect, invert_mod, is_unit_mod, limits_scope,
-                          normal_form, quotient_dimension, radical_member,
-                          saturate)
+                          normal_form, quotient_dimension, radical_member)
 from qp3.quadratic_algebra import CHART_VARS, M_VARS, X_VARS, make_A
-from qp3.point_scheme import chart_ideal, point_ideal, rho_system, zgamma_ideal
+from qp3.point_scheme import (chart_ideal, point_ideal, rho_system, verify_rho_derivation,
+                              zgamma_ideal)
 from qp3.line_scheme import (LINE_SCHEME_NUMERATOR, component_catalog,
                              line_scheme_ideal, verify_decomposition)
 from oracles import (components_intersection, nf_two_pass,
-                     radical_member_rabinowitsch, spoly_two_pass, staircase_counts)
+                     radical_member_rabinowitsch, saturate, spoly_two_pass,
+                     staircase_counts)
 from printed import parse_point_polys
 
 
@@ -233,14 +234,27 @@ def test_eliminate_zero_ideal():
     assert E.generators == ()
 
 
-def test_saturated_chart_lex_basis_is_rho_system():
-    g1 = gr(1)
-    chart = chart_ideal(make_A(g1), 0)
-    sat = saturate(chart, Polynomial.variable(CHART_VARS, "x4"))
+# the 8 gammas of the point-scheme digests, and -2*i
+RHO_GAMMAS = ("1", "3/2+i", "2", "-2", "4", "-4", "2*i", "1/3", "-2*i")
+
+
+@pytest.mark.parametrize("text", RHO_GAMMAS)
+def test_saturated_chart_lex_basis_is_rho_system(text):
+    # the saturation J : x4^infinity by an appended variable is the
+    # reference for the three membership facts that certify rho without one
+    gamma = cli.parse_gamma(text)
+    chart = chart_ideal(make_A(gamma), 0)
+    x4 = Polynomial.variable(CHART_VARS, "x4")
     lex = MonomialOrder.lex()
-    G = buchberger(sat.with_order(lex))
-    rho = [p.with_order(lex).monic() for p in rho_system(g1)]
-    assert set(G.basis) == set(rho)
+    G = buchberger(saturate(chart, x4).with_order(lex))
+    rho = rho_system(gamma)
+    assert set(G.basis) == {p.with_order(lex).monic() for p in rho}
+    # (i) J in <rho>, (ii) x4 a unit modulo <rho>, (iii) x4 * rho in J
+    assert all(normal_form(m, buchberger(zgamma_ideal(gamma))).is_zero()
+               for m in chart.generators)
+    assert is_unit_mod(x4, zgamma_ideal(gamma))
+    assert all(normal_form(x4 * r, buchberger(chart)).is_zero() for r in rho)
+    assert all(verify_rho_derivation(gamma).values())
 
 
 def test_intersect_examples():
@@ -640,34 +654,30 @@ def test_a_monomial_unit_is_read_off_its_variables(fresh_caches):
         is_unit_mod(Polynomial.constant(VarSet(["x"]), 3), I)
 
 
-def test_unit_and_inverse_answers_are_cached_per_limits(fresh_caches):
+def test_unit_answers_are_cached_per_limits(fresh_caches):
     rho = zgamma_ideal(gr(1))
-    G = buchberger(rho)
     x3 = Polynomial.variable(CHART_VARS, "x3")
-    inv = invert_mod(x3, G)
     assert is_unit_mod(x3, rho)
-    # under the same limits both answers are read back
-    assert invert_mod(x3, G) is inv and is_unit_mod(x3, rho)
-    assert invert_mod.cache_info().hits == is_unit_mod.cache_info().hits == 1
-    # under narrower limits both are recomputed, and raise if a bound is hit
+    # under the same limits the answer is read back
+    assert is_unit_mod(x3, rho)
+    assert is_unit_mod.cache_info().hits == 1
+    # under narrower limits it is recomputed, and raises if a bound is hit
     with limits_scope(GroebnerLimits(max_pairs=400_000)):
-        assert invert_mod(x3, G) == inv and is_unit_mod(x3, rho)
-    assert invert_mod.cache_info().misses == is_unit_mod.cache_info().misses == 2
+        assert is_unit_mod(x3, rho)
+    assert is_unit_mod.cache_info().misses == 2
     with limits_scope(GroebnerLimits(max_pairs=1)):
         with pytest.raises(ResourceLimitError):
             is_unit_mod(x3, rho)
-        with pytest.raises(ResourceLimitError):
-            invert_mod(x3, G)
 
 
 def test_not_a_unit_is_not_cached(fresh_caches):
+    # invert_mod keeps no memo: each call runs, and each refuses x
     vs = VarSet(["x", "y"])
     G = buchberger(Ideal([parse_poly("x^2 - x", vs)]))
+    assert not hasattr(invert_mod, "cache_info")
     for _ in range(2):
         with pytest.raises(NotAUnitError):
             invert_mod(Polynomial.variable(vs, "x"), G)
-    info = invert_mod.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 def test_seeded_basis_is_not_cached(fresh_caches):

@@ -378,6 +378,12 @@ TEST_ONLY_API = {
                               "that of A(-gamma)",
     "minor": "bench/tracing.py times the minors through it by name, until "
              "its span moves to all_minors",
+    "radical_member": "bench/tracing.py spans it by name, until the benchmark "
+                      "drops its span",
+    "invert_mod": "bench/tracing.py spans it by name, until the benchmark "
+                  "drops its span",
+    "MonomialOrder.lex": "the lex bases of the rho oracle (saturation) and of "
+                         "the sympy oracle",
 }
 
 
@@ -426,7 +432,7 @@ def never_entered(src, modules, runs):
 
 # what the package ships: every command in text format at a generic gamma,
 # the split line scheme (gamma^2 = 16) and the point scheme at gamma = 2
-# (saturate and invert_mod); RUNS adds every demo
+# (rho1 with double roots, gamma^2 = 4); RUNS adds every demo
 COMMANDS = (["point-scheme"], ["line-scheme"], ["line-scheme", "--verify"],
             ["lines-through", "--symbolic"],
             *(["lines-through", "--point", p] for p in ("e1", "e2", "e3", "e4")),
@@ -435,6 +441,32 @@ COMMAND_RUNS = [*(["-m", "qp3", "--gamma=3/2+i", *c] for c in COMMANDS),
                 ["-m", "qp3", "--gamma=4", "line-scheme", "--verify"],
                 ["-m", "qp3", "--gamma=2", "point-scheme"]]
 RUNS = [*COMMAND_RUNS, *([str(d)] for d in sorted((ROOT / "demos").glob("*.py")))]
+
+# the engine's routines that append a variable t (the lift itself,
+# Rabinowitsch's 1 - t*f and inverses by it), and radical membership by
+# repeated squaring, which the point certificate replaced with membership
+APPENDING = ("_append", "_rabinowitsch", "radical_member", "invert_mod")
+
+
+def test_no_command_appends_a_variable(monkeypatch, capsys, fresh_caches):
+    # every command at a generic gamma, at gamma^2 = 16 and at gamma^2 = 4
+    # answers with all of them refused, in every qp3 module that holds
+    # one; saturation is no engine routine at all
+    from qp3 import cli, groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command appended a variable")
+
+    assert not hasattr(groebner, "saturate")
+    for name, mod in list(sys.modules.items()):
+        if (name == "qp3" or name.startswith("qp3.")) and mod is not None:
+            for attr in APPENDING:
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+    for gamma in ("3/2+i", "4", "2"):
+        for command in COMMANDS:
+            assert cli.main([f"--gamma={gamma}", *command]) == cli.EXIT_OK, (gamma, command)
+    capsys.readouterr()
 
 
 # keys of a data file that are prose for its reader, not data

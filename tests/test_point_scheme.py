@@ -4,7 +4,7 @@ import pytest
 
 from qp3.gaussian import gr
 from qp3.multipoly import Polynomial, VarSet, parse_poly, substitute
-from qp3.groebner import (GroebnerLimits, Ideal, NotAUnitError, ResourceLimitError,
+from qp3.groebner import (GroebnerLimits, Ideal, ResourceLimitError,
                           buchberger, ideals_equal, is_unit_mod, limits_scope,
                           normal_form)
 from qp3.quadratic_algebra import CHART_VARS, X_VARS, ZeroGammaError, make_A
@@ -202,13 +202,19 @@ def test_sigma_orbit_certificates():
 
 
 def test_sigma_squared_is_coordinate_sign_flip():
+    # sigma^2(p) is (1, -x2, x3, -x4) up to a unit factor: the 2x2
+    # cross-minors of the two vectors vanish modulo rho
     A = make_A(gr(1))
     p = symbolic_point()
     s2 = sigma_symbolic(sigma_symbolic(p, A), A)
-    x2 = Polynomial.variable(CHART_VARS, "x2")
-    x3 = Polynomial.variable(CHART_VARS, "x3")
-    x4 = Polynomial.variable(CHART_VARS, "x4")
-    assert s2[1] == -x2 and s2[2] == x3 and s2[3] == -x4
+    one, x2, x3, x4 = p
+    flip = (one, -x2, x3, -x4)
+    gb = zgamma_gb(A.gamma)
+    assert all(normal_form(s2[j] * flip[k] - s2[k] * flip[j], gb).is_zero()
+               for j in range(4) for k in range(j + 1, 4))
+    assert is_unit_mod(s2[0], zgamma_ideal(A.gamma))
+    # and not p itself: sigma^2 moves x2 and x4
+    assert not normal_form(s2[0] * x2 - s2[1], gb).is_zero()
 
 
 @pytest.mark.parametrize("gamma", [gr(1), gr(2), gr(4), gr(-4), gr(3, 3), gr(1, 3)],
@@ -273,10 +279,11 @@ def test_sigma_at_x3_zero():
         assert sigma(basis[k], A) == basis[SIGMA_SWAPS[k]]
     with pytest.raises(NotOnSchemeError):
         sigma(ProjectivePoint((1, 5, 0, 3)), A)
-    # a residue vector whose x3 is no unit modulo rho
+    # a residue vector whose x3 is no unit modulo rho: the first image
+    # coordinate, i*x1*x3^2 there, is no unit either
     one, x2, _, x4 = symbolic_point()
-    with pytest.raises(NotAUnitError):
-        sigma_symbolic((one, x2, x4 * x4 * x4 * x4 - 2, x4), make_A(gr(2)))
+    image = sigma_symbolic((one, x2, x4 * x4 * x4 * x4 - 2, x4), make_A(gr(2)))
+    assert not is_unit_mod(image[0], zgamma_ideal(gr(2)))
 
 
 def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):

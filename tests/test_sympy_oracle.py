@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from qp3.gaussian import gr  # noqa: E402
 from qp3.groebner import (Ideal, buchberger, eliminate, intersect,  # noqa: E402
-                          normal_form, saturate)
+                          normal_form)
 from qp3.fixtures import load_fixtures, table_polys  # noqa: E402
 from qp3.line_scheme import component_catalog, line_scheme_ideal  # noqa: E402
 from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial,  # noqa: E402
@@ -24,7 +24,7 @@ from qp3.multipoly import (DEGREVLEX, MonomialOrder, Polynomial,  # noqa: E402
 from qp3.quadratic_algebra import M_VARS, XY_VARS, make_A  # noqa: E402
 from qp3.point_scheme import zgamma_ideal  # noqa: E402
 from qp3.polylinalg import nullspace, row_echelon  # noqa: E402
-from oracles import components_intersection  # noqa: E402
+from oracles import components_intersection, saturate  # noqa: E402
 
 GAMMAS = [gr(1), gr(4), gr(3, 2)]
 IDS = ["1", "4", "3+2i"]

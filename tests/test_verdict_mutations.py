@@ -1,5 +1,6 @@
 """Every printed sigma check of `point-scheme`, its check that the chart
-x1 = x2 = x3 = 0 is e4, and the cover check of `line-scheme --verify` read
+x1 = x2 = x3 = 0 is e4, two of its three membership facts for rho, and
+the cover check of `line-scheme --verify` read
 off the table of the components' intersection can say NO, and so can the
 test that certifies that table.
 
@@ -8,7 +9,8 @@ False, and the mutation is shown to change that data:
 - a relation plus a seeded multiple of one word, a form outside the span
   of the six relations;
 - a rho system with one polynomial changed by a seeded amount, the new
-  polynomial outside the rho ideal.
+  polynomial outside the rho ideal, or, for rho1 times x4 - 1, rho1
+  outside the new ideal.
 A relation mutation is read through `count_points` of the mutated
 algebra; a rho mutation replaces `point_scheme.rho_system`, with every
 memo of qp3 emptied before and after (`fresh_caches`).
@@ -102,39 +104,58 @@ def _rho_mutations(rng):
         "sigma_sigma2_fixed_point_free": (fixed_rho1, rho2 - d, rho3),
         # x3 = 0 becomes a root of rho2, where sigma leaves the chart x1 = 1
         "sigma_x3_is_unit_on_Z": (rho1, x3 * (x3 - d), rho3),
+        # x4 * (rho2 + c*x3) lies in the chart ideal J only if x4*x3 does
+        "rho_x4_rho_vanish_on_chart": (rho1, rho2 + c * x3, rho3),
+        # the roots x4 = 1 join Z_gamma, where the minors do not vanish; the
+        # multiple x4 * rho1 * (x4 - 1) stays in J
+        "rho_minors_vanish_on_Z": (rho1 * (x4 - 1), rho2, rho3),
     }
 
 
-@pytest.mark.parametrize("check", ["sigma_sigma_fixed_point_free",
-                                   "sigma_sigma2_fixed_point_free",
-                                   "sigma_x3_is_unit_on_Z"])
+RHO_MUTATIONS = ["sigma_sigma_fixed_point_free", "sigma_sigma2_fixed_point_free",
+                 "sigma_x3_is_unit_on_Z", "rho_x4_rho_vanish_on_chart",
+                 "rho_minors_vanish_on_Z"]
+
+
+@pytest.mark.parametrize("check", RHO_MUTATIONS)
 def test_a_rho_mutation_turns_the_check_false(check, monkeypatch, fresh_caches):
     assert count_points(make_A(GAMMA)).checks[check]
     mutated = _rho_mutations(random.Random(SEED))[check]
-    G = buchberger(zgamma_ideal(GAMMA))
-    assert any(not normal_form(f, G).is_zero() for f in mutated)
+    # the mutation changes the ideal: a mutated polynomial lies outside
+    # <rho>, or, for rho1 * (x4 - 1), which lies in it, rho1 lies outside
+    # the mutated ideal
+    G, H = buchberger(zgamma_ideal(GAMMA)), buchberger(Ideal(list(mutated)))
+    assert (any(not normal_form(f, G).is_zero() for f in mutated)
+            or any(not normal_form(f, H).is_zero() for f in ps.rho_system(GAMMA)))
     monkeypatch.setattr(ps, "rho_system", lambda gamma: mutated)
     report = count_points(make_A(GAMMA))
     assert report.checks[check] is False and not report.ok
     if check == "sigma_sigma2_fixed_point_free":
         # sigma itself keeps no fixed point: the mutation reaches sigma^2 only
         assert report.checks["sigma_sigma_fixed_point_free"]
+    if check == "rho_minors_vanish_on_Z":
+        # the two facts are independent: (iii) still holds
+        assert report.checks["rho_x4_rho_vanish_on_chart"]
 
 
 def test_forms_that_are_not_monomials_read_false(fresh_caches):
     """Relation 1 plus a seeded multiple of x3*y4 gives two of sigma's
-    forms a second term: the chart checks read False and nothing raises."""
+    forms a second term.  sigma acts projectively, so it still applies
+    them: sigma^4, the point ideal and the basis swaps read False, and
+    nothing raises."""
     A = _with_word(1, "x3*y4", _scalar(random.Random(SEED)))
     assert [len(f.terms) for f in ps.sigma_forms(A)] == [1, 2, 2, 1]
     report = count_points(A)
-    assert report.checks["sigma_x3_is_unit_on_Z"] is False and not report.ok
+    for check in ("sigma_sigma4_is_identity", "sigma_sigma_preserves_point_ideal",
+                  "sigma_basis_swaps"):
+        assert report.checks[check] is False, check
+    assert not report.ok
     assert ps.verify_vanishing_pairs(A) is False
 
 
-def test_the_unit_check_inverts_each_coordinate_of_the_first_form(monkeypatch,
-                                                                  fresh_caches):
-    """Forms x3 * (x1, x2, x3, x4) divide by x3 in no quotient, yet x3
-    divides the first; where x3 = 0 meets Z_gamma the check reads False."""
+def test_the_unit_check_reads_the_first_image_coordinate(monkeypatch, fresh_caches):
+    """Forms x3 * (x1, x2, x3, x4) give the first image coordinate x3;
+    where x3 = 0 meets Z_gamma it is no unit, and the check reads False."""
     x = [Polynomial.variable(X_VARS, n) for n in X_VARS.names]
     monkeypatch.setattr(ps, "sigma_forms", lambda A: tuple(x[2] * v for v in x))
     mutated = _rho_mutations(random.Random(SEED))["sigma_x3_is_unit_on_Z"]
@@ -142,15 +163,17 @@ def test_the_unit_check_inverts_each_coordinate_of_the_first_form(monkeypatch,
     assert ps.sigma_orbit_certificates(make_A(GAMMA))["x3_is_unit_on_Z"] is False
 
 
-def test_the_cli_says_no_under_a_mutation(monkeypatch, fresh_caches):
-    mutated = _rho_mutations(random.Random(SEED))["sigma_sigma_fixed_point_free"]
+@pytest.mark.parametrize("check", ["sigma_sigma_fixed_point_free",
+                                   "rho_x4_rho_vanish_on_chart", "rho_minors_vanish_on_Z"])
+def test_the_cli_says_no_under_a_mutation(check, monkeypatch, fresh_caches):
+    mutated = _rho_mutations(random.Random(SEED))[check]
     monkeypatch.setattr(ps, "rho_system", lambda gamma: mutated)
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["--gamma=3/2+i", "point-scheme"])
     assert code == cli.EXIT_VERIFICATION
     text = out.getvalue()
-    assert "check sigma_sigma_fixed_point_free: FAIL" in text
+    assert f"check {check}: FAIL" in text
     assert text.rstrip().endswith("verified: NO")
 
 
