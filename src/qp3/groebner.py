@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import _Frozen
 from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
                         Polynomial, ResourceLimitError, VarSet, VarSetMismatchError,
-                        _BITS, _Packing, _TermList, _ishift, _packing,
+                        _BITS, _UNIT, _Packing, _TermList, _ishift, _packing,
                         _primitive, _poly, _times, _wrap, substitute)
 
 
@@ -552,7 +552,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     """
     G = buchberger(I.with_order(DEGREVLEX))
     r = normal_form(f, G)
-    D = 1 if r.is_zero() else quotient_dimension(I)
+    D = 1 if r.is_zero() else quotient_dimension(I.with_order(DEGREVLEX))
     if D is None:
         raise ValueError("a non-member of an ideal that is not zero-dimensional")
     while D > 1 and not r.is_zero():    # r = NF(f^(2^j), G) until 2^j >= D
@@ -568,23 +568,24 @@ def is_unit_mod(u: Polynomial, I: Ideal) -> bool:
     I under I.order that `buchberger` caches, with G as a finished prefix:
     it is a reduced basis of the ideal it generates in that order, so only
     pairs that involve u or an element derived from it are formed.  That
-    basis is dropped; the answer is cached.  u = 0 is a unit iff 1 in I.
-    A nonzero constant is a unit, and a scalar times a monomial of more
-    than one variable, or of a higher power, is one iff each of its
-    variables is: those are asked, and only a lone variable x_k runs
-    Buchberger.
+    basis is dropped; the answer is cached.  A u that reduces to zero
+    modulo G, u = 0 among them, lies in I, so I + <u> = I: it is a unit
+    iff 1 in I, and no run is made.  A nonzero constant is a unit, and a
+    scalar times any other monomial is one iff each of its monic
+    variables is: those are asked, so only a monic lone variable x_k runs
+    Buchberger, and -x_k or i*x_k reads the cached answer for x_k.
     """
     if u.varset != I.varset:
         raise VarSetMismatchError("unit candidate and ideal on different VarSets")
     G = buchberger(I)
-    if u.is_zero():
+    if reduces_to_zero(u, G):
         return G.contains_one()
     if len(u._list) == 1:
         pk, m = u._pk, u._list[0][1]
         fields = [k for k, s in enumerate(pk.shifts) if m >> s & pk.mask]
         if not fields:
             return True
-        if m != 1 << pk.shifts[fields[0]]:    # no lone variable
+        if m != 1 << pk.shifts[fields[0]] or u._scale != _UNIT:    # no monic lone variable
             names = u.varset.names
             return all(is_unit_mod(Polynomial.variable(u.varset, names[k], u.order), I)
                        for k in fields)
@@ -726,11 +727,15 @@ def _hilbert_data(G: GroebnerBasis) -> Tuple[int, int, List[int]]:
 def quotient_dimension(I: Ideal) -> Optional[int]:
     """dim over Q(i) of the ring modulo I; None when infinite.
 
-    The standard monomials of I are finite in number exactly when all n
-    factors (1 - t) strip from the Hilbert numerator, projective dimension
-    -1; their number is then the degree.
+    Counted under I's own order, which may be any monomial order: the
+    standard monomials of every order are a basis of the quotient (Cox,
+    Little, O'Shea, Ideals, Varieties, and Algorithms, 5.3, Prop. 1 and
+    the Finiteness Theorem), so whether they are finite, and how many,
+    does not depend on it.  They are finite in number exactly when all n
+    factors (1 - t) strip from the Hilbert numerator of the leading-term
+    ideal, projective dimension -1; their number is then the degree.
     """
-    dimension, degree, _ = _hilbert_data(buchberger(I.with_order(DEGREVLEX)))
+    dimension, degree, _ = _hilbert_data(buchberger(I))
     return degree if dimension < 0 else None
 
 

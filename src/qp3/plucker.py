@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, gr
-from .multipoly import Polynomial, VarSet, print_poly, substitute
+from .multipoly import MonomialOrder, Polynomial, VarSet, print_poly, substitute
 from .groebner import (GroebnerBasis, Ideal, buchberger,
                        hilbert_dimension_degree, is_unit_mod,
                        quotient_dimension, reduces_to_zero)
@@ -319,25 +319,38 @@ class SixLinesReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _check_line_on_branch(comp: Component, scheme_comps: Dict[str, Component],
+_Images = Tuple[List[Polynomial], List[Polynomial]]
+
+
+def _line_images(comp: Component) -> _Images:
+    """What a branch reduces of the component's line through the generic
+    point: its incidence contractions with the point, and the component's
+    generators evaluated on it.  Both are polynomials in x2, x3, x4 alone,
+    so every branch that has the line shares them."""
+    coords = GENERIC_LINES[comp.name]
+    return (incidence_contractions(coords, symbolic_point()),
+            [evaluate_in_M(g, coords, CHART_VARS) for g in comp.ideal.generators])
+
+
+def _check_line_on_branch(comp: Component, images: _Images,
+                          scheme_comps: Dict[str, Component],
                           branch_gb: GroebnerBasis, branch_ideal: Ideal) -> LineCheck:
-    """The component's line through the generic point against the branch.
-    `scheme_comps` are the components whose ideal holds the 46: for those,
-    f = sum h_j g_j, and substitution is a ring map, so a line on which
-    every g_j vanishes modulo the branch lies in the line scheme there too."""
+    """The component's line through the generic point against the branch,
+    from its `_line_images`.  `scheme_comps` are the components whose ideal
+    holds the 46: for those, f = sum h_j g_j, and substitution is a ring
+    map, so a line on which every g_j vanishes modulo the branch lies in
+    the line scheme there too."""
     name, coords = comp.name, GENERIC_LINES[comp.name]
 
-    def on_branch(ideal: Ideal) -> bool:
-        return all(
-            reduces_to_zero(evaluate_in_M(g, coords, CHART_VARS), branch_gb)
-            for g in ideal.generators)
+    def on_branch(polys: Iterable[Polynomial]) -> bool:
+        return all(reduces_to_zero(f, branch_gb) for f in polys)
 
-    p_sym = symbolic_point()
-    contr = incidence_contractions(coords, p_sym)
-    through = all(reduces_to_zero(c, branch_gb) for c in contr)
-    in_comp = on_branch(comp.ideal)
+    contractions, on_line = images
+    through = on_branch(contractions)
+    in_comp = on_branch(on_line)
     in_scheme = (in_comp and name in scheme_comps) or any(
-        on_branch(c.ideal) for n, c in scheme_comps.items() if n != name)
+        on_branch(evaluate_in_M(g, coords, CHART_VARS) for g in c.ideal.generators)
+        for n, c in scheme_comps.items() if n != name)
     well = any(is_unit_mod(c, branch_ideal) for c in coords if not c.is_zero())
     return LineCheck(component=name, through_point=through,
                      in_component=in_comp, in_line_scheme=in_scheme,
@@ -389,6 +402,8 @@ def lines_through_point(point: str, gamma: GaussianRational) -> SixLinesReport:
     dims_consistent = all(
         buchberger(Ideal([*rho.generators, factors[a], factors[b]])).contains_one()
         for a, b in splits)
+    # each line's images, built once and reduced by every branch that has it
+    images = {c.name: _line_images(c) for c in catalog}
     branches: List[BranchReport] = []
     for branch in product(*splits):
         # the six lines: the branch's conics and the components outside the splits
@@ -401,12 +416,16 @@ def lines_through_point(point: str, gamma: GaussianRational) -> SixLinesReport:
             name=" & ".join(f"{print_poly(factors[n])} = 0" for n in branch),
             proper=not gb.contains_one(),
             quotient_dim=quotient_dimension(branch_ideal),
-            lines=tuple(_check_line_on_branch(c, scheme_comps, gb, branch_ideal)
+            lines=tuple(_check_line_on_branch(c, images[c.name], scheme_comps,
+                                              gb, branch_ideal)
                         for c in comps),
             distinct=_pairwise_distinct([GENERIC_LINES[c.name] for c in comps],
                                         branch_ideal)))
+    # rho is its own lex basis (its lex leads x4^8, x3^2, x2 are coprime), so
+    # its quotient dimension is counted in lex, where no S-pair is formed
     dims_consistent = dims_consistent and (
-        sum(b.quotient_dim or 0 for b in branches) == quotient_dimension(rho))
+        sum(b.quotient_dim or 0 for b in branches)
+        == quotient_dimension(rho.with_order(MonomialOrder.lex())))
     # every branch takes one conic of each split, so all count alike
     return SixLinesReport(gamma=gamma, point="generic", branches=tuple(branches),
                           branch_dims_consistent=dims_consistent,

@@ -80,7 +80,11 @@ CHART_SPECS = (
 )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def chart_ideal(A: QuadraticAlgebra, spec_index: int) -> Ideal:
+    """The point minors on one chart of CHART_SPECS.  Built once per
+    algebra and chart: `count_points` counts the chart x1 = 1, and
+    `verify_rho_derivation` certifies rho against it."""
     name, assign, rest = CHART_SPECS[spec_index]
     target = VarSet(rest)
     gens = []

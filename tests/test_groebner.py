@@ -291,6 +291,25 @@ def test_quotient_dimension_two_points():
     assert quotient_dimension(Ideal([], varset=VarSet([]))) == 1
 
 
+@pytest.mark.parametrize("gens", [["x^2 - y", "y^2 - x"], ["x^3 - y^2", "x*y - 1"],
+                                  ["x*y - 1"], ["x^2 - 1", "x"]])
+def test_quotient_dimension_does_not_depend_on_the_order(gens):
+    # the standard monomials of any order are a basis of the quotient
+    vs = VarSet(["x", "y"])
+    I = Ideal([parse_poly(g, vs) for g in gens])
+    assert quotient_dimension(I.with_order(MonomialOrder.lex())) == quotient_dimension(I)
+
+
+@pytest.mark.parametrize("gamma", [gr(1), gr(Fraction(3, 2), 1), gr(2), gr(4), gr(0, 2)])
+def test_rho_is_counted_in_lex_without_a_pair(fresh_caches, gamma):
+    # rho's lex leads x4^8, x3^2 and x2 are coprime: its lex basis forms no
+    # S-pair, and it counts the 16 points of Z_gamma as DEGREVLEX does
+    rho = zgamma_ideal(gamma)
+    with limits_scope(GroebnerLimits(max_pairs=0)):
+        assert quotient_dimension(rho.with_order(MonomialOrder.lex())) == 16
+    assert quotient_dimension(rho) == 16
+
+
 def test_quotient_dimension_chart():
     assert quotient_dimension(chart_ideal(make_A(gr(1)), 0)) == 17
     assert quotient_dimension(chart_ideal(make_A(gr(2)), 0)) == 17
@@ -652,6 +671,41 @@ def test_a_monomial_unit_is_read_off_its_variables(fresh_caches):
     assert is_unit_mod(2 * x * x * y, I) and not is_unit_mod(x * y, Ideal([x * x - x]))
     with pytest.raises(VarSetMismatchError):
         is_unit_mod(Polynomial.constant(VarSet(["x"]), 3), I)
+
+
+@pytest.mark.parametrize("c", [gr(-1), gr(0, 1), gr(0, -1), gr(Fraction(3, 2))])
+def test_a_scaled_variable_asks_its_monic_variable(fresh_caches, monkeypatch, c):
+    # c*x is a unit iff x is, and once x is answered c*x runs no Buchberger
+    vs = VarSet(["x", "y"])
+    I = Ideal([parse_poly("x^2 - 1", vs), parse_poly("y^2 - y", vs)])
+    runs = []
+    core = groebner._buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    for name, unit in (("x", True), ("y", False)):
+        v = Polynomial.variable(vs, name)
+        assert is_unit_mod(v, I) is unit
+        asked = len(runs)
+        assert is_unit_mod(c * v, I) is unit
+        assert len(runs) == asked
+
+
+def test_a_member_of_the_ideal_runs_no_buchberger(fresh_caches, monkeypatch):
+    # u in I gives I + <u> = I: a unit iff 1 in I, read off the basis of I
+    vs = VarSet(["x", "y"])
+    I = Ideal([parse_poly("x^2 - y", vs), parse_poly("y^2 - x", vs)])
+    whole = Ideal([*I.generators, parse_poly("x + 1", vs), parse_poly("y - 1", vs)])
+    assert not buchberger(I).contains_one()
+    assert buchberger(whole).contains_one()
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: runs.append(args))
+    assert not is_unit_mod(parse_poly("x^2 - y + (1+i)*(y^2 - x)", vs), I)
+    assert is_unit_mod(parse_poly("x*y + 2", vs), whole)
+    assert runs == []
 
 
 def test_unit_answers_are_cached_per_limits(fresh_caches):

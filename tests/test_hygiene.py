@@ -382,8 +382,6 @@ TEST_ONLY_API = {
                       "drops its span",
     "invert_mod": "bench/tracing.py spans it by name, until the benchmark "
                   "drops its span",
-    "MonomialOrder.lex": "the lex bases of the rho oracle (saturation) and of "
-                         "the sympy oracle",
 }
 
 

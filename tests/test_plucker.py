@@ -8,7 +8,7 @@ from qp3.gaussian import ZERO, gr
 from qp3.multipoly import Polynomial, parse_poly, substitute
 from qp3.quadratic_algebra import X_VARS
 from qp3.point_scheme import BASIS_POINTS, E1, E2, E3, E4, ProjectivePoint
-from qp3 import cli, plucker
+from qp3 import cli, groebner, plucker
 from qp3.groebner import Ideal
 from qp3.line_scheme import (ComponentCatalog, component_catalog,
                              line_scheme_ideal, scheme_in_ideal)
@@ -116,6 +116,27 @@ def test_six_lines_generic_gamma_four():
     for b in rep.branches:
         assert b.proper and b.quotient_dim == 4 and b.distinct
         assert b.lines[0].component in ("L1a", "L1b")
+
+
+@pytest.mark.parametrize("gamma, runs, images", [(gr(Fraction(3, 2), 1), 17, 28),
+                                                  (gr(4), 27, 32)])
+def test_six_lines_ask_each_question_once(fresh_caches, monkeypatch, gamma, runs,
+                                          images):
+    # rho is counted in lex, -x2 and i*x4 read the unit answers of x2 and
+    # x4, and each line's images are built once for every branch: before,
+    # these read 27 runs and 48 images at 3/2+i, 47 and 96 at 4
+    calls = {"runs": 0, "images": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(groebner, "_buchberger", counted("runs", groebner._buchberger))
+    monkeypatch.setattr(plucker, "evaluate_in_M", counted("images", plucker.evaluate_in_M))
+    assert lines_through_point("generic", gamma).ok
+    assert calls["runs"] <= runs and calls["images"] <= images
 
 
 def test_line_scheme_lies_in_every_component_ideal():

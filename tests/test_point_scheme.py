@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,25 @@ def test_count_points_builds_the_point_ideal_once(fresh_caches, monkeypatch):
     assert builds == [4]
 
 
+def test_count_points_builds_each_chart_ideal_once(fresh_caches, monkeypatch):
+    # the chart loop and the rho certificate share the chart x1 = 1: each
+    # chart's minors are substituted once per algebra
+    import qp3.point_scheme as ps
+
+    charts = Counter()
+    real = ps.substitute
+
+    def counted(f, assign, *args, **kwargs):
+        charts.update(k for k, spec in enumerate(ps.CHART_SPECS) if assign == spec[1])
+        return real(f, assign, *args, **kwargs)
+
+    monkeypatch.setattr(ps, "substitute", counted)
+    A = make_A(gr(Fraction(3, 2), 1))
+    assert count_points(A).ok
+    minors = len(point_ideal(A).generators)
+    assert charts == {k: minors for k in range(len(ps.CHART_SPECS))}
+
+
 def test_count_points_parses_the_rho_system_once(fresh_caches, monkeypatch):
     # the rho certificate, the sigma orbits and Z_gamma's basis all read
     # rho1, rho2 and rho3, and each text is parsed once per gamma
@@ -333,9 +353,9 @@ def test_certificate_caches_respect_the_limits(capsys):
         with limits_scope(narrow):
             count_points(A)
     # line-scheme --verify forms no S-pair, but its basis of the 46 has 46
-    # elements
+    # elements; the largest run of lines-through --symbolic forms 14 pairs
     for flag, command in (("--max-basis=20", ["line-scheme", "--verify"]),
-                          ("--max-pairs=20", ["lines-through", "--symbolic"])):
+                          ("--max-pairs=10", ["lines-through", "--symbolic"])):
         assert cli.main(["--gamma=1", *command]) == cli.EXIT_OK
         assert cli.main(["--gamma=1", flag, *command]) == cli.EXIT_RESOURCE
     assert "resource limit" in capsys.readouterr().err
