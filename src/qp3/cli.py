@@ -117,15 +117,14 @@ def _value(name: str, text: str, kind):
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
 
-def _limit(field: str, value: Optional[int]) -> int:
-    """One bound: the flag, else its environment variable, else the default."""
+def _limit(field: str, value: Optional[int], raw: Optional[str]) -> int:
+    """One bound: the flag, else `raw`, the text of its environment
+    variable, else the default."""
     source = "--" + field.replace("_", "-")
     if value is None:
-        name = LIMIT_ENV[field]
-        raw = os.environ.get(name)
         if raw is None:
             return getattr(DEFAULT_LIMITS, field)
-        source = f"environment variable {name}"
+        source = f"environment variable {LIMIT_ENV[field]}"
         try:
             value = int(raw)
         except ValueError:
@@ -136,8 +135,19 @@ def _limit(field: str, value: Optional[int]) -> int:
 
 
 def make_limits(flags: tuple) -> GroebnerLimits:
-    """The limits from the flags (in LIMIT_ENV order) and the environment."""
-    return GroebnerLimits(**{f: _limit(f, v) for f, v in zip(LIMIT_ENV, flags)})
+    """The limits from the flags (in LIMIT_ENV order) and the environment.
+    The variables are read on every call; each distinct set of flags and
+    values is resolved once."""
+    return _resolved(flags, tuple([os.environ.get(name) for name in LIMIT_ENV.values()]))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _resolved(flags: tuple, raw: tuple) -> GroebnerLimits:
+    """The limits from the flags and the raw texts of the variables, both
+    in LIMIT_ENV order; DEFAULT_LIMITS itself when they are the defaults.
+    A usage error is not cached."""
+    limits = GroebnerLimits(*map(_limit, LIMIT_ENV, flags, raw))
+    return DEFAULT_LIMITS if limits == DEFAULT_LIMITS else limits
 
 
 def _emit(payload, fmt: str, text_fn) -> str:

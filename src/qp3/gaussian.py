@@ -32,7 +32,8 @@ class _Frozen:
 class GaussianRational(_Frozen):
     """An element (a + b*i)/d of Q(i), always stored in lowest terms."""
 
-    __slots__ = ("a", "b", "d")
+    # `_hash` is set when first asked for
+    __slots__ = ("a", "b", "d", "_hash")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
@@ -77,9 +78,14 @@ class GaussianRational(_Frozen):
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(Fraction(self.a, self.d))
-        return hash((self.a, self.b, self.d))
+        # a real value hashes like the equal Fraction (and int)
+        try:
+            return self._hash
+        except AttributeError:
+            h = (hash(Fraction(self.a, self.d)) if self.b == 0
+                 else hash((self.a, self.b, self.d)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other):
         other = _coerce(other)

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache, wraps
 from itertools import chain, zip_longest
 from math import gcd
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import _Frozen
 from .multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder, Monomial,
@@ -63,19 +62,23 @@ _LIMITS: ContextVar[GroebnerLimits] = ContextVar("qp3_groebner_limits",
                                                  default=DEFAULT_LIMITS)
 
 
-@contextmanager
-def limits_scope(limits: GroebnerLimits) -> Iterator[None]:
-    """Run every Groebner computation in the block under `limits`.
+class limits_scope:
+    """`with limits_scope(limits):` runs every Groebner computation in the
+    block under `limits`.
 
     The limits live in a context variable, so they hold for this thread
     (or asyncio task) only, and the previous limits come back when the
-    block exits, also by an exception.
+    block exits, also by an exception.  One scope is entered once.
     """
-    token = _LIMITS.set(limits)
-    try:
-        yield
-    finally:
-        _LIMITS.reset(token)
+
+    def __init__(self, limits: GroebnerLimits):
+        self.limits = limits
+
+    def __enter__(self) -> None:
+        self._token = _LIMITS.set(self.limits)
+
+    def __exit__(self, *exc_info) -> None:
+        _LIMITS.reset(self._token)
 
 
 def current_limits() -> GroebnerLimits:
@@ -108,7 +111,8 @@ def cached_under_limits(fn=None, *, maxsize: int = MEMO_SIZE):
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        return cached(current_limits(), args, tuple(sorted(kwargs.items())))
+        return cached(_LIMITS.get(), args,
+                      tuple(sorted(kwargs.items())) if kwargs else ())
     wrapper.cache_clear = cached.cache_clear
     wrapper.cache_info = cached.cache_info
     return wrapper

@@ -337,7 +337,10 @@ def verify_decomposition(gamma: GaussianRational) -> DecompositionReport:
     """Both inclusions of the decomposition as schemes, L^sat = I for L
     `line_scheme_ideal(gamma)` and I the intersection of the component
     ideals L_k of `component_catalog(gamma)`, plus the dimension and degree
-    bookkeeping; every clause is reported separately.  L lies in each L_k.
+    bookkeeping; every clause is reported separately.  L lies in each L_k
+    when every element of G, the reduced basis of the 46, reduces to zero
+    modulo the basis of L_k: G generates L, so this says what the 46 would
+    say, with fewer terms to reduce.
     Each L_k has as many generators as its codimension, so it is unmixed,
     hence saturated, and so is I; and each generator f of I has f, or else
     every M_ij * NF(f), in L.  Then I lies in L^sat, which lies in I^sat = I
@@ -346,8 +349,9 @@ def verify_decomposition(gamma: GaussianRational) -> DecompositionReport:
     `LINE_SCHEME_NUMERATOR`, and the generators of I are the table of the
     intersection (`FixtureSet.components_intersection`) at gamma."""
     L, C = line_scheme_ideal(gamma), component_catalog(gamma)
-    poly_in_components = all(scheme_in_ideal(L, comp.ideal) for comp in C)
     gb = buchberger(L.ideal, LINE_SCHEME_NUMERATOR)
+    poly_in_components = all(reduces_to_zero(g, comp_gb) for comp_gb in
+                             (buchberger(c.ideal) for c in C) for g in gb)
     vs, hd = L.ideal.varset, _hilbert_data(gb)[:2]
     comp_h = {c.name: hilbert_dimension_degree(c.ideal) for c in C}
     degrees_sum = sum(d for _, d in comp_h.values())

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qp3 import cli
+from qp3 import cli, gaussian
 from qp3.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFICATION,
                      main, parse_gamma, UsageError)
 from qp3.gaussian import gr
@@ -278,14 +279,67 @@ def test_answer_memo_keeps_text_and_json_apart(capsys, fresh_caches):
 
 
 def test_answer_memo_respects_the_limits(monkeypatch, capsys):
-    # a cached success is keyed on the limits, so a narrower bound
-    # recomputes and still stops
+    # a cached success is keyed on the limits, so a narrower bound, from a
+    # flag or from a variable set between two identical calls, recomputes
+    # and still stops
     argv = ["--gamma=5", "point-scheme"]
+    for field, name in cli.LIMIT_ENV.items():
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        code, out, err = run_cli([*argv, "--" + field.replace("_", "-"), "1"], capsys)
+        assert code == EXIT_RESOURCE and out == "" and "resource limit" in err
+        monkeypatch.setenv(name, "1")
+        assert run_cli(argv, capsys)[0] == EXIT_RESOURCE
+        monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize("value", ["", "many"])
+@pytest.mark.parametrize("name", cli.LIMIT_ENV.values())
+def test_bad_variable_is_refused_on_a_repeated_question(name, value, monkeypatch,
+                                                        capsys, fresh_caches):
+    # the variables are read on every call, so a bad value set before a
+    # question the memos already hold is refused like a first one
+    argv = ["--gamma=5/3", "point-scheme"]
+    for repeated in (False, True):
+        if repeated:
+            monkeypatch.delenv(name)
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+        monkeypatch.setenv(name, value)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qp3: environment variable {name} must be an integer\n"
+
+
+def test_default_limits_are_shared(monkeypatch):
+    for name in cli.LIMIT_ENV.values():
+        monkeypatch.delenv(name, raising=False)
+    assert cli.make_limits((None, None, None)) is cli.DEFAULT_LIMITS
+    assert cli.make_limits((None, 7, None)) == cli.DEFAULT_LIMITS._replace(max_basis=7)
+
+
+def test_a_repeated_question_resolves_nothing_again(monkeypatch, capsys, fresh_caches):
+    # the second of two identical calls reads its limits and its answer
+    # from the memos: no bound is resolved again, and gamma's hash is not
+    # rebuilt through a Fraction
+    argv = ["--gamma=5", "point-scheme"]
+    resolved, fractions = [], []
+    limit = cli._limit
+
+    def counted(*args):
+        resolved.append(args)
+        return limit(*args)
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(cli, "_limit", counted)
     assert run_cli(argv, capsys)[0] == EXIT_OK
-    code, out, err = run_cli([*argv, "--max-pairs", "1"], capsys)
-    assert code == EXIT_RESOURCE and out == "" and "resource limit" in err
-    monkeypatch.setenv("QP3_MAX_PAIRS", "1")
-    assert run_cli(argv, capsys)[0] == EXIT_RESOURCE
+    assert len(resolved) == 3
+    resolved.clear()
+    monkeypatch.setattr(gaussian, "Fraction", Counted)
+    assert run_cli(argv, capsys)[0] == EXIT_OK
+    assert resolved == [] and fractions == []
 
 
 def test_answer_memo_keys_the_tolerance_in_numeric_mode_only(capsys):

@@ -77,3 +77,20 @@ def test_field_axioms_random():
             assert a * a.inverse() == ONE
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+def test_hash_is_kept_and_matches_equal_numbers():
+    # a real value hashes like the equal int or Fraction, and the hash,
+    # computed once, is no field a caller can set
+    assert hash(gr(3)) == hash(3) and hash(gr(-7)) == hash(-7)
+    assert hash(gr(Fraction(3, 2))) == hash(Fraction(3, 2))
+    z = gr(Fraction(3, 2), 1)
+    assert hash(z) == hash(z) == hash(gr(Fraction(3, 2), 1))
+    assert {z: 1}[gr(Fraction(3, 2), 1)] == 1
+    with pytest.raises(AttributeError):
+        gr(5, 1)._hash = 0
+    for value in (z, gr(3)):
+        before = hash(value)
+        with pytest.raises(AttributeError):
+            value._hash = 0
+        assert hash(value) == before
