@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 from .gaussian import GaussianRational
 from .multipoly import VarSet, height_bound, parse_poly, PolyParseError
 from .groebner import (DEFAULT_LIMITS, MEMO_SIZE, GroebnerLimits,
-                       ResourceLimitError, cached_under_limits, limits_scope)
+                       ResourceLimitError, limits_scope)
 from .numeric import ConvergenceError, DegeneratePointError, numeric_table
 from .quadratic_algebra import ZeroGammaError, make_A
 
@@ -134,22 +134,6 @@ def _limit(field: str, value: Optional[int], raw: Optional[str]) -> int:
     return value
 
 
-def make_limits(flags: tuple) -> GroebnerLimits:
-    """The limits from the flags (in LIMIT_ENV order) and the environment.
-    The variables are read on every call; each distinct set of flags and
-    values is resolved once."""
-    return _resolved(flags, tuple([os.environ.get(name) for name in LIMIT_ENV.values()]))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _resolved(flags: tuple, raw: tuple) -> GroebnerLimits:
-    """The limits from the flags and the raw texts of the variables, both
-    in LIMIT_ENV order; DEFAULT_LIMITS itself when they are the defaults.
-    A usage error is not cached."""
-    limits = GroebnerLimits(*map(_limit, LIMIT_ENV, flags, raw))
-    return DEFAULT_LIMITS if limits == DEFAULT_LIMITS else limits
-
-
 def _emit(payload, fmt: str, text_fn) -> str:
     if fmt == "json":
         doc = {"schema": 1}
@@ -232,12 +216,16 @@ def cmd_lines_through_numeric(gamma, fmt, tolerance: float) -> Tuple[str, int]:
     return _emit(payload, fmt, text), EXIT_OK
 
 
-@cached_under_limits
-def answer(command, *args) -> Tuple[str, int]:
-    """`command(*args)`: the stdout text and exit code of one report, kept
-    once per process under the current Groebner limits.  An exception,
-    such as a numeric refusal, is not cached."""
-    return command(*args)
+@lru_cache(maxsize=MEMO_SIZE)
+def answer(question: tuple, flags: tuple, raw: tuple) -> Tuple[str, int]:
+    """The stdout text and exit code of `question`, a command function and
+    its arguments, kept once per process for each set of limit flags and
+    `raw`, the texts of the limit variables (both in LIMIT_ENV order).  The
+    limits are resolved and put in force only here, on a miss.  An
+    exception, such as a bad variable or a numeric refusal, is not cached."""
+    command, *args = question
+    with limits_scope(GroebnerLimits(*map(_limit, LIMIT_ENV, flags, raw))):
+        return command(*args)
 
 
 def _question(command: str, given: dict, gamma) -> tuple:
@@ -261,7 +249,7 @@ def _parsed(argv: tuple) -> Optional[tuple]:
     `--help`: everything `main` takes from argv, once per distinct argv.
     As with argparse, a bad value or an ambiguous prefix raises where it
     stands, and stray tokens and the checks across options wait for the
-    end.  A usage error is not cached; `make_limits` reads the environment."""
+    end.  A usage error is not cached; `main` reads the limit variables."""
     command, given, stray = None, {"--tolerance": 1e-8}, []
     tokens = iter(argv)
     options = True    # until a bare `--`
@@ -305,8 +293,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stdout.write(USAGE)
             return EXIT_OK
         question, flags = parsed
-        with limits_scope(make_limits(flags)):
-            text, code = answer(*question)
+        text, code = answer(question, flags,
+                            tuple([os.environ.get(name) for name in LIMIT_ENV.values()]))
     except (UsageError, ZeroGammaError) as exc:
         sys.stderr.write(f"qp3: {exc}\n")
         return EXIT_USAGE

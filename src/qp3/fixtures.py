@@ -10,7 +10,7 @@ A table is specialised at a concrete gamma, or kept over Q(i)[g] with g
 the last variable (gamma None), by `table_polys`; no text is parsed.
 The tables' text forms, and the lists the paper prints (the 15 point
 minors, the 46 line-scheme polynomials with their errata, the surfaces
-and the displayed matrices), are the tests' oracles (`tests/tables.py`,
+and the displayed matrices), are the tests' oracles (`tests/table_texts.py`,
 `tests/printed.py`).
 """
 

@@ -9,7 +9,9 @@ would outgrow them raises `ExponentOverflowError`, a `ResourceLimitError`,
 so no exponent wraps.
 
 Every list the engine keeps is primitive (`_primitive`): its lead is a
-positive integer and no Gaussian content such as (1+i)^k survives.  A
+positive integer and the integer gcd of its coefficients' parts is 1.  A
+Gaussian content may survive: (2+i)*x + 1 is kept as 5x + (2-i), which
+2-i divides.  A
 `GroebnerBasis` keeps the lists its computation produced, `normal_form`
 reduces against them directly, and its `basis` is their monic view.
 
@@ -86,36 +88,35 @@ def current_limits() -> GroebnerLimits:
     return _LIMITS.get()
 
 
-# entries each memo of a CLI answer or per-gamma object keeps: a `session`
-# benchmark run (8 commands at 8 gammas) fills exactly 64 of `cli.answer`
-# and 64 of `cli._parsed`
+# entries each memo of a CLI answer, a per-gamma object or a component's
+# invariants keeps: a `session` benchmark run (8 commands at 8 gammas, the
+# pool of seed 1) fills exactly 64 of `cli.answer` (one per question with
+# the limits unset) and 64 of `cli._parsed`, and 30 of `curve_invariants`
 MEMO_SIZE = 64
 # entries each memo of the Groebner layer keeps: bases, unit answers and
 # Hilbert numerators.  A `session` benchmark run over eight gammas (the
-# pool of seed 1) makes 279 bases and 269 unit answers
+# pool of seed 1) makes 287 bases and 269 unit answers
 GB_CACHE_SIZE = 1024
 
 
-def cached_under_limits(fn=None, *, maxsize: int = MEMO_SIZE):
-    """Cache fn on its hashable arguments and the current Groebner limits:
+def cached_under_limits(*, maxsize: int):
+    """`@cached_under_limits(maxsize=n)` caches fn on its positional
+    arguments, which must be hashable, and the current Groebner limits:
     under a narrower bound the result is recomputed, and raises if the
     bound is hit.  An exception is not cached.  The cache keeps the
     `maxsize` most recently used results, which callers must treat as
-    immutable values; `__wrapped__` is fn.  Used bare, or as
-    `@cached_under_limits(maxsize=...)`.
+    immutable values; `__wrapped__` is fn.
     """
-    if fn is None:
-        return lambda fn: cached_under_limits(fn, maxsize=maxsize)
-    cached = lru_cache(maxsize=maxsize)(
-        lambda limits, args, kwargs: fn(*args, **dict(kwargs)))
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(lambda limits, *args: fn(*args))
 
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        return cached(_LIMITS.get(), args,
-                      tuple(sorted(kwargs.items())) if kwargs else ())
-    wrapper.cache_clear = cached.cache_clear
-    wrapper.cache_info = cached.cache_info
-    return wrapper
+        @wraps(fn)
+        def wrapper(*args):
+            return cached(_LIMITS.get(), *args)
+        wrapper.cache_clear = cached.cache_clear
+        wrapper.cache_info = cached.cache_info
+        return wrapper
+    return decorate
 
 
 class Ideal(_Frozen):

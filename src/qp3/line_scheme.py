@@ -198,7 +198,7 @@ _KINDS = {(4, 1, 3): "spatial_elliptic", (3, 1, 2): "planar_elliptic",
           (2, 0, 2): "conic"}
 
 
-@cached_under_limits
+@cached_under_limits(maxsize=MEMO_SIZE)
 def curve_invariants(ideal: Ideal) -> Tuple[int, int, str]:
     """(dimension, degree, kind) of V(ideal) in P5.  With h the Hilbert
     numerator of its DEGREVLEX basis, a curve has arithmetic genus

@@ -15,6 +15,7 @@ from .groebner import (GroebnerBasis, Ideal, buchberger,
                        hilbert_dimension_degree, is_unit_mod,
                        quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import CHART_VARS, M_VARS, X_VARS
+from .polylinalg import cross_minors
 from .point_scheme import (BASIS_POINTS, ProjectivePoint, symbolic_point,
                            zgamma_ideal)
 from .line_scheme import (Component, component_catalog, line_scheme_ideal,
@@ -26,9 +27,6 @@ class DependentPointsError(ValueError):
 
 class ZeroParameterError(ValueError):
     pass
-
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class PluckerLine(ProjectivePoint):
@@ -50,12 +48,12 @@ class PluckerLine(ProjectivePoint):
 
 def pluecker_join(a: Sequence, b: Sequence) -> List:
     """M_ij = a_i b_j - a_j b_i, for exact or float coordinates alike."""
-    return [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+    return list(cross_minors(a, b))
 
 
 def line_from_points(a: ProjectivePoint, b: ProjectivePoint) -> PluckerLine:
     """The join of two linearly independent points."""
-    coords = pluecker_join(a, b)
+    coords = pluecker_join(a.coords, b.coords)
     if all(c.is_zero() for c in coords):
         raise DependentPointsError("points are projectively equal")
     return PluckerLine(coords)
@@ -362,9 +360,7 @@ def _pairwise_distinct(lines: List[Tuple[Polynomial, ...]],
     """Every pair of the six lines differs at every point of the branch:
     some 2x2 cross-minor of their coordinate vectors is a unit."""
     return all(
-        any(is_unit_mod(m, branch_ideal)
-            for m in (c1[a] * c2[b] - c1[b] * c2[a] for a, b in combinations(range(6), 2))
-            if not m.is_zero())
+        any(is_unit_mod(m, branch_ideal) for m in cross_minors(c1, c2) if not m.is_zero())
         for c1, c2 in combinations(lines, 2))
 
 

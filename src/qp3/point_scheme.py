@@ -9,7 +9,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, _Frozen, gr
 from .multipoly import DEGREVLEX, Polynomial, VarSet, parse_poly, substitute
-from .polylinalg import PolyMatrix, all_minors, kernel_vector, nullspace
+from .polylinalg import PolyMatrix, all_minors, cross_minors, kernel_vector, nullspace
 from .groebner import (MEMO_SIZE, GroebnerBasis, Ideal, buchberger, is_unit_mod,
                        normal_form, quotient_dimension, reduces_to_zero)
 from .quadratic_algebra import (CHART_VARS, QuadraticAlgebra, X_VARS, bilinear_value,
@@ -218,16 +218,10 @@ def symbolic_point() -> Tuple[Polynomial, ...]:
 def sigma_symbolic(coords: Sequence[Polynomial], A: QuadraticAlgebra):
     """Apply sigma to a point with coordinates modulo <rho1, rho2, rho3>:
     each form of `sigma_forms` at `coords`, reduced modulo rho.  The image
-    is a point up to a unit factor; `_cross_minors` compares two."""
+    is a point up to a unit factor; `cross_minors` compares two."""
     gb = zgamma_gb(A.gamma)
     at = dict(zip(X_VARS.names, coords))
     return tuple(normal_form(substitute(f, at, CHART_VARS), gb) for f in sigma_forms(A))
-
-
-def _cross_minors(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> List[Polynomial]:
-    """The six 2x2 minors of the rows a and b: they vanish at a point where
-    a and b agree up to scale, or one of them is 0."""
-    return [a[j] * b[k] - a[k] * b[j] for j in range(4) for k in range(j + 1, 4)]
 
 
 def sigma_orbit_certificates(A: QuadraticAlgebra) -> Dict[str, bool]:
@@ -242,9 +236,9 @@ def sigma_orbit_certificates(A: QuadraticAlgebra) -> Dict[str, bool]:
     s4 = sigma_symbolic(sigma_symbolic(s2, A), A)
     checks = {"x3_is_unit_on_Z": is_unit_mod(s1[0], rho),
               "sigma4_is_identity": all(reduces_to_zero(m, gb)
-                                        for m in _cross_minors(s4, p))}
+                                        for m in cross_minors(s4, p))}
     for name, s in (("sigma2_fixed_point_free", s2), ("sigma_fixed_point_free", s1)):
-        fixed = Ideal(list(rho.generators) + _cross_minors(s, p))
+        fixed = Ideal([*rho.generators, *cross_minors(s, p)])
         checks[name] = buchberger(fixed).contains_one()
     # sigma(Z) lies in the point scheme: each minor pulled back through sigma
     at = dict(zip(X_VARS.names, s1))

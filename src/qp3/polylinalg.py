@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _Frozen
 from .groebner import GroebnerLimits, Ideal, _buchberger, limits_scope
@@ -40,6 +40,13 @@ class PolyMatrix(_Frozen):
 
     def row(self, k: int) -> List[Polynomial]:
         return list(self.entries[k])
+
+
+def cross_minors(a: Sequence, b: Sequence) -> Iterator:
+    """The 2x2 minors a_i b_j - a_j b_i of two rows of one length, i < j in
+    lexicographic order, one at a time: all vanish iff the rows agree up to
+    scale or one of them is 0.  Exact or float entries alike."""
+    return (a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2))
 
 
 def minor(m: PolyMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Polynomial:

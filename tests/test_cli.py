@@ -12,6 +12,9 @@ from qp3 import cli, gaussian
 from qp3.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFICATION,
                      main, parse_gamma, UsageError)
 from qp3.gaussian import gr
+from qp3.groebner import DEFAULT_LIMITS, GroebnerLimits, current_limits, limits_scope
+from qp3.point_scheme import E1, E2, sigma
+from qp3.quadratic_algebra import make_A
 
 
 def run_cli(argv, capsys):
@@ -309,11 +312,39 @@ def test_bad_variable_is_refused_on_a_repeated_question(name, value, monkeypatch
         assert err == f"qp3: environment variable {name} must be an integer\n"
 
 
-def test_default_limits_are_shared(monkeypatch):
+def test_answer_puts_its_limits_in_force_on_a_miss_only(monkeypatch, capsys,
+                                                         fresh_caches):
+    # the command runs under the limits its flags and variables set, the
+    # defaults when none is set; a repeated question resolves no bound and
+    # enters no scope
+    seen, scopes, resolved = [], [], []
+    scope, limit = cli.limits_scope, cli._limit
+
+    def stub(gamma, fmt):
+        seen.append(current_limits())
+        return "stub\n", EXIT_OK
+
+    def counted_scope(limits):
+        scopes.append(limits)
+        return scope(limits)
+
+    def counted_limit(*args):
+        resolved.append(args)
+        return limit(*args)
+
     for name in cli.LIMIT_ENV.values():
         monkeypatch.delenv(name, raising=False)
-    assert cli.make_limits((None, None, None)) is cli.DEFAULT_LIMITS
-    assert cli.make_limits((None, 7, None)) == cli.DEFAULT_LIMITS._replace(max_basis=7)
+    monkeypatch.setattr(cli, "cmd_point_scheme", stub)
+    monkeypatch.setattr(cli, "limits_scope", counted_scope)
+    monkeypatch.setattr(cli, "_limit", counted_limit)
+    for flags, limits in (([], DEFAULT_LIMITS),
+                          (["--max-basis", "7"], DEFAULT_LIMITS._replace(max_basis=7))):
+        argv = ["--gamma=5", "point-scheme", *flags]
+        assert run_cli(argv, capsys) == (EXIT_OK, "stub\n", "")
+        assert seen == scopes == [limits] and len(resolved) == 3
+        del seen[:], scopes[:], resolved[:]
+        assert run_cli(argv, capsys) == (EXIT_OK, "stub\n", "")
+        assert seen == scopes == resolved == []
 
 
 def test_a_repeated_question_resolves_nothing_again(monkeypatch, capsys, fresh_caches):
@@ -377,7 +408,6 @@ def test_reports_are_frozen():
     from qp3.line_scheme import verify_decomposition
     from qp3.plucker import lines_through_point
     from qp3.point_scheme import count_points
-    from qp3.quadratic_algebra import make_A
 
     six = lines_through_point("generic", gr(1))
     reports = {
@@ -401,12 +431,14 @@ def test_text_output_deterministic(capsys):
     assert j1 == j2
 
 
-def test_limits_do_not_bound_the_relation_row_reduction(capsys):
-    # building A(gamma) reduces its six relation rows to a basis of six
-    # forms; a basis bound under six still lets line-scheme answer
-    code, out, err = run_cli(["--max-basis=5", "--gamma=7/3+2*i", "line-scheme"], capsys)
-    assert (code, err) == (EXIT_OK, "")
-    assert "46 polynomials" in out
+def test_limits_do_not_bound_the_relation_row_reduction(fresh_caches):
+    # building A(gamma) reduces its six relation rows to the ten dual forms,
+    # and sigma(e1) reduces R(e1) to its kernel: row reductions under fixed
+    # bounds of their own, so a basis bound under ten stops neither
+    with limits_scope(GroebnerLimits(max_pairs=1, max_basis=5, max_degree=1)):
+        A = make_A(parse_gamma("7/3+2*i"))
+        assert len(A.dual) == 10
+        assert sigma(E1, A) == E2
 
 
 def test_env_var_limits(monkeypatch, capsys):

@@ -547,6 +547,21 @@ def test_unnamed_method_is_reported():
     assert unnamed_in(texts, [module]) == ["m.py:6 K.unused", "m.py:11 K.recursive"]
 
 
+def test_unentered_function_is_reported(tmp_path):
+    # a decorated function starts at its decorator, and a function nested in
+    # a listed one counts with it
+    from _unentered import unentered
+
+    _write_tree(tmp_path, {"m.py": (
+        "import functools\n"
+        "def used():\n    def inner():\n        return 1\n    return 2\n"
+        "@functools.lru_cache(maxsize=4)\n"
+        "def cached():\n    def inner():\n        return 3\n    return inner\n"
+        "class K:\n    def method(self):\n        return 4\n")})
+    assert unentered(tmp_path, {("m.py", 2)}) == [
+        ("m.py", 3, "inner", 2), ("m.py", 6, "cached", 5), ("m.py", 12, "method", 2)]
+
+
 def test_test_only_api_is_allowlisted():
     found = {*named_only_by_tests(ROOT, MODULES), *never_entered(SRC.parent, MODULES, RUNS)}
     assert sorted(found - set(TEST_ONLY_API)) == [], "test-only, not allowlisted"

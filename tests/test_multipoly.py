@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -281,6 +282,39 @@ def test_bidegree_bookkeeping():
 def test_mixed_coefficient_roundtrip():
     f = parse_poly("(1/2 - 1/3*i)*x1^2 + 7*x2 - i", X_VARS)
     assert parse_poly(print_poly(f), X_VARS) == f
+
+
+def _gaussian_gcd(a, b):
+    """A gcd in Z[i] of a and b, each a pair (real, imaginary), by Euclid's
+    algorithm with the quotient rounded to a nearest Gaussian integer."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+STORED = ("(2+i)*x1 + 1", "(1+i)*x1^2 - 2*x2", "3*x1 - 6*i*x2 + 9")
+
+
+@pytest.mark.parametrize("text", STORED)
+def test_a_stored_list_has_a_positive_integer_lead_and_integer_content_one(text):
+    stored = parse_poly(text, X_VARS)._list
+    a, b = stored[0][2]
+    assert a > 0 and b == 0
+    assert math.gcd(*(c for _, _, pair in stored for c in pair)) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="_primitive leaves Gaussian content, "
+                   "such as 2 - i in 5*x1 + (2 - i) (ROADMAP item 2)")
+def test_a_stored_list_has_gaussian_content_one():
+    stored = parse_poly("(2+i)*x1 + 1", X_VARS)._list
+    content = (0, 0)
+    for _, _, pair in stored:
+        content = _gaussian_gcd(content, pair)
+    assert content[0] ** 2 + content[1] ** 2 == 1
 
 
 def test_height_bound_bounds_every_constant():

@@ -8,7 +8,8 @@ from qp3.gaussian import ONE, ZERO, gr
 from qp3.groebner import GroebnerLimits, limits_scope
 from qp3.multipoly import (DEGREVLEX, ExponentOverflowError, MonomialOrder,
                            Polynomial, VarSet, VarSetMismatchError, parse_poly)
-from qp3.polylinalg import PolyMatrix, all_minors, minor, nullspace, row_echelon
+from qp3.polylinalg import (PolyMatrix, all_minors, cross_minors, minor, nullspace,
+                            row_echelon)
 from qp3.quadratic_algebra import X_VARS, XY_VARS, make_A, relation_matrix
 from qp3.line_scheme import build_big_matrix
 from oracles import det_bareiss, poly_exact_div, rank
@@ -31,6 +32,14 @@ def test_two_by_two_cofactor():
     m = PolyMatrix([[Polynomial.variable(vs, "x1"), Polynomial.variable(vs, "x2")],
                     [Polynomial.variable(vs, "x3"), Polynomial.variable(vs, "x4")]])
     assert minor(m, (0, 1), (0, 1)) == parse_poly("x1*x4 - x2*x3", vs)
+
+
+def test_cross_minors_are_the_two_row_minors_in_column_pair_order():
+    for width in (2, 4, 6):
+        rows = [[parse_poly(f"x{1 + (r + c) % 4} - {c}*x{1 + c % 4}", X_VARS)
+                 for c in range(width)] for r in range(2)]
+        assert list(cross_minors(*rows)) == [
+            minor(PolyMatrix(rows), (0, 1), cols) for cols in combinations(range(width), 2)]
 
 
 def test_relation_matrix_minor_in_point_ideal():
